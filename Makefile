@@ -1,11 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-save bench-compare bench-gate figures trace-check chaos-check export-check serve-check chaos-serve-check
-
-# BENCH is the tracked benchmark snapshot for this PR; bump the number
-# each PR so the trajectory stays reviewable in-tree (see EXPERIMENTS.md,
-# "Performance").
-BENCH ?= BENCH_10.json
+.PHONY: all build test race vet check bench benchmark figures trace-check chaos-check export-check serve-check chaos-serve-check
 
 all: build
 
@@ -77,45 +72,22 @@ serve-check:
 chaos-serve-check:
 	$(GO) test -race -run TestChaosServeWallClockSmoke -count=1 -timeout 10m ./serve
 
-# bench runs the tracked benchmark families (end-to-end Run, raw sim
-# loop, WFQ dequeue, transport send, histogram record/quantile, /metrics
-# render) with full iterations and memory stats; `make bench` is the
-# quick human-readable form.
+# bench runs the micro-benchmark families (end-to-end Run, the event
+# kernel under round-robin and hold-model load, WFQ dequeue, transport
+# send, histogram record/quantile, /metrics render, the admission fast
+# path) with full iterations and memory stats, for a human to read. The
+# instrument for performance claims is `make benchmark`.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkRun|BenchmarkSimLoop|BenchmarkWFQDequeue|BenchmarkTransportSend|BenchmarkHist|BenchmarkMetricsRender|BenchmarkAdmitDecision|BenchmarkObserve|BenchmarkServeMiddleware' \
+	$(GO) test -run '^$$' -bench 'BenchmarkRun|BenchmarkSimLoop|BenchmarkSimHold|BenchmarkWFQDequeue|BenchmarkTransportSend|BenchmarkHist|BenchmarkMetricsRender|BenchmarkAdmitDecision|BenchmarkObserve|BenchmarkServeMiddleware' \
 	    -benchmem . ./internal/sim ./internal/wfq ./internal/transport ./internal/stats ./internal/obs ./internal/core ./serve
 
-# bench-save records the same suite into $(BENCH) via cmd/benchjson,
-# preserving any existing baseline section in the file. Best-of-3 runs:
-# wall-clock noise on shared machines is one-sided (co-tenants only ever
-# slow you down), so the minimum is the honest per-benchmark number and
-# the only one stable enough for bench-gate's threshold.
-bench-save:
-	$(GO) run ./cmd/benchjson -pr 10 -benchtime 300ms -count 3 -out $(BENCH)
-
-# bench-compare diffs two snapshots: make bench-compare OLD=a.json NEW=b.json
-OLD ?= $(BENCH)
-NEW ?= $(BENCH)
-bench-compare:
-	$(GO) run ./cmd/benchjson -compare $(OLD) $(NEW)
-
-# bench-gate re-measures the tracked suite and fails on regression against
-# the checked-in $(BENCH): ns/op growing more than GATE_PCT percent, any
-# allocs/op appearing on an allocation-free benchmark, or a tracked
-# benchmark disappearing. The default tolerance is wide because even
-# same-machine timings swing with virtualized-host frequency scaling
-# (sub-10ns benchmarks measurably double run-to-run); the gate's job is
-# catching order-of-magnitude bit-rot, and the allocation gate stays
-# strict everywhere since allocs/op is machine-independent. CI widens
-# GATE_PCT further because the snapshot was measured on different
-# hardware.
-GATE_PCT ?= 100
-GATE_BENCHTIME ?= 300ms
-GATE_COUNT ?= 3
-bench-gate:
-	@mkdir -p out
-	$(GO) run ./cmd/benchjson -benchtime $(GATE_BENCHTIME) -count $(GATE_COUNT) -out out/bench-gate.json
-	$(GO) run ./cmd/benchjson -compare -gate -gate-pct $(GATE_PCT) $(BENCH) out/bench-gate.json
+# benchmark makes one run of the repository benchmark (BENCHMARK.json,
+# benchmark/README.md) as the driver makes it: W is the workload, T=1 the
+# traced run with the per-layer metrics.
+W ?= sim-large-rpc
+T ?= 0
+benchmark:
+	bash benchmark/run.sh --workload $(W) --seed 1 --seconds 15 --trace $(T)
 
 figures: build
 	$(GO) run ./cmd/figures -fig all

@@ -523,7 +523,7 @@ func BenchmarkAblationDropNotDowngrade(b *testing.B) {
 // composition: the uniform all-to-all default and the incast pattern. On
 // top of the standard ns/op and allocs/op it reports simulator throughput
 // (events/sec, packets/sec) and the per-completed-RPC cost (ns/RPC) —
-// the headline quantities tracked PR over PR in BENCH_*.json.
+// the quantities the repository benchmark's sim workloads report end to end.
 // Run with: go test -bench=BenchmarkRun -benchmem .
 func BenchmarkRun(b *testing.B) {
 	base := func() SimConfig {

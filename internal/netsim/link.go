@@ -82,6 +82,38 @@ type Link struct {
 	// pipelined), so they come from freeArr, a per-link free list.
 	tx      txDoneEvent
 	freeArr []*arrivalEvent
+
+	txMemo txMemo
+}
+
+// txMemo remembers the serialisation times of the two packet sizes a link
+// sent last. A link carries little but full-MTU data packets and acks, so
+// Rate.TxTime's 128-bit divide runs once per size instead of once per
+// packet, and the answer is the one TxTime gave. rate is part of the key
+// because Link.Rate is an exported field. key is size+1, so the zero value
+// is two empty entries.
+type txMemo struct {
+	rate sim.Rate
+	key  [2]int
+	d    [2]sim.Duration
+}
+
+// txTime is l.Rate.TxTime(size).
+func (l *Link) txTime(size int) sim.Duration {
+	m := &l.txMemo
+	if m.rate != l.Rate {
+		*m = txMemo{rate: l.Rate}
+	}
+	switch size + 1 {
+	case m.key[0]:
+		return m.d[0]
+	case m.key[1]:
+		return m.d[1]
+	}
+	d := l.Rate.TxTime(size)
+	m.key[1], m.d[1] = m.key[0], m.d[0]
+	m.key[0], m.d[0] = size+1, d
+	return d
 }
 
 // txDoneEvent fires when the transmitter finishes serialising l.tx's
@@ -185,7 +217,7 @@ func (l *Link) kick(s *sim.Simulator) {
 			l.Attr.TailHop(s.Now(), p.Src, p.MsgID, resid)
 		}
 	}
-	tx := l.Rate.TxTime(p.Size)
+	tx := l.txTime(p.Size)
 	l.Stats.BusyTime += tx
 	l.Stats.TxPackets++
 	l.Stats.TxBytes += int64(p.Size)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -34,6 +35,62 @@ func BenchmarkSimLoop(b *testing.B) {
 			}
 			if secs := b.Elapsed().Seconds(); secs > 0 {
 				b.ReportMetric(float64(b.N)/secs, "events/s")
+			}
+		})
+	}
+}
+
+// holdEvent is the classic hold model's event: when it fires it takes the
+// next exponential gap from a fixed-seed table and re-arms itself, so the
+// heap's depth is constant and every key it compares is as good as random.
+// The gaps come from a table so that the RNG's cost (and its branchy
+// ziggurat) stays out of the measurement; each event walks the shared table
+// from its own offset.
+type holdEvent struct {
+	gaps []Duration
+	i    int
+}
+
+func (e *holdEvent) Run(s *Simulator) {
+	e.i++
+	s.After(e.gaps[e.i&(len(e.gaps)-1)], e)
+}
+
+// newHold returns a simulator with pending hold events in steady state.
+func newHold(pending int) *Simulator {
+	s := New(1)
+	rng := rand.New(rand.NewSource(42))
+	const mean = 1000
+	gaps := make([]Duration, 1<<14)
+	for i := range gaps {
+		gaps[i] = Duration(rng.ExpFloat64() * mean)
+	}
+	evs := make([]holdEvent, pending)
+	for i := range evs {
+		evs[i] = holdEvent{gaps: gaps, i: i * 31}
+		s.After(gaps[i], &evs[i])
+	}
+	for i := 0; i < 4*pending; i++ {
+		s.Step() // past the transient of the initial schedule
+	}
+	return s
+}
+
+// BenchmarkSimHold is the hold model (pop the earliest event, reschedule it
+// at now + Exp(mean)) at the pending-event counts cluster runs have.
+// BenchmarkSimLoop's round-robin gaps make every sift compare predictable;
+// here none is, which is what a real run pays.
+func BenchmarkSimHold(b *testing.B) {
+	for _, pending := range []int{64, 256, 1024} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			s := newHold(pending)
+			if allocs := testing.AllocsPerRun(1000, func() { s.Step() }); allocs != 0 {
+				b.Fatalf("Step allocates %v per event in steady state, want 0", allocs)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Step()
 			}
 		})
 	}

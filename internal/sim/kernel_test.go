@@ -1,0 +1,256 @@
+package sim
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// kernel is what the differential driver needs of a scheduler. Handles are
+// named by the order they were issued in, so one program drives both
+// implementations.
+type kernel interface {
+	now() Time
+	at(t Time, fn func()) int
+	cancel(h int) bool
+	live(h int) bool
+	step() bool
+	runUntil(end Time)
+	pending() int
+	processed() uint64
+}
+
+// satAdd is t+d saturating at MaxTime, for d ≥ 0.
+func satAdd(t Time, d Duration) Time {
+	if t+d < t {
+		return MaxTime
+	}
+	return t + d
+}
+
+// refKernel is the reference the event kernel is checked against: the
+// queue is a slice kept in timestamp order by a stable sort after every
+// append, which is FIFO within a timestamp by construction. Like the
+// kernel it drops a cancelled event only when it reaches the head, so
+// pending() agrees event for event.
+type refKernel struct {
+	t  Time
+	n  uint64
+	q  []*refEvent
+	hs []*refEvent
+}
+
+type refEvent struct {
+	at              Time
+	fn              func()
+	cancelled, gone bool
+}
+
+func (k *refKernel) now() Time         { return k.t }
+func (k *refKernel) pending() int      { return len(k.q) }
+func (k *refKernel) processed() uint64 { return k.n }
+func (k *refKernel) live(h int) bool   { return !k.hs[h].gone && !k.hs[h].cancelled }
+
+func (k *refKernel) at(t Time, fn func()) int {
+	e := &refEvent{at: t, fn: fn}
+	k.q = append(k.q, e)
+	sort.SliceStable(k.q, func(i, j int) bool { return k.q[i].at < k.q[j].at })
+	k.hs = append(k.hs, e)
+	return len(k.hs) - 1
+}
+
+func (k *refKernel) cancel(h int) bool {
+	if !k.live(h) {
+		return false
+	}
+	k.hs[h].cancelled = true
+	return true
+}
+
+// take removes the head and runs it unless it was cancelled.
+func (k *refKernel) take() bool {
+	e := k.q[0]
+	k.q = k.q[1:]
+	e.gone = true
+	if e.cancelled {
+		return false
+	}
+	k.t = e.at
+	k.n++
+	e.fn()
+	return true
+}
+
+func (k *refKernel) step() bool {
+	for len(k.q) > 0 {
+		if k.take() {
+			return true
+		}
+	}
+	return false
+}
+
+func (k *refKernel) runUntil(end Time) {
+	for len(k.q) > 0 && (k.q[0].at <= end || k.q[0].cancelled) {
+		k.take()
+	}
+	if k.t < end {
+		k.t = end
+	}
+}
+
+// simKernel adapts the Simulator to the driver.
+type simKernel struct {
+	s  *Simulator
+	hs []Handle
+}
+
+func (k *simKernel) now() Time         { return k.s.Now() }
+func (k *simKernel) pending() int      { return k.s.Pending() }
+func (k *simKernel) processed() uint64 { return k.s.Processed }
+func (k *simKernel) cancel(h int) bool { return k.hs[h].Cancel() }
+func (k *simKernel) live(h int) bool   { return k.hs[h].Pending() }
+func (k *simKernel) step() bool        { return k.s.Step() }
+func (k *simKernel) runUntil(end Time) { k.s.RunUntil(end) }
+
+func (k *simKernel) at(t Time, fn func()) int {
+	k.hs = append(k.hs, k.s.AtFunc(t, func(*Simulator) { fn() }))
+	return len(k.hs) - 1
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// play interprets prog, two bytes per operation, against k and returns
+// everything observable: the order events fired in, every Cancel and
+// Pending answer, and Now, Processed and Pending after each operation.
+// Timestamps are drawn from a range of eight, so ties are the common case.
+// Events schedule and cancel from inside their own firing, and the handle
+// list keeps every handle ever issued, so cancelling a fired event or one
+// whose slot has a new occupant happens as often as cancelling a live one.
+func play(k kernel, prog []byte) []int64 {
+	var out []int64
+	handles := 0
+	sched := func(t Time, fn func()) { k.at(t, fn); handles++ }
+	pick := func(arg byte) int { return int(arg) % handles }
+	for pc := 0; pc+1 < len(prog); pc += 2 {
+		op, arg := prog[pc]%8, prog[pc+1]
+		id := int64(pc) << 8
+		switch op {
+		case 0: // plain event; once in a while at "never"
+			d := Duration(arg % 8)
+			if arg == 255 {
+				d = MaxTime
+			}
+			sched(satAdd(k.now(), d), func() { out = append(out, id) })
+		case 1: // fires and schedules two children, one of them for right now
+			sched(satAdd(k.now(), Duration(arg%4)), func() {
+				out = append(out, id)
+				sched(k.now(), func() { out = append(out, id+1) })
+				sched(satAdd(k.now(), Duration(arg>>2%4)), func() { out = append(out, id+2) })
+			})
+		case 2: // re-arms itself from its own firing, as a link's tx event does
+			left := int(arg%4) + 1
+			var fire func()
+			fire = func() {
+				out = append(out, id+int64(left))
+				if left--; left > 0 {
+					sched(satAdd(k.now(), Duration(arg>>2%4)), fire)
+				}
+			}
+			sched(satAdd(k.now(), Duration(arg>>4)), fire)
+		case 3:
+			if handles > 0 {
+				out = append(out, -1, b2i(k.cancel(pick(arg))))
+			}
+		case 4:
+			out = append(out, -2, b2i(k.step()))
+		case 5:
+			k.runUntil(satAdd(k.now(), Duration(arg%16)))
+		case 6: // cancels some handle when it fires
+			sched(satAdd(k.now(), Duration(arg%8)), func() {
+				out = append(out, id, b2i(k.cancel(pick(arg>>3))))
+			})
+		case 7:
+			if handles > 0 {
+				out = append(out, -3, b2i(k.live(pick(arg))))
+			}
+		}
+		out = append(out, int64(k.now()), int64(k.processed()), int64(k.pending()))
+	}
+	for k.step() {
+	}
+	return append(out, int64(k.now()), int64(k.processed()), int64(k.pending()))
+}
+
+// diverge plays prog on the kernel and on the reference and reports the
+// first place their observable histories differ.
+func diverge(t *testing.T, prog []byte) {
+	t.Helper()
+	got := play(&simKernel{s: New(1)}, prog)
+	want := play(&refKernel{}, prog)
+	for i := 0; i < len(got) || i < len(want); i++ {
+		if i >= len(got) || i >= len(want) || got[i] != want[i] {
+			lo := max(0, i-6)
+			t.Fatalf("kernel and reference diverge at observation %d (lengths %d, %d)\nkernel    ...%v\nreference ...%v\nprogram %v",
+				i, len(got), len(want), got[lo:min(len(got), i+3)], want[lo:min(len(want), i+3)], prog)
+		}
+	}
+}
+
+// kernelPrograms are the seed corpus: each names the behaviour it is there
+// for, and each is also a fuzzing seed.
+var kernelPrograms = []struct {
+	name string
+	prog []byte
+}{
+	{"ties-fifo", []byte{0, 3, 0, 3, 0, 3, 0, 2, 0, 3, 0, 2, 5, 15}},
+	{"nested-from-run", []byte{1, 0, 1, 5, 1, 10, 0, 0, 5, 1, 1, 15, 4, 0, 4, 0}},
+	{"cancel-of-fired", []byte{0, 1, 0, 2, 4, 0, 3, 0, 7, 0, 3, 1, 3, 1, 4, 0, 7, 1}},
+	{"cancel-of-recycled-slot", []byte{0, 1, 4, 0, 0, 1, 3, 0, 7, 0, 7, 1, 4, 0, 0, 2, 3, 1, 3, 2, 4, 0}},
+	{"rearm-self", []byte{2, 3, 2, 7, 0, 1, 4, 0, 3, 0, 4, 0, 4, 0, 3, 1, 5, 15, 2, 19}},
+	{"cancel-from-run", []byte{0, 4, 0, 4, 6, 8, 6, 3, 0, 4, 6, 20, 5, 4, 3, 2, 5, 15}},
+	{"cancelled-head-past-end", []byte{0, 7, 0, 6, 3, 1, 5, 2, 7, 1, 7, 0, 5, 15}},
+	{"never", []byte{0, 255, 0, 1, 4, 0, 1, 3, 5, 15, 0, 255, 2, 255, 4, 0, 4, 0}},
+}
+
+// TestKernelMatchesReference drives the event kernel and the reference
+// scheduler with the same programs: the named ones, then random ones long
+// enough for the heap to reach a few levels and the free list to turn over.
+func TestKernelMatchesReference(t *testing.T) {
+	for _, c := range kernelPrograms {
+		t.Run(c.name, func(t *testing.T) { diverge(t, c.prog) })
+	}
+	t.Run("random", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(12))
+		for i := 0; i < 300; i++ {
+			prog := make([]byte, 2*(1+rng.Intn(400)))
+			rng.Read(prog)
+			if i%3 == 0 {
+				// Mostly scheduling: a deep queue before anything drains.
+				for pc := 0; pc < len(prog)/2; pc += 2 {
+					prog[pc] %= 3
+				}
+			}
+			diverge(t, prog)
+		}
+	})
+}
+
+// FuzzKernelOrder is the same comparison with the fuzzer choosing the
+// program: go test -fuzz=FuzzKernelOrder ./internal/sim
+func FuzzKernelOrder(f *testing.F) {
+	for _, c := range kernelPrograms {
+		f.Add(c.prog)
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 4096 {
+			t.Skip("the reference sorts after every insert")
+		}
+		diverge(t, prog)
+	})
+}

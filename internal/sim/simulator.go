@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"math/rand"
 )
 
@@ -16,24 +17,23 @@ type EventFunc func(s *Simulator)
 // Run implements Event.
 func (f EventFunc) Run(s *Simulator) { f(s) }
 
-// scheduled pairs an event with its firing time. seq breaks ties so that
-// events scheduled earlier at the same timestamp run first (FIFO within a
-// timestamp), which keeps runs deterministic. Fired and cancelled nodes are
-// recycled through the simulator's free list; gen distinguishes the node's
-// current occupant from earlier ones so stale Handles cannot touch it.
-type scheduled struct {
-	at     Time
-	seq    uint64
-	gen    uint64
-	ev     Event
-	cancel bool
-	index  int
+// slot is one entry of the simulator's event slab: the payload and cancel
+// state of a scheduled event, addressed by index from its heap node and its
+// Handle. Fired and cancelled slots are recycled through the free list; gen
+// distinguishes the slot's current occupant from earlier ones so stale
+// Handles cannot touch it.
+type slot struct {
+	ev        Event
+	gen       uint32
+	cancelled bool
+	queued    bool
 }
 
 // Handle refers to a scheduled event and can cancel it before it fires.
 type Handle struct {
-	s   *scheduled
-	gen uint64
+	s   *Simulator
+	idx uint32
+	gen uint32
 }
 
 // Cancel prevents the event from running. Cancelling an already-fired or
@@ -43,93 +43,109 @@ func (h Handle) Cancel() bool {
 	if !h.Pending() {
 		return false
 	}
-	h.s.cancel = true
+	h.s.slots[h.idx].cancelled = true
 	return true
 }
 
 // Pending reports whether the event has neither fired nor been cancelled.
 func (h Handle) Pending() bool {
-	return h.s != nil && h.s.gen == h.gen && !h.s.cancel && h.s.index >= 0
-}
-
-// heapNode caches a scheduled node's sort key inline so sift comparisons
-// read only the heap's own backing array — no pointer chase per compare —
-// while the *scheduled node carries the event payload and cancel state.
-type heapNode struct {
-	at  Time
-	seq uint64
-	sc  *scheduled
-}
-
-// eventHeap is a binary min-heap ordered by (at, seq). It is monomorphic —
-// the sift loops compare keys directly — so scheduling and firing events
-// involves no interface dispatch and no `any` boxing, unlike
-// container/heap. (at, seq) is a total order because seq is unique, so the
-// pop order is identical to the container/heap implementation it replaced.
-type eventHeap []heapNode
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+	if h.s == nil {
+		return false
 	}
-	return h[i].seq < h[j].seq
+	sl := &h.s.slots[h.idx]
+	return sl.gen == h.gen && sl.queued && !sl.cancelled
 }
 
-// push appends sc and sifts it up.
-func (h *eventHeap) push(sc *scheduled) {
-	sc.index = len(*h)
-	*h = append(*h, heapNode{sc.at, sc.seq, sc})
-	h.up(sc.index)
+// node is one heap entry: the sort key and the index of the event's slot.
+// It holds no pointer, so a sift moves 24-byte values inside one backing
+// array that the garbage collector never scans, and writes nothing else.
+type node struct {
+	at   Time
+	seq  uint64
+	slot uint32
 }
 
-// pop removes and returns the minimum node.
-func (h *eventHeap) pop() *scheduled {
-	old := *h
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	old[0].sc.index = 0
-	sc := old[n].sc
-	old[n] = heapNode{}
-	*h = old[:n]
-	if n > 0 {
-		h.down(0)
-	}
-	sc.index = -1
-	return sc
+// before reports, as 0 or 1, whether x sorts before y in (at, seq) order.
+// It is one 128-bit subtraction whose borrow is the answer, not a compare
+// and a jump: heap keys are close to random, so a branch on them
+// mispredicts about half the time. The unsigned compare of at is exact
+// because at is never negative (At rejects t < now and now starts at 0).
+func before(x, y *node) int {
+	_, b := bits.Sub64(x.seq, y.seq, 0)
+	_, b = bits.Sub64(uint64(x.at), uint64(y.at), b)
+	return int(b)
 }
 
-func (h eventHeap) up(i int) {
+// heapPad is the number of sentinel nodes kept after the live ones, so a
+// node with at least one child can always read four.
+const heapPad = 3
+
+// sentinel sorts after every live node: at never exceeds MaxTime.
+var sentinel = node{at: -1, seq: ^uint64(0)}
+
+// eventHeap is a 4-ary min-heap ordered by (at, seq): a[:len(a)-heapPad]
+// are the live nodes, node i's children are 4i+1..4i+4, and the last
+// heapPad entries are sentinels. seq is unique, so (at, seq) is a total
+// order and the pop order is that of any other correct priority queue: the
+// layout changes host time and nothing simulated.
+type eventHeap []node
+
+func newEventHeap() eventHeap {
+	return append(make(eventHeap, 0, 256+heapPad), sentinel, sentinel, sentinel)
+}
+
+func (h eventHeap) live() int { return len(h) - heapPad }
+
+// push inserts nd by moving a hole up from the end: parents that sort after
+// nd move down into it, and nd is written once.
+func (h *eventHeap) push(nd node) {
+	a := append(*h, sentinel)
+	*h = a
+	i := len(a) - heapPad - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		p := (i - 1) / 4
+		if before(&nd, &a[p]) == 0 {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
-		h[i].sc.index = i
-		h[parent].sc.index = parent
-		i = parent
+		a[i] = a[p]
+		i = p
 	}
+	a[i] = nd
 }
 
-func (h eventHeap) down(i int) {
-	n := len(h)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		least := left
-		if right := left + 1; right < n && h.less(right, left) {
-			least = right
-		}
-		if !h.less(least, i) {
-			break
-		}
-		h[i], h[least] = h[least], h[i]
-		h[i].sc.index = i
-		h[least].sc.index = least
-		i = least
+// pop removes and returns the minimum node. The sift is bottom-up: the hole
+// left by the root walks to a leaf, taking the smallest of four children at
+// each level without comparing against the displaced last node, which then
+// rises from the leaf (it came from the bottom level: zero or one steps).
+// The walk's trip count depends only on the heap's size, and which child is
+// smallest is computed from borrows, not branched on.
+func (h *eventHeap) pop() node {
+	a := *h
+	n := len(a) - heapPad - 1
+	top, last := a[0], a[n]
+	a[n] = sentinel
+	*h = a[:len(a)-1]
+	i := 0
+	for c := 1; c < n; c = 4*i + 1 {
+		q := a[c : c+4 : c+4]
+		lo := before(&q[1], &q[0])
+		hi := 2 + before(&q[3], &q[2])
+		m := c + lo + (hi-lo)*before(&q[hi&3], &q[lo&1])
+		a[i] = a[m]
+		i = m
 	}
+	for i > 0 {
+		p := (i - 1) / 4
+		if before(&last, &a[p]) == 0 {
+			break
+		}
+		a[i] = a[p]
+		i = p
+	}
+	if n > 0 {
+		a[i] = last
+	}
+	return top
 }
 
 // Simulator is a single-threaded discrete-event simulation. The zero value
@@ -139,9 +155,11 @@ type Simulator struct {
 	seq    uint64
 	events eventHeap
 	rng    *rand.Rand
-	// free holds fired/cancelled nodes for reuse, bounding steady-state
-	// allocation to the peak number of simultaneously pending events.
-	free []*scheduled
+	// slots is the event slab and free the indices of its fired and
+	// cancelled entries, bounding steady-state allocation to the peak
+	// number of simultaneously pending events.
+	slots []slot
+	free  []uint32
 	// Processed counts events that have run, for diagnostics and test
 	// assertions about simulation effort.
 	Processed uint64
@@ -149,7 +167,7 @@ type Simulator struct {
 
 // New returns a Simulator whose random source is seeded with seed.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed))}
+	return &Simulator{rng: rand.New(rand.NewSource(seed)), events: newEventHeap()}
 }
 
 // Now returns the current simulated time.
@@ -164,34 +182,52 @@ func (s *Simulator) At(t Time, ev Event) Handle {
 	if t < s.now {
 		panic("sim: event scheduled in the past")
 	}
-	var sc *scheduled
+	var idx uint32
 	if n := len(s.free); n > 0 {
-		sc = s.free[n-1]
-		s.free[n-1] = nil
+		idx = s.free[n-1]
 		s.free = s.free[:n-1]
-		sc.at, sc.seq, sc.ev, sc.cancel = t, s.seq, ev, false
 	} else {
-		sc = &scheduled{at: t, seq: s.seq, ev: ev}
+		idx = uint32(len(s.slots))
+		s.slots = append(s.slots, slot{})
 	}
+	sl := &s.slots[idx]
+	sl.ev, sl.cancelled, sl.queued = ev, false, true
+	s.events.push(node{t, s.seq, idx})
 	s.seq++
-	s.events.push(sc)
-	return Handle{sc, sc.gen}
+	return Handle{s, idx, sl.gen}
 }
 
-// recycle returns a popped node to the free list. Bumping gen invalidates
-// every Handle that still points at the node.
-func (s *Simulator) recycle(sc *scheduled) {
-	sc.gen++
-	sc.ev = nil
-	s.free = append(s.free, sc)
+// fire consumes a popped node: it recycles the slot, which invalidates
+// every Handle that still names it, and runs the event unless it was
+// cancelled. A slot whose gen would wrap is retired instead of reused, so a
+// Handle can never match a later occupant.
+func (s *Simulator) fire(nd node) bool {
+	sl := &s.slots[nd.slot]
+	ev, cancelled := sl.ev, sl.cancelled
+	sl.ev, sl.queued = nil, false
+	if sl.gen++; sl.gen != 0 {
+		s.free = append(s.free, nd.slot)
+	}
+	if cancelled {
+		return false
+	}
+	s.now = nd.at
+	s.Processed++
+	ev.Run(s)
+	return true
 }
 
-// After schedules ev to run d after the current time.
+// After schedules ev to run d after the current time, saturating at
+// MaxTime (Rate(0).TxTime returns MaxTime for "never").
 func (s *Simulator) After(d Duration, ev Event) Handle {
 	if d < 0 {
 		d = 0
 	}
-	return s.At(s.now+d, ev)
+	t := s.now + d
+	if t < s.now {
+		t = MaxTime
+	}
+	return s.At(t, ev)
 }
 
 // AtFunc and AfterFunc are convenience wrappers for function events.
@@ -202,23 +238,15 @@ func (s *Simulator) AfterFunc(d Duration, f func(*Simulator)) Handle {
 
 // Pending reports the number of events in the queue, including cancelled
 // events that have not yet been discarded.
-func (s *Simulator) Pending() int { return len(s.events) }
+func (s *Simulator) Pending() int { return s.events.live() }
 
 // Step runs the single earliest pending event. It reports false when the
 // queue is empty.
 func (s *Simulator) Step() bool {
-	for len(s.events) > 0 {
-		sc := s.events.pop()
-		if sc.cancel {
-			s.recycle(sc)
-			continue
+	for s.events.live() > 0 {
+		if s.fire(s.events.pop()) {
+			return true
 		}
-		s.now = sc.at
-		s.Processed++
-		ev := sc.ev
-		s.recycle(sc)
-		ev.Run(s)
-		return true
 	}
 	return false
 }
@@ -230,19 +258,14 @@ func (s *Simulator) Run() {
 }
 
 // RunUntil processes events with timestamps ≤ end, then advances the clock
-// to end. Events scheduled after end remain queued.
+// to end. Events scheduled after end remain queued, except that a cancelled
+// event at the head of the queue is discarded whatever its timestamp.
 func (s *Simulator) RunUntil(end Time) {
-	for len(s.events) > 0 {
-		// Peek without popping.
-		next := s.events[0]
-		if next.sc.cancel {
-			s.recycle(s.events.pop())
-			continue
-		}
-		if next.at > end {
+	for s.events.live() > 0 {
+		if head := s.events[0]; head.at > end && !s.slots[head.slot].cancelled {
 			break
 		}
-		s.Step()
+		s.fire(s.events.pop())
 	}
 	if s.now < end {
 		s.now = end

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -332,8 +333,8 @@ func TestHandleStaleAfterRecycle(t *testing.T) {
 
 	ran := false
 	h2 := s.AtFunc(20, func(*Simulator) { ran = true })
-	if h2.s != h1.s {
-		t.Fatal("test premise broken: node was not recycled")
+	if h2.idx != h1.idx || h2.gen == h1.gen {
+		t.Fatalf("test premise broken: slot was not recycled (h1 %d/%d, h2 %d/%d)", h1.idx, h1.gen, h2.idx, h2.gen)
 	}
 	if h1.Pending() {
 		t.Error("stale handle reports pending")
@@ -347,6 +348,59 @@ func TestHandleStaleAfterRecycle(t *testing.T) {
 	s.Run()
 	if !ran {
 		t.Error("recycled node's event did not run")
+	}
+
+	// A slot's gen cannot wrap in a run (2^32 firings of one slot), but if
+	// it did, a handle from 2^32 occupants ago would match again. Push the
+	// slot to the edge: its last occupant must still fire, the slot must
+	// then be retired rather than reused, and h1, whose gen the wrapped
+	// counter now equals, must stay dead.
+	s.slots[h1.idx].gen = math.MaxUint32
+	h3 := s.AtFunc(30, func(*Simulator) {})
+	if h3.idx != h1.idx || h3.gen != math.MaxUint32 {
+		t.Fatalf("test premise broken: h3 = slot %d gen %d", h3.idx, h3.gen)
+	}
+	s.Run()
+	if g := s.slots[h1.idx].gen; g != h1.gen {
+		t.Fatalf("test premise broken: gen = %d after the wrap, want h1's %d", g, h1.gen)
+	}
+	if h1.Pending() || h1.Cancel() || h3.Pending() {
+		t.Error("a handle on a wrapped slot came back to life")
+	}
+	if h4 := s.AtFunc(40, func(*Simulator) {}); h4.idx == h1.idx {
+		t.Error("slot reused after its gen wrapped")
+	}
+}
+
+// TestAfterSaturatesAtMaxTime: After(MaxTime), which is what a zero-rate
+// link's TxTime asks for, means "never", not a wrapped negative time and a
+// panic about scheduling in the past.
+func TestAfterSaturatesAtMaxTime(t *testing.T) {
+	s := New(1)
+	s.RunUntil(10)
+	never := s.After(Rate(0).TxTime(1500), EventFunc(func(*Simulator) {}))
+	s.After(MaxTime-5, EventFunc(func(*Simulator) {}))
+	soon := false
+	s.AfterFunc(5, func(*Simulator) { soon = true })
+	s.RunUntil(Second)
+	if !soon || !never.Pending() || s.Pending() != 2 {
+		t.Errorf("soon = %v, never.Pending = %v, Pending = %d; want true, true, 2", soon, never.Pending(), s.Pending())
+	}
+	s.Run()
+	if s.Now() != MaxTime {
+		t.Errorf("Now() = %d after the MaxTime events ran, want MaxTime", int64(s.Now()))
+	}
+}
+
+// TestStepNoAllocs: in steady state the schedule/fire cycle allocates
+// nothing — the slab, the free list and the heap's backing array have all
+// reached their size.
+func TestStepNoAllocs(t *testing.T) {
+	for _, pending := range []int{16, 256} {
+		s := newHold(pending)
+		if allocs := testing.AllocsPerRun(5000, func() { s.Step() }); allocs != 0 {
+			t.Errorf("pending=%d: Step allocates %v per event, want 0", pending, allocs)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"sort"
 
 	"aequitas/internal/netsim"
 	"aequitas/internal/obs"
@@ -80,8 +79,8 @@ type Endpoint struct {
 	host  *netsim.Host
 	net   *netsim.Network
 	cfg   Config
-	conns map[connKey]*conn
-	recvs map[connKey]*rcvState
+	conns table[conn]
+	recvs table[rcvState]
 	Stats Stats
 
 	// down marks a crashed endpoint: Send and HandlePacket become no-ops
@@ -94,9 +93,30 @@ type Endpoint struct {
 	gen  uint32
 }
 
-type connKey struct {
-	peer  int
-	class qos.Class
+// table indexes per-stream state by [peer][class]: one row per host of the
+// network, grown to the highest class seen toward that peer. Every data
+// packet and every ack looks its stream up, so the lookup is two bounds
+// checks and two loads rather than a hash, and walking a row visits a
+// peer's streams in class order.
+type table[T any] [][]*T
+
+// get returns the state for (peer, class), or nil if there is none — also
+// for a peer or class the table has no cell for.
+func (t table[T]) get(peer int, class qos.Class) *T {
+	if uint(peer) < uint(len(t)) {
+		if row := t[peer]; uint(class) < uint(len(row)) {
+			return row[class]
+		}
+	}
+	return nil
+}
+
+// set stores v for (peer, class); peer must be a host of the network.
+func (t table[T]) set(peer int, class qos.Class, v *T) {
+	for len(t[peer]) <= int(class) {
+		t[peer] = append(t[peer], nil)
+	}
+	t[peer][class] = v
 }
 
 // NewEndpoint attaches a transport to host, registering it as the host's
@@ -110,8 +130,8 @@ func NewEndpoint(net *netsim.Network, host *netsim.Host, cfg Config) *Endpoint {
 		host:  host,
 		net:   net,
 		cfg:   cfg,
-		conns: make(map[connKey]*conn),
-		recvs: make(map[connKey]*rcvState),
+		conns: make(table[conn], net.Hosts()),
+		recvs: make(table[rcvState], net.Hosts()),
 	}
 	host.SetReceiver(e)
 	return e
@@ -148,17 +168,16 @@ func (e *Endpoint) Send(s *sim.Simulator, m *Message) {
 // including bytes not yet transmitted (the host-side queuing that RNL
 // captures).
 func (e *Endpoint) QueuedBytes(peer int, class qos.Class) int64 {
-	c, ok := e.conns[connKey{peer, class}]
-	if !ok {
+	c := e.conns.get(peer, class)
+	if c == nil {
 		return 0
 	}
 	return c.writeEnd - c.cumAck
 }
 
 func (e *Endpoint) conn(peer int, class qos.Class) *conn {
-	k := connKey{peer, class}
-	c, ok := e.conns[k]
-	if !ok {
+	c := e.conns.get(peer, class)
+	if c == nil {
 		c = &conn{
 			ep:    e,
 			peer:  peer,
@@ -169,7 +188,7 @@ func (e *Endpoint) conn(peer int, class qos.Class) *conn {
 		}
 		c.rtoEv.c = c
 		c.paceEv.c = c
-		e.conns[k] = c
+		e.conns.set(peer, class, c)
 	}
 	return c
 }
@@ -181,11 +200,15 @@ func (e *Endpoint) conn(peer int, class qos.Class) *conn {
 func (e *Endpoint) Crash(s *sim.Simulator) {
 	e.down = true
 	e.gen++
-	for _, c := range e.conns {
-		c.teardown()
+	for peer, row := range e.conns {
+		for _, c := range row {
+			if c != nil {
+				c.teardown()
+			}
+		}
+		clear(row)
+		clear(e.recvs[peer])
 	}
-	clear(e.conns)
-	clear(e.recvs)
 }
 
 // Restart brings a crashed endpoint back with empty transport state.
@@ -201,25 +224,15 @@ func (e *Endpoint) Down() bool { return e.down }
 // class order, keeping callback order deterministic.
 func (e *Endpoint) ResetPeer(s *sim.Simulator, peer int) {
 	e.gen++
-	var keys []connKey
-	for k := range e.conns {
-		if k.peer == peer {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].class < keys[j].class })
 	var failed []*Message
-	for _, k := range keys {
-		c := e.conns[k]
-		failed = append(failed, c.pending()...)
-		c.teardown()
-		delete(e.conns, k)
-	}
-	for k := range e.recvs {
-		if k.peer == peer {
-			delete(e.recvs, k)
+	for _, c := range e.conns[peer] {
+		if c != nil {
+			failed = append(failed, c.pending()...)
+			c.teardown()
 		}
 	}
+	clear(e.conns[peer])
+	clear(e.recvs[peer])
 	for _, m := range failed {
 		if m.OnFail != nil {
 			m.OnFail(s, m)
@@ -231,19 +244,12 @@ func (e *Endpoint) ResetPeer(s *sim.Simulator, peer int) {
 // (peer, class) order with its current congestion window (packets) and
 // smoothed RTT.
 func (e *Endpoint) ForEachConn(f func(peer int, class qos.Class, cwndPkts float64, srtt sim.Duration)) {
-	keys := make([]connKey, 0, len(e.conns))
-	for k := range e.conns {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].peer != keys[j].peer {
-			return keys[i].peer < keys[j].peer
+	for peer, row := range e.conns {
+		for class, c := range row {
+			if c != nil {
+				f(peer, qos.Class(class), c.cc.Window(), c.srtt)
+			}
 		}
-		return keys[i].class < keys[j].class
-	})
-	for _, k := range keys {
-		c := e.conns[k]
-		f(k.peer, k.class, c.cc.Window(), c.srtt)
 	}
 }
 
@@ -270,7 +276,7 @@ func (e *Endpoint) HandlePacket(s *sim.Simulator, p *Packet) {
 		return
 	}
 	if p.Ack {
-		if c, ok := e.conns[connKey{p.Src, p.Class}]; ok {
+		if c := e.conns.get(p.Src, p.Class); c != nil {
 			c.onAck(s, p)
 		}
 	} else {
@@ -612,11 +618,10 @@ type rcvState struct {
 // onData handles an incoming data packet: advance the cumulative counter,
 // buffer out-of-order segments, and acknowledge.
 func (e *Endpoint) onData(s *sim.Simulator, p *Packet) {
-	k := connKey{p.Src, p.Class}
-	r, ok := e.recvs[k]
-	if !ok {
+	r := e.recvs.get(p.Src, p.Class)
+	if r == nil {
 		r = &rcvState{ooo: make(map[int64]int), gen: p.Gen}
-		e.recvs[k] = r
+		e.recvs.set(p.Src, p.Class, r)
 	}
 	if p.Gen != r.gen {
 		if p.Gen < r.gen {

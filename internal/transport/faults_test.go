@@ -2,6 +2,7 @@ package transport
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aequitas/internal/netsim"
@@ -153,5 +154,134 @@ func TestReceiverEpochRestart(t *testing.T) {
 	s.Run()
 	if done != 1 {
 		t.Fatalf("post-restart message completed %d times, want 1", done)
+	}
+}
+
+// TestFaultSemanticsAcrossPeersAndClasses pins what the fault paths do
+// with connection state spread over several peers and classes, created in
+// an order that is neither (peer, class) order nor any hash order:
+// ResetPeer fails the peer's in-flight messages class by class and FIFO
+// within a class, touching no other peer; Crash fires nothing; stale-epoch
+// acks and data are rejected; and an ack for a (src, class) the endpoint
+// has no connection for, in or out of the table's range, is ignored.
+func TestFaultSemanticsAcrossPeersAndClasses(t *testing.T) {
+	net := testNet(t, 4)
+	eps := endpoints(t, net, swiftCfg())
+	s := sim.New(1)
+	var failed []uint64
+	completed := map[uint64]int{}
+	nextID := uint64(0)
+	send := func(s *sim.Simulator, dst int, class qos.Class) uint64 {
+		nextID++
+		eps[0].Send(s, &Message{
+			ID: nextID, Dst: dst, Class: class, Bytes: 256 * 1024,
+			OnComplete: func(_ *sim.Simulator, m *Message) { completed[m.ID]++ },
+			OnFail:     func(_ *sim.Simulator, m *Message) { failed = append(failed, m.ID) },
+		})
+		return nextID
+	}
+	conns := func(e *Endpoint) (got [][2]int) {
+		e.ForEachConn(func(peer int, class qos.Class, _ float64, _ sim.Duration) {
+			got = append(got, [2]int{peer, int(class)})
+		})
+		return got
+	}
+	// Peer 2 gets ids 1 (class 2), 4 (class 0), 6 (class 1), 8 (class 0),
+	// 10 (class 2).
+	for _, pc := range [][2]int{{2, 2}, {1, 1}, {3, 0}, {2, 0}, {1, 2}, {2, 1}, {3, 2}, {2, 0}, {1, 0}, {2, 2}} {
+		send(s, pc[0], qos.Class(pc[1]))
+	}
+	if want := [][2]int{{1, 0}, {1, 1}, {1, 2}, {2, 0}, {2, 1}, {2, 2}, {3, 0}, {3, 2}}; !slices.Equal(conns(eps[0]), want) {
+		t.Fatalf("ForEachConn order = %v, want %v", conns(eps[0]), want)
+	}
+	var retry uint64
+	s.AtFunc(5*sim.Microsecond, func(s *sim.Simulator) {
+		eps[2].Crash(s)
+		eps[0].ResetPeer(s, 2)
+		if want := []uint64{4, 8, 6, 1, 10}; !slices.Equal(failed, want) {
+			t.Fatalf("OnFail ids = %v, want %v (class order, FIFO within a class)", failed, want)
+		}
+		for c := qos.High; c <= qos.Low; c++ {
+			if q := eps[0].QueuedBytes(2, c); q != 0 {
+				t.Errorf("QueuedBytes(2, %v) = %d after ResetPeer, want 0", c, q)
+			}
+		}
+		if eps[0].QueuedBytes(1, qos.High) == 0 || eps[0].QueuedBytes(3, qos.Low) == 0 {
+			t.Error("ResetPeer(2) disturbed another peer's connection")
+		}
+		if want := [][2]int{{1, 0}, {1, 1}, {1, 2}, {3, 0}, {3, 2}}; !slices.Equal(conns(eps[0]), want) {
+			t.Errorf("conns after ResetPeer(2) = %v, want %v", conns(eps[0]), want)
+		}
+		// A retry on the new epoch while the peer is down: the pre-reset
+		// stream's full-length ack must not complete it.
+		retry = send(s, 2, qos.High)
+		stale := net.AllocPacket()
+		stale.Src, stale.Class, stale.Ack, stale.AckSeq, stale.Gen = 2, qos.High, true, 256*1024, eps[0].gen-1
+		eps[0].HandlePacket(s, stale)
+		if completed[retry] != 0 {
+			t.Error("stale-epoch ack completed a message on the rebuilt connection")
+		}
+		// Acks nothing is waiting for: a class with no connection, a class
+		// and a source beyond anything the endpoint has seen.
+		for _, sc := range [][2]int{{3, 1}, {1, 9}, {99, 0}, {-1, 0}} {
+			p := net.AllocPacket()
+			p.Src, p.Class, p.Ack, p.AckSeq = sc[0], qos.Class(sc[1]), true, 1<<20
+			eps[0].HandlePacket(s, p)
+		}
+	})
+	s.AtFunc(200*sim.Microsecond, func(s *sim.Simulator) { eps[2].Restart(s) })
+	s.Run()
+	for id := uint64(1); id <= nextID; id++ {
+		want := 1
+		if id == 1 || id == 4 || id == 6 || id == 8 || id == 10 {
+			want = 0
+		}
+		if completed[id] != want {
+			t.Errorf("message %d completed %d times, want %d", id, completed[id], want)
+		}
+	}
+	if len(failed) != 5 {
+		t.Errorf("OnFail fired %d times in total, want 5: %v", len(failed), failed)
+	}
+
+	// Receiver side: the rebuilt stream runs on the sender's new epoch. A
+	// data packet from the old one draws no ack; a duplicate on the current
+	// one is re-acked.
+	acks := func() int64 { return net.Host(2).Uplink.Stats.TxPackets }
+	before := acks()
+	old := net.AllocPacket()
+	old.Src, old.Class, old.Seq, old.Payload, old.Gen = 0, qos.High, 0, 100, eps[0].gen-1
+	eps[2].HandlePacket(s, old)
+	s.Run()
+	if acks() != before {
+		t.Error("receiver acknowledged a stale-epoch data packet")
+	}
+	dup := net.AllocPacket()
+	dup.Src, dup.Class, dup.Seq, dup.Payload, dup.Gen = 0, qos.High, 0, 100, eps[0].gen
+	eps[2].HandlePacket(s, dup)
+	s.Run()
+	if acks() != before+1 {
+		t.Errorf("receiver sent %d acks for a current-epoch duplicate, want 1", acks()-before)
+	}
+
+	// Crash and Restart of the sender: everything in flight is lost without
+	// a callback, and the endpoint comes back empty.
+	nFailed := len(failed)
+	lost := send(s, 1, qos.Medium)
+	send(s, 3, qos.High)
+	s.RunUntil(s.Now() + 2*sim.Microsecond)
+	eps[0].Crash(s)
+	if got := conns(eps[0]); len(got) != 0 {
+		t.Errorf("conns after Crash = %v, want none", got)
+	}
+	eps[0].Restart(s)
+	again := send(s, 1, qos.Medium)
+	s.Run()
+	if len(failed) != nFailed {
+		t.Errorf("Crash fired OnFail: %v", failed[nFailed:])
+	}
+	if completed[lost] != 0 || completed[lost+1] != 0 || completed[again] != 1 {
+		t.Errorf("after Crash/Restart: lost completed %d and %d times, resend %d; want 0, 0, 1",
+			completed[lost], completed[lost+1], completed[again])
 	}
 }

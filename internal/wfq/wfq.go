@@ -130,6 +130,7 @@ type WFQ struct {
 type taggedItem struct {
 	it     Item
 	finish float64
+	size   int // it.SizeBytes(), read once at Enqueue
 }
 
 // taggedQueue is a FIFO of tagged items backed by a power-of-two ring
@@ -147,7 +148,7 @@ func (q *taggedQueue) push(ti taggedItem) {
 	}
 	q.items[(q.head+q.n)&(len(q.items)-1)] = ti
 	q.n++
-	q.bytes += ti.it.SizeBytes()
+	q.bytes += ti.size
 }
 
 func (q *taggedQueue) front() *taggedItem { return &q.items[q.head] }
@@ -157,7 +158,7 @@ func (q *taggedQueue) pop() taggedItem {
 	q.items[q.head] = taggedItem{}
 	q.head = (q.head + 1) & (len(q.items) - 1)
 	q.n--
-	q.bytes -= ti.it.SizeBytes()
+	q.bytes -= ti.size
 	return ti
 }
 
@@ -195,20 +196,21 @@ func (w *WFQ) Enqueue(it Item) []Item {
 		c = len(w.queues) - 1
 	}
 	q := &w.queues[c]
-	if w.capBytes > 0 && q.bytes+it.SizeBytes() > w.capBytes {
+	size := it.SizeBytes()
+	if w.capBytes > 0 && q.bytes+size > w.capBytes {
 		return []Item{it}
 	}
 	start := w.lastF[c]
 	if w.virt > start {
 		start = w.virt
 	}
-	finish := start + float64(it.SizeBytes())/w.weights[c]
+	finish := start + float64(size)/w.weights[c]
 	w.lastF[c] = finish
-	q.push(taggedItem{it, finish})
+	q.push(taggedItem{it, finish, size})
 	if c < 64 {
 		w.active |= 1 << uint(c)
 	}
-	w.qBytes += it.SizeBytes()
+	w.qBytes += size
 	w.qItems++
 	return nil
 }
@@ -251,7 +253,7 @@ func (w *WFQ) Dequeue() Item {
 	if q.n == 0 && best < 64 {
 		w.active &^= 1 << uint(best)
 	}
-	w.qBytes -= ti.it.SizeBytes()
+	w.qBytes -= ti.size
 	w.qItems--
 	w.virt = ti.finish
 	return ti.it
