@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench benchmark figures trace-check chaos-check export-check serve-check chaos-serve-check
+.PHONY: all build test race vet check loc bench benchmark figures trace-check chaos-check export-check serve-check chaos-serve-check
 
 all: build
 
@@ -21,6 +21,13 @@ vet:
 	$(GO) vet ./...
 
 check: vet build race trace-check chaos-check export-check serve-check chaos-serve-check
+
+# loc prints non-test Go lines per package and in total (wc -l of each
+# package's GoFiles), so "least code" has a trajectory like ns/op does.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+	while read pkg files; do printf '%7d  %s\n' "$$(cat $$files | wc -l)" "$$pkg"; done | \
+	awk '{ n += $$1; print } END { printf "%7d  total\n", n }'
 
 # trace-check runs a short instrumented simulation and validates every
 # observability artifact against the schemas in internal/obs: the NDJSON
@@ -60,9 +67,11 @@ chaos-check:
 # serve.Admission middleware on the wall clock must produce downgrades
 # under an unmeetable SLO, the live /metrics endpoint must emit valid
 # Prometheus text, and synthetic overload must fire the flight recorder's
-# burn-rate trigger with a valid dump at /debug/flight.
+# burn-rate trigger with a valid dump at /debug/flight. The scripted
+# parity run holds the middleware and the interceptor to one behaviour,
+# and the election test to one periodic evaluation per period.
 serve-check:
-	$(GO) test -race -run 'TestServeOverloadSmoke|TestServeConcurrent|TestServeFlight' -count=1 -timeout 10m ./serve
+	$(GO) test -race -run 'TestServeOverloadSmoke|TestServeConcurrent|TestServeFlight|TestAdapterParity|TestClockReadBudget|TestOneElection' -count=1 -timeout 10m ./serve
 
 # chaos-serve-check is the hardened-serving smoke: a race-enabled httptest
 # server with deadline budgets, brownout, a fail-open quota plane, and a

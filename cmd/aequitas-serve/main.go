@@ -31,8 +31,8 @@
 //     TTL-leased quota client, with -quota-policy choosing fail-open or
 //     fail-closed behaviour when the quota plane is unreachable;
 //   - -chaos runs a wall-clock fault plan (latency spikes, error bursts,
-//     clock skew, quota outages) against the live server — the overload
-//     drill in EXPERIMENTS.md walks through a full run.
+//     quota outages) against the live server — the overload drill in
+//     EXPERIMENTS.md walks through a full run.
 //
 // The server carries a flight recorder (-flight): the last N admission
 // decisions ride in a lock-free ring, the burn-rate anomaly engine (and

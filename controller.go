@@ -2,7 +2,6 @@ package aequitas
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,14 +73,6 @@ type ControllerConfig struct {
 	// Floor is the admit probability's lower bound, preventing
 	// starvation (default 0.01).
 	Floor float64
-	// Now supplies timestamps, injectable for tests. When nil and Seed is
-	// zero the controller runs on a lock-free monotonic wall clock — the
-	// live serving configuration.
-	Now func() time.Time
-	// Seed seeds the probabilistic admission draw for deterministic
-	// embeddings. Setting Seed (or Now) serialises draws behind a mutex;
-	// leave both zero on serving paths.
-	Seed int64
 }
 
 // Decision is the controller's verdict for one RPC.
@@ -137,34 +128,16 @@ type peerTable struct {
 	names []string
 }
 
-// lockedClock adapts an injected timestamp source and seeded RNG to
-// core.Clock for deterministic embeddings. Draws serialise on a mutex —
-// fine for tests, wrong for serving (use the default wall clock there).
-type lockedClock struct {
-	now   func() time.Time
-	epoch time.Time
-	mu    sync.Mutex
-	rng   *rand.Rand
-}
-
-func (c *lockedClock) Now() sim.Time { return sim.FromStd(c.now().Sub(c.epoch)) }
-
-func (c *lockedClock) Float64() float64 {
-	c.mu.Lock()
-	v := c.rng.Float64()
-	c.mu.Unlock()
-	return v
-}
-
-// NewController validates cfg and builds a controller.
+// NewController validates cfg and builds a controller on a lock-free
+// monotonic wall clock — the live serving configuration.
 func NewController(cfg ControllerConfig) (*AdmissionController, error) {
 	return NewControllerWithClock(cfg, nil)
 }
 
 // NewControllerWithClock is NewController with an explicit time-and-draw
-// source. A non-nil clk overrides cfg.Now and cfg.Seed — the hook that
-// lets deterministic serving tests share one core.ManualClock between
-// the controller and the serve layer.
+// source (nil means the wall clock) — the hook that lets deterministic
+// tests share one core.ManualClock between the controller and the serve
+// layer.
 func NewControllerWithClock(cfg ControllerConfig, clk core.Clock) (*AdmissionController, error) {
 	if len(cfg.SLOs) == 0 {
 		return nil, fmt.Errorf("aequitas: at least one SLO class required")
@@ -193,17 +166,6 @@ func NewControllerWithClock(cfg ControllerConfig, clk core.Clock) (*AdmissionCon
 		if cc.TargetPercentiles[i] == 0 {
 			cc.TargetPercentiles[i] = 99.9
 		}
-	}
-	if clk == nil && (cfg.Now != nil || cfg.Seed != 0) {
-		now := cfg.Now
-		if now == nil {
-			now = time.Now
-		}
-		seed := cfg.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		clk = &lockedClock{now: now, epoch: now(), rng: rand.New(rand.NewSource(seed))}
 	}
 	inner, err := core.NewWithClock(cc, clk)
 	if err != nil {

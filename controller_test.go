@@ -5,24 +5,29 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"aequitas/internal/core"
+	"aequitas/internal/sim"
 )
 
-func testClock() (func() time.Time, func(time.Duration)) {
-	now := time.Unix(0, 0)
-	return func() time.Time { return now }, func(d time.Duration) { now = now.Add(d) }
+// testClock is a manual clock whose every draw is 0.5 — admitted while
+// p_admit is above it, downgraded once p_admit has fallen below — and the
+// function that advances it.
+func testClock() (*core.ManualClock, func(time.Duration)) {
+	clk := &core.ManualClock{}
+	clk.SetDraw(0.5)
+	return clk, func(d time.Duration) { clk.SetNow(clk.Now() + sim.FromStd(d)) }
 }
 
 func newPublicController(t *testing.T) (*AdmissionController, func(time.Duration)) {
 	t.Helper()
 	clock, advance := testClock()
-	c, err := NewController(ControllerConfig{
+	c, err := NewControllerWithClock(ControllerConfig{
 		SLOs: []SLO{
 			{Target: 15 * time.Microsecond, ReferenceBytes: 32 << 10},
 			{Target: 25 * time.Microsecond, ReferenceBytes: 32 << 10},
 		},
-		Now:  clock,
-		Seed: 42,
-	})
+	}, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +101,9 @@ func TestControllerRecovers(t *testing.T) {
 
 func TestControllerPerMTUSLO(t *testing.T) {
 	clock, _ := testClock()
-	c, err := NewController(ControllerConfig{
+	c, err := NewControllerWithClock(ControllerConfig{
 		SLOs: []SLO{{Target: time.Microsecond}}, // per-MTU directly
-		Now:  clock,
-		Seed: 1,
-	})
+	}, clock)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ type Plan struct {
 func (p *Plan) Empty() bool { return p == nil || len(p.Events) == 0 }
 
 // Validate reports structural errors: negative times, unknown kinds,
-// missing targets, loss rates outside [0, 1].
+// missing targets, loss rates outside [0, 1] (NaN included).
 func (p *Plan) Validate() error {
 	if p == nil {
 		return nil
@@ -120,7 +120,7 @@ func (p *Plan) Validate() error {
 		if !e.Kind.IsLink() && e.Host < 0 {
 			return fmt.Errorf("faults: event %d: %s host %d out of range", i, e.Kind, e.Host)
 		}
-		if e.Kind == LinkLoss && (e.Rate < 0 || e.Rate > 1) {
+		if e.Kind == LinkLoss && !(e.Rate >= 0 && e.Rate <= 1) {
 			return fmt.Errorf("faults: event %d: loss rate %v out of [0, 1]", i, e.Rate)
 		}
 	}

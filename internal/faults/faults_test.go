@@ -136,6 +136,8 @@ func TestParsePlan(t *testing.T) {
 		"missing rate": "1ms loss up-0",
 		"bad rate":     "1ms loss up-0 nope",
 		"range rate":   "1ms loss up-0 2.0",
+		"nan rate":     "10ms loss host:1 NaN",
+		"inf rate":     "10ms loss host:1 +Inf",
 	} {
 		if _, err := ParsePlan(strings.NewReader(bad)); err == nil {
 			t.Errorf("%s: parsed", name)

@@ -1,12 +1,8 @@
 package serve
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
-
-	"aequitas/internal/core"
-	"aequitas/internal/sim"
 )
 
 // Brownout levels, from healthy to hard-shedding. Each level includes
@@ -19,12 +15,26 @@ const (
 	// capacity to reclaim, since scavenger work has no SLO.
 	BrownoutThinScavenger
 	// BrownoutTighten: additionally tighten the effective admit
-	// probability below the controller's p_admit by TightenFactor, biasing
+	// probability below the controller's p_admit by tightenFactor, biasing
 	// Algorithm 1 toward shedding before queues grow.
 	BrownoutTighten
-	// BrownoutHardShed: reject all but HardShedKeep of inbound requests
+	// BrownoutHardShed: reject all but hardShedKeep of inbound requests
 	// before they reach the controller — the load-shedding of last resort.
 	BrownoutHardShed
+)
+
+// The ladder's fixed parameters.
+const (
+	// badFraction is the fraction of a window's completions that must be
+	// slow for the window to count as overloaded.
+	badFraction = 0.5
+	// tightenFactor multiplies the effective admit probability at
+	// BrownoutTighten and above.
+	tightenFactor = 0.5
+	// hardShedKeep is the fraction of requests still accepted at
+	// BrownoutHardShed, keeping a trickle of signal flowing so recovery
+	// is observable.
+	hardShedKeep = 0.05
 )
 
 // brownoutLevelName names a level for logs and dump details.
@@ -43,18 +53,13 @@ func brownoutLevelName(l int32) string {
 
 // BrownoutConfig parameterises the overload brownout controller: a
 // damage-limitation ladder the serving layer climbs when completion
-// latency or concurrency says the process itself (not the network
-// Algorithm 1 watches) is overloaded.
+// latency says the process itself (not the network Algorithm 1 watches)
+// is overloaded.
 type BrownoutConfig struct {
 	// LatencyThreshold is the completion latency above which a request
-	// counts as slow. Required (zero disables the latency signal).
+	// counts as slow. Required: with zero no completion is slow and the
+	// ladder never climbs.
 	LatencyThreshold time.Duration
-	// BadFraction is the fraction of completions in a window that must be
-	// slow for the window to count as overloaded (default 0.5).
-	BadFraction float64
-	// MaxInflight marks the process overloaded whenever more than this
-	// many requests are in flight, regardless of latency (0 disables).
-	MaxInflight int64
 	// Window is the evaluation cadence (default 1s).
 	Window time.Duration
 	// StepUpAfter is how many consecutive overloaded windows precede an
@@ -64,19 +69,9 @@ type BrownoutConfig struct {
 	// de-escalation (default 3: recover cautiously). The asymmetry is the
 	// hysteresis that keeps the controller from oscillating.
 	StepDownAfter int
-	// TightenFactor multiplies the effective admit probability at
-	// BrownoutTighten and above (default 0.5).
-	TightenFactor float64
-	// HardShedKeep is the fraction of requests still accepted at
-	// BrownoutHardShed (default 0.05), keeping a trickle of signal
-	// flowing so recovery is observable.
-	HardShedKeep float64
 }
 
 func (c BrownoutConfig) withDefaults() BrownoutConfig {
-	if c.BadFraction <= 0 {
-		c.BadFraction = 0.5
-	}
 	if c.Window <= 0 {
 		c.Window = time.Second
 	}
@@ -86,167 +81,58 @@ func (c BrownoutConfig) withDefaults() BrownoutConfig {
 	if c.StepDownAfter <= 0 {
 		c.StepDownAfter = 3
 	}
-	if c.TightenFactor <= 0 || c.TightenFactor >= 1 {
-		c.TightenFactor = 0.5
-	}
-	if c.HardShedKeep <= 0 || c.HardShedKeep >= 1 {
-		c.HardShedKeep = 0.05
-	}
 	return c
 }
 
-// brownout is the level state machine. Completions feed the window
-// counters; a CAS gate elects one request per window to run the
-// evaluation, so there is no background goroutine and an idle process
-// steps down only when traffic (and thus evidence of health) flows.
-type brownout struct {
-	cfg   BrownoutConfig
-	clock core.Clock
-	// onTransition (set once at construction) observes every level
-	// change; level-ups freeze a flight dump.
-	onTransition func(from, to int32, at sim.Time)
+// ladder is the level state machine. It has no clock: the completion
+// aggregator counts each Window's completions and its election winner
+// feeds them to evaluate, so there is no background goroutine and an
+// idle process steps down only when traffic (and thus evidence of
+// health) flows.
+type ladder struct {
+	stepUpAfter, stepDownAfter int
 
-	level    atomic.Int32
-	inflight atomic.Int64
-	// Window accumulators, reset at each evaluation.
-	total atomic.Int64
-	slow  atomic.Int64
-
-	// lastEval is the clock reading (sim.Time units) of the last
-	// evaluation.
-	lastEval atomic.Int64
-	mu       sync.Mutex // serialises evaluations
+	// level is read by every request; transitions by snapshots.
+	level       atomic.Int32
+	transitions atomic.Int64
+	// The streaks belong to the election winner.
 	upStreak   int
 	downStreak int
-
-	transitions atomic.Int64
-}
-
-func newBrownout(cfg BrownoutConfig, clock core.Clock) *brownout {
-	return &brownout{cfg: cfg.withDefaults(), clock: clock}
 }
 
 // Level reports the current brownout level.
-func (b *brownout) Level() int32 {
-	if b == nil {
+func (l *ladder) Level() int32 {
+	if l == nil {
 		return BrownoutOff
 	}
-	return b.level.Load()
+	return l.level.Load()
 }
 
-// enter/exit bracket one in-flight request.
-func (b *brownout) enter() {
-	if b != nil {
-		b.inflight.Add(1)
-	}
-}
-
-func (b *brownout) exit() {
-	if b != nil {
-		b.inflight.Add(-1)
-	}
-}
-
-// completed feeds one completion latency and gives the evaluator a
-// chance to run.
-func (b *brownout) completed(elapsed time.Duration) {
-	if b == nil {
-		return
-	}
-	b.total.Add(1)
-	if b.cfg.LatencyThreshold > 0 && elapsed > b.cfg.LatencyThreshold {
-		b.slow.Add(1)
-	}
-	b.maybeEval()
-}
-
-// maybeEval runs at most one evaluation per Window: requests race to CAS
-// the last-evaluation timestamp forward and the winner inspects the
-// window counters under the mutex.
-func (b *brownout) maybeEval() {
-	now := int64(b.clock.Now())
-	last := b.lastEval.Load()
-	if now-last < int64(sim.FromStd(b.cfg.Window)) {
-		return
-	}
-	if !b.lastEval.CompareAndSwap(last, now) {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	total := b.total.Swap(0)
-	slow := b.slow.Swap(0)
-	overloaded := false
-	if total > 0 && b.cfg.LatencyThreshold > 0 &&
-		float64(slow)/float64(total) > b.cfg.BadFraction {
-		overloaded = true
-	}
-	if b.cfg.MaxInflight > 0 && b.inflight.Load() > b.cfg.MaxInflight {
-		overloaded = true
-	}
-	cur := b.level.Load()
-	if overloaded {
-		b.upStreak++
-		b.downStreak = 0
-		if b.upStreak >= b.cfg.StepUpAfter && cur < BrownoutHardShed {
-			b.step(cur, cur+1, sim.Time(now))
-			b.upStreak = 0
+// evaluate closes one window that saw total completions, slow of them
+// above LatencyThreshold, and reports the level before and after: up one
+// after StepUpAfter consecutive overloaded windows, down one after
+// StepDownAfter consecutive healthy ones.
+func (l *ladder) evaluate(total, slow int64) (from, to int32) {
+	from = l.level.Load()
+	to = from
+	if total > 0 && float64(slow)/float64(total) > badFraction {
+		l.upStreak++
+		l.downStreak = 0
+		if l.upStreak >= l.stepUpAfter && from < BrownoutHardShed {
+			to = from + 1
+			l.upStreak = 0
 		}
-		return
+	} else {
+		l.downStreak++
+		l.upStreak = 0
+		if l.downStreak >= l.stepDownAfter && from > BrownoutOff {
+			to = from - 1
+			l.downStreak = 0
+		}
 	}
-	b.downStreak++
-	b.upStreak = 0
-	if b.downStreak >= b.cfg.StepDownAfter && cur > BrownoutOff {
-		b.step(cur, cur-1, sim.Time(now))
-		b.downStreak = 0
+	if to != from {
+		l.level.Store(to)
+		l.transitions.Add(1)
 	}
-}
-
-// step moves the level (caller holds mu) and notifies the observer.
-func (b *brownout) step(from, to int32, at sim.Time) {
-	b.level.Store(to)
-	b.transitions.Add(1)
-	if b.onTransition != nil {
-		b.onTransition(from, to, at)
-	}
-}
-
-// shedResult says what the brownout ladder did to one request.
-type shedResult uint8
-
-const (
-	shedNone shedResult = iota
-	// shedHard: rejected before the admission draw (BrownoutHardShed).
-	shedHard
-	// shedScavenger: the request would run on the scavenger class, which
-	// the current level is thinning.
-	shedScavenger
-)
-
-// preAdmit runs the checks that precede the admission draw. A hard-shed
-// verdict means the request must be rejected without consulting the
-// controller at all.
-func (b *brownout) preAdmit() shedResult {
-	if b == nil || b.level.Load() < BrownoutHardShed {
-		return shedNone
-	}
-	if b.clock.Float64() < b.cfg.HardShedKeep {
-		return shedNone
-	}
-	return shedHard
-}
-
-// tightens reports whether an admitted SLO-class request loses the
-// extra Bernoulli draw that pushes the effective admit probability to
-// p_admit × TightenFactor.
-func (b *brownout) tightens() bool {
-	if b == nil || b.level.Load() < BrownoutTighten {
-		return false
-	}
-	return b.clock.Float64() >= b.cfg.TightenFactor
-}
-
-// thinsScavenger reports whether scavenger-class work is being shed.
-func (b *brownout) thinsScavenger() bool {
-	return b != nil && b.level.Load() >= BrownoutThinScavenger
+	return from, to
 }

@@ -1,7 +1,7 @@
 // Package chaos implements wall-clock fault injection for the live
-// serving path: a time-ordered Plan of latency spikes, error bursts,
-// clock skew, and quota-plane outage windows that an Injector applies to
-// a running server. It mirrors internal/faults — the plan is data, events
+// serving path: a time-ordered Plan of latency spikes, error bursts and
+// quota-plane outage windows that an Injector applies to a running
+// server. It mirrors internal/faults — the plan is data, events
 // are offsets from the start — but runs on wall time (or any offset
 // source: deterministic tests drive Advance directly on a manual clock).
 package chaos
@@ -20,9 +20,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"aequitas/internal/core"
-	"aequitas/internal/sim"
 )
 
 // Kind enumerates the chaos event types.
@@ -35,9 +32,6 @@ const (
 	// Errors fails wrapped requests with probability Rate (500 before the
 	// handler runs); Rate zero clears it.
 	Errors
-	// Skew offsets the injector-wrapped clock by Amount (may be
-	// negative); Amount zero clears it.
-	Skew
 	// QuotaDown makes the attached quota plane unreachable: lease
 	// refreshes fail until QuotaUp.
 	QuotaDown
@@ -52,8 +46,6 @@ func (k Kind) String() string {
 		return "slow"
 	case Errors:
 		return "errs"
-	case Skew:
-		return "skew"
 	case QuotaDown:
 		return "quotadown"
 	case QuotaUp:
@@ -68,7 +60,7 @@ type Event struct {
 	// At is the event's offset from the start of the run.
 	At   time.Duration
 	Kind Kind
-	// Amount is the extra latency (Slow) or clock offset (Skew).
+	// Amount is the extra latency (Slow).
 	Amount time.Duration
 	// Rate is the Errors failure probability in [0, 1].
 	Rate float64
@@ -88,7 +80,7 @@ type Plan struct {
 func (p *Plan) Empty() bool { return p == nil || len(p.Events) == 0 }
 
 // Validate reports structural errors: negative times, unknown kinds,
-// rates outside [0, 1], negative slow amounts.
+// rates outside [0, 1] (NaN included), negative slow amounts.
 func (p *Plan) Validate() error {
 	if p == nil {
 		return nil
@@ -100,7 +92,7 @@ func (p *Plan) Validate() error {
 		if e.Kind >= kindCount {
 			return fmt.Errorf("chaos: event %d: unknown kind %d", i, e.Kind)
 		}
-		if e.Kind == Errors && (e.Rate < 0 || e.Rate > 1) {
+		if e.Kind == Errors && !(e.Rate >= 0 && e.Rate <= 1) {
 			return fmt.Errorf("chaos: event %d: error rate %g outside [0, 1]", i, e.Rate)
 		}
 		if e.Kind == Slow && e.Amount < 0 {
@@ -120,7 +112,7 @@ func (p *Plan) sorted() []Event {
 }
 
 // Window is one interval during which a fault was active: a non-zero
-// Slow/Errors/Skew setting until the event clearing it, or QuotaDown
+// Slow/Errors setting until the event clearing it, or QuotaDown
 // until QuotaUp. Faults never cleared within the plan extend to the
 // maximum duration.
 type Window struct {
@@ -141,7 +133,7 @@ func (p *Plan) Windows() []Window {
 		k := e.Kind
 		active := false
 		switch e.Kind {
-		case Slow, Skew:
+		case Slow:
 			active = e.Amount != 0
 		case Errors:
 			active = e.Rate > 0
@@ -173,8 +165,7 @@ func (p *Plan) Windows() []Window {
 //
 // where offset is a Go duration ("30s"), event is one of slow (arg: a
 // duration of extra latency, "0" clears), errs (arg: a failure rate in
-// [0, 1], 0 clears), skew (arg: a clock offset duration, "0" clears),
-// quotadown, quotaup. '#' starts a comment; blank lines are ignored.
+// [0, 1], 0 clears), quotadown, quotaup. '#' starts a comment; blank lines are ignored.
 func ParsePlan(r io.Reader) (*Plan, error) {
 	p := &Plan{}
 	sc := bufio.NewScanner(r)
@@ -204,8 +195,10 @@ func ParsePlan(r io.Reader) (*Plan, error) {
 		switch strings.ToLower(fields[1]) {
 		case "slow":
 			e.Kind = Slow
-			if e.Amount, err = time.ParseDuration(argOrZero(arg)); err != nil {
-				return nil, fmt.Errorf("chaos: line %d: bad slow amount %q: %v", lineNo, arg, err)
+			if arg != "" { // a bare "slow" clears
+				if e.Amount, err = time.ParseDuration(arg); err != nil {
+					return nil, fmt.Errorf("chaos: line %d: bad slow amount %q: %v", lineNo, arg, err)
+				}
 			}
 		case "errs", "errors":
 			e.Kind = Errors
@@ -213,11 +206,6 @@ func ParsePlan(r io.Reader) (*Plan, error) {
 				if e.Rate, err = strconv.ParseFloat(arg, 64); err != nil {
 					return nil, fmt.Errorf("chaos: line %d: bad error rate %q: %v", lineNo, arg, err)
 				}
-			}
-		case "skew":
-			e.Kind = Skew
-			if e.Amount, err = time.ParseDuration(argOrZero(arg)); err != nil {
-				return nil, fmt.Errorf("chaos: line %d: bad skew amount %q: %v", lineNo, arg, err)
 			}
 		case "quotadown":
 			e.Kind = QuotaDown
@@ -232,14 +220,6 @@ func ParsePlan(r io.Reader) (*Plan, error) {
 		return nil, err
 	}
 	return p, p.Validate()
-}
-
-// argOrZero makes the amount argument optional: a bare "slow" clears.
-func argOrZero(s string) string {
-	if s == "" {
-		return "0"
-	}
-	return s
 }
 
 // PresetNames lists the built-in plan presets, for CLI help.
@@ -304,7 +284,6 @@ type Injector struct {
 	rng  *rand.Rand
 
 	extraNS atomic.Int64
-	skewNS  atomic.Int64
 	errBits atomic.Uint64
 	applied atomic.Int64
 }
@@ -339,8 +318,6 @@ func (inj *Injector) Advance(now time.Duration) {
 			inj.extraNS.Store(e.Amount.Nanoseconds())
 		case Errors:
 			inj.errBits.Store(math.Float64bits(e.Rate))
-		case Skew:
-			inj.skewNS.Store(e.Amount.Nanoseconds())
 		case QuotaDown:
 			if inj.quota != nil {
 				inj.quota.SetAvailable(false)
@@ -371,11 +348,6 @@ func (inj *Injector) ExtraLatency() time.Duration {
 // ErrorRate reports the currently injected failure probability.
 func (inj *Injector) ErrorRate() float64 {
 	return math.Float64frombits(inj.errBits.Load())
-}
-
-// SkewAmount reports the current clock-skew offset.
-func (inj *Injector) SkewAmount() time.Duration {
-	return time.Duration(inj.skewNS.Load())
 }
 
 // Run pumps the plan on the wall clock: every `every`, events that have
@@ -423,22 +395,3 @@ func (inj *Injector) Wrap(next http.Handler) http.Handler {
 		next.ServeHTTP(w, r)
 	})
 }
-
-// skewedClock offsets a base clock by the injector's live skew.
-type skewedClock struct {
-	base core.Clock
-	inj  *Injector
-}
-
-func (c skewedClock) Now() sim.Time {
-	return c.base.Now() + sim.FromStd(time.Duration(c.inj.skewNS.Load()))
-}
-
-func (c skewedClock) Float64() float64 { return c.base.Float64() }
-
-// Clock wraps base so its readings carry the plan's clock skew —
-// feed it to the serve layer to test skew tolerance.
-func (inj *Injector) Clock(base core.Clock) core.Clock {
-	return skewedClock{base: base, inj: inj}
-}
-

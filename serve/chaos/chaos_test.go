@@ -6,9 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"aequitas/internal/core"
-	"aequitas/internal/sim"
 )
 
 func TestParsePlan(t *testing.T) {
@@ -16,7 +13,6 @@ func TestParsePlan(t *testing.T) {
 # overload drill
 1s slow 20ms
 2s errs 0.3
-3s skew 5ms
 4s quotadown
 5s quotaup
 6s errs 0
@@ -26,13 +22,12 @@ func TestParsePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Events) != 7 {
+	if len(p.Events) != 6 {
 		t.Fatalf("parsed %d events", len(p.Events))
 	}
 	want := []Event{
 		{At: time.Second, Kind: Slow, Amount: 20 * time.Millisecond},
 		{At: 2 * time.Second, Kind: Errors, Rate: 0.3},
-		{At: 3 * time.Second, Kind: Skew, Amount: 5 * time.Millisecond},
 		{At: 4 * time.Second, Kind: QuotaDown},
 		{At: 5 * time.Second, Kind: QuotaUp},
 		{At: 6 * time.Second, Kind: Errors},
@@ -50,6 +45,9 @@ func TestParsePlanErrors(t *testing.T) {
 		"1s explode",
 		"soon slow 2ms",
 		"1s errs 1.5",
+		"1s errs NaN",
+		"1s errs -Inf",
+		"1s skew 5ms",
 		"1s slow 2ms extra junk",
 		"1s",
 	} {
@@ -158,23 +156,47 @@ func TestInjectorWrapErrors(t *testing.T) {
 	}
 }
 
-func TestInjectorClockSkew(t *testing.T) {
-	base := &core.ManualClock{}
-	base.SetNow(sim.Time(1000))
-	inj := NewInjector(&Plan{Events: []Event{
-		{At: 1 * time.Second, Kind: Skew, Amount: 5 * time.Millisecond},
-		{At: 2 * time.Second, Kind: Skew},
-	}}, nil)
-	clk := inj.Clock(base)
-	if clk.Now() != base.Now() {
-		t.Error("skew applied before its event")
+// FuzzParsePlan: the parser never panics, and a plan it accepts passes
+// Validate and pairs into well-formed windows — ordered by start, none
+// ending before it starts, at most one open at a time per kind.
+func FuzzParsePlan(f *testing.F) {
+	for _, s := range []string{
+		"# overload drill\n1s slow 20ms\n2s errs 0.3\n4s quotadown\n5s quotaup\n6s errs 0\n7s slow\n",
+		"1s explode", "soon slow 2ms", "1s errs 1.5", "1s errs NaN", "1s slow 2ms extra junk", "1s", "1s skew 5ms",
+		"0s errs 1\n0s errs 0.5\n", "3s quotaup\n1s quotadown\n", "-1s slow 1ms", "1s slow -1ms", "1s ERRS 1e-3 # tail",
+	} {
+		f.Add(s)
 	}
-	inj.Advance(1 * time.Second)
-	if got, want := clk.Now(), base.Now()+sim.FromStd(5*time.Millisecond); got != want {
-		t.Errorf("skewed now = %v, want %v", got, want)
-	}
-	inj.Advance(2 * time.Second)
-	if clk.Now() != base.Now() {
-		t.Error("skew not cleared")
-	}
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := ParsePlan(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("accepted plan fails Validate: %v\n%q", err, src)
+		}
+		ws := p.Windows()
+		lastEnd := map[Kind]time.Duration{}
+		for i, w := range ws {
+			if w.Start < 0 || w.End < w.Start {
+				t.Fatalf("window %d = %+v\n%q", i, w, src)
+			}
+			if i > 0 && w.Start < ws[i-1].Start {
+				t.Fatalf("windows out of order: %+v\n%q", ws, src)
+			}
+			if end, ok := lastEnd[w.Kind]; ok && w.Start < end {
+				t.Fatalf("overlapping %v windows: %+v\n%q", w.Kind, ws, src)
+			}
+			lastEnd[w.Kind] = w.End
+			if w.Kind != Slow && w.Kind != Errors && w.Kind != QuotaDown {
+				t.Fatalf("window of kind %v\n%q", w.Kind, src)
+			}
+		}
+		// An accepted plan can be applied to the end without panicking.
+		inj := NewInjector(p, nil)
+		inj.Advance(time.Duration(1<<63 - 1))
+		if !inj.Done() || inj.Applied() != int64(len(p.Events)) {
+			t.Fatalf("applied %d of %d events\n%q", inj.Applied(), len(p.Events), src)
+		}
+	})
 }

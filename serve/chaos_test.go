@@ -90,6 +90,7 @@ func runQuotaScenario(t *testing.T, policy core.QuotaFailPolicy, outage bool) qu
 		t.Fatal("outage scenario never saw a stale lease")
 	}
 	sc.stats, _ = ctl.QuotaStats()
+	checkLedger(t, a, 400)
 	return sc
 }
 
@@ -237,6 +238,7 @@ func TestChaosOverloadDrill(t *testing.T) {
 	} else if records == 0 {
 		t.Error("dump holds no records")
 	}
+	checkLedger(t, a, 2000)
 }
 
 // TestChaosServeWallClockSmoke is the race-enabled wall-clock smoke the
@@ -362,4 +364,6 @@ func TestChaosServeWallClockSmoke(t *testing.T) {
 	if !inj.Done() && inj.Applied() == 0 {
 		t.Error("injector applied no events")
 	}
+	// Offered is unknown: chaos 500s stop requests before the middleware.
+	checkLedger(t, a, -1)
 }

@@ -1,10 +1,11 @@
 package serve
 
 import (
-	"math"
+	"context"
 	"net/http"
-	"sync/atomic"
 	"time"
+
+	"aequitas"
 )
 
 // HeaderDeadline carries a request's remaining deadline budget as a Go
@@ -17,101 +18,49 @@ const HeaderDeadline = "X-Aequitas-Deadline"
 // budget could not cover the observed per-class latency floor.
 const HeaderExpired = "X-Aequitas-Expired"
 
+// floorSafetyFactor scales the learned floor before a budget is compared
+// with it: 2.0 would reject requests whose budget is under twice the
+// floor.
+const floorSafetyFactor = 1.0
+
 // DeadlineConfig enables deadline-budget admission: requests whose
 // remaining budget cannot cover the class's observed completion-latency
 // floor are rejected before the admission draw ("expired before admit").
 // Admitting such a request only burns server capacity on work the client
-// will have abandoned by the time the response arrives.
+// will have abandoned by the time the response arrives. The floor is the
+// completion aggregator's (see classWindow).
 type DeadlineConfig struct {
-	// Header names the request header carrying the budget (default
-	// HeaderDeadline). The context deadline applies when the header is
-	// absent.
-	Header string
 	// MinBudget rejects any budget below this outright, even before a
 	// latency floor has been learned. Zero disables the static check.
 	MinBudget time.Duration
-	// SafetyFactor scales the learned floor before comparison (default
-	// 1.0): 2.0 rejects requests whose budget is under twice the floor.
-	SafetyFactor float64
 }
 
-func (c DeadlineConfig) withDefaults() DeadlineConfig {
-	if c.Header == "" {
-		c.Header = HeaderDeadline
+// budgetFromRequest extracts a request's remaining budget: the deadline
+// header h carries (a Go duration) wins; otherwise ctx's deadline counts
+// down on the wall clock. ok is false when the request carries neither,
+// or deadline admission is off. The interceptor, which has no headers,
+// passes a nil h.
+func (a *Admission) budgetFromRequest(h http.Header, ctx context.Context) (time.Duration, bool) {
+	if a.dl == nil {
+		return 0, false
 	}
-	if c.SafetyFactor <= 0 {
-		c.SafetyFactor = 1
-	}
-	return c
-}
-
-// latFloor tracks the per-class completion-latency floor: the cheapest a
-// request of that class has recently been observed to complete. Samples
-// below the floor snap it down immediately; samples above drift it up
-// slowly (gain 1/64) so a stale low from a quiet period ages out. The
-// float64 bit patterns live in atomics; a lost update under a race only
-// delays convergence by one sample.
-type latFloor struct {
-	ns [maxClasses]atomic.Uint64
-}
-
-// observe feeds one completion latency for class.
-func (f *latFloor) observe(slot int, elapsed time.Duration) {
-	if elapsed <= 0 {
-		return
-	}
-	s := float64(elapsed)
-	cur := math.Float64frombits(f.ns[slot].Load())
-	switch {
-	case cur == 0 || s < cur:
-		f.ns[slot].Store(math.Float64bits(s))
-	default:
-		f.ns[slot].Store(math.Float64bits(cur + (s-cur)/64))
-	}
-}
-
-// floor reports the current estimate for class, or 0 when unlearned.
-func (f *latFloor) floor(slot int) time.Duration {
-	return time.Duration(math.Float64frombits(f.ns[slot].Load()))
-}
-
-// deadlineState is the Admission layer's budget checker.
-type deadlineState struct {
-	cfg   DeadlineConfig
-	floor latFloor
-}
-
-func newDeadlineState(cfg DeadlineConfig) *deadlineState {
-	return &deadlineState{cfg: cfg.withDefaults()}
-}
-
-// budgetFromRequest extracts the remaining budget: the deadline header
-// (a Go duration) wins; otherwise the request context's deadline counts
-// down on the wall clock. ok is false when the request carries neither.
-func (d *deadlineState) budgetFromRequest(r *http.Request) (time.Duration, bool) {
-	if s := r.Header.Get(d.cfg.Header); s != "" {
+	if s := h.Get(HeaderDeadline); s != "" {
 		if b, err := time.ParseDuration(s); err == nil {
 			return b, true
 		}
 	}
-	if dl, ok := r.Context().Deadline(); ok {
+	if dl, ok := ctx.Deadline(); ok {
 		return time.Until(dl), true
 	}
 	return 0, false
 }
 
-// expired reports whether budget cannot cover class slot's latency
-// floor (or the static MinBudget).
-func (d *deadlineState) expired(slot int, budget time.Duration) bool {
-	if budget <= 0 {
+// expired reports whether budget cannot cover class's latency floor (or
+// the static MinBudget).
+func (a *Admission) expired(class aequitas.Class, budget time.Duration) bool {
+	if budget <= 0 || budget < a.dl.MinBudget {
 		return true
 	}
-	if d.cfg.MinBudget > 0 && budget < d.cfg.MinBudget {
-		return true
-	}
-	if fl := d.floor.floor(slot); fl > 0 &&
-		float64(budget) < d.cfg.SafetyFactor*float64(fl) {
-		return true
-	}
-	return false
+	fl := a.done.floor(classSlot(class))
+	return fl > 0 && float64(budget) < floorSafetyFactor*float64(fl)
 }

@@ -8,13 +8,11 @@ import (
 	"log"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"aequitas"
 	"aequitas/internal/obs/flight"
-	"aequitas/internal/sim"
 )
 
 // FlightConfig configures the serving-side flight recorder: a lock-free
@@ -34,10 +32,10 @@ type FlightConfig struct {
 	// DumpFlight).
 	Engine *flight.EngineConfig
 	// TickEvery is the minimum spacing between engine evaluations on the
-	// layer's clock (default 1s). The engine is ticked from the request
-	// completion path — no background goroutine — so a fully idle server
-	// does not evaluate, which is fine: no completions means no new SLO
-	// outcomes to alarm on.
+	// layer's clock (default 1s). The engine is ticked by the completion
+	// that wins the aggregator's election — no background goroutine — so
+	// a fully idle server does not evaluate, which is fine: no completions
+	// means no new SLO outcomes to alarm on.
 	TickEvery time.Duration
 	// ProfileDir, when set, captures goroutine and heap profiles next to
 	// every trigger dump ("<dir>/flight-<n>-<kind>-{goroutine,heap}.pprof").
@@ -45,23 +43,14 @@ type FlightConfig struct {
 }
 
 // flightState is the Admission layer's recorder: the shared ring, the
-// engine and its tick gate, and the most recent trigger dump.
+// engine, and the most recent trigger dump.
 type flightState struct {
 	cfg  FlightConfig
 	ring *flight.Ring
 	eng  *flight.Engine
 
-	// lastTickNS gates engine evaluation: completions race to CAS it
-	// forward, the winner ticks the engine under engMu.
-	lastTickNS atomic.Int64
-	engMu      sync.Mutex
-	// lastFedNS (under engMu) is the timestamp of the last sample actually
-	// fed to the engine. Two CAS winners from successive intervals can
-	// reach engMu in either order; the engine assumes monotonically
-	// increasing timestamps, so the late-arriving older sample is dropped.
-	lastFedNS int64
-	triggers  atomic.Int64
-	last      atomic.Pointer[flightDump]
+	triggers atomic.Int64
+	last     atomic.Pointer[flightDump]
 }
 
 // flightDump is one frozen incident capture.
@@ -87,37 +76,10 @@ func newFlightState(cfg FlightConfig) *flightState {
 	return f
 }
 
-// maybeTick evaluates the anomaly engine if at least TickEvery has passed
-// on the layer's clock since the last evaluation. Called on every request
-// completion; the CAS ensures exactly one completion per interval pays
-// for the evaluation.
-func (f *flightState) maybeTick(ctl *aequitas.AdmissionController, now sim.Time) {
-	if f == nil || f.eng == nil {
-		return
-	}
-	last := f.lastTickNS.Load()
-	if int64(now)-last < int64(sim.FromStd(f.cfg.TickEvery)) {
-		return
-	}
-	if !f.lastTickNS.CompareAndSwap(last, int64(now)) {
-		return
-	}
-	f.engMu.Lock()
-	defer f.engMu.Unlock()
-	if int64(now) <= f.lastFedNS {
-		return
-	}
-	f.lastFedNS = int64(now)
-	cs := ctl.Stats()
-	tr, ok := f.eng.Tick(now, cs.SLOMet, cs.SLOMisses, ctl.MinAdmitProbability())
-	if ok {
-		f.fire(ctl, tr)
-	}
-}
-
 // fire freezes the ring into an NDJSON dump (resetting it, so the next
 // incident starts clean), captures profiles when configured, and
-// publishes the capture as the latest dump.
+// publishes the capture as the latest dump. Only Admission.tick calls
+// it, one winner at a time.
 func (f *flightState) fire(ctl *aequitas.AdmissionController, tr flight.Trigger) {
 	n := f.triggers.Add(1)
 	d := &flightDump{Trigger: tr, Wall: time.Now()}

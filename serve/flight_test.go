@@ -63,10 +63,12 @@ func TestServeFlightBurnRateTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := a.Middleware(httpOK())
+	offered := int64(0)
 	for i := 0; i < 400; i++ {
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest("GET", "/backend", nil)
 		h.ServeHTTP(rec, req)
+		offered++
 		if a.FlightTriggered() > 0 {
 			break
 		}
@@ -139,6 +141,7 @@ func TestServeFlightBurnRateTrigger(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), `"trigger":"manual"`) {
 		t.Error("live dump not marked as a manual trigger")
 	}
+	checkLedger(t, a, offered)
 }
 
 // TestServeFlightDisabled checks the zero-config path: no ring attached,
@@ -163,6 +166,7 @@ func TestServeFlightDisabled(t *testing.T) {
 	if a.FlightTriggered() != 0 {
 		t.Error("triggers counted without a recorder")
 	}
+	checkLedger(t, a, 1)
 }
 
 // TestServeFlightConcurrent hammers the middleware, the engine tick path
@@ -202,6 +206,7 @@ func TestServeFlightConcurrent(t *testing.T) {
 	if _, _, err := flight.ValidateDump(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("final dump invalid: %v", err)
 	}
+	checkLedger(t, a, workers*200)
 }
 
 // TestClassSlotClamp pins the metric-array fold: classes beyond the last
@@ -228,14 +233,13 @@ func TestClassSlotClamp(t *testing.T) {
 	// End to end: completions on an out-of-range class must fold into the
 	// last histogram rather than panic or vanish.
 	a := newAdmission(t, false)
-	a.m.completed(aequitas.Class(42), time.Millisecond)
-	a.m.completed(aequitas.Class(-3), time.Millisecond)
-	a.m.mu.Lock()
-	defer a.m.mu.Unlock()
-	if a.m.lat[maxClasses-1] == nil || a.m.lat[maxClasses-1].N() != 1 {
+	a.done.complete(aequitas.Class(42), time.Millisecond, 0)
+	a.done.complete(aequitas.Class(-3), time.Millisecond, 0)
+	last, first := &a.done.class[maxClasses-1], &a.done.class[0]
+	if last.hist == nil || last.hist.N() != 1 {
 		t.Error("out-of-range class not folded into the scavenger slot")
 	}
-	if a.m.lat[0] == nil || a.m.lat[0].N() != 1 {
+	if first.hist == nil || first.hist.N() != 1 {
 		t.Error("negative class not clamped to slot 0")
 	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"time"
 )
 
 // ErrRejected is returned by the interceptor when RejectDowngraded is set
@@ -60,28 +59,13 @@ func (a *Admission) UnaryInterceptor(classify RPCClassifier) UnaryInterceptor {
 		}
 	}
 	return func(ctx context.Context, req any, info *UnaryServerInfo, handler UnaryHandler) (any, error) {
-		var budget time.Duration
-		var haveBudget bool
-		if a.dl != nil {
-			if dl, ok := ctx.Deadline(); ok {
-				budget, haveBudget = time.Until(dl), true
-			}
+		budget, haveBudget := a.budgetFromRequest(nil, ctx)
+		rec := a.begin(classify(ctx, info, req), budget, haveBudget)
+		if err := refusals[rec.cause].err; err != nil {
+			return nil, err
 		}
-		v, c := a.decide(classify(ctx, info, req), budget, haveBudget)
-		switch c {
-		case causeExpired:
-			return nil, ErrExpired
-		case causeShed:
-			return nil, ErrShed
-		case causeRejected, causeDropped:
-			return nil, ErrRejected
-		}
-		a.bo.enter()
-		start := a.clock.Now()
-		resp, err := handler(context.WithValue(ctx, ctxKey{}, v), req)
-		elapsed := (a.clock.Now() - start).Std()
-		a.bo.exit()
-		a.finish(v, elapsed)
+		resp, err := handler(context.WithValue(ctx, ctxKey{}, rec.v), req)
+		a.end(&rec)
 		return resp, err
 	}
 }

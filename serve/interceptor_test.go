@@ -66,6 +66,7 @@ func TestInterceptorVerdictPropagation(t *testing.T) {
 	if cs.Admitted != 1 || cs.SLOMet != 1 || cs.SLOMisses != 0 {
 		t.Errorf("stats = %+v", cs)
 	}
+	checkLedger(t, a, 1)
 }
 
 func TestInterceptorDowngradeAndReject(t *testing.T) {
@@ -107,6 +108,8 @@ func TestInterceptorDowngradeAndReject(t *testing.T) {
 	if ran {
 		t.Error("handler ran for a rejected RPC")
 	}
+	checkLedger(t, a, 1)
+	checkLedger(t, rej, 1)
 }
 
 func TestInterceptorDeadlineRejection(t *testing.T) {
@@ -146,7 +149,7 @@ func TestInterceptorDeadlineRejection(t *testing.T) {
 	if cs := ctl.Stats(); cs.Expired != 1 {
 		t.Errorf("ctl Expired = %d", cs.Expired)
 	}
-	if got := a.m.expired.Load(); got != 1 {
+	if got := a.outcomes[causeExpired].Load(); got != 1 {
 		t.Errorf("serve expired counter = %d", got)
 	}
 
@@ -163,6 +166,7 @@ func TestInterceptorDeadlineRejection(t *testing.T) {
 		func(ctx context.Context, req any) (any, error) { return nil, nil }); err != nil {
 		t.Fatalf("deadline-free RPC failed: %v", err)
 	}
+	checkLedger(t, a, 4)
 }
 
 func TestInterceptorMinBudget(t *testing.T) {
@@ -179,6 +183,7 @@ func TestInterceptorMinBudget(t *testing.T) {
 	if !errors.Is(err, ErrExpired) {
 		t.Fatalf("err = %v, want ErrExpired", err)
 	}
+	checkLedger(t, a, 1)
 }
 
 func TestInterceptorBrownoutShed(t *testing.T) {
@@ -221,11 +226,12 @@ func TestInterceptorBrownoutShed(t *testing.T) {
 	if ran {
 		t.Error("handler ran for a shed RPC")
 	}
-	if got := a.m.shed.Load(); got == 0 {
+	if got := a.outcomes[causeShed].Load(); got == 0 {
 		t.Error("shed counter not incremented")
 	}
 	if _, err := callInterceptor(t, icpt, context.Background(), "/svc/Get",
 		func(ctx context.Context, req any) (any, error) { return nil, nil }); err != nil {
 		t.Errorf("SLO-class RPC shed at thin-scavenger level: %v", err)
 	}
+	checkLedger(t, a, 4)
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -9,39 +10,14 @@ import (
 
 	"aequitas"
 	"aequitas/internal/obs"
+	"aequitas/internal/obs/flight"
+	"aequitas/internal/sim"
 	"aequitas/internal/stats"
 )
 
 // maxClasses bounds the per-class metric arrays; classes beyond it fold
 // into the last slot (the paper uses 2-4 levels).
 const maxClasses = 8
-
-// metrics aggregates serving-side observability: decision counters
-// (atomic, updated on the admit path), per-class latency histograms
-// (mutex-guarded, updated on completion), and the exporter the HTTP
-// handler publishes through.
-type metrics struct {
-	start      time.Time
-	admitted   atomic.Int64
-	downgraded atomic.Int64
-	rejected   atomic.Int64
-	done       atomic.Int64
-	// expired counts deadline-budget rejections before the draw; shed
-	// counts brownout rejections; dropped counts quota fail-closed drops.
-	expired atomic.Int64
-	shed    atomic.Int64
-	dropped atomic.Int64
-
-	mu  sync.Mutex
-	lat [maxClasses]*stats.Hist // completion latency in µs, per run class
-
-	exp *obs.Exporter
-}
-
-func (m *metrics) init() {
-	m.start = time.Now()
-	m.exp = obs.NewExporter()
-}
 
 func classSlot(c aequitas.Class) int {
 	if c < 0 {
@@ -53,29 +29,132 @@ func classSlot(c aequitas.Class) int {
 	return int(c)
 }
 
-func (m *metrics) decided(v Verdict, reject bool) {
-	if !v.Downgraded {
-		m.admitted.Add(1)
-		return
-	}
-	if reject {
-		m.rejected.Add(1)
-		return
-	}
-	m.downgraded.Add(1)
+// completions is the completion aggregator: everything the layer learns
+// from a finished request, kept once per class under one lock, plus the
+// gate that elects one completion per period to run the periodic work
+// (closing the brownout window, ticking the anomaly engine).
+type completions struct {
+	class [maxClasses]classWindow
+
+	// slowOver is the brownout LatencyThreshold: completions above it
+	// count as slow. Zero counts none.
+	slowOver time.Duration
+	// window and tickEvery are the periods of the brownout evaluation
+	// and of the anomaly-engine tick; zero when that consumer is off.
+	window, tickEvery sim.Duration
+
+	// due is the clock reading at which the next periodic work falls
+	// due, or electing while a winner is running it. The CAS from a due
+	// time to electing is the election; the winner's Store of the next
+	// due time publishes lastEval, lastTick and the ladder's streaks to
+	// the next winner.
+	due                atomic.Int64
+	lastEval, lastTick sim.Time
 }
 
-func (m *metrics) completed(class aequitas.Class, elapsed time.Duration) {
-	m.done.Add(1)
-	slot := classSlot(class)
-	m.mu.Lock()
-	h := m.lat[slot]
-	if h == nil {
-		h = stats.NewHist()
-		m.lat[slot] = h
+// electing parks due while a winner runs, and is where due stays when
+// nothing periodic is configured: no clock reading reaches it.
+const electing = math.MaxInt64
+
+// classWindow is one class's share of the aggregator.
+type classWindow struct {
+	mu   sync.Mutex
+	hist *stats.Hist // completion latency in µs
+	// n and slow count this brownout window's completions.
+	n, slow int64
+	// floorNS is the deadline floor, a float64's bits: the cheapest a
+	// request of this class has recently been observed to complete.
+	// Samples below it snap it down immediately; samples above drift it
+	// up slowly (gain 1/64) so a stale low from a quiet period ages out.
+	// Written under mu, read by begin without it.
+	floorNS atomic.Uint64
+}
+
+// nextDue is the earlier of the two consumers' next periods; the first
+// falls one period after the clock's zero.
+func (c *completions) nextDue() sim.Time {
+	next := sim.Time(electing)
+	if c.window > 0 {
+		next = c.lastEval + sim.Time(c.window)
 	}
-	h.Record(float64(elapsed) / float64(time.Microsecond))
-	m.mu.Unlock()
+	if c.tickEvery > 0 {
+		next = min(next, c.lastTick+sim.Time(c.tickEvery))
+	}
+	return next
+}
+
+// complete records one completion on class and reports whether the
+// caller won the election and must run Admission.tick.
+func (c *completions) complete(class aequitas.Class, elapsed time.Duration, now sim.Time) bool {
+	w := &c.class[classSlot(class)]
+	w.mu.Lock()
+	if w.hist == nil {
+		w.hist = stats.NewHist()
+	}
+	w.hist.Record(float64(elapsed) / float64(time.Microsecond))
+	w.n++
+	if c.slowOver > 0 && elapsed > c.slowOver {
+		w.slow++
+	}
+	if elapsed > 0 {
+		s := float64(elapsed)
+		if cur := math.Float64frombits(w.floorNS.Load()); cur != 0 && s >= cur {
+			s = cur + (s-cur)/64
+		}
+		w.floorNS.Store(math.Float64bits(s))
+	}
+	w.mu.Unlock()
+	due := c.due.Load()
+	return int64(now) >= due && c.due.CompareAndSwap(due, electing)
+}
+
+// floor reports slot's deadline floor, or 0 when unlearned.
+func (c *completions) floor(slot int) time.Duration {
+	return time.Duration(math.Float64frombits(c.class[slot].floorNS.Load()))
+}
+
+// closeWindow returns the brownout window's counts and starts the next
+// window.
+func (c *completions) closeWindow() (total, slow int64) {
+	for i := range c.class {
+		w := &c.class[i]
+		w.mu.Lock()
+		total, slow = total+w.n, slow+w.slow
+		w.n, w.slow = 0, 0
+		w.mu.Unlock()
+	}
+	return total, slow
+}
+
+// tick is the periodic work, run by the completion that won the
+// election at clock reading now, holding no lock: whichever of the
+// brownout window and the engine tick has fallen due. Winners are
+// serialised by the election, so the ladder needs no mutex, the engine
+// sees increasing timestamps, and an incident dump can never be
+// overwritten by an older one.
+func (a *Admission) tick(now sim.Time) {
+	c := &a.done
+	if c.window > 0 && now-c.lastEval >= sim.Time(c.window) {
+		c.lastEval = now
+		if from, to := a.bo.evaluate(c.closeWindow()); to > from && a.fl != nil {
+			// Level-ups are incidents: freeze the ring so the decisions
+			// that preceded the escalation are preserved.
+			a.fl.fire(a.ctl, flight.Trigger{
+				Kind: flight.TriggerBrownout,
+				At:   now,
+				Detail: fmt.Sprintf("brownout %s -> %s (level %d -> %d)",
+					brownoutLevelName(from), brownoutLevelName(to), from, to),
+			})
+		}
+	}
+	if c.tickEvery > 0 && now-c.lastTick >= sim.Time(c.tickEvery) {
+		c.lastTick = now
+		cs := a.ctl.Stats()
+		if tr, ok := a.fl.eng.Tick(now, cs.SLOMet, cs.SLOMisses, a.ctl.MinAdmitProbability()); ok {
+			a.fl.fire(a.ctl, tr)
+		}
+	}
+	c.due.Store(int64(c.nextDue()))
 }
 
 // snapshot freezes the serving state into an exportable document:
@@ -83,21 +162,32 @@ func (m *metrics) completed(class aequitas.Class, elapsed time.Duration) {
 // quota and brownout health, live per-(peer, class) admit probabilities
 // as gauges, and per-class latency histograms.
 func (a *Admission) snapshot() *obs.Snapshot {
-	m := &a.m
 	s := &obs.Snapshot{
 		Schema:   obs.SnapshotSchema,
 		Label:    "serve",
-		SimTimeS: time.Since(m.start).Seconds(),
+		SimTimeS: time.Since(a.started).Seconds(),
 	}
+	var completed int64
+	for slot := range a.done.class {
+		w := &a.done.class[slot]
+		w.mu.Lock()
+		if w.hist != nil {
+			completed += w.hist.N()
+			s.Hists = append(s.Hists,
+				obs.SnapHist("serve_latency_us", "class", aequitas.Class(slot).String(), w.hist))
+		}
+		w.mu.Unlock()
+	}
+	count := func(c cause) float64 { return float64(a.outcomes[c].Load()) }
 	cs := a.ctl.Stats()
 	s.Counters = []obs.NamedValue{
-		{Name: "serve_admitted", Value: float64(m.admitted.Load())},
-		{Name: "serve_downgraded", Value: float64(m.downgraded.Load())},
-		{Name: "serve_rejected", Value: float64(m.rejected.Load())},
-		{Name: "serve_completed", Value: float64(m.done.Load())},
-		{Name: "serve_expired", Value: float64(m.expired.Load())},
-		{Name: "serve_shed", Value: float64(m.shed.Load())},
-		{Name: "serve_quota_dropped", Value: float64(m.dropped.Load())},
+		{Name: "serve_admitted", Value: count(causeAdmitted)},
+		{Name: "serve_downgraded", Value: count(causeDowngraded)},
+		{Name: "serve_rejected", Value: count(causeRejected)},
+		{Name: "serve_completed", Value: float64(completed)},
+		{Name: "serve_expired", Value: count(causeExpired)},
+		{Name: "serve_shed", Value: count(causeShed)},
+		{Name: "serve_quota_dropped", Value: count(causeDropped)},
 		{Name: "ctl_admitted", Value: float64(cs.Admitted)},
 		{Name: "ctl_downgraded", Value: float64(cs.Downgraded)},
 		{Name: "ctl_dropped", Value: float64(cs.Dropped)},
@@ -117,13 +207,12 @@ func (a *Admission) snapshot() *obs.Snapshot {
 	if a.bo != nil {
 		s.Gauges = append(s.Gauges,
 			obs.NamedValue{Name: "brownout_level", Value: float64(a.bo.Level())},
-			obs.NamedValue{Name: "serve_inflight", Value: float64(a.bo.inflight.Load())},
 			obs.NamedValue{Name: "brownout_transitions", Value: float64(a.bo.transitions.Load())},
 		)
 	}
 	if a.dl != nil {
 		for slot := 0; slot < maxClasses; slot++ {
-			if fl := a.dl.floor.floor(slot); fl > 0 {
+			if fl := a.done.floor(slot); fl > 0 {
 				s.Gauges = append(s.Gauges, obs.NamedValue{
 					Name:  fmt.Sprintf("latency_floor_us.q%d", slot),
 					Value: float64(fl) / float64(time.Microsecond),
@@ -137,15 +226,6 @@ func (a *Admission) snapshot() *obs.Snapshot {
 			Value: p,
 		})
 	})
-	m.mu.Lock()
-	for slot, h := range m.lat {
-		if h == nil {
-			continue
-		}
-		s.Hists = append(s.Hists,
-			obs.SnapHist("serve_latency_us", "class", aequitas.Class(slot).String(), h))
-	}
-	m.mu.Unlock()
 	return s
 }
 
@@ -156,13 +236,13 @@ func (a *Admission) snapshot() *obs.Snapshot {
 // snapshot is published per scrape, so readers always see current state
 // without the serving path paying for publication.
 func (a *Admission) Handler() http.Handler {
-	inner := a.m.exp.Handler()
+	inner := a.exp.Handler()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/debug/flight" {
 			a.serveFlight(w, r)
 			return
 		}
-		a.m.exp.Publish(a.snapshot())
+		a.exp.Publish(a.snapshot())
 		inner.ServeHTTP(w, r)
 	})
 }

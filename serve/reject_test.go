@@ -49,6 +49,7 @@ func TestMiddlewareConfigurableReject(t *testing.T) {
 	if got := rec.Header().Get("Retry-After"); got != "7" {
 		t.Errorf("Retry-After = %q", got)
 	}
+	checkLedger(t, a, 1)
 }
 
 // TestMiddlewareRetryAfterFromIncrementWindow checks the default hint:
@@ -76,6 +77,7 @@ func TestMiddlewareRetryAfterFromIncrementWindow(t *testing.T) {
 	if got := rec.Header().Get("Retry-After"); got != "6" {
 		t.Errorf("Retry-After = %q, want 6", got)
 	}
+	checkLedger(t, a, 1)
 }
 
 func TestMiddlewareDeadlineHeader(t *testing.T) {
@@ -117,4 +119,5 @@ func TestMiddlewareDeadlineHeader(t *testing.T) {
 	if cs := ctl.Stats(); cs.Expired != 1 {
 		t.Errorf("ctl Expired = %d", cs.Expired)
 	}
+	checkLedger(t, a, 4)
 }

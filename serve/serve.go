@@ -5,6 +5,20 @@
 // measured handler latencies back as SLO observations — Algorithm 1
 // running on the wall clock instead of the simulator.
 //
+// Both adapters are thin shells over one path. begin runs a request
+// through five ordered pre-serve checks — deadline budget, brownout hard
+// shed, the admission draw, quota fail-closed drop, brownout scavenger
+// thinning and tightening — and leaves by a single exit that counts the
+// outcome, calls Config.DecisionLog once, and reads the start time only
+// for requests that will be served. end reads the completion time,
+// feeds the latency to the controller, and hands (class, elapsed, now)
+// to the completion aggregator: per class, one lock guarding the latency
+// histogram, the deadline floor and the brownout window's counts. One
+// completion per period wins an election on that same now; after
+// releasing every lock a request or a /metrics scrape needs, the winner
+// closes the brownout window, steps the ladder, ticks the anomaly engine
+// and freezes any incident dump.
+//
 // The package is intentionally dependency-free: the interceptor types
 // mirror google.golang.org/grpc's unary server interceptor signature so a
 // real gRPC server adapts with a one-line wrapper, without this module
@@ -22,11 +36,12 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"aequitas"
 	"aequitas/internal/core"
-	"aequitas/internal/obs/flight"
+	"aequitas/internal/obs"
 	"aequitas/internal/sim"
 )
 
@@ -44,7 +59,11 @@ type Request struct {
 	SizeBytes int64
 }
 
-// Config parameterises an Admission layer.
+// Config parameterises an Admission layer. The layer runs on the
+// controller's clock — one time base for admission, latency measurement,
+// brownout windows and flight ticks — so a controller built with
+// aequitas.NewControllerWithClock(cfg, manual) makes every layer
+// deterministic.
 type Config struct {
 	// Controller is the admission controller consulted per request.
 	// Required.
@@ -66,21 +85,14 @@ type Config struct {
 	// recorded — the hook for an application's own structured decision
 	// log. It runs on the request path; keep it cheap and non-blocking.
 	DecisionLog func(Verdict)
-	// Clock is the layer's time-and-draw source. Nil shares the
-	// controller's clock, which is what serving wants (one time base for
-	// admission, latency measurement, brownout and flight ticks) and what
-	// makes tests deterministic: build the controller with
-	// aequitas.NewControllerWithClock(cfg, manual) and every layer runs on
-	// the manual clock.
-	Clock core.Clock
 	// Deadline enables deadline-budget admission: requests whose
 	// remaining budget (HeaderDeadline or context deadline) cannot cover
 	// the class's observed latency floor are rejected before the draw.
 	Deadline *DeadlineConfig
 	// Brownout enables the overload brownout ladder: under sustained
-	// completion-latency or concurrency overload the layer sheds
-	// scavenger work, tightens the effective admit probability, and
-	// finally hard-sheds, stepping back down with hysteresis.
+	// completion-latency overload the layer sheds scavenger work,
+	// tightens the effective admit probability, and finally hard-sheds,
+	// stepping back down with hysteresis.
 	Brownout *BrownoutConfig
 	// RejectStatus is the HTTP status for rejected/shed/expired requests
 	// (default 503 Service Unavailable).
@@ -125,17 +137,29 @@ func ClassifyByHeader(r *http.Request) Request {
 }
 
 // ParseClass reads a QoS class from its paper name (QoSh/QoSm/QoSl),
-// a plain level name (high/medium/low), or a numeric level.
+// a plain level name (high/medium/low), or a numeric level. Names match
+// whatever the case of their ASCII letters, and nothing outside ASCII
+// folds onto them. It runs per request and does not allocate on success.
 func ParseClass(s string) (aequitas.Class, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "qosh", "high", "h":
-		return aequitas.High, nil
-	case "qosm", "medium", "m":
-		return aequitas.Medium, nil
-	case "qosl", "low", "l":
-		return aequitas.Low, nil
+	t := strings.TrimSpace(s)
+	var lower [len("medium")]byte
+	if len(t) <= len(lower) {
+		for i := 0; i < len(t); i++ {
+			lower[i] = t[i]
+			if 'A' <= t[i] && t[i] <= 'Z' {
+				lower[i] += 'a' - 'A'
+			}
+		}
+		switch string(lower[:len(t)]) {
+		case "qosh", "high", "h":
+			return aequitas.High, nil
+		case "qosm", "medium", "m":
+			return aequitas.Medium, nil
+		case "qosl", "low", "l":
+			return aequitas.Low, nil
+		}
 	}
-	n, err := strconv.Atoi(strings.TrimSpace(s))
+	n, err := strconv.Atoi(t)
 	if err != nil || n < 0 {
 		return 0, fmt.Errorf("serve: unknown QoS class %q", s)
 	}
@@ -149,16 +173,24 @@ type Admission struct {
 	ctl    *aequitas.AdmissionController
 	cls    func(*http.Request) Request
 	reject bool
-	m      metrics
-	fl     *flightState
 	dlog   func(Verdict)
 	clock  core.Clock
-	dl     *deadlineState
-	bo     *brownout
+
+	// outcomes counts requests by how begin disposed of them.
+	outcomes [causeCount]atomic.Int64
+	// done is the completion aggregator end feeds.
+	done completions
+	// dl, bo and fl are nil when the feature is off.
+	dl *DeadlineConfig
+	bo *ladder
+	fl *flightState
 
 	rejStatus  int
 	rejBody    string
 	retryAfter time.Duration
+
+	started time.Time
+	exp     *obs.Exporter
 }
 
 // New builds an Admission layer over cfg.Controller.
@@ -166,50 +198,42 @@ func New(cfg Config) (*Admission, error) {
 	if cfg.Controller == nil {
 		return nil, fmt.Errorf("serve: Config.Controller is required")
 	}
-	cls := cfg.Classify
-	if cls == nil {
-		cls = ClassifyByHeader
-	}
-	clk := cfg.Clock
-	if clk == nil {
-		clk = cfg.Controller.Clock()
-	}
 	a := &Admission{
 		ctl:        cfg.Controller,
-		cls:        cls,
+		cls:        cfg.Classify,
 		reject:     cfg.RejectDowngraded,
 		dlog:       cfg.DecisionLog,
-		clock:      clk,
+		clock:      cfg.Controller.Clock(),
 		rejStatus:  cfg.RejectStatus,
 		rejBody:    cfg.RejectBody,
 		retryAfter: cfg.RetryAfter,
+		started:    time.Now(),
+		exp:        obs.NewExporter(),
+	}
+	if a.cls == nil {
+		a.cls = ClassifyByHeader
 	}
 	if a.rejStatus == 0 {
 		a.rejStatus = http.StatusServiceUnavailable
 	}
-	a.m.init()
+	if cfg.Deadline != nil {
+		dl := *cfg.Deadline
+		a.dl = &dl
+	}
 	if cfg.Flight != nil {
 		a.fl = newFlightState(*cfg.Flight)
 		a.ctl.SetFlight(a.fl.ring)
-	}
-	if cfg.Deadline != nil {
-		a.dl = newDeadlineState(*cfg.Deadline)
-	}
-	if cfg.Brownout != nil {
-		a.bo = newBrownout(*cfg.Brownout, clk)
-		a.bo.onTransition = func(from, to int32, at sim.Time) {
-			if to > from && a.fl != nil {
-				// Level-ups are incidents: freeze the ring so the decisions
-				// that preceded the escalation are preserved.
-				a.fl.fire(a.ctl, flight.Trigger{
-					Kind: flight.TriggerBrownout,
-					At:   at,
-					Detail: fmt.Sprintf("brownout %s -> %s (level %d -> %d)",
-						brownoutLevelName(from), brownoutLevelName(to), from, to),
-				})
-			}
+		if a.fl.eng != nil {
+			a.done.tickEvery = sim.FromStd(a.fl.cfg.TickEvery)
 		}
 	}
+	if cfg.Brownout != nil {
+		bc := cfg.Brownout.withDefaults()
+		a.bo = &ladder{stepUpAfter: bc.StepUpAfter, stepDownAfter: bc.StepDownAfter}
+		a.done.slowOver = bc.LatencyThreshold
+		a.done.window = sim.FromStd(bc.Window)
+	}
+	a.done.due.Store(int64(a.done.nextDue()))
 	return a, nil
 }
 
@@ -245,35 +269,6 @@ type Verdict struct {
 	Dropped bool
 }
 
-// cause classifies why a request did not reach its handler.
-type cause uint8
-
-const (
-	causeNone cause = iota
-	// causeRejected: failed the admission draw under RejectDowngraded.
-	causeRejected
-	// causeExpired: deadline budget below the latency floor.
-	causeExpired
-	// causeShed: rejected by the brownout ladder.
-	causeShed
-	// causeDropped: quota fail-closed drop (stale lease).
-	causeDropped
-)
-
-// body is the cause-specific default rejection body.
-func (c cause) body() string {
-	switch c {
-	case causeExpired:
-		return "deadline budget exhausted before admission"
-	case causeShed:
-		return "shed by overload brownout"
-	case causeDropped:
-		return "dropped by quota policy (stale lease, fail-closed)"
-	default:
-		return "rejected by admission control"
-	}
-}
-
 // FromContext returns the admission verdict for the current request, if it
 // passed through the middleware or interceptor.
 func FromContext(ctx context.Context) (Verdict, bool) {
@@ -281,66 +276,108 @@ func FromContext(ctx context.Context) (Verdict, bool) {
 	return v, ok
 }
 
-// decide runs one classified request through the full pre-serve
-// pipeline: deadline budget, brownout hard shed, the admission draw,
-// brownout tightening and scavenger thinning. It records metrics and the
-// decision log, and returns the verdict plus the cause when the request
-// must not be served.
-func (a *Admission) decide(req Request, budget time.Duration, haveBudget bool) (Verdict, cause) {
-	if a.dl != nil && haveBudget && a.dl.expired(classSlot(req.Class), budget) {
-		v := Verdict{Request: req, Class: req.Class, Expired: true}
+// cause is how begin disposed of a request: the two served outcomes,
+// then the four reasons a request does not reach its handler. It indexes
+// Admission.outcomes and refusals.
+type cause uint8
+
+const (
+	// causeAdmitted: passed the draw, served on its requested class.
+	causeAdmitted cause = iota
+	// causeDowngraded: failed the draw, served on the scavenger class.
+	causeDowngraded
+	// causeRejected: failed the draw under RejectDowngraded.
+	causeRejected
+	// causeExpired: deadline budget below the latency floor.
+	causeExpired
+	// causeShed: rejected by the brownout ladder.
+	causeShed
+	// causeDropped: quota fail-closed drop (stale lease).
+	causeDropped
+	causeCount
+)
+
+// refusals says how each non-serving cause is reported: the default HTTP
+// body, the response header that marks it, and the interceptor's error.
+// The served causes' entries are zero.
+var refusals = [causeCount]struct {
+	body, header string
+	err          error
+}{
+	causeRejected: {"rejected by admission control", "", ErrRejected},
+	causeExpired:  {"deadline budget exhausted before admission", HeaderExpired, ErrExpired},
+	causeShed:     {"shed by overload brownout", HeaderShed, ErrShed},
+	causeDropped:  {"dropped by quota policy (stale lease, fail-closed)", "", ErrRejected},
+}
+
+// record is one request's passage through the layer: begin fills it, the
+// adapter reports it, end completes it.
+type record struct {
+	v     Verdict
+	cause cause
+	// start is the clock reading just before the handler; only served
+	// requests have one.
+	start sim.Time
+}
+
+// begin runs one classified request through the pre-serve checks, in
+// order: deadline budget, brownout hard shed, the admission draw, quota
+// fail-closed drop, brownout scavenger thinning and tightening. Every
+// request leaves by the one exit at the bottom.
+func (a *Admission) begin(req Request, budget time.Duration, haveBudget bool) record {
+	rec := record{v: Verdict{Request: req, Class: req.Class}}
+	v := &rec.v
+	level := a.bo.Level()
+	switch {
+	case haveBudget && a.expired(req.Class, budget):
+		v.Expired = true
 		a.ctl.RecordExpired(req.Peer, req.Class, req.SizeBytes)
-		a.m.expired.Add(1)
-		a.logv(v)
-		return v, causeExpired
+		rec.cause = causeExpired
+	case level >= BrownoutHardShed && a.clock.Float64() >= hardShedKeep:
+		// Shed without consulting the controller at all.
+		rec.cause = causeShed
+	default:
+		d := a.ctl.Admit(req.Peer, req.Class, req.SizeBytes)
+		v.Class, v.Downgraded, v.Dropped = d.Class, d.Downgraded, d.Dropped
+		scav := a.ctl.Scavenger()
+		switch {
+		case d.Dropped:
+			rec.cause = causeDropped
+		case v.Class >= scav && level >= BrownoutThinScavenger,
+			// Tightening: an admitted SLO-class request survives one more
+			// draw, for an effective p_admit x tightenFactor.
+			v.Class < scav && !v.Downgraded && level >= BrownoutTighten && a.clock.Float64() >= tightenFactor:
+			rec.cause = causeShed
+		case v.Downgraded && a.reject:
+			rec.cause = causeRejected
+		case v.Downgraded:
+			rec.cause = causeDowngraded
+		}
 	}
-	if a.bo.preAdmit() == shedHard {
-		v := Verdict{Request: req, Class: req.Class, ShedLevel: a.bo.Level()}
-		a.m.shed.Add(1)
-		a.logv(v)
-		return v, causeShed
+	if rec.cause == causeShed {
+		v.ShedLevel = level
 	}
-	d := a.ctl.Admit(req.Peer, req.Class, req.SizeBytes)
-	v := Verdict{Request: req, Class: d.Class, Downgraded: d.Downgraded, Dropped: d.Dropped}
-	if d.Dropped {
-		a.m.dropped.Add(1)
-		a.logv(v)
-		return v, causeDropped
-	}
-	scav := a.ctl.Scavenger()
-	if (v.Class >= scav && a.bo.thinsScavenger()) ||
-		(v.Class < scav && !v.Downgraded && a.bo.tightens()) {
-		v.ShedLevel = a.bo.Level()
-		a.m.shed.Add(1)
-		a.logv(v)
-		return v, causeShed
-	}
-	a.m.decided(v, a.reject)
-	a.logv(v)
-	if v.Downgraded && a.reject {
-		return v, causeRejected
-	}
-	return v, causeNone
-}
-
-func (a *Admission) logv(v Verdict) {
+	a.outcomes[rec.cause].Add(1)
 	if a.dlog != nil {
-		a.dlog(v)
+		a.dlog(rec.v)
 	}
+	if rec.cause <= causeDowngraded {
+		rec.start = a.clock.Now()
+	}
+	return rec
 }
 
-// finish feeds the completed request's latency back to the controller on
-// the class it ran on, records it in the serving histograms and the
-// deadline floor, and gives the brownout and anomaly engines a chance to
-// evaluate.
-func (a *Admission) finish(v Verdict, elapsed time.Duration) {
-	a.ctl.Observe(v.Request.Peer, v.Class, elapsed, v.Request.SizeBytes)
-	a.m.completed(v.Class, elapsed)
-	if a.dl != nil {
-		a.dl.floor.observe(classSlot(v.Class), elapsed)
+// end completes a served request: the measured latency goes back to the
+// controller on the class the request ran on and into the completion
+// aggregator, and the one completion per period that wins the
+// aggregator's election runs the periodic work.
+func (a *Admission) end(rec *record) {
+	now := a.clock.Now()
+	elapsed := (now - rec.start).Std()
+	a.ctl.Observe(rec.v.Request.Peer, rec.v.Class, elapsed, rec.v.Request.SizeBytes)
+	if a.done.complete(rec.v.Class, elapsed, now) {
+		a.tick(now)
 	}
-	a.bo.completed(elapsed)
-	a.fl.maybeTick(a.ctl, a.clock.Now())
 }
 
 // retryAfterValue is the Retry-After hint for a rejection on class: the
@@ -359,58 +396,40 @@ func (a *Admission) retryAfterValue(class aequitas.Class) string {
 	return strconv.Itoa(secs)
 }
 
-// rejectHTTP writes the rejection response for cls/c.
-func (a *Admission) rejectHTTP(w http.ResponseWriter, class aequitas.Class, c cause) {
-	w.Header().Set("Retry-After", a.retryAfterValue(class))
-	body := a.rejBody
-	if body == "" {
-		body = c.body()
-	}
-	http.Error(w, body, a.rejStatus)
-}
-
-// Middleware wraps next with admission control: classify, check the
-// deadline budget and the brownout ladder, admit (setting the response
-// headers), serve on the decided class, and feed the measured handler
-// latency back as an SLO observation. Requests stopped before the
-// handler (expired, shed, rejected, quota-dropped) receive RejectStatus
-// with a Retry-After hint and are not observed — they never ran.
+// Middleware wraps next with admission control: classify, begin (setting
+// the response headers), serve on the decided class, end. Requests
+// stopped before the handler (expired, shed, rejected, quota-dropped)
+// receive RejectStatus with a Retry-After hint and are not observed —
+// they never ran.
 func (a *Admission) Middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		req := a.cls(r)
-		var budget time.Duration
-		var haveBudget bool
-		if a.dl != nil {
-			budget, haveBudget = a.dl.budgetFromRequest(r)
-		}
-		v, c := a.decide(req, budget, haveBudget)
+		budget, haveBudget := a.budgetFromRequest(r.Header, r.Context())
+		rec := a.begin(req, budget, haveBudget)
 		h := w.Header()
-		switch c {
-		case causeExpired:
-			h.Set(HeaderExpired, "1")
-			a.rejectHTTP(w, req.Class, c)
-			return
-		case causeShed:
-			h.Set(HeaderShed, brownoutLevelName(v.ShedLevel))
-			a.rejectHTTP(w, req.Class, c)
-			return
-		case causeDropped:
-			a.rejectHTTP(w, req.Class, c)
-			return
-		}
-		h.Set(HeaderClass, v.Class.String())
-		if v.Downgraded {
-			h.Set(HeaderDowngraded, "1")
-			if c == causeRejected {
-				a.rejectHTTP(w, req.Class, c)
-				return
+		if rec.cause <= causeRejected { // the draw assigned a class
+			h.Set(HeaderClass, rec.v.Class.String())
+			if rec.v.Downgraded {
+				h.Set(HeaderDowngraded, "1")
 			}
 		}
-		a.bo.enter()
-		start := a.clock.Now()
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), ctxKey{}, v)))
-		elapsed := (a.clock.Now() - start).Std()
-		a.bo.exit()
-		a.finish(v, elapsed)
+		if ref := &refusals[rec.cause]; ref.err != nil {
+			if ref.header != "" {
+				mark := "1"
+				if rec.cause == causeShed {
+					mark = brownoutLevelName(rec.v.ShedLevel)
+				}
+				h.Set(ref.header, mark)
+			}
+			h.Set("Retry-After", a.retryAfterValue(req.Class))
+			body := a.rejBody
+			if body == "" {
+				body = ref.body
+			}
+			http.Error(w, body, a.rejStatus)
+			return
+		}
+		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), ctxKey{}, rec.v)))
+		a.end(&rec)
 	})
 }

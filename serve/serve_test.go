@@ -23,7 +23,6 @@ func newController(t testing.TB) *aequitas.AdmissionController {
 			{Target: time.Nanosecond},
 			{Target: time.Nanosecond},
 		},
-		Seed: 42,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,6 +162,7 @@ func TestServeOverloadSmoke(t *testing.T) {
 	if !hasPadmit {
 		t.Error("no live admit-probability gauges exported")
 	}
+	checkLedger(t, a, 600)
 }
 
 func TestMiddlewareReject(t *testing.T) {
@@ -187,9 +187,10 @@ func TestMiddlewareReject(t *testing.T) {
 	if rejected == 0 {
 		t.Error("no rejections at floor admit probability with RejectDowngraded")
 	}
-	if a.m.rejected.Load() != int64(rejected) {
-		t.Errorf("rejected counter %d, want %d", a.m.rejected.Load(), rejected)
+	if a.outcomes[causeRejected].Load() != int64(rejected) {
+		t.Errorf("rejected counter %d, want %d", a.outcomes[causeRejected].Load(), rejected)
 	}
+	checkLedger(t, a, 100)
 }
 
 func TestUnaryInterceptor(t *testing.T) {
@@ -211,6 +212,7 @@ func TestUnaryInterceptor(t *testing.T) {
 	if err != nil || resp != "pong" || !called {
 		t.Fatalf("interceptor: resp=%v err=%v called=%v", resp, err, called)
 	}
+	checkLedger(t, a, 1)
 }
 
 func TestUnaryInterceptorReject(t *testing.T) {
@@ -230,6 +232,7 @@ func TestUnaryInterceptorReject(t *testing.T) {
 	if rejections == 0 {
 		t.Error("interceptor never rejected at floor admit probability")
 	}
+	checkLedger(t, a, 100)
 }
 
 // TestServeConcurrent hammers the middleware and the metrics endpoint from
@@ -264,11 +267,12 @@ func TestServeConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	total := a.m.admitted.Load() + a.m.downgraded.Load() + a.m.rejected.Load()
+	total := a.outcomes[causeAdmitted].Load() + a.outcomes[causeDowngraded].Load() + a.outcomes[causeRejected].Load()
 	if total != workers*perWorker {
 		t.Errorf("decision counters sum to %d, want %d", total, workers*perWorker)
 	}
-	if a.m.done.Load() != workers*perWorker {
-		t.Errorf("completions %d, want %d", a.m.done.Load(), workers*perWorker)
+	if snapCounter(a, "serve_completed") != workers*perWorker {
+		t.Errorf("completions %d, want %d", snapCounter(a, "serve_completed"), workers*perWorker)
 	}
+	checkLedger(t, a, workers*perWorker)
 }
