@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check loc bench benchmark figures trace-check chaos-check export-check serve-check chaos-serve-check
+.PHONY: all build test race vet check loc loc-diff bench benchmark figures trace-check chaos-check export-check serve-check chaos-serve-check
 
 all: build
 
@@ -23,11 +23,26 @@ vet:
 check: vet build race trace-check chaos-check export-check serve-check chaos-serve-check
 
 # loc prints non-test Go lines per package and in total (wc -l of each
-# package's GoFiles), so "least code" has a trajectory like ns/op does.
+# package's GoFiles) for the tree at LOCDIR, so "least code" has a
+# trajectory like ns/op does.
+LOCDIR ?= .
 loc:
-	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+	@cd $(LOCDIR) && $(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
 	while read pkg files; do printf '%7d  %s\n' "$$(cat $$files | wc -l)" "$$pkg"; done | \
 	awk '{ n += $$1; print } END { printf "%7d  total\n", n }'
+
+# loc-diff prints loc for HEAD's first parent, checked out into a
+# temporary git worktree, beside loc for this tree, with the difference:
+# what a change cost or saved, package by package. A package only the
+# parent has follows the total.
+loc-diff:
+	@tmp=$$(mktemp -d) && trap 'git worktree remove --force "$$tmp" 2>/dev/null; rm -rf "$$tmp"' EXIT && \
+	git worktree add --quiet --detach "$$tmp" HEAD^ && \
+	$(MAKE) -s loc LOCDIR="$$tmp" > "$$tmp/.loc" && \
+	printf ' parent    this   diff\n' && $(MAKE) -s loc | awk ' \
+	    NR == FNR { was[$$2] = $$1; next } \
+	    { printf "%7d %7d %+6d  %s\n", was[$$2], $$1, $$1 - was[$$2], $$2; delete was[$$2] } \
+	    END { for (p in was) printf "%7d %7d %+6d  %s\n", was[p], 0, -was[p], p }' "$$tmp/.loc" -
 
 # trace-check runs a short instrumented simulation and validates every
 # observability artifact against the schemas in internal/obs: the NDJSON

@@ -14,45 +14,6 @@ import (
 	"aequitas/internal/workload"
 )
 
-// countingAdmitter wraps the real admitter to record input and admitted
-// byte mixes at issue time, within the measurement window. It keeps a
-// reference to the run's simulator for window gating: the Admitter
-// interface itself is time-source-free.
-type countingAdmitter struct {
-	s     *sim.Simulator
-	inner rpc.Admitter
-	col   *collector
-}
-
-func (ca *countingAdmitter) Admit(dst int, requested qos.Class, sizeMTUs int64) rpc.Decision {
-	d := ca.inner.Admit(dst, requested, sizeMTUs)
-	ca.col.onAdmit(ca.s, requested, d, sizeMTUs)
-	return d
-}
-
-func (ca *countingAdmitter) Observe(dst int, run qos.Class, rnl sim.Duration, sizeMTUs int64) {
-	ca.inner.Observe(dst, run, rnl, sizeMTUs)
-}
-
-// Reset forwards a crash-induced state wipe to the wrapped admitter when
-// it supports one (the Aequitas controller does; PassThrough is
-// stateless).
-func (ca *countingAdmitter) Reset() {
-	if r, ok := ca.inner.(interface{ Reset() }); ok {
-		r.Reset()
-	}
-}
-
-// AdmitProbability implements rpc.ProbabilityReporter when the wrapped
-// admitter does, so the stack's lifecycle trace and the per-RPC CSV see
-// the probability behind each decision (1.0 for pass-through admitters).
-func (ca *countingAdmitter) AdmitProbability(dst int, class qos.Class) float64 {
-	if pr, ok := ca.inner.(rpc.ProbabilityReporter); ok {
-		return pr.AdmitProbability(dst, class)
-	}
-	return 1
-}
-
 // collector accumulates all measurements for one run.
 type collector struct {
 	cfg    *SimConfig
@@ -176,14 +137,16 @@ func (c *collector) endMeasurement(s *sim.Simulator, net *netsim.Network) {
 	}
 }
 
-func (c *collector) onAdmit(s *sim.Simulator, requested qos.Class, d rpc.Decision, sizeMTUs int64) {
+// onAdmit records the input and admitted byte mixes at issue time.
+func (c *collector) onAdmit(s *sim.Simulator, r *rpc.RPC, d rpc.Decision) {
 	// Gate on the same issue-time window as onComplete so the SLO-met
 	// numerators (completions) and denominators (admissions) count the
 	// same RPC population.
 	if !c.inWindow(s.Now()) {
 		return
 	}
-	bytes := sizeMTUs * int64(netsim.MaxPayload)
+	requested := r.QoSRequested
+	bytes := r.SizeMTUs * int64(netsim.MaxPayload)
 	// With fewer QoS levels than priority classes (e.g. 2-level runs),
 	// lower priorities all request the scavenger class; clamp so their
 	// bytes are counted rather than silently dropped.
@@ -192,14 +155,14 @@ func (c *collector) onAdmit(s *sim.Simulator, requested qos.Class, d rpc.Decisio
 		mixClass = qos.Class(c.cfg.levels() - 1)
 	}
 	c.inputMix.Add(mixClass, bytes)
-	if !d.Drop {
+	if !d.Dropped {
 		c.admittedMix.Add(d.Class, bytes)
 	}
 	c.issued++
 	if d.Downgraded {
 		c.downgraded++
 	}
-	if d.Drop {
+	if d.Dropped {
 		c.dropped++
 	}
 	// SLO-met denominators are charged at issue so that RPCs that never
@@ -294,11 +257,7 @@ func (c *collector) newSample() *stats.Sample {
 func (c *collector) sample(s *sim.Simulator, controllers []*core.Controller) {
 	now := s.Now().Seconds()
 	for _, ps := range c.probes {
-		p := 1.0
-		if ctl := controllers[ps.p.Src]; ctl != nil {
-			p = ctl.AdmitProbability(ps.p.Dst, ps.p.Class)
-		}
-		ps.admitSer.Append(now, p)
+		ps.admitSer.Append(now, controllers[ps.p.Src].AdmitProbability(ps.p.Dst, ps.p.Class))
 		if ps.hasSample {
 			if dt := (s.Now() - ps.lastSample).Seconds(); dt > 0 {
 				gbps := float64(ps.bytes) * 8 / dt / 1e9
@@ -365,13 +324,11 @@ func (c *collector) trace(s *sim.Simulator, src int, r *rpc.RPC) {
 			fmt.Fprintln(w, traceCSVHeader)
 		}
 	}
-	decision := "admit"
-	if r.Downgraded {
-		decision = "downgrade"
-	}
+	// Only RPCs that ran complete, so the decision was an admit or a
+	// downgrade.
 	fmt.Fprintf(w, "%.9f,%d,%d,%s,%s,%s,%t,%s,%.4f,%d,%.3f\n",
 		r.CompleteTime.Seconds(), src, r.Dst, r.Priority, r.QoSRequested,
-		r.QoSRun, r.Downgraded, decision, r.PAdmit, r.Bytes, r.RNL.Micros())
+		r.QoSRun, r.Downgraded, rpc.Decision{Downgraded: r.Downgraded}.Verdict(), r.PAdmit, r.Bytes, r.RNL.Micros())
 }
 
 // addProbeBytes credits completed bytes to matching probes; wired through

@@ -2,7 +2,10 @@ package aequitas
 
 import (
 	"math"
+	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -116,6 +119,52 @@ func TestControllerPerMTUSLO(t *testing.T) {
 	c.Observe("s", High, 20*time.Microsecond, 10*1436)
 	if p := c.AdmitProbability("s", High); p >= 1 {
 		t.Error("miss did not decrease p")
+	}
+}
+
+// TestPeerTableOverflow interns twice MaxPeers names, the second half
+// from several goroutines: the first MaxPeers keep dense ids of their
+// own, every later name is the overflow channel.
+func TestPeerTableOverflow(t *testing.T) {
+	c, _ := newPublicController(t)
+	for i := 0; i < MaxPeers; i++ {
+		if id := c.PeerID("early-" + strconv.Itoa(i)); id != i {
+			t.Fatalf("peer %d interned as %d", i, id)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < MaxPeers/4; i++ {
+				if id := c.PeerID("late-" + strconv.Itoa(g) + "-" + strconv.Itoa(i)); id != MaxPeers {
+					t.Errorf("peer past the bound interned as %d", id)
+				}
+				if id := c.PeerID("early-" + strconv.Itoa(i)); id != i {
+					t.Errorf("peer %d now resolves to %d", i, id)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := len(c.peers.Load().names); got != MaxPeers+1 || c.PeerName(MaxPeers) != OverflowPeer {
+		t.Errorf("table holds %d names, the last %q", got, c.PeerName(MaxPeers))
+	}
+}
+
+// TestFacadeAndSimulationShareCoreConfig: the same SLOs give the facade's
+// controller and a simulation's controllers the same Algorithm 1
+// settings, defaults included.
+func TestFacadeAndSimulationShareCoreConfig(t *testing.T) {
+	sc := SimConfig{QoSWeights: []float64{8, 4, 1}, SLOs: []SLO{{Target: time.Microsecond}, {Target: 2 * time.Microsecond, Percentile: 99}}}
+	fromSim := coreConfig(sc.levels(), sc.SLOs, sc.Admission)
+	facade, err := NewController(ControllerConfig{SLOs: sc.SLOs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := facade.Core().Config(); !reflect.DeepEqual(got, fromSim) {
+		t.Errorf("facade runs %+v, a simulation %+v", got, fromSim)
 	}
 }
 

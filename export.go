@@ -61,13 +61,9 @@ func (st *runState) snapshot(now sim.Time, final bool) *obs.Snapshot {
 		})
 	}
 	for _, ps := range col.probes {
-		p := 1.0
-		if ctl := st.controllers[ps.p.Src]; ctl != nil {
-			p = ctl.AdmitProbability(ps.p.Dst, ps.p.Class)
-		}
 		s.Gauges = append(s.Gauges, obs.NamedValue{
 			Name:  probeGaugeName(ps.p),
-			Value: p,
+			Value: st.controllers[ps.p.Src].AdmitProbability(ps.p.Dst, ps.p.Class),
 		})
 	}
 	st.registry.LatestGauges(func(name string, v float64) {

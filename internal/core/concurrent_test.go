@@ -99,7 +99,7 @@ func TestConcurrentReset(t *testing.T) {
 }
 
 // TestConcurrentQuota races Grant/Revoke from a control plane against
-// InQuota checks on serving goroutines — the QuotaServer/QuotaClient
+// quota checks on serving goroutines — the QuotaServer/QuotaClient
 // concurrency contract.
 func TestConcurrentQuota(t *testing.T) {
 	q := NewQuotaServer(map[qos.Class]float64{qos.High: 1e9, qos.Medium: 1e9})
@@ -121,8 +121,8 @@ func TestConcurrentQuota(t *testing.T) {
 				default:
 				}
 				now += sim.Microsecond
-				c.InQuotaAt(now, qos.High, 100)
-				c.InQuota(qos.High, 100)
+				c.CheckAt(now, qos.High, 100)
+				c.Check(qos.High, 100)
 			}
 		}(w)
 	}

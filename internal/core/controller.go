@@ -25,6 +25,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"aequitas/internal/netsim"
 	"aequitas/internal/obs"
 	"aequitas/internal/obs/flight"
 	"aequitas/internal/qos"
@@ -223,6 +224,8 @@ type Controller struct {
 	// The disabled path is a single nil check on the fast path.
 	flight    *flight.Ring
 	flightSrc int32
+	// quota, when set, is the §5.2 branch in front of the draw.
+	quota atomic.Pointer[quotaGate]
 }
 
 // New builds a Controller on the monotonic wall clock — the live serving
@@ -282,13 +285,20 @@ func (ct *Controller) SetFlight(r *flight.Ring, src int) {
 	ct.flightSrc = int32(src)
 }
 
-// Flight returns the attached flight recorder, or nil.
-func (ct *Controller) Flight() *flight.Ring { return ct.flight }
-
-// recordDecision is the flight-recorder tap for AdmitAt, kept out of
-// line so the recorder-off fast path stays lean.
-func (ct *Controller) recordDecision(dst int, requested, got qos.Class, v flight.Verdict, p float64, sizeMTUs int64) {
-	ct.flight.Decision(ct.clock.Now(), ct.flightSrc, int32(dst), int8(requested), int8(got), v, p, int32(sizeMTUs))
+// record is the flight-recorder tap for Admit, kept out of line so the
+// recorder-off fast path stays lean. The quota bypass is marked as such:
+// those RPCs were admitted without consulting p_admit. A drop runs on no
+// class; its record keeps the one it asked for.
+func (ct *Controller) record(now sim.Time, dst int, requested qos.Class, d rpc.Decision, bypass bool, sizeMTUs int64) {
+	if bypass {
+		ct.flight.QuotaBypassDecision(now, ct.flightSrc, int32(dst), int8(requested), int32(sizeMTUs))
+		return
+	}
+	got := d.Class
+	if d.Dropped {
+		got = requested
+	}
+	ct.flight.Decision(now, ct.flightSrc, int32(dst), int8(requested), int8(got), d.Verdict(), d.PAdmit, int32(sizeMTUs))
 }
 
 // Reset discards all learned admission state, returning every channel to
@@ -344,9 +354,11 @@ func (sh *stateShard) create(k stateKey) *classState {
 }
 
 // AdmitProbability exposes the current p_admit for a (dst, class) pair,
-// for convergence instrumentation (Figures 17, 18, 28, 29).
+// for convergence instrumentation (Figures 17, 18, 28, 29). It is 1 where
+// nothing is ever refused: on a class without an SLO, and on a nil
+// Controller — a host that runs no admission control.
 func (ct *Controller) AdmitProbability(dst int, class qos.Class) float64 {
-	if class >= ct.lowest {
+	if ct == nil || class < 0 || class >= ct.lowest {
 		return 1
 	}
 	return ct.classState(dst, class).load()
@@ -400,6 +412,21 @@ func (ct *Controller) ForEachState(now sim.Time, f func(dst int, class qos.Class
 	}
 }
 
+// MinAdmitProbability reports the minimum admit probability across every
+// live channel, or 1 when none exists yet — the scalar the anomaly engine
+// watches for admission collapse.
+func (ct *Controller) MinAdmitProbability() float64 {
+	minP := 1.0
+	for i := range ct.shards {
+		if m := ct.shards[i].m.Load(); m != nil {
+			for _, st := range *m {
+				minP = min(minP, st.load())
+			}
+		}
+	}
+	return minP
+}
+
 // MetricsSampler returns an obs.Sampler exposing this controller's
 // per-(dst, class) admit probability and additive-increase window
 // remainder; host identifies the controller's sending host in metric
@@ -427,48 +454,65 @@ func (ct *Controller) MetricsSampler(host int) obs.Sampler {
 	}
 }
 
-// Admit implements rpc.Admitter — Algorithm 1 lines 5-12. RPCs requesting
+// Admit implements rpc.Admitter — Algorithm 1 lines 5-12, behind the
+// quota branch of §5.2 when a quota client is attached. RPCs requesting
 // the lowest class are always admitted (it has no SLO to protect). The
 // fast path is one uniform draw, one lock-free state lookup, and one
-// atomic probability load: no locks, no allocations.
+// atomic probability load: no locks, no allocations, and no clock reading
+// unless a quota bucket or the flight recorder needs the time.
 func (ct *Controller) Admit(dst int, requested qos.Class, sizeMTUs int64) rpc.Decision {
-	// Draw before the class check so the clock's draw sequence matches
-	// the pre-Clock controller exactly (one draw per Admit call).
-	return ct.AdmitAt(ct.clock.Float64(), dst, requested, sizeMTUs)
-}
-
-// AdmitAt is Admit with the uniform random draw supplied by the caller,
-// for callers that manage their own draw sequence (e.g. a seeded
-// deterministic embedding).
-func (ct *Controller) AdmitAt(draw float64, dst int, requested qos.Class, sizeMTUs int64) rpc.Decision {
-	if requested >= ct.lowest || requested < 0 {
-		atomic.AddInt64(&ct.Stats.Admitted, 1)
-		if ct.flight != nil {
-			ct.recordDecision(dst, requested, ct.lowest, flight.VerdictAdmit, 1, sizeMTUs)
-		}
-		return rpc.Decision{Class: ct.lowest}
+	slo := requested >= 0 && requested < ct.lowest
+	q := ct.quota.Load()
+	var now sim.Time
+	if q != nil || ct.flight != nil {
+		now = ct.clock.Now()
 	}
-	st := ct.classState(dst, requested)
-	p := st.load()
-	if draw <= p {
-		atomic.AddInt64(&ct.Stats.Admitted, 1)
-		if ct.flight != nil {
-			ct.recordDecision(dst, requested, requested, flight.VerdictAdmit, p, sizeMTUs)
-		}
-		return rpc.Decision{Class: requested}
+	// Scavenger (and out-of-range) traffic never consumes quota. Quota is
+	// charged in whole MTUs, the unit Algorithm 1 sizes RPCs in: a
+	// 100-byte request costs one MTU of tokens.
+	inQuota := QuotaNo
+	if q != nil && slo {
+		inQuota = q.client.CheckAt(now, requested, sizeMTUs*netsim.MaxPayload)
 	}
-	if ct.cfg.DropInsteadOfDowngrade {
+	d := rpc.Decision{Class: ct.lowest, PAdmit: 1}
+	switch {
+	case inQuota == QuotaYes:
+		q.inQuota.Add(1)
+		d.Class = requested
+	case inQuota == QuotaStale && q.policy == QuotaFailClosed:
+		q.staleDropped.Add(1)
+		d = rpc.Decision{Dropped: true}
+	default:
+		if inQuota == QuotaStale {
+			q.stalePassed.Add(1)
+		}
+		// Draw before the class check so the clock's draw sequence is one
+		// draw per RPC that reaches Algorithm 1, whatever its class.
+		draw := ct.clock.Float64()
+		if slo {
+			d.PAdmit = ct.classState(dst, requested).load()
+			switch {
+			case draw <= d.PAdmit:
+				d.Class = requested
+			case ct.cfg.DropInsteadOfDowngrade:
+				d.Class, d.Dropped = 0, true
+			default:
+				d.Downgraded = true
+			}
+		}
+	}
+	switch {
+	case d.Dropped:
 		atomic.AddInt64(&ct.Stats.Dropped, 1)
-		if ct.flight != nil {
-			ct.recordDecision(dst, requested, requested, flight.VerdictDrop, p, sizeMTUs)
-		}
-		return rpc.Decision{Drop: true}
+	case d.Downgraded:
+		atomic.AddInt64(&ct.Stats.Downgraded, 1)
+	default:
+		atomic.AddInt64(&ct.Stats.Admitted, 1)
 	}
-	atomic.AddInt64(&ct.Stats.Downgraded, 1)
 	if ct.flight != nil {
-		ct.recordDecision(dst, requested, ct.lowest, flight.VerdictDowngrade, p, sizeMTUs)
+		ct.record(now, dst, requested, d, inQuota == QuotaYes, sizeMTUs)
 	}
-	return rpc.Decision{Class: ct.lowest, Downgraded: true}
+	return d
 }
 
 // RecordExpired counts and flight-records an expired-before-admit
@@ -479,11 +523,8 @@ func (ct *Controller) AdmitAt(draw float64, dst int, requested qos.Class, sizeMT
 func (ct *Controller) RecordExpired(dst int, requested qos.Class, sizeMTUs int64) {
 	atomic.AddInt64(&ct.Stats.Expired, 1)
 	if ct.flight != nil {
-		p := 1.0
-		if requested >= 0 && requested < ct.lowest {
-			p = ct.classState(dst, requested).load()
-		}
-		ct.recordDecision(dst, requested, requested, flight.VerdictExpired, p, sizeMTUs)
+		ct.flight.Decision(ct.clock.Now(), ct.flightSrc, int32(dst), int8(requested), int8(requested),
+			flight.VerdictExpired, ct.AdmitProbability(dst, requested), int32(sizeMTUs))
 	}
 }
 
@@ -534,4 +575,59 @@ func (ct *Controller) ObserveAt(now sim.Time, dst int, run qos.Class, rnl sim.Du
 		ct.flight.Complete(now, ct.flightSrc, int32(dst), int8(run),
 			flight.VerdictSLOMiss, st.load(), int32(sizeMTUs), rnl.Micros())
 	}
+}
+
+// quotaGate is the quota branch of Controller.Admit: the tenant's client,
+// the stale-lease policy, and the branch's counters.
+type quotaGate struct {
+	client *QuotaClient
+	policy QuotaFailPolicy
+
+	inQuota, stalePassed, staleDropped atomic.Int64
+}
+
+// SetQuota puts a tenant quota in front of the draw: SLO-class RPCs
+// within the client's leased rate are admitted on their requested class
+// without consulting p_admit, RPCs beyond it go through Algorithm 1, and
+// quota-plane outages past the lease TTL are handled per policy. The
+// bucket refills on the controller's clock. In-quota traffic still feeds
+// Observe: if the quota was over-provisioned relative to the SLO, the
+// controller must learn it. A nil client removes the branch.
+func (ct *Controller) SetQuota(client *QuotaClient, policy QuotaFailPolicy) {
+	if client == nil {
+		ct.quota.Store(nil)
+		return
+	}
+	ct.quota.Store(&quotaGate{client: client, policy: policy})
+}
+
+// QuotaStats snapshots the quota branch's counters.
+type QuotaStats struct {
+	// Policy is the stale-lease failure policy in effect.
+	Policy QuotaFailPolicy
+	// InQuotaAdmits counts RPCs admitted on the quota bypass.
+	InQuotaAdmits int64
+	// StalePassed counts RPCs that fell through to the probabilistic path
+	// on a stale lease under fail-open.
+	StalePassed int64
+	// StaleDropped counts RPCs dropped on a stale lease under fail-closed.
+	StaleDropped int64
+	// Lease is the underlying client's lease-health snapshot.
+	Lease QuotaLeaseStats
+}
+
+// QuotaStats reports the quota branch's counters since SetQuota, or
+// ok=false when no quota client is attached.
+func (ct *Controller) QuotaStats() (QuotaStats, bool) {
+	q := ct.quota.Load()
+	if q == nil {
+		return QuotaStats{}, false
+	}
+	return QuotaStats{
+		Policy:        q.policy,
+		InQuotaAdmits: q.inQuota.Load(),
+		StalePassed:   q.stalePassed.Load(),
+		StaleDropped:  q.staleDropped.Load(),
+		Lease:         q.client.LeaseStats(),
+	}, true
 }

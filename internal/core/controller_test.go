@@ -85,7 +85,7 @@ func TestAdmitAtFullProbability(t *testing.T) {
 	ct := newCtlSim(t, sim.New(1))
 	for i := 0; i < 100; i++ {
 		d := ct.Admit(1, qos.High, 1)
-		if d.Downgraded || d.Drop || d.Class != qos.High {
+		if d.Downgraded || d.Dropped || d.Class != qos.High {
 			t.Fatalf("RPC downgraded at p_admit = 1: %+v", d)
 		}
 	}
@@ -95,7 +95,7 @@ func TestLowestClassAlwaysAdmitted(t *testing.T) {
 	ct := newCtlSim(t, sim.New(1))
 	for i := 0; i < 100; i++ {
 		d := ct.Admit(1, qos.Low, 1)
-		if d.Downgraded || d.Drop || d.Class != qos.Low {
+		if d.Downgraded || d.Dropped || d.Class != qos.Low {
 			t.Fatalf("lowest-class RPC not admitted: %+v", d)
 		}
 	}
@@ -237,7 +237,7 @@ func TestDropAblation(t *testing.T) {
 	}
 	drops := 0
 	for i := 0; i < 100; i++ {
-		if d := ct.Admit(1, qos.High, 1); d.Drop {
+		if d := ct.Admit(1, qos.High, 1); d.Dropped {
 			drops++
 		}
 	}

@@ -19,13 +19,10 @@ func TestFlightTapRecordsDecisionsAndObservations(t *testing.T) {
 	}
 	ring := flight.NewRing(flight.Config{Records: 1 << 10, SampleAdmits: 1})
 	ct.SetFlight(ring, 3)
-	if ct.Flight() != ring {
-		t.Fatal("Flight() did not return the attached ring")
-	}
 
 	clk.SetNow(1 * sim.Microsecond)
 	clk.SetDraw(0.5)
-	if d := ct.Admit(7, qos.High, 2); d.Downgraded || d.Drop {
+	if d := ct.Admit(7, qos.High, 2); d.Downgraded || d.Dropped {
 		t.Fatalf("fresh channel should admit, got %+v", d)
 	}
 	// Miss the SLO hard so p_admit falls below the next draw.
@@ -86,7 +83,7 @@ func TestFlightTapDropVerdict(t *testing.T) {
 		ct.Observe(0, qos.High, 100*sim.Microsecond, 1)
 	}
 	clk.SetDraw(0.9)
-	if d := ct.Admit(0, qos.High, 1); !d.Drop {
+	if d := ct.Admit(0, qos.High, 1); !d.Dropped {
 		t.Fatalf("want drop, got %+v", d)
 	}
 	var drops int
@@ -100,7 +97,7 @@ func TestFlightTapDropVerdict(t *testing.T) {
 	}
 }
 
-// TestQuotaBypassRecorded checks the QuotaAdmitter's bypass tap.
+// TestQuotaBypassRecorded checks the quota branch's bypass tap.
 func TestQuotaBypassRecorded(t *testing.T) {
 	clk := &ManualClock{}
 	ct, err := NewWithClock(Defaults3(2*sim.Microsecond, 4*sim.Microsecond), clk)
@@ -113,8 +110,8 @@ func TestQuotaBypassRecorded(t *testing.T) {
 	if err := qs.Grant("tenant", qos.High, 1e9); err != nil {
 		t.Fatal(err)
 	}
-	qa := &QuotaAdmitter{Controller: ct, Client: qs.ClientWithClock("tenant", clk)}
-	if d := qa.Admit(1, qos.High, 1); d.Downgraded || d.Drop {
+	ct.SetQuota(qs.ClientWithClock("tenant", clk), QuotaFailOpen)
+	if d := ct.Admit(1, qos.High, 1); d.Downgraded || d.Dropped {
 		t.Fatalf("in-quota RPC not admitted: %+v", d)
 	}
 	recs := ring.Snapshot(false)

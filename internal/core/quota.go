@@ -6,9 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"aequitas/internal/obs/flight"
 	"aequitas/internal/qos"
-	"aequitas/internal/rpc"
 	"aequitas/internal/sim"
 )
 
@@ -29,14 +27,14 @@ import (
 // traffic stays inside the admissible region by construction.
 //
 // QuotaServer and QuotaClient are safe for concurrent use: Grant/Revoke
-// from a control plane can race with InQuota checks on the serving path.
+// from a control plane can race with checks on the serving path.
 //
 // Clients consume grants as TTL leases (LeaseFor): a host caches the
 // granted rate for QuotaClient.LeaseTTL and keeps enforcing it locally
 // while the lease is fresh, so a brief quota-plane outage is invisible.
 // When the server is unreachable (SetAvailable(false), the chaos
 // harness's outage window) past the lease TTL, the lease is stale and
-// the QuotaAdmitter's failure policy decides what happens.
+// the failure policy given to Controller.SetQuota decides what happens.
 type QuotaServer struct {
 	mu sync.Mutex
 	// capacity[class] is the total grantable rate per class in
@@ -54,9 +52,6 @@ type QuotaServer struct {
 // SetAvailable marks the quota plane reachable (true) or unreachable
 // (false) from the serving hosts — the chaos harness's outage control.
 func (q *QuotaServer) SetAvailable(up bool) { q.down.Store(!up) }
-
-// Available reports whether lease refreshes currently succeed.
-func (q *QuotaServer) Available() bool { return !q.down.Load() }
 
 type tenantGrant struct {
 	rates map[qos.Class]float64
@@ -210,7 +205,7 @@ const (
 	QuotaYes
 	// QuotaStale: the quota plane is unreachable and the lease has
 	// expired — the client cannot tell whether the tenant is in quota.
-	// The QuotaAdmitter's failure policy decides.
+	// The failure policy given to Controller.SetQuota decides.
 	QuotaStale
 )
 
@@ -249,19 +244,6 @@ type quotaBucket struct {
 	haveLease bool
 }
 
-// InQuota reports whether bytes on class fit the tenant's remaining
-// tokens now, consuming them if so. A stale lease reads as out of quota;
-// callers that need to distinguish staleness use Check/CheckAt.
-func (c *QuotaClient) InQuota(class qos.Class, bytes int64) bool {
-	return c.InQuotaAt(c.clock.Now(), class, bytes)
-}
-
-// InQuotaAt is InQuota with an explicit timestamp, for callers that
-// manage their own time base. Timestamps must not move backwards.
-func (c *QuotaClient) InQuotaAt(now sim.Time, class qos.Class, bytes int64) bool {
-	return c.CheckAt(now, class, bytes) == QuotaYes
-}
-
 // Check is CheckAt on the client's clock.
 func (c *QuotaClient) Check(class qos.Class, bytes int64) QuotaState {
 	return c.CheckAt(c.clock.Now(), class, bytes)
@@ -271,6 +253,7 @@ func (c *QuotaClient) Check(class qos.Class, bytes int64) QuotaState {
 // has expired, then try to consume bytes from the token bucket refilled
 // at the leased rate. It reports QuotaStale when the lease is expired
 // and the server unreachable — the caller's failure policy applies.
+// Timestamps must not move backwards.
 func (c *QuotaClient) CheckAt(now sim.Time, class qos.Class, bytes int64) QuotaState {
 	// The server lock (inside LeaseFor/GrantedRate) and the client lock
 	// never nest: the refresh call happens under c.mu but LeaseFor only
@@ -323,8 +306,8 @@ func (c *QuotaClient) burstSeconds() float64 {
 	return 0.01
 }
 
-// QuotaFailPolicy decides what a QuotaAdmitter does when the quota plane
-// is unreachable and the local lease has expired.
+// QuotaFailPolicy decides what a Controller does when the quota plane is
+// unreachable and the local lease has expired.
 type QuotaFailPolicy uint8
 
 const (
@@ -344,71 +327,4 @@ func (p QuotaFailPolicy) String() string {
 		return "fail-closed"
 	}
 	return "fail-open"
-}
-
-// QuotaAdmitter layers tenant quotas over a Controller: in-quota RPCs are
-// admitted on their requested class unconditionally; out-of-quota RPCs go
-// through the normal probabilistic path; quota-plane outages past the
-// lease TTL are handled per Policy. It implements rpc.Admitter and
-// shares the Controller's clock for bucket refills.
-type QuotaAdmitter struct {
-	Controller *Controller
-	Client     *QuotaClient
-	// Policy is the stale-lease failure policy (default QuotaFailOpen).
-	Policy QuotaFailPolicy
-	// InQuotaAdmits counts RPCs admitted on the quota bypass; updated
-	// atomically.
-	InQuotaAdmits int64
-	// StalePassed counts RPCs that fell through to the probabilistic
-	// path because the lease was stale under QuotaFailOpen.
-	StalePassed int64
-	// StaleDropped counts RPCs dropped because the lease was stale under
-	// QuotaFailClosed.
-	StaleDropped int64
-}
-
-// Admit implements rpc.Admitter.
-func (qa *QuotaAdmitter) Admit(dst int, requested qos.Class, sizeMTUs int64) rpc.Decision {
-	if requested < 0 || requested >= qa.Controller.lowest {
-		// Scavenger (and out-of-range) traffic never consumes quota.
-		return qa.Controller.Admit(dst, requested, sizeMTUs)
-	}
-	bytes := sizeMTUs * 1436
-	now := qa.Controller.clock.Now()
-	switch qa.Client.CheckAt(now, requested, bytes) {
-	case QuotaYes:
-		atomic.AddInt64(&qa.InQuotaAdmits, 1)
-		atomic.AddInt64(&qa.Controller.Stats.Admitted, 1)
-		// The flight record marks the quota bypass explicitly: these RPCs
-		// were admitted without consulting p_admit.
-		qa.Controller.flight.QuotaBypassDecision(now, qa.Controller.flightSrc,
-			int32(dst), int8(requested), int32(sizeMTUs))
-		return rpc.Decision{Class: requested}
-	case QuotaStale:
-		if qa.Policy == QuotaFailClosed {
-			atomic.AddInt64(&qa.StaleDropped, 1)
-			atomic.AddInt64(&qa.Controller.Stats.Dropped, 1)
-			if qa.Controller.flight != nil {
-				qa.Controller.recordDecision(dst, requested, requested,
-					flight.VerdictDrop, 0, sizeMTUs)
-			}
-			return rpc.Decision{Drop: true}
-		}
-		atomic.AddInt64(&qa.StalePassed, 1)
-	}
-	return qa.Controller.Admit(dst, requested, sizeMTUs)
-}
-
-// AdmitProbability implements rpc.ProbabilityReporter by delegating to
-// the wrapped controller (in-quota traffic bypasses the draw, but the
-// probability that would apply is still the controller's).
-func (qa *QuotaAdmitter) AdmitProbability(dst int, class qos.Class) float64 {
-	return qa.Controller.AdmitProbability(dst, class)
-}
-
-// Observe implements rpc.Admitter. In-quota traffic still contributes
-// latency measurements: if the quota was over-provisioned relative to the
-// SLO, the controller must learn it.
-func (qa *QuotaAdmitter) Observe(dst int, run qos.Class, rnl sim.Duration, sizeMTUs int64) {
-	qa.Controller.Observe(dst, run, rnl, sizeMTUs)
 }

@@ -69,18 +69,18 @@ func TestQuotaClientTokens(t *testing.T) {
 	c := q.Client("a")
 	now := sim.Time(0)
 	// Fresh bucket holds one burst: 1e6 × 0.01s = 10 KB.
-	if !c.InQuotaAt(now, qos.High, 10_000) {
+	if c.CheckAt(now, qos.High, 10_000) != QuotaYes {
 		t.Fatal("initial burst rejected")
 	}
-	if c.InQuotaAt(now, qos.High, 1_000) {
+	if c.CheckAt(now, qos.High, 1_000) == QuotaYes {
 		t.Fatal("empty bucket admitted")
 	}
 	// After 5 ms, 5 KB of tokens accrue.
 	now += 5 * sim.Millisecond
-	if !c.InQuotaAt(now, qos.High, 4_000) {
+	if c.CheckAt(now, qos.High, 4_000) != QuotaYes {
 		t.Error("refilled tokens rejected")
 	}
-	if c.InQuotaAt(now, qos.High, 4_000) {
+	if c.CheckAt(now, qos.High, 4_000) == QuotaYes {
 		t.Error("tokens double spent")
 	}
 }
@@ -88,7 +88,7 @@ func TestQuotaClientTokens(t *testing.T) {
 func TestQuotaClientNoGrant(t *testing.T) {
 	q := newServer()
 	c := q.Client("nobody")
-	if c.InQuotaAt(0, qos.High, 1) {
+	if c.CheckAt(0, qos.High, 1) == QuotaYes {
 		t.Error("tenant without grant admitted")
 	}
 }
@@ -100,10 +100,10 @@ func TestQuotaClientBurstCap(t *testing.T) {
 	}
 	c := q.Client("a")
 	c.BurstSeconds = 0.001 // 1 KB burst
-	if c.InQuotaAt(sim.Time(10*sim.Second), qos.High, 5_000) {
+	if c.CheckAt(sim.Time(10*sim.Second), qos.High, 5_000) == QuotaYes {
 		t.Error("burst cap not enforced after long idle")
 	}
-	if !c.InQuotaAt(sim.Time(10*sim.Second), qos.High, 900) {
+	if c.CheckAt(sim.Time(10*sim.Second), qos.High, 900) != QuotaYes {
 		t.Error("within-burst request rejected")
 	}
 }
@@ -119,14 +119,14 @@ func TestQuotaAdmitterBypassesDraw(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		ctl.Observe(1, qos.High, sim.Duration(1*sim.Millisecond), 10)
 	}
-	qa := &QuotaAdmitter{Controller: ctl, Client: q.ClientWithClock("a", SimClock{S: s})}
+	ctl.SetQuota(q.ClientWithClock("a", SimClock{S: s}), QuotaFailOpen)
 	// In-quota RPCs are admitted despite p_admit at the floor.
-	d := qa.Admit(1, qos.High, 1)
+	d := ctl.Admit(1, qos.High, 1)
 	if d.Downgraded || d.Class != qos.High {
 		t.Fatalf("in-quota RPC not admitted: %+v", d)
 	}
-	if qa.InQuotaAdmits != 1 {
-		t.Errorf("InQuotaAdmits = %d", qa.InQuotaAdmits)
+	if qs, _ := ctl.QuotaStats(); qs.InQuotaAdmits != 1 {
+		t.Errorf("InQuotaAdmits = %d", qs.InQuotaAdmits)
 	}
 }
 
@@ -142,10 +142,10 @@ func TestQuotaAdmitterFallsThroughWhenExhausted(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		ctl.Observe(1, qos.High, sim.Duration(1*sim.Millisecond), 10)
 	}
-	qa := &QuotaAdmitter{Controller: ctl, Client: q.ClientWithClock("a", SimClock{S: s})}
+	ctl.SetQuota(q.ClientWithClock("a", SimClock{S: s}), QuotaFailOpen)
 	downgrades := 0
 	for i := 0; i < 50; i++ {
-		if d := qa.Admit(1, qos.High, 64); d.Downgraded {
+		if d := ctl.Admit(1, qos.High, 64); d.Downgraded {
 			downgrades++
 		}
 	}
@@ -158,21 +158,32 @@ func TestQuotaAdmitterScavengerPassThrough(t *testing.T) {
 	q := newServer()
 	s := sim.New(1)
 	ctl := newCtlCfg(t, Defaults3(2*sim.Microsecond, 4*sim.Microsecond), s)
-	qa := &QuotaAdmitter{Controller: ctl, Client: q.ClientWithClock("a", SimClock{S: s})}
-	d := qa.Admit(1, qos.Low, 1)
+	ctl.SetQuota(q.ClientWithClock("a", SimClock{S: s}), QuotaFailOpen)
+	d := ctl.Admit(1, qos.Low, 1)
 	if d.Downgraded || d.Class != qos.Low {
 		t.Errorf("scavenger RPC mishandled: %+v", d)
 	}
+	if qs, _ := ctl.QuotaStats(); qs.Lease.Refreshes != 0 {
+		t.Errorf("scavenger RPC consulted the quota plane: %+v", qs)
+	}
 }
 
+// In-quota traffic still feeds Algorithm 1: if the quota was
+// over-provisioned relative to the SLO, the controller must learn it.
 func TestQuotaAdmitterObservePropagates(t *testing.T) {
 	q := newServer()
+	if err := q.Grant("a", qos.High, 1e9); err != nil {
+		t.Fatal(err)
+	}
 	s := sim.New(1)
 	ctl := newCtlCfg(t, Defaults3(2*sim.Microsecond, 4*sim.Microsecond), s)
-	qa := &QuotaAdmitter{Controller: ctl, Client: q.ClientWithClock("a", SimClock{S: s})}
-	qa.Observe(1, qos.High, sim.Duration(1*sim.Millisecond), 10)
-	if ctl.Stats.SLOMisses != 1 {
-		t.Error("Observe not propagated to the controller")
+	ctl.SetQuota(q.ClientWithClock("a", SimClock{S: s}), QuotaFailOpen)
+	if d := ctl.Admit(1, qos.High, 10); d.Class != qos.High || d.PAdmit != 1 {
+		t.Fatalf("in-quota RPC not admitted on the bypass: %+v", d)
+	}
+	ctl.Observe(1, qos.High, sim.Duration(1*sim.Millisecond), 10)
+	if ctl.Stats.SLOMisses != 1 || ctl.AdmitProbability(1, qos.High) >= 1 {
+		t.Error("a bypassed RPC's SLO miss did not reach the controller")
 	}
 }
 
@@ -184,18 +195,18 @@ func TestQuotaLeaseCachesRate(t *testing.T) {
 	c := q.Client("a")
 	c.LeaseTTL = 100 * time.Millisecond
 	now := sim.Time(0)
-	if !c.InQuotaAt(now, qos.High, 1_000) {
+	if c.CheckAt(now, qos.High, 1_000) != QuotaYes {
 		t.Fatal("in-quota request rejected")
 	}
 	// Revoke everything: the cached lease keeps admitting until it expires.
 	q.Revoke("a", qos.High, 1e6)
 	now += 50 * sim.Millisecond
-	if !c.InQuotaAt(now, qos.High, 1_000) {
+	if c.CheckAt(now, qos.High, 1_000) != QuotaYes {
 		t.Error("revoke propagated before lease expiry")
 	}
 	// Past the TTL the refresh reads the zero grant.
 	now += 60 * sim.Millisecond
-	if c.InQuotaAt(now, qos.High, 1) {
+	if c.CheckAt(now, qos.High, 1) == QuotaYes {
 		t.Error("revoke not propagated after lease expiry")
 	}
 	if st := c.LeaseStats(); st.Refreshes < 2 {
@@ -257,18 +268,19 @@ func TestQuotaAdmitterFailOpen(t *testing.T) {
 	}
 	s := sim.New(1)
 	ctl := newCtlCfg(t, Defaults3(2*sim.Microsecond, 4*sim.Microsecond), s)
-	qa := &QuotaAdmitter{Controller: ctl, Client: q.ClientWithClock("a", SimClock{S: s})}
+	ctl.SetQuota(q.ClientWithClock("a", SimClock{S: s}), QuotaFailOpen)
 	q.SetAvailable(false)
 	// Fail-open: the stale check falls through to Algorithm 1, which at
 	// p_admit = 1 admits on the requested class.
-	d := qa.Admit(1, qos.High, 1)
-	if d.Drop || d.Downgraded || d.Class != qos.High {
+	d := ctl.Admit(1, qos.High, 1)
+	if d.Dropped || d.Downgraded || d.Class != qos.High {
 		t.Fatalf("fail-open stale decision: %+v", d)
 	}
-	if qa.StalePassed != 1 || qa.StaleDropped != 0 {
-		t.Errorf("StalePassed = %d, StaleDropped = %d", qa.StalePassed, qa.StaleDropped)
+	qs, _ := ctl.QuotaStats()
+	if qs.StalePassed != 1 || qs.StaleDropped != 0 {
+		t.Errorf("StalePassed = %d, StaleDropped = %d", qs.StalePassed, qs.StaleDropped)
 	}
-	if qa.InQuotaAdmits != 0 {
+	if qs.InQuotaAdmits != 0 {
 		t.Errorf("stale check counted as in-quota admit")
 	}
 }
@@ -280,29 +292,25 @@ func TestQuotaAdmitterFailClosed(t *testing.T) {
 	}
 	s := sim.New(1)
 	ctl := newCtlCfg(t, Defaults3(2*sim.Microsecond, 4*sim.Microsecond), s)
-	qa := &QuotaAdmitter{
-		Controller: ctl,
-		Client:     q.ClientWithClock("a", SimClock{S: s}),
-		Policy:     QuotaFailClosed,
-	}
+	ctl.SetQuota(q.ClientWithClock("a", SimClock{S: s}), QuotaFailClosed)
 	q.SetAvailable(false)
-	d := qa.Admit(1, qos.High, 1)
-	if !d.Drop {
+	d := ctl.Admit(1, qos.High, 1)
+	if !d.Dropped {
 		t.Fatalf("fail-closed stale decision not a drop: %+v", d)
 	}
-	if qa.StaleDropped != 1 || qa.StalePassed != 0 {
-		t.Errorf("StaleDropped = %d, StalePassed = %d", qa.StaleDropped, qa.StalePassed)
+	if qs, _ := ctl.QuotaStats(); qs.StaleDropped != 1 || qs.StalePassed != 0 || qs.Policy != QuotaFailClosed {
+		t.Errorf("quota stats after a fail-closed drop: %+v", qs)
 	}
 	if got := ctl.Stats.Load().Dropped; got != 1 {
 		t.Errorf("controller Dropped = %d", got)
 	}
 	// Scavenger traffic never consults quota, so it is unaffected.
-	if d := qa.Admit(1, qos.Low, 1); d.Drop {
+	if d := ctl.Admit(1, qos.Low, 1); d.Dropped {
 		t.Error("fail-closed dropped scavenger traffic")
 	}
 	// Recovery restores the bypass.
 	q.SetAvailable(true)
-	if d := qa.Admit(1, qos.High, 1); d.Drop {
+	if d := ctl.Admit(1, qos.High, 1); d.Dropped {
 		t.Error("fail-closed kept dropping after recovery")
 	}
 }

@@ -7,13 +7,14 @@ import (
 	"strings"
 	"testing"
 
+	"aequitas/internal/obs/flight"
 	"aequitas/internal/sim"
 )
 
 // fill records one event of every kind on t, in a valid lifecycle order.
 func fill(t *Tracer) {
 	t.Issue(0, 1, 0, 3, 0, 0, 4096)
-	t.Admit(sim.Microsecond, 1, 0, 3, 0, DecisionAdmit, 0.75)
+	t.Admit(sim.Microsecond, 1, 0, 3, 0, flight.VerdictAdmit, 0.75)
 	t.Enqueue(2*sim.Microsecond, 1, 0, 3, 0, 4096)
 	t.Hop(3*sim.Microsecond, 1, "h0-up", 0, 1500, sim.Microsecond, 3000)
 	t.Drop(4*sim.Microsecond, 2, "sw-down3", 2, 1500)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"strconv"
 
+	"aequitas/internal/obs/flight"
 	"aequitas/internal/sim"
 )
 
@@ -76,35 +77,14 @@ func (f FaultKind) String() string {
 	}
 }
 
-// Decision is the admission verdict recorded by a KindAdmit event.
-type Decision uint8
-
-const (
-	DecisionAdmit Decision = iota
-	DecisionDowngrade
-	DecisionDrop
-)
-
-func (d Decision) String() string {
-	switch d {
-	case DecisionAdmit:
-		return "admit"
-	case DecisionDowngrade:
-		return "downgrade"
-	case DecisionDrop:
-		return "drop"
-	default:
-		return fmt.Sprintf("Decision(%d)", uint8(d))
-	}
-}
-
 // Event is one recorded lifecycle event. A single struct covers every
 // kind so the tracer's buffer is a flat slice of values: recording an
 // event is an append, never a heap allocation per event.
 type Event struct {
-	TS       sim.Time
-	Kind     Kind
-	Decision Decision
+	TS   sim.Time
+	Kind Kind
+	// Decision is the admission verdict of a KindAdmit event.
+	Decision flight.Verdict
 	Class    int16
 	Prio     int16
 	Src, Dst int32
@@ -162,7 +142,7 @@ func (t *Tracer) Issue(now sim.Time, rpc uint64, src, dst, prio, class int, byte
 }
 
 // Admit records the admission decision and the admit probability used.
-func (t *Tracer) Admit(now sim.Time, rpc uint64, src, dst, class int, dec Decision, pAdmit float64) {
+func (t *Tracer) Admit(now sim.Time, rpc uint64, src, dst, class int, dec flight.Verdict, pAdmit float64) {
 	if t == nil {
 		return
 	}

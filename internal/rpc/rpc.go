@@ -9,6 +9,7 @@ package rpc
 import (
 	"aequitas/internal/netsim"
 	"aequitas/internal/obs"
+	"aequitas/internal/obs/flight"
 	"aequitas/internal/qos"
 	"aequitas/internal/sim"
 	"aequitas/internal/transport"
@@ -39,26 +40,44 @@ type RPC struct {
 	// SizeMTUs is the RPC size in MTUs, the unit of Algorithm 1's
 	// normalised SLO and size-proportional decrease.
 	SizeMTUs int64
-	// PAdmit is the admit probability in force for the requested
-	// (dst, class) channel when the RPC was issued. It is recorded only
-	// when the stack is tracing or RecordPAdmit is set (1.0 for admitters
-	// without a probability).
+	// PAdmit is the admit probability the admission decision was made
+	// against (Decision.PAdmit).
 	PAdmit float64
 
 	// Deadline optionally propagates to deadline-aware baselines.
 	Deadline sim.Time
 }
 
-// Decision is an admission-control verdict for one RPC.
+// Decision is an admission-control verdict for one RPC: made once, by the
+// admitter, and carried unchanged to whoever acts on it or reports it —
+// the RPC stack, the serving adapters, the tracer, the flight recorder.
 type Decision struct {
 	// Class is the QoS class to run the RPC on.
 	Class qos.Class
-	// Downgraded reports that Class is a demotion from the request.
+	// Downgraded reports that Class is a demotion to the scavenger class.
+	// Applications receive this explicitly (Algorithm 1 lines 10-11) and
+	// may react by prioritising their most critical RPCs.
 	Downgraded bool
-	// Drop rejects the RPC outright instead of downgrading. Aequitas
-	// never does this (downgrade-not-drop is a core design choice, §5);
-	// it exists for the drop-based ablation.
-	Drop bool
+	// Dropped reports that the RPC must not be sent at all. Aequitas never
+	// does this on its own (downgrade-not-drop is a core design choice,
+	// §5); it occurs under the drop-based ablation, and under a quota
+	// running fail-closed while the quota plane is out.
+	Dropped bool
+	// PAdmit is the admit probability the draw was compared against: 1
+	// where no draw decided (a class without an SLO, the quota bypass, an
+	// admitter without a probability), 0 for a fail-closed drop.
+	PAdmit float64
+}
+
+// Verdict names the decision's outcome — the one enum for it.
+func (d Decision) Verdict() flight.Verdict {
+	switch {
+	case d.Dropped:
+		return flight.VerdictDrop
+	case d.Downgraded:
+		return flight.VerdictDowngrade
+	}
+	return flight.VerdictAdmit
 }
 
 // Admitter decides, at RPC issue, which QoS class an RPC runs on and
@@ -77,21 +96,13 @@ type Admitter interface {
 	Observe(dst int, run qos.Class, rnl sim.Duration, sizeMTUs int64)
 }
 
-// ProbabilityReporter is implemented by admitters that can report the
-// admit probability they would apply to a (dst, class) channel; the
-// Aequitas controller implements it. The stack uses it to stamp RPCs and
-// lifecycle trace events with the probability behind each decision.
-type ProbabilityReporter interface {
-	AdmitProbability(dst int, class qos.Class) float64
-}
-
 // PassThrough admits every RPC on its requested class: the "w/o Aequitas"
 // configuration.
 type PassThrough struct{}
 
 // Admit implements Admitter.
 func (PassThrough) Admit(_ int, requested qos.Class, _ int64) Decision {
-	return Decision{Class: requested}
+	return Decision{Class: requested, PAdmit: 1}
 }
 
 // Observe implements Admitter.
@@ -127,19 +138,17 @@ type Sender interface {
 type Stack struct {
 	ep       Sender
 	admitter Admitter
-	// OnComplete, when set, observes every completed RPC (for experiment
-	// metrics).
+	// OnAdmit and OnComplete, when set, observe every admission decision
+	// and every completed RPC (for experiment metrics).
+	OnAdmit    func(s *sim.Simulator, r *RPC, d Decision)
 	OnComplete func(s *sim.Simulator, r *RPC)
 	Stats      Stats
 
 	// Trace, when set, receives issue/admit/complete lifecycle events;
-	// Src identifies this stack's host in those events. RecordPAdmit
-	// additionally stamps RPC.PAdmit even without a tracer (for the
-	// per-RPC CSV trace). All default off so the issue path stays free of
-	// observability work.
-	Trace        *obs.Tracer
-	Src          int
-	RecordPAdmit bool
+	// Src identifies this stack's host in those events. Off by default so
+	// the issue path stays free of observability work.
+	Trace *obs.Tracer
+	Src   int
 	// Attr, when set, receives issue/admit/drop/complete stamps for
 	// latency attribution. Its methods are nil-receiver no-ops, so the
 	// calls below stay free when attribution is off.
@@ -178,12 +187,6 @@ func NewStack(ep Sender, admitter Admitter) *Stack {
 	}
 	return &Stack{ep: ep, admitter: admitter, outstanding: make(map[outKey]int)}
 }
-
-// Endpoint returns the underlying transport sender.
-func (st *Stack) Endpoint() Sender { return st.ep }
-
-// Admitter returns the stack's admission controller.
-func (st *Stack) Admitter() Admitter { return st.admitter }
 
 // Outstanding reports the number of incomplete RPCs toward dst across all
 // classes.
@@ -240,24 +243,15 @@ func (st *Stack) Issue(s *sim.Simulator, r *RPC) {
 	st.Attr.Issue(s.Now(), st.Src, r.ID)
 	d := st.admitter.Admit(r.Dst, r.QoSRequested, r.SizeMTUs)
 	st.Stats.Issued++
-	if st.Trace != nil || st.RecordPAdmit {
-		r.PAdmit = 1
-		if pr, ok := st.admitter.(ProbabilityReporter); ok {
-			r.PAdmit = pr.AdmitProbability(r.Dst, r.QoSRequested)
-		}
+	r.PAdmit = d.PAdmit
+	if st.OnAdmit != nil {
+		st.OnAdmit(s, r, d)
 	}
 	if st.Trace != nil {
-		dec := obs.DecisionAdmit
-		switch {
-		case d.Drop:
-			dec = obs.DecisionDrop
-		case d.Downgraded:
-			dec = obs.DecisionDowngrade
-		}
-		st.Trace.Admit(s.Now(), r.ID, st.Src, r.Dst, int(d.Class), dec, r.PAdmit)
+		st.Trace.Admit(s.Now(), r.ID, st.Src, r.Dst, int(d.Class), d.Verdict(), d.PAdmit)
 	}
 	st.Attr.Admit(s.Now(), st.Src, r.ID)
-	if d.Drop {
+	if d.Dropped {
 		st.Stats.Dropped++
 		st.Attr.Drop(st.Src, r.ID)
 		return

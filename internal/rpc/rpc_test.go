@@ -123,7 +123,7 @@ func TestDowngradeBookkeeping(t *testing.T) {
 // dropAll rejects every RPC.
 type dropAll struct{}
 
-func (dropAll) Admit(int, qos.Class, int64) Decision        { return Decision{Drop: true} }
+func (dropAll) Admit(int, qos.Class, int64) Decision        { return Decision{Dropped: true} }
 func (dropAll) Observe(int, qos.Class, sim.Duration, int64) {}
 
 func TestDropDecision(t *testing.T) {

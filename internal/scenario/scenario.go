@@ -94,11 +94,9 @@ func (e *Env) SwiftEndpoint(i int) *transport.Endpoint {
 type HostStack struct {
 	// Sender carries this host's RPC payloads.
 	Sender rpc.Sender
-	// Admitter decides admission for this host's RPCs; nil means admit
-	// everything on the requested class.
-	Admitter rpc.Admitter
-	// Controller is non-nil when the host runs Algorithm 1; the run
-	// samples it for probes and metrics.
+	// Controller decides admission for this host's RPCs when the host
+	// runs Algorithm 1, and the run samples it for probes and metrics;
+	// nil means admit everything on the requested class.
 	Controller *core.Controller
 }
 

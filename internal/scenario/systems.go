@@ -60,7 +60,7 @@ func (aequitasSystem) Build(*Env) (Instance, error) {
 		if err != nil {
 			return HostStack{}, err
 		}
-		return HostStack{Sender: env.SwiftEndpoint(i), Admitter: ctl, Controller: ctl}, nil
+		return HostStack{Sender: env.SwiftEndpoint(i), Controller: ctl}, nil
 	}), nil
 }
 

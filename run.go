@@ -175,7 +175,7 @@ func buildHosts(st *runState) error {
 		CCTarget:    sim.FromStd(cfg.CCTarget),
 		DisableCC:   cfg.DisableCC,
 		FixedWindow: cfg.FixedWindow,
-		Core:        cfg.coreConfig(),
+		Core:        coreConfig(cfg.levels(), cfg.SLOs, cfg.Admission),
 		Clock:       core.SimClock{S: st.s},
 		Tracer:      st.tracer,
 		Attr:        st.attr,
@@ -193,18 +193,15 @@ func buildHosts(st *runState) error {
 			return err
 		}
 		st.controllers[i] = hs.Controller
-		if st.flight != nil && hs.Controller != nil {
-			hs.Controller.SetFlight(st.flight, i)
+		var adm rpc.Admitter // nil: admit everything on the requested class
+		if ctl := hs.Controller; ctl != nil {
+			ctl.SetFlight(st.flight, i)
+			adm = ctl
 		}
-		var adm rpc.Admitter = rpc.PassThrough{}
-		if hs.Admitter != nil {
-			adm = hs.Admitter
-		}
-		stack := rpc.NewStack(hs.Sender, &countingAdmitter{s: st.s, inner: adm, col: st.col})
+		stack := rpc.NewStack(hs.Sender, adm)
 		stack.Trace = st.tracer
 		stack.Attr = st.attr
 		stack.Src = i
-		stack.RecordPAdmit = cfg.TraceWriter != nil
 		if cfg.Retry.active() {
 			stack.Retry = cfg.retryPolicy()
 		}
@@ -214,6 +211,7 @@ func buildHosts(st *runState) error {
 		stack.TrackInflight = !cfg.Faults.Empty()
 		src := i
 		col := st.col
+		stack.OnAdmit = col.onAdmit
 		stack.OnComplete = func(s *sim.Simulator, r *rpc.RPC) {
 			col.addProbeBytes(src, r.Dst, r.QoSRun, r.Bytes)
 			col.onComplete(s, r)
@@ -340,10 +338,9 @@ type hostFaultControl struct {
 
 func (h *hostFaultControl) Crash(s *sim.Simulator) {
 	st, i := h.st, h.host
-	stack := st.col.stacks[i]
-	stack.Crash(s)
-	if r, ok := stack.Admitter().(interface{ Reset() }); ok {
-		r.Reset()
+	st.col.stacks[i].Crash(s)
+	if ctl := st.controllers[i]; ctl != nil {
+		ctl.Reset()
 	}
 	// Baselines that bypass the standard transport (Homa, D3, PDQ) have
 	// no endpoint; their in-flight state is cleared via the stack only.

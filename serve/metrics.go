@@ -149,8 +149,8 @@ func (a *Admission) tick(now sim.Time) {
 	}
 	if c.tickEvery > 0 && now-c.lastTick >= sim.Time(c.tickEvery) {
 		c.lastTick = now
-		cs := a.ctl.Stats()
-		if tr, ok := a.fl.eng.Tick(now, cs.SLOMet, cs.SLOMisses, a.ctl.MinAdmitProbability()); ok {
+		cs := a.core.Stats.Load()
+		if tr, ok := a.fl.eng.Tick(now, cs.SLOMet, cs.SLOMisses, a.core.MinAdmitProbability()); ok {
 			a.fl.fire(a.ctl, tr)
 		}
 	}

@@ -303,17 +303,19 @@ func TestAdapterParity(t *testing.T) {
 }
 
 // TestClockReadBudget pins the layer's clock reads per served request
-// with a counting clock: start and end, plus the controller's own read in
-// Observe — three bare; hardened adds the flight record's timestamp and
-// the quota check. (This same test measured the commit before the
-// begin/end collapse at 4 and 6: finish read the clock again for the
-// flight tick, and the brownout gate once more.)
+// with a counting clock: begin's start and end's completion time, which
+// also stamps the controller's observation — two bare. Hardened, the
+// controller reads the clock once more in Admit, for the quota bucket and
+// the flight record alike, whether or not the request is in quota. (This
+// same test measured 3 and 4, and 5 out of quota, while the quota wrapper,
+// the flight tap and Observe each took a reading of their own.)
 func TestClockReadBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		hardened bool
+		grant    float64 // the tenant's quota in bytes/s
 		max      int64
-	}{{"bare", false, 3}, {"hardened", true, 5}} {
+	}{{"bare", false, 0, 2}, {"hardened", true, 1e9, 3}, {"hardened, out of quota", true, 1, 3}} {
 		clk := &countingClock{Clock: core.NewWallClock()}
 		ctl, err := aequitas.NewControllerWithClock(aequitas.ControllerConfig{
 			SLOs: []aequitas.SLO{{Target: time.Second}},
@@ -324,7 +326,7 @@ func TestClockReadBudget(t *testing.T) {
 		cfg := Config{Controller: ctl}
 		if tc.hardened {
 			quota := core.NewQuotaServer(map[qos.Class]float64{qos.High: 1e9})
-			if err := quota.Grant("tenant", qos.High, 1e9); err != nil {
+			if err := quota.Grant("tenant", qos.High, tc.grant); err != nil {
 				t.Fatal(err)
 			}
 			ctl.SetQuota(quota.ClientWithClock("tenant", clk), core.QuotaFailOpen)
@@ -350,6 +352,9 @@ func TestClockReadBudget(t *testing.T) {
 			t.Errorf("%s: %d clock reads for %d served requests, want at most %d each", tc.name, got, n, tc.max)
 		} else {
 			t.Logf("%s: %.2f clock reads per served request", tc.name, float64(got)/n)
+		}
+		if qs, ok := ctl.QuotaStats(); ok && (qs.InQuotaAdmits == n) != (tc.grant > 1) {
+			t.Errorf("%s: %d of %d requests in quota", tc.name, qs.InQuotaAdmits, n)
 		}
 		checkLedger(t, a, n)
 	}
@@ -386,7 +391,13 @@ func TestOneElection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := a.Middleware(httpOK())
+	// The request that follows each round takes 2 ns, slow like the rest:
+	// it is counted in the next window, where a fast one beside the first
+	// worker to finish would make that window half slow — not overloaded,
+	// and the streak this test counts evaluations by would restart.
+	h := a.Middleware(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		clk.SetNow(clk.Now() + sim.FromStd(2*time.Nanosecond))
+	}))
 	for w := 1; w <= windows; w++ {
 		// Every request of the round starts at the boundary and ends 5 ms
 		// past it: a slow completion, an SLO miss, and due for election.

@@ -41,6 +41,7 @@ import (
 
 	"aequitas"
 	"aequitas/internal/core"
+	"aequitas/internal/netsim"
 	"aequitas/internal/obs"
 	"aequitas/internal/sim"
 )
@@ -170,7 +171,10 @@ func ParseClass(s string) (aequitas.Class, error) {
 // process, then wrap handlers with Middleware or RPC endpoints with
 // UnaryInterceptor. All methods are safe for concurrent use.
 type Admission struct {
+	// ctl names peers; core, the Algorithm 1 controller behind it,
+	// decides.
 	ctl    *aequitas.AdmissionController
+	core   *core.Controller
 	cls    func(*http.Request) Request
 	reject bool
 	dlog   func(Verdict)
@@ -200,10 +204,11 @@ func New(cfg Config) (*Admission, error) {
 	}
 	a := &Admission{
 		ctl:        cfg.Controller,
+		core:       cfg.Controller.Core(),
 		cls:        cfg.Classify,
 		reject:     cfg.RejectDowngraded,
 		dlog:       cfg.DecisionLog,
-		clock:      cfg.Controller.Clock(),
+		clock:      cfg.Controller.Core().Clock(),
 		rejStatus:  cfg.RejectStatus,
 		rejBody:    cfg.RejectBody,
 		retryAfter: cfg.RetryAfter,
@@ -222,7 +227,7 @@ func New(cfg Config) (*Admission, error) {
 	}
 	if cfg.Flight != nil {
 		a.fl = newFlightState(*cfg.Flight)
-		a.ctl.SetFlight(a.fl.ring)
+		a.core.SetFlight(a.fl.ring, 0)
 		if a.fl.eng != nil {
 			a.done.tickEvery = sim.FromStd(a.fl.cfg.TickEvery)
 		}
@@ -315,8 +320,11 @@ var refusals = [causeCount]struct {
 type record struct {
 	v     Verdict
 	cause cause
-	// start is the clock reading just before the handler; only served
-	// requests have one.
+	// dst and mtus are the request's peer and size as the controller
+	// counts them, interned and converted once; start is the clock
+	// reading just before the handler. Only served requests have them.
+	dst   int
+	mtus  int64
 	start sim.Time
 }
 
@@ -325,21 +333,28 @@ type record struct {
 // fail-closed drop, brownout scavenger thinning and tightening. Every
 // request leaves by the one exit at the bottom.
 func (a *Admission) begin(req Request, budget time.Duration, haveBudget bool) record {
+	// A class the controller does not have is its scavenger: clamped
+	// here, where the request enters, so the verdict, the Retry-After
+	// hint, the metric slot and the flight record all see one class.
+	scav := a.core.Scavenger()
+	if req.Class < 0 || req.Class > scav {
+		req.Class = scav
+	}
 	rec := record{v: Verdict{Request: req, Class: req.Class}}
 	v := &rec.v
 	level := a.bo.Level()
 	switch {
 	case haveBudget && a.expired(req.Class, budget):
 		v.Expired = true
-		a.ctl.RecordExpired(req.Peer, req.Class, req.SizeBytes)
+		a.core.RecordExpired(a.ctl.PeerID(req.Peer), req.Class, netsim.MTUsFor(req.SizeBytes))
 		rec.cause = causeExpired
 	case level >= BrownoutHardShed && a.clock.Float64() >= hardShedKeep:
 		// Shed without consulting the controller at all.
 		rec.cause = causeShed
 	default:
-		d := a.ctl.Admit(req.Peer, req.Class, req.SizeBytes)
+		rec.dst, rec.mtus = a.ctl.PeerID(req.Peer), netsim.MTUsFor(req.SizeBytes)
+		d := a.core.Admit(rec.dst, req.Class, rec.mtus)
 		v.Class, v.Downgraded, v.Dropped = d.Class, d.Downgraded, d.Dropped
-		scav := a.ctl.Scavenger()
 		switch {
 		case d.Dropped:
 			rec.cause = causeDropped
@@ -374,7 +389,7 @@ func (a *Admission) begin(req Request, budget time.Duration, haveBudget bool) re
 func (a *Admission) end(rec *record) {
 	now := a.clock.Now()
 	elapsed := (now - rec.start).Std()
-	a.ctl.Observe(rec.v.Request.Peer, rec.v.Class, elapsed, rec.v.Request.SizeBytes)
+	a.core.ObserveAt(now, rec.dst, rec.v.Class, sim.FromStd(elapsed), rec.mtus)
 	if a.done.complete(rec.v.Class, elapsed, now) {
 		a.tick(now)
 	}
@@ -387,7 +402,7 @@ func (a *Admission) end(rec *record) {
 func (a *Admission) retryAfterValue(class aequitas.Class) string {
 	d := a.retryAfter
 	if d <= 0 {
-		d = a.ctl.IncrementWindow(class)
+		d = a.core.IncrementWindow(class).Std()
 	}
 	secs := int(math.Ceil(d.Seconds()))
 	if secs < 1 {

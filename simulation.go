@@ -148,6 +148,17 @@ type AdmissionParams struct {
 	DropInsteadOfDowngrade bool
 }
 
+// withDefaults fills in the paper's evaluation settings (§6.1) for
+// whatever is left zero.
+func (p AdmissionParams) withDefaults() AdmissionParams {
+	for _, v := range []*float64{&p.Alpha, &p.Beta, &p.Floor} {
+		if *v == 0 {
+			*v = 0.01
+		}
+	}
+	return p
+}
+
 // Probe requests a time series of the admit probability and achieved
 // goodput for one (src, dst, class) channel — the instrumentation behind
 // Figures 17, 18, 28 and 29.
@@ -317,17 +328,7 @@ func (c *SimConfig) applyDefaults() error {
 	if c.SampleEvery == 0 {
 		c.SampleEvery = 100 * time.Microsecond
 	}
-	if a := &c.Admission; true {
-		if a.Alpha == 0 {
-			a.Alpha = 0.01
-		}
-		if a.Beta == 0 {
-			a.Beta = 0.01
-		}
-		if a.Floor == 0 {
-			a.Floor = 0.01
-		}
-	}
+	c.Admission = c.Admission.withDefaults()
 	if err := c.Faults.Validate(); err != nil {
 		return fmt.Errorf("aequitas: %w", err)
 	}
@@ -396,25 +397,27 @@ func (c *SimConfig) resolveTraffic() error {
 // levels reports the number of QoS classes.
 func (c *SimConfig) levels() int { return len(c.QoSWeights) }
 
-// coreConfig builds the Algorithm 1 configuration from the public SLOs.
-func (c *SimConfig) coreConfig() core.Config {
-	n := c.levels()
+// coreConfig is the one translation from public SLOs and tuning to the
+// Algorithm 1 configuration for levels classes, the lowest without an
+// SLO.
+func coreConfig(levels int, slos []SLO, p AdmissionParams) core.Config {
+	p = p.withDefaults()
 	cc := core.Config{
-		Levels:            n,
-		LatencyTargets:    make([]sim.Duration, n),
-		TargetPercentiles: make([]float64, n),
-		Alpha:             c.Admission.Alpha,
-		Beta:              c.Admission.Beta,
-		Floor:             c.Admission.Floor,
+		Levels:            levels,
+		LatencyTargets:    make([]sim.Duration, levels),
+		TargetPercentiles: make([]float64, levels),
+		Alpha:             p.Alpha,
+		Beta:              p.Beta,
+		Floor:             p.Floor,
 
-		NoIncrementWindow:      c.Admission.NoIncrementWindow,
-		NoSizeScaledMD:         c.Admission.NoSizeScaledMD,
-		DropInsteadOfDowngrade: c.Admission.DropInsteadOfDowngrade,
+		NoIncrementWindow:      p.NoIncrementWindow,
+		NoSizeScaledMD:         p.NoSizeScaledMD,
+		DropInsteadOfDowngrade: p.DropInsteadOfDowngrade,
 	}
-	for i, s := range c.SLOs {
+	for i, s := range slos {
 		cc.LatencyTargets[i] = s.perMTU()
 		cc.TargetPercentiles[i] = s.Percentile
-		if cc.TargetPercentiles[i] == 0 {
+		if s.Percentile == 0 {
 			cc.TargetPercentiles[i] = 99.9
 		}
 	}
