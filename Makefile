@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check loc loc-diff bench benchmark figures trace-check chaos-check export-check serve-check chaos-serve-check
+.PHONY: all build test race vet check loc loc-diff bench benchmark pairs figures trace-check chaos-check export-check serve-check chaos-serve-check
 
 all: build
 
@@ -84,9 +84,11 @@ chaos-check:
 # Prometheus text, and synthetic overload must fire the flight recorder's
 # burn-rate trigger with a valid dump at /debug/flight. The scripted
 # parity run holds the middleware and the interceptor to one behaviour,
-# and the election test to one periodic evaluation per period.
+# the election test to one periodic evaluation per period, and the
+# allocation tests a request to what net/http forces (two served, three
+# refused) with the shared response-header values left as they were built.
 serve-check:
-	$(GO) test -race -run 'TestServeOverloadSmoke|TestServeConcurrent|TestServeFlight|TestAdapterParity|TestClockReadBudget|TestOneElection' -count=1 -timeout 10m ./serve
+	$(GO) test -race -run 'TestServeOverloadSmoke|TestServeConcurrent|TestServeFlight|TestAdapterParity|TestClockReadBudget|TestOneElection|TestRequestPathAllocs|TestSharedHeaderValues' -count=1 -timeout 10m ./serve
 
 # chaos-serve-check is the hardened-serving smoke: a race-enabled httptest
 # server with deadline budgets, brownout, a fail-open quota plane, and a
@@ -102,7 +104,7 @@ chaos-serve-check:
 # path) with full iterations and memory stats, for a human to read. The
 # instrument for performance claims is `make benchmark`.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkRun|BenchmarkSimLoop|BenchmarkSimHold|BenchmarkWFQDequeue|BenchmarkTransportSend|BenchmarkHist|BenchmarkMetricsRender|BenchmarkAdmitDecision|BenchmarkObserve|BenchmarkServeMiddleware' \
+	$(GO) test -run '^$$' -bench 'BenchmarkRun|BenchmarkSimLoop|BenchmarkSimHold|BenchmarkWFQDequeue|BenchmarkTransportSend|BenchmarkHist|BenchmarkMetricsRender|BenchmarkAdmitDecision|BenchmarkObserve|BenchmarkServeMiddleware|BenchmarkServeInterceptor' \
 	    -benchmem . ./internal/sim ./internal/wfq ./internal/transport ./internal/stats ./internal/obs ./internal/core ./serve
 
 # benchmark makes one run of the repository benchmark (BENCHMARK.json,
@@ -112,6 +114,22 @@ W ?= sim-large-rpc
 T ?= 0
 benchmark:
 	bash benchmark/run.sh --workload $(W) --seed 1 --seconds 15 --trace $(T)
+
+# pairs compares HEAD with its first parent on workload W the way a
+# performance claim must: PAIRS alternating pairs of benchmark runs from
+# seed SEED on, every run printed, then per end-to-end metric both
+# medians, the parent's inter-quartile distance, how many pairs the
+# change is ahead in and what the claim rule makes of it (see
+# scripts/pairs.sh). Both commits are checked out into temporary git
+# worktrees whose paths have one length; uncommitted edits are not
+# measured. Ten pairs take about eight minutes.
+PAIRS ?= 10
+SEED ?= 1
+pairs:
+	@tmp=$$(mktemp -d) && trap 'git worktree remove --force "$$tmp/parent" 2>/dev/null; git worktree remove --force "$$tmp/change" 2>/dev/null; rm -rf "$$tmp"' EXIT && \
+	git worktree add --quiet --detach "$$tmp/parent" HEAD^ && \
+	git worktree add --quiet --detach "$$tmp/change" HEAD && \
+	sh scripts/pairs.sh "$$tmp/parent" "$$tmp/change" $(W) $(PAIRS) $(SEED)
 
 figures: build
 	$(GO) run ./cmd/figures -fig all

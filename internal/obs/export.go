@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"aequitas/internal/stats"
 )
@@ -167,7 +168,7 @@ func WriteProm(w io.Writer, s *Snapshot) error {
 	if len(s.Gauges) > 0 {
 		fmt.Fprintf(bw, "# TYPE %sgauge gauge\n", promPrefix)
 		for _, g := range s.Gauges {
-			fmt.Fprintf(bw, "%sgauge{name=%q} %s\n", promPrefix, g.Name, promFloat(g.Value))
+			fmt.Fprintf(bw, "%sgauge{name=\"%s\"} %s\n", promPrefix, promLabelValue(g.Name), promFloat(g.Value))
 		}
 	}
 	lastHist := ""
@@ -177,6 +178,7 @@ func WriteProm(w io.Writer, s *Snapshot) error {
 			fmt.Fprintf(bw, "# TYPE %s histogram\n", name)
 			lastHist = name
 		}
+		l := h.LabelKey + `="` + promLabelValue(h.LabelVal) + `"`
 		label := func(le string) string {
 			if h.LabelKey == "" {
 				if le == "" {
@@ -184,7 +186,6 @@ func WriteProm(w io.Writer, s *Snapshot) error {
 				}
 				return `{le="` + le + `"}`
 			}
-			l := h.LabelKey + `="` + h.LabelVal + `"`
 			if le == "" {
 				return "{" + l + "}"
 			}
@@ -206,6 +207,18 @@ func promFloat(v float64) string {
 		return "NaN"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// promLabelEscaper escapes what the exposition format escapes in a label
+// value: backslash, double quote and line feed, nothing else.
+var promLabelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// promLabelValue renders a label value, which may be outside input (the
+// serving layer's peer names are): escaped per the format, with the bytes
+// the format cannot carry — anything that is not UTF-8 — as U+FFFD.
+// fmt's %q is Go escaping (\t, \x00, \xff), which parsers reject.
+func promLabelValue(v string) string {
+	return promLabelEscaper.Replace(strings.ToValidUTF8(v, "\uFFFD"))
 }
 
 // promSanitize maps a metric name onto the Prometheus charset
@@ -240,7 +253,8 @@ func promSanitize(name string) string {
 // ValidatePromText checks a Prometheus text-format exposition: every
 // non-comment line is `name[{labels}] value`, names are legal, values
 // parse, every sampled metric carries a preceding # TYPE line, histogram
-// bucket series are cumulative and end with le="+Inf" matching _count.
+// bucket series are cumulative and end with le="+Inf" matching _count,
+// lines are UTF-8 and label values use no escape but \\, \" and \n.
 // It returns the number of sample lines.
 func ValidatePromText(r io.Reader) (int, error) {
 	sc := bufio.NewScanner(r)
@@ -336,32 +350,62 @@ func ValidatePromText(r io.Reader) (int, error) {
 }
 
 // splitPromSample parses `name[{labels}] value` (no timestamp support —
-// the simulator never emits one).
-func splitPromSample(line string) (name, labels, value string, err error) {
-	rest := line
-	if i := strings.IndexByte(rest, '{'); i >= 0 {
-		name = rest[:i]
-		j := strings.IndexByte(rest, '}')
-		if j < i {
-			return "", "", "", fmt.Errorf("unterminated label set")
-		}
-		labels = rest[i+1 : j]
-		rest = strings.TrimSpace(rest[j+1:])
-	} else {
-		sp := strings.IndexByte(rest, ' ')
-		if sp < 0 {
-			return "", "", "", fmt.Errorf("no value")
-		}
-		name = rest[:sp]
-		rest = strings.TrimSpace(rest[sp+1:])
+// the simulator never emits one) and returns the labels as name="value"
+// pairs, still escaped.
+func splitPromSample(line string) (name string, labels []string, value string, err error) {
+	if !utf8.ValidString(line) {
+		return "", nil, "", fmt.Errorf("not UTF-8: %q", line)
 	}
-	if name == "" || !promNameOK(name) {
-		return "", "", "", fmt.Errorf("bad metric name %q", name)
+	i := strings.IndexAny(line, "{ ")
+	if i < 0 {
+		return "", nil, "", fmt.Errorf("no value")
+	}
+	name, rest := line[:i], line[i+1:]
+	if line[i] == '{' {
+		if labels, rest, err = splitPromLabels(rest); err != nil {
+			return "", nil, "", err
+		}
+	}
+	rest = strings.TrimSpace(rest)
+	if !promNameOK(name) {
+		return "", nil, "", fmt.Errorf("bad metric name %q", name)
 	}
 	if rest == "" || strings.ContainsAny(rest, " \t") {
-		return "", "", "", fmt.Errorf("bad sample %q", line)
+		return "", nil, "", fmt.Errorf("bad sample %q", line)
 	}
 	return name, labels, rest, nil
+}
+
+// splitPromLabels splits what follows '{' into its name="value" pairs
+// and what follows the closing '}'. Inside a value only the format's
+// three escapes may appear: \\, \" and \n.
+func splitPromLabels(s string) (pairs []string, rest string, err error) {
+	start, quoted := 0, false
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case quoted && c == '\\':
+			i++
+			if i == len(s) || !strings.ContainsRune(`\"n`, rune(s[i])) {
+				return nil, "", fmt.Errorf("bad escape in label set {%s", s)
+			}
+		case c == '"':
+			quoted = !quoted
+		case quoted:
+		case c == ',' || c == '}':
+			if i > start {
+				k, v, _ := strings.Cut(s[start:i], "=")
+				if !promNameOK(k) || len(v) < 2 || v[0] != '"' || v[len(v)-1] != '"' {
+					return nil, "", fmt.Errorf("bad label %q", s[start:i])
+				}
+				pairs = append(pairs, s[start:i])
+			}
+			start = i + 1
+			if c == '}' {
+				return pairs, s[i+1:], nil
+			}
+		}
+	}
+	return nil, "", fmt.Errorf("unterminated label set")
 }
 
 // promNameOK reports whether name matches [a-zA-Z_:][a-zA-Z0-9_:]*.
@@ -380,20 +424,11 @@ func promNameOK(name string) bool {
 
 // extractLE splits a label set into the le value and the remaining
 // labels, sorted so grouping keys are stable.
-func extractLE(labels string) (le, rest string) {
-	if labels == "" {
-		return "", ""
-	}
+func extractLE(labels []string) (le, rest string) {
 	var others []string
-	for _, part := range strings.Split(labels, ",") {
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			others = append(others, part)
-			continue
-		}
-		v = strings.Trim(v, `"`)
-		if k == "le" {
-			le = v
+	for _, part := range labels {
+		if v, ok := strings.CutPrefix(part, "le="); ok {
+			le = strings.Trim(v, `"`)
 		} else {
 			others = append(others, part)
 		}

@@ -133,6 +133,48 @@ func TestValidatePromTextRejects(t *testing.T) {
 	}
 }
 
+// TestPromLabelValues: label values are escaped the exposition format's
+// way (\\, \" and \n; everything else raw, non-UTF-8 as U+FFFD), not Go's,
+// and the validator tells the two apart.
+func TestPromLabelValues(t *testing.T) {
+	names := []string{"tab\there", "nul\x00byte", "bad\xffutf8", `quo"te`, `back\slash`, "line\nfeed", "brace}comma, space", "zero\u200bwidth"}
+	s := &Snapshot{Hists: []HistSnapshot{SnapHist("x_us", "class", "a\"}\xfe", stats.NewHist())}}
+	for i, n := range names {
+		s.Gauges = append(s.Gauges, NamedValue{Name: n, Value: float64(i)})
+	}
+	var b strings.Builder
+	if err := WriteProm(&b, s); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	if n, err := ValidatePromText(strings.NewReader(out)); err != nil || n != 1+len(names)+3 {
+		t.Fatalf("%d samples, %v:\n%s", n, err, out)
+	}
+	for _, want := range []string{
+		"{name=\"tab\there\"} 0\n", "{name=\"nul\x00byte\"} 1\n", "{name=\"bad\uFFFDutf8\"} 2\n",
+		`{name="quo\"te"} 3`, `{name="back\\slash"} 4`, `{name="line\nfeed"} 5`,
+		`{name="brace}comma, space"} 6`, "{name=\"zero\u200bwidth\"} 7\n",
+		`x_us_count{class="a\"}` + "\uFFFD" + `"} 0`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	for name, line := range map[string]string{
+		"Go tab escape":     `g{name="a\tb"} 1`,
+		"Go hex escape":     `g{name="a\x00b"} 1`,
+		"Go unicode escape": `g{name="a\u200bb"} 1`,
+		"trailing escape":   `g{name="a\`,
+		"not UTF-8":         "g{name=\"a\xffb\"} 1",
+		"unquoted value":    `g{name=a} 1`,
+		"unterminated":      `g{name="a} 1`,
+	} {
+		if _, err := ValidatePromText(strings.NewReader("# TYPE g gauge\n" + line + "\n")); err == nil {
+			t.Errorf("%s: accepted %q", name, line)
+		}
+	}
+}
+
 // TestExporterPublish: latest-wins, nil-safe.
 func TestExporterPublish(t *testing.T) {
 	var nilExp *Exporter

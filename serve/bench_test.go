@@ -1,28 +1,55 @@
 package serve
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"aequitas"
+	"aequitas/internal/core"
+	"aequitas/internal/obs/flight"
+	"aequitas/internal/qos"
 )
 
-func benchAdmission(b *testing.B) *Admission {
-	b.Helper()
-	ctl, err := aequitas.NewController(aequitas.ControllerConfig{
+// failingDraws is a clock whose every admission draw fails: SLO-class
+// requests are downgraded whatever their channel's p_admit.
+type failingDraws struct{ core.Clock }
+
+func (failingDraws) Float64() float64 { return 2 }
+
+// testLayer builds the layer the benchmarks and the allocation tests
+// drive, on clk (nil is the wall clock): bare, or hardened the way
+// benchmark/inproc.go hardens it — a fail-open quota lease, the flight
+// recorder with its anomaly engine, deadline budgets (minBudget is
+// DeadlineConfig.MinBudget) and an armed brownout ladder whose threshold
+// is out of reach.
+func testLayer(tb testing.TB, clk core.Clock, hardened, reject bool, minBudget time.Duration) *Admission {
+	tb.Helper()
+	ctl, err := aequitas.NewControllerWithClock(aequitas.ControllerConfig{
 		SLOs: []aequitas.SLO{
 			{Target: 500 * time.Microsecond},
 			{Target: time.Millisecond},
 		},
-	})
+	}, clk)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	a, err := New(Config{Controller: ctl})
+	cfg := Config{Controller: ctl, RejectDowngraded: reject}
+	if hardened {
+		quota := core.NewQuotaServer(map[qos.Class]float64{qos.High: 1e6})
+		if err := quota.Grant("bench", qos.High, 1e6); err != nil {
+			tb.Fatal(err)
+		}
+		ctl.SetQuota(quota.ClientWithClock("bench", ctl.Core().Clock()), core.QuotaFailOpen)
+		cfg.Flight = &FlightConfig{Engine: &flight.EngineConfig{}}
+		cfg.Deadline = &DeadlineConfig{MinBudget: minBudget}
+		cfg.Brownout = &BrownoutConfig{LatencyThreshold: time.Second}
+	}
+	a, err := New(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return a
 }
@@ -35,36 +62,77 @@ func (w nopResponseWriter) Header() http.Header         { return w.h }
 func (w nopResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (nopResponseWriter) WriteHeader(int)               {}
 
-// BenchmarkServeMiddleware measures one full middleware pass: classify,
-// admit, context injection, handler dispatch, observe, histogram record.
-func BenchmarkServeMiddleware(b *testing.B) {
-	a := benchAdmission(b)
-	h := a.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+// benchRequest is the request every benchmark and allocation test sends.
+func benchRequest() *http.Request {
 	req := httptest.NewRequest("GET", "/backend", nil)
 	req.Header.Set(HeaderClass, "QoSh")
-	w := nopResponseWriter{h: make(http.Header)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.ServeHTTP(w, req)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+	return req
 }
 
-// BenchmarkServeMiddlewareParallel is the same pass under GOMAXPROCS-way
+// BenchmarkServeMiddleware measures one full middleware pass — classify,
+// admit, response headers, context injection, handler dispatch, observe,
+// histogram record — per outcome: served on a bare and on a hardened
+// layer, served downgraded, and refused under RejectDowngraded.
+func BenchmarkServeMiddleware(b *testing.B) {
+	for _, bc := range []struct {
+		name             string
+		clk              core.Clock
+		hardened, reject bool
+	}{
+		{"bare", nil, false, false},
+		{"hardened", nil, true, false},
+		{"downgraded", failingDraws{core.NewWallClock()}, true, false},
+		{"refused", failingDraws{core.NewWallClock()}, true, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			a := testLayer(b, bc.clk, bc.hardened, bc.reject, 0)
+			h := a.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+			req := benchRequest()
+			w := nopResponseWriter{h: make(http.Header)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.ServeHTTP(w, req)
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+		})
+	}
+}
+
+// BenchmarkServeMiddlewareParallel is the bare pass under GOMAXPROCS-way
 // concurrency.
 func BenchmarkServeMiddlewareParallel(b *testing.B) {
-	a := benchAdmission(b)
+	a := testLayer(b, nil, false, false, 0)
 	h := a.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		req := httptest.NewRequest("GET", "/backend", nil)
-		req.Header.Set(HeaderClass, "QoSh")
+		req := benchRequest()
 		w := nopResponseWriter{h: make(http.Header)}
 		for pb.Next() {
 			h.ServeHTTP(w, req)
 		}
 	})
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+}
+
+// nopUnaryHandler is a package variable so that no caller can be compiled
+// knowing what it does with its context: inlined into a loop with a local
+// handler, the interceptor's context node stays on the stack, which it
+// cannot under an RPC framework.
+var nopUnaryHandler UnaryHandler = func(context.Context, any) (any, error) { return nil, nil }
+
+// BenchmarkServeInterceptor measures one served pass through the
+// interceptor on the hardened layer: the same begin/end with no HTTP
+// around it.
+func BenchmarkServeInterceptor(b *testing.B) {
+	a := testLayer(b, nil, true, false, 0)
+	icpt := a.UnaryInterceptor(nil)
+	info := &UnaryServerInfo{FullMethod: "/backend"}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		icpt(ctx, nil, info, nopUnaryHandler)
+	}
 }

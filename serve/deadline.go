@@ -44,7 +44,7 @@ func (a *Admission) budgetFromRequest(h http.Header, ctx context.Context) (time.
 	if a.dl == nil {
 		return 0, false
 	}
-	if s := h.Get(HeaderDeadline); s != "" {
+	if s := headerValue(h, HeaderDeadline); s != "" {
 		if b, err := time.ParseDuration(s); err == nil {
 			return b, true
 		}

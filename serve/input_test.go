@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"aequitas"
 	"aequitas/internal/obs"
@@ -98,4 +100,75 @@ func TestPeerTableBounded(t *testing.T) {
 		t.Errorf("/metrics with the overflow channel: %v", err)
 	}
 	checkLedger(t, a, offered)
+}
+
+// TestRetryAfterOfOutOfRangeClass expires requests that ask for class
+// levels the controller does not have. The Retry-After hint is looked up
+// by the class the layer clamped the request to, its scavenger, whose
+// hint is the one-second minimum; the level the header carried would
+// index past the table.
+func TestRetryAfterOfOutOfRangeClass(t *testing.T) {
+	ctl, _ := newManualController(t)
+	a, err := New(Config{Controller: ctl, Deadline: &DeadlineConfig{MinBudget: 2 * time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := a.Middleware(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		t.Error("handler ran for an expired request")
+	}))
+	levels := []string{"2", "300", "9223372036854775807"}
+	for _, level := range levels {
+		rec := doReq(t, h, map[string]string{HeaderClass: level, HeaderDeadline: "1ms"})
+		if rec.Code != http.StatusServiceUnavailable || rec.Header().Get(HeaderExpired) != "1" || rec.Header().Get("Retry-After") != "1" {
+			t.Errorf("class %s: status %d, headers %v", level, rec.Code, rec.Header())
+		}
+	}
+	checkLedger(t, a, int64(len(levels)))
+}
+
+// TestMetricsEscapePeerNames sends peer names no exposition-format label
+// can carry as Go would quote them — a tab in the peer header, a NUL and
+// a byte that is not UTF-8 in the path — and scrapes /metrics: it must
+// still parse, with each peer's gauge there once.
+func TestMetricsEscapePeerNames(t *testing.T) {
+	a := newAdmission(t, false)
+	srv := httptest.NewServer(a.Middleware(httpOK()))
+	defer srv.Close()
+	for _, r := range []struct{ path, peer string }{{"/rpc", "a\tb"}, {"/%00%ff", ""}} {
+		req, err := http.NewRequest("GET", srv.URL+r.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.peer != "" {
+			req.Header.Set(HeaderPeer, r.peer)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", r.path, resp.StatusCode)
+		}
+	}
+	msrv := httptest.NewServer(a.Handler())
+	defer msrv.Close()
+	resp, err := http.Get(msrv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obs.ValidatePromText(bytes.NewReader(text)); err != nil {
+		t.Errorf("/metrics after hostile peer names: %v\n%s", err, text)
+	}
+	for _, gauge := range []string{"aequitas_gauge{name=\"padmit.a\tb.q0\"} ", "aequitas_gauge{name=\"padmit./\x00\uFFFD.q0\"} "} {
+		if n := bytes.Count(text, []byte(gauge)); n != 1 {
+			t.Errorf("%q appears %d times in /metrics, want once:\n%s", gauge, n, text)
+		}
+	}
+	checkLedger(t, a, 2)
 }

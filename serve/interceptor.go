@@ -64,7 +64,7 @@ func (a *Admission) UnaryInterceptor(classify RPCClassifier) UnaryInterceptor {
 		if err := refusals[rec.cause].err; err != nil {
 			return nil, err
 		}
-		resp, err := handler(context.WithValue(ctx, ctxKey{}, rec.v), req)
+		resp, err := handler(&verdictCtx{ctx, rec.v}, req)
 		a.end(&rec)
 		return resp, err
 	}

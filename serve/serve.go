@@ -119,19 +119,31 @@ const (
 	// HeaderShed marks responses rejected by the brownout ladder, with
 	// the level name ("thin-scavenger", "tighten", "hard-shed").
 	HeaderShed = "X-Aequitas-Shed"
+
+	headerRetryAfter = "Retry-After"
 )
+
+// headerValue is h.Get(key) for a key already in canonical form, as every
+// header constant of this package is: Get re-validates and
+// re-canonicalises its key byte by byte on each call.
+func headerValue(h http.Header, key string) string {
+	if v := h[key]; len(v) > 0 {
+		return v[0]
+	}
+	return ""
+}
 
 // ClassifyByHeader is the default classifier: the channel peer comes from
 // X-Aequitas-Peer (falling back to the URL path), the requested class from
 // X-Aequitas-Class (default the highest), and the size from the request
 // body length.
 func ClassifyByHeader(r *http.Request) Request {
-	peer := r.Header.Get(HeaderPeer)
+	peer := headerValue(r.Header, HeaderPeer)
 	if peer == "" {
 		peer = r.URL.Path
 	}
 	class := aequitas.High
-	if c, err := ParseClass(r.Header.Get(HeaderClass)); err == nil {
+	if c, err := ParseClass(headerValue(r.Header, HeaderClass)); err == nil {
 		class = c
 	}
 	return Request{Peer: peer, Class: class, SizeBytes: r.ContentLength}
@@ -189,9 +201,16 @@ type Admission struct {
 	bo *ladder
 	fl *flightState
 
-	rejStatus  int
-	rejBody    string
-	retryAfter time.Duration
+	rejStatus int
+	rejBody   string
+	// The response-header values, built once and shared by every
+	// response: each has len == cap == 1, so a handler that appends to
+	// one gets a copy, and nothing in the layer writes to them.
+	// classValue and retryValue are indexed by class, shedValue by
+	// brownout level.
+	classValue, retryValue [][]string
+	shedValue              [BrownoutHardShed + 1][]string
+	markValue              []string // "1": HeaderDowngraded, HeaderExpired
 
 	started time.Time
 	exp     *obs.Exporter
@@ -203,17 +222,24 @@ func New(cfg Config) (*Admission, error) {
 		return nil, fmt.Errorf("serve: Config.Controller is required")
 	}
 	a := &Admission{
-		ctl:        cfg.Controller,
-		core:       cfg.Controller.Core(),
-		cls:        cfg.Classify,
-		reject:     cfg.RejectDowngraded,
-		dlog:       cfg.DecisionLog,
-		clock:      cfg.Controller.Core().Clock(),
-		rejStatus:  cfg.RejectStatus,
-		rejBody:    cfg.RejectBody,
-		retryAfter: cfg.RetryAfter,
-		started:    time.Now(),
-		exp:        obs.NewExporter(),
+		ctl:       cfg.Controller,
+		core:      cfg.Controller.Core(),
+		cls:       cfg.Classify,
+		reject:    cfg.RejectDowngraded,
+		dlog:      cfg.DecisionLog,
+		clock:     cfg.Controller.Core().Clock(),
+		rejStatus: cfg.RejectStatus,
+		rejBody:   cfg.RejectBody,
+		markValue: []string{"1"},
+		started:   time.Now(),
+		exp:       obs.NewExporter(),
+	}
+	for c := aequitas.Class(0); c <= a.core.Scavenger(); c++ {
+		a.classValue = append(a.classValue, []string{c.String()})
+		a.retryValue = append(a.retryValue, []string{a.retryAfter(cfg.RetryAfter, c)})
+	}
+	for l := range a.shedValue {
+		a.shedValue[l] = []string{brownoutLevelName(int32(l))}
 	}
 	if a.cls == nil {
 		a.cls = ClassifyByHeader
@@ -249,8 +275,24 @@ func (a *Admission) BrownoutLevel() int32 { return a.bo.Level() }
 // Controller returns the wrapped admission controller.
 func (a *Admission) Controller() *aequitas.AdmissionController { return a.ctl }
 
-// ctxKey carries the admission verdict through the request context.
+// ctxKey is the context key the admission verdict answers to.
 type ctxKey struct{}
+
+// verdictCtx is the one context node a served request costs: the parent
+// context with the verdict inline. Every key but ctxKey, and Deadline,
+// Done and Err, are the parent's, so a cancellation of the parent reaches
+// contexts derived from this one the way it would through a valueCtx.
+type verdictCtx struct {
+	context.Context
+	v Verdict
+}
+
+func (c *verdictCtx) Value(key any) any {
+	if _, ok := key.(ctxKey); ok {
+		return &c.v
+	}
+	return c.Context.Value(key)
+}
 
 // Verdict is the admission outcome attached to a request's context (and
 // handed to DecisionLog for every request, including ones rejected
@@ -277,8 +319,10 @@ type Verdict struct {
 // FromContext returns the admission verdict for the current request, if it
 // passed through the middleware or interceptor.
 func FromContext(ctx context.Context) (Verdict, bool) {
-	v, ok := ctx.Value(ctxKey{}).(Verdict)
-	return v, ok
+	if v, ok := ctx.Value(ctxKey{}).(*Verdict); ok {
+		return *v, true
+	}
+	return Verdict{}, false
 }
 
 // cause is how begin disposed of a request: the two served outcomes,
@@ -395,12 +439,12 @@ func (a *Admission) end(rec *record) {
 	}
 }
 
-// retryAfterValue is the Retry-After hint for a rejection on class: the
+// retryAfter is the Retry-After hint for a rejection on class: the
 // configured fixed value, or the class's additive-increase window — the
 // earliest interval after which the admit probability can have risen, so
-// retrying sooner cannot help.
-func (a *Admission) retryAfterValue(class aequitas.Class) string {
-	d := a.retryAfter
+// retrying sooner cannot help. Both are fixed when the layer is built.
+func (a *Admission) retryAfter(fixed time.Duration, class aequitas.Class) string {
+	d := fixed
 	if d <= 0 {
 		d = a.core.IncrementWindow(class).Std()
 	}
@@ -421,22 +465,24 @@ func (a *Admission) Middleware(next http.Handler) http.Handler {
 		req := a.cls(r)
 		budget, haveBudget := a.budgetFromRequest(r.Header, r.Context())
 		rec := a.begin(req, budget, haveBudget)
+		// The header keys are canonical and the values shared (see
+		// Admission.classValue): assigned, not Set, nothing allocates.
 		h := w.Header()
 		if rec.cause <= causeRejected { // the draw assigned a class
-			h.Set(HeaderClass, rec.v.Class.String())
+			h[HeaderClass] = a.classValue[rec.v.Class]
 			if rec.v.Downgraded {
-				h.Set(HeaderDowngraded, "1")
+				h[HeaderDowngraded] = a.markValue
 			}
 		}
 		if ref := &refusals[rec.cause]; ref.err != nil {
 			if ref.header != "" {
-				mark := "1"
+				mark := a.markValue
 				if rec.cause == causeShed {
-					mark = brownoutLevelName(rec.v.ShedLevel)
+					mark = a.shedValue[rec.v.ShedLevel]
 				}
-				h.Set(ref.header, mark)
+				h[ref.header] = mark
 			}
-			h.Set("Retry-After", a.retryAfterValue(req.Class))
+			h[headerRetryAfter] = a.retryValue[rec.v.Request.Class]
 			body := a.rejBody
 			if body == "" {
 				body = ref.body
@@ -444,7 +490,7 @@ func (a *Admission) Middleware(next http.Handler) http.Handler {
 			http.Error(w, body, a.rejStatus)
 			return
 		}
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), ctxKey{}, rec.v)))
+		next.ServeHTTP(w, r.WithContext(&verdictCtx{r.Context(), rec.v}))
 		a.end(&rec)
 	})
 }
