@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -229,25 +230,7 @@ func main() {
 
 	fmt.Printf("system=%s hosts=%d dur=%v seed=%d (wall %v)\n\n",
 		sys, *hosts, *dur, *seed, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("%-6s %10s %10s %10s %10s %12s\n", "class", "p50(us)", "p99(us)", "p99.9(us)", "max(us)", "in-SLO(%)")
-	for _, c := range res.Classes() {
-		l := res.RNLRun[c]
-		inSLO := "-"
-		if f, ok := res.SLOMetRunBytesFraction[c]; ok {
-			inSLO = fmt.Sprintf("%.1f", 100*f)
-		}
-		fmt.Printf("%-6s %10.1f %10.1f %10.1f %10.1f %12s\n",
-			c, l.P50US, l.P99US, l.P999US, l.MaxUS, inSLO)
-	}
-	fmt.Println()
-	fmt.Printf("issued %d, completed %d, downgraded %d, dropped %d, terminated %d\n",
-		res.Issued, res.Completed, res.Downgraded, res.Dropped, res.Terminated)
-	fmt.Printf("input mix  %s\nadmitted   %s\n", fmtMix(res.InputMix), fmtMix(res.AdmittedMix))
-	fmt.Printf("goodput fraction %.1f%%, mean downlink utilization %.1f%%\n",
-		100*res.GoodputFraction, 100*res.AvgDownlinkUtilization)
-	for pr, f := range res.SLOMetBytesFraction {
-		fmt.Printf("%v traffic meeting its original SLO: %.1f%%\n", pr, 100*f)
-	}
+	writeSummary(os.Stdout, res)
 	if res.Attribution != nil {
 		printAttribution(res)
 	}
@@ -256,6 +239,34 @@ func main() {
 	}
 	if cfg.Faults != nil {
 		printDegradation(res)
+	}
+}
+
+// writeSummary writes the run's measurements: the per-class latency table,
+// the RPC counts, the QoS mixes, goodput and SLO compliance by priority.
+// Everything is walked in class or priority order, never in map order, so
+// one Results is one text.
+func writeSummary(w io.Writer, res *aequitas.Results) {
+	fmt.Fprintf(w, "%-6s %10s %10s %10s %10s %12s\n", "class", "p50(us)", "p99(us)", "p99.9(us)", "max(us)", "in-SLO(%)")
+	for _, c := range res.Classes() {
+		l := res.RNLRun[c]
+		inSLO := "-"
+		if f, ok := res.SLOMetRunBytesFraction[c]; ok {
+			inSLO = fmt.Sprintf("%.1f", 100*f)
+		}
+		fmt.Fprintf(w, "%-6s %10.1f %10.1f %10.1f %10.1f %12s\n",
+			c, l.P50US, l.P99US, l.P999US, l.MaxUS, inSLO)
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "issued %d, completed %d, downgraded %d, dropped %d, terminated %d\n",
+		res.Issued, res.Completed, res.Downgraded, res.Dropped, res.Terminated)
+	fmt.Fprintf(w, "input mix  %s\nadmitted   %s\n", fmtMix(res.InputMix), fmtMix(res.AdmittedMix))
+	fmt.Fprintf(w, "goodput fraction %.1f%%, mean downlink utilization %.1f%%\n",
+		100*res.GoodputFraction, 100*res.AvgDownlinkUtilization)
+	for _, pr := range []aequitas.Priority{aequitas.PC, aequitas.NC, aequitas.BE} {
+		if f, ok := res.SLOMetBytesFraction[pr]; ok {
+			fmt.Fprintf(w, "%v traffic meeting its original SLO: %.1f%%\n", pr, 100*f)
+		}
 	}
 }
 

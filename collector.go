@@ -2,6 +2,7 @@ package aequitas
 
 import (
 	"fmt"
+	"strconv"
 
 	"aequitas/internal/core"
 	"aequitas/internal/faults"
@@ -54,6 +55,7 @@ type collector struct {
 	outHiBuf    []int // per-dst scratch reused across sample ticks
 	outLoBuf    []int
 	traceHeader bool
+	traceRow    []byte // the last per-RPC trace row; its storage is the next one's
 
 	// Degradation accounting, active only when a fault plan is set:
 	// completed payload bytes per coarse time bin across the measurement
@@ -324,11 +326,22 @@ func (c *collector) trace(s *sim.Simulator, src int, r *rpc.RPC) {
 			fmt.Fprintln(w, traceCSVHeader)
 		}
 	}
-	// Only RPCs that ran complete, so the decision was an admit or a
-	// downgrade.
-	fmt.Fprintf(w, "%.9f,%d,%d,%s,%s,%s,%t,%s,%.4f,%d,%.3f\n",
-		r.CompleteTime.Seconds(), src, r.Dst, r.Priority, r.QoSRequested,
-		r.QoSRun, r.Downgraded, rpc.Decision{Downgraded: r.Downgraded}.Verdict(), r.PAdmit, r.Bytes, r.RNL.Micros())
+	// The row is appended field by field into a buffer kept across rows:
+	// Fprintf boxed eleven arguments for each. Only RPCs that ran complete,
+	// so the decision was an admit or a downgrade.
+	b := strconv.AppendFloat(c.traceRow[:0], r.CompleteTime.Seconds(), 'f', 9, 64)
+	b = strconv.AppendInt(append(b, ','), int64(src), 10)
+	b = strconv.AppendInt(append(b, ','), int64(r.Dst), 10)
+	b = append(append(b, ','), r.Priority.String()...)
+	b = append(append(b, ','), r.QoSRequested.String()...)
+	b = append(append(b, ','), r.QoSRun.String()...)
+	b = strconv.AppendBool(append(b, ','), r.Downgraded)
+	b = append(append(b, ','), rpc.Decision{Downgraded: r.Downgraded}.Verdict().String()...)
+	b = strconv.AppendFloat(append(b, ','), r.PAdmit, 'f', 4, 64)
+	b = strconv.AppendInt(append(b, ','), r.Bytes, 10)
+	b = strconv.AppendFloat(append(b, ','), r.RNL.Micros(), 'f', 3, 64)
+	c.traceRow = append(b, '\n')
+	w.Write(c.traceRow)
 }
 
 // addProbeBytes credits completed bytes to matching probes; wired through

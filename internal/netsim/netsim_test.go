@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 
 	"aequitas/internal/qos"
@@ -250,5 +251,37 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("non-deterministic: %v vs %v", a, b)
+	}
+}
+
+// TestMetricsSamplerSteadyState: the sampler's names are the three per
+// link in ForEachLink order, and from the second tick on it emits the same
+// strings and allocates nothing (it built them all again every tick).
+func TestMetricsSamplerSteadyState(t *testing.T) {
+	star, err := New(Config{Hosts: 4, SwitchSched: fifoFactory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, net := range []*Network{star, leafSpineNet(t, 8, 2, 2, 200*sim.Gbps)} {
+		var want []string
+		net.ForEachLink(func(l *Link) {
+			want = append(want, "q."+l.Name+".bytes", "q."+l.Name+".pkts", "drop."+l.Name+".pkts")
+		})
+		sample := net.MetricsSampler()
+		var first []string
+		sample(0, func(name string, _ float64) { first = append(first, name) })
+		if !slices.Equal(first, want) {
+			t.Fatalf("first tick emitted %v, want %v", first, want)
+		}
+		i := 0
+		check := func(name string, _ float64) {
+			if name != first[i%len(first)] {
+				t.Errorf("emission %d is %q, the first tick's was %q", i, name, first[i%len(first)])
+			}
+			i++
+		}
+		if allocs := testing.AllocsPerRun(10, func() { sample(0, check) }); allocs != 0 || i != 11*len(first) {
+			t.Errorf("%v allocations per tick after the first, %d emissions; want 0, %d", allocs, i, 11*len(first))
+		}
 	}
 }

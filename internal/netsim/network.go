@@ -243,13 +243,24 @@ func (n *Network) SetAuditor(a *obs.Auditor) {
 // MetricsSampler returns an obs.Sampler reporting, for every egress port,
 // the scheduler's queued bytes and packets and the cumulative drop count —
 // the per-port WFQ occupancy the paper's queueing analysis reasons about.
+// The ports are fixed once the network is built, so their metric names are
+// built here, once, and a tick allocates nothing.
 func (n *Network) MetricsSampler() obs.Sampler {
+	type port struct {
+		l                 *Link
+		bytes, pkts, drop string
+	}
+	var ports []port
+	n.ForEachLink(func(l *Link) {
+		ports = append(ports, port{l, "q." + l.Name + ".bytes", "q." + l.Name + ".pkts", "drop." + l.Name + ".pkts"})
+	})
 	return func(now sim.Time, emit func(string, float64)) {
-		n.ForEachLink(func(l *Link) {
-			emit("q."+l.Name+".bytes", float64(l.Sched.QueuedBytes()))
-			emit("q."+l.Name+".pkts", float64(l.Sched.QueuedItems()))
-			emit("drop."+l.Name+".pkts", float64(l.Stats.DropPackets))
-		})
+		for i := range ports {
+			p := &ports[i]
+			emit(p.bytes, float64(p.l.Sched.QueuedBytes()))
+			emit(p.pkts, float64(p.l.Sched.QueuedItems()))
+			emit(p.drop, float64(p.l.Stats.DropPackets))
+		}
 	}
 }
 

@@ -26,12 +26,17 @@ import (
 // deterministic completion order, so the resulting CSV columns are
 // byte-identical for a fixed SimConfig at any sweep worker count.
 type TailTracker struct {
-	series map[tailKey]*stats.Hist
+	series map[tailKey]*tailSeries
 	// order keeps the emit order deterministic: keys sorted by (dst,
 	// class), maintained on insert.
 	order []tailKey
-	// scratch name buffer reused across emissions.
-	name []byte
+}
+
+// tailSeries is one channel's open window and its metric names — ".n",
+// then one per tailQuantiles entry — built when the channel first emits.
+type tailSeries struct {
+	hist  *stats.Hist
+	names []string
 }
 
 type tailKey struct {
@@ -52,7 +57,7 @@ var tailQuantiles = []struct {
 
 // NewTailTracker returns an empty tracker.
 func NewTailTracker() *TailTracker {
-	return &TailTracker{series: make(map[tailKey]*stats.Hist)}
+	return &TailTracker{series: make(map[tailKey]*tailSeries)}
 }
 
 // Enabled reports whether the tracker records observations; a nil
@@ -68,13 +73,13 @@ func (t *TailTracker) Observe(dst, class int, rnlUS float64) {
 		return
 	}
 	k := tailKey{dst: int32(dst), class: int16(class)}
-	h, ok := t.series[k]
+	sr, ok := t.series[k]
 	if !ok {
-		h = stats.NewHist()
-		t.series[k] = h
+		sr = &tailSeries{hist: stats.NewHist()}
+		t.series[k] = sr
 		t.insertOrdered(k)
 	}
-	h.Record(rnlUS)
+	sr.hist.Record(rnlUS)
 }
 
 // insertOrdered keeps order sorted by (dst, class).
@@ -95,31 +100,27 @@ func (t *TailTracker) insertOrdered(k tailKey) {
 // Sampler returns the registry sampler that closes each window: it emits
 // every channel's windowed count and tail quantiles in deterministic
 // (dst, class) order, then resets the histograms so the next tick starts
-// a fresh window.
+// a fresh window. A tick with no new channel allocates nothing.
 func (t *TailTracker) Sampler() Sampler {
 	return func(now sim.Time, emit func(string, float64)) {
 		for _, k := range t.order {
-			h := t.series[k]
+			sr := t.series[k]
+			h := sr.hist
 			if h.N() == 0 {
 				continue
 			}
-			base := t.appendKey(k)
-			emit(string(append(base, ".n"...)), float64(h.N()))
-			for _, tq := range tailQuantiles {
-				emit(string(append(base, tq.suffix...)), h.Quantile(tq.q))
+			if sr.names == nil {
+				base := "tail.d" + strconv.Itoa(int(k.dst)) + ".q" + strconv.Itoa(int(k.class))
+				sr.names = []string{base + ".n"}
+				for _, tq := range tailQuantiles {
+					sr.names = append(sr.names, base+tq.suffix)
+				}
+			}
+			emit(sr.names[0], float64(h.N()))
+			for i, tq := range tailQuantiles {
+				emit(sr.names[1+i], h.Quantile(tq.q))
 			}
 			h.Reset()
 		}
 	}
-}
-
-// appendKey renders "tail.d<dst>.q<class>" into the reusable scratch
-// buffer. Callers must copy (string conversion does) before the next call.
-func (t *TailTracker) appendKey(k tailKey) []byte {
-	b := append(t.name[:0], "tail.d"...)
-	b = strconv.AppendInt(b, int64(k.dst), 10)
-	b = append(b, ".q"...)
-	b = strconv.AppendInt(b, int64(k.class), 10)
-	t.name = b
-	return b
 }

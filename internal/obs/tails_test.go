@@ -123,3 +123,35 @@ func TestValidateMetricsCSVTailMonotonic(t *testing.T) {
 		t.Errorf("row with empty tail cell rejected: %v", err)
 	}
 }
+
+// TestTailSamplerSteadyState: a channel's five names are built when it
+// first emits; windows after that emit the same strings and allocate
+// nothing (the names were rebuilt for every window).
+func TestTailSamplerSteadyState(t *testing.T) {
+	tr := NewTailTracker()
+	sample := tr.Sampler()
+	observe := func() {
+		tr.Observe(3, 0, 12.5)
+		tr.Observe(1, 2, 800)
+		tr.Observe(1, 2, 4000)
+	}
+	observe()
+	first, _ := collectEmits(sample)
+	if len(first) != 10 || first[0] != "tail.d1.q2.n" || first[9] != "tail.d3.q0.p999_us" {
+		t.Fatalf("first window emitted %v", first)
+	}
+	i := 0
+	check := func(name string, _ float64) {
+		if name != first[i%len(first)] {
+			t.Errorf("emission %d is %q, the first window's was %q", i, name, first[i%len(first)])
+		}
+		i++
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		observe()
+		sample(0, check)
+	})
+	if allocs != 0 || i != 11*len(first) {
+		t.Errorf("%v allocations per window after the first, %d emissions; want 0, %d", allocs, i, 11*len(first))
+	}
+}

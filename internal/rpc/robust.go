@@ -47,6 +47,7 @@ func (p RetryPolicy) active() bool { return p.Timeout > 0 || p.HedgeAfter > 0 }
 // inflightRPC tracks one issued, not-yet-completed RPC under the robust
 // issue path.
 type inflightRPC struct {
+	st      *Stack
 	r       *RPC
 	retries int
 	// done marks the terminal state (completed, failed, or lost to a
@@ -76,34 +77,87 @@ func (st *Stack) issueTracked(s *sim.Simulator, r *RPC) {
 	if st.inflight == nil {
 		st.inflight = make(map[uint64]*inflightRPC)
 	}
-	fs := &inflightRPC{r: r}
+	fs := &inflightRPC{st: st, r: r}
 	st.inflight[r.ID] = fs
 	st.sendAttempt(s, fs, r.QoSRun, false)
 	if d := st.Retry.HedgeAfter; d > 0 && (st.Retry.HedgeMaxMTUs == 0 || r.SizeMTUs <= st.Retry.HedgeMaxMTUs) {
-		fs.hedgeTimer = s.AfterFunc(d, func(s *sim.Simulator) { st.hedge(s, fs) })
+		fs.hedgeTimer = s.After(d, (*hedgeEvent)(fs))
 	}
+}
+
+// attempt is the one allocation of a transmission of a tracked RPC: the
+// message, behind its Ctx the RPC it is an attempt of, and, as a sim.Event,
+// the attempt's own time-out.
+type attempt struct {
+	msg   transport.Message
+	fs    *inflightRPC
+	hedge bool
+}
+
+// Run implements sim.Event: the attempt's deadline expired.
+func (a *attempt) Run(s *sim.Simulator) { a.fs.st.onTimeout(s, a.fs) }
+
+// attemptDone and attemptFailed are the OnComplete and OnFail of every
+// tracked attempt.
+func attemptDone(s *sim.Simulator, m *transport.Message) {
+	a := m.Ctx.(*attempt)
+	a.fs.st.attemptDone(s, a.fs, a.hedge)
+}
+
+func attemptFailed(s *sim.Simulator, m *transport.Message) {
+	a := m.Ctx.(*attempt)
+	a.fs.st.retryOrFail(s, a.fs)
+}
+
+// retryEvent and hedgeEvent are an inflightRPC seen as its back-off and its
+// hedge timer: the conversion gives each a Run of its own, so arming one
+// allocates nothing.
+type (
+	retryEvent inflightRPC
+	hedgeEvent inflightRPC
+)
+
+// Run implements sim.Event: the back-off is over, send the next attempt.
+func (e *retryEvent) Run(s *sim.Simulator) {
+	fs := (*inflightRPC)(e)
+	fs.backoffArmed = false
+	if fs.done {
+		return
+	}
+	fs.st.Stats.Retried++
+	fs.st.sendAttempt(s, fs, fs.r.QoSRun, false)
+}
+
+// Run implements sim.Event: send the one duplicate attempt on the hedge
+// class.
+func (e *hedgeEvent) Run(s *sim.Simulator) {
+	fs := (*inflightRPC)(e)
+	if fs.done {
+		return
+	}
+	fs.st.Stats.Hedged++
+	fs.st.sendAttempt(s, fs, fs.st.Retry.HedgeClass, true)
 }
 
 // sendAttempt transmits one attempt of the RPC on class and (for
 // non-hedge attempts) arms the per-attempt timeout.
 func (st *Stack) sendAttempt(s *sim.Simulator, fs *inflightRPC, class qos.Class, isHedge bool) {
 	r := fs.r
-	st.ep.Send(s, &transport.Message{
-		ID:       r.ID,
-		Dst:      r.Dst,
-		Class:    class,
-		Bytes:    r.Bytes,
-		Deadline: r.Deadline,
-		OnComplete: func(s *sim.Simulator, m *transport.Message) {
-			st.attemptDone(s, fs, isHedge)
-		},
-		OnFail: func(s *sim.Simulator, m *transport.Message) {
-			st.retryOrFail(s, fs)
-		},
-	})
+	a := &attempt{fs: fs, hedge: isHedge}
+	a.msg = transport.Message{
+		ID:         r.ID,
+		Dst:        r.Dst,
+		Class:      class,
+		Bytes:      r.Bytes,
+		Deadline:   r.Deadline,
+		OnComplete: attemptDone,
+		OnFail:     attemptFailed,
+		Ctx:        a,
+	}
+	st.ep.Send(s, &a.msg)
 	if !isHedge && st.Retry.Timeout > 0 {
 		fs.timer.Cancel()
-		fs.timer = s.AfterFunc(st.Retry.Timeout, func(s *sim.Simulator) { st.onTimeout(s, fs) })
+		fs.timer = s.After(st.Retry.Timeout, a)
 	}
 }
 
@@ -118,22 +172,10 @@ func (st *Stack) attemptDone(s *sim.Simulator, fs *inflightRPC, isHedge bool) {
 	fs.timer.Cancel()
 	fs.hedgeTimer.Cancel()
 	delete(st.inflight, fs.r.ID)
-	r := fs.r
-	r.CompleteTime = s.Now()
-	r.RNL = r.CompleteTime - r.IssueTime
-	st.outstanding[outKey{r.Dst, r.QoSRun}]--
-	st.Stats.Completed++
 	if isHedge {
 		st.Stats.HedgeWins++
 	}
-	st.admitter.Observe(r.Dst, r.QoSRun, r.RNL, r.SizeMTUs)
-	if st.Trace != nil {
-		st.Trace.Complete(s.Now(), r.ID, st.Src, r.Dst, int(r.QoSRun), r.Bytes, r.RNL)
-	}
-	st.Attr.Complete(s.Now(), r.ID, st.Src, r.Dst, int(r.QoSRun), r.RNL)
-	if st.OnComplete != nil {
-		st.OnComplete(s, r)
-	}
+	st.complete(s, fs.r, fs.r.IssueTime)
 }
 
 // onTimeout handles a per-attempt deadline expiring. On the RPC's first
@@ -169,14 +211,7 @@ func (st *Stack) retryOrFail(s *sim.Simulator, fs *inflightRPC) {
 	fs.retries++
 	fs.backoffArmed = true
 	fs.timer.Cancel()
-	fs.timer = s.AfterFunc(st.backoffFor(s, fs.retries), func(s *sim.Simulator) {
-		fs.backoffArmed = false
-		if fs.done {
-			return
-		}
-		st.Stats.Retried++
-		st.sendAttempt(s, fs, fs.r.QoSRun, false)
-	})
+	fs.timer = s.After(st.backoffFor(s, fs.retries), (*retryEvent)(fs))
 }
 
 // backoffFor computes the capped exponential backoff with jitter for the
@@ -198,15 +233,6 @@ func (st *Stack) backoffFor(s *sim.Simulator, attempt int) sim.Duration {
 		d += sim.Duration(f * float64(d) * s.Rand().Float64())
 	}
 	return d
-}
-
-// hedge sends the one duplicate attempt on the hedge class.
-func (st *Stack) hedge(s *sim.Simulator, fs *inflightRPC) {
-	if fs.done {
-		return
-	}
-	st.Stats.Hedged++
-	st.sendAttempt(s, fs, st.Retry.HedgeClass, true)
 }
 
 // fail abandons the RPC: accounting is released and attribution state

@@ -267,25 +267,46 @@ func (st *Stack) Issue(s *sim.Simulator, r *RPC) {
 		st.issueTracked(s, r)
 		return
 	}
-	st.ep.Send(s, &transport.Message{
-		ID:       r.ID,
-		Dst:      r.Dst,
-		Class:    r.QoSRun,
-		Bytes:    r.Bytes,
-		Deadline: r.Deadline,
-		OnComplete: func(s *sim.Simulator, m *transport.Message) {
-			r.CompleteTime = s.Now()
-			r.RNL = r.CompleteTime - m.SubmitTime
-			st.outstanding[outKey{r.Dst, r.QoSRun}]--
-			st.Stats.Completed++
-			st.admitter.Observe(r.Dst, r.QoSRun, r.RNL, r.SizeMTUs)
-			if st.Trace != nil {
-				st.Trace.Complete(s.Now(), r.ID, st.Src, r.Dst, int(r.QoSRun), r.Bytes, r.RNL)
-			}
-			st.Attr.Complete(s.Now(), r.ID, st.Src, r.Dst, int(r.QoSRun), r.RNL)
-			if st.OnComplete != nil {
-				st.OnComplete(s, r)
-			}
-		},
-	})
+	c := &call{st: st, r: r}
+	c.msg = transport.Message{
+		ID:         r.ID,
+		Dst:        r.Dst,
+		Class:      r.QoSRun,
+		Bytes:      r.Bytes,
+		Deadline:   r.Deadline,
+		OnComplete: callDone,
+		Ctx:        c,
+	}
+	st.ep.Send(s, &c.msg)
+}
+
+// call is the one allocation of an untracked RPC in flight: the message,
+// and behind its Ctx the stack and the RPC its completion belongs to.
+type call struct {
+	msg transport.Message
+	st  *Stack
+	r   *RPC
+}
+
+// callDone is the OnComplete of every untracked RPC.
+func callDone(s *sim.Simulator, m *transport.Message) {
+	c := m.Ctx.(*call)
+	c.st.complete(s, c.r, m.SubmitTime)
+}
+
+// complete records that r finished now, its RNL measured from t0, and
+// tells the admitter, the observers and the application.
+func (st *Stack) complete(s *sim.Simulator, r *RPC, t0 sim.Time) {
+	r.CompleteTime = s.Now()
+	r.RNL = r.CompleteTime - t0
+	st.outstanding[outKey{r.Dst, r.QoSRun}]--
+	st.Stats.Completed++
+	st.admitter.Observe(r.Dst, r.QoSRun, r.RNL, r.SizeMTUs)
+	if st.Trace != nil {
+		st.Trace.Complete(s.Now(), r.ID, st.Src, r.Dst, int(r.QoSRun), r.Bytes, r.RNL)
+	}
+	st.Attr.Complete(s.Now(), r.ID, st.Src, r.Dst, int(r.QoSRun), r.RNL)
+	if st.OnComplete != nil {
+		st.OnComplete(s, r)
+	}
 }

@@ -95,3 +95,41 @@ func BenchmarkSimHold(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSimLanes is the hold model with the delays of a packet run: 256
+// events re-arm themselves at one of the five delays sim-large-rpc
+// schedules 99 % of its events at (an MTU's and a tail packet's
+// serialisation at 100 G, an ack's, propagation, the RTO floor), and 8 more
+// at random gaps of that size, as generators and re-armed RTOs do.
+// BenchmarkSimHold's gaps are all random, so it times the path where no
+// lane is held; this one times the path a simulation takes.
+func BenchmarkSimLanes(b *testing.B) {
+	s := New(1)
+	delays := []Duration{120_000, 99_200, 5_120, 500_000, 100 * Microsecond}
+	fixed := make([]loopEvent, 256)
+	for i := range fixed {
+		fixed[i].gap = delays[i%len(delays)]
+		s.After(Duration(i)*977, &fixed[i])
+	}
+	rng := rand.New(rand.NewSource(42))
+	gaps := make([]Duration, 1<<10)
+	for i := range gaps {
+		gaps[i] = Duration(rng.ExpFloat64() * 150_000)
+	}
+	random := make([]holdEvent, 8)
+	for i := range random {
+		random[i] = holdEvent{gaps: gaps, i: i * 31}
+		s.After(gaps[i], &random[i])
+	}
+	for i := 0; i < 8*len(fixed); i++ {
+		s.Step()
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { s.Step() }); allocs != 0 {
+		b.Fatalf("Step allocates %v per event in steady state, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -216,6 +218,32 @@ var kernelPrograms = []struct {
 	{"cancel-from-run", []byte{0, 4, 0, 4, 6, 8, 6, 3, 0, 4, 6, 20, 5, 4, 3, 2, 5, 15}},
 	{"cancelled-head-past-end", []byte{0, 7, 0, 6, 3, 1, 5, 2, 7, 1, 7, 0, 5, 15}},
 	{"never", []byte{0, 255, 0, 1, 4, 0, 1, 3, 5, 15, 0, 255, 2, 255, 4, 0, 4, 0}},
+	// The lanes: a delay's first event waits in the heap, its second claims
+	// a lane, and the pop order must not show which went where.
+	{"lane-claimed-on-second-sighting", []byte{0, 3, 0, 1, 0, 3, 0, 3, 0, 2, 4, 0, 0, 3, 5, 15}},
+	// At time 2 wait, by seq: heap, lane, lane, heap. The heap top wins the
+	// first tie and the lane head the second.
+	{"lane-head-ties-heap-top", []byte{0, 2, 0, 2, 0, 2, 5, 1, 0, 1, 4, 0, 4, 0, 4, 0, 4, 0}},
+	// Two lanes' heads at time 4, the later-claimed lane's queued first.
+	{"lane-heads-tie", []byte{0, 2, 0, 2, 0, 4, 0, 4, 5, 2, 0, 2, 0, 2, 4, 0, 4, 0, 4, 0, 4, 0}},
+	{"cancel-inside-lane", []byte{0, 5, 0, 5, 0, 5, 0, 5, 3, 2, 7, 2, 5, 15, 3, 3}},
+	// Handles 2 and 3 are alone in a lane at time 10 when 2 is cancelled;
+	// RunUntil(8) must drop it as the queue's head and keep 3.
+	{"cancelled-lane-head-past-end", []byte{0, 7, 0, 7, 5, 3, 0, 7, 0, 7, 0, 1, 4, 0, 4, 0, 4, 0, 3, 2, 5, 1, 7, 2, 7, 3, 5, 15}},
+	// Delay 3's lane drains and delay 5 takes it over; delay 3 then has to
+	// claim another.
+	{"lane-rekeyed-after-draining", []byte{0, 3, 0, 3, 5, 15, 0, 5, 0, 5, 0, 3, 0, 3, 0, 5, 0, 1, 5, 15}},
+	// Delays 0-7 hold the eight lanes, so recurring delays 8 and 9 stay in
+	// the heap, and still fire in order among themselves and the lanes.
+	{"more-delays-than-lanes", []byte{0, 7, 0, 7, 0, 6, 0, 6, 0, 5, 0, 5, 0, 4, 0, 4, 0, 3, 0, 3, 0, 2, 0, 2, 0, 1, 0, 1, 0, 0, 0, 0,
+		2, 0x90, 2, 0x80, 2, 0x90, 2, 0x80, 2, 0x90, 2, 0x80, 0, 7, 0, 1, 5, 8, 2, 0x80, 0, 1, 5, 15}},
+	// A lane's ring doubles while its contents wrap around the end: 30 of
+	// 60 events are gone when 80 more arrive.
+	{"lane-ring-grows-wrapped", slices.Concat(bytes.Repeat([]byte{0, 5}, 60), bytes.Repeat([]byte{4, 0}, 30),
+		bytes.Repeat([]byte{0, 5, 0, 1}, 80), []byte{3, 100, 5, 15})},
+	// Events at MaxTime from different instants have different delays, and
+	// each delay's lane ends at MaxTime like every other.
+	{"never-in-lanes", []byte{0, 255, 0, 255, 0, 255, 5, 5, 0, 255, 0, 255, 0, 1, 0, 1, 4, 0, 3, 1, 4, 0, 4, 0, 4, 0}},
 }
 
 // TestKernelMatchesReference drives the event kernel and the reference
@@ -239,6 +267,38 @@ func TestKernelMatchesReference(t *testing.T) {
 			diverge(t, prog)
 		}
 	})
+}
+
+// TestRecurringDelaysLeaveHeap is the lanes' claim rule seen from inside: of
+// numLanes delays, each one's first event goes to the heap and its second
+// claims a lane, and once those first events have fired the heap stays
+// empty however the delays are interleaved.
+func TestRecurringDelaysLeaveHeap(t *testing.T) {
+	s := New(1)
+	nop := EventFunc(func(*Simulator) {})
+	for d := Duration(1); d <= numLanes; d++ {
+		s.After(d*Microsecond, nop)
+		s.After(d*Microsecond, nop)
+		if heap, all := s.events.live(), s.Pending(); heap != int(d) || all != 2*int(d) {
+			t.Fatalf("after delay %d's second use: %d events in the heap, %d pending; want %d, %d", d, heap, all, d, 2*d)
+		}
+	}
+	s.Run()
+	for round := 0; round < 3; round++ {
+		for d := Duration(numLanes); d >= 1; d-- {
+			s.After(d*Microsecond, nop)
+			s.After((d+Duration(round))%numLanes*Microsecond+Microsecond, nop)
+			if s.events.live() != 0 {
+				t.Fatalf("round %d, delay %d: %d events in the heap, want every one in a lane", round, d, s.events.live())
+			}
+		}
+		for i := 0; i < numLanes; i++ {
+			s.Step()
+		}
+	}
+	if s.Run(); s.Pending() != 0 || s.Processed != 2*numLanes+3*2*numLanes {
+		t.Fatalf("Pending = %d, Processed = %d after draining", s.Pending(), s.Processed)
+	}
 }
 
 // FuzzKernelOrder is the same comparison with the fuzzer choosing the

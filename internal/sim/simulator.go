@@ -148,13 +148,53 @@ func (h *eventHeap) pop() node {
 	return top
 }
 
+// numLanes is how many recurring delays get a FIFO of their own, and
+// numMissed how many recently missed delays are remembered to tell a
+// recurring delay from a one-off.
+const numLanes, numMissed = 8, 4
+
+// lane is a FIFO ring of the events scheduled one fixed delay ahead of the
+// clock. The clock never runs backwards and seq only grows, so successive
+// At(now+delay) calls arrive in (at, seq) order: for one delay the arrival
+// order is the priority order, and the ring's head is its minimum (see the
+// package comment for what a packet run gains by it).
+type lane struct {
+	first node   // copy of the ring's head while n > 0: finding the minimum follows no pointer
+	q     []node // ring; len(q) is zero or a power of two
+	head  uint32 // index of the first node, taken modulo len(q)
+	n     uint32
+}
+
+func (l *lane) at(i uint32) *node { return &l.q[(l.head+i)&uint32(len(l.q)-1)] }
+
+// push appends nd, doubling the ring when it is full.
+func (l *lane) push(nd node) {
+	if int(l.n) == len(l.q) {
+		q := make([]node, max(64, 2*len(l.q)))
+		for i := uint32(0); i < l.n; i++ {
+			q[i] = *l.at(i)
+		}
+		l.q, l.head = q, 0
+	}
+	*l.at(l.n) = nd
+	l.n++
+}
+
 // Simulator is a single-threaded discrete-event simulation. The zero value
 // is not usable; construct one with New.
 type Simulator struct {
 	now    Time
 	seq    uint64
 	events eventHeap
-	rng    *rand.Rand
+	// lanes hold the events of recurring delays beside the heap, bit i of
+	// occupied set while lanes[i] is non-empty. missed is the last delays
+	// that matched no lane: one seen there again takes over an empty lane.
+	lanes    [numLanes]lane
+	delays   [numLanes]Duration // the lanes' keys; -1 until claimed
+	occupied uint32
+	missed   [numMissed]Duration
+	nmissed  uint32
+	rng      *rand.Rand
 	// slots is the event slab and free the indices of its fired and
 	// cancelled entries, bounding steady-state allocation to the peak
 	// number of simultaneously pending events.
@@ -167,7 +207,11 @@ type Simulator struct {
 
 // New returns a Simulator whose random source is seeded with seed.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed)), events: newEventHeap()}
+	s := &Simulator{rng: rand.New(rand.NewSource(seed)), events: newEventHeap()}
+	for i := range s.delays {
+		s.delays[i] = -1
+	}
+	return s
 }
 
 // Now returns the current simulated time.
@@ -192,9 +236,89 @@ func (s *Simulator) At(t Time, ev Event) Handle {
 	}
 	sl := &s.slots[idx]
 	sl.ev, sl.cancelled, sl.queued = ev, false, true
-	s.events.push(node{t, s.seq, idx})
+	s.enqueue(node{t, s.seq, idx})
 	s.seq++
 	return Handle{s, idx, sl.gen}
+}
+
+// enqueue puts nd in the lane of its delay if it has one, else in the heap.
+// Where a node waits changes no order: earliest compares lane heads and the
+// heap top by (at, seq). The tail check holds by construction (see lane);
+// making it keeps a lane sorted whatever the caller does.
+func (s *Simulator) enqueue(nd node) {
+	d := nd.at - s.now
+	i := 0
+	for i < numLanes && s.delays[i] != d {
+		i++
+	}
+	if i == numLanes {
+		free := ^s.occupied & (1<<numLanes - 1)
+		if !s.missedBefore(d) || free == 0 {
+			s.events.push(nd)
+			return
+		}
+		i = bits.TrailingZeros32(free)
+		s.delays[i] = d
+	}
+	l := &s.lanes[i]
+	if l.n == 0 {
+		l.first = nd
+		s.occupied |= 1 << i
+	} else if l.at(l.n-1).at > nd.at {
+		s.events.push(nd)
+		return
+	}
+	l.push(nd)
+}
+
+// missedBefore reports whether d is among the last numMissed delays that
+// found no lane, and remembers it if not.
+func (s *Simulator) missedBefore(d Duration) bool {
+	for _, m := range s.missed[:min(s.nmissed, numMissed)] {
+		if m == d {
+			return true
+		}
+	}
+	s.missed[s.nmissed%numMissed] = d
+	s.nmissed++
+	return false
+}
+
+// earliest returns the next node in (at, seq) order and where it waits: a
+// lane index, or -1 for the heap top. With nothing pending it returns the
+// heap's sentinel, whose at is negative. With no lane occupied it costs one
+// test, so the all-one-off case pays the heap and nothing else.
+func (s *Simulator) earliest() (*node, int) {
+	top := &s.events[0]
+	if s.occupied == 0 {
+		return top, -1
+	}
+	w := bits.TrailingZeros32(s.occupied) & (numLanes - 1)
+	for m := s.occupied & (s.occupied - 1); m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros32(m) & (numLanes - 1); before(&s.lanes[i].first, &s.lanes[w].first) != 0 {
+			w = i
+		}
+	}
+	if before(top, &s.lanes[w].first) != 0 {
+		return top, -1
+	}
+	return &s.lanes[w].first, w
+}
+
+// take removes the node earliest found at from.
+func (s *Simulator) take(from int) node {
+	if from < 0 {
+		return s.events.pop()
+	}
+	l := &s.lanes[from]
+	nd := l.first
+	l.head++
+	if l.n--; l.n == 0 {
+		s.occupied &^= 1 << from
+	} else {
+		l.first = *l.at(0)
+	}
+	return nd
 }
 
 // fire consumes a popped node: it recycles the slot, which invalidates
@@ -238,13 +362,19 @@ func (s *Simulator) AfterFunc(d Duration, f func(*Simulator)) Handle {
 
 // Pending reports the number of events in the queue, including cancelled
 // events that have not yet been discarded.
-func (s *Simulator) Pending() int { return s.events.live() }
+func (s *Simulator) Pending() int {
+	n := s.events.live()
+	for i := range s.lanes {
+		n += int(s.lanes[i].n)
+	}
+	return n
+}
 
 // Step runs the single earliest pending event. It reports false when the
 // queue is empty.
 func (s *Simulator) Step() bool {
-	for s.events.live() > 0 {
-		if s.fire(s.events.pop()) {
+	for head, from := s.earliest(); head.at >= 0; head, from = s.earliest() {
+		if s.fire(s.take(from)) {
 			return true
 		}
 	}
@@ -261,11 +391,11 @@ func (s *Simulator) Run() {
 // to end. Events scheduled after end remain queued, except that a cancelled
 // event at the head of the queue is discarded whatever its timestamp.
 func (s *Simulator) RunUntil(end Time) {
-	for s.events.live() > 0 {
-		if head := s.events[0]; head.at > end && !s.slots[head.slot].cancelled {
+	for head, from := s.earliest(); head.at >= 0; head, from = s.earliest() {
+		if head.at > end && !s.slots[head.slot].cancelled {
 			break
 		}
-		s.fire(s.events.pop())
+		s.fire(s.take(from))
 	}
 	if s.now < end {
 		s.now = end

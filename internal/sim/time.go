@@ -12,10 +12,31 @@
 //
 //   - Events live in a slab of slots indexed by uint32 and recycled through
 //     a free list of indices; a Handle is (simulator, index, generation).
-//     The queue proper is a 4-ary min-heap of pointer-free 24-byte nodes
-//     {at, seq, slot}, so a sift moves values inside one array the garbage
-//     collector does not scan and writes nothing outside it, and the few
-//     hundred events a cluster run has pending are four levels deep.
+//     What is queued is a pointer-free 24-byte node {at, seq, slot}, in
+//     arrays the garbage collector does not scan.
+//   - Regular traffic never enters a heap. The clock never runs backwards
+//     and seq only grows, so the events scheduled one fixed delay ahead of
+//     the clock are already in (at, seq) order when they arrive: for one
+//     delay a FIFO is a priority queue, its head the minimum and a push an
+//     append. A packet run schedules 89-99 % of its events at a handful of
+//     delays (an MTU's, a tail packet's and an ack's serialisation,
+//     propagation, the RTO floor, the RPC time-out and back-off), so the
+//     kernel keeps numLanes FIFO rings, each keyed by one delay. A delay
+//     claims a lane by recurring: one that matches no lane is remembered
+//     among the last numMissed that did not, and when it is seen there
+//     again it takes over an empty lane. An occupied lane is never
+//     re-keyed, and a one-off delay (a generator gap, a re-armed RTO) is
+//     not seen twice and never holds one. The next event is the minimum by
+//     (at, seq) over the heap top and the heads of the occupied lanes,
+//     found through one occupancy word; with no lane occupied that is one
+//     test and the heap's own pop.
+//   - The heap holds what is left: one-off delays, fault plans, recurring
+//     delays beyond numLanes. It is a 4-ary min-heap of the same nodes, so
+//     a sift moves values inside one array and writes nothing outside it;
+//     with the lanes beside it a cluster run's heap is 70-120 entries, three
+//     levels deep or just into a fourth, where it was a few hundred (and
+//     12 500 with a retry policy's dead time-out timers, which now wait in
+//     one ring).
 //   - Removing the minimum is bottom-up: the hole left by the root walks to
 //     a leaf along the smallest children, and the displaced last node rises
 //     from there, nearly always zero or one steps. The walk's length
@@ -29,10 +50,11 @@
 //     negative: the clock starts at 0 and At rejects times before Now.
 //
 // None of this is visible in a simulation's results. seq is unique, so
-// (at, seq) is a total order and every correct priority queue pops the same
-// sequence; TestKernelMatchesReference and FuzzKernelOrder check the kernel
-// against a sort-based reference, and the golden-output tests of the root
-// package pin the results byte for byte.
+// (at, seq) is a total order, every correct priority queue pops the same
+// sequence, and where a node waits changes no comparison;
+// TestKernelMatchesReference and FuzzKernelOrder check the kernel against a
+// sort-based reference, and the golden-output tests of the root package pin
+// the results byte for byte.
 package sim
 
 import (

@@ -24,6 +24,10 @@ type Message struct {
 	// before completion (the peer crashed); the message will never
 	// complete. At most one of OnComplete/OnFail fires.
 	OnFail func(s *sim.Simulator, m *Message)
+	// Ctx is the sender's own record of the message, which the transport
+	// never reads: it lets OnComplete and OnFail be plain functions that
+	// find their state through m instead of closures allocated per message.
+	Ctx any
 
 	// SubmitTime is when the message was handed to the transport: the t0
 	// of the RPC network latency definition (Appendix A).
@@ -254,14 +258,22 @@ func (e *Endpoint) ForEachConn(f func(peer int, class qos.Class, cwndPkts float6
 }
 
 // MetricsSampler returns an obs.Sampler reporting cwnd (packets) and
-// smoothed RTT (µs) for every live connection of this endpoint.
+// smoothed RTT (µs) for every live connection of this endpoint. A stream's
+// two metric names are built the first time it is reported and kept, so a
+// tick with no new stream allocates nothing.
 func (e *Endpoint) MetricsSampler() obs.Sampler {
-	host := e.host.ID
+	type names struct{ cwnd, srtt string }
+	cache := make(table[names], len(e.conns))
 	return func(now sim.Time, emit func(string, float64)) {
 		e.ForEachConn(func(peer int, class qos.Class, cwnd float64, srtt sim.Duration) {
-			key := fmt.Sprintf("h%d.d%d.q%d", host, peer, int(class))
-			emit("cwnd."+key, cwnd)
-			emit("srtt_us."+key, srtt.Micros())
+			nm := cache.get(peer, class)
+			if nm == nil {
+				key := fmt.Sprintf("h%d.d%d.q%d", e.host.ID, peer, int(class))
+				nm = &names{"cwnd." + key, "srtt_us." + key}
+				cache.set(peer, class, nm)
+			}
+			emit(nm.cwnd, cwnd)
+			emit(nm.srtt, srtt.Micros())
 		})
 	}
 }

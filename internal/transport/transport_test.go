@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -361,5 +362,39 @@ func TestTransportConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMetricsSamplerSteadyState: a stream's two names are built the first
+// time it is reported; a tick that finds no new stream emits the same
+// strings and allocates nothing, and a stream opened later adds its own.
+func TestMetricsSamplerSteadyState(t *testing.T) {
+	net := testNet(t, 3)
+	eps := endpoints(t, net, swiftCfg())
+	s := sim.New(1)
+	eps[0].Send(s, &Message{ID: 1, Dst: 1, Class: qos.High, Bytes: 64 << 10})
+	eps[0].Send(s, &Message{ID: 2, Dst: 2, Class: qos.Low, Bytes: 64 << 10})
+	sample := eps[0].MetricsSampler()
+	var first []string
+	sample(0, func(name string, _ float64) { first = append(first, name) })
+	want := []string{"cwnd.h0.d1.q0", "srtt_us.h0.d1.q0", "cwnd.h0.d2.q2", "srtt_us.h0.d2.q2"}
+	if !slices.Equal(first, want) {
+		t.Fatalf("first tick emitted %v, want %v", first, want)
+	}
+	i := 0
+	check := func(name string, _ float64) {
+		if name != first[i%len(first)] {
+			t.Errorf("emission %d is %q, the first tick's was %q", i, name, first[i%len(first)])
+		}
+		i++
+	}
+	if allocs := testing.AllocsPerRun(10, func() { sample(0, check) }); allocs != 0 || i != 11*len(first) {
+		t.Errorf("%v allocations per tick after the first, %d emissions; want 0, %d", allocs, i, 11*len(first))
+	}
+	eps[0].Send(s, &Message{ID: 3, Dst: 1, Class: qos.Medium, Bytes: 64 << 10})
+	var later []string
+	sample(0, func(name string, _ float64) { later = append(later, name) })
+	if want := slices.Insert(want, 2, "cwnd.h0.d1.q1", "srtt_us.h0.d1.q1"); !slices.Equal(later, want) {
+		t.Errorf("with a third stream the tick emitted %v, want %v", later, want)
 	}
 }

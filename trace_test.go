@@ -3,10 +3,15 @@ package aequitas
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"aequitas/internal/qos"
+	"aequitas/internal/rpc"
+	"aequitas/internal/sim"
 )
 
 func TestTraceWriter(t *testing.T) {
@@ -102,5 +107,45 @@ func TestCSVTraceHeaderOnce(t *testing.T) {
 	}
 	if n := strings.Count(buf.String(), traceCSVHeader); n != 1 {
 		t.Errorf("header appears %d times, want 1", n)
+	}
+}
+
+// traceRowFormat is the Fprintf call collector.trace made for every row
+// before it appended the fields with strconv; the bytes must be the same.
+const traceRowFormat = "%.9f,%d,%d,%s,%s,%s,%t,%s,%.4f,%d,%.3f\n"
+
+// TestTraceRowBytes holds the appended trace row to the old format string
+// over every priority, class and verdict a completed RPC can have and the
+// values a fixed-precision float can get wrong (zero, below a microsecond,
+// rounding up into the next digit, nine significant digits of seconds, an
+// id outside the named classes), and to zero allocations per row.
+func TestTraceRowBytes(t *testing.T) {
+	var buf bytes.Buffer
+	c := newCollector(&SimConfig{TraceWriter: &buf, Duration: 24 * time.Hour, QoSWeights: []float64{8, 4, 1}})
+	c.traceHeader = true // rows only
+	s := sim.New(1)
+	rows := []rpc.RPC{
+		{Dst: 1, Priority: qos.PC, QoSRequested: qos.High, QoSRun: qos.High, PAdmit: 1, Bytes: 32 << 10, CompleteTime: 123_456_789_000, RNL: 25 * sim.Microsecond},
+		{Dst: 7, Priority: qos.PC, QoSRequested: qos.High, QoSRun: qos.Low, Downgraded: true, PAdmit: 0.01, Bytes: 1, CompleteTime: 1, RNL: 0},
+		{Dst: 0, Priority: qos.NC, QoSRequested: qos.Medium, QoSRun: qos.Medium, PAdmit: 0.99995, Bytes: 1436, CompleteTime: 999_999_999_500, RNL: 250},
+		{Dst: 31, Priority: qos.NC, QoSRequested: qos.Medium, QoSRun: qos.Low, Downgraded: true, PAdmit: 0.12345, Bytes: 16 << 20, CompleteTime: 3 * sim.Time(sim.Second), RNL: 999_500},
+		{Dst: 2, Priority: qos.BE, QoSRequested: qos.Low, QoSRun: qos.Low, PAdmit: 1, Bytes: 4096, CompleteTime: 86_399_123_456_789_012, RNL: 8 * sim.Millisecond},
+		{Dst: 2, Priority: qos.Priority(5), QoSRequested: qos.Class(5), QoSRun: qos.Class(4), PAdmit: 0.5, Bytes: 4096, CompleteTime: 12_345, RNL: 1_234_567},
+	}
+	for src, r := range rows {
+		buf.Reset()
+		c.trace(s, src, &r)
+		want := fmt.Sprintf(traceRowFormat, r.CompleteTime.Seconds(), src, r.Dst, r.Priority, r.QoSRequested,
+			r.QoSRun, r.Downgraded, rpc.Decision{Downgraded: r.Downgraded}.Verdict(), r.PAdmit, r.Bytes, r.RNL.Micros())
+		if buf.String() != want {
+			t.Errorf("row %d is %q, Fprintf wrote %q", src, buf.String(), want)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		buf.Reset()
+		c.trace(s, 3, &rows[3])
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per trace row, want 0", allocs)
 	}
 }
