@@ -61,6 +61,7 @@ import (
 
 	"aequitas"
 	"aequitas/internal/core"
+	"aequitas/internal/faults"
 	"aequitas/internal/obs/flight"
 	"aequitas/internal/qos"
 	"aequitas/serve"
@@ -117,7 +118,7 @@ func main() {
 	flag.Float64Var(&o.quotaRate, "quota-rate", 0, "server: guaranteed tenant rate in bytes/s on the highest class (0 disables quotas)")
 	flag.DurationVar(&o.quotaTTL, "quota-ttl", 100*time.Millisecond, "server: quota lease TTL (0 refreshes every check)")
 	flag.StringVar(&o.quotaPolicy, "quota-policy", "fail-open", "server: stale-lease policy: fail-open | fail-closed")
-	flag.StringVar(&o.chaosSpec, "chaos", "", "server: chaos plan — a preset ("+strings.Join(chaos.PresetNames(), "|")+") or @file with one '<offset> <event> [arg]' per line")
+	flag.StringVar(&o.chaosSpec, "chaos", "", "server: chaos plan — a preset ("+strings.Join(faults.PresetNames(true), "|")+") or @file in the fault-plan grammar (README \"Fault plans\"; serving kinds only)")
 	flag.DurationVar(&o.chaosLen, "chaos-duration", time.Minute, "server: run length chaos presets are scaled to")
 	flag.Parse()
 	switch *mode {
@@ -132,7 +133,7 @@ func main() {
 }
 
 // chaosPlan resolves -chaos: a preset name or "@path" to a plan file.
-func chaosPlan(spec string, length time.Duration) (*chaos.Plan, error) {
+func chaosPlan(spec string, length time.Duration) (*faults.Plan, error) {
 	if spec == "" {
 		return nil, nil
 	}
@@ -142,9 +143,9 @@ func chaosPlan(spec string, length time.Duration) (*chaos.Plan, error) {
 			return nil, err
 		}
 		defer f.Close()
-		return chaos.ParsePlan(f)
+		return faults.ParsePlan(f)
 	}
-	return chaos.Preset(spec, length)
+	return faults.Preset(spec, length)
 }
 
 func runServer(o serverOpts) {
@@ -160,9 +161,10 @@ func runServer(o serverOpts) {
 
 	// Optional quota plane: one tenant granted a rate on the highest
 	// class, consumed through TTL leases so outages are survivable.
-	var quotaSrv *core.QuotaServer
+	var quotaPlane chaos.QuotaPlane // stays nil without -quota-rate
 	if o.quotaRate > 0 {
-		quotaSrv = core.NewQuotaServer(map[qos.Class]float64{qos.High: o.quotaRate})
+		quotaSrv := core.NewQuotaServer(map[qos.Class]float64{qos.High: o.quotaRate})
+		quotaPlane = quotaSrv
 		if err := quotaSrv.Grant("demo", qos.High, o.quotaRate); err != nil {
 			log.Fatal(err)
 		}
@@ -211,19 +213,15 @@ func runServer(o serverOpts) {
 	// Optional chaos plan, pumped on the wall clock for the lifetime of
 	// the server.
 	plan, err := chaosPlan(o.chaosSpec, o.chaosLen)
+	var inj *chaos.Injector
+	if err == nil && !plan.Empty() {
+		inj, err = chaos.NewInjector(plan, quotaPlane)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	var inj *chaos.Injector
-	if !plan.Empty() {
-		var plane chaos.QuotaPlane
-		if quotaSrv != nil {
-			plane = quotaSrv
-		}
-		inj = chaos.NewInjector(plan, plane)
-		for _, w := range plan.Windows() {
-			log.Printf("chaos: %v window %v - %v", w.Kind, w.Start, w.End)
-		}
+	for _, w := range plan.Windows() {
+		log.Printf("chaos: %v window %v - %v", w.Kind, w.Start.Std(), w.End.Std())
 	}
 
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -70,7 +70,7 @@ func main() {
 		audit    = flag.Bool("audit", false, "audit observed queueing against the per-class theory bounds")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		faultS   = flag.String("faults", "", "fault plan: preset ("+strings.Join(aequitas.FaultPresetNames(), "|")+") or plan file path")
+		faultS   = flag.String("faults", "", "fault plan: preset ("+strings.Join(aequitas.FaultPresetNames(), "|")+") or a file in the fault-plan grammar (README \"Fault plans\"; link and host kinds only)")
 		rTimeout = flag.Duration("rpc-timeout", 0, "per-attempt RPC timeout (0 = no timeouts/retries)")
 		rRetries = flag.Int("rpc-retries", 3, "retry budget per RPC once -rpc-timeout is set")
 		rHedge   = flag.Duration("rpc-hedge-after", 0, "issue a hedged duplicate on the scavenger class after this delay (0 = off)")

@@ -459,8 +459,9 @@ func (c *collector) degradation(res *Results) {
 		res.Faults = append(res.Faults, FaultRecord{
 			TimeS:  m.at.Seconds(),
 			Event:  m.e.Kind.String(),
-			Target: m.e.Target(),
+			Target: m.e.Target,
 			Rate:   m.e.Rate,
+			onset:  m.e.Onset(),
 		})
 	}
 	endS := c.end.Seconds()

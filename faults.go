@@ -13,7 +13,8 @@ import (
 
 // FaultPlan is a deterministic, seeded schedule of fault events injected
 // into a run via SimConfig.Faults: link down/up, per-link random packet
-// loss, and host crash/restart. See the faults package for semantics.
+// loss, and host crash/restart. See the faults package for semantics and
+// the plan grammar.
 type FaultPlan = faults.Plan
 
 // FaultEvent is one scheduled fault.
@@ -26,17 +27,17 @@ type FaultWindow = faults.Window
 // is an egress link name ("up-2", "down-0") or HostLinkTarget(n) for
 // both access links of host n.
 func LinkDownAt(at time.Duration, link string) FaultEvent {
-	return FaultEvent{At: sim.Duration(sim.FromStd(at)), Kind: faults.LinkDown, Link: link}
+	return FaultEvent{At: sim.FromStd(at), Kind: faults.LinkDown, Target: link}
 }
 
 func LinkUpAt(at time.Duration, link string) FaultEvent {
-	return FaultEvent{At: sim.Duration(sim.FromStd(at)), Kind: faults.LinkUp, Link: link}
+	return FaultEvent{At: sim.FromStd(at), Kind: faults.LinkUp, Target: link}
 }
 
 // LinkLossAt sets an independent per-packet random loss probability on a
 // link; rate 0 clears it.
 func LinkLossAt(at time.Duration, link string, rate float64) FaultEvent {
-	return FaultEvent{At: sim.Duration(sim.FromStd(at)), Kind: faults.LinkLoss, Link: link, Rate: rate}
+	return FaultEvent{At: sim.FromStd(at), Kind: faults.LinkLoss, Target: link, Rate: rate}
 }
 
 // HostCrashAt / HostRestartAt schedule a host failure and its recovery:
@@ -44,18 +45,19 @@ func LinkLossAt(at time.Duration, link string, rate float64) FaultEvent {
 // and outstanding-RPC accounting clear, and peers tear down connections
 // toward the host.
 func HostCrashAt(at time.Duration, host int) FaultEvent {
-	return FaultEvent{At: sim.Duration(sim.FromStd(at)), Kind: faults.HostCrash, Host: host}
+	return FaultEvent{At: sim.FromStd(at), Kind: faults.HostCrash, Target: faults.HostTarget(host)}
 }
 
 func HostRestartAt(at time.Duration, host int) FaultEvent {
-	return FaultEvent{At: sim.Duration(sim.FromStd(at)), Kind: faults.HostRestart, Host: host}
+	return FaultEvent{At: sim.FromStd(at), Kind: faults.HostRestart, Target: faults.HostTarget(host)}
 }
 
 // HostLinkTarget names both access links (uplink and last-hop downlink)
 // of host n as a fault target.
-func HostLinkTarget(n int) string { return faults.Event{Kind: faults.HostCrash, Host: n}.Target() }
+func HostLinkTarget(n int) string { return faults.HostTarget(n) }
 
-// ParseFaultPlan reads a plan file; see faults.ParsePlan for the format.
+// ParseFaultPlan reads a plan file; see the faults package for the
+// grammar.
 func ParseFaultPlan(r io.Reader) (*FaultPlan, error) { return faults.ParsePlan(r) }
 
 // FaultPreset builds a named canonical plan ("flap", "crash",
@@ -64,8 +66,8 @@ func FaultPreset(name string, duration time.Duration) (*FaultPlan, error) {
 	return faults.Preset(name, duration)
 }
 
-// FaultPresetNames lists the built-in presets.
-func FaultPresetNames() []string { return faults.PresetNames() }
+// FaultPresetNames lists the built-in presets the simulator applies.
+func FaultPresetNames() []string { return faults.PresetNames(false) }
 
 // RetryParams configures client-side RPC robustness: per-attempt
 // timeouts with capped exponential backoff and deterministic jitter, a

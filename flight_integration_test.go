@@ -2,6 +2,7 @@ package aequitas
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -109,5 +110,50 @@ func TestFlightDeterministicUnderParallel(t *testing.T) {
 				t.Errorf("config %d: flight dump differs between 1 and %d workers", i, workers)
 			}
 		}
+	}
+}
+
+// TestFlightDumpsOnOnsetsOnly: the flight ring is dumped on fault onsets,
+// not on repairs. A loss plan is one onset (the non-zero rate) and one
+// repair (rate 0) of the same kind, so the stream holds exactly one
+// fault-trigger dump, at the time of the one record whose Onset() is true.
+func TestFlightDumpsOnOnsetsOnly(t *testing.T) {
+	plan, err := FaultPreset("loss", 5*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	cfg := faultTestConfig(7, plan)
+	cfg.Obs.FlightNDJSON = &buf
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := flight.ValidateDump(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("flight dump invalid: %v", err)
+	}
+	if len(res.Faults) != 2 {
+		t.Fatalf("got %d fault records, want the loss and its repair", len(res.Faults))
+	}
+	var wantDumps []string
+	for i, f := range res.Faults {
+		if f.Onset() != plan.Events[i].Onset() {
+			t.Errorf("record %d (%s rate %g): Onset() = %v, the applied event said %v",
+				i, f.Event, f.Rate, f.Onset(), plan.Events[i].Onset())
+		}
+		if f.Onset() {
+			wantDumps = append(wantDumps, fmt.Sprintf(`"trigger":"fault","detail":"%s %s","label":"aequitas","ts_us":%.3f,`,
+				f.Event, f.Target, f.TimeS*1e6))
+		}
+	}
+	if len(wantDumps) != 1 {
+		t.Fatalf("%d onset records, want 1", len(wantDumps))
+	}
+	out := buf.String()
+	if n := strings.Count(out, `"trigger":"fault"`); n != 1 {
+		t.Errorf("%d fault-trigger dumps, want 1 (a repair is not an onset)", n)
+	}
+	if !strings.Contains(out, wantDumps[0]) {
+		t.Errorf("no dump header %s", wantDumps[0])
 	}
 }

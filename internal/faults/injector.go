@@ -22,14 +22,14 @@ type HostControl interface {
 	Restart(s *sim.Simulator)
 }
 
-// Injector schedules a Plan onto a simulator. Targets are bound by name
-// before Schedule; unknown targets fail fast rather than silently
-// injecting nothing.
+// Injector is the simulator's binder: it schedules a Plan of link and
+// host kinds onto a simulator. Targets are bound by name before Schedule;
+// unknown targets fail fast rather than silently injecting nothing.
 type Injector struct {
 	plan  *Plan
 	rng   *rand.Rand
 	links map[string][]LinkControl
-	hosts map[int]HostControl
+	hosts map[string]HostControl
 
 	// OnEvent, when set, observes every applied event (trace emission,
 	// degradation accounting).
@@ -48,7 +48,7 @@ func NewInjector(plan *Plan, runSeed int64) *Injector {
 		plan:  plan,
 		rng:   rand.New(rand.NewSource(seed)),
 		links: make(map[string][]LinkControl),
-		hosts: make(map[int]HostControl),
+		hosts: make(map[string]HostControl),
 	}
 }
 
@@ -59,30 +59,29 @@ func (in *Injector) BindLink(name string, ls ...LinkControl) {
 }
 
 // BindHost registers the control for host id.
-func (in *Injector) BindHost(id int, h HostControl) { in.hosts[id] = h }
+func (in *Injector) BindHost(id int, h HostControl) { in.hosts[HostTarget(id)] = h }
 
-// Schedule validates every event's target and schedules the plan on s.
-// Events at the same instant fire in plan order (the simulator breaks
-// timestamp ties by scheduling order).
+// Schedule validates the plan, refuses one holding a serving kind, checks
+// every event's target and only then schedules the plan on s. Events at
+// the same instant fire in plan order (the simulator breaks timestamp
+// ties by scheduling order).
 func (in *Injector) Schedule(s *sim.Simulator) error {
-	if in.plan.Empty() {
-		return nil
-	}
 	if err := in.plan.Validate(); err != nil {
 		return err
 	}
-	evs := in.plan.sorted()
+	evs := in.plan.Sorted()
 	for _, e := range evs {
-		if e.Kind.IsLink() {
-			if len(in.links[e.Link]) == 0 {
-				return fmt.Errorf("faults: no link named %q", e.Link)
+		if e.Kind.Serving() {
+			return fmt.Errorf("faults: the simulator cannot apply %s, a fault of the live server (serve/chaos)", e.Kind)
+		} else if e.Kind.isLink() {
+			if len(in.links[e.Target]) == 0 {
+				return fmt.Errorf("faults: no link named %q", e.Target)
 			}
-		} else if in.hosts[e.Host] == nil {
-			return fmt.Errorf("faults: no host %d", e.Host)
+		} else if in.hosts[e.Target] == nil {
+			return fmt.Errorf("faults: no host %q", e.Target)
 		}
 	}
 	for _, e := range evs {
-		e := e
 		s.AtFunc(sim.Time(e.At), func(s *sim.Simulator) { in.apply(s, e) })
 	}
 	return nil
@@ -90,22 +89,18 @@ func (in *Injector) Schedule(s *sim.Simulator) error {
 
 func (in *Injector) apply(s *sim.Simulator, e Event) {
 	switch e.Kind {
-	case LinkDown:
-		for _, l := range in.links[e.Link] {
-			l.SetDown(s, true)
-		}
-	case LinkUp:
-		for _, l := range in.links[e.Link] {
-			l.SetDown(s, false)
+	case LinkDown, LinkUp:
+		for _, l := range in.links[e.Target] {
+			l.SetDown(s, e.Kind == LinkDown)
 		}
 	case LinkLoss:
-		for _, l := range in.links[e.Link] {
+		for _, l := range in.links[e.Target] {
 			l.SetLoss(e.Rate, in.rng)
 		}
 	case HostCrash:
-		in.hosts[e.Host].Crash(s)
+		in.hosts[e.Target].Crash(s)
 	case HostRestart:
-		in.hosts[e.Host].Restart(s)
+		in.hosts[e.Target].Restart(s)
 	}
 	if in.OnEvent != nil {
 		in.OnEvent(s, e)

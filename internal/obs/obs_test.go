@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"aequitas/internal/faults"
 	"aequitas/internal/obs/flight"
 	"aequitas/internal/sim"
 )
@@ -19,8 +20,8 @@ func fill(t *Tracer) {
 	t.Hop(3*sim.Microsecond, 1, "h0-up", 0, 1500, sim.Microsecond, 3000)
 	t.Drop(4*sim.Microsecond, 2, "sw-down3", 2, 1500)
 	t.Complete(5*sim.Microsecond, 1, 0, 3, 0, 4096, 5*sim.Microsecond)
-	t.Fault(6*sim.Microsecond, FaultLinkDown, "h0-up", 0)
-	t.Fault(7*sim.Microsecond, FaultLoss, "h0-up", 0.01)
+	t.Fault(6*sim.Microsecond, faults.LinkDown, "h0-up", 0)
+	t.Fault(7*sim.Microsecond, faults.LinkLoss, "h0-up", 0.01)
 }
 
 func TestNDJSONRoundTrip(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"strconv"
 
+	"aequitas/internal/faults"
 	"aequitas/internal/obs/flight"
 	"aequitas/internal/sim"
 )
@@ -47,36 +48,6 @@ func (k Kind) String() string {
 	}
 }
 
-// FaultKind names the injected fault a KindFault event records. It
-// mirrors the faults package's event kinds without importing it (obs is
-// below faults in the dependency order).
-type FaultKind uint8
-
-const (
-	FaultLinkDown FaultKind = iota
-	FaultLinkUp
-	FaultLoss
-	FaultCrash
-	FaultRestart
-)
-
-func (f FaultKind) String() string {
-	switch f {
-	case FaultLinkDown:
-		return "linkdown"
-	case FaultLinkUp:
-		return "linkup"
-	case FaultLoss:
-		return "loss"
-	case FaultCrash:
-		return "crash"
-	case FaultRestart:
-		return "restart"
-	default:
-		return fmt.Sprintf("FaultKind(%d)", uint8(f))
-	}
-}
-
 // Event is one recorded lifecycle event. A single struct covers every
 // kind so the tracer's buffer is a flat slice of values: recording an
 // event is an append, never a heap allocation per event.
@@ -95,8 +66,8 @@ type Event struct {
 	Val float64
 	// QBytes is the egress queue occupancy after a hop's dequeue.
 	QBytes int64
-	// Fault is the injected fault name for KindFault events.
-	Fault FaultKind
+	// Fault is the injected fault kind of a KindFault event.
+	Fault faults.Kind
 	// Link names the egress port for hop and drop events. Link names are
 	// interned at topology construction, so storing one here copies a
 	// string header, not the bytes.
@@ -191,7 +162,7 @@ func (t *Tracer) Complete(now sim.Time, rpc uint64, src, dst, class int, bytes i
 // down/up, a loss rate changing (rate in Val), or a host crash/restart.
 // target is the link name or "host:N"; it reuses the interned-string
 // Link slot.
-func (t *Tracer) Fault(now sim.Time, f FaultKind, target string, rate float64) {
+func (t *Tracer) Fault(now sim.Time, f faults.Kind, target string, rate float64) {
 	if t == nil {
 		return
 	}
@@ -381,9 +352,7 @@ func ValidateNDJSON(r io.Reader) (int, error) {
 			if r := m["rate"].(float64); r < 0 || r > 1 {
 				return n, fmt.Errorf("obs: line %d: field \"rate\" %v out of [0, 1]", lineNo, m["rate"])
 			}
-			switch m["event"].(string) {
-			case "linkdown", "linkup", "loss", "crash", "restart":
-			default:
+			if k, ok := faults.KindNamed(m["event"].(string)); !ok || k.Serving() {
 				return n, fmt.Errorf("obs: line %d: field \"event\": unknown fault %q", lineNo, m["event"])
 			}
 		}

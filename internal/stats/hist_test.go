@@ -93,8 +93,8 @@ func TestHistSampleQuantileError(t *testing.T) {
 		if hs.N() != exact.N() || hs.Sum() != exact.Sum() || hs.Mean() != exact.Mean() {
 			t.Errorf("%s: N/Sum/Mean not exact", name)
 		}
-		if hs.Retained() != 0 {
-			t.Errorf("%s: hist-backed sample retained %d values", name, hs.Retained())
+		if hs.Values() != nil {
+			t.Errorf("%s: hist-backed sample retained %d values", name, len(hs.Values()))
 		}
 		if e := relErr(hs.StdDev(), exact.StdDev()); e > 1e-9 {
 			t.Errorf("%s: StdDev %v vs exact %v", name, hs.StdDev(), exact.StdDev())

@@ -4,30 +4,26 @@
 //
 // Simulation experiments collect up to a few million scalar samples, so the
 // default Sample keeps every observation and computes exact order
-// statistics; a bounded reservoir variant is available for very long runs.
+// statistics; a histogram-backed variant bounds memory on very long runs.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
 // Sample accumulates float64 observations and computes exact quantiles.
 // The zero value is ready to use and retains every observation. A sample
-// built with NewBoundedSample instead keeps a uniform reservoir of fixed
-// size, so memory stays bounded on arbitrarily long streams: Sum, Mean and
-// N remain exact over the whole stream while order statistics (quantiles,
-// CDF, StdDev) are computed from the reservoir.
+// built with NewHistSample instead keeps a fixed-size histogram, so
+// memory stays bounded on arbitrarily long streams: Sum, Mean and N
+// remain exact over the whole stream while order statistics (quantiles,
+// CDF, StdDev) carry the histogram's bounded error.
 type Sample struct {
 	xs     []float64
 	sorted bool
 	sum    float64
 	seen   int64
-	// limit > 0 switches Add to reservoir replacement once len(xs) == limit.
-	limit int
-	rng   *rand.Rand
 	// hist, when set, replaces retained observations entirely: order
 	// statistics come from the log-linear histogram (bounded error at any
 	// stream length) while Sum/Mean/N/Min/Max stay exact.
@@ -45,20 +41,9 @@ func NewHistSample() *Sample {
 	return &Sample{hist: NewHist()}
 }
 
-// Hist returns the histogram backing this sample, or nil for exact and
-// reservoir samples.
+// Hist returns the histogram backing this sample, or nil for an exact
+// sample.
 func (s *Sample) Hist() *Hist { return s.hist }
-
-// NewBoundedSample returns a Sample that retains at most limit observations
-// via uniform reservoir sampling (Vitter's Algorithm R) seeded with seed.
-// Identical insertion sequences yield identical reservoirs, preserving
-// run-to-run determinism.
-func NewBoundedSample(limit int, seed int64) *Sample {
-	if limit <= 0 {
-		panic("stats: bounded sample limit must be positive")
-	}
-	return &Sample{limit: limit, rng: rand.New(rand.NewSource(seed))}
-}
 
 // Add records one observation.
 func (s *Sample) Add(x float64) {
@@ -68,32 +53,12 @@ func (s *Sample) Add(x float64) {
 		s.hist.Record(x)
 		return
 	}
-	if s.limit > 0 && len(s.xs) >= s.limit {
-		if j := s.rng.Int63n(s.seen); j < int64(s.limit) {
-			s.xs[j] = x
-			s.sorted = false
-		}
-		return
-	}
 	s.xs = append(s.xs, x)
 	s.sorted = false
 }
 
-// AddAll records every observation in xs.
-func (s *Sample) AddAll(xs []float64) {
-	for _, x := range xs {
-		s.Add(x)
-	}
-}
-
-// N reports the number of observations offered, including any a bounded
-// sample has since evicted from its reservoir.
+// N reports the number of observations offered.
 func (s *Sample) N() int { return int(s.seen) }
-
-// Retained reports the number of observations currently held (equal to N
-// unless the sample is bounded; zero for histogram-backed samples, which
-// hold only bucket counts).
-func (s *Sample) Retained() int { return len(s.xs) }
 
 // Sum reports the sum of all observations.
 func (s *Sample) Sum() float64 { return s.sum }
@@ -188,21 +153,6 @@ func (s *Sample) CountAbove(x float64) int {
 	return len(s.xs) - sort.SearchFloat64s(s.xs, math.Nextafter(x, math.Inf(1)))
 }
 
-// FractionWithin reports the fraction of observations ≤ x (an empirical
-// CDF evaluation), or NaN if empty.
-func (s *Sample) FractionWithin(x float64) float64 {
-	if s.hist != nil {
-		if s.hist.N() == 0 {
-			return math.NaN()
-		}
-		return 1 - float64(s.hist.CountAbove(x))/float64(s.hist.N())
-	}
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	return 1 - float64(s.CountAbove(x))/float64(len(s.xs))
-}
-
 // CDF returns (value, cumulative-fraction) points suitable for plotting,
 // thinned to at most maxPoints.
 func (s *Sample) CDF(maxPoints int) []Point {
@@ -230,46 +180,6 @@ func (s *Sample) CDF(maxPoints int) []Point {
 
 // Point is a generic (x, y) pair used for plot-like outputs.
 type Point struct{ X, Y float64 }
-
-// Reservoir is a fixed-size uniform random sample of a stream
-// (Vitter's Algorithm R), for experiments too long to keep every value.
-type Reservoir struct {
-	cap  int
-	seen int64
-	xs   []float64
-	rng  *rand.Rand
-}
-
-// NewReservoir returns a reservoir holding at most capacity observations,
-// sampled uniformly from the stream using the given seed.
-func NewReservoir(capacity int, seed int64) *Reservoir {
-	if capacity <= 0 {
-		panic("stats: reservoir capacity must be positive")
-	}
-	return &Reservoir{cap: capacity, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Add offers one observation to the reservoir.
-func (r *Reservoir) Add(x float64) {
-	r.seen++
-	if len(r.xs) < r.cap {
-		r.xs = append(r.xs, x)
-		return
-	}
-	if j := r.rng.Int63n(r.seen); j < int64(r.cap) {
-		r.xs[j] = x
-	}
-}
-
-// Seen reports how many observations were offered.
-func (r *Reservoir) Seen() int64 { return r.seen }
-
-// Sample returns the retained observations as a Sample.
-func (r *Reservoir) Sample() *Sample {
-	s := &Sample{}
-	s.AddAll(r.xs)
-	return s
-}
 
 // Summary is a compact set of descriptive statistics.
 type Summary struct {

@@ -9,12 +9,23 @@ import (
 	"testing/quick"
 )
 
+// sampleOf returns an exact sample holding xs.
+func sampleOf(xs ...float64) *Sample {
+	s := &Sample{}
+	for _, x := range xs {
+		s.Add(x)
+	}
+	return s
+}
+
 func TestSampleBasics(t *testing.T) {
 	var s Sample
 	if !math.IsNaN(s.Mean()) || !math.IsNaN(s.Quantile(0.5)) {
 		t.Fatal("empty sample should produce NaN")
 	}
-	s.AddAll([]float64{3, 1, 2})
+	for _, x := range []float64{3, 1, 2} {
+		s.Add(x)
+	}
 	if s.N() != 3 {
 		t.Errorf("N = %d", s.N())
 	}
@@ -61,24 +72,23 @@ func TestQuantileInterleavedAdd(t *testing.T) {
 }
 
 func TestStdDev(t *testing.T) {
-	var s Sample
-	s.AddAll([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	s := sampleOf(2, 4, 4, 4, 5, 5, 7, 9)
 	if got := s.StdDev(); math.Abs(got-2) > 1e-12 {
 		t.Errorf("StdDev = %v, want 2", got)
 	}
 }
 
 func TestCountAboveAndFractionWithin(t *testing.T) {
-	var s Sample
-	s.AddAll([]float64{1, 2, 2, 3, 10})
+	s := sampleOf(1, 2, 2, 3, 10)
 	if got := s.CountAbove(2); got != 2 {
 		t.Errorf("CountAbove(2) = %d, want 2", got)
 	}
 	if got := s.CountAbove(10); got != 0 {
 		t.Errorf("CountAbove(10) = %d, want 0", got)
 	}
-	if got := s.FractionWithin(2); got != 0.6 {
-		t.Errorf("FractionWithin(2) = %v, want 0.6", got)
+	// The fraction within x is the complement of CountAbove over N.
+	if got := 1 - float64(s.CountAbove(2))/float64(s.N()); got != 0.6 {
+		t.Errorf("fraction within 2 = %v, want 0.6", got)
 	}
 }
 
@@ -116,9 +126,7 @@ func TestQuantileMatchesSortProperty(t *testing.T) {
 			return true
 		}
 		q := float64(q01%101) / 100
-		var s Sample
-		s.AddAll(xs)
-		got := s.Quantile(q)
+		got := sampleOf(xs...).Quantile(q)
 		sorted := append([]float64(nil), xs...)
 		sort.Float64s(sorted)
 		rank := int(math.Ceil(q * float64(len(sorted))))
@@ -129,34 +137,6 @@ func TestQuantileMatchesSortProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestReservoirUniformity(t *testing.T) {
-	// Feed 10k values; retained mean should approximate stream mean.
-	r := NewReservoir(1000, 7)
-	for i := 0; i < 10000; i++ {
-		r.Add(float64(i))
-	}
-	if r.Seen() != 10000 {
-		t.Fatalf("Seen = %d", r.Seen())
-	}
-	s := r.Sample()
-	if s.N() != 1000 {
-		t.Fatalf("retained %d", s.N())
-	}
-	if m := s.Mean(); m < 4000 || m > 6000 {
-		t.Errorf("reservoir mean %v far from 4999.5", m)
-	}
-}
-
-func TestReservoirBelowCapacityKeepsAll(t *testing.T) {
-	r := NewReservoir(100, 1)
-	for i := 0; i < 50; i++ {
-		r.Add(float64(i))
-	}
-	if got := r.Sample().N(); got != 50 {
-		t.Errorf("retained %d, want 50", got)
 	}
 }
 
@@ -326,74 +306,4 @@ func BenchmarkSampleAddQuantile(b *testing.B) {
 		s.Add(rng.Float64())
 	}
 	_ = s.Quantile(0.999)
-}
-
-func TestBoundedSample(t *testing.T) {
-	const limit, n = 50, 10000
-	s := NewBoundedSample(limit, 1)
-	var sum float64
-	for i := 0; i < n; i++ {
-		x := float64(i)
-		s.Add(x)
-		sum += x
-	}
-	if s.N() != n {
-		t.Errorf("N = %d, want %d (stream count, not reservoir size)", s.N(), n)
-	}
-	if s.Retained() != limit {
-		t.Errorf("Retained = %d, want %d", s.Retained(), limit)
-	}
-	if s.Sum() != sum {
-		t.Errorf("Sum = %v, want %v (exact over stream)", s.Sum(), sum)
-	}
-	if got, want := s.Mean(), sum/n; math.Abs(got-want) > 1e-9 {
-		t.Errorf("Mean = %v, want %v (exact over stream)", got, want)
-	}
-	// Quantiles are approximate but must stay inside the observed range,
-	// and the median of a uniform 0..n ramp should land near the middle.
-	med := s.Quantile(0.5)
-	if med < 0 || med > float64(n-1) {
-		t.Errorf("median %v outside observed range", med)
-	}
-	if med < 0.2*float64(n) || med > 0.8*float64(n) {
-		t.Errorf("median %v implausible for uniform ramp of %d", med, n)
-	}
-}
-
-func TestBoundedSampleDeterministic(t *testing.T) {
-	mk := func() []float64 {
-		s := NewBoundedSample(10, 42)
-		for i := 0; i < 1000; i++ {
-			s.Add(float64(i * 7 % 113))
-		}
-		return s.Values()
-	}
-	a, b := mk(), mk()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("reservoirs diverge at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestBoundedSampleBelowLimitExact(t *testing.T) {
-	s := NewBoundedSample(100, 1)
-	for i := 0; i < 50; i++ {
-		s.Add(float64(i))
-	}
-	if s.N() != 50 || s.Retained() != 50 {
-		t.Errorf("N = %d, Retained = %d, want 50/50", s.N(), s.Retained())
-	}
-	if got := s.Quantile(1); got != 49 {
-		t.Errorf("Max = %v, want 49 (exact below limit)", got)
-	}
-}
-
-func TestBoundedSampleBadLimitPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewBoundedSample(0, 1) did not panic")
-		}
-	}()
-	NewBoundedSample(0, 1)
 }

@@ -248,8 +248,8 @@ func auditReport(a *obs.Auditor) *AuditReport {
 type FaultRecord struct {
 	// TimeS is the simulated time the injector applied the event.
 	TimeS float64
-	// Event is the fault kind name ("linkdown", "linkup", "loss",
-	// "crash", "restart"); Target is the link name or "host:N".
+	// Event is the fault kind's name in the plan grammar; Target is the
+	// link name or "host:N".
 	Event, Target string
 	// Rate is the loss probability for "loss" events, 0 otherwise.
 	Rate float64
@@ -257,15 +257,15 @@ type FaultRecord struct {
 	// fault until the probe's admit probability climbed back to within
 	// 10% of its pre-fault mean and stayed there until the next onset
 	// fault (or the end of the run). NaN when it never re-converged; only
-	// populated for onset events (linkdown, loss with rate > 0, crash).
+	// populated for onset events (link down, loss with rate > 0, crash).
 	PAdmitRecoveryS []float64
+	// onset is what FaultEvent.Onset said when the event was applied.
+	onset bool
 }
 
 // Onset reports whether the event degrades service (as opposed to
 // repairing it), i.e. whether recovery is measured from it.
-func (f FaultRecord) Onset() bool {
-	return f.Event == "linkdown" || f.Event == "crash" || (f.Event == "loss" && f.Rate > 0)
-}
+func (f FaultRecord) Onset() bool { return f.onset }
 
 // faultRecovery measures how long after faultS the series takes to climb
 // back to within tol (relative) of its pre-fault mean and stay there

@@ -258,36 +258,25 @@ func buildFaults(st *runState) error {
 	in := faults.NewInjector(plan, st.cfg.Seed)
 	st.net.ForEachLink(func(l *netsim.Link) { in.BindLink(l.Name, l) })
 	for i := 0; i < st.cfg.Hosts; i++ {
-		in.BindLink(fmt.Sprintf("host:%d", i), st.net.Host(i).Uplink, st.net.Downlink(i))
+		in.BindLink(faults.HostTarget(i), st.net.Host(i).Uplink, st.net.Downlink(i))
 		in.BindHost(i, &hostFaultControl{st: st, host: i})
 	}
 	tracer, col := st.tracer, st.col
 	in.OnEvent = func(s *sim.Simulator, e faults.Event) {
-		tracer.Fault(s.Now(), obsFaultKind(e.Kind), e.Target(), e.Rate)
+		tracer.Fault(s.Now(), e.Kind, e.Target, e.Rate)
 		col.onFault(s, e)
 		// Fault onsets dump and reset the flight ring: the dump holds the
 		// decisions leading into the fault window, and the next dump
 		// starts clean inside it.
-		if st.flight != nil && faultOnset(e.Kind) {
+		if st.flight != nil && e.Onset() {
 			st.flightDump(flight.Trigger{
 				Kind:   flight.TriggerFault,
 				At:     s.Now(),
-				Detail: obsFaultKind(e.Kind).String() + " " + e.Target(),
+				Detail: e.Kind.String() + " " + e.Target,
 			}, true)
 		}
 	}
 	return in.Schedule(st.s)
-}
-
-// faultOnset reports whether a fault event begins a degraded window (as
-// opposed to recovering from one).
-func faultOnset(k faults.Kind) bool {
-	switch k {
-	case faults.LinkDown, faults.LinkLoss, faults.HostCrash:
-		return true
-	default:
-		return false
-	}
 }
 
 // flightLabel names this run in dump headers.
@@ -308,23 +297,6 @@ func (st *runState) flightDump(tr flight.Trigger, reset bool) {
 	}, reset)
 	if err != nil && st.flightErr == nil {
 		st.flightErr = err
-	}
-}
-
-// obsFaultKind maps the faults package's event kinds onto the trace
-// stream's enum.
-func obsFaultKind(k faults.Kind) obs.FaultKind {
-	switch k {
-	case faults.LinkDown:
-		return obs.FaultLinkDown
-	case faults.LinkUp:
-		return obs.FaultLinkUp
-	case faults.LinkLoss:
-		return obs.FaultLoss
-	case faults.HostCrash:
-		return obs.FaultCrash
-	default:
-		return obs.FaultRestart
 	}
 }
 

@@ -1,269 +1,23 @@
-// Package chaos implements wall-clock fault injection for the live
-// serving path: a time-ordered Plan of latency spikes, error bursts and
-// quota-plane outage windows that an Injector applies to a running
-// server. It mirrors internal/faults — the plan is data, events
-// are offsets from the start — but runs on wall time (or any offset
-// source: deterministic tests drive Advance directly on a manual clock).
+// Package chaos is the live server's binder for fault plans: an Injector
+// applies the serving kinds of a faults.Plan — latency spikes, error
+// bursts, quota-plane outage windows — to a running server. The plan, its
+// grammar, windows and presets are internal/faults'; this package only
+// applies events, on wall time or any offset source (deterministic tests
+// drive Advance directly on a manual clock).
 package chaos
 
 import (
-	"bufio"
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net/http"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"aequitas/internal/faults"
 )
-
-// Kind enumerates the chaos event types.
-type Kind uint8
-
-const (
-	// Slow adds Amount of extra latency to every wrapped request; Amount
-	// zero clears it.
-	Slow Kind = iota
-	// Errors fails wrapped requests with probability Rate (500 before the
-	// handler runs); Rate zero clears it.
-	Errors
-	// QuotaDown makes the attached quota plane unreachable: lease
-	// refreshes fail until QuotaUp.
-	QuotaDown
-	// QuotaUp restores the quota plane.
-	QuotaUp
-	kindCount
-)
-
-func (k Kind) String() string {
-	switch k {
-	case Slow:
-		return "slow"
-	case Errors:
-		return "errs"
-	case QuotaDown:
-		return "quotadown"
-	case QuotaUp:
-		return "quotaup"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
-	}
-}
-
-// Event is one scheduled chaos action.
-type Event struct {
-	// At is the event's offset from the start of the run.
-	At   time.Duration
-	Kind Kind
-	// Amount is the extra latency (Slow).
-	Amount time.Duration
-	// Rate is the Errors failure probability in [0, 1].
-	Rate float64
-}
-
-// Plan is a deterministic chaos schedule. The zero value (and nil) is
-// the empty plan.
-type Plan struct {
-	// Seed seeds the per-request error draw (default 1).
-	Seed int64
-	// Events is the schedule; it need not be pre-sorted. Events at the
-	// same instant apply in slice order.
-	Events []Event
-}
-
-// Empty reports whether the plan schedules nothing.
-func (p *Plan) Empty() bool { return p == nil || len(p.Events) == 0 }
-
-// Validate reports structural errors: negative times, unknown kinds,
-// rates outside [0, 1] (NaN included), negative slow amounts.
-func (p *Plan) Validate() error {
-	if p == nil {
-		return nil
-	}
-	for i, e := range p.Events {
-		if e.At < 0 {
-			return fmt.Errorf("chaos: event %d: negative time %v", i, e.At)
-		}
-		if e.Kind >= kindCount {
-			return fmt.Errorf("chaos: event %d: unknown kind %d", i, e.Kind)
-		}
-		if e.Kind == Errors && !(e.Rate >= 0 && e.Rate <= 1) {
-			return fmt.Errorf("chaos: event %d: error rate %g outside [0, 1]", i, e.Rate)
-		}
-		if e.Kind == Slow && e.Amount < 0 {
-			return fmt.Errorf("chaos: event %d: negative slow amount %v", i, e.Amount)
-		}
-	}
-	return nil
-}
-
-// sorted returns the events in schedule order (stable by time) without
-// mutating the plan.
-func (p *Plan) sorted() []Event {
-	evs := make([]Event, len(p.Events))
-	copy(evs, p.Events)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	return evs
-}
-
-// Window is one interval during which a fault was active: a non-zero
-// Slow/Errors setting until the event clearing it, or QuotaDown
-// until QuotaUp. Faults never cleared within the plan extend to the
-// maximum duration.
-type Window struct {
-	Start, End time.Duration
-	Kind       Kind
-}
-
-// Windows pairs the plan's fault/clear events into active intervals, in
-// start-time order.
-func (p *Plan) Windows() []Window {
-	if p.Empty() {
-		return nil
-	}
-	var out []Window
-	open := map[Kind]int{}
-	const never = time.Duration(math.MaxInt64)
-	for _, e := range p.sorted() {
-		k := e.Kind
-		active := false
-		switch e.Kind {
-		case Slow:
-			active = e.Amount != 0
-		case Errors:
-			active = e.Rate > 0
-		case QuotaDown:
-			k, active = QuotaDown, true
-		case QuotaUp:
-			k = QuotaDown
-		}
-		if i, ok := open[k]; ok {
-			if active {
-				continue // already active; first setting wins the window
-			}
-			out[i].End = e.At
-			delete(open, k)
-			continue
-		}
-		if active {
-			open[k] = len(out)
-			out = append(out, Window{Start: e.At, End: never, Kind: k})
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
-}
-
-// ParsePlan reads a plan: one event per line in the form
-//
-//	<offset> <event> [arg]
-//
-// where offset is a Go duration ("30s"), event is one of slow (arg: a
-// duration of extra latency, "0" clears), errs (arg: a failure rate in
-// [0, 1], 0 clears), quotadown, quotaup. '#' starts a comment; blank lines are ignored.
-func ParsePlan(r io.Reader) (*Plan, error) {
-	p := &Plan{}
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		if len(fields) < 2 || len(fields) > 3 {
-			return nil, fmt.Errorf("chaos: line %d: want \"<offset> <event> [arg]\"", lineNo)
-		}
-		at, err := time.ParseDuration(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("chaos: line %d: bad offset %q: %v", lineNo, fields[0], err)
-		}
-		e := Event{At: at}
-		arg := ""
-		if len(fields) == 3 {
-			arg = fields[2]
-		}
-		switch strings.ToLower(fields[1]) {
-		case "slow":
-			e.Kind = Slow
-			if arg != "" { // a bare "slow" clears
-				if e.Amount, err = time.ParseDuration(arg); err != nil {
-					return nil, fmt.Errorf("chaos: line %d: bad slow amount %q: %v", lineNo, arg, err)
-				}
-			}
-		case "errs", "errors":
-			e.Kind = Errors
-			if arg != "" {
-				if e.Rate, err = strconv.ParseFloat(arg, 64); err != nil {
-					return nil, fmt.Errorf("chaos: line %d: bad error rate %q: %v", lineNo, arg, err)
-				}
-			}
-		case "quotadown":
-			e.Kind = QuotaDown
-		case "quotaup":
-			e.Kind = QuotaUp
-		default:
-			return nil, fmt.Errorf("chaos: line %d: unknown event %q", lineNo, fields[1])
-		}
-		p.Events = append(p.Events, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return p, p.Validate()
-}
-
-// PresetNames lists the built-in plan presets, for CLI help.
-func PresetNames() []string { return []string{"latency", "errors", "outage", "drill"} }
-
-// Preset builds a named canonical plan scaled to a run of the given
-// duration: faults start at 25% of the run and clear at 60%, so every
-// preset shows onset, steady fault, and recovery.
-func Preset(name string, duration time.Duration) (*Plan, error) {
-	if duration <= 0 {
-		duration = time.Minute
-	}
-	on := duration / 4
-	off := duration * 6 / 10
-	switch strings.ToLower(name) {
-	case "latency":
-		return &Plan{Events: []Event{
-			{At: on, Kind: Slow, Amount: 50 * time.Millisecond},
-			{At: off, Kind: Slow},
-		}}, nil
-	case "errors":
-		return &Plan{Events: []Event{
-			{At: on, Kind: Errors, Rate: 0.3},
-			{At: off, Kind: Errors},
-		}}, nil
-	case "outage":
-		return &Plan{Events: []Event{
-			{At: on, Kind: QuotaDown},
-			{At: off, Kind: QuotaUp},
-		}}, nil
-	case "drill":
-		// The full overload drill: latency spike plus error burst plus a
-		// quota-plane outage, overlapping but not coterminous.
-		return &Plan{Events: []Event{
-			{At: on, Kind: Slow, Amount: 50 * time.Millisecond},
-			{At: on, Kind: QuotaDown},
-			{At: duration * 2 / 5, Kind: Errors, Rate: 0.2},
-			{At: duration / 2, Kind: Errors},
-			{At: off, Kind: Slow},
-			{At: off, Kind: QuotaUp},
-		}}, nil
-	}
-	return nil, fmt.Errorf("chaos: unknown preset %q (have %s)", name, strings.Join(PresetNames(), ", "))
-}
 
 // QuotaPlane is the quota-server control surface the injector drives
 // during outage windows (core.QuotaServer implements it).
@@ -276,7 +30,7 @@ type QuotaPlane interface {
 // at or before the given offset, either from Run's wall-clock pump or
 // directly from a test driving a manual clock.
 type Injector struct {
-	plan  []Event
+	plan  []faults.Event
 	quota QuotaPlane
 
 	mu   sync.Mutex
@@ -285,23 +39,28 @@ type Injector struct {
 
 	extraNS atomic.Int64
 	errBits atomic.Uint64
-	applied atomic.Int64
 }
 
 // NewInjector builds an injector for plan (which may be nil or empty —
-// the injector is then inert). quota may be nil when the plan has no
-// quota events.
-func NewInjector(plan *Plan, quota QuotaPlane) *Injector {
-	inj := &Injector{quota: quota}
-	seed := int64(1)
-	if plan != nil {
-		inj.plan = plan.sorted()
-		if plan.Seed != 0 {
-			seed = plan.Seed
+// the injector is then inert), refusing an invalid plan and one that
+// holds a simulator kind. quota may be nil when the plan has no quota
+// events.
+func NewInjector(plan *faults.Plan, quota QuotaPlane) (*Injector, error) {
+	if err := plan.Validate(); err != nil {
+		return nil, err
+	}
+	inj := &Injector{quota: quota, plan: plan.Sorted()}
+	for _, e := range inj.plan {
+		if !e.Kind.Serving() {
+			return nil, fmt.Errorf("chaos: the live server cannot apply %s, a fault of the simulator (internal/faults)", e.Kind)
 		}
 	}
+	seed := int64(1)
+	if plan != nil && plan.Seed != 0 {
+		seed = plan.Seed
+	}
 	inj.rng = rand.New(rand.NewSource(seed))
-	return inj
+	return inj, nil
 }
 
 // Advance applies every event scheduled at or before now (an offset from
@@ -309,54 +68,42 @@ func NewInjector(plan *Plan, quota QuotaPlane) *Injector {
 func (inj *Injector) Advance(now time.Duration) {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
-	for inj.next < len(inj.plan) && inj.plan[inj.next].At <= now {
+	for inj.next < len(inj.plan) && inj.plan[inj.next].At.Std() <= now {
 		e := inj.plan[inj.next]
 		inj.next++
-		inj.applied.Add(1)
 		switch e.Kind {
-		case Slow:
-			inj.extraNS.Store(e.Amount.Nanoseconds())
-		case Errors:
+		case faults.Slow:
+			inj.extraNS.Store(int64(e.Amount.Std()))
+		case faults.Errors:
 			inj.errBits.Store(math.Float64bits(e.Rate))
-		case QuotaDown:
+		case faults.QuotaDown, faults.QuotaUp:
 			if inj.quota != nil {
-				inj.quota.SetAvailable(false)
-			}
-		case QuotaUp:
-			if inj.quota != nil {
-				inj.quota.SetAvailable(true)
+				inj.quota.SetAvailable(e.Kind == faults.QuotaUp)
 			}
 		}
 	}
 }
 
 // Applied reports how many events have been applied so far.
-func (inj *Injector) Applied() int64 { return inj.applied.Load() }
-
-// Done reports whether every scheduled event has been applied.
-func (inj *Injector) Done() bool {
+func (inj *Injector) Applied() int64 {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
-	return inj.next >= len(inj.plan)
+	return int64(inj.next)
 }
+
+// Done reports whether every scheduled event has been applied.
+func (inj *Injector) Done() bool { return inj.Applied() == int64(len(inj.plan)) }
 
 // ExtraLatency reports the currently injected per-request latency.
-func (inj *Injector) ExtraLatency() time.Duration {
-	return time.Duration(inj.extraNS.Load())
-}
+func (inj *Injector) ExtraLatency() time.Duration { return time.Duration(inj.extraNS.Load()) }
 
 // ErrorRate reports the currently injected failure probability.
-func (inj *Injector) ErrorRate() float64 {
-	return math.Float64frombits(inj.errBits.Load())
-}
+func (inj *Injector) ErrorRate() float64 { return math.Float64frombits(inj.errBits.Load()) }
 
-// Run pumps the plan on the wall clock: every `every`, events that have
-// come due are applied. It blocks until the context is cancelled or the
-// plan is exhausted; run it in a goroutine.
+// Run pumps the plan on the wall clock: every `every` (which must be
+// positive), events that have come due are applied. It blocks until the
+// context is cancelled or the plan is exhausted; run it in a goroutine.
 func (inj *Injector) Run(ctx context.Context, every time.Duration) {
-	if every <= 0 {
-		every = 100 * time.Millisecond
-	}
 	start := time.Now()
 	t := time.NewTicker(every)
 	defer t.Stop()

@@ -10,6 +10,7 @@ import (
 
 	"aequitas"
 	"aequitas/internal/core"
+	"aequitas/internal/faults"
 	"aequitas/internal/obs/flight"
 	"aequitas/internal/qos"
 	"aequitas/internal/sim"
@@ -52,14 +53,17 @@ func runQuotaScenario(t *testing.T, policy core.QuotaFailPolicy, outage bool) qu
 	h := a.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	}))
-	var plan *chaos.Plan
+	var plan *faults.Plan
 	if outage {
-		plan = &chaos.Plan{Events: []chaos.Event{
-			{At: 1 * time.Second, Kind: chaos.QuotaDown},
-			{At: 3 * time.Second, Kind: chaos.QuotaUp},
+		plan = &faults.Plan{Events: []faults.Event{
+			{At: 1 * sim.Second, Kind: faults.QuotaDown},
+			{At: 3 * sim.Second, Kind: faults.QuotaUp},
 		}}
 	}
-	inj := chaos.NewInjector(plan, q)
+	inj, err := chaos.NewInjector(plan, q)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var sc quotaScenario
 	staleSeen := false
@@ -163,11 +167,14 @@ func TestChaosOverloadDrill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := &chaos.Plan{Events: []chaos.Event{
-		{At: 2 * time.Second, Kind: chaos.Slow, Amount: 20 * time.Millisecond},
-		{At: 6 * time.Second, Kind: chaos.Slow},
+	plan := &faults.Plan{Events: []faults.Event{
+		{At: 2 * sim.Second, Kind: faults.Slow, Amount: 20 * sim.Millisecond},
+		{At: 6 * sim.Second, Kind: faults.Slow},
 	}}
-	inj := chaos.NewInjector(plan, nil)
+	inj, err := chaos.NewInjector(plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The handler "takes" 1ms plus whatever latency the injector says —
 	// the injected fault drives the SLO and brownout signals with zero
 	// real sleeping.
@@ -274,24 +281,24 @@ func TestChaosServeWallClockSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := &chaos.Plan{Events: []chaos.Event{
-		{At: 20 * time.Millisecond, Kind: chaos.Slow, Amount: 3 * time.Millisecond},
-		{At: 40 * time.Millisecond, Kind: chaos.Errors, Rate: 0.3},
-		{At: 50 * time.Millisecond, Kind: chaos.QuotaDown},
-		{At: 120 * time.Millisecond, Kind: chaos.Errors},
-		{At: 150 * time.Millisecond, Kind: chaos.QuotaUp},
-		{At: 180 * time.Millisecond, Kind: chaos.Slow},
+	plan := &faults.Plan{Events: []faults.Event{
+		{At: 20 * sim.Millisecond, Kind: faults.Slow, Amount: 3 * sim.Millisecond},
+		{At: 40 * sim.Millisecond, Kind: faults.Errors, Rate: 0.3},
+		{At: 50 * sim.Millisecond, Kind: faults.QuotaDown},
+		{At: 120 * sim.Millisecond, Kind: faults.Errors},
+		{At: 150 * sim.Millisecond, Kind: faults.QuotaUp},
+		{At: 180 * sim.Millisecond, Kind: faults.Slow},
 	}}
-	if err := plan.Validate(); err != nil {
+	inj, err := chaos.NewInjector(plan, q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	inj := chaos.NewInjector(plan, q)
 	// Prime the first fault before load starts: on a fast machine the
 	// whole run can finish inside the first event's offset, and the point
 	// of the smoke is accounting *under* chaos. With the latency spike
 	// active every request takes >= its injected delay, so the wall-clock
 	// pump has time to walk the rest of the plan.
-	inj.Advance(plan.Events[0].At)
+	inj.Advance(plan.Events[0].At.Std())
 	srv := httptest.NewServer(inj.Wrap(a.Middleware(http.HandlerFunc(
 		func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusOK) }))))
 	defer srv.Close()
