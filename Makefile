@@ -44,12 +44,14 @@ loc-diff:
 	    { printf "%7d %7d %+6d  %s\n", was[$$2], $$1, $$1 - was[$$2], $$2; delete was[$$2] } \
 	    END { for (p in was) printf "%7d %7d %+6d  %s\n", was[p], 0, -was[p], p }' "$$tmp/.loc" -
 
-# trace-check runs a short instrumented simulation and validates every
-# observability artifact against the schemas in internal/obs: the NDJSON
-# lifecycle trace, the metrics CSV (including the -tail windowed
-# quantile columns), the obsreport JSON joined from all three, and the
-# flight-recorder dump stream from a faulted run (fault-trigger dumps
-# plus the final dump) against aequitas.flight/v1.
+# trace-check runs a short instrumented simulation and reads every
+# observability artifact back with obsreport, whose one reader per format
+# checks it against its schema in internal/obs while summarising it: the
+# NDJSON lifecycle trace, the metrics CSV (including the -tail windowed
+# quantile columns) and the attribution CSV joined into one report, then
+# a faulted run's trace (fault events) and its flight-recorder dump stream
+# (fault-trigger dumps plus the final dump) against aequitas.flight/v1.
+# The closing -diff loads both reports back against their own schema.
 trace-check: build
 	@mkdir -p out
 	$(GO) run ./cmd/aequitas-sim -hosts 4 -dur 3ms -trace out/trace-check.ndjson \
@@ -57,14 +59,12 @@ trace-check: build
 	$(GO) run ./cmd/obsreport -label trace-check -trace out/trace-check.ndjson \
 	    -metrics out/trace-check.csv -attr out/trace-check-attr.csv \
 	    -json out/trace-check-report.json -md out/trace-check-report.md
-	$(GO) run ./cmd/tracecheck -metrics out/trace-check.csv \
-	    -report out/trace-check-report.json out/trace-check.ndjson
 	$(GO) run ./cmd/aequitas-sim -hosts 4 -dur 3ms -faults flapcrash -rpc-timeout 300us \
 	    -trace out/trace-check-faults.ndjson -flight out/trace-check-flight.ndjson > /dev/null
+	$(GO) run ./cmd/obsreport -trace out/trace-check-faults.ndjson > /dev/null
 	$(GO) run ./cmd/obsreport -label trace-check-faults -flight out/trace-check-flight.ndjson \
 	    -json out/trace-check-flight-report.json -md out/trace-check-flight-report.md
-	$(GO) run ./cmd/tracecheck -flight out/trace-check-flight.ndjson \
-	    -report out/trace-check-flight-report.json out/trace-check-faults.ndjson
+	$(GO) run ./cmd/obsreport -diff out/trace-check-report.json out/trace-check-flight-report.json > /dev/null
 
 # export-check is the live-telemetry smoke: a short run published into an
 # httptest server, with /metrics parsed as Prometheus text format and

@@ -57,7 +57,6 @@ func main() {
 		weights  = flag.String("weights", "8,4,1", "WFQ weights, highest class first")
 		trace    = flag.String("trace", "", "write the RPC lifecycle event trace (NDJSON) to this file")
 		traceCSV = flag.String("trace-csv", "", "write a per-RPC completion CSV trace to this file")
-		traceChr = flag.String("trace-chrome", "", "write a Chrome trace-event JSON (Perfetto) to this file")
 		metrics  = flag.String("metrics", "", "write the periodic metrics time series (CSV) to this file")
 		flightF  = flag.String("flight", "", "write flight-recorder dumps (NDJSON) to this file: one per fault onset plus a final dump")
 		flightN  = flag.Int("flight-records", 0, "flight ring capacity in records (default 16384)")
@@ -144,11 +143,6 @@ func main() {
 		f := mustCreate(*trace)
 		defer f.Close()
 		cfg.Obs.TraceNDJSON = f
-	}
-	if *traceChr != "" {
-		f := mustCreate(*traceChr)
-		defer f.Close()
-		cfg.Obs.TraceChrome = f
 	}
 	if *metrics != "" {
 		f := mustCreate(*metrics)

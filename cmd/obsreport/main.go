@@ -1,7 +1,8 @@
-// Command obsreport joins one run's observability artifacts — the NDJSON
-// lifecycle trace, the wide-format metrics CSV, and the per-RPC
-// attribution CSV — into a single run report, and diffs two such reports
-// with per-metric deltas.
+// Command obsreport is the one inspection command for a run's
+// observability artifacts — the NDJSON lifecycle trace, the wide-format
+// metrics CSV, the per-RPC attribution CSV and the aequitas.flight/v1
+// dump stream. It joins them into a single run report, and diffs two
+// such reports with per-metric deltas.
 //
 // Build a report (any subset of artifacts; markdown to stdout unless
 // -json/-md redirect it):
@@ -13,8 +14,9 @@
 //
 //	obsreport -diff baseline-report.json candidate-report.json
 //
-// Report JSON carries the "aequitas.obsreport/v1" schema tag and is
-// validated by cmd/tracecheck -report.
+// Every artifact is checked against its schema while it is summarised,
+// and both -diff inputs against the "aequitas.obsreport/v1" report
+// schema: a malformed file exits 1 with "path: line N: field ...".
 package main
 
 import (
@@ -68,20 +70,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	wrote := false
-	if *jsonOut != "" {
-		writeTo(*jsonOut, rep.WriteJSON)
-		wrote = true
-	}
-	if *mdOut != "" {
-		writeTo(*mdOut, rep.WriteMarkdown)
-		wrote = true
-	}
-	if !wrote {
-		if err := rep.WriteMarkdown(os.Stdout); err != nil {
-			fatal(err)
-		}
-	}
+	output(*jsonOut, *mdOut, rep.WriteJSON, rep.WriteMarkdown)
 }
 
 // runDiff loads two report JSONs and renders their comparison.
@@ -110,19 +99,20 @@ func runDiff(args []string, jsonOut, mdOut string, all bool) {
 	if all {
 		maxRows = 0
 	}
-	wrote := false
+	output(jsonOut, mdOut, d.WriteJSON, func(w io.Writer) error { return d.WriteMarkdown(w, maxRows) })
+}
+
+// output writes the JSON and markdown forms to the files asked for, or
+// the markdown to stdout when neither is.
+func output(jsonOut, mdOut string, asJSON, asMarkdown func(io.Writer) error) {
+	if jsonOut == "" && mdOut == "" {
+		mdOut = "-"
+	}
 	if jsonOut != "" {
-		writeTo(jsonOut, d.WriteJSON)
-		wrote = true
+		writeTo(jsonOut, asJSON)
 	}
 	if mdOut != "" {
-		writeTo(mdOut, func(w io.Writer) error { return d.WriteMarkdown(w, maxRows) })
-		wrote = true
-	}
-	if !wrote {
-		if err := d.WriteMarkdown(os.Stdout, maxRows); err != nil {
-			fatal(err)
-		}
+		writeTo(mdOut, asMarkdown)
 	}
 }
 

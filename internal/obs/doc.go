@@ -22,11 +22,13 @@
 //	          queued bytes remaining after dequeue)
 //	drop      a packet was dropped by an egress scheduler
 //	complete  the last byte was acknowledged (rnl_us)
+//	fault     an injected fault was applied (event ∈ the simulator's
+//	          fault kinds, target, rate ∈ [0, 1]; rpc is 0)
 //
 // WriteNDJSON emits one JSON object per line with the fields listed in
-// the table below; ValidateNDJSON checks a stream against this schema.
-// Common fields: ts_us (non-negative, non-decreasing), kind, rpc.
-// Kind-specific required fields:
+// the table below; BuildReport's trace reader checks a stream against this
+// schema as it summarises it. Common fields: ts_us (non-negative,
+// non-decreasing), kind, rpc. Kind-specific required fields:
 //
 //	issue:    src dst prio class bytes
 //	admit:    src dst class decision p_admit
@@ -34,11 +36,11 @@
 //	hop:      link class bytes resid_us qbytes
 //	drop:     link class bytes
 //	complete: src dst class bytes rnl_us
+//	fault:    event target rate
 //
-// WriteChromeTrace emits the same events in Chrome trace-event JSON
-// (loadable at https://ui.perfetto.dev): RPCs become async b/e spans keyed
-// by RPC id, queue residencies become complete ("X") slices on one track
-// per link, and admission decisions become instant events.
+// Each artifact format — this trace, the metrics CSV, the attribution CSV
+// and the flight dump — has one reader, which validates as it summarises;
+// cmd/obsreport is the command that runs them.
 //
 // Events are recorded in simulator order, so for a fixed configuration the
 // stream is bit-identical regardless of how many sweep workers run other

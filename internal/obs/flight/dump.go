@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -113,115 +114,14 @@ var (
 	completeVerdicts = map[string]bool{"slo_met": true, "slo_miss": true}
 )
 
-// ValidateDump checks a flight-dump stream: every dump starts with an
-// aequitas.flight/v1 header whose record count matches the lines that
-// follow, record sequence numbers are contiguous from zero, timestamps
-// are non-negative and non-decreasing within a dump, kinds and verdicts
-// are known and consistent (decisions carry admission verdicts,
-// completions carry SLO verdicts and a latency), probabilities lie in
-// [0, 1], and the header's sampling counters satisfy the retention
-// invariant records + sampled_out + dropped_frozen <= offered (the gap is
-// ring-wrap eviction). It returns the number of dumps and records.
+// ValidateDump checks a flight-dump stream with Summarize's one pass and
+// returns the number of dumps and records.
 func ValidateDump(r io.Reader) (dumps, records int, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	lineNo := 0
-	remaining := 0 // record lines still expected for the current dump
-	nextSeq := int64(0)
-	lastTS := -1.0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var m map[string]any
-		if err := json.Unmarshal(line, &m); err != nil {
-			return dumps, records, fmt.Errorf("flight: line %d: invalid JSON: %w", lineNo, err)
-		}
-		if remaining == 0 {
-			// Expect a header.
-			schema, _ := m["schema"].(string)
-			if schema != Schema {
-				return dumps, records, fmt.Errorf("flight: line %d: expected %q header, got schema %q", lineNo, Schema, schema)
-			}
-			trig, _ := m["trigger"].(string)
-			if _, ok := triggerKinds[trig]; !ok {
-				return dumps, records, fmt.Errorf("flight: line %d: unknown trigger %q", lineNo, trig)
-			}
-			n, ok := m["records"].(float64)
-			if !ok || n < 0 || n != float64(int(n)) {
-				return dumps, records, fmt.Errorf("flight: line %d: field \"records\" missing or not a count", lineNo)
-			}
-			offered, ok1 := m["offered"].(float64)
-			sampled, ok2 := m["sampled_out"].(float64)
-			dropped, ok3 := m["dropped_frozen"].(float64)
-			if !ok1 || !ok2 || !ok3 {
-				return dumps, records, fmt.Errorf("flight: line %d: header missing sampling counters", lineNo)
-			}
-			if n+sampled+dropped > offered {
-				return dumps, records, fmt.Errorf("flight: line %d: retention invariant violated: %g records + %g sampled_out + %g dropped_frozen > %g offered",
-					lineNo, n, sampled, dropped, offered)
-			}
-			if _, ok := m["ts_us"].(float64); !ok {
-				return dumps, records, fmt.Errorf("flight: line %d: header field \"ts_us\" missing", lineNo)
-			}
-			dumps++
-			remaining = int(n)
-			nextSeq = 0
-			lastTS = -1.0
-			continue
-		}
-		// Record line.
-		seq, ok := m["seq"].(float64)
-		if !ok || int64(seq) != nextSeq {
-			return dumps, records, fmt.Errorf("flight: line %d: field \"seq\" missing or not contiguous (want %d)", lineNo, nextSeq)
-		}
-		nextSeq++
-		ts, ok := m["ts_us"].(float64)
-		if !ok || ts < 0 {
-			return dumps, records, fmt.Errorf("flight: line %d: field \"ts_us\" missing or negative", lineNo)
-		}
-		if ts < lastTS {
-			return dumps, records, fmt.Errorf("flight: line %d: field \"ts_us\" %.3f before previous %.3f", lineNo, ts, lastTS)
-		}
-		lastTS = ts
-		kind, _ := m["kind"].(string)
-		verdict, _ := m["verdict"].(string)
-		switch kind {
-		case "decision":
-			if !decisionVerdicts[verdict] {
-				return dumps, records, fmt.Errorf("flight: line %d: verdict %q invalid for a decision", lineNo, verdict)
-			}
-		case "complete":
-			if !completeVerdicts[verdict] {
-				return dumps, records, fmt.Errorf("flight: line %d: verdict %q invalid for a completion", lineNo, verdict)
-			}
-			if lat, ok := m["lat_us"].(float64); !ok || lat < 0 {
-				return dumps, records, fmt.Errorf("flight: line %d: field \"lat_us\" missing or negative on completion", lineNo)
-			}
-		default:
-			return dumps, records, fmt.Errorf("flight: line %d: unknown kind %q", lineNo, kind)
-		}
-		for _, f := range []string{"src", "peer", "req", "class", "size_mtus"} {
-			if _, ok := m[f].(float64); !ok {
-				return dumps, records, fmt.Errorf("flight: line %d: field %q missing", lineNo, f)
-			}
-		}
-		p, ok := m["p_admit"].(float64)
-		if !ok || p < 0 || p > 1 {
-			return dumps, records, fmt.Errorf("flight: line %d: field \"p_admit\" missing or out of [0, 1]", lineNo)
-		}
-		remaining--
-		records++
+	sum, err := Summarize(r)
+	if err != nil {
+		return 0, 0, err
 	}
-	if err := sc.Err(); err != nil {
-		return dumps, records, err
-	}
-	if remaining > 0 {
-		return dumps, records, fmt.Errorf("flight: truncated dump: %d record lines missing", remaining)
-	}
-	return dumps, records, nil
+	return len(sum.Dumps), sum.Records, nil
 }
 
 // DumpSummary condenses one dump for reports.
@@ -244,55 +144,125 @@ type Summary struct {
 	SampledOut uint64         `json:"sampled_out"`
 }
 
-// Summarize validates and condenses a flight-dump stream.
+// count reads a JSON number that must be a non-negative integer a float64
+// holds exactly.
+func count(v any) (float64, bool) {
+	n, ok := v.(float64)
+	return n, ok && n >= 0 && n <= 1<<53 && n == math.Trunc(n)
+}
+
+// Summarize is the one reader of the flight-dump stream: one streaming
+// pass that checks the stream as it condenses it. Every dump starts with
+// an aequitas.flight/v1 header naming a known trigger, whose record count
+// matches the lines that follow and whose counters are non-negative
+// integers satisfying the retention invariant records + sampled_out +
+// dropped_frozen <= offered (the gap is ring-wrap eviction). Record
+// sequence numbers are integers contiguous from zero, timestamps are
+// non-negative and non-decreasing within a dump, kinds and verdicts are
+// known and consistent (decisions carry admission verdicts, completions
+// carry SLO verdicts and a latency), and probabilities lie in [0, 1].
+// Errors name the physical line number and the field.
 func Summarize(r io.Reader) (*Summary, error) {
-	// Buffer the stream so it can be validated first, then summarised
-	// without re-reading the source.
-	var buf bytes.Buffer
-	if _, err := io.Copy(&buf, r); err != nil {
-		return nil, err
-	}
-	if _, _, err := ValidateDump(bytes.NewReader(buf.Bytes())); err != nil {
-		return nil, err
-	}
 	sum := &Summary{Schema: Schema, ByVerdict: map[string]int{}, MinPAdmit: 1}
-	sc := bufio.NewScanner(bytes.NewReader(buf.Bytes()))
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
+	remaining, nextSeq := 0, 0 // record lines still expected for the current dump; next seq
+	lastTS := -1.0
+	for lineNo := 1; sc.Scan(); lineNo++ {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
 		var m map[string]any
 		if err := json.Unmarshal(line, &m); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("line %d: invalid JSON: %w", lineNo, err)
 		}
-		if schema, _ := m["schema"].(string); schema == Schema {
+		if remaining == 0 {
+			// Expect a header.
+			if schema, _ := m["schema"].(string); schema != Schema {
+				return nil, fmt.Errorf("line %d: expected %q header, got schema %q", lineNo, Schema, schema)
+			}
 			ds := DumpSummary{}
 			ds.Trigger, _ = m["trigger"].(string)
+			if _, ok := triggerKinds[ds.Trigger]; !ok {
+				return nil, fmt.Errorf("line %d: field \"trigger\": unknown trigger %q", lineNo, ds.Trigger)
+			}
+			var c [4]float64 // records, offered, sampled_out, dropped_frozen
+			for i, f := range []string{"records", "offered", "sampled_out", "dropped_frozen"} {
+				var ok bool
+				if c[i], ok = count(m[f]); !ok {
+					return nil, fmt.Errorf("line %d: field %q missing or not a count", lineNo, f)
+				}
+			}
+			if c[0]+c[2]+c[3] > c[1] {
+				return nil, fmt.Errorf("line %d: retention invariant violated: %g records + %g sampled_out + %g dropped_frozen > %g offered",
+					lineNo, c[0], c[2], c[3], c[1])
+			}
+			var ok bool
+			if ds.TSUS, ok = m["ts_us"].(float64); !ok {
+				return nil, fmt.Errorf("line %d: header field \"ts_us\" missing", lineNo)
+			}
 			ds.Detail, _ = m["detail"].(string)
-			ds.TSUS, _ = m["ts_us"].(float64)
-			if n, ok := m["records"].(float64); ok {
-				ds.Records = int(n)
-			}
-			if so, ok := m["sampled_out"].(float64); ok {
-				sum.SampledOut += uint64(so)
-			}
+			ds.Records = int(c[0])
 			sum.Dumps = append(sum.Dumps, ds)
+			sum.SampledOut += uint64(c[2])
+			remaining, nextSeq, lastTS = ds.Records, 0, -1
 			continue
 		}
-		sum.Records++
-		if v, ok := m["verdict"].(string); ok {
-			sum.ByVerdict[v]++
+		// Record line.
+		if seq, ok := m["seq"].(float64); !ok || seq != float64(nextSeq) {
+			return nil, fmt.Errorf("line %d: field \"seq\" missing or not contiguous (want %d)", lineNo, nextSeq)
 		}
-		if p, ok := m["p_admit"].(float64); ok && p < sum.MinPAdmit {
+		ts, ok := m["ts_us"].(float64)
+		if !ok || ts < 0 {
+			return nil, fmt.Errorf("line %d: field \"ts_us\" missing or negative", lineNo)
+		}
+		if ts < lastTS {
+			return nil, fmt.Errorf("line %d: field \"ts_us\" %.3f before previous %.3f", lineNo, ts, lastTS)
+		}
+		kind, _ := m["kind"].(string)
+		verdict, _ := m["verdict"].(string)
+		switch kind {
+		case "decision":
+			if !decisionVerdicts[verdict] {
+				return nil, fmt.Errorf("line %d: field \"verdict\" %q invalid for a decision", lineNo, verdict)
+			}
+		case "complete":
+			if !completeVerdicts[verdict] {
+				return nil, fmt.Errorf("line %d: field \"verdict\" %q invalid for a completion", lineNo, verdict)
+			}
+			if lat, ok := m["lat_us"].(float64); !ok || lat < 0 {
+				return nil, fmt.Errorf("line %d: field \"lat_us\" missing or negative on completion", lineNo)
+			}
+		default:
+			return nil, fmt.Errorf("line %d: field \"kind\": unknown kind %q", lineNo, kind)
+		}
+		for _, f := range []string{"src", "peer", "req", "class", "size_mtus"} {
+			if _, ok := m[f].(float64); !ok {
+				return nil, fmt.Errorf("line %d: field %q missing", lineNo, f)
+			}
+		}
+		p, ok := m["p_admit"].(float64)
+		if !ok || p < 0 || p > 1 {
+			return nil, fmt.Errorf("line %d: field \"p_admit\" missing or out of [0, 1]", lineNo)
+		}
+		sum.Records++
+		sum.ByVerdict[verdict]++
+		if p < sum.MinPAdmit {
 			sum.MinPAdmit = p
 		}
 		if lat, ok := m["lat_us"].(float64); ok && lat > sum.MaxLatUS {
 			sum.MaxLatUS = lat
 		}
+		remaining, nextSeq, lastTS = remaining-1, nextSeq+1, ts
 	}
-	return sum, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if remaining > 0 {
+		return nil, fmt.Errorf("truncated dump: %d record lines missing", remaining)
+	}
+	return sum, nil
 }
 
 // DumpTo snapshots the ring and writes one dump — the freeze, gather,

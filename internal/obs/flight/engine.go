@@ -47,8 +47,8 @@ func (k TriggerKind) String() string {
 	}
 }
 
-// triggerKinds maps dump-header trigger names back to kinds; the
-// validator and summarizer share it.
+// triggerKinds maps dump-header trigger names back to kinds for the dump
+// reader.
 var triggerKinds = map[string]TriggerKind{
 	"burn_rate":   TriggerBurnRate,
 	"padmit_drop": TriggerPAdmitDrop,

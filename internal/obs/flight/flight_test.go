@@ -320,12 +320,85 @@ func TestValidateDumpRejectsGarbage(t *testing.T) {
 {"seq":0,"ts_us":1,"kind":"decision","verdict":"slo_miss","src":0,"peer":0,"req":0,"class":0,"p_admit":1,"size_mtus":1}`,
 		"bad probability": `{"schema":"aequitas.flight/v1","trigger":"final","ts_us":0,"records":1,"offered":1,"sampled_out":0,"dropped_frozen":0}
 {"seq":0,"ts_us":1,"kind":"decision","verdict":"admit","src":0,"peer":0,"req":0,"class":0,"p_admit":1.5,"size_mtus":1}`,
+
+		"sampled_out -10": `{"schema":"aequitas.flight/v1","trigger":"final","ts_us":0,"records":0,"offered":0,"sampled_out":-10,"dropped_frozen":0}`,
+		"offered 2.5": `{"schema":"aequitas.flight/v1","trigger":"final","ts_us":0,"records":1,"offered":2.5,"sampled_out":0,"dropped_frozen":0}
+{"seq":0,"ts_us":1,"kind":"decision","verdict":"admit","src":0,"peer":0,"req":0,"class":0,"p_admit":1,"size_mtus":1}`,
+		"seq 1.5": `{"schema":"aequitas.flight/v1","trigger":"final","ts_us":0,"records":2,"offered":2,"sampled_out":0,"dropped_frozen":0}
+{"seq":0,"ts_us":1,"kind":"decision","verdict":"admit","src":0,"peer":0,"req":0,"class":0,"p_admit":1,"size_mtus":1}
+{"seq":1.5,"ts_us":1,"kind":"decision","verdict":"admit","src":0,"peer":0,"req":0,"class":0,"p_admit":1,"size_mtus":1}`,
 	}
 	for name, in := range cases {
 		if _, _, err := ValidateDump(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: validated, want error", name)
 		}
 	}
+}
+
+// FuzzFlightDump: the dump reader never panics; a stream it accepts has
+// the counts ValidateDump reports and no counter below zero; and records
+// built from the same bytes, written by WriteDump, read back with the
+// counts written.
+func FuzzFlightDump(f *testing.F) {
+	f.Add([]byte(`{"schema":"aequitas.flight/v1","trigger":"final","ts_us":3,"records":2,"offered":3,"sampled_out":1,"dropped_frozen":0}
+{"seq":0,"ts_us":1,"kind":"decision","verdict":"admit","src":0,"peer":1,"req":0,"class":0,"p_admit":0.9,"size_mtus":1}
+{"seq":1,"ts_us":2,"kind":"complete","verdict":"slo_miss","src":0,"peer":1,"req":0,"class":0,"p_admit":0.8,"size_mtus":1,"lat_us":42.5}
+`))
+	f.Add([]byte(`{"schema":"aequitas.flight/v1","trigger":"final","ts_us":0,"records":0,"offered":0,"sampled_out":-10,"dropped_frozen":0}`))
+	f.Add([]byte(`{"schema":"aequitas.flight/v1","trigger":"final","ts_us":0,"records":1,"offered":2.5,"sampled_out":0,"dropped_frozen":0}
+{"seq":0,"ts_us":1,"kind":"decision","verdict":"admit","src":0,"peer":0,"req":0,"class":0,"p_admit":1,"size_mtus":1}`))
+	f.Add([]byte(`{"schema":"aequitas.flight/v1","trigger":"manual","ts_us":0,"records":2,"offered":2,"sampled_out":0,"dropped_frozen":0}
+{"seq":0,"ts_us":1,"kind":"decision","verdict":"admit","src":0,"peer":0,"req":0,"class":0,"p_admit":1,"size_mtus":1}
+{"seq":1.5,"ts_us":1,"kind":"decision","verdict":"admit","src":0,"peer":0,"req":0,"class":0,"p_admit":1,"size_mtus":1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sum, err := Summarize(bytes.NewReader(data))
+		dumps, records, verr := ValidateDump(bytes.NewReader(data))
+		if (err == nil) != (verr == nil) {
+			t.Fatalf("Summarize error %v, ValidateDump error %v", err, verr)
+		}
+		if err == nil {
+			if len(sum.Dumps) != dumps || sum.Records != records {
+				t.Fatalf("summary %d dumps / %d records, ValidateDump %d / %d", len(sum.Dumps), sum.Records, dumps, records)
+			}
+			n := 0
+			for _, d := range sum.Dumps {
+				if d.Records < 0 {
+					t.Fatalf("dump record count %d", d.Records)
+				}
+				n += d.Records
+			}
+			if n != sum.Records || sum.SampledOut > uint64(len(sum.Dumps))<<53 || sum.MinPAdmit < 0 || sum.MaxLatUS < 0 {
+				t.Fatalf("accepted summary out of range: %+v", sum)
+			}
+		}
+
+		verdicts := []Verdict{VerdictAdmit, VerdictDowngrade, VerdictDrop, VerdictExpired, VerdictSLOMet, VerdictSLOMiss}
+		var recs []Record
+		var ts sim.Time
+		for i := 0; i+6 <= len(data); i += 6 {
+			b := data[i : i+6]
+			ts += sim.Time(b[0]) * sim.Nanosecond
+			rec := Record{TS: ts, PAdmit: float64(b[1]) / 255, Src: int32(b[3]), Peer: int32(b[4]),
+				SizeMTUs: int32(b[5]), Requested: int8(b[5]), Class: int8(b[3]), Kind: KindDecision,
+				Verdict: verdicts[int(b[2])%len(verdicts)]}
+			if rec.Verdict == VerdictSLOMet || rec.Verdict == VerdictSLOMiss {
+				rec.Kind, rec.LatencyUS = KindComplete, float64(b[4])/4
+			} else if b[2] >= 240 {
+				rec.Quota = QuotaBypass
+			}
+			recs = append(recs, rec)
+		}
+		st := Stats{SampledOut: uint64(len(data)), DroppedFrozen: uint64(len(data) % 7)}
+		st.Offered = uint64(len(recs)) + st.SampledOut + st.DroppedFrozen
+		var buf bytes.Buffer
+		if err := WriteDump(&buf, Meta{Trigger: Trigger{Kind: TriggerManual, At: ts}, Label: "fuzz"}, recs, st); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Summarize(&buf)
+		if err != nil || len(back.Dumps) != 1 || back.Records != len(recs) || back.SampledOut != st.SampledOut {
+			t.Fatalf("%d records written with %+v read back as %+v (%v)", len(recs), st, back, err)
+		}
+	})
 }
 
 func TestCaptureProfiles(t *testing.T) {

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bufio"
+	"cmp"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -114,12 +116,23 @@ func (r *Registry) Sample(now sim.Time) {
 
 // MetricFamilies lists the metric-name prefixes emitted by the built-in
 // samplers (per-port queues and drops, admission state, transport
-// connection state, windowed tail quantiles). ValidateMetricsCSV callers
-// use it to reject columns no registered sampler could have produced.
+// connection state, windowed tail quantiles). summarizeMetrics rejects
+// columns no registered sampler could have produced.
 var MetricFamilies = []string{"q.", "drop.", "padmit.", "incwin_us.", "cwnd.", "srtt_us.", "tail."}
 
+// family returns the MetricFamilies prefix name starts with, without its
+// dot, or "" when none matches.
+func family(name string) string {
+	for _, f := range MetricFamilies {
+		if strings.HasPrefix(name, f) {
+			return strings.TrimSuffix(f, ".")
+		}
+	}
+	return ""
+}
+
 // tailQuantileSuffixes are the per-channel tail columns in ascending
-// quantile order; ValidateMetricsCSV checks each row's values are
+// quantile order; summarizeMetrics checks each row's values are
 // non-decreasing across them.
 var tailQuantileSuffixes = []string{".p50_us", ".p90_us", ".p99_us", ".p999_us"}
 
@@ -127,130 +140,160 @@ var tailQuantileSuffixes = []string{".p50_us", ".p90_us", ".p99_us", ".p999_us"}
 // groups: for each "tail.<chan>" base present, the 1-based field indices
 // of its p50/p90/p99/p99.9 columns (-1 where a column is absent).
 func tailGroups(header []string) [][]int {
-	byBase := make(map[string][]int)
-	var order []string
+	var groups [][]int
+	byBase := make(map[string]int) // channel base -> its index in groups
 	for i, name := range header {
-		if !strings.HasPrefix(name, "tail.") {
-			continue
-		}
 		for qi, suf := range tailQuantileSuffixes {
-			if strings.HasSuffix(name, suf) {
-				base := strings.TrimSuffix(name, suf)
-				g, ok := byBase[base]
-				if !ok {
-					g = []int{-1, -1, -1, -1}
-					byBase[base] = g
-					order = append(order, base)
-				}
-				g[qi] = i
-				break
+			base, ok := strings.CutSuffix(name, suf)
+			if !ok || !strings.HasPrefix(name, "tail.") {
+				continue
 			}
+			g, seen := byBase[base]
+			if !seen {
+				g = len(groups)
+				byBase[base] = g
+				groups = append(groups, []int{-1, -1, -1, -1})
+			}
+			groups[g][qi] = i
+			break
 		}
-	}
-	groups := make([][]int, 0, len(order))
-	for _, base := range order {
-		groups = append(groups, byBase[base])
 	}
 	return groups
 }
 
-// ValidateMetricsCSV checks a wide-format metrics CSV as written by
-// Registry.WriteCSV: the header starts with t_s followed by unique,
-// non-empty column names (each matching one of the given family prefixes
-// when families is non-nil), every row has the header's field count,
-// t_s is a finite, non-decreasing float, and every other cell is empty or
-// a finite float. Windowed tail columns get one extra structural check:
-// within each "tail.<chan>" channel, a row's present quantile cells must
-// be non-decreasing from p50 to p99.9. It returns the number of data
-// rows. Errors name the physical line number and the offending column.
-func ValidateMetricsCSV(r io.Reader, families []string) (int, error) {
+// readCSV reads a CSV artifact: header gets the first line's names, row
+// every later non-blank line's fields with its physical line number, once
+// their count has been checked against the header's.
+func readCSV(r io.Reader, header func(names []string) error, row func(line int, fields []string) error) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return 0, err
-		}
-		return 0, fmt.Errorf("obs: metrics csv: empty (no header)")
+		return cmp.Or(sc.Err(), errors.New("empty (no header)"))
 	}
-	header := strings.Split(sc.Text(), ",")
-	if header[0] != "t_s" {
-		return 0, fmt.Errorf("obs: metrics csv: line 1: first column must be \"t_s\", got %q", header[0])
+	names := strings.Split(sc.Text(), ",")
+	if err := header(names); err != nil {
+		return err
 	}
-	seen := make(map[string]bool, len(header))
-	for i, name := range header[1:] {
-		col := i + 2 // 1-based, after t_s
-		if name == "" {
-			return 0, fmt.Errorf("obs: metrics csv: line 1: column %d: empty name", col)
-		}
-		if seen[name] {
-			return 0, fmt.Errorf("obs: metrics csv: line 1: column %d: duplicate name %q", col, name)
-		}
-		seen[name] = true
-		if families != nil && !inFamily(name, families) {
-			return 0, fmt.Errorf("obs: metrics csv: line 1: column %d: name %q matches no known metric family", col, name)
-		}
-	}
-	tails := tailGroups(header)
-	rows := 0
-	lineNo := 1
-	lastT := math.Inf(-1)
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if line == "" {
+	for line := 2; sc.Scan(); line++ {
+		if sc.Text() == "" {
 			continue
 		}
-		fields := strings.Split(line, ",")
-		if len(fields) != len(header) {
-			return rows, fmt.Errorf("obs: metrics csv: line %d: %d fields, header has %d", lineNo, len(fields), len(header))
+		fields := strings.Split(sc.Text(), ",")
+		if len(fields) != len(names) {
+			return fmt.Errorf("line %d: %d fields, header has %d", line, len(fields), len(names))
 		}
-		t, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil || math.IsNaN(t) || math.IsInf(t, 0) {
-			return rows, fmt.Errorf("obs: metrics csv: line %d: column \"t_s\": not a finite float: %q", lineNo, fields[0])
+		if err := row(line, fields); err != nil {
+			return err
 		}
-		if t < lastT {
-			return rows, fmt.Errorf("obs: metrics csv: line %d: column \"t_s\": %g before previous %g", lineNo, t, lastT)
+	}
+	return sc.Err()
+}
+
+// parseFinite parses a CSV cell that must hold a finite float.
+func parseFinite(cell string) (float64, bool) {
+	v, err := strconv.ParseFloat(cell, 64)
+	return v, err == nil && !math.IsNaN(v) && !math.IsInf(v, 0)
+}
+
+// summarizeMetrics is the one reader of the metrics CSV Registry.WriteCSV
+// writes. It checks the file as it summarises it: the header starts with
+// t_s followed by unique, non-empty names, each in one of MetricFamilies;
+// every row has the header's field count; t_s is finite and non-decreasing
+// and every other cell empty or finite; and within each "tail.<chan>"
+// channel a row's present quantile cells are non-decreasing from p50 to
+// p99.9. Errors name the physical line number and the offending column.
+func summarizeMetrics(r io.Reader) (*MetricsSummary, error) {
+	ms := &MetricsSummary{Families: make(map[string]int)}
+	var (
+		header []string
+		series []SeriesSummary // Mean holds the column's sum until the end
+		vals   []float64       // the row's cells by field index, NaN where empty
+		tails  [][]int
+	)
+	err := readCSV(r, func(names []string) error {
+		if names[0] != "t_s" {
+			return fmt.Errorf("line 1: first column must be \"t_s\", got %q", names[0])
 		}
-		lastT = t
+		seen := make(map[string]bool, len(names))
+		for i, name := range names[1:] {
+			fam := family(name)
+			switch col := i + 2; { // 1-based, after t_s
+			case name == "":
+				return fmt.Errorf("line 1: column %d: empty name", col)
+			case seen[name]:
+				return fmt.Errorf("line 1: column %d: duplicate name %q", col, name)
+			case fam == "":
+				return fmt.Errorf("line 1: column %d: name %q matches no known metric family", col, name)
+			}
+			seen[name] = true
+			ms.Families[fam]++
+			series = append(series, SeriesSummary{Name: name, Min: math.Inf(1), Max: math.Inf(-1)})
+		}
+		header, ms.Columns = names, len(series)
+		vals, tails = make([]float64, len(names)), tailGroups(names)
+		return nil
+	}, func(line int, fields []string) error {
+		t, ok := parseFinite(fields[0])
+		if !ok {
+			return fmt.Errorf("line %d: column \"t_s\": not a finite float: %q", line, fields[0])
+		}
+		if ms.Rows > 0 && t < ms.EndS {
+			return fmt.Errorf("line %d: column \"t_s\": %g before previous %g", line, t, ms.EndS)
+		}
+		if ms.Rows == 0 {
+			ms.StartS = t
+		}
+		ms.EndS = t
 		for i, cell := range fields[1:] {
+			vals[i+1] = math.NaN()
 			if cell == "" {
 				continue
 			}
-			v, err := strconv.ParseFloat(cell, 64)
-			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-				return rows, fmt.Errorf("obs: metrics csv: line %d: column %q: not a finite float: %q", lineNo, header[i+1], cell)
+			v, ok := parseFinite(cell)
+			if !ok {
+				return fmt.Errorf("line %d: column %q: not a finite float: %q", line, header[i+1], cell)
 			}
+			vals[i+1] = v
+			s := &series[i]
+			s.N++
+			s.Mean += v
+			if v < s.Min {
+				s.Min = v
+			}
+			if v > s.Max {
+				s.Max = v
+			}
+			s.Last = v
 		}
 		for _, g := range tails {
-			prev := math.Inf(-1)
-			prevIdx := -1
+			prev, prevIdx := math.Inf(-1), -1
 			for _, idx := range g {
-				if idx < 0 || fields[idx] == "" {
+				if idx < 0 || math.IsNaN(vals[idx]) {
 					continue
 				}
-				v, _ := strconv.ParseFloat(fields[idx], 64)
-				if v < prev {
-					return rows, fmt.Errorf("obs: metrics csv: line %d: column %q: tail quantile %g below %q's %g",
-						lineNo, header[idx], v, header[prevIdx], prev)
+				if vals[idx] < prev {
+					return fmt.Errorf("line %d: column %q: tail quantile %g below %q's %g",
+						line, header[idx], vals[idx], header[prevIdx], prev)
 				}
-				prev, prevIdx = v, idx
+				prev, prevIdx = vals[idx], idx
 			}
 		}
-		rows++
+		ms.Rows++
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if err := sc.Err(); err != nil {
-		return rows, err
-	}
-	return rows, nil
-}
-
-func inFamily(name string, families []string) bool {
-	for _, f := range families {
-		if strings.HasPrefix(name, f) {
-			return true
+	for i := range series {
+		if series[i].N > 0 {
+			series[i].Mean /= float64(series[i].N)
+			if math.IsInf(series[i].Mean, 0) {
+				return nil, fmt.Errorf("column %q: sum overflows", series[i].Name)
+			}
+			ms.Series = append(ms.Series, series[i])
 		}
 	}
-	return false
+	return ms, nil
 }
 
 // WriteCSV writes the sampled series as wide-format CSV: a t_s time

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 
 	"aequitas/internal/obs/flight"
@@ -45,6 +44,9 @@ type QuantilesUS struct {
 }
 
 func quantilesFromHist(h *stats.Hist) QuantilesUS {
+	if h.N() == 0 {
+		return QuantilesUS{} // no mean or quantiles: {n: 0}, never NaN
+	}
 	return QuantilesUS{
 		N:      h.N(),
 		MeanUS: h.Mean(),
@@ -113,222 +115,72 @@ type AttrClassSummary struct {
 }
 
 // BuildReport assembles a report from whichever artifact readers are
-// non-nil. Each artifact is validated while being summarised; the first
-// malformed line fails the build.
+// non-nil. Each artifact is read once, by its format's one reader, which
+// checks every line against the format's schema as it summarises it. The
+// first malformed line fails the build with an error that names the
+// artifact (its file name when the reader has a Name method, as an
+// *os.File does), the physical line and the field.
 func BuildReport(label string, trace, metrics, attr, flightDump io.Reader) (*Report, error) {
 	rep := &Report{Schema: ReportSchema, Label: label}
+	var err error
 	if trace != nil {
-		ts, err := summarizeTrace(trace)
-		if err != nil {
-			return nil, fmt.Errorf("trace: %w", err)
+		if rep.Trace, err = summarizeTrace(trace); err != nil {
+			return nil, artifactErr(trace, "trace", err)
 		}
-		rep.Trace = ts
 	}
 	if metrics != nil {
-		ms, err := summarizeMetrics(metrics)
-		if err != nil {
-			return nil, fmt.Errorf("metrics: %w", err)
+		if rep.Metrics, err = summarizeMetrics(metrics); err != nil {
+			return nil, artifactErr(metrics, "metrics", err)
 		}
-		rep.Metrics = ms
 	}
 	if attr != nil {
-		as, err := summarizeAttr(attr)
-		if err != nil {
-			return nil, fmt.Errorf("attribution: %w", err)
+		if rep.Attribution, err = summarizeAttr(attr); err != nil {
+			return nil, artifactErr(attr, "attribution", err)
 		}
-		rep.Attribution = as
 	}
 	if flightDump != nil {
-		fs, err := flight.Summarize(flightDump)
-		if err != nil {
-			return nil, fmt.Errorf("flight: %w", err)
+		if rep.Flight, err = flight.Summarize(flightDump); err != nil {
+			return nil, artifactErr(flightDump, "flight", err)
 		}
-		rep.Flight = fs
 	}
 	return rep, nil
 }
 
-// summarizeTrace scans an NDJSON lifecycle trace.
-func summarizeTrace(r io.Reader) (*TraceSummary, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	ts := &TraceSummary{Kinds: make(map[string]int64)}
-	all := stats.NewHist()
-	byClass := make(map[string]*stats.Hist)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e struct {
-			TSUS  float64 `json:"ts_us"`
-			Kind  string  `json:"kind"`
-			Class *int    `json:"class"`
-			RNLUS float64 `json:"rnl_us"`
-		}
-		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, fmt.Errorf("line %d: %v", lineNo, err)
-		}
-		if e.Kind == "" {
-			return nil, fmt.Errorf("line %d: no kind", lineNo)
-		}
-		ts.Events++
-		ts.Kinds[e.Kind]++
-		if e.TSUS > ts.EndUS {
-			ts.EndUS = e.TSUS
-		}
-		if e.Kind == "complete" && e.RNLUS > 0 {
-			all.Record(e.RNLUS)
-			if e.Class != nil {
-				key := "q" + strconv.Itoa(*e.Class)
-				h, ok := byClass[key]
-				if !ok {
-					h = stats.NewHist()
-					byClass[key] = h
-				}
-				h.Record(e.RNLUS)
-			}
-		}
+// artifactErr prefixes a reader's error with the artifact's file name, or
+// with its kind when the reader has no name.
+func artifactErr(r io.Reader, kind string, err error) error {
+	if f, ok := r.(interface{ Name() string }); ok {
+		kind = f.Name()
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	ts.RNL = quantilesFromHist(all)
-	if len(byClass) > 0 {
-		ts.RNLByClass = make(map[string]QuantilesUS, len(byClass))
-		for k, h := range byClass {
-			ts.RNLByClass[k] = quantilesFromHist(h)
-		}
-	}
-	return ts, nil
-}
-
-// summarizeMetrics scans a wide-format metrics CSV.
-func summarizeMetrics(r io.Reader) (*MetricsSummary, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("empty (no header)")
-	}
-	header := strings.Split(sc.Text(), ",")
-	if header[0] != "t_s" {
-		return nil, fmt.Errorf("first column %q, want t_s", header[0])
-	}
-	cols := header[1:]
-	ms := &MetricsSummary{Columns: len(cols), Families: make(map[string]int)}
-	for _, c := range cols {
-		for _, fam := range MetricFamilies {
-			if strings.HasPrefix(c, fam) {
-				ms.Families[strings.TrimSuffix(fam, ".")]++
-				break
-			}
-		}
-	}
-	series := make([]SeriesSummary, len(cols))
-	for i, c := range cols {
-		series[i] = SeriesSummary{Name: c, Min: math.Inf(1), Max: math.Inf(-1)}
-	}
-	sums := make([]float64, len(cols))
-	first := true
-	lineNo := 1
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		fields := strings.Split(line, ",")
-		if len(fields) != len(header) {
-			return nil, fmt.Errorf("line %d: %d fields, header has %d", lineNo, len(fields), len(header))
-		}
-		t, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: bad t_s %q", lineNo, fields[0])
-		}
-		if first {
-			ms.StartS = t
-			first = false
-		}
-		ms.EndS = t
-		for i, cell := range fields[1:] {
-			if cell == "" {
-				continue
-			}
-			v, err := strconv.ParseFloat(cell, 64)
-			if err != nil {
-				return nil, fmt.Errorf("line %d: column %q: bad value %q", lineNo, cols[i], cell)
-			}
-			s := &series[i]
-			s.N++
-			sums[i] += v
-			if v < s.Min {
-				s.Min = v
-			}
-			if v > s.Max {
-				s.Max = v
-			}
-			s.Last = v
-		}
-		ms.Rows++
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	for i := range series {
-		if series[i].N > 0 {
-			series[i].Mean = sums[i] / float64(series[i].N)
-			ms.Series = append(ms.Series, series[i])
-		}
-	}
-	return ms, nil
+	return fmt.Errorf("%s: %w", kind, err)
 }
 
 // attrComponents are the attribution CSV's per-RPC latency components,
 // in schema order (see AttrCSVHeader).
 var attrComponents = []string{"admit_us", "sender_us", "transport_us", "pacing_us", "nic_us", "switch_us", "wire_us", "rnl_us"}
 
-// summarizeAttr scans a per-RPC attribution CSV.
+// summarizeAttr is the one reader of the per-RPC attribution CSV: the
+// header must name the class and every component column, and every
+// component cell must be a finite float.
 func summarizeAttr(r io.Reader) (*AttrSummary, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("empty (no header)")
-	}
-	header := strings.Split(sc.Text(), ",")
-	col := make(map[string]int, len(header))
-	for i, name := range header {
-		col[name] = i
-	}
-	for _, need := range append([]string{"class"}, attrComponents...) {
-		if _, ok := col[need]; !ok {
-			return nil, fmt.Errorf("header missing column %q", need)
-		}
-	}
 	type acc struct {
 		n    int64
 		sums map[string]float64
 	}
 	byClass := make(map[string]*acc)
 	as := &AttrSummary{}
-	lineNo := 1
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if line == "" {
-			continue
+	col := make(map[string]int)
+	err := readCSV(r, func(names []string) error {
+		for i, name := range names {
+			col[name] = i
 		}
-		fields := strings.Split(line, ",")
-		if len(fields) != len(header) {
-			return nil, fmt.Errorf("line %d: %d fields, header has %d", lineNo, len(fields), len(header))
+		for _, need := range append([]string{"class"}, attrComponents...) {
+			if _, ok := col[need]; !ok {
+				return fmt.Errorf("header missing column %q", need)
+			}
 		}
+		return nil
+	}, func(line int, fields []string) error {
 		key := "q" + fields[col["class"]]
 		a, ok := byClass[key]
 		if !ok {
@@ -338,26 +190,24 @@ func summarizeAttr(r io.Reader) (*AttrSummary, error) {
 		a.n++
 		as.N++
 		for _, comp := range attrComponents {
-			v, err := strconv.ParseFloat(fields[col[comp]], 64)
-			if err != nil {
-				return nil, fmt.Errorf("line %d: column %q: bad value %q", lineNo, comp, fields[col[comp]])
+			v, ok := parseFinite(fields[col[comp]])
+			if !ok {
+				return fmt.Errorf("line %d: column %q: not a finite float: %q", line, comp, fields[col[comp]])
 			}
 			a.sums[comp] += v
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	keys := make([]string, 0, len(byClass))
-	for k := range byClass {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(byClass) {
 		a := byClass[k]
-		means := make(map[string]float64, len(a.sums))
-		for comp, sum := range a.sums {
-			means[comp] = sum / float64(a.n)
+		means := make(map[string]float64, len(attrComponents))
+		for _, comp := range attrComponents {
+			if means[comp] = a.sums[comp] / float64(a.n); math.IsInf(means[comp], 0) {
+				return nil, fmt.Errorf("column %q: sum overflows", comp)
+			}
 		}
 		as.Classes = append(as.Classes, AttrClassSummary{Class: k, N: a.n, MeanUS: means})
 	}
@@ -574,7 +424,7 @@ const DiffSchema = "aequitas.obsreport-diff/v1"
 // |pct| so the biggest movements lead.
 func DiffReports(a, b *Report) *ReportDiff {
 	av, ak := flattenReport(a)
-	bv, _ := flattenReport(b)
+	bv, bk := flattenReport(b)
 	d := &ReportDiff{Schema: DiffSchema, LabelA: a.Label, LabelB: b.Label}
 	seen := make(map[string]bool, len(ak))
 	for _, k := range ak {
@@ -587,7 +437,6 @@ func DiffReports(a, b *Report) *ReportDiff {
 		d.Rows = append(d.Rows, diffRow(k, x, y))
 	}
 	// Metrics only in b, in b's order.
-	_, bk := flattenReport(b)
 	for _, k := range bk {
 		if !seen[k] {
 			d.Rows = append(d.Rows, diffRow(k, math.NaN(), bv[k]))

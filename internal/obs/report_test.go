@@ -1,8 +1,12 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -18,7 +22,7 @@ func reportTrace(n int) string {
 		if class == 1 {
 			rnl *= 20
 		}
-		fmt.Fprintf(&b, `{"ts_us":%.1f,"kind":"issue","rpc":%d,"src":0,"dst":1,"prio":"PC","class":%d,"bytes":4096}`+"\n", ts, i, class)
+		fmt.Fprintf(&b, `{"ts_us":%.1f,"kind":"issue","rpc":%d,"src":0,"dst":1,"prio":0,"class":%d,"bytes":4096}`+"\n", ts, i, class)
 		ts += 0.5
 		fmt.Fprintf(&b, `{"ts_us":%.1f,"kind":"admit","rpc":%d,"src":0,"dst":1,"class":%d,"decision":"admit","p_admit":1}`+"\n", ts, i, class)
 		ts += rnl
@@ -114,6 +118,67 @@ func TestBuildReportEndToEnd(t *testing.T) {
 	}
 }
 
+// TestReportEmptyDistribution: a valid trace with no completion (a run
+// shorter than one RPC) summarises its RNL as {n: 0} with zero
+// quantiles, and its report writes and reads back. An empty histogram
+// used to summarise to a NaN mean the JSON encoder refuses.
+func TestReportEmptyDistribution(t *testing.T) {
+	trace := `{"ts_us":0.000,"kind":"issue","rpc":1,"src":0,"dst":1,"prio":0,"class":0,"bytes":4096}
+{"ts_us":0.500,"kind":"admit","rpc":1,"src":0,"dst":1,"class":0,"decision":"admit","p_admit":1}
+`
+	rep, err := BuildReport("short", strings.NewReader(trace), nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Trace.RNL != (QuantilesUS{}) || rep.Trace.RNLByClass != nil {
+		t.Errorf("empty RNL summary = %+v, by class %v", rep.Trace.RNL, rep.Trace.RNLByClass)
+	}
+	var js strings.Builder
+	if err := rep.WriteJSON(&js); err != nil {
+		t.Fatalf("report of a trace without completions not writable: %v", err)
+	}
+	if _, err := ValidateReportJSON(strings.NewReader(js.String())); err != nil {
+		t.Fatalf("written report invalid: %v\n%s", err, js.String())
+	}
+}
+
+// TestBuildReportErrorsNamePath: a malformed artifact read from a file
+// fails with the file's path, the physical line and the field; a reader
+// without a name gets the artifact's kind instead, once.
+func TestBuildReportErrorsNamePath(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.ndjson")
+	if err := os.WriteFile(path, []byte(reportTrace(1)+`{"ts_us":99,"kind":"drop","rpc":9,"class":0,"bytes":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	_, err = BuildReport("", f, nil, nil, nil)
+	if want := path + `: line 4: field "link"`; err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("error %v, want prefix %q", err, want)
+	}
+	bad := strings.Replace(reportFlightNDJSON, `"p_admit":0.8`, `"p_admit":8`, 1)
+	_, err = BuildReport("", nil, nil, nil, strings.NewReader(bad))
+	if want := `flight: line 3: field "p_admit"`; err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("error %v, want prefix %q", err, want)
+	}
+}
+
+// TestAttrRejectsNonFinite: the attribution reader refuses a NaN or
+// infinite component, naming the line and the column, like the metrics
+// reader does; before, the report built and then failed to encode.
+func TestAttrRejectsNonFinite(t *testing.T) {
+	for _, cell := range []string{"NaN", "Inf", "-Inf", "x"} {
+		in := strings.Replace(reportAttrCSV, "0.002,2,3,4,", "0.002,2,"+cell+",4,", 1)
+		_, err := BuildReport("", nil, nil, strings.NewReader(in), nil)
+		if want := `attribution: line 3: column "sender_us"`; err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s: error %v, want prefix %q", cell, err, want)
+		}
+	}
+}
+
 // TestValidateReportJSONRejects: schema tag, kind-sum, quantile
 // monotonicity, and series-consistency defects are all caught.
 func TestValidateReportJSONRejects(t *testing.T) {
@@ -194,4 +259,39 @@ func TestDiffReports(t *testing.T) {
 	if !strings.Contains(md.String(), "# Run diff: run1 vs run3") {
 		t.Errorf("diff markdown header wrong:\n%s", md.String())
 	}
+}
+
+// FuzzBuildReport: whatever the four readers accept must make a report
+// that writes as JSON and reads back through ValidateReportJSON. Each
+// input is one artifact; an empty one is absent. Seeds include the three
+// inputs that broke this before the readers were merged: a trace without
+// completions, a metrics cell that is infinite, a NaN attribution cell.
+func FuzzBuildReport(f *testing.F) {
+	f.Add([]byte(reportTrace(3)), []byte(reportMetricsCSV), []byte(reportAttrCSV), []byte(reportFlightNDJSON))
+	f.Add([]byte(`{"ts_us":0,"kind":"issue","rpc":1,"src":0,"dst":1,"prio":0,"class":0,"bytes":1}`), []byte{}, []byte{}, []byte{})
+	f.Add([]byte{}, []byte("t_s,q.a\n1,Inf\n"), []byte{}, []byte{})
+	f.Add([]byte{}, []byte{}, []byte(strings.Replace(reportAttrCSV, ",2,3,4,", ",2,NaN,4,", 1)), []byte{})
+	f.Add([]byte{}, []byte{}, []byte{}, []byte(strings.Replace(reportFlightNDJSON, `"sampled_out":1`, `"sampled_out":-10`, 1)))
+	f.Fuzz(func(t *testing.T, trace, metrics, attr, flightDump []byte) {
+		reader := func(b []byte) io.Reader {
+			if len(b) == 0 {
+				return nil
+			}
+			return bytes.NewReader(b)
+		}
+		if len(trace)+len(metrics)+len(attr)+len(flightDump) == 0 {
+			return
+		}
+		rep, err := BuildReport("fuzz", reader(trace), reader(metrics), reader(attr), reader(flightDump))
+		if err != nil {
+			return
+		}
+		var js bytes.Buffer
+		if err := rep.WriteJSON(&js); err != nil {
+			t.Fatalf("accepted artifacts make an unwritable report: %v", err)
+		}
+		if _, err := ValidateReportJSON(&js); err != nil {
+			t.Fatalf("accepted artifacts make an invalid report: %v\n%s", err, js.String())
+		}
+	})
 }

@@ -75,8 +75,8 @@ func TestTailTrackerNilDisabled(t *testing.T) {
 	tr.Observe(0, 0, 1) // must not panic
 }
 
-// TestTailTrackerInRegistry: tail columns land in the CSV and pass
-// ValidateMetricsCSV with the tail family and monotonicity checks.
+// TestTailTrackerInRegistry: tail columns land in the CSV and pass the
+// metrics reader's tail family and monotonicity checks.
 func TestTailTrackerInRegistry(t *testing.T) {
 	tr := NewTailTracker()
 	reg := NewRegistry()
@@ -91,12 +91,12 @@ func TestTailTrackerInRegistry(t *testing.T) {
 	if err := reg.WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := ValidateMetricsCSV(strings.NewReader(b.String()), MetricFamilies)
+	ms, err := summarizeMetrics(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatalf("tail CSV rejected: %v\n%s", err, b.String())
 	}
-	if rows != 3 {
-		t.Errorf("rows = %d, want 3", rows)
+	if ms.Rows != 3 {
+		t.Errorf("rows = %d, want 3", ms.Rows)
 	}
 }
 
@@ -106,20 +106,20 @@ func TestTailTrackerInRegistry(t *testing.T) {
 func TestValidateMetricsCSVTailMonotonic(t *testing.T) {
 	bad := "t_s,tail.d0.q0.p50_us,tail.d0.q0.p90_us,tail.d0.q0.p99_us\n" +
 		"0.000000000,10,50,20\n"
-	if _, err := ValidateMetricsCSV(strings.NewReader(bad), MetricFamilies); err == nil {
+	if _, err := summarizeMetrics(strings.NewReader(bad)); err == nil {
 		t.Error("descending tail quantiles accepted")
 	} else if !strings.Contains(err.Error(), "tail.d0.q0.p99_us") {
 		t.Errorf("error does not name the offending column: %v", err)
 	}
 	ok := "t_s,tail.d0.q0.p90_us,tail.d1.q0.p50_us\n" +
 		"0.000000000,50,20\n"
-	if _, err := ValidateMetricsCSV(strings.NewReader(ok), MetricFamilies); err != nil {
+	if _, err := summarizeMetrics(strings.NewReader(ok)); err != nil {
 		t.Errorf("cross-channel values misread as one channel: %v", err)
 	}
 	// Empty cells (channel quiet that window) are fine.
 	gaps := "t_s,tail.d0.q0.p50_us,tail.d0.q0.p90_us,tail.d0.q0.p99_us\n" +
 		"0.000000000,10,,20\n"
-	if _, err := ValidateMetricsCSV(strings.NewReader(gaps), MetricFamilies); err != nil {
+	if _, err := summarizeMetrics(strings.NewReader(gaps)); err != nil {
 		t.Errorf("row with empty tail cell rejected: %v", err)
 	}
 }

@@ -4,13 +4,16 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"aequitas/internal/faults"
 	"aequitas/internal/obs/flight"
 	"aequitas/internal/sim"
+	"aequitas/internal/stats"
 )
 
 // Kind is the lifecycle stage an Event records.
@@ -256,7 +259,7 @@ func appendNDJSON(b []byte, e *Event) []byte {
 }
 
 // schemaFields maps each kind to the fields required beyond the common
-// ts_us/kind/rpc. ValidateNDJSON and the schema tests share it.
+// ts_us/kind/rpc: the schema WriteNDJSON writes and summarizeTrace reads.
 var schemaFields = map[string][]string{
 	"issue":    {"src", "dst", "prio", "class", "bytes"},
 	"admit":    {"src", "dst", "class", "decision", "p_admit"},
@@ -267,187 +270,113 @@ var schemaFields = map[string][]string{
 	"fault":    {"event", "target", "rate"},
 }
 
-// SchemaFields returns the required kind-specific field names for kind,
-// or nil for an unknown kind.
-func SchemaFields(kind string) []string { return schemaFields[kind] }
-
-// ValidateNDJSON checks an NDJSON stream against the trace schema: every
-// line is a JSON object carrying ts_us/kind/rpc plus its kind's required
-// fields, timestamps are non-negative and non-decreasing, admit events
-// carry a probability in [0, 1] and a known decision, and hop residencies
-// are non-negative. It returns the number of valid events. Errors name
-// the offending field and the physical line number (blank lines count, so
-// the number matches an editor's view of the file).
-func ValidateNDJSON(r io.Reader) (int, error) {
+// summarizeTrace is the one reader of the NDJSON trace. It checks every
+// line against the schema as it counts it: a JSON object carrying
+// ts_us/kind/rpc plus its kind's required fields, typed (class an
+// integer); timestamps non-negative and non-decreasing; admit events with
+// a probability in [0, 1] and a known decision; hop residencies
+// non-negative; completions with a positive RNL; fault events with a rate
+// in [0, 1] and a known simulator fault. Errors name the field and the
+// physical line number (blank lines count, so the number matches an
+// editor's view of the file).
+func summarizeTrace(r io.Reader) (*TraceSummary, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	n := 0
-	lineNo := 0
-	lastTS := -1.0
-	for sc.Scan() {
-		lineNo++
+	ts := &TraceSummary{Kinds: make(map[string]int64)}
+	all := stats.NewHist()
+	byClass := make(map[string]*stats.Hist)
+	for lineNo := 1; sc.Scan(); lineNo++ {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		n++
 		var m map[string]any
 		if err := json.Unmarshal(line, &m); err != nil {
-			return n, fmt.Errorf("obs: line %d: invalid JSON: %w", lineNo, err)
+			return nil, fmt.Errorf("line %d: invalid JSON: %w", lineNo, err)
 		}
-		ts, ok := m["ts_us"].(float64)
-		if !ok || ts < 0 {
-			return n, fmt.Errorf("obs: line %d: field \"ts_us\" missing or negative", lineNo)
+		t, ok := m["ts_us"].(float64)
+		if !ok || t < 0 {
+			return nil, fmt.Errorf("line %d: field \"ts_us\" missing or negative", lineNo)
 		}
-		if ts < lastTS {
-			return n, fmt.Errorf("obs: line %d: field \"ts_us\" %.3f before previous %.3f", lineNo, ts, lastTS)
+		if t < ts.EndUS {
+			return nil, fmt.Errorf("line %d: field \"ts_us\" %.3f before previous %.3f", lineNo, t, ts.EndUS)
 		}
-		lastTS = ts
+		ts.EndUS = max(ts.EndUS, t) // the trace horizon: ts_us never decreases
 		kind, ok := m["kind"].(string)
 		if !ok {
-			return n, fmt.Errorf("obs: line %d: field \"kind\" missing", lineNo)
+			return nil, fmt.Errorf("line %d: field \"kind\" missing", lineNo)
 		}
 		req, ok := schemaFields[kind]
 		if !ok {
-			return n, fmt.Errorf("obs: line %d: field \"kind\": unknown kind %q", lineNo, kind)
+			return nil, fmt.Errorf("line %d: field \"kind\": unknown kind %q", lineNo, kind)
 		}
 		if _, ok := m["rpc"].(float64); !ok {
-			return n, fmt.Errorf("obs: line %d: field \"rpc\" missing", lineNo)
+			return nil, fmt.Errorf("line %d: field \"rpc\" missing", lineNo)
 		}
 		for _, f := range req {
 			v, ok := m[f]
 			if !ok {
-				return n, fmt.Errorf("obs: line %d: field %q missing from %s event", lineNo, f, kind)
+				return nil, fmt.Errorf("line %d: field %q missing from %s event", lineNo, f, kind)
 			}
-			switch f {
-			case "link", "decision", "event", "target":
-				if _, ok := v.(string); !ok {
-					return n, fmt.Errorf("obs: line %d: field %q must be a string", lineNo, f)
-				}
-			default:
-				if _, ok := v.(float64); !ok {
-					return n, fmt.Errorf("obs: line %d: field %q must be a number", lineNo, f)
-				}
+			n, isNum := v.(float64)
+			_, isStr := v.(string)
+			switch wantStr := f == "link" || f == "decision" || f == "event" || f == "target"; {
+			case wantStr && !isStr:
+				return nil, fmt.Errorf("line %d: field %q must be a string", lineNo, f)
+			case !wantStr && !isNum:
+				return nil, fmt.Errorf("line %d: field %q must be a number", lineNo, f)
+			case f == "class" && (n != math.Trunc(n) || math.Abs(n) > math.MaxInt32):
+				return nil, fmt.Errorf("line %d: field %q must be an integer", lineNo, f)
 			}
 		}
 		switch kind {
 		case "admit":
 			if p := m["p_admit"].(float64); p < 0 || p > 1 {
-				return n, fmt.Errorf("obs: line %d: field \"p_admit\" %v out of [0, 1]", lineNo, m["p_admit"])
+				return nil, fmt.Errorf("line %d: field \"p_admit\" %v out of [0, 1]", lineNo, p)
 			}
-			switch m["decision"].(string) {
-			case "admit", "downgrade", "drop":
-			default:
-				return n, fmt.Errorf("obs: line %d: field \"decision\": unknown decision %q", lineNo, m["decision"])
+			if d := m["decision"].(string); d != "admit" && d != "downgrade" && d != "drop" {
+				return nil, fmt.Errorf("line %d: field \"decision\": unknown decision %q", lineNo, d)
 			}
 		case "hop":
 			if m["resid_us"].(float64) < 0 {
-				return n, fmt.Errorf("obs: line %d: field \"resid_us\" negative", lineNo)
+				return nil, fmt.Errorf("line %d: field \"resid_us\" negative", lineNo)
 			}
 		case "complete":
-			if m["rnl_us"].(float64) <= 0 {
-				return n, fmt.Errorf("obs: line %d: field \"rnl_us\" non-positive", lineNo)
+			rnl := m["rnl_us"].(float64)
+			if rnl <= 0 {
+				return nil, fmt.Errorf("line %d: field \"rnl_us\" non-positive", lineNo)
 			}
+			all.Record(rnl)
+			key := "q" + strconv.Itoa(int(m["class"].(float64)))
+			h, ok := byClass[key]
+			if !ok {
+				h = stats.NewHist()
+				byClass[key] = h
+			}
+			h.Record(rnl)
 		case "fault":
 			if r := m["rate"].(float64); r < 0 || r > 1 {
-				return n, fmt.Errorf("obs: line %d: field \"rate\" %v out of [0, 1]", lineNo, m["rate"])
+				return nil, fmt.Errorf("line %d: field \"rate\" %v out of [0, 1]", lineNo, r)
 			}
 			if k, ok := faults.KindNamed(m["event"].(string)); !ok || k.Serving() {
-				return n, fmt.Errorf("obs: line %d: field \"event\": unknown fault %q", lineNo, m["event"])
+				return nil, fmt.Errorf("line %d: field \"event\": unknown fault %q", lineNo, m["event"])
 			}
 		}
+		ts.Events++
+		ts.Kinds[kind]++
 	}
 	if err := sc.Err(); err != nil {
-		return n, err
+		return nil, err
 	}
-	return n, nil
-}
-
-// chromeEvent is one Chrome trace-event JSON object.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`
-	Dur  *float64       `json:"dur,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	ID   string         `json:"id,omitempty"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// WriteChromeTrace writes the recorded events in Chrome trace-event JSON
-// (the {"traceEvents": [...]} form Perfetto loads). RPC lifecycles become
-// async begin/end spans keyed by RPC id under the source host's process;
-// queue residencies become complete slices on one thread track per link;
-// admission decisions and drops become instant events.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	if t == nil {
-		return nil
+	ts.RNL = quantilesFromHist(all)
+	if math.IsInf(ts.RNL.MeanUS, 0) {
+		return nil, errors.New("field \"rnl_us\": sum overflows")
 	}
-	linkTID := make(map[string]int)
-	tid := func(link string) int {
-		id, ok := linkTID[link]
-		if !ok {
-			id = len(linkTID) + 1
-			linkTID[link] = id
-		}
-		return id
-	}
-	const fabricPID = 1 << 20 // synthetic "fabric" process for link tracks
-	out := make([]chromeEvent, 0, len(t.events))
-	meta := []chromeEvent{}
-	for i := range t.events {
-		e := &t.events[i]
-		ts := e.TS.Micros()
-		switch e.Kind {
-		case KindIssue:
-			out = append(out, chromeEvent{Name: "rpc", Cat: "rpc", Ph: "b", TS: ts,
-				PID: int(e.Src), TID: int(e.Dst), ID: strconv.FormatUint(e.RPC, 10),
-				Args: map[string]any{"prio": e.Prio, "class": e.Class, "bytes": e.Bytes}})
-		case KindComplete:
-			out = append(out, chromeEvent{Name: "rpc", Cat: "rpc", Ph: "e", TS: ts,
-				PID: int(e.Src), TID: int(e.Dst), ID: strconv.FormatUint(e.RPC, 10),
-				Args: map[string]any{"rnl_us": picosUS(e.Val)}})
-		case KindAdmit:
-			out = append(out, chromeEvent{Name: "admit/" + e.Decision.String(), Cat: "admission",
-				Ph: "i", S: "t", TS: ts, PID: int(e.Src), TID: int(e.Dst),
-				Args: map[string]any{"rpc": e.RPC, "p_admit": e.Val, "class": e.Class}})
-		case KindEnqueue:
-			out = append(out, chromeEvent{Name: "enqueue", Cat: "rpc", Ph: "i", S: "t",
-				TS: ts, PID: int(e.Src), TID: int(e.Dst),
-				Args: map[string]any{"rpc": e.RPC, "class": e.Class, "bytes": e.Bytes}})
-		case KindHop:
-			resid := picosUS(e.Val)
-			start := ts - resid
-			out = append(out, chromeEvent{Name: e.Link, Cat: "queue", Ph: "X",
-				TS: start, Dur: &resid, PID: fabricPID, TID: tid(e.Link),
-				Args: map[string]any{"rpc": e.RPC, "class": e.Class, "bytes": e.Bytes, "qbytes": e.QBytes}})
-		case KindDrop:
-			out = append(out, chromeEvent{Name: "drop@" + e.Link, Cat: "queue", Ph: "i", S: "t",
-				TS: ts, PID: fabricPID, TID: tid(e.Link),
-				Args: map[string]any{"rpc": e.RPC, "class": e.Class, "bytes": e.Bytes}})
-		case KindFault:
-			out = append(out, chromeEvent{Name: "fault/" + e.Fault.String(), Cat: "fault",
-				Ph: "i", S: "g", TS: ts, PID: fabricPID, TID: 0,
-				Args: map[string]any{"target": e.Link, "rate": e.Val}})
+	if len(byClass) > 0 {
+		ts.RNLByClass = make(map[string]QuantilesUS, len(byClass))
+		for k, h := range byClass {
+			ts.RNLByClass[k] = quantilesFromHist(h)
 		}
 	}
-	// Name the synthetic fabric process and its per-link threads. Order by
-	// tid (first appearance), never map order, so output is deterministic.
-	if len(linkTID) > 0 {
-		meta = append(meta, chromeEvent{Name: "process_name", Ph: "M", PID: fabricPID,
-			Args: map[string]any{"name": "fabric"}})
-		byTID := make([]string, len(linkTID)+1)
-		for link, id := range linkTID {
-			byTID[id] = link
-		}
-		for id := 1; id < len(byTID); id++ {
-			meta = append(meta, chromeEvent{Name: "thread_name", Ph: "M", PID: fabricPID, TID: id,
-				Args: map[string]any{"name": byTID[id]}})
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{"traceEvents": append(meta, out...)})
+	return ts, nil
 }

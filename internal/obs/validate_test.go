@@ -19,12 +19,9 @@ func TestValidateNDJSONLineNumbers(t *testing.T) {
 		`{"ts_us":3,"kind":"drop","rpc":3,"class":0,"bytes":1}`, // missing link
 		`{"ts_us":4,"kind":"drop","rpc":4,"link":"x","class":0,"bytes":1}`,
 	}, "\n")
-	n, err := ValidateNDJSON(strings.NewReader(in))
+	_, err := summarizeTrace(strings.NewReader(in))
 	if err == nil {
 		t.Fatal("malformed mid-file line validated")
-	}
-	if n != 3 {
-		t.Errorf("valid-event count = %d, want 3 (two good + the bad one)", n)
 	}
 	msg := err.Error()
 	if !strings.Contains(msg, "line 4") {
@@ -51,7 +48,7 @@ func TestValidateNDJSONErrorsNameField(t *testing.T) {
 		"zero rnl":       {`{"ts_us":1,"kind":"complete","rpc":1,"src":0,"dst":1,"class":0,"bytes":1,"rnl_us":0}`, "rnl_us"},
 	}
 	for name, tc := range cases {
-		_, err := ValidateNDJSON(strings.NewReader(tc.in))
+		_, err := summarizeTrace(strings.NewReader(tc.in))
 		if err == nil {
 			t.Errorf("%s: validated", name)
 			continue
@@ -64,16 +61,12 @@ func TestValidateNDJSONErrorsNameField(t *testing.T) {
 
 func TestValidateMetricsCSV(t *testing.T) {
 	good := "t_s,q.up-0.bytes,drop.up-0.pkts\n0.000000000,12,0\n0.000100000,,1\n0.000200000,3,1\n"
-	n, err := ValidateMetricsCSV(strings.NewReader(good), MetricFamilies)
+	ms, err := summarizeMetrics(strings.NewReader(good))
 	if err != nil {
 		t.Fatalf("valid csv rejected: %v", err)
 	}
-	if n != 3 {
-		t.Errorf("rows = %d, want 3", n)
-	}
-	// nil families skips the prefix check.
-	if _, err := ValidateMetricsCSV(strings.NewReader("t_s,anything\n1,2\n"), nil); err != nil {
-		t.Errorf("nil families rejected: %v", err)
+	if ms.Rows != 3 {
+		t.Errorf("rows = %d, want 3", ms.Rows)
 	}
 }
 
@@ -88,9 +81,12 @@ func TestValidateMetricsCSVRejects(t *testing.T) {
 		"bad t_s":        {"t_s,q.a\nnope,2\n", `"t_s"`},
 		"non-monotonic":  {"t_s,q.a\n2,1\n1,1\n", "before previous"},
 		"bad cell":       {"t_s,q.a\n1,x\n", `"q.a"`},
+		"infinite cell":  {"t_s,q.a\n1,Inf\n", `"q.a"`},
+		"NaN t_s":        {"t_s,q.a\nNaN,1\n", `"t_s"`},
+		"sum overflows":  {"t_s,q.a\n1,1e308\n2,1e308\n", `"q.a"`},
 	}
 	for name, tc := range cases {
-		_, err := ValidateMetricsCSV(strings.NewReader(tc.in), MetricFamilies)
+		_, err := summarizeMetrics(strings.NewReader(tc.in))
 		if err == nil {
 			t.Errorf("%s: validated", name)
 			continue
@@ -102,7 +98,7 @@ func TestValidateMetricsCSVRejects(t *testing.T) {
 }
 
 // TestValidateMetricsCSVRoundTrip feeds a registry's own output through
-// the validator, with columns drawn from the real metric families.
+// the reader, with columns drawn from the real metric families.
 func TestValidateMetricsCSVRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Register(func(now sim.Time, emit func(string, float64)) {
@@ -119,12 +115,12 @@ func TestValidateMetricsCSVRoundTrip(t *testing.T) {
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	n, err := ValidateMetricsCSV(strings.NewReader(buf.String()), MetricFamilies)
+	ms, err := summarizeMetrics(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatalf("registry output rejected: %v", err)
 	}
-	if n != r.Rows() {
-		t.Errorf("validated %d rows, registry has %d", n, r.Rows())
+	if ms.Rows != r.Rows() {
+		t.Errorf("read %d rows, registry has %d", ms.Rows, r.Rows())
 	}
 }
 

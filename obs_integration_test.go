@@ -41,22 +41,21 @@ func obsTestConfig(seed int64) SimConfig {
 // acceptance criterion: the NDJSON stream is schema-valid and the metrics
 // CSV carries queue, admission, and transport time series.
 func TestObsEndToEnd(t *testing.T) {
-	var ndjson, chrome, metrics bytes.Buffer
+	var ndjson, metrics bytes.Buffer
 	cfg := obsTestConfig(11)
 	cfg.Obs = ObsConfig{
 		TraceNDJSON: &ndjson,
-		TraceChrome: &chrome,
 		MetricsCSV:  &metrics,
 	}
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
 
-	n, err := obs.ValidateNDJSON(bytes.NewReader(ndjson.Bytes()))
+	rep, err := obs.BuildReport("e2e", bytes.NewReader(ndjson.Bytes()), nil, nil, nil)
 	if err != nil {
 		t.Fatalf("NDJSON invalid: %v", err)
 	}
-	if n == 0 {
+	if rep.Trace.Events == 0 {
 		t.Fatal("empty trace")
 	}
 
@@ -110,17 +109,6 @@ func TestObsEndToEnd(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Error("no completed RPC lifecycles to check")
-	}
-
-	// The Chrome trace is one JSON document with a traceEvents array.
-	var doc struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(chrome.Bytes(), &doc); err != nil {
-		t.Fatalf("chrome trace invalid: %v", err)
-	}
-	if len(doc.TraceEvents) == 0 {
-		t.Error("empty chrome trace")
 	}
 
 	// The metrics CSV must expose all three subsystem families.
@@ -194,11 +182,11 @@ func TestTailSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rows, err := obs.ValidateMetricsCSV(bytes.NewReader(tailed.Bytes()), obs.MetricFamilies)
+	rep, err := obs.BuildReport("tail", nil, bytes.NewReader(tailed.Bytes()), nil, nil)
 	if err != nil {
 		t.Fatalf("tail metrics CSV invalid: %v", err)
 	}
-	if rows < 10 {
+	if rows := rep.Metrics.Rows; rows < 10 {
 		t.Errorf("metrics rows = %d, want >= 10", rows)
 	}
 	header := strings.SplitN(tailed.String(), "\n", 2)[0]
@@ -273,9 +261,11 @@ func TestTailSeriesDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestObsSchemaGolden pins the NDJSON schema: the exact per-kind required
-// fields. Extending the schema is fine (update the golden); renaming or
-// dropping fields breaks downstream consumers and must be deliberate.
+// TestObsSchemaGolden pins the NDJSON schema as the trace reader holds
+// it: an event carrying ts_us/kind/rpc plus exactly its kind's golden
+// fields reads, and dropping any one of them is refused naming it.
+// Extending the schema is fine (update the golden); renaming or dropping
+// fields breaks downstream consumers and must be deliberate.
 func TestObsSchemaGolden(t *testing.T) {
 	golden := map[string][]string{
 		"issue":    {"src", "dst", "prio", "class", "bytes"},
@@ -284,14 +274,34 @@ func TestObsSchemaGolden(t *testing.T) {
 		"hop":      {"link", "class", "bytes", "resid_us", "qbytes"},
 		"drop":     {"link", "class", "bytes"},
 		"complete": {"src", "dst", "class", "bytes", "rnl_us"},
+		"fault":    {"event", "target", "rate"},
+	}
+	value := map[string]string{"link": `"up-0"`, "target": `"up-0"`, "decision": `"admit"`, "event": `"linkdown"`}
+	line := func(kind string, fields []string, skip int) string {
+		s := `{"ts_us":1,"kind":"` + kind + `","rpc":1`
+		for i, f := range fields {
+			v, ok := value[f]
+			if !ok {
+				v = "1"
+			}
+			if i != skip {
+				s += `,"` + f + `":` + v
+			}
+		}
+		return s + "}"
 	}
 	for kind, want := range golden {
-		got := obs.SchemaFields(kind)
-		if strings.Join(got, ",") != strings.Join(want, ",") {
-			t.Errorf("schema for %q = %v, want %v", kind, got, want)
+		if _, err := obs.BuildReport("golden", strings.NewReader(line(kind, want, -1)), nil, nil, nil); err != nil {
+			t.Errorf("%s event with the golden fields refused: %v", kind, err)
+		}
+		for i, f := range want {
+			_, err := obs.BuildReport("golden", strings.NewReader(line(kind, want, i)), nil, nil, nil)
+			if err == nil || !strings.Contains(err.Error(), `"`+f+`"`) {
+				t.Errorf("%s event without %q: error %v, want one naming the field", kind, f, err)
+			}
 		}
 	}
-	if obs.SchemaFields("nope") != nil {
-		t.Error("unknown kind has schema fields")
+	if _, err := obs.BuildReport("golden", strings.NewReader(`{"ts_us":1,"kind":"nope","rpc":1}`), nil, nil, nil); err == nil {
+		t.Error("unknown kind read")
 	}
 }

@@ -10,10 +10,10 @@ import (
 )
 
 // ObsConfig configures the per-run observability layer: the structured
-// RPC-lifecycle tracer (NDJSON and Chrome trace-event output), and the
-// metrics registry sampling per-port queue occupancy, per-(dst, class)
-// admission state, and per-connection transport state on a simulated-time
-// ticker. The zero value disables everything at zero hot-path cost.
+// RPC-lifecycle tracer (NDJSON output), and the metrics registry sampling
+// per-port queue occupancy, per-(dst, class) admission state, and
+// per-connection transport state on a simulated-time ticker. The zero
+// value disables everything at zero hot-path cost.
 //
 // Each run owns its tracer and registry and writes output at the end of
 // Run, so the streams are deterministic for a fixed SimConfig regardless
@@ -23,9 +23,6 @@ type ObsConfig struct {
 	// TraceNDJSON receives the lifecycle event stream as NDJSON (see
 	// internal/obs for the schema). Setting it enables the tracer.
 	TraceNDJSON io.Writer
-	// TraceChrome receives the same events as Chrome trace-event JSON,
-	// loadable in Perfetto (ui.perfetto.dev).
-	TraceChrome io.Writer
 	// MetricsCSV receives the wide-format metrics time series (column
 	// t_s plus one column per metric). Setting it enables the registry.
 	MetricsCSV io.Writer
@@ -123,13 +120,13 @@ func (o *ObsConfig) attributionOn() bool {
 
 // enabled reports whether any observability output is requested.
 func (o *ObsConfig) enabled() bool {
-	return o.TraceNDJSON != nil || o.TraceChrome != nil || o.MetricsCSV != nil ||
+	return o.TraceNDJSON != nil || o.MetricsCSV != nil ||
 		o.Export != nil || o.FlightNDJSON != nil || o.attributionOn()
 }
 
 // tracer returns the run's tracer, or nil when tracing is off.
 func (o *ObsConfig) tracer() *obs.Tracer {
-	if o.TraceNDJSON == nil && o.TraceChrome == nil {
+	if o.TraceNDJSON == nil {
 		return nil
 	}
 	return obs.NewTracer()

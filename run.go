@@ -468,16 +468,9 @@ func runAndDrain(st *runState) error {
 
 	// Flush observability output. The run is single-threaded and each run
 	// owns its writers, so the streams are deterministic and race-free.
-	if st.tracer != nil {
-		if w := cfg.Obs.TraceNDJSON; w != nil {
-			if err := st.tracer.WriteNDJSON(w); err != nil {
-				return fmt.Errorf("aequitas: trace ndjson: %w", err)
-			}
-		}
-		if w := cfg.Obs.TraceChrome; w != nil {
-			if err := st.tracer.WriteChromeTrace(w); err != nil {
-				return fmt.Errorf("aequitas: trace chrome: %w", err)
-			}
+	if w := cfg.Obs.TraceNDJSON; w != nil {
+		if err := st.tracer.WriteNDJSON(w); err != nil {
+			return fmt.Errorf("aequitas: trace ndjson: %w", err)
 		}
 	}
 	if st.registry != nil && cfg.Obs.MetricsCSV != nil {
