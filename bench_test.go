@@ -9,6 +9,7 @@ package aequitas
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -558,6 +559,44 @@ func BenchmarkRun(b *testing.B) {
 	b.Run("incast", func(b *testing.B) {
 		run(b, func(cfg *SimConfig) { cfg.Traffic[0].Pattern = IncastPattern(0) })
 	})
+}
+
+// TestRunAllocsPerRPC is the allocation budget of a simulated RPC end to
+// end, on the benchmark's sim-small-rpc shape (8 hosts, one-MTU RPCs):
+// at most 0.05 objects per completed RPC. It is the count a 4 ms run
+// makes beyond a 2 ms one per RPC the extra 2 ms complete, because a run
+// of either length also builds its fabric and grows its free lists,
+// packet pool and queues to the peak of RPCs in flight, about 9 000
+// objects that do not depend on how long it runs.
+func TestRunAllocsPerRPC(t *testing.T) {
+	run := func(d time.Duration) (mallocs uint64, completed int64) {
+		cfg := SimConfig{
+			System: SystemAequitas, Hosts: 8, Seed: 1, Duration: d,
+			SLOs: []SLO{
+				{Target: 15 * time.Microsecond, ReferenceBytes: 1436, Percentile: 99.9},
+				{Target: 25 * time.Microsecond, ReferenceBytes: 1436, Percentile: 99.9},
+			},
+			Traffic: []HostTraffic{{AvgLoad: 0.8, BurstLoad: 1.4, Classes: []TrafficClass{
+				{Priority: PC, Share: 0.5, FixedBytes: 1436},
+				{Priority: NC, Share: 0.3, FixedBytes: 1436},
+				{Priority: BE, Share: 0.2, FixedBytes: 1436},
+			}}},
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res, err := Run(cfg)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m1.Mallocs - m0.Mallocs, res.Completed
+	}
+	short, nShort := run(2 * time.Millisecond)
+	long, nLong := run(4 * time.Millisecond)
+	if per := float64(long-short) / float64(nLong-nShort); per > 0.05 {
+		t.Errorf("%.3f allocations per RPC (%d objects for %d RPCs, %d for %d), want at most 0.05",
+			per, short, nShort, long, nLong)
+	}
 }
 
 func abs(x float64) float64 {

@@ -26,8 +26,11 @@ type collector struct {
 	inputMix    *qos.MixCounter
 	admittedMix *qos.MixCounter
 
-	rnlRun  map[qos.Class]*stats.Sample
-	rnlPrio map[qos.Priority]*stats.Sample
+	// The per-class and per-priority tallies below are indexed by the
+	// class or priority, each slice sized once for every value a run can
+	// report. A nil sample is a class or priority nothing completed on.
+	rnlRun  []*stats.Sample // by class run on
+	rnlPrio []*stats.Sample // by priority
 
 	// tails is the windowed tail time-series tracker (nil unless
 	// ObsConfig.TailSeries); it sees every completion, warmup included,
@@ -36,14 +39,14 @@ type collector struct {
 	// expRNL holds cumulative per-run-class RNL histograms for the live
 	// exporter (nil unless ObsConfig.Export). Like tails, it sees every
 	// completion from t=0.
-	expRNL map[qos.Class]*stats.Hist
+	expRNL []*stats.Hist
 
 	issued, completed, downgraded, dropped int64
 	// SLO accounting by priority: issued vs met, in bytes and counts.
-	issuedBytes, metBytes map[qos.Priority]int64
-	issuedCount, metCount map[qos.Priority]int64
+	issuedBytes, metBytes []int64
+	issuedCount, metCount []int64
 	// SLO accounting by the class the RPC actually ran on.
-	runBytes, runMetBytes map[qos.Class]int64
+	runBytes, runMetBytes []int64
 	completedPayloadBytes int64
 	offeredBytesAtWarm    int64
 	busyAtWarm, busyAtEnd sim.Duration
@@ -85,20 +88,28 @@ type probeState struct {
 }
 
 func newCollector(cfg *SimConfig) *collector {
+	// A priority maps to the class of its number, which a run without
+	// admission control keeps even past the last QoS level.
+	n := cfg.levels()
+	for _, ht := range cfg.Traffic {
+		for _, tc := range ht.Classes {
+			n = max(n, int(tc.Priority)+1)
+		}
+	}
 	c := &collector{
 		cfg:         cfg,
 		warm:        sim.FromStd(cfg.Warmup),
 		end:         sim.FromStd(cfg.Duration),
 		inputMix:    qos.NewMixCounter(cfg.levels()),
 		admittedMix: qos.NewMixCounter(cfg.levels()),
-		rnlRun:      make(map[qos.Class]*stats.Sample),
-		rnlPrio:     make(map[qos.Priority]*stats.Sample),
-		issuedBytes: make(map[qos.Priority]int64),
-		metBytes:    make(map[qos.Priority]int64),
-		issuedCount: make(map[qos.Priority]int64),
-		metCount:    make(map[qos.Priority]int64),
-		runBytes:    make(map[qos.Class]int64),
-		runMetBytes: make(map[qos.Class]int64),
+		rnlRun:      make([]*stats.Sample, n),
+		rnlPrio:     make([]*stats.Sample, n),
+		issuedBytes: make([]int64, n),
+		metBytes:    make([]int64, n),
+		issuedCount: make([]int64, n),
+		metCount:    make([]int64, n),
+		runBytes:    make([]int64, n),
+		runMetBytes: make([]int64, n),
 	}
 	for _, p := range cfg.Probes {
 		c.probes = append(c.probes, &probeState{p: p})
@@ -181,19 +192,17 @@ func (c *collector) inWindow(t sim.Time) bool { return t >= c.warm && t <= c.end
 func (c *collector) onComplete(s *sim.Simulator, r *rpc.RPC) {
 	c.tails.Observe(r.Dst, int(r.QoSRun), r.RNL.Micros())
 	if c.expRNL != nil {
-		h, ok := c.expRNL[r.QoSRun]
-		if !ok {
-			h = stats.NewHist()
-			c.expRNL[r.QoSRun] = h
+		if c.expRNL[r.QoSRun] == nil {
+			c.expRNL[r.QoSRun] = stats.NewHist()
 		}
-		h.Record(r.RNL.Micros())
+		c.expRNL[r.QoSRun].Record(r.RNL.Micros())
 	}
 	if !c.inWindow(r.IssueTime) {
 		return
 	}
 	us := r.RNL.Micros()
-	sampleFor(c.rnlRun, r.QoSRun, c.newSample).Add(us)
-	sampleFor(c.rnlPrio, r.Priority, c.newSample).Add(us)
+	c.rnl(c.rnlRun, int(r.QoSRun)).Add(us)
+	c.rnl(c.rnlPrio, int(r.Priority)).Add(us)
 	c.completed++
 	c.completedPayloadBytes += r.Bytes
 	if len(c.faultBins) > 0 {
@@ -232,13 +241,12 @@ func (c *collector) meetsSLO(r *rpc.RPC) bool {
 	return r.RNL/sim.Duration(r.SizeMTUs) < target
 }
 
-func sampleFor[K comparable](m map[K]*stats.Sample, k K, mk func() *stats.Sample) *stats.Sample {
-	sm, ok := m[k]
-	if !ok {
-		sm = mk()
-		m[k] = sm
+// rnl returns the RNL sample xs[i], made by newSample on first use.
+func (c *collector) rnl(xs []*stats.Sample, i int) *stats.Sample {
+	if xs[i] == nil {
+		xs[i] = c.newSample()
 	}
-	return sm
+	return xs[i]
 }
 
 // newSample builds one RNL series accumulator: exact by default, or a
@@ -367,26 +375,22 @@ func (c *collector) results(cfg *SimConfig, net *netsim.Network) *Results {
 		Dropped:             c.dropped,
 		rnlRun:              c.rnlRun,
 	}
-	for cl, sm := range c.rnlRun {
-		res.RNLRun[cl] = summarizeUS(sm)
-	}
-	for pr, sm := range c.rnlPrio {
-		res.RNLPriority[pr] = summarizeUS(sm)
-	}
-	for pr, ib := range c.issuedBytes {
-		if ib > 0 {
-			res.SLOMetBytesFraction[pr] = float64(c.metBytes[pr]) / float64(ib)
-		}
-	}
-	for pr, ic := range c.issuedCount {
-		if ic > 0 {
-			res.SLOMetCountFraction[pr] = float64(c.metCount[pr]) / float64(ic)
-		}
-	}
 	res.SLOMetRunBytesFraction = make(map[Class]float64)
-	for cl, rb := range c.runBytes {
-		if rb > 0 {
-			res.SLOMetRunBytesFraction[cl] = float64(c.runMetBytes[cl]) / float64(rb)
+	for i := range c.rnlRun {
+		if sm := c.rnlRun[i]; sm != nil {
+			res.RNLRun[Class(i)] = summarizeUS(sm)
+		}
+		if sm := c.rnlPrio[i]; sm != nil {
+			res.RNLPriority[Priority(i)] = summarizeUS(sm)
+		}
+		if ib := c.issuedBytes[i]; ib > 0 {
+			res.SLOMetBytesFraction[Priority(i)] = float64(c.metBytes[i]) / float64(ib)
+		}
+		if ic := c.issuedCount[i]; ic > 0 {
+			res.SLOMetCountFraction[Priority(i)] = float64(c.metCount[i]) / float64(ic)
+		}
+		if rb := c.runBytes[i]; rb > 0 {
+			res.SLOMetRunBytesFraction[Class(i)] = float64(c.runMetBytes[i]) / float64(rb)
 		}
 	}
 	res.InputMix = c.inputMix.Mix()

@@ -2,7 +2,6 @@ package aequitas
 
 import (
 	"fmt"
-	"sort"
 
 	"aequitas/internal/obs"
 	"aequitas/internal/sim"
@@ -70,13 +69,10 @@ func (st *runState) snapshot(now sim.Time, final bool) *obs.Snapshot {
 		s.Gauges = append(s.Gauges, obs.NamedValue{Name: name, Value: v})
 	})
 
-	classes := make([]Class, 0, len(col.expRNL))
-	for cl := range col.expRNL {
-		classes = append(classes, cl)
-	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-	for _, cl := range classes {
-		s.Hists = append(s.Hists, obs.SnapHist("rnl_us", "class", cl.String(), col.expRNL[cl]))
+	for cl, h := range col.expRNL {
+		if h != nil {
+			s.Hists = append(s.Hists, obs.SnapHist("rnl_us", "class", Class(cl).String(), h))
+		}
 	}
 	return s
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"unicode/utf8"
 )
 
 // Schema tags every dump header line.
@@ -34,14 +35,14 @@ func WriteDump(w io.Writer, meta Meta, recs []Record, st Stats) error {
 	b = append(b, `{"schema":"`...)
 	b = append(b, Schema...)
 	b = append(b, `","trigger":`...)
-	b = strconv.AppendQuote(b, meta.Trigger.Kind.String())
+	b = AppendJSONString(b, meta.Trigger.Kind.String())
 	if meta.Trigger.Detail != "" {
 		b = append(b, `,"detail":`...)
-		b = strconv.AppendQuote(b, meta.Trigger.Detail)
+		b = AppendJSONString(b, meta.Trigger.Detail)
 	}
 	if meta.Label != "" {
 		b = append(b, `,"label":`...)
-		b = strconv.AppendQuote(b, meta.Label)
+		b = AppendJSONString(b, meta.Label)
 	}
 	b = append(b, `,"ts_us":`...)
 	b = strconv.AppendFloat(b, meta.Trigger.At.Micros(), 'f', 3, 64)
@@ -67,6 +68,33 @@ func WriteDump(w io.Writer, meta Meta, recs []Record, st Stats) error {
 	return bw.Flush()
 }
 
+// AppendJSONString appends s to b as a JSON string, as both NDJSON writers
+// (here and in package obs) quote text: quote and backslash escaped,
+// control bytes as \u00XX, each run of bytes that is not UTF-8 as one
+// U+FFFD (as /metrics label values have them), the rest as it is — for
+// printable ASCII what strconv.Quote writes.
+func AppendJSONString(b []byte, s string) []byte {
+	b = append(b, '"')
+	for i, bad := 0, false; i < len(s); {
+		r, n := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && n == 1:
+			if !bad {
+				b = append(b, "\uFFFD"...)
+			}
+		case r == '"' || r == '\\':
+			b = append(b, '\\', byte(r))
+		case r < ' ':
+			b = append(b, '\\', 'u', '0', '0', "0123456789abcdef"[r>>4], "0123456789abcdef"[r&15])
+		default:
+			b = append(b, s[i:i+n]...)
+		}
+		bad = r == utf8.RuneError && n == 1
+		i += n
+	}
+	return append(b, '"')
+}
+
 // appendRecord renders one record as a dump line.
 func appendRecord(b []byte, seq int64, r *Record, peerName func(int32) string) []byte {
 	num := func(b []byte, key string, v int64) []byte {
@@ -80,15 +108,15 @@ func appendRecord(b []byte, seq int64, r *Record, peerName func(int32) string) [
 	b = append(b, `,"ts_us":`...)
 	b = strconv.AppendFloat(b, r.TS.Micros(), 'f', 3, 64)
 	b = append(b, `,"kind":`...)
-	b = strconv.AppendQuote(b, r.Kind.String())
+	b = AppendJSONString(b, r.Kind.String())
 	b = append(b, `,"verdict":`...)
-	b = strconv.AppendQuote(b, r.Verdict.String())
+	b = AppendJSONString(b, r.Verdict.String())
 	b = num(b, "src", int64(r.Src))
 	b = num(b, "peer", int64(r.Peer))
 	if peerName != nil {
 		if name := peerName(r.Peer); name != "" {
 			b = append(b, `,"peer_name":`...)
-			b = strconv.AppendQuote(b, name)
+			b = AppendJSONString(b, name)
 		}
 	}
 	b = num(b, "req", int64(r.Requested))
@@ -102,7 +130,7 @@ func appendRecord(b []byte, seq int64, r *Record, peerName func(int32) string) [
 	}
 	if r.Quota != QuotaNone {
 		b = append(b, `,"quota":`...)
-		b = strconv.AppendQuote(b, r.Quota.String())
+		b = AppendJSONString(b, r.Quota.String())
 	}
 	return append(b, '}')
 }

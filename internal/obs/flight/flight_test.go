@@ -2,6 +2,8 @@ package flight
 
 import (
 	"bytes"
+	"encoding/json"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -305,6 +307,70 @@ func TestDumpWriteValidateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDumpPeerNameIsJSON writes a dump whose peer name and trigger detail
+// carry a control byte and a byte that is not UTF-8, as a peer name taken
+// from a request path can: the dump must read back, with the control byte
+// escaped and the bad byte as U+FFFD.
+func TestDumpPeerNameIsJSON(t *testing.T) {
+	const peer = "a\x01b\xff"
+	r := NewRing(keepAll())
+	r.Decision(1*sim.Microsecond, 0, 1, 0, 0, VerdictAdmit, 0.5, 1)
+	var buf bytes.Buffer
+	meta := Meta{
+		Trigger:  Trigger{Kind: TriggerManual, At: 2 * sim.Microsecond, Detail: "peer " + peer},
+		Label:    peer,
+		PeerName: func(int32) string { return peer },
+	}
+	if err := DumpTo(&buf, r, meta, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ValidateDump(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("validate: %v\n%s", err, buf.String())
+	}
+	sum, err := Summarize(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "peer a\x01b\uFFFD"; sum.Dumps[0].Detail != want {
+		t.Errorf("detail %q, want %q", sum.Dumps[0].Detail, want)
+	}
+	if !strings.Contains(buf.String(), `"peer_name":"a\u0001b`+"\uFFFD\"") {
+		t.Errorf("peer name not escaped as JSON:\n%s", buf.String())
+	}
+}
+
+// TestAppendJSONString pins the string encoder: printable ASCII as
+// strconv.Quote has it, control bytes as \u00XX, runs of bytes that are
+// not UTF-8 as one U+FFFD each, and no allocation into a buffer with
+// room.
+func TestAppendJSONString(t *testing.T) {
+	for in, want := range map[string]string{
+		"":                   `""`,
+		`plain "q" \ /`:      `"plain \"q\" \\ /"`,
+		"\t\n\r\x00\x1f\x7f": `"\u0009\u000a\u000d\u0000\u001f` + "\x7f" + `"`,
+		"é✓\U0001F600":       "\"é✓\U0001F600\"",
+		"a\xff\xfeb\xffc":    "\"a\uFFFDb\uFFFDc\"",
+		"\xed\xa0\x80":       "\"\uFFFD\"",
+	} {
+		if got := string(AppendJSONString(nil, in)); got != want {
+			t.Errorf("%q: %s, want %s", in, got, want)
+		}
+		var back string
+		if err := json.Unmarshal(AppendJSONString(nil, in), &back); err != nil || back != strings.ToValidUTF8(in, "\uFFFD") {
+			t.Errorf("%q reads back as %q (%v)", in, back, err)
+		}
+	}
+	for _, in := range []string{"admit", "link up-0", "burn 2.0x/1.5x over 1ms/5ms (budget 0.001, threshold 2x)"} {
+		if got, want := string(AppendJSONString(nil, in)), strconv.Quote(in); got != want {
+			t.Errorf("%q: %s, strconv.Quote writes %s", in, got, want)
+		}
+	}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { buf = AppendJSONString(buf[:0], "a\x01b\xff") }); n != 0 {
+		t.Errorf("%v allocations per string", n)
+	}
+}
+
 func TestValidateDumpRejectsGarbage(t *testing.T) {
 	cases := map[string]string{
 		"wrong schema": `{"schema":"nope","trigger":"final","ts_us":0,"records":0,"offered":0,"sampled_out":0,"dropped_frozen":0}`,
@@ -390,13 +456,33 @@ func FuzzFlightDump(f *testing.F) {
 		}
 		st := Stats{SampledOut: uint64(len(data)), DroppedFrozen: uint64(len(data) % 7)}
 		st.Offered = uint64(len(recs)) + st.SampledOut + st.DroppedFrozen
+		// Peer names, detail and label are the input's own bytes, as a peer
+		// name from a request can be anything.
+		name := func(p int32) string { return string(data[int(p)%(len(data)+1):]) }
 		var buf bytes.Buffer
-		if err := WriteDump(&buf, Meta{Trigger: Trigger{Kind: TriggerManual, At: ts}, Label: "fuzz"}, recs, st); err != nil {
+		meta := Meta{Trigger: Trigger{Kind: TriggerManual, At: ts, Detail: string(data)}, Label: string(data), PeerName: name}
+		if err := WriteDump(&buf, meta, recs, st); err != nil {
 			t.Fatal(err)
 		}
-		back, err := Summarize(&buf)
+		back, err := Summarize(bytes.NewReader(buf.Bytes()))
 		if err != nil || len(back.Dumps) != 1 || back.Records != len(recs) || back.SampledOut != st.SampledOut {
 			t.Fatalf("%d records written with %+v read back as %+v (%v)", len(recs), st, back, err)
+		}
+		if want := strings.ToValidUTF8(string(data), "\uFFFD"); back.Dumps[0].Detail != want {
+			t.Fatalf("detail %q read back as %q", want, back.Dumps[0].Detail)
+		}
+		lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+		for i, line := range lines[1:] {
+			var rec struct {
+				PeerName *string `json:"peer_name"`
+			}
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatal(err)
+			}
+			want := strings.ToValidUTF8(name(recs[i].Peer), "\uFFFD")
+			if (rec.PeerName == nil) != (want == "") || rec.PeerName != nil && *rec.PeerName != want {
+				t.Fatalf("record %d: peer name %q read back as %v", i, want, rec.PeerName)
+			}
 		}
 	})
 }

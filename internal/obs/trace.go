@@ -210,7 +210,7 @@ func appendNDJSON(b []byte, e *Event) []byte {
 		b = append(b, ',', '"')
 		b = append(b, key...)
 		b = append(b, '"', ':')
-		return strconv.AppendQuote(b, v)
+		return flight.AppendJSONString(b, v)
 	}
 	b = append(b, `{"ts_us":`...)
 	b = strconv.AppendFloat(b, e.TS.Micros(), 'f', 3, 64)

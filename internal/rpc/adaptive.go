@@ -54,7 +54,8 @@ func (a *AdaptiveApp) gain() float64 {
 
 // Issue sends one RPC. critical marks the RPCs the application genuinely
 // cannot afford to have downgraded; filler is nominally PC work the app
-// would mark down under pressure.
+// would mark down under pressure. The app reads the verdict off r after
+// Stack.Issue, so r must be the caller's own, not one from NewRPC.
 func (a *AdaptiveApp) Issue(s *sim.Simulator, r *RPC, critical bool) {
 	r.Priority = qos.PC
 	if !critical && a.Adapting() {

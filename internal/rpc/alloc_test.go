@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"reflect"
 	"testing"
 
 	"aequitas/internal/qos"
@@ -18,7 +19,7 @@ func (l *lastSender) Send(s *sim.Simulator, m *transport.Message) {
 }
 
 // issueCase is one shape of an RPC's life the allocation budget is stated
-// for: allocs is per RPC, beyond the caller's *RPC.
+// for: allocs is per RPC, the RPC from NewRPC included.
 type issueCase struct {
 	name    string
 	policy  RetryPolicy
@@ -28,26 +29,30 @@ type issueCase struct {
 	allocs  float64
 }
 
+// An RPC and its attempts go back to the stack once the transport has
+// called each transmission back. lastSender never calls back a
+// superseded transmission — the original a retry or a hedge replaced, the
+// first retry of two — so each of those is one allocation per RPC: the
+// original holds the RPC, a superseded retry its attempt record.
 var issueCases = []issueCase{
-	{name: "plain", allocs: 1},
-	{name: "tracked-no-policy", track: true, allocs: 2},
-	{name: "tracked", policy: RetryPolicy{Timeout: 8 * sim.Millisecond, MaxRetries: 3}, allocs: 2},
-	{name: "one-retry", policy: RetryPolicy{Timeout: 8 * sim.Millisecond, MaxRetries: 3}, retries: 1, allocs: 3},
-	{name: "two-retries", policy: RetryPolicy{Timeout: 8 * sim.Millisecond, MaxRetries: 3}, retries: 2, allocs: 4},
-	{name: "hedged", policy: RetryPolicy{HedgeAfter: 20 * sim.Microsecond, HedgeClass: qos.Low}, hedge: true, allocs: 3},
+	{name: "plain", allocs: 0},
+	{name: "tracked-no-policy", track: true, allocs: 0},
+	{name: "tracked", policy: RetryPolicy{Timeout: 8 * sim.Millisecond, MaxRetries: 3}, allocs: 0},
+	{name: "one-retry", policy: RetryPolicy{Timeout: 8 * sim.Millisecond, MaxRetries: 3}, retries: 1, allocs: 1},
+	{name: "two-retries", policy: RetryPolicy{Timeout: 8 * sim.Millisecond, MaxRetries: 3}, retries: 2, allocs: 2},
+	{name: "hedged", policy: RetryPolicy{HedgeAfter: 20 * sim.Microsecond, HedgeClass: qos.Low}, hedge: true, allocs: 1},
 }
 
-// issueLoop returns a function that issues one RPC on a fresh stack and
-// sees it through to completion, and the stack. The caller's *RPC is one
-// value used again: nothing holds an RPC past its completion.
+// issueLoop returns a function that issues one RPC from NewRPC on a fresh
+// stack and sees it through to completion, and the stack.
 func issueLoop(tc issueCase) (func(), *Stack) {
 	ep := &lastSender{}
 	st := NewStack(ep, nil)
 	st.Retry, st.TrackInflight = tc.policy, tc.track
 	s := sim.New(1)
-	r := new(RPC)
 	return func() {
-		*r = RPC{Dst: 1, Priority: qos.PC, Bytes: 4096}
+		r := st.NewRPC()
+		r.Dst, r.Priority, r.Bytes = 1, qos.PC, 4096
 		st.Issue(s, r)
 		for want := st.Stats.Retried + tc.retries; st.Stats.Retried < want; {
 			s.Step()
@@ -62,16 +67,16 @@ func issueLoop(tc issueCase) (func(), *Stack) {
 	}, st
 }
 
-// TestIssueAllocs is the allocation budget of the issue path: one record
-// per untracked RPC, one per tracked RPC plus one per attempt, and no
-// closure anywhere (a closure per callback was three more per attempt).
+// TestIssueAllocs is the allocation budget of the issue path: none for an
+// RPC whose transmissions all come back, and no closure anywhere (a
+// closure per callback was three more per attempt).
 func TestIssueAllocs(t *testing.T) {
 	const warm, runs = 64, 200
 	for _, tc := range issueCases {
 		t.Run(tc.name, func(t *testing.T) {
 			one, st := issueLoop(tc)
 			for i := 0; i < warm; i++ {
-				one() // grows the maps, the event slab and the lanes
+				one() // grows the free lists, the in-flight map, the event slab and the lanes
 			}
 			if got := testing.AllocsPerRun(runs, one); got > tc.allocs {
 				t.Errorf("%v allocations per RPC, want at most %v", got, tc.allocs)
@@ -84,6 +89,63 @@ func TestIssueAllocs(t *testing.T) {
 				t.Errorf("HedgeWins = %d, want %d", st.Stats.HedgeWins, n)
 			}
 		})
+	}
+}
+
+// TestRPCReleaseRule pins when an RPC goes back to its stack: once it is
+// terminal and no transmission of it is out, zeroed; never while a
+// transport holds one; never when the caller made it.
+func TestRPCReleaseRule(t *testing.T) {
+	s := sim.New(1)
+	ep := &lastSender{}
+	st := NewStack(ep, nil)
+	issue := func(r *RPC) *RPC {
+		r.Dst, r.Priority, r.Bytes = 1, qos.PC, 4096
+		st.Issue(s, r)
+		return r
+	}
+	reused := func(r *RPC) bool {
+		next := st.NewRPC()
+		if next == r && !reflect.DeepEqual(*next, RPC{owned: true}) {
+			t.Fatalf("reused RPC not zeroed: %+v", *next)
+		}
+		return next == r
+	}
+
+	r := issue(st.NewRPC())
+	ep.m.OnComplete(s, ep.m)
+	if !reused(r) {
+		t.Error("completed RPC not reused")
+	}
+	mine := issue(&RPC{})
+	ep.m.OnComplete(s, ep.m)
+	if reused(mine) || mine.RNL != 0 || mine.CompleteTime != s.Now() || mine.ID == 0 {
+		t.Errorf("caller's RPC reused or cleared: %+v", *mine)
+	}
+
+	// The hedge wins while the original is out: the RPC is held until the
+	// original comes back too.
+	st.Retry = RetryPolicy{HedgeAfter: 20 * sim.Microsecond, HedgeClass: qos.Low}
+	r = issue(st.NewRPC())
+	original := ep.m
+	s.Run()
+	ep.m.OnComplete(s, ep.m)
+	if st.Stats.HedgeWins != 1 || reused(r) {
+		t.Fatal("RPC reused while its original transmission is out")
+	}
+	original.OnComplete(s, original)
+	if !reused(r) {
+		t.Error("RPC not reused once its last transmission came back")
+	}
+
+	st.Retry = RetryPolicy{}
+	st.admitter = dropAll{}
+	if r = issue(st.NewRPC()); !reused(r) {
+		t.Error("RPC dropped at admission not reused")
+	}
+	st.Crash(s)
+	if r = issue(st.NewRPC()); !reused(r) || st.Stats.NotIssued != 1 {
+		t.Error("RPC not issued by a crashed stack not reused")
 	}
 }
 

@@ -12,13 +12,13 @@ import (
 func mkStacks(hosts, levels int) []*Stack {
 	stacks := make([]*Stack, hosts)
 	for i := range stacks {
-		st := &Stack{outstanding: make(map[outKey]int)}
+		st := &Stack{}
 		for dst := 0; dst < hosts; dst++ {
 			if (dst+i)%4 != 0 {
 				continue
 			}
 			for cl := 0; cl < levels; cl++ {
-				st.outstanding[outKey{dst, qos.Class(cl)}] = dst%3 + 1
+				st.count(dst, qos.Class(cl), dst%3+1)
 			}
 		}
 		stacks[i] = st
@@ -28,7 +28,7 @@ func mkStacks(hosts, levels int) []*Stack {
 
 // BenchmarkOutstandingSampleQuadratic is the former collector pattern: for
 // every destination, probe every stack at every class — O(hosts²·levels)
-// map lookups per sampling tick.
+// lookups per sampling tick.
 func BenchmarkOutstandingSampleQuadratic(b *testing.B) {
 	const hosts, levels = 32, 3
 	stacks := mkStacks(hosts, levels)

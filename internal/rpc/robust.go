@@ -44,138 +44,140 @@ type RetryPolicy struct {
 // active reports whether the policy does anything.
 func (p RetryPolicy) active() bool { return p.Timeout > 0 || p.HedgeAfter > 0 }
 
-// inflightRPC tracks one issued, not-yet-completed RPC under the robust
-// issue path.
-type inflightRPC struct {
-	st      *Stack
-	r       *RPC
-	retries int
-	// done marks the terminal state (completed, failed, or lost to a
-	// crash); late attempt callbacks check it and bail.
-	done bool
-	// backoffArmed marks that timer holds a pending retry, so a second
-	// failure signal (e.g. OnFail on both the original and its hedge
-	// when a peer crashes) does not double-consume the retry budget.
-	backoffArmed bool
-	timer        sim.Handle // per-attempt timeout or retry backoff
-	hedgeTimer   sim.Handle
-}
-
 // tracking reports whether Issue routes through the robust path.
 func (st *Stack) tracking() bool { return st.TrackInflight || st.Retry.active() }
 
 // InflightLen reports tracked in-flight RPCs (tests).
 func (st *Stack) InflightLen() int { return len(st.inflight) }
 
-// Down reports whether the stack is crashed.
-func (st *Stack) Down() bool { return st.down }
-
 // issueTracked is the robust continuation of Issue: the RPC is recorded
-// in-flight, attempts carry timeout/fail callbacks, and an optional
-// hedge timer is armed.
+// in-flight, its transmissions carry timeout/fail callbacks, and an
+// optional hedge timer is armed.
 func (st *Stack) issueTracked(s *sim.Simulator, r *RPC) {
 	if st.inflight == nil {
-		st.inflight = make(map[uint64]*inflightRPC)
+		st.inflight = make(map[uint64]*RPC)
 	}
-	fs := &inflightRPC{st: st, r: r}
-	st.inflight[r.ID] = fs
-	st.sendAttempt(s, fs, r.QoSRun, false)
+	st.inflight[r.ID] = r
+	st.transmit(s, r, r.QoSRun, false)
 	if d := st.Retry.HedgeAfter; d > 0 && (st.Retry.HedgeMaxMTUs == 0 || r.SizeMTUs <= st.Retry.HedgeMaxMTUs) {
-		fs.hedgeTimer = s.After(d, (*hedgeEvent)(fs))
+		r.hedgeTimer = s.After(d, (*hedgeEvent)(r))
 	}
 }
 
-// attempt is the one allocation of a transmission of a tracked RPC: the
-// message, behind its Ctx the RPC it is an attempt of, and, as a sim.Event,
-// the attempt's own time-out.
+// attempt is a retry or a hedge of a tracked RPC: the message, and behind
+// its Ctx the RPC it is an attempt of.
 type attempt struct {
 	msg   transport.Message
-	fs    *inflightRPC
+	r     *RPC
 	hedge bool
 }
 
-// Run implements sim.Event: the attempt's deadline expired.
-func (a *attempt) Run(s *sim.Simulator) { a.fs.st.onTimeout(s, a.fs) }
-
 // attemptDone and attemptFailed are the OnComplete and OnFail of every
-// tracked attempt.
+// tracked transmission.
 func attemptDone(s *sim.Simulator, m *transport.Message) {
-	a := m.Ctx.(*attempt)
-	a.fs.st.attemptDone(s, a.fs, a.hedge)
+	r, hedge := returned(m)
+	st := r.st
+	st.attemptDone(s, r, hedge)
+	st.release(r)
 }
 
 func attemptFailed(s *sim.Simulator, m *transport.Message) {
-	a := m.Ctx.(*attempt)
-	a.fs.st.retryOrFail(s, a.fs)
+	r, _ := returned(m)
+	st := r.st
+	st.retryOrFail(s, r)
+	if r.done {
+		st.release(r)
+	}
 }
 
-// retryEvent and hedgeEvent are an inflightRPC seen as its back-off and its
-// hedge timer: the conversion gives each a Run of its own, so arming one
-// allocates nothing.
+// returned takes one transmission of a tracked RPC back from its
+// transport: an attempt record goes to the free list, and the RPC has one
+// transmission fewer out.
+func returned(m *transport.Message) (r *RPC, hedge bool) {
+	if a, ok := m.Ctx.(*attempt); ok {
+		r, hedge = a.r, a.hedge
+		*a = attempt{}
+		r.st.attempts = append(r.st.attempts, a)
+	} else {
+		r = m.Ctx.(*RPC)
+	}
+	r.live--
+	return r, hedge
+}
+
+// timeoutEvent, retryEvent and hedgeEvent are an RPC seen as its
+// per-attempt timeout, its back-off and its hedge timer: the conversion
+// gives each a Run of its own, so arming one allocates nothing.
 type (
-	retryEvent inflightRPC
-	hedgeEvent inflightRPC
+	timeoutEvent RPC
+	retryEvent   RPC
+	hedgeEvent   RPC
 )
+
+// Run implements sim.Event: the attempt's deadline expired.
+func (e *timeoutEvent) Run(s *sim.Simulator) { r := (*RPC)(e); r.st.onTimeout(s, r) }
 
 // Run implements sim.Event: the back-off is over, send the next attempt.
 func (e *retryEvent) Run(s *sim.Simulator) {
-	fs := (*inflightRPC)(e)
-	fs.backoffArmed = false
-	if fs.done {
+	r := (*RPC)(e)
+	r.backoffArmed = false
+	if r.done {
 		return
 	}
-	fs.st.Stats.Retried++
-	fs.st.sendAttempt(s, fs, fs.r.QoSRun, false)
+	r.st.Stats.Retried++
+	r.st.transmit(s, r, r.QoSRun, false)
 }
 
 // Run implements sim.Event: send the one duplicate attempt on the hedge
 // class.
 func (e *hedgeEvent) Run(s *sim.Simulator) {
-	fs := (*inflightRPC)(e)
-	if fs.done {
+	r := (*RPC)(e)
+	if r.done {
 		return
 	}
-	fs.st.Stats.Hedged++
-	fs.st.sendAttempt(s, fs, fs.st.Retry.HedgeClass, true)
+	r.st.Stats.Hedged++
+	r.st.transmit(s, r, r.st.Retry.HedgeClass, true)
 }
 
-// sendAttempt transmits one attempt of the RPC on class and (for
-// non-hedge attempts) arms the per-attempt timeout.
-func (st *Stack) sendAttempt(s *sim.Simulator, fs *inflightRPC, class qos.Class, isHedge bool) {
-	r := fs.r
-	a := &attempt{fs: fs, hedge: isHedge}
-	a.msg = transport.Message{
-		ID:         r.ID,
-		Dst:        r.Dst,
-		Class:      class,
-		Bytes:      r.Bytes,
-		Deadline:   r.Deadline,
-		OnComplete: attemptDone,
-		OnFail:     attemptFailed,
-		Ctx:        a,
+// transmit hands one transmission of r on class to the transport — the
+// first in r's own message, a retry or a hedge in an attempt record, a
+// released one if there is one — and, unless it is a hedge, arms the
+// per-attempt timeout.
+func (st *Stack) transmit(s *sim.Simulator, r *RPC, class qos.Class, isHedge bool) {
+	m, ctx := &r.msg, any(r)
+	if m.OnComplete != nil { // r's own message has been sent
+		var a *attempt
+		if n := len(st.attempts); n > 0 {
+			a, st.attempts = st.attempts[n-1], st.attempts[:n-1]
+		} else {
+			a = new(attempt)
+		}
+		a.r, a.hedge = r, isHedge
+		m, ctx = &a.msg, a
 	}
-	st.ep.Send(s, &a.msg)
+	r.live++
+	st.ep.Send(s, r.message(m, class, ctx, attemptDone, attemptFailed))
 	if !isHedge && st.Retry.Timeout > 0 {
-		fs.timer.Cancel()
-		fs.timer = s.After(st.Retry.Timeout, a)
+		r.timer.Cancel()
+		r.timer = s.After(st.Retry.Timeout, (*timeoutEvent)(r))
 	}
 }
 
 // attemptDone completes the RPC on its first finishing attempt; later
 // attempts (the hedge loser, a pre-timeout original straggling home) are
 // ignored.
-func (st *Stack) attemptDone(s *sim.Simulator, fs *inflightRPC, isHedge bool) {
-	if fs.done {
+func (st *Stack) attemptDone(s *sim.Simulator, r *RPC, isHedge bool) {
+	if r.done {
 		return
 	}
-	fs.done = true
-	fs.timer.Cancel()
-	fs.hedgeTimer.Cancel()
-	delete(st.inflight, fs.r.ID)
+	r.done = true
+	r.timer.Cancel()
+	r.hedgeTimer.Cancel()
+	delete(st.inflight, r.ID)
 	if isHedge {
 		st.Stats.HedgeWins++
 	}
-	st.complete(s, fs.r, fs.r.IssueTime)
+	st.complete(s, r, r.IssueTime)
 }
 
 // onTimeout handles a per-attempt deadline expiring. On the RPC's first
@@ -186,32 +188,31 @@ func (st *Stack) attemptDone(s *sim.Simulator, fs *inflightRPC, isHedge bool) {
 // re-penalize — one lost RPC is one miss, so the controller's recovery
 // can begin as soon as the fault clears rather than after the whole
 // retry tail has drained.
-func (st *Stack) onTimeout(s *sim.Simulator, fs *inflightRPC) {
-	if fs.done {
+func (st *Stack) onTimeout(s *sim.Simulator, r *RPC) {
+	if r.done {
 		return
 	}
 	st.Stats.TimedOut++
-	if fs.retries == 0 {
-		r := fs.r
+	if r.retries == 0 {
 		st.admitter.Observe(r.Dst, r.QoSRun, s.Now()-r.IssueTime, r.SizeMTUs)
 	}
-	st.retryOrFail(s, fs)
+	st.retryOrFail(s, r)
 }
 
 // retryOrFail schedules the next attempt after a backoff, or gives up
 // when the budget is spent (or retries are disabled).
-func (st *Stack) retryOrFail(s *sim.Simulator, fs *inflightRPC) {
-	if fs.done || fs.backoffArmed {
+func (st *Stack) retryOrFail(s *sim.Simulator, r *RPC) {
+	if r.done || r.backoffArmed {
 		return
 	}
-	if st.Retry.Timeout <= 0 || fs.retries >= st.Retry.MaxRetries {
-		st.fail(s, fs)
+	if st.Retry.Timeout <= 0 || int(r.retries) >= st.Retry.MaxRetries {
+		st.fail(s, r)
 		return
 	}
-	fs.retries++
-	fs.backoffArmed = true
-	fs.timer.Cancel()
-	fs.timer = s.After(st.backoffFor(s, fs.retries), (*retryEvent)(fs))
+	r.retries++
+	r.backoffArmed = true
+	r.timer.Cancel()
+	r.timer = s.After(st.backoffFor(s, int(r.retries)), (*retryEvent)(r))
 }
 
 // backoffFor computes the capped exponential backoff with jitter for the
@@ -237,14 +238,14 @@ func (st *Stack) backoffFor(s *sim.Simulator, attempt int) sim.Duration {
 
 // fail abandons the RPC: accounting is released and attribution state
 // dropped so the pending map cannot leak.
-func (st *Stack) fail(s *sim.Simulator, fs *inflightRPC) {
-	fs.done = true
-	fs.timer.Cancel()
-	fs.hedgeTimer.Cancel()
-	delete(st.inflight, fs.r.ID)
-	st.outstanding[outKey{fs.r.Dst, fs.r.QoSRun}]--
+func (st *Stack) fail(s *sim.Simulator, r *RPC) {
+	r.done = true
+	r.timer.Cancel()
+	r.hedgeTimer.Cancel()
+	delete(st.inflight, r.ID)
+	st.outstanding[r.Dst][r.QoSRun]--
 	st.Stats.Failed++
-	st.Attr.Drop(st.Src, fs.r.ID)
+	st.Attr.Drop(st.Src, r.ID)
 }
 
 // Crash simulates this host failing: every in-flight RPC is lost (its
@@ -254,15 +255,18 @@ func (st *Stack) fail(s *sim.Simulator, fs *inflightRPC) {
 // resetting the admission controller alongside.
 func (st *Stack) Crash(s *sim.Simulator) {
 	st.down = true
-	for id, fs := range st.inflight {
-		fs.done = true
-		fs.timer.Cancel()
-		fs.hedgeTimer.Cancel()
+	for id, r := range st.inflight {
+		r.done = true
+		r.timer.Cancel()
+		r.hedgeTimer.Cancel()
 		st.Stats.CrashLost++
 		st.Attr.Drop(st.Src, id)
+		st.release(r)
 	}
 	clear(st.inflight)
-	clear(st.outstanding)
+	for _, row := range st.outstanding {
+		clear(row)
+	}
 }
 
 // Restart brings a crashed stack back; accounting starts empty.

@@ -4,6 +4,14 @@
 // plugs in, and RPC network-latency (RNL) measurement as defined in
 // Appendix A — t0 when the first byte is handed to the transport, t1 when
 // the last byte is acknowledged.
+//
+// An RPC from Stack.NewRPC is its stack's until Stack.OnComplete returns,
+// so an OnComplete must not retain it. The stack takes an object back,
+// zeroed, for reuse when the run drops its last reference to it: an RPC
+// once it is terminal and no transport holds a transmission of it, a
+// retry's or hedge's attempt record once its transport has called it
+// back. What a crashed transport discards is never called back and is
+// left to the garbage collector; an RPC a caller built is never reused.
 package rpc
 
 import (
@@ -32,6 +40,8 @@ type RPC struct {
 	// the lowest class; it is the explicit notification of Algorithm 1
 	// lines 10-11.
 	Downgraded bool
+	// owned, done and backoffArmed are the stack's (see msg).
+	owned, done, backoffArmed bool
 
 	IssueTime    sim.Time
 	CompleteTime sim.Time
@@ -46,6 +56,18 @@ type RPC struct {
 
 	// Deadline optionally propagates to deadline-aware baselines.
 	Deadline sim.Time
+
+	// The rest is the stack's. msg is the first transmission, its Ctx the
+	// RPC; st the issuing stack, whose free list takes back an owned RPC
+	// (from NewRPC). On the tracked path live counts transmissions a
+	// transport holds, retries those after the first; done is the terminal
+	// state late callbacks check; backoffArmed a retry pending in timer, so
+	// OnFail on an original and its hedge spends the budget once; timer is
+	// the per-attempt timeout or the back-off.
+	msg               transport.Message
+	st                *Stack
+	timer, hedgeTimer sim.Handle
+	live, retries     int32
 }
 
 // Decision is an admission-control verdict for one RPC: made once, by the
@@ -139,7 +161,8 @@ type Stack struct {
 	ep       Sender
 	admitter Admitter
 	// OnAdmit and OnComplete, when set, observe every admission decision
-	// and every completed RPC (for experiment metrics).
+	// and every completed RPC (for experiment metrics). Neither may keep
+	// r: an RPC from NewRPC is reused once OnComplete has returned.
 	OnAdmit    func(s *sim.Simulator, r *RPC, d Decision)
 	OnComplete func(s *sim.Simulator, r *RPC)
 	Stats      Stats
@@ -162,21 +185,20 @@ type Stack struct {
 	// issue path is exactly the pre-fault code with no extra state.
 	Retry         RetryPolicy
 	TrackInflight bool
-
-	nextID uint64
-	// outstanding counts incomplete RPCs per (destination host, class),
-	// the quantity behind Figure 13's per-switch-port outstanding RPCs.
-	outstanding map[outKey]int
-	// inflight tracks issued-but-incomplete RPCs by id under the robust
-	// issue path; allocated lazily on first tracked issue.
-	inflight map[uint64]*inflightRPC
 	// down marks a crashed host: Issue discards RPCs until Restart.
 	down bool
-}
 
-type outKey struct {
-	dst   int
-	class qos.Class
+	nextID uint64
+	// outstanding counts incomplete RPCs per [destination host][class],
+	// the quantity behind Figure 13's per-switch-port outstanding RPCs,
+	// grown the first time a destination and class are counted.
+	outstanding [][]int
+	// inflight tracks issued-but-incomplete RPCs by id under the robust
+	// issue path; allocated lazily on first tracked issue.
+	inflight map[uint64]*RPC
+	// free and attempts are the released RPCs and attempt records.
+	free     []*RPC
+	attempts []*attempt
 }
 
 // NewStack attaches an RPC stack to a transport sender. admitter may be
@@ -185,15 +207,46 @@ func NewStack(ep Sender, admitter Admitter) *Stack {
 	if admitter == nil {
 		admitter = PassThrough{}
 	}
-	return &Stack{ep: ep, admitter: admitter, outstanding: make(map[outKey]int)}
+	return &Stack{ep: ep, admitter: admitter}
+}
+
+// NewRPC returns a zero RPC, released or new, that the stack takes back
+// once the run is done with it (see the package doc).
+func (st *Stack) NewRPC() *RPC {
+	if n := len(st.free); n > 0 {
+		r := st.free[n-1]
+		st.free = st.free[:n-1]
+		return r
+	}
+	return &RPC{owned: true}
+}
+
+// release takes back a terminal RPC from NewRPC, zeroed, unless a
+// transport still holds a transmission of it.
+func (st *Stack) release(r *RPC) {
+	if r.owned && r.live == 0 {
+		*r = RPC{owned: true}
+		st.free = append(st.free, r)
+	}
+}
+
+// count adds n to the incomplete RPCs toward dst on class c.
+func (st *Stack) count(dst int, c qos.Class, n int) {
+	if dst >= len(st.outstanding) {
+		st.outstanding = append(st.outstanding, make([][]int, dst+1-len(st.outstanding))...)
+	}
+	if row := st.outstanding[dst]; int(c) >= len(row) {
+		st.outstanding[dst] = append(row, make([]int, int(c)+1-len(row))...)
+	}
+	st.outstanding[dst][c] += n
 }
 
 // Outstanding reports the number of incomplete RPCs toward dst across all
 // classes.
 func (st *Stack) Outstanding(dst int) int {
 	total := 0
-	for k, n := range st.outstanding {
-		if k.dst == dst {
+	if uint(dst) < uint(len(st.outstanding)) {
+		for _, n := range st.outstanding[dst] {
 			total += n
 		}
 	}
@@ -203,36 +256,47 @@ func (st *Stack) Outstanding(dst int) int {
 // OutstandingClass reports the number of incomplete RPCs toward dst that
 // are running on class c.
 func (st *Stack) OutstandingClass(dst int, c qos.Class) int {
-	return st.outstanding[outKey{dst, c}]
+	if uint(dst) < uint(len(st.outstanding)) {
+		if row := st.outstanding[dst]; uint(c) < uint(len(row)) {
+			return row[c]
+		}
+	}
+	return 0
 }
 
 // ForEachOutstanding calls f once per (destination, class) pair with a
-// non-zero count of incomplete RPCs. Periodic samplers use this to
-// accumulate per-destination totals in one pass over the live entries
-// instead of probing every (dst, class) combination individually.
+// non-zero count of incomplete RPCs, in destination then class order.
+// Periodic samplers use this to accumulate per-destination totals in one
+// pass instead of probing every (dst, class) combination individually.
 func (st *Stack) ForEachOutstanding(f func(dst int, c qos.Class, n int)) {
-	for k, n := range st.outstanding {
-		if n != 0 {
-			f(k.dst, k.class, n)
+	for dst, row := range st.outstanding {
+		for c, n := range row {
+			if n != 0 {
+				f(dst, qos.Class(c), n)
+			}
 		}
 	}
 }
 
 // Issue sends one RPC: maps its priority to a QoS class (Phase 1), asks
 // the admission controller for the class to run on (Phase 2), hands the
-// message to the transport, and measures RNL on completion.
+// message to the transport, and measures RNL on completion. The caller
+// must not use an RPC from NewRPC after Issue: the stack may reuse it
+// from then on.
 func (st *Stack) Issue(s *sim.Simulator, r *RPC) {
 	if st.down {
 		// Crashed host: the application's send is lost. The generator's
 		// offered-byte accounting still advances, so goodput availability
 		// reflects the outage.
 		st.Stats.NotIssued++
+		st.release(r)
 		return
 	}
 	st.nextID++
 	if r.ID == 0 {
 		r.ID = st.nextID
 	}
+	r.st = st
 	r.QoSRequested = qos.MapPriorityToQoS(r.Priority)
 	r.SizeMTUs = netsim.MTUsFor(r.Bytes)
 	r.IssueTime = s.Now()
@@ -254,6 +318,7 @@ func (st *Stack) Issue(s *sim.Simulator, r *RPC) {
 	if d.Dropped {
 		st.Stats.Dropped++
 		st.Attr.Drop(st.Src, r.ID)
+		st.release(r)
 		return
 	}
 	r.QoSRun = d.Class
@@ -261,37 +326,37 @@ func (st *Stack) Issue(s *sim.Simulator, r *RPC) {
 	if d.Downgraded {
 		st.Stats.Downgraded++
 	}
-	st.outstanding[outKey{r.Dst, r.QoSRun}]++
+	st.count(r.Dst, r.QoSRun, 1)
 
 	if st.tracking() {
 		st.issueTracked(s, r)
 		return
 	}
-	c := &call{st: st, r: r}
-	c.msg = transport.Message{
-		ID:         r.ID,
-		Dst:        r.Dst,
-		Class:      r.QoSRun,
-		Bytes:      r.Bytes,
-		Deadline:   r.Deadline,
-		OnComplete: callDone,
-		Ctx:        c,
-	}
-	st.ep.Send(s, &c.msg)
+	st.ep.Send(s, r.message(&r.msg, r.QoSRun, r, callDone, nil))
 }
 
-// call is the one allocation of an untracked RPC in flight: the message,
-// and behind its Ctx the stack and the RPC its completion belongs to.
-type call struct {
-	msg transport.Message
-	st  *Stack
-	r   *RPC
+// message fills m as one transmission of r on class, whose callbacks find
+// ctx behind m.Ctx, and returns it.
+func (r *RPC) message(m *transport.Message, class qos.Class, ctx any, done, failed func(*sim.Simulator, *transport.Message)) *transport.Message {
+	*m = transport.Message{
+		ID:         r.ID,
+		Dst:        r.Dst,
+		Class:      class,
+		Bytes:      r.Bytes,
+		Deadline:   r.Deadline,
+		OnComplete: done,
+		OnFail:     failed,
+		Ctx:        ctx,
+	}
+	return m
 }
 
 // callDone is the OnComplete of every untracked RPC.
 func callDone(s *sim.Simulator, m *transport.Message) {
-	c := m.Ctx.(*call)
-	c.st.complete(s, c.r, m.SubmitTime)
+	r := m.Ctx.(*RPC)
+	st := r.st
+	st.complete(s, r, m.SubmitTime)
+	st.release(r)
 }
 
 // complete records that r finished now, its RNL measured from t0, and
@@ -299,7 +364,7 @@ func callDone(s *sim.Simulator, m *transport.Message) {
 func (st *Stack) complete(s *sim.Simulator, r *RPC, t0 sim.Time) {
 	r.CompleteTime = s.Now()
 	r.RNL = r.CompleteTime - t0
-	st.outstanding[outKey{r.Dst, r.QoSRun}]--
+	st.outstanding[r.Dst][r.QoSRun]--
 	st.Stats.Completed++
 	st.admitter.Observe(r.Dst, r.QoSRun, r.RNL, r.SizeMTUs)
 	if st.Trace != nil {

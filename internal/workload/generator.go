@@ -335,7 +335,8 @@ func (g *Generator) issue(s *sim.Simulator, classIdx int) {
 	if size <= 0 {
 		size = 1
 	}
-	r := &rpc.RPC{Dst: dst, Priority: c.Priority, Bytes: size}
+	r := g.stack.NewRPC()
+	r.Dst, r.Priority, r.Bytes = dst, c.Priority, size
 	if c.Deadline > 0 {
 		r.Deadline = s.Now() + c.Deadline
 	}

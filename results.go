@@ -403,18 +403,17 @@ type Results struct {
 	// (Figure 13); empty unless TrackOutstanding was set.
 	OutstandingHighMed, OutstandingLow []Point
 
-	// rnl retains the raw per-class samples for quantile queries.
-	rnlRun map[Class]*stats.Sample
+	// rnlRun retains the raw samples by class for quantile queries.
+	rnlRun []*stats.Sample
 }
 
 // RNLQuantileUS returns the q-quantile (0..1) of RNL in microseconds for
 // RPCs that ran on class c, or 0 when no samples exist.
 func (r *Results) RNLQuantileUS(c Class, q float64) float64 {
-	s, ok := r.rnlRun[c]
-	if !ok || s.N() == 0 {
+	if uint(c) >= uint(len(r.rnlRun)) || r.rnlRun[c] == nil || r.rnlRun[c].N() == 0 {
 		return 0
 	}
-	return s.Quantile(q)
+	return r.rnlRun[c].Quantile(q)
 }
 
 // Classes returns the run classes with samples, sorted.

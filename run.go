@@ -9,7 +9,6 @@ import (
 	"aequitas/internal/netsim"
 	"aequitas/internal/obs"
 	"aequitas/internal/obs/flight"
-	"aequitas/internal/qos"
 	"aequitas/internal/rpc"
 	"aequitas/internal/scenario"
 	"aequitas/internal/sim"
@@ -124,7 +123,7 @@ func buildFabric(st *runState) error {
 		st.col.tails = st.tails
 	}
 	if cfg.Obs.Export != nil {
-		st.col.expRNL = make(map[qos.Class]*stats.Hist)
+		st.col.expRNL = make([]*stats.Hist, len(st.col.rnlRun))
 	}
 	if cfg.Obs.FlightNDJSON != nil {
 		st.flight = flight.NewRing(flight.Config{
@@ -419,11 +418,7 @@ func buildSamplers(st *runState) error {
 				cs := ct.Stats.Load()
 				met += cs.SLOMet
 				miss += cs.SLOMisses
-				ct.ForEachState(now, func(_ int, _ qos.Class, p float64, _ sim.Duration) {
-					if p < minP {
-						minP = p
-					}
-				})
+				minP = min(minP, ct.MinAdmitProbability())
 			}
 			if tr, ok := eng.Tick(now, met, miss, minP); ok {
 				st.flightDump(tr, true)

@@ -82,6 +82,82 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 }
 
+// digestRows are the runs TestRunDigestsAcrossSystems pins: every system on
+// one switch, and Aequitas once more on a leaf-spine fabric.
+var digestRows = []struct {
+	sys            System
+	leaves, spines int
+	want           string
+}{
+	{SystemBaseline, 0, 0,
+		`issued=2391 completed=2347 downgraded=0 timedout=97 retried=47 hedgewins=87 failed=1 crashlost=43 events=435965 packets=107568 pc=9.482423/661.664075 qosh=9.482423/661.664075`},
+	{SystemAequitas, 0, 0,
+		`issued=2382 completed=2350 downgraded=251 timedout=193 retried=108 hedgewins=77 failed=0 crashlost=32 events=462141 packets=114066 pc=8.699791/812.102434 qosh=8.075881/326.949234`},
+	{SystemSPQ, 0, 0,
+		`issued=2391 completed=2354 downgraded=0 timedout=88 retried=44 hedgewins=74 failed=1 crashlost=36 events=430464 packets=106189 pc=6.084623/325.071113 qosh=6.084623/325.071113`},
+	{SystemDWRR, 0, 0,
+		`issued=2391 completed=2344 downgraded=0 timedout=102 retried=52 hedgewins=87 failed=1 crashlost=46 events=436153 packets=107602 pc=9.54712/680.501102 qosh=9.54712/680.501102`},
+	{SystemPFabric, 0, 0,
+		`issued=2391 completed=2225 downgraded=0 timedout=431 retried=348 hedgewins=64 failed=28 crashlost=96 events=479154 packets=117179 pc=13.767662/1128.062001 qosh=13.767662/1128.062001`},
+	{SystemQJump, 0, 0,
+		`issued=2391 completed=2343 downgraded=0 timedout=95 retried=62 hedgewins=25 failed=1 crashlost=46 events=472545 packets=115079 pc=6.747806/366.977627 qosh=6.747806/366.977627`},
+	{SystemD3, 0, 0,
+		`issued=2391 completed=2260 downgraded=0 timedout=185 retried=132 hedgewins=70 failed=30 crashlost=96 events=311619 packets=61367 pc=45.095901/249.267353 qosh=45.095901/249.267353`},
+	{SystemPDQ, 0, 0,
+		`issued=2391 completed=1836 downgraded=0 timedout=1102 retried=776 hedgewins=0 failed=157 crashlost=111 events=296144 packets=58570 pc=60.787511/251.825077 qosh=60.787511/251.825077`},
+	{SystemHoma, 0, 0,
+		`issued=2350 completed=2337 downgraded=0 timedout=59 retried=51 hedgewins=38 failed=0 crashlost=13 events=276983 packets=65496 pc=8.817404/479.069547 qosh=8.817404/479.069547`},
+	{SystemAequitas, 2, 1,
+		`issued=2382 completed=2085 downgraded=643 timedout=831 retried=565 hedgewins=32 failed=51 crashlost=62 events=714403 packets=109961 pc=10.067833/1329.758032 qosh=7.938424/350.331187`},
+}
+
+// formatDigest is the part of a faulted, retried and hedged run's Results
+// that TestRunDigestsAcrossSystems pins: every RPC-lifecycle count, the
+// event and packet totals, and the PC and QoSh medians and tails.
+func formatDigest(res *Results) string {
+	pc, h := res.RNLPriority[PC], res.RNLRun[High]
+	return fmt.Sprintf("issued=%d completed=%d downgraded=%d timedout=%d retried=%d hedgewins=%d failed=%d crashlost=%d events=%d packets=%d pc=%v/%v qosh=%v/%v",
+		res.Issued, res.Completed, res.Downgraded, res.TimedOut, res.Retried, res.HedgeWins, res.FailedRPCs, res.CrashLostRPCs,
+		res.EventsProcessed, res.PacketsDelivered, pc.P50US, pc.P999US, h.P50US, h.P999US)
+}
+
+// TestRunDigestsAcrossSystems pins every system's RPC lifecycle under a
+// link flap and a host crash, with time-outs, two retries and hedging on:
+// the paths where an RPC has more than one transmission, some of them
+// never called back. TestGoldenDeterminism covers two systems without
+// faults; this covers the senders of all nine, which must not touch a
+// message once its completion has been reported.
+func TestRunDigestsAcrossSystems(t *testing.T) {
+	if len(digestRows) != len(allSystems)+1 {
+		t.Fatalf("%d rows for %d systems", len(digestRows), len(allSystems))
+	}
+	for _, row := range digestRows {
+		name := row.sys.String()
+		if row.leaves > 0 {
+			name += "/leaf-spine"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := smallCluster(row.sys, 5)
+			cfg.Duration, cfg.Warmup = 2*time.Millisecond, 500*time.Microsecond
+			cfg.Leaves, cfg.Spines = row.leaves, row.spines
+			plan, err := FaultPreset("flapcrash", cfg.Duration)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Faults = plan
+			cfg.Retry = RetryParams{Timeout: 300 * time.Microsecond, MaxRetries: 2,
+				HedgeAfter: 100 * time.Microsecond, HedgeMaxBytes: 16 << 10}
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := formatDigest(res); got != row.want {
+				t.Errorf("digest diverged\ngot:  %s\nwant: %s", got, row.want)
+			}
+		})
+	}
+}
+
 // allSystems lists every System value; kept in sync with the registry by
 // TestRegistrySmoke below.
 var allSystems = []System{
