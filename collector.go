@@ -139,14 +139,14 @@ func (c *collector) beginMeasurement(s *sim.Simulator, net *netsim.Network) {
 		c.offeredBytesAtWarm += g.Offered.Total()
 	}
 	for i := 0; i < net.Hosts(); i++ {
-		c.busyAtWarm += net.Downlink(i).Stats.BusyTime
+		c.busyAtWarm += net.Downlink(i).Stats(s.Now()).BusyTime
 	}
 }
 
 func (c *collector) endMeasurement(s *sim.Simulator, net *netsim.Network) {
 	c.measEnd = s.Now()
 	for i := 0; i < net.Hosts(); i++ {
-		c.busyAtEnd += net.Downlink(i).Stats.BusyTime
+		c.busyAtEnd += net.Downlink(i).Stats(s.Now()).BusyTime
 	}
 }
 

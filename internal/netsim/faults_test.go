@@ -37,11 +37,11 @@ func TestLinkDownBlackholesAndResumes(t *testing.T) {
 	if want := 1120 * sim.Nanosecond; c.times[1] != want {
 		t.Errorf("queued packet resumed at %v, want %v", c.times[1], want)
 	}
-	if l.Stats.FaultDropPackets != 1 || l.Stats.FaultDropBytes != 1500 {
+	if l.Stats(s.Now()).FaultDropPackets != 1 || l.Stats(s.Now()).FaultDropBytes != 1500 {
 		t.Errorf("fault drops = %d/%dB, want 1/1500B",
-			l.Stats.FaultDropPackets, l.Stats.FaultDropBytes)
+			l.Stats(s.Now()).FaultDropPackets, l.Stats(s.Now()).FaultDropBytes)
 	}
-	if l.Stats.DropPackets != 0 || congDrops != 0 {
+	if l.Stats(s.Now()).DropPackets != 0 || congDrops != 0 {
 		t.Error("blackholed packet was counted as a congestion drop")
 	}
 	if l.Down() {
@@ -75,7 +75,7 @@ func TestLinkRandomLoss(t *testing.T) {
 		l.Send(s, &Packet{Size: 1500})
 	}
 	s.Run()
-	lost := int(l.Stats.FaultDropPackets)
+	lost := int(l.Stats(s.Now()).FaultDropPackets)
 	if len(c.pkts)+lost != n {
 		t.Fatalf("conservation: delivered %d + lost %d != %d", len(c.pkts), lost, n)
 	}

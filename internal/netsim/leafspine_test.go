@@ -92,7 +92,7 @@ func TestLeafSpineAllPairsDeliver(t *testing.T) {
 			t.Errorf("host %d received %d, want 7", i, got[i])
 		}
 	}
-	if dp, _ := net.TotalDropped(); dp != 0 {
+	if dp, _ := net.TotalDropped(s.Now()); dp != 0 {
 		t.Errorf("dropped %d packets", dp)
 	}
 }
@@ -138,7 +138,7 @@ func TestLeafSpineECMPSpreadsFlows(t *testing.T) {
 	s.Run()
 	used := 0
 	for _, l := range net.CoreLinks() {
-		if l.Stats.TxPackets > 0 {
+		if l.Stats(s.Now()).TxPackets > 0 {
 			used++
 		}
 	}
@@ -174,7 +174,7 @@ func TestLeafSpineCoreCongestion(t *testing.T) {
 	}
 	var coreBusy sim.Duration
 	for _, l := range net.CoreLinks() {
-		coreBusy += l.Stats.BusyTime
+		coreBusy += l.Stats(s.Now()).BusyTime
 	}
 	if coreBusy == 0 {
 		t.Error("no core link busy time recorded")

@@ -67,7 +67,7 @@ func TestLinkBackToBackThroughput(t *testing.T) {
 	if want := sim.Duration(n) * 120 * sim.Nanosecond; s.Now() != want {
 		t.Errorf("drain time %v, want %v", s.Now(), want)
 	}
-	if got := l.Utilization(s.Now()); got < 0.999 || got > 1.001 {
+	if got := float64(l.Stats(s.Now()).BusyTime) / float64(s.Now()); got < 0.999 || got > 1.001 {
 		t.Errorf("utilization %v, want 1.0", got)
 	}
 }
@@ -83,8 +83,8 @@ func TestLinkDropsAndOnDrop(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Send(s, &Packet{Size: 1500, ID: uint64(i + 1)})
 	}
-	if l.Stats.DropPackets != 7 {
-		t.Errorf("drops = %d, want 7", l.Stats.DropPackets)
+	if l.Stats(s.Now()).DropPackets != 7 {
+		t.Errorf("drops = %d, want 7", l.Stats(s.Now()).DropPackets)
 	}
 	if len(dropped) != 7 {
 		t.Errorf("OnDrop fired %d times", len(dropped))
@@ -94,7 +94,7 @@ func TestLinkDropsAndOnDrop(t *testing.T) {
 		t.Errorf("delivered %d, want 3", len(c.pkts))
 	}
 	// Conservation: delivered + dropped = sent.
-	if int64(len(c.pkts))+l.Stats.DropPackets != 10 {
+	if int64(len(c.pkts))+l.Stats(s.Now()).DropPackets != 10 {
 		t.Error("packet conservation violated")
 	}
 }
@@ -159,7 +159,7 @@ func TestManyToOneCongestion(t *testing.T) {
 	if minTime := sim.Duration(2*n) * 120 * sim.Nanosecond; s.Now() < minTime {
 		t.Errorf("finished at %v, faster than bottleneck allows (%v)", s.Now(), minTime)
 	}
-	dp, _ := net.TotalDelivered()
+	dp, _ := net.TotalDelivered(s.Now())
 	if dp != 2*n {
 		t.Errorf("TotalDelivered packets = %d", dp)
 	}

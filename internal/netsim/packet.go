@@ -4,11 +4,12 @@
 // pluggable scheduling discipline (WFQ by default). It plays the role of
 // the YAPS-based simulator in the paper's evaluation (§6.1).
 //
-// The topology is a single-switch star: every host connects to the switch
-// with one full-duplex link. Overload is created at switch egress ports
-// (many-to-one) or host uplinks, which is where the paper's WFQ analysis
-// applies. All experiments in the paper run on such topologies (3-node,
-// 33-node, 144-node all-to-all).
+// The topology is a single-switch star, where every host connects to the
+// switch with one full-duplex link, or a two-tier leaf-spine fabric
+// (Topology). Overload is created at switch egress ports (many-to-one),
+// host uplinks or, in a leaf-spine fabric, leaf-spine links, which is where
+// the paper's WFQ analysis applies. The paper's experiments run on stars
+// (3-node, 33-node, 144-node all-to-all).
 package netsim
 
 import (
@@ -54,7 +55,8 @@ type Packet struct {
 	Deadline sim.Time
 
 	// EnqueuedAt is stamped by Link.Send when the packet enters an egress
-	// scheduler, so per-hop queue residency can be traced on dequeue.
+	// scheduler, so its queue residency can be traced when it starts
+	// serialising, at a free moment the link may run later (see Link).
 	EnqueuedAt sim.Time
 
 	// Tail marks the packet carrying its message's last payload byte.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -213,6 +214,25 @@ func TestAuditorViolations(t *testing.T) {
 	c1 := rep.Classes[1]
 	if c1.Bounded || c1.Violations != 0 || c1.MaxHopUS != 500 {
 		t.Errorf("class 1 = %+v", c1)
+	}
+}
+
+// TestAuditorKeepsEarliest: a link checks a hop when it settles, after
+// later violations may have been recorded; the retained list is still the
+// earliest ones in time order.
+func TestAuditorKeepsEarliest(t *testing.T) {
+	a := NewAuditor(AuditConfig{BoundUS: []float64{10}, MaxViolations: 2})
+	a.Hop(3*sim.Microsecond, 1, "up-0", 0, 20*sim.Microsecond)
+	a.RPCDone(5*sim.Microsecond, 2, 0, 20*sim.Microsecond, 20*sim.Microsecond, 30*sim.Microsecond)
+	a.Hop(sim.Microsecond, 3, "down-1", 0, 20*sim.Microsecond)
+	a.Hop(4*sim.Microsecond, 4, "down-1", 0, 20*sim.Microsecond)
+	rep := a.Report()
+	var got []uint64
+	for _, v := range rep.Violations {
+		got = append(got, v.RPC)
+	}
+	if rep.TotalViolations != 4 || !slices.Equal(got, []uint64{3, 1}) {
+		t.Errorf("retained RPCs %v of %d violations, want [3 1] of 4", got, rep.TotalViolations)
 	}
 }
 

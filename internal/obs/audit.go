@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"slices"
+
 	"aequitas/internal/sim"
 	"aequitas/internal/stats"
 )
@@ -100,10 +102,17 @@ func (a *Auditor) bound(cl int) (float64, bool) {
 	return a.cfg.BoundUS[cl], true
 }
 
+// record keeps the earliest MaxViolations violations in time order: a hop
+// is checked when its link settles, possibly after later ones (netsim.Link).
 func (a *Auditor) record(v AuditViolation) {
 	a.total++
-	if len(a.viol) < a.cfg.MaxViolations {
-		a.viol = append(a.viol, v)
+	i := len(a.viol)
+	for i > 0 && a.viol[i-1].TimeUS > v.TimeUS {
+		i--
+	}
+	if i < a.cfg.MaxViolations {
+		a.viol = slices.Insert(a.viol, i, v)
+		a.viol = a.viol[:min(len(a.viol), a.cfg.MaxViolations)]
 	}
 }
 
@@ -174,8 +183,8 @@ type AuditClassReport struct {
 type AuditReport struct {
 	SlackUS float64
 	Classes []AuditClassReport
-	// Violations retains the first MaxViolations violations in
-	// observation order; TotalViolations keeps the full count.
+	// Violations retains the earliest MaxViolations violations in time
+	// order; TotalViolations keeps the full count.
 	Violations      []AuditViolation
 	TotalViolations int
 }

@@ -3,7 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,6 +86,23 @@ func TestValidateNDJSONRejects(t *testing.T) {
 		if _, err := summarizeTrace(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: validated", name)
 		}
+	}
+}
+
+// TestTracerHopInTimeOrder: a hop recorded after later events goes in
+// after the last event at or before its time.
+func TestTracerHopInTimeOrder(t *testing.T) {
+	tr := NewTracer()
+	tr.Issue(1, 1, 0, 1, 0, 0, 100)
+	tr.Complete(5, 1, 0, 1, 0, 100, 4)
+	tr.Hop(5, 1, "up-0", 0, 100, 0, 0)
+	tr.Hop(1, 1, "up-0", 0, 100, 0, 0)
+	var got []string
+	for _, e := range tr.Events() {
+		got = append(got, fmt.Sprint(int64(e.TS), e.Kind))
+	}
+	if want := []string{"1 issue", "1 hop", "5 complete", "5 hop"}; !slices.Equal(got, want) {
+		t.Errorf("events %v, want %v", got, want)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 
 	"aequitas/internal/faults"
@@ -98,7 +99,7 @@ func (t *Tracer) Len() int {
 	return len(t.events)
 }
 
-// Events returns the recorded events in emission order.
+// Events returns the recorded events in time order.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
@@ -134,12 +135,18 @@ func (t *Tracer) Enqueue(now sim.Time, rpc uint64, src, dst, class int, bytes in
 }
 
 // Hop records a packet leaving one egress queue after resid queueing;
-// queuedBytes is the port occupancy after the dequeue.
+// queuedBytes is the port occupancy after the dequeue. A link records a hop
+// when it settles, possibly after later events (netsim.Link), so the row
+// goes in after the last one at or before now: the trace stays in order.
 func (t *Tracer) Hop(now sim.Time, rpc uint64, link string, class, bytes int, resid sim.Duration, queuedBytes int) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, Event{TS: now, Kind: KindHop, RPC: rpc, Link: link,
+	i := len(t.events)
+	for i > 0 && t.events[i-1].TS > now {
+		i--
+	}
+	t.events = slices.Insert(t.events, i, Event{TS: now, Kind: KindHop, RPC: rpc, Link: link,
 		Class: int16(class), Bytes: int64(bytes), Val: float64(resid), QBytes: int64(queuedBytes)})
 }
 
@@ -176,7 +183,7 @@ func (t *Tracer) Fault(now sim.Time, f faults.Kind, target string, rate float64)
 func picosUS(v float64) float64 { return v / float64(sim.Microsecond) }
 
 // WriteNDJSON writes the recorded events as newline-delimited JSON, one
-// event per line, in emission order.
+// event per line, in time order.
 func (t *Tracer) WriteNDJSON(w io.Writer) error {
 	if t == nil {
 		return nil

@@ -47,7 +47,7 @@ func TestRecoveryFromRandomLoss(t *testing.T) {
 		t.Errorf("BytesAcked = %d, want exactly %d", eps[0].Stats.BytesAcked, total)
 	}
 	var faultDrops int64
-	net.ForEachLink(func(l *netsim.Link) { faultDrops += l.Stats.FaultDropPackets })
+	net.ForEachLink(func(l *netsim.Link) { faultDrops += l.Stats(s.Now()).FaultDropPackets })
 	if faultDrops == 0 {
 		t.Error("loss injection did not actually drop anything; raise the rate")
 	}
@@ -247,7 +247,7 @@ func TestFaultSemanticsAcrossPeersAndClasses(t *testing.T) {
 	// Receiver side: the rebuilt stream runs on the sender's new epoch. A
 	// data packet from the old one draws no ack; a duplicate on the current
 	// one is re-acked.
-	acks := func() int64 { return net.Host(2).Uplink.Stats.TxPackets }
+	acks := func() int64 { return net.Host(2).Uplink.Stats(s.Now()).TxPackets }
 	before := acks()
 	old := net.AllocPacket()
 	old.Src, old.Class, old.Seq, old.Payload, old.Gen = 0, qos.High, 0, 100, eps[0].gen-1

@@ -169,7 +169,7 @@ func TestRecoveryFromDrops(t *testing.T) {
 	if completed != 8 {
 		t.Fatalf("completed %d of 8 despite retransmission", completed)
 	}
-	drops, _ := net.TotalDropped()
+	drops, _ := net.TotalDropped(s.Now())
 	if drops == 0 {
 		t.Error("test did not actually provoke drops; tighten buffers")
 	}

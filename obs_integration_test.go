@@ -126,6 +126,44 @@ func TestObsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTraceHoldsEveryHop: a link records a hop when it settles its
+// transmitter (netsim.Link), so the end of a run must settle every link
+// before the trace is written. Settled after the write, the trace misses
+// the hops of the last propagation delay on links nothing touched again,
+// which the auditor, read later, still counts.
+func TestTraceHoldsEveryHop(t *testing.T) {
+	plan, err := FaultPreset("flapcrash", 5*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ndjson bytes.Buffer
+	cfg := faultTestConfig(3, plan)
+	cfg.Obs = ObsConfig{TraceNDJSON: &ndjson, Audit: true}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var audited int64
+	for _, c := range res.Audit.Classes {
+		audited += c.Hops
+	}
+	var hops int64
+	for _, line := range strings.Split(strings.TrimSpace(ndjson.String()), "\n") {
+		var e struct {
+			Kind string `json:"kind"`
+		}
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Kind == "hop" {
+			hops++
+		}
+	}
+	if hops != audited {
+		t.Errorf("trace holds %d hops, the auditor counted %d", hops, audited)
+	}
+}
+
 // TestObsDeterministicUnderParallel: per-config observability output is
 // byte-identical when a sweep runs on one worker and on GOMAXPROCS
 // workers.

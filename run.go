@@ -73,7 +73,7 @@ func Run(cfg SimConfig) (*Results, error) {
 	res := st.col.results(st.cfg, st.net)
 	res.Terminated = st.system.Terminated()
 	res.EventsProcessed = int64(st.s.Processed)
-	pkts, _ := st.net.TotalDelivered()
+	pkts, _ := st.net.TotalDelivered(st.s.Now())
 	res.PacketsDelivered = pkts
 	if st.attr != nil {
 		res.Attribution = attributionSummary(st.attr)
@@ -446,11 +446,18 @@ func buildSamplers(st *runState) error {
 	return nil
 }
 
+// runTo runs the simulation through t and closes instant t on every link
+// (netsim.Network.Settle), so what is read next is the state at its end.
+func (st *runState) runTo(t sim.Time) {
+	st.s.RunUntil(t)
+	st.net.Settle(t)
+}
+
 // runAndDrain runs the offered load until end, then drains in-flight RPCs
 // and flushes the observability sinks.
 func runAndDrain(st *runState) error {
 	cfg, s, col, end := st.cfg, st.s, st.col, st.end
-	s.RunUntil(end)
+	st.runTo(end)
 	for _, g := range col.gens {
 		g.Stop()
 	}
@@ -459,7 +466,7 @@ func runAndDrain(st *runState) error {
 	if drain > sim.FromStd(50*time.Millisecond) {
 		drain = sim.FromStd(50 * time.Millisecond)
 	}
-	s.RunUntil(end + drain)
+	st.runTo(end + drain)
 
 	// Flush observability output. The run is single-threaded and each run
 	// owns its writers, so the streams are deterministic and race-free.
