@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check loc loc-diff bench benchmark pairs figures trace-check chaos-check export-check serve-check chaos-serve-check
+.PHONY: all build test race vet check loc loc-diff bench benchmark pairs figures trace-check chaos-check serve-check chaos-serve-check
 
 all: build
 
@@ -20,7 +20,7 @@ race:
 vet:
 	$(GO) vet ./...
 
-check: vet build race trace-check chaos-check export-check serve-check chaos-serve-check
+check: vet build race trace-check chaos-check serve-check chaos-serve-check
 
 # loc prints non-test Go lines per package and in total (wc -l of each
 # package's GoFiles) for the tree at LOCDIR, so "least code" has a
@@ -66,12 +66,6 @@ trace-check: build
 	    -json out/trace-check-flight-report.json -md out/trace-check-flight-report.md
 	$(GO) run ./cmd/obsreport -diff out/trace-check-report.json out/trace-check-flight-report.json > /dev/null
 
-# export-check is the live-telemetry smoke: a short run published into an
-# httptest server, with /metrics parsed as Prometheus text format and
-# /snapshot as schema-tagged JSON.
-export-check:
-	$(GO) test -run 'TestExportSmoke|TestExportDisabledUntouched' -count=1 .
-
 # chaos-check is the seeded fault-injection smoke: a link flap plus a host
 # crash/restart under the race detector, exercising blackholes, timeouts,
 # retries, hedging, and the degradation metrics end to end.
@@ -81,14 +75,16 @@ chaos-check:
 # serve-check is the live serving smoke: mixed-class HTTP load through the
 # serve.Admission middleware on the wall clock must produce downgrades
 # under an unmeetable SLO, the live /metrics endpoint must emit valid
-# Prometheus text, and synthetic overload must fire the flight recorder's
-# burn-rate trigger with a valid dump at /debug/flight. The scripted
-# parity run holds the middleware and the interceptor to one behaviour,
-# the election test to one periodic evaluation per period, and the
-# allocation tests a request to what net/http forces (two served, three
-# refused) with the shared response-header values left as they were built.
+# Prometheus text (hostile peer names included, read back through the
+# flight dump too) beside /snapshot and the pprof index, and synthetic
+# overload must fire the flight recorder's burn-rate trigger with a valid
+# dump at /debug/flight. The scripted parity run holds the middleware and
+# the interceptor to one behaviour, the election test to one periodic
+# evaluation per period, and the allocation tests a request to what
+# net/http forces (two served, three refused) with the shared
+# response-header values left as they were built.
 serve-check:
-	$(GO) test -race -run 'TestServeOverloadSmoke|TestServeConcurrent|TestServeFlight|TestAdapterParity|TestClockReadBudget|TestOneElection|TestRequestPathAllocs|TestSharedHeaderValues' -count=1 -timeout 10m ./serve
+	$(GO) test -race -run 'TestServeOverloadSmoke|TestServeConcurrent|TestServeFlight|TestMetricsEscapePeerNames|TestAdapterParity|TestClockReadBudget|TestOneElection|TestRequestPathAllocs|TestSharedHeaderValues' -count=1 -timeout 10m ./serve
 
 # chaos-serve-check is the hardened-serving smoke: a race-enabled httptest
 # server with deadline budgets, brownout, a fail-open quota plane, and a

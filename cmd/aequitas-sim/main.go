@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -62,8 +60,6 @@ func main() {
 		flightN  = flag.Int("flight-records", 0, "flight ring capacity in records (default 16384)")
 		metEvery = flag.Duration("metrics-every", 0, "metrics sampling interval in simulated time (default 100us)")
 		tailTS   = flag.Bool("tail", false, "add per-(dst,class) windowed RNL tail quantiles to -metrics")
-		httpAddr = flag.String("http", "", "serve live /metrics (Prometheus), /snapshot (JSON) and /debug/pprof on this address during the run")
-		linger   = flag.Duration("http-linger", 0, "keep the -http endpoint serving the final snapshot this long after the run ends")
 		attrib   = flag.Bool("attribution", false, "decompose each RPC's latency and print per-class mean breakdowns")
 		attrCSV  = flag.String("attribution-csv", "", "write the per-RPC latency decomposition (CSV) to this file")
 		audit    = flag.Bool("audit", false, "audit observed queueing against the per-class theory bounds")
@@ -197,23 +193,6 @@ func main() {
 		Timeout:    *rTimeout,
 		MaxRetries: *rRetries,
 		HedgeAfter: *rHedge,
-	}
-
-	if *httpAddr != "" {
-		exp := obs.NewExporter()
-		cfg.Obs.Export = exp
-		ln, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			log.Fatalf("-http %s: %v", *httpAddr, err)
-		}
-		fmt.Fprintf(os.Stderr, "serving /metrics, /snapshot, /debug/pprof on http://%s\n", ln.Addr())
-		go http.Serve(ln, exp.Handler())
-		if *linger > 0 {
-			defer func() {
-				fmt.Fprintf(os.Stderr, "lingering %v on http://%s (final snapshot)\n", *linger, ln.Addr())
-				time.Sleep(*linger)
-			}()
-		}
 	}
 
 	start := time.Now()

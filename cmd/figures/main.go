@@ -21,8 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -68,26 +66,10 @@ func (o options) progressFn() func(aequitas.Progress) {
 	}
 }
 
-// live is the shared exporter behind -http; when set, every sweep run
-// publishes snapshots into it, labelled "<figure>[<config index>]".
-var live *obs.Exporter
-
-// liveLabel is the figure id currently running, for snapshot labels.
-var liveLabel string
-
 // runAll fans the independent simulations of one figure across the worker
 // pool and returns results in input order. Figure output is identical for
-// any -parallel value; only wall-clock time changes. With -http the runs
-// additionally stream snapshots to the live exporter (concurrent runs
-// interleave their publishes; each snapshot is self-consistent and
-// carries its run's label).
+// any -parallel value; only wall-clock time changes.
 func runAll(o options, cfgs ...aequitas.SimConfig) ([]*aequitas.Results, error) {
-	if live != nil {
-		for i := range cfgs {
-			cfgs[i].Obs.Export = live
-			cfgs[i].Obs.ExportLabel = fmt.Sprintf("%s[%d]", liveLabel, i)
-		}
-	}
 	return aequitas.RunMany(cfgs, aequitas.ParallelOptions{Workers: o.workers, OnProgress: o.progressFn()})
 }
 
@@ -139,7 +121,6 @@ func main() {
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile covering the figure runs to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file after the figure runs")
 		outDir   = flag.String("out", "out", "also write each figure's output to <dir>/fig<id>_output.txt (plus figures_output.txt for -fig all); empty disables")
-		httpAddr = flag.String("http", "", "serve live /metrics (Prometheus), /snapshot (JSON) and /debug/pprof on this address while sweep figures run")
 	)
 	flag.Parse()
 
@@ -176,17 +157,6 @@ func main() {
 		return
 	}
 
-	if *httpAddr != "" {
-		live = obs.NewExporter()
-		ln, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-http %s: %v\n", *httpAddr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "serving /metrics, /snapshot, /debug/pprof on http://%s\n", ln.Addr())
-		go http.Serve(ln, live.Handler())
-	}
-
 	var combined *os.File
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -209,7 +179,6 @@ func main() {
 	for _, f := range figures {
 		if *fig == "all" || f.id == *fig {
 			ran = true
-			liveLabel = f.id
 			var perFig *os.File
 			if *outDir != "" {
 				var err error

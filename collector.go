@@ -36,10 +36,6 @@ type collector struct {
 	// ObsConfig.TailSeries); it sees every completion, warmup included,
 	// matching the registry's sample-from-t=0 convention.
 	tails *obs.TailTracker
-	// expRNL holds cumulative per-run-class RNL histograms for the live
-	// exporter (nil unless ObsConfig.Export). Like tails, it sees every
-	// completion from t=0.
-	expRNL []*stats.Hist
 
 	issued, completed, downgraded, dropped int64
 	// SLO accounting by priority: issued vs met, in bytes and counts.
@@ -191,12 +187,6 @@ func (c *collector) inWindow(t sim.Time) bool { return t >= c.warm && t <= c.end
 
 func (c *collector) onComplete(s *sim.Simulator, r *rpc.RPC) {
 	c.tails.Observe(r.Dst, int(r.QoSRun), r.RNL.Micros())
-	if c.expRNL != nil {
-		if c.expRNL[r.QoSRun] == nil {
-			c.expRNL[r.QoSRun] = stats.NewHist()
-		}
-		c.expRNL[r.QoSRun].Record(r.RNL.Micros())
-	}
 	if !c.inWindow(r.IssueTime) {
 		return
 	}

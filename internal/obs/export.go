@@ -2,16 +2,12 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"net/http"
-	"net/http/pprof"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"unicode/utf8"
 
 	"aequitas/internal/stats"
@@ -20,16 +16,16 @@ import (
 // SnapshotSchema versions the /snapshot JSON document.
 const SnapshotSchema = "aequitas.snapshot/v1"
 
-// Snapshot is one published view of a running (or finished) simulation:
-// monotone counters, point-in-time gauges, and latency histograms. It is
-// immutable once published — the simulation builds a fresh Snapshot per
-// pump tick and HTTP handlers render whichever one is latest, so the hot
-// path never blocks on a reader.
+// Snapshot is one observability document: monotone counters,
+// point-in-time gauges, and latency histograms. WriteProm renders it as
+// Prometheus text; encoding/json gives the /snapshot body.
 type Snapshot struct {
-	Schema   string         `json:"schema"`
-	Label    string         `json:"label,omitempty"`
+	Schema string `json:"schema"`
+	Label  string `json:"label,omitempty"`
+	// SimTimeS is the time the document describes, in seconds. The
+	// serving layer writes its own age: on the wire, sim_time_s and
+	// aequitas_sim_time_seconds are the server's uptime.
 	SimTimeS float64        `json:"sim_time_s"`
-	Final    bool           `json:"final,omitempty"`
 	Counters []NamedValue   `json:"counters,omitempty"`
 	Gauges   []NamedValue   `json:"gauges,omitempty"`
 	Hists    []HistSnapshot `json:"hists,omitempty"`
@@ -82,72 +78,6 @@ func SnapHist(name, labelKey, labelVal string, h *stats.Hist) HistSnapshot {
 		hs.Buckets = append(hs.Buckets, HistBucket{Upper: upper, Count: cum})
 	})
 	return hs
-}
-
-// Exporter publishes snapshots from a simulation loop and serves them
-// over HTTP. Publication is a pointer swap under a mutex; readers render
-// from the snapshot they grabbed, so a slow scraper never stalls the
-// simulation and the simulation never tears a scrape.
-type Exporter struct {
-	mu   sync.RWMutex
-	snap *Snapshot
-}
-
-// NewExporter returns an Exporter with no snapshot yet.
-func NewExporter() *Exporter { return &Exporter{} }
-
-// Publish makes s the snapshot served to subsequent readers. The caller
-// must not mutate s afterwards.
-func (e *Exporter) Publish(s *Snapshot) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.snap = s
-	e.mu.Unlock()
-}
-
-// Snapshot returns the latest published snapshot, or nil.
-func (e *Exporter) Snapshot() *Snapshot {
-	if e == nil {
-		return nil
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.snap
-}
-
-// Handler returns the export mux: Prometheus text on /metrics, the raw
-// snapshot JSON on /snapshot, and the standard pprof endpoints under
-// /debug/pprof/.
-func (e *Exporter) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		s := e.Snapshot()
-		if s == nil {
-			http.Error(w, "no snapshot published yet", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WriteProm(w, s)
-	})
-	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		s := e.Snapshot()
-		if s == nil {
-			http.Error(w, "no snapshot published yet", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(s)
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
 }
 
 // promPrefix namespaces every exported metric.
@@ -350,7 +280,7 @@ func ValidatePromText(r io.Reader) (int, error) {
 }
 
 // splitPromSample parses `name[{labels}] value` (no timestamp support —
-// the simulator never emits one) and returns the labels as name="value"
+// WriteProm never emits one) and returns the labels as name="value"
 // pairs, still escaped.
 func splitPromSample(line string) (name string, labels []string, value string, err error) {
 	if !utf8.ValidString(line) {

@@ -175,25 +175,6 @@ func TestPromLabelValues(t *testing.T) {
 	}
 }
 
-// TestExporterPublish: latest-wins, nil-safe.
-func TestExporterPublish(t *testing.T) {
-	var nilExp *Exporter
-	nilExp.Publish(&Snapshot{}) // must not panic
-	if nilExp.Snapshot() != nil {
-		t.Error("nil exporter returned a snapshot")
-	}
-	e := NewExporter()
-	if e.Snapshot() != nil {
-		t.Error("fresh exporter has a snapshot")
-	}
-	a, b := &Snapshot{SimTimeS: 1}, &Snapshot{SimTimeS: 2}
-	e.Publish(a)
-	e.Publish(b)
-	if got := e.Snapshot(); got != b {
-		t.Errorf("latest snapshot = %+v, want the second publish", got)
-	}
-}
-
 // BenchmarkMetricsRender is the tracked /metrics render cost: one full
 // Prometheus text exposition of a representative snapshot.
 func BenchmarkMetricsRender(b *testing.B) {

@@ -74,20 +74,6 @@ func (r *Registry) Value(i int, name string) float64 {
 	return r.rows[i][idx]
 }
 
-// LatestGauges calls f for every column holding a value in the most
-// recent sample row, in column order. No rows yet → no calls.
-func (r *Registry) LatestGauges(f func(name string, v float64)) {
-	if r == nil || len(r.rows) == 0 {
-		return
-	}
-	row := r.rows[len(r.rows)-1]
-	for j := 0; j < len(row) && j < len(r.cols); j++ {
-		if !math.IsNaN(row[j]) {
-			f(r.cols[j], row[j])
-		}
-	}
-}
-
 // Sample runs every sampler and appends one row at now.
 func (r *Registry) Sample(now sim.Time) {
 	if r == nil {

@@ -28,25 +28,6 @@ type ObsConfig struct {
 	MetricsCSV io.Writer
 	// MetricsEvery is the sampling interval (default 100 µs).
 	MetricsEvery time.Duration
-	// MetricsHosts restricts per-host samplers (admission state,
-	// transport connections) to these host ids; nil samples every host.
-	// Per-port queue metrics are always network-wide.
-	MetricsHosts []int
-	// Export, when set, streams live snapshots of the run into the given
-	// exporter on every metrics tick: lifecycle counters, registry
-	// gauges, per-probe admit probability, and per-class RNL histograms.
-	// Serve them with Export.Handler() (/metrics Prometheus text,
-	// /snapshot JSON, /debug/pprof). The snapshot pump is an ordinary
-	// simulator event, so enabling export changes event interleaving like
-	// any other sampler would, but publishes never block on HTTP readers
-	// and the per-completion hot path stays allocation-free. Disabled
-	// (nil), the run's event stream is untouched. One exporter may be
-	// shared across sequential runs (cmd/figures does); runs executing
-	// concurrently should use separate exporters.
-	Export *obs.Exporter
-	// ExportLabel names the run in exported snapshots (e.g. the figure
-	// or sweep-point name). Defaults to the system name.
-	ExportLabel string
 	// TailSeries adds a windowed tail time-series to the metrics CSV:
 	// per (destination, run-class) channel, each registry tick emits the
 	// window's completed-RPC count and RNL p50/p90/p99/p99.9
@@ -67,12 +48,9 @@ type ObsConfig struct {
 	// parallelism.
 	FlightNDJSON io.Writer
 	// FlightRecords is the flight ring's capacity in records (default
-	// 16384).
+	// 16384). The ring keeps 1 in 8 admit and SLO-met records and every
+	// downgrade, drop and SLO miss.
 	FlightRecords int
-	// FlightSampleAdmits keeps 1 in N admit and SLO-met records (rounded
-	// up to a power of two; default 8; values <= 1 keep everything).
-	// Downgrades, drops and SLO misses are always kept.
-	FlightSampleAdmits int
 	// FlightEngine, when set alongside FlightNDJSON, runs the SLO
 	// burn-rate anomaly engine on the metrics cadence (MetricsEvery):
 	// cumulative SLO counters and the minimum live admit probability are
@@ -109,19 +87,11 @@ type ObsConfig struct {
 	// and the fluid model (EXPERIMENTS.md's Fig-10 table puts it at
 	// 0.03-0.04 of a burst period). Default: 10% of BurstPeriod.
 	AuditSlackUS float64
-	// AuditMaxViolations caps the retained violation list (default 64).
-	AuditMaxViolations int
 }
 
 // attributionOn reports whether the run needs an attributor.
 func (o *ObsConfig) attributionOn() bool {
 	return o.Attribution || o.AttributionCSV != nil || o.Audit
-}
-
-// enabled reports whether any observability output is requested.
-func (o *ObsConfig) enabled() bool {
-	return o.TraceNDJSON != nil || o.MetricsCSV != nil ||
-		o.Export != nil || o.FlightNDJSON != nil || o.attributionOn()
 }
 
 // tracer returns the run's tracer, or nil when tracing is off.
@@ -133,26 +103,12 @@ func (o *ObsConfig) tracer() *obs.Tracer {
 }
 
 // registry returns the run's metrics registry, or nil when metrics are
-// off. Live export also needs the registry: its snapshot gauges are the
-// registry's latest sample row.
+// off.
 func (o *ObsConfig) registry() *obs.Registry {
-	if o.MetricsCSV == nil && o.Export == nil {
+	if o.MetricsCSV == nil {
 		return nil
 	}
 	return obs.NewRegistry()
-}
-
-// metricsHost reports whether per-host samplers should cover host i.
-func (o *ObsConfig) metricsHost(i int) bool {
-	if o.MetricsHosts == nil {
-		return true
-	}
-	for _, h := range o.MetricsHosts {
-		if h == i {
-			return true
-		}
-	}
-	return false
 }
 
 // CSVTrace wraps a per-RPC CSV trace destination (SimConfig.TraceWriter)

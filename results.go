@@ -176,7 +176,7 @@ type AuditReport struct {
 	// SlackUS is the headroom that was added to every bound.
 	SlackUS float64
 	Classes []AuditClass
-	// Violations retains the first ObsConfig.AuditMaxViolations breaches;
+	// Violations retains the earliest 64 breaches in time order;
 	// TotalViolations counts all of them.
 	Violations      []AuditViolation
 	TotalViolations int

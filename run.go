@@ -12,7 +12,6 @@ import (
 	"aequitas/internal/rpc"
 	"aequitas/internal/scenario"
 	"aequitas/internal/sim"
-	"aequitas/internal/stats"
 	"aequitas/internal/transport"
 	"aequitas/internal/workload"
 )
@@ -122,14 +121,8 @@ func buildFabric(st *runState) error {
 		st.tails = obs.NewTailTracker()
 		st.col.tails = st.tails
 	}
-	if cfg.Obs.Export != nil {
-		st.col.expRNL = make([]*stats.Hist, len(st.col.rnlRun))
-	}
 	if cfg.Obs.FlightNDJSON != nil {
-		st.flight = flight.NewRing(flight.Config{
-			Records:      cfg.Obs.FlightRecords,
-			SampleAdmits: cfg.Obs.FlightSampleAdmits,
-		})
+		st.flight = flight.NewRing(flight.Config{Records: cfg.Obs.FlightRecords})
 	}
 
 	// Auditor first (the attributor feeds it per-RPC fabric queueing),
@@ -147,10 +140,9 @@ func buildFabric(st *runState) error {
 			slack = float64(cfg.BurstPeriod) / float64(time.Microsecond) * 0.1
 		}
 		st.audit = obs.NewAuditor(obs.AuditConfig{
-			BoundUS:       bounds,
-			SlackUS:       slack,
-			MaxViolations: cfg.Obs.AuditMaxViolations,
-			Levels:        len(cfg.QoSWeights),
+			BoundUS: bounds,
+			SlackUS: slack,
+			Levels:  len(cfg.QoSWeights),
 		})
 		net.SetAuditor(st.audit)
 	}
@@ -278,21 +270,13 @@ func buildFaults(st *runState) error {
 	return in.Schedule(st.s)
 }
 
-// flightLabel names this run in dump headers.
-func (st *runState) flightLabel() string {
-	if st.cfg.Obs.ExportLabel != "" {
-		return st.cfg.Obs.ExportLabel
-	}
-	return st.cfg.System.String()
-}
-
-// flightDump snapshots the ring into the configured NDJSON sink. Errors
-// are latched into st.flightErr (callbacks have nowhere to return them)
-// and surfaced by runAndDrain.
+// flightDump snapshots the ring into the configured NDJSON sink, labelled
+// with the system name. Errors are latched into st.flightErr (callbacks
+// have nowhere to return them) and surfaced by runAndDrain.
 func (st *runState) flightDump(tr flight.Trigger, reset bool) {
 	err := flight.DumpTo(st.cfg.Obs.FlightNDJSON, st.flight, flight.Meta{
 		Trigger: tr,
-		Label:   st.flightLabel(),
+		Label:   st.cfg.System.String(),
 	}, reset)
 	if err != nil && st.flightErr == nil {
 		st.flightErr = err
@@ -341,17 +325,20 @@ func buildSamplers(st *runState) error {
 	// Warmup boundary: begin measurement.
 	s.AtFunc(warm, func(s *sim.Simulator) { col.beginMeasurement(s, net) })
 
-	// Periodic metrics sampling: per-port queue occupancy always, plus
-	// per-host admission and transport state for the selected hosts.
-	// Sampling starts at t=0 (before warmup) so convergence transients are
-	// visible.
+	// The metrics cadence, shared by the registry and the anomaly engine.
+	// Each keeps its own event, registry first.
+	every := sim.FromStd(cfg.Obs.MetricsEvery)
+	if every <= 0 {
+		every = sim.FromStd(100 * time.Microsecond)
+	}
+
+	// Periodic metrics sampling: per-port queue occupancy, plus every
+	// host's admission and transport state. Sampling starts at t=0 (before
+	// warmup) so convergence transients are visible.
 	if st.registry != nil {
 		registry := st.registry
 		registry.Register(net.MetricsSampler())
 		for i := 0; i < cfg.Hosts; i++ {
-			if !cfg.Obs.metricsHost(i) {
-				continue
-			}
 			if st.controllers[i] != nil {
 				registry.Register(st.controllers[i].MetricsSampler(i))
 			}
@@ -364,36 +351,14 @@ func buildSamplers(st *runState) error {
 		if st.tails != nil {
 			registry.Register(st.tails.Sampler())
 		}
-		interval := sim.FromStd(cfg.Obs.MetricsEvery)
-		if interval <= 0 {
-			interval = sim.FromStd(100 * time.Microsecond)
-		}
 		var mtick func(*sim.Simulator)
 		mtick = func(s *sim.Simulator) {
 			registry.Sample(s.Now())
 			if s.Now() < end {
-				s.AfterFunc(interval, mtick)
+				s.AfterFunc(every, mtick)
 			}
 		}
 		s.AtFunc(0, mtick)
-	}
-
-	// Live-export pump: publish a fresh snapshot on the same cadence as
-	// the metrics registry (and scheduled after it, so each snapshot's
-	// gauges are the row just sampled).
-	if exp := cfg.Obs.Export; exp != nil {
-		interval := sim.FromStd(cfg.Obs.MetricsEvery)
-		if interval <= 0 {
-			interval = sim.FromStd(100 * time.Microsecond)
-		}
-		var etick func(*sim.Simulator)
-		etick = func(s *sim.Simulator) {
-			exp.Publish(st.snapshot(s.Now(), false))
-			if s.Now() < end {
-				s.AfterFunc(interval, etick)
-			}
-		}
-		s.AtFunc(0, etick)
 	}
 
 	// Anomaly-engine pump: on the metrics cadence, feed the engine the
@@ -401,10 +366,6 @@ func buildSamplers(st *runState) error {
 	// across every host. A trigger dumps and resets the flight ring.
 	if st.flight != nil && cfg.Obs.FlightEngine != nil {
 		eng := flight.NewEngine(*cfg.Obs.FlightEngine)
-		interval := sim.FromStd(cfg.Obs.MetricsEvery)
-		if interval <= 0 {
-			interval = sim.FromStd(100 * time.Microsecond)
-		}
 		controllers := st.controllers
 		var ftick func(*sim.Simulator)
 		ftick = func(s *sim.Simulator) {
@@ -424,7 +385,7 @@ func buildSamplers(st *runState) error {
 				st.flightDump(tr, true)
 			}
 			if now < end {
-				s.AfterFunc(interval, ftick)
+				s.AfterFunc(every, ftick)
 			}
 		}
 		s.AtFunc(0, ftick)
@@ -475,15 +436,10 @@ func runAndDrain(st *runState) error {
 			return fmt.Errorf("aequitas: trace ndjson: %w", err)
 		}
 	}
-	if st.registry != nil && cfg.Obs.MetricsCSV != nil {
+	if st.registry != nil {
 		if err := st.registry.WriteCSV(cfg.Obs.MetricsCSV); err != nil {
 			return fmt.Errorf("aequitas: metrics csv: %w", err)
 		}
-	}
-	// Final snapshot after the drain, so a lingering /metrics endpoint
-	// serves the finished run's totals.
-	if cfg.Obs.Export != nil {
-		cfg.Obs.Export.Publish(st.snapshot(s.Now(), true))
 	}
 	if w := cfg.Obs.AttributionCSV; w != nil {
 		if err := st.attr.WriteCSV(w); err != nil {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -129,9 +130,14 @@ func TestRetryAfterOfOutOfRangeClass(t *testing.T) {
 // TestMetricsEscapePeerNames sends peer names no exposition-format label
 // can carry as Go would quote them — a tab in the peer header, a NUL and
 // a byte that is not UTF-8 in the path — and scrapes /metrics: it must
-// still parse, with each peer's gauge there once.
+// still parse, with each peer's gauge there once. The flight dump served
+// at /debug/flight must read back too, with the path-derived peer as JSON
+// decodes it.
 func TestMetricsEscapePeerNames(t *testing.T) {
-	a := newAdmission(t, false)
+	a, err := New(Config{Controller: newController(t), Flight: &FlightConfig{SampleAdmits: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv := httptest.NewServer(a.Middleware(httpOK()))
 	defer srv.Close()
 	for _, r := range []struct{ path, peer string }{{"/rpc", "a\tb"}, {"/%00%ff", ""}} {
@@ -169,6 +175,34 @@ func TestMetricsEscapePeerNames(t *testing.T) {
 		if n := bytes.Count(text, []byte(gauge)); n != 1 {
 			t.Errorf("%q appears %d times in /metrics, want once:\n%s", gauge, n, text)
 		}
+	}
+
+	fresp, err := http.Get(msrv.URL + "/debug/flight?format=ndjson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresp.Body.Close()
+	dump, err := io.ReadAll(fresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, n, err := flight.ValidateDump(bytes.NewReader(dump)); err != nil || n == 0 {
+		t.Fatalf("/debug/flight dump of %d records: %v\n%s", n, err, dump)
+	}
+	var peers []string
+	sc := bufio.NewScanner(bytes.NewReader(dump))
+	sc.Scan() // the header line
+	for sc.Scan() {
+		var r struct {
+			PeerName string `json:"peer_name"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatal(err)
+		}
+		peers = append(peers, r.PeerName)
+	}
+	if !slices.Contains(peers, "/\u0000\uFFFD") || !slices.Contains(peers, "a\tb") {
+		t.Errorf("dump peers %q, want %q and %q among them", peers, "/\u0000\uFFFD", "a\tb")
 	}
 	checkLedger(t, a, 2)
 }

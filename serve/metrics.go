@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,15 +21,7 @@ import (
 // into the last slot (the paper uses 2-4 levels).
 const maxClasses = 8
 
-func classSlot(c aequitas.Class) int {
-	if c < 0 {
-		return 0
-	}
-	if int(c) >= maxClasses {
-		return maxClasses - 1
-	}
-	return int(c)
-}
+func classSlot(c aequitas.Class) int { return min(max(int(c), 0), maxClasses-1) }
 
 // completions is the completion aggregator: everything the layer learns
 // from a finished request, kept once per class under one lock, plus the
@@ -157,11 +151,12 @@ func (a *Admission) tick(now sim.Time) {
 	c.due.Store(int64(c.nextDue()))
 }
 
-// snapshot freezes the serving state into an exportable document:
-// middleware counters, the controller's cumulative Algorithm 1 counters,
-// quota and brownout health, live per-(peer, class) admit probabilities
-// as gauges, and per-class latency histograms.
-func (a *Admission) snapshot() *obs.Snapshot {
+// Snapshot freezes the serving state into a freshly built observability
+// document, the view /metrics and /snapshot serve: middleware counters,
+// the controller's cumulative Algorithm 1 counters, quota and brownout
+// health, live per-(peer, class) admit probabilities as gauges, and
+// per-class latency histograms.
+func (a *Admission) Snapshot() *obs.Snapshot {
 	s := &obs.Snapshot{
 		Schema:   obs.SnapshotSchema,
 		Label:    "serve",
@@ -230,23 +225,29 @@ func (a *Admission) snapshot() *obs.Snapshot {
 }
 
 // Handler serves this admission layer's observability endpoints:
-// Prometheus text on /metrics, the JSON document on /snapshot, pprof under
-// /debug/pprof/, and the flight recorder on /debug/flight (trigger status
-// as JSON; the ring as an NDJSON dump with ?format=ndjson). A fresh
-// snapshot is published per scrape, so readers always see current state
-// without the serving path paying for publication.
+// Prometheus text on /metrics and the JSON document on /snapshot, both
+// built fresh per scrape so the serving path never pays for them; pprof
+// under /debug/pprof/; and the flight recorder on /debug/flight (trigger
+// status as JSON; the ring as an NDJSON dump with ?format=ndjson).
 func (a *Admission) Handler() http.Handler {
-	inner := a.exp.Handler()
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/debug/flight" {
-			a.serveFlight(w, r)
-			return
-		}
-		a.exp.Publish(a.snapshot())
-		inner.ServeHTTP(w, r)
+	mux := http.NewServeMux()
+	// A render can only fail writing to the scraper, whose connection is
+	// then gone: there is nobody left to tell, so the errors are dropped.
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		obs.WriteProm(w, a.Snapshot())
 	})
+	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(a.Snapshot())
+	})
+	mux.HandleFunc("/debug/flight", a.serveFlight)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
-
-// Snapshot returns a freshly built observability document — the same view
-// /snapshot serves.
-func (a *Admission) Snapshot() *obs.Snapshot { return a.snapshot() }

@@ -24,9 +24,11 @@
 // real gRPC server adapts with a one-line wrapper, without this module
 // importing grpc.
 //
-// Serving metrics (decision counters, per-class latency histograms, live
-// admit probabilities) are exported through the same obs.Exporter surface
-// the simulator uses: Prometheus text on /metrics, JSON on /snapshot.
+// Admission.Handler is the repository's one live scrape surface: serving
+// metrics (decision counters, per-class latency histograms, live admit
+// probabilities) as Prometheus text on /metrics and JSON on /snapshot, in
+// internal/obs's format and built per scrape, plus pprof and the flight
+// recorder. A simulation's telemetry leaves as files instead.
 package serve
 
 import (
@@ -42,7 +44,6 @@ import (
 	"aequitas"
 	"aequitas/internal/core"
 	"aequitas/internal/netsim"
-	"aequitas/internal/obs"
 	"aequitas/internal/sim"
 )
 
@@ -213,7 +214,6 @@ type Admission struct {
 	markValue              []string // "1": HeaderDowngraded, HeaderExpired
 
 	started time.Time
-	exp     *obs.Exporter
 }
 
 // New builds an Admission layer over cfg.Controller.
@@ -232,7 +232,6 @@ func New(cfg Config) (*Admission, error) {
 		rejBody:   cfg.RejectBody,
 		markValue: []string{"1"},
 		started:   time.Now(),
-		exp:       obs.NewExporter(),
 	}
 	for c := aequitas.Class(0); c <= a.core.Scavenger(); c++ {
 		a.classValue = append(a.classValue, []string{c.String()})

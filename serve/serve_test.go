@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -66,8 +68,8 @@ func TestParseClass(t *testing.T) {
 
 // TestServeOverloadSmoke is the end-to-end serving smoke: mixed-class load
 // through the middleware on the wall clock, with an unmeetable SLO, must
-// produce downgrades marked on the response, and the exported metrics must
-// be valid Prometheus text.
+// produce downgrades marked on the response, the exported metrics must
+// be valid Prometheus text, and the pprof index must answer.
 func TestServeOverloadSmoke(t *testing.T) {
 	a := newAdmission(t, false)
 	var handled int
@@ -161,6 +163,16 @@ func TestServeOverloadSmoke(t *testing.T) {
 	}
 	if !hasPadmit {
 		t.Error("no live admit-probability gauges exported")
+	}
+
+	// The pprof mux responds (index page).
+	presp, err := http.Get(msrv.URL + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer presp.Body.Close()
+	if body, err := io.ReadAll(presp.Body); err != nil || presp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte("pprof")) {
+		t.Errorf("/debug/pprof/: status %d, %v: served no pprof index", presp.StatusCode, err)
 	}
 	checkLedger(t, a, 600)
 }

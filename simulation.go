@@ -235,9 +235,9 @@ type SimConfig struct {
 	// external analysis. Wrap the destination in a CSVTrace to keep the
 	// header to exactly one line when the sink outlives a retried run.
 	TraceWriter io.Writer
-	// Obs configures the observability layer: RPC-lifecycle tracing
-	// (NDJSON / Chrome trace-event) and periodic metrics sampling. The
-	// zero value disables it with no hot-path cost.
+	// Obs configures the observability layer, whose output is files: the
+	// NDJSON lifecycle trace, the metrics CSV, the attribution CSV and the
+	// flight dumps. The zero value disables it with no hot-path cost.
 	Obs ObsConfig
 
 	// Faults, when non-nil and non-empty, injects a deterministic fault
