@@ -52,10 +52,14 @@ loc-diff:
 # a faulted run's trace (fault events) and its flight-recorder dump stream
 # (fault-trigger dumps plus the final dump) against aequitas.flight/v1.
 # The closing -diff loads both reports back against their own schema.
+# The first run also prints the attribution and audit tables into
+# out/trace-check.txt, which must hold no fmt error verb (%!).
 trace-check: build
 	@mkdir -p out
 	$(GO) run ./cmd/aequitas-sim -hosts 4 -dur 3ms -trace out/trace-check.ndjson \
-	    -metrics out/trace-check.csv -tail -attribution-csv out/trace-check-attr.csv > /dev/null
+	    -metrics out/trace-check.csv -tail -attribution-csv out/trace-check-attr.csv \
+	    -attribution -audit > out/trace-check.txt
+	@if grep -n '%!' out/trace-check.txt; then echo 'out/trace-check.txt: bad format verb'; exit 1; fi
 	$(GO) run ./cmd/obsreport -label trace-check -trace out/trace-check.ndjson \
 	    -metrics out/trace-check.csv -attr out/trace-check-attr.csv \
 	    -json out/trace-check-report.json -md out/trace-check-report.md

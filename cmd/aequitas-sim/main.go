@@ -203,23 +203,13 @@ func main() {
 
 	fmt.Printf("system=%s hosts=%d dur=%v seed=%d (wall %v)\n\n",
 		sys, *hosts, *dur, *seed, time.Since(start).Round(time.Millisecond))
-	writeSummary(os.Stdout, res)
-	if res.Attribution != nil {
-		printAttribution(res)
-	}
-	if res.Audit != nil {
-		printAudit(res.Audit)
-	}
-	if cfg.Faults != nil {
-		printDegradation(res)
-	}
+	writeSummary(os.Stdout, res, cfg.Faults != nil)
 }
 
-// writeSummary writes the run's measurements: the per-class latency table,
-// the RPC counts, the QoS mixes, goodput and SLO compliance by priority.
-// Everything is walked in class or priority order, never in map order, so
-// one Results is one text.
-func writeSummary(w io.Writer, res *aequitas.Results) {
+// writeSummary writes per-class latency, RPC counts, QoS mixes, goodput and
+// SLO compliance, then the attribution, audit and degradation tables a run
+// has, in class or priority order, never in map order: one Results is one text.
+func writeSummary(w io.Writer, res *aequitas.Results, faulted bool) {
 	fmt.Fprintf(w, "%-6s %10s %10s %10s %10s %12s\n", "class", "p50(us)", "p99(us)", "p99.9(us)", "max(us)", "in-SLO(%)")
 	for _, c := range res.Classes() {
 		l := res.RNLRun[c]
@@ -240,6 +230,15 @@ func writeSummary(w io.Writer, res *aequitas.Results) {
 		if f, ok := res.SLOMetBytesFraction[pr]; ok {
 			fmt.Fprintf(w, "%v traffic meeting its original SLO: %.1f%%\n", pr, 100*f)
 		}
+	}
+	if res.Attribution != nil {
+		writeAttribution(w, res)
+	}
+	if res.Audit != nil {
+		writeAudit(w, res.Audit)
+	}
+	if faulted {
+		writeDegradation(w, res)
 	}
 }
 
@@ -262,11 +261,11 @@ func loadFaultPlan(arg string, dur time.Duration) (*aequitas.FaultPlan, error) {
 	return plan, nil
 }
 
-// printDegradation prints the fault timeline and graceful-degradation
+// writeDegradation writes the fault timeline and graceful-degradation
 // metrics.
-func printDegradation(res *aequitas.Results) {
-	fmt.Printf("\nfault injection: goodput availability %.1f%% of bins\n", 100*res.GoodputAvailability)
-	fmt.Printf("robustness: timed out %d, retried %d, hedged %d (wins %d), failed %d, crash-lost %d, not issued %d\n",
+func writeDegradation(w io.Writer, res *aequitas.Results) {
+	fmt.Fprintf(w, "\nfault injection: goodput availability %.1f%% of bins\n", 100*res.GoodputAvailability)
+	fmt.Fprintf(w, "robustness: timed out %d, retried %d, hedged %d (wins %d), failed %d, crash-lost %d, not issued %d\n",
 		res.TimedOut, res.Retried, res.Hedged, res.HedgeWins,
 		res.FailedRPCs, res.CrashLostRPCs, res.NotIssuedRPCs)
 	for _, f := range res.Faults {
@@ -284,40 +283,40 @@ func printDegradation(res *aequitas.Results) {
 				}
 			}
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	}
 }
 
-// printAttribution prints the per-class mean latency decomposition table.
-func printAttribution(res *aequitas.Results) {
-	fmt.Println("\nlatency attribution (mean us per completed RPC):")
-	fmt.Printf("%-6s %8s %8s %8s %10s %8s %8s %8s %8s %8s\n",
+// writeAttribution writes the per-class mean latency decomposition table.
+func writeAttribution(w io.Writer, res *aequitas.Results) {
+	fmt.Fprintln(w, "\nlatency attribution (mean us per completed RPC):")
+	fmt.Fprintf(w, "%-6s %8s %8s %8s %10s %8s %8s %8s %8s %8s\n",
 		"class", "n", "admit", "sender", "transport", "pacing", "nic", "switch", "wire", "rnl")
 	for _, c := range res.Classes() {
 		a, ok := res.Attribution[c]
 		if !ok {
 			continue
 		}
-		fmt.Printf("%-6s %8d %8.2f %8.2f %10.2f %8.2f %8.2f %8.2f %8.2f %8.2f\n",
+		fmt.Fprintf(w, "%-6s %8d %8.2f %8.2f %10.2f %8.2f %8.2f %8.2f %8.2f %8.2f\n",
 			c, a.N, a.AdmitUS, a.SenderUS, a.TransportUS, a.PacingUS, a.NICUS, a.SwitchUS, a.WireUS, a.RNLUS)
 	}
 }
 
-// printAudit prints the QoS-bound auditor's verdict.
-func printAudit(rep *aequitas.AuditReport) {
+// writeAudit writes the QoS-bound auditor's verdict.
+func writeAudit(w io.Writer, rep *aequitas.AuditReport) {
 	verdict := "OK"
 	if !rep.Ok() {
 		verdict = fmt.Sprintf("%d VIOLATIONS", rep.TotalViolations)
 	}
-	fmt.Printf("\nQoS-bound audit (slack %.1fus): %s\n", rep.SlackUS, verdict)
-	fmt.Printf("%-6s %8s %10s %10s %10s %10s %10s %10s\n",
+	fmt.Fprintf(w, "\nQoS-bound audit (slack %.1fus): %s\n", rep.SlackUS, verdict)
+	fmt.Fprintf(w, "%-6s %8s %10s %10s %10s %10s %10s %10s\n",
 		"class", "n", "bound(us)", "q.p99(us)", "q.max(us)", "hop.max", "rnl.p99", "viol")
 	for _, c := range rep.Classes {
 		bound := "-"
 		if c.Bounded {
 			bound = fmt.Sprintf("%.1f", c.BoundUS)
 		}
-		fmt.Printf("%-6s %8d %10s %10.1f %10.1f %10.1f %10.1f %10d\n",
+		fmt.Fprintf(w, "%-6s %8d %10s %10.1f %10.1f %10.1f %10.1f %10d\n",
 			c.Class, c.N, bound, c.QueueP99US, c.QueueMaxUS, c.MaxHopUS, c.RNLP99US, c.Violations)
 	}
 	for _, v := range rep.Violations {
@@ -325,7 +324,7 @@ func printAudit(rep *aequitas.AuditReport) {
 		if v.Link != "" {
 			where += "@" + v.Link
 		}
-		fmt.Printf("  violation: rpc=%d class=%s %s t=%.1fus observed=%.1fus bound=%.1fus\n",
+		fmt.Fprintf(w, "  violation: rpc=%d class=%s %s t=%.1fus observed=%.1fus bound=%.1fus\n",
 			v.RPC, v.Class, where, v.TimeUS, v.ObservedUS, v.BoundUS)
 	}
 }

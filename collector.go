@@ -108,7 +108,8 @@ func newCollector(cfg *SimConfig) *collector {
 		runMetBytes: make([]int64, n),
 	}
 	for _, p := range cfg.Probes {
-		c.probes = append(c.probes, &probeState{p: p})
+		c.probes = append(c.probes, &probeState{p: p,
+			admitSer: stats.Series{Name: "p_admit"}, thruSer: stats.Series{Name: "goodput"}})
 	}
 	if !cfg.Faults.Empty() {
 		// Availability bins are deliberately coarse — at least a burst
@@ -231,26 +232,12 @@ func (c *collector) meetsSLO(r *rpc.RPC) bool {
 	return r.RNL/sim.Duration(r.SizeMTUs) < target
 }
 
-// rnl returns the RNL sample xs[i], made by newSample on first use.
+// rnl returns the RNL sample xs[i], made on first use.
 func (c *collector) rnl(xs []*stats.Sample, i int) *stats.Sample {
 	if xs[i] == nil {
-		xs[i] = c.newSample()
+		xs[i] = &stats.Sample{}
 	}
 	return xs[i]
-}
-
-// newSample builds one RNL series accumulator: exact by default, or a
-// bounded log-linear histogram when cfg.MaxRNLSamples is set. The
-// histogram replaces the former uniform reservoir: Sum/Mean/N/Min/Max
-// stay exact over the whole stream while quantiles carry a deterministic
-// ≤1% relative-error bound at any stream length — the reservoir's
-// quantile error instead grew with how much it had to subsample. No RNG
-// is involved, so bounded runs are deterministic by construction.
-func (c *collector) newSample() *stats.Sample {
-	if c.cfg.MaxRNLSamples <= 0 {
-		return &stats.Sample{}
-	}
-	return stats.NewHistSample()
 }
 
 // sample records probe and outstanding data points.
@@ -408,13 +395,13 @@ func (c *collector) results(cfg *SimConfig, net *netsim.Network) *Results {
 	for _, ps := range c.probes {
 		res.Probes = append(res.Probes, ProbeResult{
 			Src: ps.p.Src, Dst: ps.p.Dst, Class: ps.p.Class,
-			AdmitProbability: Series{Name: "p_admit", T: ps.admitSer.T, V: ps.admitSer.V},
-			ThroughputGbps:   Series{Name: "goodput", T: ps.thruSer.T, V: ps.thruSer.V},
+			AdmitProbability: ps.admitSer,
+			ThroughputGbps:   ps.thruSer,
 		})
 	}
 	if cfg.TrackOutstanding {
-		res.OutstandingHighMed = toPoints(c.outHigh.CDF(200))
-		res.OutstandingLow = toPoints(c.outLow.CDF(200))
+		res.OutstandingHighMed = c.outHigh.CDF(200)
+		res.OutstandingLow = c.outLow.CDF(200)
 	}
 	for _, st := range c.stacks {
 		res.TimedOut += st.Stats.TimedOut
@@ -478,12 +465,4 @@ func (c *collector) degradation(res *Results) {
 				faultRecovery(pr.AdmitProbability, fr.TimeS, horizon, 0.10))
 		}
 	}
-}
-
-func toPoints(ps []stats.Point) []Point {
-	out := make([]Point, len(ps))
-	for i, p := range ps {
-		out[i] = Point{p.X, p.Y}
-	}
-	return out
 }

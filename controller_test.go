@@ -4,7 +4,6 @@ import (
 	"math"
 	"reflect"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -190,20 +189,6 @@ func TestSeriesHelpers(t *testing.T) {
 	}
 	if got := s.SettlingTime(0.5); got != 2 {
 		t.Errorf("SettlingTime = %v", got)
-	}
-}
-
-func TestLatencySummaryString(t *testing.T) {
-	l := LatencySummary{N: 10, MeanUS: 1.5, P50US: 1, P90US: 2, P99US: 3, P999US: 4, MaxUS: 5}
-	s := l.String()
-	if s == "" {
-		t.Error("empty String")
-	}
-	// Every field must appear — P90US was historically omitted.
-	for _, want := range []string{"n=10", "mean=1.5us", "p50=1.0us", "p90=2.0us", "p99=3.0us", "p99.9=4.0us", "max=5.0us"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("String() = %q missing %q", s, want)
-		}
 	}
 }
 

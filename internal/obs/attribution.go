@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 
+	"aequitas/internal/qos"
 	"aequitas/internal/sim"
 )
 
@@ -249,13 +250,33 @@ func (a *Attributor) Records() []AttrRecord {
 	return a.recs
 }
 
-// ClassAttribution is the mean per-RPC decomposition for one class, in
-// microseconds.
+// ClassAttribution is the mean latency decomposition of one class's
+// completed RPCs, in microseconds. The components sum to RNLUS by
+// construction: WireUS is the residual.
 type ClassAttribution struct {
-	Class int
-	N     int
-
-	AdmitUS, SenderUS, TransportUS, PacingUS, NICUS, SwitchUS, WireUS, RNLUS float64
+	Class qos.Class
+	// N is the number of completed RPCs attributed on this class.
+	N int
+	// AdmitUS is time from RPC issue to the admission verdict.
+	AdmitUS float64
+	// SenderUS is host-side queueing between admission and the first
+	// byte entering the NIC egress queue, excluding pacing stalls.
+	SenderUS float64
+	// TransportUS is the window/congestion-control span from first
+	// enqueue to the tail byte's enqueue, excluding pacing stalls.
+	TransportUS float64
+	// PacingUS is time the message's head-of-line bytes sat blocked on
+	// the transport's sub-packet pacing gate.
+	PacingUS float64
+	// NICUS is the tail packet's residency in the host NIC egress queue.
+	NICUS float64
+	// SwitchUS is the tail packet's summed residency in switch queues.
+	SwitchUS float64
+	// WireUS is the residual: serialization, propagation, and ack-path
+	// time not captured by the other components.
+	WireUS float64
+	// RNLUS is the mean measured RPC network latency.
+	RNLUS float64
 }
 
 // Summaries aggregates the retained records into per-class means,
@@ -269,7 +290,7 @@ func (a *Attributor) Summaries() []ClassAttribution {
 		r := &a.recs[i]
 		c := byClass[int(r.Class)]
 		if c == nil {
-			c = &ClassAttribution{Class: int(r.Class)}
+			c = &ClassAttribution{Class: qos.Class(r.Class)}
 			byClass[int(r.Class)] = c
 		}
 		c.N++

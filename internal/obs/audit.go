@@ -3,6 +3,7 @@ package obs
 import (
 	"slices"
 
+	"aequitas/internal/qos"
 	"aequitas/internal/sim"
 	"aequitas/internal/stats"
 )
@@ -32,9 +33,9 @@ type AuditConfig struct {
 // AuditViolation is one recorded bound violation with the offending RPC.
 type AuditViolation struct {
 	RPC   uint64
-	Class int
+	Class qos.Class
 	// Kind is "hop" (one egress-queue residency over bound) or "rpc"
-	// (an RPC's total fabric queueing over bound).
+	// (a completed RPC's worst queue residency over bound).
 	Kind string
 	// Link names the offending egress port for hop violations.
 	Link string
@@ -132,7 +133,7 @@ func (a *Auditor) Hop(now sim.Time, rpc uint64, link string, class int, resid si
 	}
 	if b, ok := a.bound(class); ok && us > b+a.cfg.SlackUS {
 		c.violations++
-		a.record(AuditViolation{RPC: rpc, Class: class, Kind: "hop", Link: link,
+		a.record(AuditViolation{RPC: rpc, Class: qos.Class(class), Kind: "hop", Link: link,
 			TimeUS: now.Micros(), ObservedUS: us, BoundUS: b})
 	}
 }
@@ -153,14 +154,14 @@ func (a *Auditor) RPCDone(now sim.Time, rpc uint64, class int, fabric, maxHop, r
 	us := maxHop.Micros()
 	if b, ok := a.bound(class); ok && us > b+a.cfg.SlackUS {
 		c.violations++
-		a.record(AuditViolation{RPC: rpc, Class: class, Kind: "rpc",
+		a.record(AuditViolation{RPC: rpc, Class: qos.Class(class), Kind: "rpc",
 			TimeUS: now.Micros(), ObservedUS: us, BoundUS: b})
 	}
 }
 
 // AuditClassReport is one class's audit summary.
 type AuditClassReport struct {
-	Class int
+	Class qos.Class
 	// N is the number of audited (completed) RPCs.
 	N int
 	// RNL tail percentiles in µs over audited RPCs.
@@ -181,10 +182,11 @@ type AuditClassReport struct {
 
 // AuditReport is the auditor's end-of-run summary.
 type AuditReport struct {
+	// SlackUS is the headroom that was added to every bound.
 	SlackUS float64
 	Classes []AuditClassReport
-	// Violations retains the earliest MaxViolations violations in time
-	// order; TotalViolations keeps the full count.
+	// Violations retains the earliest MaxViolations (default 64)
+	// violations in time order; TotalViolations keeps the full count.
 	Violations      []AuditViolation
 	TotalViolations int
 }
@@ -208,7 +210,7 @@ func (a *Auditor) Report() *AuditReport {
 			continue
 		}
 		cr := AuditClassReport{
-			Class:      cl,
+			Class:      qos.Class(cl),
 			N:          c.rnl.N(),
 			MaxHopUS:   c.maxHopUS,
 			Hops:       c.hops,

@@ -30,9 +30,10 @@ type Report struct {
 	Flight      *flight.Summary `json:"flight,omitempty"`
 }
 
-// QuantilesUS summarises a latency distribution in microseconds. Mean
-// and Max are exact; quantiles come from the log-linear histogram (≤1%
-// relative error).
+// QuantilesUS summarises a latency distribution in microseconds. N, Mean
+// and Max are exact; the producer states how the quantiles were
+// estimated (quantilesFromHist: the log-linear histogram, ≤1% relative
+// error).
 type QuantilesUS struct {
 	N      int64   `json:"n"`
 	MeanUS float64 `json:"mean_us"`

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Hist is a log-linear (HDR-style) fixed-bucket histogram: each power-of-
 // two octave of the value range is split into histSub equal-width linear
@@ -15,10 +12,9 @@ import (
 // unbounded-in-probability as streams grow, while the histogram's error
 // is a deterministic geometry constant.
 //
-// Count, Sum, Mean, Min and Max are exact (tracked outside the buckets).
-// Merge is deterministic: all Hist values share one geometry, so merging
-// is element-wise count addition and the result is independent of merge
-// order. The zero value is not ready to use; call NewHist.
+// Count, Sum, Mean, Max and the minimum, Quantile(0), are exact (tracked
+// outside the buckets).
+// The zero value is not ready to use; call NewHist.
 //
 // Record performs no allocation — the bucket array is allocated once by
 // NewHist — which keeps it safe for simulator hot paths.
@@ -26,7 +22,6 @@ type Hist struct {
 	counts []int64
 	n      int64
 	sum    float64
-	sumSq  float64
 	min    float64
 	max    float64
 	// lo, hi bound the touched bucket index range so Reset and quantile
@@ -42,7 +37,7 @@ const (
 	// histMinExp / histMaxExp bound the tracked octaves: values in
 	// [2^histMinExp, 2^histMaxExp). For microsecond-denominated latencies
 	// that is ~1 ns to ~2200 s; values outside fall into exact-count
-	// underflow/overflow buckets (their quantiles clamp to Min/Max).
+	// underflow/overflow buckets (their quantiles clamp to the minimum and Max).
 	histMinExp = -10
 	histMaxExp = 41
 	// histBuckets = underflow + octaves·sub + overflow.
@@ -55,8 +50,7 @@ var (
 	histMaxVal = math.Ldexp(1, histMaxExp)
 )
 
-// NewHist returns an empty histogram. All histograms share one bucket
-// geometry, so any two can be merged.
+// NewHist returns an empty histogram.
 func NewHist() *Hist {
 	return &Hist{
 		counts: make([]int64, histBuckets),
@@ -104,7 +98,6 @@ func histBucketBounds(idx int) (lo, hi float64) {
 func (h *Hist) Record(v float64) {
 	h.n++
 	h.sum += v
-	h.sumSq += v * v
 	if v < h.min {
 		h.min = v
 	}
@@ -135,29 +128,7 @@ func (h *Hist) Mean() float64 {
 	return h.sum / float64(h.n)
 }
 
-// StdDev reports the exact population standard deviation, or NaN if
-// empty. Computed from the running sum of squares, so it covers every
-// observation (not a bucket approximation).
-func (h *Hist) StdDev() float64 {
-	if h.n == 0 {
-		return math.NaN()
-	}
-	m := h.Mean()
-	v := h.sumSq/float64(h.n) - m*m
-	if v < 0 { // floating-point cancellation on near-constant streams
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// Min and Max report the exact extreme observations, or NaN if empty.
-func (h *Hist) Min() float64 {
-	if h.n == 0 {
-		return math.NaN()
-	}
-	return h.min
-}
-
+// Max reports the exact largest observation, or NaN if empty.
 func (h *Hist) Max() float64 {
 	if h.n == 0 {
 		return math.NaN()
@@ -211,48 +182,6 @@ func (h *Hist) Quantile(q float64) float64 {
 	return h.max
 }
 
-// Percentile returns the p-th percentile, p in [0, 100].
-func (h *Hist) Percentile(p float64) float64 { return h.Quantile(p / 100) }
-
-// CountAbove reports how many observations fall in buckets strictly above
-// the bucket containing x (a bucket-granularity approximation of the
-// exact count).
-func (h *Hist) CountAbove(x float64) int64 {
-	idx := histIndex(x)
-	var cum int64
-	for i := idx + 1; i <= h.hi; i++ {
-		cum += h.counts[i]
-	}
-	return cum
-}
-
-// Merge adds o's observations into h. Both histograms share the package
-// geometry, so the merge is element-wise and deterministic: any merge
-// order yields identical state. A nil or empty o is a no-op.
-func (h *Hist) Merge(o *Hist) {
-	if o == nil || o.n == 0 {
-		return
-	}
-	h.n += o.n
-	h.sum += o.sum
-	h.sumSq += o.sumSq
-	if o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	for i := o.lo; i <= o.hi; i++ {
-		h.counts[i] += o.counts[i]
-	}
-	if o.lo < h.lo {
-		h.lo = o.lo
-	}
-	if o.hi > h.hi {
-		h.hi = o.hi
-	}
-}
-
 // Reset clears the histogram for reuse (windowed collection). Only the
 // touched bucket range is zeroed, so resetting a sparsely-filled
 // histogram is cheap.
@@ -262,41 +191,10 @@ func (h *Hist) Reset() {
 	}
 	h.n = 0
 	h.sum = 0
-	h.sumSq = 0
 	h.min = math.Inf(1)
 	h.max = math.Inf(-1)
 	h.lo = histBuckets
 	h.hi = -1
-}
-
-// CDF returns (value, cumulative-fraction) points over the non-empty
-// buckets, thinned to at most maxPoints (0 = all).
-func (h *Hist) CDF(maxPoints int) []Point {
-	if h.n == 0 {
-		return nil
-	}
-	var pts []Point
-	var cum int64
-	for i := h.lo; i <= h.hi; i++ {
-		if h.counts[i] == 0 {
-			continue
-		}
-		cum += h.counts[i]
-		_, hi := histBucketBounds(i)
-		if math.IsInf(hi, 1) {
-			hi = h.max
-		}
-		pts = append(pts, Point{X: hi, Y: float64(cum) / float64(h.n)})
-	}
-	if maxPoints > 0 && len(pts) > maxPoints {
-		thinned := make([]Point, 0, maxPoints)
-		for i := 0; i < maxPoints; i++ {
-			idx := (i + 1) * len(pts) / maxPoints
-			thinned = append(thinned, pts[idx-1])
-		}
-		pts = thinned
-	}
-	return pts
 }
 
 // Buckets calls f for every non-empty bucket in ascending value order
@@ -310,10 +208,4 @@ func (h *Hist) Buckets(f func(upper float64, count int64)) {
 		_, hi := histBucketBounds(i)
 		f(hi, h.counts[i])
 	}
-}
-
-// String summarises the histogram.
-func (h *Hist) String() string {
-	return fmt.Sprintf("hist(n=%d mean=%.3g p50=%.3g p99=%.3g p99.9=%.3g max=%.3g)",
-		h.n, h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Quantile(0.999), h.Max())
 }

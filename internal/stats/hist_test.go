@@ -50,9 +50,11 @@ func TestHistQuantileError(t *testing.T) {
 	for name, xs := range quantileInputs(200_000) {
 		exact := &Sample{}
 		h := NewHist()
+		var sum float64
 		for _, x := range xs {
 			exact.Add(x)
 			h.Record(x)
+			sum += x
 		}
 		for _, q := range []float64{0.50, 0.90, 0.99, 0.999} {
 			want := exact.Quantile(q)
@@ -65,88 +67,12 @@ func TestHistQuantileError(t *testing.T) {
 		if h.N() != int64(exact.N()) {
 			t.Errorf("%s: N %d != exact %d", name, h.N(), exact.N())
 		}
-		if h.Sum() != exact.Sum() {
-			t.Errorf("%s: Sum %v != exact %v", name, h.Sum(), exact.Sum())
+		if h.Sum() != sum {
+			t.Errorf("%s: Sum %v != exact %v", name, h.Sum(), sum)
 		}
-		if h.Min() != exact.Min() || h.Max() != exact.Max() {
+		if h.Quantile(0) != exact.Min() || h.Max() != exact.Max() {
 			t.Errorf("%s: min/max %v/%v != exact %v/%v",
-				name, h.Min(), h.Max(), exact.Min(), exact.Max())
-		}
-	}
-}
-
-// TestHistSampleQuantileError covers the same bound through the Sample
-// facade the collector uses for bounded RNL collection.
-func TestHistSampleQuantileError(t *testing.T) {
-	for name, xs := range quantileInputs(100_000) {
-		exact := &Sample{}
-		hs := NewHistSample()
-		for _, x := range xs {
-			exact.Add(x)
-			hs.Add(x)
-		}
-		for _, q := range []float64{0.50, 0.90, 0.99, 0.999} {
-			if e := relErr(hs.Quantile(q), exact.Quantile(q)); e > 0.01 {
-				t.Errorf("%s q=%v: rel err %.4f > 1%%", name, q, e)
-			}
-		}
-		if hs.N() != exact.N() || hs.Sum() != exact.Sum() || hs.Mean() != exact.Mean() {
-			t.Errorf("%s: N/Sum/Mean not exact", name)
-		}
-		if hs.Values() != nil {
-			t.Errorf("%s: hist-backed sample retained %d values", name, len(hs.Values()))
-		}
-		if e := relErr(hs.StdDev(), exact.StdDev()); e > 1e-9 {
-			t.Errorf("%s: StdDev %v vs exact %v", name, hs.StdDev(), exact.StdDev())
-		}
-	}
-}
-
-// TestHistMergeDeterministic: merging shards in any order equals
-// recording the concatenated stream directly.
-func TestHistMergeDeterministic(t *testing.T) {
-	xs := quantileInputs(30_000)["skewed"]
-	whole := NewHist()
-	for _, x := range xs {
-		whole.Record(x)
-	}
-	shards := make([]*Hist, 4)
-	for i := range shards {
-		shards[i] = NewHist()
-	}
-	for i, x := range xs {
-		shards[i%4].Record(x)
-	}
-	var first *Hist
-	for _, order := range [][]int{{0, 1, 2, 3}, {3, 1, 0, 2}} {
-		m := NewHist()
-		for _, i := range order {
-			m.Merge(shards[i])
-		}
-		if m.N() != whole.N() || m.Min() != whole.Min() || m.Max() != whole.Max() {
-			t.Fatalf("order %v: merged summary diverges", order)
-		}
-		// Bucket counts are integers, so quantiles must match the
-		// direct-recording histogram exactly; Sum differs only by float
-		// addition order.
-		for _, q := range []float64{0.5, 0.99, 0.999} {
-			if m.Quantile(q) != whole.Quantile(q) {
-				t.Errorf("order %v q=%v: merged %v != whole %v",
-					order, q, m.Quantile(q), whole.Quantile(q))
-			}
-		}
-		if relErr(m.Sum(), whole.Sum()) > 1e-12 {
-			t.Errorf("order %v: merged sum %v far from whole %v", order, m.Sum(), whole.Sum())
-		}
-		if first == nil {
-			first = m
-		} else {
-			for q := 0.0; q <= 1.0; q += 0.05 {
-				if first.Quantile(q) != m.Quantile(q) {
-					t.Errorf("q=%v: merge order changed quantile: %v vs %v",
-						q, first.Quantile(q), m.Quantile(q))
-				}
-			}
+				name, h.Quantile(0), h.Max(), exact.Min(), exact.Max())
 		}
 	}
 }
@@ -163,8 +89,8 @@ func TestHistEdgeCases(t *testing.T) {
 	if h.N() != 3 {
 		t.Fatalf("N = %d", h.N())
 	}
-	if h.Min() != -5 || h.Max() != 1e18 {
-		t.Errorf("min/max = %v/%v", h.Min(), h.Max())
+	if h.Quantile(0) != -5 || h.Max() != 1e18 {
+		t.Errorf("min/max = %v/%v", h.Quantile(0), h.Max())
 	}
 	if q := h.Quantile(0.999); q != 1e18 {
 		t.Errorf("overflow quantile = %v, want exact max", q)

@@ -3,12 +3,13 @@ package stats
 import (
 	"fmt"
 	"io"
-	"sort"
+	"math"
 	"strings"
 )
 
 // Series is a time series of (t, value) points, used for convergence plots
 // such as admit probability and throughput over time (Figs 17, 18, 28, 29).
+// A simulation's series are in simulated seconds.
 type Series struct {
 	Name string
 	T    []float64
@@ -25,65 +26,64 @@ func (s *Series) Append(t, v float64) {
 	s.V = append(s.V, v)
 }
 
-// Len reports the number of points.
-func (s *Series) Len() int { return len(s.T) }
-
-// At returns the last value recorded at or before t, or def if none.
-func (s *Series) At(t, def float64) float64 {
-	i := sort.SearchFloat64s(s.T, t)
-	// i is the first index with T[i] >= t; we want last index with T <= t.
-	if i < len(s.T) && s.T[i] == t {
-		// Multiple points can share a timestamp; take the last one.
-		for i+1 < len(s.T) && s.T[i+1] == t {
-			i++
-		}
-		return s.V[i]
-	}
-	if i == 0 {
+// Final returns the last value, or def when empty.
+func (s Series) Final(def float64) float64 {
+	if len(s.V) == 0 {
 		return def
 	}
-	return s.V[i-1]
+	return s.V[len(s.V)-1]
 }
 
-// After returns the sub-series with t ≥ start, sharing backing arrays.
-// The slices are capped with full-slice expressions so that appending to
-// the sub-series reallocates instead of overwriting the parent's points.
-func (s *Series) After(start float64) Series {
-	i := sort.SearchFloat64s(s.T, start)
-	return Series{
-		Name: s.Name,
-		T:    s.T[i:len(s.T):len(s.T)],
-		V:    s.V[i:len(s.V):len(s.V)],
+// MeanAfter returns the mean of values with T ≥ start, or NaN when the
+// series has no samples after start — distinguishing "no data" from a
+// true zero mean. Use MeanAfterOK when an explicit ok flag is clearer.
+func (s Series) MeanAfter(start float64) float64 {
+	m, ok := s.MeanAfterOK(start)
+	if !ok {
+		return math.NaN()
 	}
+	return m
 }
 
-// MeanValue returns the time-weighted mean of the series over its span,
-// treating each value as holding until the next point. Returns the plain
-// mean when the series has fewer than two points.
-func (s *Series) MeanValue() float64 {
-	n := len(s.T)
-	switch n {
-	case 0:
-		return 0
-	case 1:
-		return s.V[0]
+// MeanAfterOK returns the mean of values with T ≥ start and whether any
+// sample lay in that range.
+func (s Series) MeanAfterOK(start float64) (mean float64, ok bool) {
+	var sum float64
+	n := 0
+	for i, t := range s.T {
+		if t >= start {
+			sum += s.V[i]
+			n++
+		}
 	}
-	var area, span float64
-	for i := 0; i+1 < n; i++ {
-		dt := s.T[i+1] - s.T[i]
-		area += s.V[i] * dt
-		span += dt
+	if n == 0 {
+		return 0, false
 	}
-	if span == 0 {
-		return s.V[0]
+	return sum / float64(n), true
+}
+
+// MeanBetween returns the mean of values with start ≤ T < end, or NaN
+// when no sample lies in that window — e.g. the pre-step and post-step
+// admit probabilities around a load step.
+func (s Series) MeanBetween(start, end float64) float64 {
+	var sum float64
+	n := 0
+	for i, t := range s.T {
+		if t >= start && t < end {
+			sum += s.V[i]
+			n++
+		}
 	}
-	return area / span
+	if n == 0 {
+		return math.NaN()
+	}
+	return sum / float64(n)
 }
 
 // SettlingTime returns the earliest time after which every value stays
 // within ±tol of the series' final value, or the last timestamp if the
 // series never settles. It is used to measure convergence time (§6.6).
-func (s *Series) SettlingTime(tol float64) float64 {
+func (s Series) SettlingTime(tol float64) float64 {
 	n := len(s.V)
 	if n == 0 {
 		return 0
@@ -97,30 +97,6 @@ func (s *Series) SettlingTime(tol float64) float64 {
 		settle = s.T[i]
 	}
 	return settle
-}
-
-// Downsample returns a copy of the series thinned to at most maxPoints,
-// keeping the first and last points.
-func (s *Series) Downsample(maxPoints int) Series {
-	n := len(s.T)
-	if maxPoints <= 0 || n <= maxPoints {
-		out := Series{Name: s.Name, T: append([]float64(nil), s.T...), V: append([]float64(nil), s.V...)}
-		return out
-	}
-	out := Series{Name: s.Name}
-	if maxPoints == 1 {
-		// A single slot keeps the first point; the i*(n-1)/(maxPoints-1)
-		// spacing below would divide by zero.
-		out.T = append(out.T, s.T[0])
-		out.V = append(out.V, s.V[0])
-		return out
-	}
-	for i := 0; i < maxPoints; i++ {
-		idx := i * (n - 1) / (maxPoints - 1)
-		out.T = append(out.T, s.T[idx])
-		out.V = append(out.V, s.V[idx])
-	}
-	return out
 }
 
 // Table renders aligned columns for experiment output. It is the single
@@ -174,11 +150,4 @@ func (t *Table) Write(w io.Writer) {
 	for _, r := range t.rows {
 		line(r)
 	}
-}
-
-// String renders the table.
-func (t *Table) String() string {
-	var b strings.Builder
-	t.Write(&b)
-	return b.String()
 }

@@ -2,25 +2,20 @@
 // simulator and the experiment harness: exact percentile samples, CDFs,
 // fixed-bucket histograms, and time series.
 //
-// Simulation experiments collect up to a few million scalar samples, so the
-// default Sample keeps every observation and computes exact order
-// statistics; a histogram-backed variant bounds memory on very long runs.
+// Simulation experiments collect up to a few million scalar samples, so a
+// Sample keeps every observation and computes exact order statistics; a
+// Hist bounds memory where a stream has no end.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
 
 // Sample accumulates float64 observations and computes exact quantiles.
-// The zero value is ready to use and retains every observation. A sample
-// built with NewHistSample instead keeps a fixed-size histogram, so
-// memory stays bounded on arbitrarily long streams: Sum, Mean and N
-// remain exact over the whole stream while order statistics (quantiles,
-// CDF, StdDev) carry the histogram's bounded error.
+// The zero value is ready to use and retains every observation.
 //
-// The first order statistic asked of an exact sample sorts it: with
+// The first order statistic asked of a sample sorts it: with
 // sort.Float64s below radixCutoff observations, from there on with a radix
 // sort that gives the same order two to three times faster on a million
 // RNL values, using two words of scratch per observation while it runs.
@@ -28,53 +23,24 @@ type Sample struct {
 	xs     []float64
 	sorted bool
 	sum    float64
-	seen   int64
-	// hist, when set, replaces retained observations entirely: order
-	// statistics come from the log-linear histogram (bounded error at any
-	// stream length) while Sum/Mean/N/Min/Max stay exact.
-	hist *Hist
 }
-
-// NewHistSample returns a Sample backed by a log-linear histogram instead
-// of retained observations: memory is fixed at construction, Sum, Mean, N,
-// Min and Max are exact over the whole stream, and quantiles carry a
-// deterministic ≤1/(2·64) ≈ 0.78% relative error bound — unlike a
-// reservoir, whose quantile error grows unboundedly likely with stream
-// length. Identical insertion sequences yield identical state, preserving
-// run-to-run determinism (no RNG is involved at all).
-func NewHistSample() *Sample {
-	return &Sample{hist: NewHist()}
-}
-
-// Hist returns the histogram backing this sample, or nil for an exact
-// sample.
-func (s *Sample) Hist() *Hist { return s.hist }
 
 // Add records one observation.
 func (s *Sample) Add(x float64) {
-	s.seen++
 	s.sum += x
-	if s.hist != nil {
-		s.hist.Record(x)
-		return
-	}
 	s.xs = append(s.xs, x)
 	s.sorted = false
 }
 
-// N reports the number of observations offered.
-func (s *Sample) N() int { return int(s.seen) }
+// N reports the number of observations.
+func (s *Sample) N() int { return len(s.xs) }
 
-// Sum reports the sum of all observations.
-func (s *Sample) Sum() float64 { return s.sum }
-
-// Mean reports the arithmetic mean over every observation offered, or NaN
-// if empty.
+// Mean reports the arithmetic mean, or NaN if empty.
 func (s *Sample) Mean() float64 {
-	if s.seen == 0 {
+	if len(s.xs) == 0 {
 		return math.NaN()
 	}
-	return s.sum / float64(s.seen)
+	return s.sum / float64(len(s.xs))
 }
 
 // radixCutoff is the sample size from which sort uses radixSort: below
@@ -140,12 +106,8 @@ func radixSort(xs []float64) {
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) using the nearest-rank
 // method, or NaN if the sample is empty. Quantile(0.999) is the paper's
-// "99.9th-p". Histogram-backed samples answer with bounded (≤1%) relative
-// error instead of an exact order statistic.
+// "99.9th-p".
 func (s *Sample) Quantile(q float64) float64 {
-	if s.hist != nil {
-		return s.hist.Quantile(q)
-	}
 	if len(s.xs) == 0 {
 		return math.NaN()
 	}
@@ -164,60 +126,13 @@ func (s *Sample) Quantile(q float64) float64 {
 	return s.xs[rank-1]
 }
 
-// Percentile returns the p-th percentile, p in [0,100].
-func (s *Sample) Percentile(p float64) float64 { return s.Quantile(p / 100) }
-
 // Min and Max return the extreme observations, or NaN if empty.
 func (s *Sample) Min() float64 { return s.Quantile(0) }
 func (s *Sample) Max() float64 { return s.Quantile(1) }
 
-// StdDev returns the population standard deviation, or NaN if empty.
-func (s *Sample) StdDev() float64 {
-	if s.hist != nil {
-		return s.hist.StdDev()
-	}
-	n := len(s.xs)
-	if n == 0 {
-		return math.NaN()
-	}
-	m := s.Mean()
-	var ss float64
-	for _, x := range s.xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Values returns a copy of the observations in insertion-independent
-// (sorted) order. Histogram-backed samples retain no observations and
-// return nil.
-func (s *Sample) Values() []float64 {
-	if s.hist != nil {
-		return nil
-	}
-	s.sort()
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
-	return out
-}
-
-// CountAbove reports how many observations exceed x (bucket-granular for
-// histogram-backed samples).
-func (s *Sample) CountAbove(x float64) int {
-	if s.hist != nil {
-		return int(s.hist.CountAbove(x))
-	}
-	s.sort()
-	return len(s.xs) - sort.SearchFloat64s(s.xs, math.Nextafter(x, math.Inf(1)))
-}
-
 // CDF returns (value, cumulative-fraction) points suitable for plotting,
 // thinned to at most maxPoints.
 func (s *Sample) CDF(maxPoints int) []Point {
-	if s.hist != nil {
-		return s.hist.CDF(maxPoints)
-	}
 	s.sort()
 	n := len(s.xs)
 	if n == 0 {
@@ -239,24 +154,3 @@ func (s *Sample) CDF(maxPoints int) []Point {
 
 // Point is a generic (x, y) pair used for plot-like outputs.
 type Point struct{ X, Y float64 }
-
-// Summary is a compact set of descriptive statistics.
-type Summary struct {
-	N                   int
-	Mean, Min, Max      float64
-	P50, P90, P99, P999 float64
-}
-
-// Summarize computes a Summary from s.
-func Summarize(s *Sample) Summary {
-	return Summary{
-		N: s.N(), Mean: s.Mean(), Min: s.Min(), Max: s.Max(),
-		P50: s.Quantile(0.50), P90: s.Quantile(0.90),
-		P99: s.Quantile(0.99), P999: s.Quantile(0.999),
-	}
-}
-
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3g p50=%.3g p90=%.3g p99=%.3g p99.9=%.3g max=%.3g",
-		s.N, s.Mean, s.P50, s.P90, s.P99, s.P999, s.Max)
-}

@@ -1,7 +1,6 @@
 package aequitas
 
 import (
-	"math"
 	"reflect"
 	"runtime"
 	"sync"
@@ -169,59 +168,6 @@ func TestRawGoodputRatio(t *testing.T) {
 	}
 	if res.GoodputFraction != res.RawGoodputRatio {
 		t.Errorf("clamp applied though raw ratio %v <= 1", res.RawGoodputRatio)
-	}
-}
-
-// TestBoundedRNLSamples: MaxRNLSamples keeps memory bounded (log-linear
-// histogram collection) while counts, means, and extremes stay exact and
-// every reported quantile lands within the histogram's ≤1% relative-error
-// bound of the exact order statistic, deterministically.
-func TestBoundedRNLSamples(t *testing.T) {
-	cfg := sweepCluster(0)
-	exact, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.MaxRNLSamples = 64
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("bounded runs with identical config differ")
-	}
-	within := func(got, want float64) bool {
-		return want > 0 && math.Abs(got-want)/want <= 0.01
-	}
-	for cl, sum := range a.RNLRun {
-		ex := exact.RNLRun[cl]
-		if sum.N != ex.N {
-			t.Errorf("class %v: bounded N = %d, exact N = %d", cl, sum.N, ex.N)
-		}
-		if sum.MeanUS != ex.MeanUS {
-			t.Errorf("class %v: bounded mean %v != exact %v", cl, sum.MeanUS, ex.MeanUS)
-		}
-		if sum.MaxUS != ex.MaxUS {
-			t.Errorf("class %v: bounded max %v != exact %v", cl, sum.MaxUS, ex.MaxUS)
-		}
-		for _, qq := range []struct {
-			name      string
-			got, want float64
-		}{
-			{"p50", sum.P50US, ex.P50US},
-			{"p90", sum.P90US, ex.P90US},
-			{"p99", sum.P99US, ex.P99US},
-			{"p99.9", sum.P999US, ex.P999US},
-		} {
-			if !within(qq.got, qq.want) {
-				t.Errorf("class %v %s: hist %v vs exact %v exceeds 1%% relative error",
-					cl, qq.name, qq.got, qq.want)
-			}
-		}
 	}
 }
 

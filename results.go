@@ -1,7 +1,6 @@
 package aequitas
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -9,94 +8,34 @@ import (
 	"aequitas/internal/stats"
 )
 
-// Point is an (x, y) pair in plot-style outputs (CDFs).
-type Point struct{ X, Y float64 }
-
-// Series is a time series; T is in simulated seconds.
-type Series struct {
-	Name string
-	T    []float64
-	V    []float64
-}
-
-// Final returns the last value, or def when empty.
-func (s Series) Final(def float64) float64 {
-	if len(s.V) == 0 {
-		return def
-	}
-	return s.V[len(s.V)-1]
-}
-
-// MeanAfter returns the mean of values with T ≥ start, or NaN when the
-// series has no samples after start — distinguishing "no data" from a
-// true zero mean. Use MeanAfterOK when an explicit ok flag is clearer.
-func (s Series) MeanAfter(start float64) float64 {
-	m, ok := s.MeanAfterOK(start)
-	if !ok {
-		return math.NaN()
-	}
-	return m
-}
-
-// MeanAfterOK returns the mean of values with T ≥ start and whether any
-// sample lay in that range.
-func (s Series) MeanAfterOK(start float64) (mean float64, ok bool) {
-	var sum float64
-	n := 0
-	for i, t := range s.T {
-		if t >= start {
-			sum += s.V[i]
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, false
-	}
-	return sum / float64(n), true
-}
-
-// MeanBetween returns the mean of values with start ≤ T < end, or NaN
-// when no sample lies in that window — e.g. the pre-step and post-step
-// admit probabilities around a load step.
-func (s Series) MeanBetween(start, end float64) float64 {
-	var sum float64
-	n := 0
-	for i, t := range s.T {
-		if t >= start && t < end {
-			sum += s.V[i]
-			n++
-		}
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
-}
-
-// SettlingTime returns the earliest time after which all values stay
-// within ±tol of the final value (convergence time, §6.6).
-func (s Series) SettlingTime(tol float64) float64 {
-	ser := stats.Series{T: s.T, V: s.V}
-	return ser.SettlingTime(tol)
-}
-
-// LatencySummary reports RNL statistics in microseconds.
-type LatencySummary struct {
-	N                                          int
-	MeanUS, P50US, P90US, P99US, P999US, MaxUS float64
-}
-
-func (l LatencySummary) String() string {
-	return fmt.Sprintf("n=%d mean=%.1fus p50=%.1fus p90=%.1fus p99=%.1fus p99.9=%.1fus max=%.1fus",
-		l.N, l.MeanUS, l.P50US, l.P90US, l.P99US, l.P999US, l.MaxUS)
-}
+// The result types below are the types the internal packages compute,
+// so a run's results are never copied field by field.
+type (
+	// Point is an (x, y) pair in plot-style outputs (CDFs).
+	Point = stats.Point
+	// Series is a time series; T is in simulated seconds.
+	Series = stats.Series
+	// LatencySummary reports RNL statistics in microseconds; Results'
+	// summaries are exact order statistics (summarizeUS).
+	LatencySummary = obs.QuantilesUS
+	// Attribution is one class's mean latency decomposition; see
+	// ObsConfig.Attribution.
+	Attribution = obs.ClassAttribution
+	// AuditViolation is one QoS-bound breach recorded by the online
+	// auditor.
+	AuditViolation = obs.AuditViolation
+	// AuditClass is the auditor's per-class summary.
+	AuditClass = obs.AuditClassReport
+	// AuditReport is the online QoS-bound auditor's verdict for one run.
+	AuditReport = obs.AuditReport
+)
 
 func summarizeUS(s *stats.Sample) LatencySummary {
 	if s.N() == 0 {
 		return LatencySummary{}
 	}
 	return LatencySummary{
-		N:      s.N(),
+		N:      int64(s.N()),
 		MeanUS: s.Mean(),
 		P50US:  s.Quantile(0.50),
 		P90US:  s.Quantile(0.90),
@@ -104,142 +43,6 @@ func summarizeUS(s *stats.Sample) LatencySummary {
 		P999US: s.Quantile(0.999),
 		MaxUS:  s.Max(),
 	}
-}
-
-// Attribution is the per-class mean latency decomposition of completed
-// RPCs, in microseconds. The components sum to RNLUS by construction
-// (WireUS is the residual: serialization, propagation, and the ack
-// path). Populated when ObsConfig enables attribution.
-type Attribution struct {
-	// N is the number of completed RPCs attributed on this class.
-	N int
-	// AdmitUS is time from RPC issue to the admission verdict.
-	AdmitUS float64
-	// SenderUS is host-side queueing between admission and the first
-	// byte entering the NIC egress queue, excluding pacing stalls.
-	SenderUS float64
-	// TransportUS is the window/congestion-control span from first
-	// enqueue to the tail byte's enqueue, excluding pacing stalls.
-	TransportUS float64
-	// PacingUS is time the message's head-of-line bytes sat blocked on
-	// the transport's sub-packet pacing gate.
-	PacingUS float64
-	// NICUS is the tail packet's residency in the host NIC egress queue.
-	NICUS float64
-	// SwitchUS is the tail packet's summed residency in switch queues.
-	SwitchUS float64
-	// WireUS is the residual: serialization, propagation, and ack-path
-	// time not captured by the other components.
-	WireUS float64
-	// RNLUS is the mean measured RPC network latency.
-	RNLUS float64
-}
-
-// AuditViolation is one QoS-bound breach recorded by the online auditor:
-// either a single packet's switch-queue residency ("hop") or a completed
-// RPC's total fabric queueing ("rpc") exceeding the class bound plus
-// slack.
-type AuditViolation struct {
-	RPC   uint64
-	Class Class
-	// Kind is "hop" or "rpc".
-	Kind string
-	// Link names the offending egress port for hop violations.
-	Link                        string
-	TimeUS, ObservedUS, BoundUS float64
-}
-
-// AuditClass is the auditor's per-class summary.
-type AuditClass struct {
-	Class Class
-	// N counts completed RPCs audited on this class.
-	N int
-	// RNL tails of audited RPCs, in microseconds.
-	RNLP99US, RNLP999US, RNLMaxUS float64
-	// Per-RPC total fabric queueing tails.
-	QueueP99US, QueueMaxUS float64
-	// MaxHopUS is the worst single-packet queue residency observed.
-	MaxHopUS float64
-	// Hops counts audited packet dequeues.
-	Hops int64
-	// BoundUS is the class's queueing bound; Bounded reports whether one
-	// was configured (classes beyond the bound list are observed but not
-	// checked).
-	BoundUS float64
-	Bounded bool
-	// Violations counts breaches on this class (hop and rpc kinds).
-	Violations int
-}
-
-// AuditReport is the online QoS-bound auditor's verdict for one run.
-type AuditReport struct {
-	// SlackUS is the headroom that was added to every bound.
-	SlackUS float64
-	Classes []AuditClass
-	// Violations retains the earliest 64 breaches in time order;
-	// TotalViolations counts all of them.
-	Violations      []AuditViolation
-	TotalViolations int
-}
-
-// Ok reports whether the auditor ran and observed no bound violations.
-func (r *AuditReport) Ok() bool { return r != nil && r.TotalViolations == 0 }
-
-// attributionSummary converts the attributor's per-class summaries to the
-// root result type.
-func attributionSummary(a *obs.Attributor) map[Class]Attribution {
-	out := make(map[Class]Attribution)
-	for _, s := range a.Summaries() {
-		out[Class(s.Class)] = Attribution{
-			N:           s.N,
-			AdmitUS:     s.AdmitUS,
-			SenderUS:    s.SenderUS,
-			TransportUS: s.TransportUS,
-			PacingUS:    s.PacingUS,
-			NICUS:       s.NICUS,
-			SwitchUS:    s.SwitchUS,
-			WireUS:      s.WireUS,
-			RNLUS:       s.RNLUS,
-		}
-	}
-	return out
-}
-
-// auditReport converts the auditor's report to the root result type.
-func auditReport(a *obs.Auditor) *AuditReport {
-	rep := a.Report()
-	out := &AuditReport{
-		SlackUS:         rep.SlackUS,
-		TotalViolations: rep.TotalViolations,
-	}
-	for _, c := range rep.Classes {
-		out.Classes = append(out.Classes, AuditClass{
-			Class:      Class(c.Class),
-			N:          c.N,
-			RNLP99US:   c.RNLP99US,
-			RNLP999US:  c.RNLP999US,
-			RNLMaxUS:   c.RNLMaxUS,
-			QueueP99US: c.QueueP99US,
-			QueueMaxUS: c.QueueMaxUS,
-			MaxHopUS:   c.MaxHopUS,
-			Hops:       c.Hops,
-			BoundUS:    c.BoundUS,
-			Bounded:    c.Bounded,
-			Violations: c.Violations,
-		})
-	}
-	for _, v := range rep.Violations {
-		out.Violations = append(out.Violations, AuditViolation{
-			RPC:        v.RPC,
-			Class:      Class(v.Class),
-			Kind:       v.Kind,
-			Link:       v.Link,
-			TimeUS:     v.TimeUS,
-			ObservedUS: v.ObservedUS,
-			BoundUS:    v.BoundUS,
-		})
-	}
-	return out
 }
 
 // FaultRecord reports one applied fault event and, for degradation-onset

@@ -75,11 +75,12 @@ func Run(cfg SimConfig) (*Results, error) {
 	pkts, _ := st.net.TotalDelivered(st.s.Now())
 	res.PacketsDelivered = pkts
 	if st.attr != nil {
-		res.Attribution = attributionSummary(st.attr)
+		res.Attribution = make(map[Class]Attribution)
+		for _, a := range st.attr.Summaries() {
+			res.Attribution[a.Class] = a
+		}
 	}
-	if st.audit != nil {
-		res.Audit = auditReport(st.audit)
-	}
+	res.Audit = st.audit.Report()
 	return res, nil
 }
 

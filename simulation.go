@@ -222,13 +222,6 @@ type SimConfig struct {
 	// TrackOutstanding samples per-switch-port outstanding RPC counts
 	// (Figure 13).
 	TrackOutstanding bool
-	// MaxRNLSamples, when > 0, switches each per-class RNL series from
-	// exact retained observations to a fixed-memory log-linear histogram:
-	// Sum/Mean/N/Min/Max stay exact at any Duration while quantiles carry
-	// a deterministic ≤1% relative-error bound (see stats.NewHistSample).
-	// 0 keeps every observation (exact quantiles). The histogram needs no
-	// RNG, so bounded runs are deterministic regardless of the value.
-	MaxRNLSamples int
 	// TraceWriter, when set, receives one CSV record per completed RPC
 	// in the measurement window (header: complete_s, src, dst, priority,
 	// requested, ran, downgraded, decision, p_admit, bytes, rnl_us) for
