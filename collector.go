@@ -55,6 +55,9 @@ type collector struct {
 	outLoBuf    []int
 	traceHeader bool
 	traceRow    []byte // the last per-RPC trace row; its storage is the next one's
+	// traceErr is the first TraceWriter error; no row is written after it,
+	// and Run returns it once the run has drained.
+	traceErr error
 
 	// Degradation accounting, active only when a fault plan is set:
 	// completed payload bytes per coarse time bin across the measurement
@@ -294,22 +297,27 @@ const traceCSVHeader = "complete_s,src,dst,priority,requested,ran,downgraded,dec
 // trace writes one per-RPC CSV record to the configured TraceWriter.
 func (c *collector) trace(s *sim.Simulator, src int, r *rpc.RPC) {
 	w := c.cfg.TraceWriter
-	if w == nil || !c.inWindow(r.IssueTime) {
+	if w == nil || c.traceErr != nil || !c.inWindow(r.IssueTime) {
 		return
 	}
 	// A CSVTrace sink owns the header latch, so a retried run reusing the
 	// sink still writes the header exactly once; a bare io.Writer falls
 	// back to once per collector (i.e. per run).
+	var err error
 	switch sink := w.(type) {
 	case *CSVTrace:
 		if sink.claimHeader() {
-			fmt.Fprintln(w, traceCSVHeader)
+			_, err = fmt.Fprintln(w, traceCSVHeader)
 		}
 	default:
 		if !c.traceHeader {
 			c.traceHeader = true
-			fmt.Fprintln(w, traceCSVHeader)
+			_, err = fmt.Fprintln(w, traceCSVHeader)
 		}
+	}
+	if err != nil {
+		c.traceErr = err
+		return
 	}
 	// The row is appended field by field into a buffer kept across rows:
 	// Fprintf boxed eleven arguments for each. Only RPCs that ran complete,
@@ -326,7 +334,7 @@ func (c *collector) trace(s *sim.Simulator, src int, r *rpc.RPC) {
 	b = strconv.AppendInt(append(b, ','), r.Bytes, 10)
 	b = strconv.AppendFloat(append(b, ','), r.RNL.Micros(), 'f', 3, 64)
 	c.traceRow = append(b, '\n')
-	w.Write(c.traceRow)
+	_, c.traceErr = w.Write(c.traceRow)
 }
 
 // addProbeBytes credits completed bytes to matching probes; wired through

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"aequitas/internal/scenario"
 	"aequitas/internal/wfq"
 )
 
@@ -34,8 +35,8 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Admission.Alpha != 0.01 || cfg.Admission.Beta != 0.01 || cfg.Admission.Floor != 0.01 {
 		t.Errorf("admission defaults = %+v", cfg.Admission)
 	}
-	if cfg.CCTarget != 10*time.Microsecond || cfg.RTOMin != 100*time.Microsecond {
-		t.Errorf("transport defaults: %v %v", cfg.CCTarget, cfg.RTOMin)
+	if cfg.RTOMin != 100*time.Microsecond {
+		t.Errorf("transport default: RTOMin = %v", cfg.RTOMin)
 	}
 }
 
@@ -98,7 +99,11 @@ func TestSchedFactoryMapping(t *testing.T) {
 		if err := cfg.applyDefaults(); err != nil {
 			t.Fatal(err)
 		}
-		s := cfg.schedFactory()()
+		b, err := scenario.Lookup(cfg.System.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := b.Scheduler(cfg.QoSWeights, cfg.PerClassBufferBytes)()
 		if got := typeName(s); got != c.want {
 			t.Errorf("%v scheduler = %s, want %s", c.system, got, c.want)
 		}

@@ -70,21 +70,15 @@ func FaultPreset(name string, duration time.Duration) (*FaultPlan, error) {
 func FaultPresetNames() []string { return faults.PresetNames(false) }
 
 // RetryParams configures client-side RPC robustness: per-attempt
-// timeouts with capped exponential backoff and deterministic jitter, a
-// bounded retry budget, and optional hedged duplicates on the scavenger
-// class. The zero value disables everything and keeps the issue path
-// identical to a build without this feature.
+// timeouts, a bounded retry budget whose k-th retry waits Timeout/2·2^(k−1),
+// and optional hedged duplicates on the scavenger class. The zero value
+// disables everything and keeps the issue path identical to a build
+// without this feature.
 type RetryParams struct {
 	// Timeout is the per-attempt deadline; 0 disables timeouts/retries.
 	Timeout time.Duration
 	// MaxRetries bounds retries after the first attempt.
 	MaxRetries int
-	// Backoff is the base retry delay, doubled per consecutive retry
-	// (default Timeout/2). MaxBackoff caps it; 0 leaves it uncapped.
-	Backoff, MaxBackoff time.Duration
-	// JitterFrac adds a uniform [0, JitterFrac) fraction of the backoff,
-	// drawn deterministically from the run seed.
-	JitterFrac float64
 	// HedgeAfter, when > 0, duplicates each still-incomplete RPC once
 	// after that delay onto the scavenger class (RepFlow-style hedging);
 	// the first completion wins.
@@ -104,9 +98,6 @@ func (c *SimConfig) retryPolicy() rpc.RetryPolicy {
 	p := rpc.RetryPolicy{
 		Timeout:    sim.FromStd(c.Retry.Timeout),
 		MaxRetries: c.Retry.MaxRetries,
-		Backoff:    sim.FromStd(c.Retry.Backoff),
-		MaxBackoff: sim.FromStd(c.Retry.MaxBackoff),
-		JitterFrac: c.Retry.JitterFrac,
 		HedgeAfter: sim.FromStd(c.Retry.HedgeAfter),
 		HedgeClass: qos.Class(c.levels() - 1),
 	}

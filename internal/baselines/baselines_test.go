@@ -65,10 +65,7 @@ func TestQJumpThrottlesLimitedLevel(t *testing.T) {
 			NewCC: func() transport.CC { return transport.Fixed{W: 64} },
 		})
 	}
-	qj := NewQJump(eps[0], QJumpConfig{
-		LevelRates:  []sim.Rate{1 * sim.Gbps, 0, 0},
-		BucketBytes: 64 << 10,
-	})
+	qj := NewQJump(eps[0], QJumpConfig{LevelRates: []sim.Rate{1 * sim.Gbps, 0, 0}})
 	completions := 0
 	var last sim.Time
 	// 10 × 64 KB on the 1 Gbps level: sustained rate is bucket-limited,
@@ -110,9 +107,10 @@ func TestHomaDelivers(t *testing.T) {
 func TestHomaUnscheduledWindow(t *testing.T) {
 	net := buildNet(t, 2, func() wfq.Scheduler { return wfq.NewPriorityQueue(6 << 20) })
 	s := sim.New(1)
-	h0 := NewHoma(net.Host(0), HomaConfig{RTTBytes: 10 << 10})
-	NewHoma(net.Host(1), HomaConfig{RTTBytes: 10 << 10})
-	// A message within RTTBytes completes without any grants.
+	h0 := NewHoma(net.Host(0), HomaConfig{})
+	NewHoma(net.Host(1), HomaConfig{})
+	// A message within the 25 KiB unscheduled window completes without
+	// any grants.
 	ok := false
 	h0.Send(s, &transport.Message{ID: 1, Dst: 1, Class: qos.High, Bytes: 8 << 10,
 		OnComplete: func(*sim.Simulator, *transport.Message) { ok = true }})
@@ -129,7 +127,7 @@ func TestHomaSRPTOrdering(t *testing.T) {
 	s := sim.New(1)
 	hs := make([]*Homa, 3)
 	for i := range hs {
-		hs[i] = NewHoma(net.Host(i), HomaConfig{RTTBytes: 8 << 10})
+		hs[i] = NewHoma(net.Host(i), HomaConfig{})
 	}
 	var order []uint64
 	rec := func(_ *sim.Simulator, m *transport.Message) { order = append(order, m.ID) }
@@ -148,7 +146,7 @@ func TestHomaLossRecovery(t *testing.T) {
 	s := sim.New(1)
 	hs := make([]*Homa, 3)
 	for i := range hs {
-		hs[i] = NewHoma(net.Host(i), HomaConfig{ResendTimeout: 1 * sim.Millisecond})
+		hs[i] = NewHoma(net.Host(i), HomaConfig{})
 	}
 	done := 0
 	for i := 0; i < 6; i++ {

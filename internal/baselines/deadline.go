@@ -26,22 +26,15 @@ type DeadlineConfig struct {
 	Policy DeadlinePolicy
 	// LineRate bounds each link's allocation (default 100 Gbps).
 	LineRate sim.Rate
-	// Reallocate is the allocation refresh interval, standing in for
-	// per-RTT rate-request headers (default 10 µs).
-	Reallocate sim.Duration
-	// DefaultDeadline is assumed for flows without one so that D3/PDQ —
-	// which have no notion of deadline-less performance flows — can
-	// still schedule them; zero means such flows only ever receive
-	// leftover capacity.
-	DefaultDeadline sim.Duration
 }
+
+// reallocateEvery is the allocation refresh interval, standing in for
+// per-RTT rate-request headers.
+const reallocateEvery = 10 * sim.Microsecond
 
 func (c *DeadlineConfig) applyDefaults() {
 	if c.LineRate == 0 {
 		c.LineRate = 100 * sim.Gbps
-	}
-	if c.Reallocate == 0 {
-		c.Reallocate = 10 * sim.Microsecond
 	}
 }
 
@@ -81,7 +74,7 @@ type dlFlow struct {
 	src, dst  int
 	m         *transport.Message
 	remaining int64
-	deadline  sim.Time // 0 = none
+	deadline  sim.Time // 0 = none: the flow only ever receives leftover capacity
 	arrival   sim.Time
 	rate      sim.Rate
 	sending   bool
@@ -113,9 +106,6 @@ func (ds *DeadlineSender) Send(s *sim.Simulator, m *transport.Message) {
 		id: f.next, src: ds.host.ID, dst: m.Dst, m: m,
 		remaining: m.Bytes, deadline: m.Deadline, arrival: s.Now(),
 	}
-	if fl.deadline == 0 && f.cfg.DefaultDeadline > 0 {
-		fl.deadline = s.Now() + f.cfg.DefaultDeadline
-	}
 	f.flows[fl.id] = fl
 	f.reallocate(s)
 	if !f.started {
@@ -132,7 +122,7 @@ func (f *DeadlineFabric) tick(s *sim.Simulator) {
 		return
 	}
 	f.kickAll(s)
-	s.AfterFunc(f.cfg.Reallocate, func(s *sim.Simulator) { f.tick(s) })
+	s.AfterFunc(reallocateEvery, func(s *sim.Simulator) { f.tick(s) })
 }
 
 // kickAll reallocates and restarts any flow that regained a rate. It runs

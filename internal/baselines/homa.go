@@ -16,30 +16,27 @@ const (
 
 // HomaConfig parameterises the Homa transport.
 type HomaConfig struct {
-	// RTTBytes is the unscheduled window: bytes a sender may transmit
-	// before receiving grants, and the receiver's outstanding-grant
-	// budget. Default 25 KiB (~one 100 Gbps × 2 µs BDP).
-	RTTBytes int64
-	// ResendTimeout is the coarse loss-recovery timer (default 5 ms).
-	ResendTimeout sim.Duration
 	// LineRate paces the receiver's grant clock (default 100 Gbps).
 	LineRate sim.Rate
 }
 
+const (
+	// rttBytes is the unscheduled window: bytes a sender may transmit
+	// before receiving grants, and the receiver's outstanding-grant
+	// budget (~one 100 Gbps × 2 µs BDP).
+	rttBytes = 25 << 10
+	// resendTimeout is the coarse loss-recovery timer.
+	resendTimeout = 5 * sim.Millisecond
+)
+
 func (c *HomaConfig) applyDefaults() {
-	if c.RTTBytes == 0 {
-		c.RTTBytes = 25 << 10
-	}
-	if c.ResendTimeout == 0 {
-		c.ResendTimeout = 5 * sim.Millisecond
-	}
 	if c.LineRate == 0 {
 		c.LineRate = 100 * sim.Gbps
 	}
 }
 
 // Homa is a receiver-driven transport (Montazeri et al., SIGCOMM 2018),
-// simplified: senders blind-transmit up to RTTBytes unscheduled, the
+// simplified: senders blind-transmit up to rttBytes unscheduled, the
 // receiver grants further bytes to the inbound message with the least
 // remaining bytes (SRPT), and packets carry remaining-size urgency so the
 // fabric's priority queues favour short messages. Loss recovery is a
@@ -101,7 +98,7 @@ func (h *Homa) Send(s *sim.Simulator, m *transport.Message) {
 	m.SubmitTime = s.Now()
 	h.nextMsg++
 	id := h.nextMsg
-	o := &homaOut{m: m, granted: min64(m.Bytes, h.cfg.RTTBytes)}
+	o := &homaOut{m: m, granted: min64(m.Bytes, rttBytes)}
 	h.out[id] = o
 	h.transmit(s, id, o)
 	h.armResend(s, id, o)
@@ -112,7 +109,7 @@ func (h *Homa) armResend(s *sim.Simulator, id uint64, o *homaOut) {
 	// Jitter desynchronises concurrent senders: with a fixed timeout,
 	// several messages thrashing one shallow switch queue can resend in
 	// lockstep and repeat the identical drop pattern forever.
-	delay := h.cfg.ResendTimeout + sim.Duration(s.Rand().Int63n(int64(h.cfg.ResendTimeout)))
+	delay := resendTimeout + sim.Duration(s.Rand().Int63n(int64(resendTimeout)))
 	o.resend = s.AfterFunc(delay, func(s *sim.Simulator) {
 		if o.done {
 			return
@@ -164,7 +161,7 @@ func (h *Homa) onData(s *sim.Simulator, p *netsim.Packet) {
 	if !ok {
 		in = &homaIn{
 			total:   p.AckSeq,
-			granted: min64(p.AckSeq, h.cfg.RTTBytes),
+			granted: min64(p.AckSeq, rttBytes),
 			class:   int(p.Class),
 			offsets: make(map[int64]bool),
 		}
@@ -205,7 +202,7 @@ func (h *Homa) grantTick(s *sim.Simulator) {
 	var bestKey homaInKey
 	var best *homaIn
 	for k, in := range h.in {
-		if in.granted >= in.total || in.granted-in.got >= h.cfg.RTTBytes {
+		if in.granted >= in.total || in.granted-in.got >= rttBytes {
 			continue
 		}
 		if best == nil || in.total-in.got < best.total-best.got ||

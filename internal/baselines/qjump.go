@@ -43,10 +43,11 @@ type QJumpConfig struct {
 	// LevelRates[i] is the rate limit for QoS level i in bits/second;
 	// 0 means unlimited (the lowest, throughput-oriented level).
 	LevelRates []sim.Rate
-	// BucketBytes bounds each level's token accumulation (default one
-	// MTU above the largest message burst, 64 KiB).
-	BucketBytes int64
 }
+
+// bucketBytes bounds each level's token accumulation: one MTU above the
+// largest message burst.
+const bucketBytes = 64 << 10
 
 // QJumpRates returns the deployed level rates for a fabric at the given
 // line rate: the two SLO-carrying levels are throttled to half the line
@@ -72,9 +73,7 @@ func QJumpRates(levels int, lineRate sim.Rate, hosts int) []sim.Rate {
 // rate limiting. Messages above the level's available tokens wait in a
 // FIFO per level; the fabric runs strict priority queuing.
 type QJump struct {
-	ep  *transport.Endpoint
-	cfg QJumpConfig
-
+	ep     *transport.Endpoint
 	levels []qjumpLevel
 }
 
@@ -88,14 +87,11 @@ type qjumpLevel struct {
 
 // NewQJump builds a QJump sender over the given endpoint.
 func NewQJump(ep *transport.Endpoint, cfg QJumpConfig) *QJump {
-	if cfg.BucketBytes == 0 {
-		cfg.BucketBytes = 64 << 10
-	}
-	q := &QJump{ep: ep, cfg: cfg}
+	q := &QJump{ep: ep}
 	q.levels = make([]qjumpLevel, len(cfg.LevelRates))
 	for i := range q.levels {
 		q.levels[i].rate = cfg.LevelRates[i]
-		q.levels[i].tokens = float64(cfg.BucketBytes)
+		q.levels[i].tokens = bucketBytes
 	}
 	return q
 }
@@ -117,9 +113,7 @@ func (q *QJump) refill(s *sim.Simulator, li int) {
 	dt := s.Now() - l.lastRef
 	l.lastRef = s.Now()
 	l.tokens += float64(l.rate) / 8 * dt.Seconds()
-	if max := float64(q.cfg.BucketBytes); l.tokens > max {
-		l.tokens = max
-	}
+	l.tokens = min(l.tokens, bucketBytes)
 }
 
 // pump forwards queued messages under the token bucket, scheduling a
@@ -135,10 +129,7 @@ func (q *QJump) pump(s *sim.Simulator, li int) {
 	q.refill(s, li)
 	for len(l.queue) > 0 {
 		m := l.queue[0]
-		need := float64(m.Bytes)
-		if cap := float64(q.cfg.BucketBytes); need > cap {
-			need = cap
-		}
+		need := min(float64(m.Bytes), bucketBytes)
 		if l.tokens < need {
 			// Wait for enough tokens.
 			wait := sim.FromSeconds((need - l.tokens) * 8 / float64(l.rate))

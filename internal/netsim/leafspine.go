@@ -101,7 +101,7 @@ func (n *Network) buildLeafSpine(cfg Config) error {
 			down := NewLink(fmt.Sprintf("leaf%d-host%d", li, hid), cfg.LinkRate, cfg.PropDelay, cfg.SwitchSched(), h)
 			leaf.hostPorts[hid] = down
 			n.downlinks[hid] = down
-			h.Uplink = NewLink(fmt.Sprintf("host%d-leaf%d", hid, li), cfg.LinkRate, cfg.PropDelay, cfg.HostSched(), leaf)
+			h.Uplink = NewLink(fmt.Sprintf("host%d-leaf%d", hid, li), cfg.LinkRate, cfg.PropDelay, cfg.SwitchSched(), leaf)
 			n.hosts = append(n.hosts, h)
 		}
 		for si := 0; si < t.Spines; si++ {

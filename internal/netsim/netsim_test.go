@@ -139,7 +139,7 @@ func TestNetworkRouting(t *testing.T) {
 func TestManyToOneCongestion(t *testing.T) {
 	// Two senders at line rate into one receiver: the downlink is the
 	// bottleneck, and total delivery time is the sum of both loads.
-	net, err := New(Config{Hosts: 3, SwitchSched: fifoFactory, HostSched: fifoFactory})
+	net, err := New(Config{Hosts: 3, SwitchSched: fifoFactory})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,6 @@ func TestWFQDownlinkShares(t *testing.T) {
 	net, err := New(Config{
 		Hosts:       3,
 		SwitchSched: func() wfq.Scheduler { return wfq.NewWFQ([]float64{4, 1}, 0) },
-		HostSched:   fifoFactory,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,13 +21,10 @@ type Config struct {
 	LinkRate sim.Rate
 	// PropDelay is the one-way propagation delay of each link.
 	PropDelay sim.Duration
-	// SwitchSched builds the scheduler for each switch egress port
-	// (downlink toward a host). Defaults to 3-class WFQ 8:4:1 with 2 MB
-	// per class.
+	// SwitchSched builds the scheduler for every egress port: each switch
+	// port and each host uplink NIC. Defaults to 3-class WFQ 8:4:1 with
+	// 2 MB per class.
 	SwitchSched SchedulerFactory
-	// HostSched builds the scheduler for each host uplink NIC. Defaults
-	// to the same discipline as SwitchSched.
-	HostSched SchedulerFactory
 	// Topology selects the fabric shape (default: single-switch star).
 	Topology Topology
 }
@@ -43,9 +40,6 @@ func (c *Config) applyDefaults() {
 		c.SwitchSched = func() wfq.Scheduler {
 			return wfq.NewWFQ([]float64{8, 4, 1}, 2<<20)
 		}
-	}
-	if c.HostSched == nil {
-		c.HostSched = c.SwitchSched
 	}
 }
 
@@ -143,7 +137,7 @@ func New(cfg Config) (*Network, error) {
 			n.sw.downlinks = append(n.sw.downlinks, down)
 			n.downlinks = append(n.downlinks, down)
 			// Uplink: host i -> switch.
-			h.Uplink = NewLink(fmt.Sprintf("up-%d", i), cfg.LinkRate, cfg.PropDelay, cfg.HostSched(), n.sw)
+			h.Uplink = NewLink(fmt.Sprintf("up-%d", i), cfg.LinkRate, cfg.PropDelay, cfg.SwitchSched(), n.sw)
 			n.hosts = append(n.hosts, h)
 		}
 	}

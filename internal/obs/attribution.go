@@ -83,9 +83,6 @@ func NewAttributor(audit *Auditor) *Attributor {
 	return &Attributor{audit: audit, pending: make(map[attrKey]*pendingAttr)}
 }
 
-// Enabled reports whether the attributor records decompositions.
-func (a *Attributor) Enabled() bool { return a != nil }
-
 func (a *Attributor) alloc() *pendingAttr {
 	if n := len(a.free); n > 0 {
 		p := a.free[n-1]

@@ -149,7 +149,7 @@ func TestAttributorWriteCSV(t *testing.T) {
 func TestNilAttributorSafe(t *testing.T) {
 	var a *Attributor
 	attrFill(a) // must not panic
-	if a.Enabled() || a.Records() != nil || a.Summaries() != nil {
+	if a.Records() != nil || a.Summaries() != nil {
 		t.Error("nil attributor not inert")
 	}
 	if err := a.WriteCSV(nil); err != nil {
@@ -178,13 +178,14 @@ func BenchmarkDisabledAttributor(b *testing.B) {
 }
 
 func TestAuditorViolations(t *testing.T) {
-	a := NewAuditor(AuditConfig{BoundUS: []float64{10}, SlackUS: 2, MaxViolations: 2})
+	a := NewAuditor(AuditConfig{BoundUS: []float64{10}, SlackUS: 2})
 	// Within bound+slack: no violation.
 	a.Hop(0, 1, "up-0", 0, 12*sim.Microsecond)
-	// Over: three hop violations (one past the retention cap) and one rpc.
-	a.Hop(sim.Microsecond, 2, "down-1", 0, 13*sim.Microsecond)
-	a.Hop(sim.Microsecond, 3, "down-1", 0, 14*sim.Microsecond)
-	a.Hop(sim.Microsecond, 4, "down-1", 0, 15*sim.Microsecond)
+	// Over: hop violations one past the retention cap, and one rpc.
+	const over = maxViolations + 1
+	for i := 0; i < over; i++ {
+		a.Hop(sim.Microsecond, uint64(2+i), "down-1", 0, sim.Duration(13+i)*sim.Microsecond)
+	}
 	a.RPCDone(2*sim.Microsecond, 2, 0, 13*sim.Microsecond, 13*sim.Microsecond, 20*sim.Microsecond)
 	// Unbounded class: observed, never flagged.
 	a.Hop(3*sim.Microsecond, 5, "down-2", 1, 500*sim.Microsecond)
@@ -194,11 +195,11 @@ func TestAuditorViolations(t *testing.T) {
 	if rep.Ok() {
 		t.Fatal("report Ok despite violations")
 	}
-	if rep.TotalViolations != 4 {
-		t.Errorf("total = %d, want 4", rep.TotalViolations)
+	if rep.TotalViolations != over+1 {
+		t.Errorf("total = %d, want %d", rep.TotalViolations, over+1)
 	}
-	if len(rep.Violations) != 2 {
-		t.Fatalf("retained = %d, want cap 2", len(rep.Violations))
+	if len(rep.Violations) != maxViolations {
+		t.Fatalf("retained = %d, want cap %d", len(rep.Violations), maxViolations)
 	}
 	v := rep.Violations[0]
 	if v.RPC != 2 || v.Kind != "hop" || v.Link != "down-1" || v.ObservedUS != 13 || v.BoundUS != 10 {
@@ -208,7 +209,7 @@ func TestAuditorViolations(t *testing.T) {
 		t.Fatalf("classes = %+v", rep.Classes)
 	}
 	c0 := rep.Classes[0]
-	if !c0.Bounded || c0.BoundUS != 10 || c0.Violations != 4 || c0.Hops != 4 || c0.MaxHopUS != 15 {
+	if !c0.Bounded || c0.BoundUS != 10 || c0.Violations != over+1 || c0.Hops != over+1 || c0.MaxHopUS != 12+over {
 		t.Errorf("class 0 = %+v", c0)
 	}
 	c1 := rep.Classes[1]
@@ -221,18 +222,30 @@ func TestAuditorViolations(t *testing.T) {
 // later violations may have been recorded; the retained list is still the
 // earliest ones in time order.
 func TestAuditorKeepsEarliest(t *testing.T) {
-	a := NewAuditor(AuditConfig{BoundUS: []float64{10}, MaxViolations: 2})
-	a.Hop(3*sim.Microsecond, 1, "up-0", 0, 20*sim.Microsecond)
-	a.RPCDone(5*sim.Microsecond, 2, 0, 20*sim.Microsecond, 20*sim.Microsecond, 30*sim.Microsecond)
-	a.Hop(sim.Microsecond, 3, "down-1", 0, 20*sim.Microsecond)
-	a.Hop(4*sim.Microsecond, 4, "down-1", 0, 20*sim.Microsecond)
+	a := NewAuditor(AuditConfig{BoundUS: []float64{10}})
+	// Violation k is observed at (k·29 mod n)+1 µs by the RPC of that
+	// number, hops and rpc checks alternating: every arrival order of
+	// early and late ones, two past the cap.
+	const n = maxViolations + 2
+	for k := 0; k < n; k++ {
+		at := k*29%n + 1
+		now, id := sim.Time(sim.Duration(at)*sim.Microsecond), uint64(at)
+		if k%2 == 0 {
+			a.Hop(now, id, "down-1", 0, 20*sim.Microsecond)
+		} else {
+			a.RPCDone(now, id, 0, 20*sim.Microsecond, 20*sim.Microsecond, 30*sim.Microsecond)
+		}
+	}
 	rep := a.Report()
-	var got []uint64
+	var got, want []uint64
 	for _, v := range rep.Violations {
 		got = append(got, v.RPC)
 	}
-	if rep.TotalViolations != 4 || !slices.Equal(got, []uint64{3, 1}) {
-		t.Errorf("retained RPCs %v of %d violations, want [3 1] of 4", got, rep.TotalViolations)
+	for id := uint64(1); id <= maxViolations; id++ {
+		want = append(want, id)
+	}
+	if rep.TotalViolations != n || !slices.Equal(got, want) {
+		t.Errorf("retained RPCs %v of %d violations, want %v of %d", got, rep.TotalViolations, want, n)
 	}
 }
 
@@ -253,7 +266,7 @@ func TestNilAuditorSafe(t *testing.T) {
 	var a *Auditor
 	a.Hop(0, 1, "up-0", 0, sim.Microsecond)
 	a.RPCDone(0, 1, 0, sim.Microsecond, sim.Microsecond, sim.Microsecond)
-	if a.Enabled() || a.Report() != nil {
+	if a.Report() != nil {
 		t.Error("nil auditor not inert")
 	}
 	if a.Report().Ok() {

@@ -19,9 +19,6 @@ type AuditConfig struct {
 	// the packet-vs-fluid gap between the discrete simulator and the fluid
 	// model (the simulator sits a few percent of a period above theory).
 	SlackUS float64
-	// MaxViolations caps the retained violation list (default 64); the
-	// total count keeps counting past the cap.
-	MaxViolations int
 	// Levels, when positive, clamps audited classes to [0, Levels): the
 	// fabric schedulers serve any out-of-range class from the lowest
 	// queue, so its queueing is governed by the lowest class's bound and
@@ -66,16 +63,12 @@ type Auditor struct {
 	total   int
 }
 
-// NewAuditor returns an enabled auditor.
-func NewAuditor(cfg AuditConfig) *Auditor {
-	if cfg.MaxViolations <= 0 {
-		cfg.MaxViolations = 64
-	}
-	return &Auditor{cfg: cfg}
-}
+// maxViolations caps the retained violation list; the total count keeps
+// counting past the cap.
+const maxViolations = 64
 
-// Enabled reports whether the auditor checks bounds.
-func (a *Auditor) Enabled() bool { return a != nil }
+// NewAuditor returns an enabled auditor.
+func NewAuditor(cfg AuditConfig) *Auditor { return &Auditor{cfg: cfg} }
 
 // clamp maps an audited class onto the scheduler-effective class: the
 // fabric serves out-of-range classes from the lowest queue.
@@ -103,7 +96,7 @@ func (a *Auditor) bound(cl int) (float64, bool) {
 	return a.cfg.BoundUS[cl], true
 }
 
-// record keeps the earliest MaxViolations violations in time order: a hop
+// record keeps the earliest maxViolations violations in time order: a hop
 // is checked when its link settles, possibly after later ones (netsim.Link).
 func (a *Auditor) record(v AuditViolation) {
 	a.total++
@@ -111,9 +104,9 @@ func (a *Auditor) record(v AuditViolation) {
 	for i > 0 && a.viol[i-1].TimeUS > v.TimeUS {
 		i--
 	}
-	if i < a.cfg.MaxViolations {
+	if i < maxViolations {
 		a.viol = slices.Insert(a.viol, i, v)
-		a.viol = a.viol[:min(len(a.viol), a.cfg.MaxViolations)]
+		a.viol = a.viol[:min(len(a.viol), maxViolations)]
 	}
 }
 
@@ -185,8 +178,8 @@ type AuditReport struct {
 	// SlackUS is the headroom that was added to every bound.
 	SlackUS float64
 	Classes []AuditClassReport
-	// Violations retains the earliest MaxViolations (default 64)
-	// violations in time order; TotalViolations keeps the full count.
+	// Violations retains the earliest 64 violations in time order;
+	// TotalViolations keeps the full count.
 	Violations      []AuditViolation
 	TotalViolations int
 }

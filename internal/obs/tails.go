@@ -60,10 +60,6 @@ func NewTailTracker() *TailTracker {
 	return &TailTracker{series: make(map[tailKey]*tailSeries)}
 }
 
-// Enabled reports whether the tracker records observations; a nil
-// tracker is the disabled, zero-overhead path.
-func (t *TailTracker) Enabled() bool { return t != nil }
-
 // Observe records one completed RPC's network latency (µs) on the (dst,
 // class) channel. Allocation happens only on a channel's first
 // observation (histogram construction); the steady state is a map lookup

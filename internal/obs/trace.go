@@ -88,9 +88,6 @@ type Tracer struct {
 // NewTracer returns an enabled tracer.
 func NewTracer() *Tracer { return &Tracer{} }
 
-// Enabled reports whether the tracer records events.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Len reports the number of recorded events.
 func (t *Tracer) Len() int {
 	if t == nil {

@@ -7,24 +7,15 @@ import (
 )
 
 // RetryPolicy configures client-side RPC robustness: per-attempt
-// timeouts with capped exponential backoff and deterministic jitter, a
-// bounded retry budget, and optional RepFlow-style hedged duplicates.
-// The zero value disables everything.
+// timeouts, a bounded retry budget with exponential backoff (backoffFor),
+// and optional RepFlow-style hedged duplicates. The zero value disables
+// everything.
 type RetryPolicy struct {
 	// Timeout is the per-attempt deadline. 0 disables timeouts and
 	// retries (faults can still fail RPCs via transport resets).
 	Timeout sim.Duration
 	// MaxRetries bounds retry attempts after the first send.
 	MaxRetries int
-	// Backoff is the base retry delay, doubled per consecutive retry;
-	// 0 defaults to Timeout/2.
-	Backoff sim.Duration
-	// MaxBackoff caps the (pre-jitter) backoff; 0 leaves it uncapped.
-	MaxBackoff sim.Duration
-	// JitterFrac adds a uniform random fraction [0, JitterFrac) of the
-	// backoff on top, drawn from the simulator RNG (deterministic per
-	// seed). It decorrelates retry storms after a shared fault.
-	JitterFrac float64
 	// HedgeAfter, when > 0, sends one duplicate of each still-incomplete
 	// RPC after that delay (RepFlow's replication for tail latency). The
 	// first completion wins; the loser's bytes are wasted work.
@@ -212,28 +203,13 @@ func (st *Stack) retryOrFail(s *sim.Simulator, r *RPC) {
 	r.retries++
 	r.backoffArmed = true
 	r.timer.Cancel()
-	r.timer = s.After(st.backoffFor(s, int(r.retries)), (*retryEvent)(r))
+	r.timer = s.After(st.backoffFor(int(r.retries)), (*retryEvent)(r))
 }
 
-// backoffFor computes the capped exponential backoff with jitter for the
-// given retry attempt (1-based).
-func (st *Stack) backoffFor(s *sim.Simulator, attempt int) sim.Duration {
-	base := st.Retry.Backoff
-	if base <= 0 {
-		base = st.Retry.Timeout / 2
-	}
-	shift := attempt - 1
-	if shift > 16 {
-		shift = 16
-	}
-	d := base << shift
-	if max := st.Retry.MaxBackoff; max > 0 && d > max {
-		d = max
-	}
-	if f := st.Retry.JitterFrac; f > 0 {
-		d += sim.Duration(f * float64(d) * s.Rand().Float64())
-	}
-	return d
+// backoffFor is the delay before the given retry (1-based): Timeout/2,
+// doubled per consecutive retry up to a shift of 16, with no jitter.
+func (st *Stack) backoffFor(retry int) sim.Duration {
+	return st.Retry.Timeout / 2 << min(retry-1, 16)
 }
 
 // fail abandons the RPC: accounting is released and attribution state

@@ -269,3 +269,31 @@ func TestTrackedPathMatchesPlainPath(t *testing.T) {
 		t.Errorf("plain (%d, %v) != tracked (%d, %v)", c1, r1, c2, r2)
 	}
 }
+
+// TestBackoffSchedule pins the delay before each retry: Timeout/2 doubled
+// per consecutive retry up to a shift of 16, constant after it, and drawn
+// from nothing, so arming a retry leaves the simulator's RNG where it was.
+func TestBackoffSchedule(t *testing.T) {
+	const timeout = 100 * sim.Microsecond
+	st := &Stack{Retry: RetryPolicy{Timeout: timeout, MaxRetries: 20}}
+	for k := 1; k <= 20; k++ {
+		want := timeout / 2
+		for i := 1; i < k && i <= 16; i++ {
+			want *= 2
+		}
+		s := sim.New(1)
+		r := &RPC{retries: int32(k - 1)}
+		st.retryOrFail(s, r)
+		if !r.backoffArmed || r.retries != int32(k) {
+			t.Fatalf("retry %d: not armed (retries %d)", k, r.retries)
+		}
+		r.done = true // the back-off fires without sending
+		s.Run()
+		if got := sim.Duration(s.Now()); got != want {
+			t.Errorf("retry %d: back-off %v, want %v", k, got, want)
+		}
+		if got, fresh := s.Rand().Int63(), sim.New(1).Rand().Int63(); got != fresh {
+			t.Errorf("retry %d: back-off drew from the RNG", k)
+		}
+	}
+}

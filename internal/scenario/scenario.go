@@ -34,7 +34,6 @@ type Env struct {
 
 	// Transport knobs shared by endpoint-based systems.
 	RTOMin      sim.Duration
-	CCTarget    sim.Duration
 	DisableCC   bool
 	FixedWindow float64
 
@@ -76,15 +75,15 @@ func (e *Env) NewEndpoint(i int, tc transport.Config) *transport.Endpoint {
 }
 
 // SwiftEndpoint builds the standard endpoint: Swift delay-based
-// congestion control, or a fixed window when congestion control is
-// disabled.
+// congestion control with a 10 µs delay target, or a fixed window when
+// congestion control is disabled.
 func (e *Env) SwiftEndpoint(i int) *transport.Endpoint {
 	tc := transport.Config{}
 	if e.DisableCC {
 		w := e.FixedWindow
 		tc.NewCC = func() transport.CC { return transport.Fixed{W: w} }
 	} else {
-		target := e.CCTarget
+		const target = 10 * sim.Microsecond
 		tc.NewCC = func() transport.CC { return transport.SwiftDefaults(target) }
 	}
 	return e.NewEndpoint(i, tc)

@@ -40,6 +40,3 @@ func (r Rate) BytesIn(d Duration) int64 {
 	q, _ := bits.Div64(hi, lo, 8*uint64(Second))
 	return int64(q)
 }
-
-// Float returns the rate in bits per second as a float64.
-func (r Rate) Float() float64 { return float64(r) }

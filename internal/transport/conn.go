@@ -45,9 +45,6 @@ type Config struct {
 	NewCC func() CC
 	// RTOMin floors the retransmission timeout (default 100 µs).
 	RTOMin sim.Duration
-	// InitialRTT seeds the smoothed RTT estimate before the first sample
-	// (default 10 µs).
-	InitialRTT sim.Duration
 	// Trace, when set, receives first-packet enqueue lifecycle events.
 	Trace *obs.Tracer
 	// Attr, when set, receives latency-attribution instrumentation:
@@ -61,10 +58,11 @@ func (c *Config) applyDefaults() {
 	if c.RTOMin == 0 {
 		c.RTOMin = 100 * sim.Microsecond
 	}
-	if c.InitialRTT == 0 {
-		c.InitialRTT = 10 * sim.Microsecond
-	}
 }
+
+// initialRTT seeds a connection's smoothed RTT estimate before its first
+// sample.
+const initialRTT = 10 * sim.Microsecond
 
 // Stats counts endpoint-wide transport activity.
 type Stats struct {
@@ -187,7 +185,7 @@ func (e *Endpoint) conn(peer int, class qos.Class) *conn {
 			peer:  peer,
 			class: class,
 			cc:    e.cfg.NewCC(),
-			srtt:  e.cfg.InitialRTT,
+			srtt:  initialRTT,
 			gen:   e.gen,
 		}
 		c.rtoEv.c = c

@@ -15,11 +15,6 @@ type ParallelOptions struct {
 	// Results are identical for every worker count: each simulation is
 	// fully self-contained, so parallelism changes wall-clock time only.
 	Workers int
-	// BaseSeed, when non-zero, replaces each configuration's Seed with
-	// DeriveSeed(BaseSeed, i), giving sweep entries decorrelated but
-	// reproducible seeds that depend only on the entry index — never on
-	// worker count or completion order.
-	BaseSeed int64
 	// OnProgress, when set, is called once per finished configuration
 	// (successful or not) with the sweep's live completion count. Calls
 	// are serialized, so the callback may write to a shared sink without
@@ -47,20 +42,6 @@ func (o ParallelOptions) workers(n int) int {
 		w = n
 	}
 	return w
-}
-
-// DeriveSeed returns the seed for sweep entry i under base: a SplitMix64
-// finalizer over base and i. Adjacent indices yield statistically
-// independent streams, and the mapping is a pure function, so a sweep
-// rerun with the same base reproduces every entry exactly.
-func DeriveSeed(base int64, i int) int64 {
-	z := uint64(base) + uint64(i+1)*0x9E3779B97F4A7C15
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
 }
 
 // RunMany executes every configuration via Run, fanning the independent
@@ -98,11 +79,7 @@ func RunMany(cfgs []SimConfig, opts ParallelOptions) ([]*Results, error) {
 					if i >= n {
 						return
 					}
-					cfg := cfgs[i]
-					if opts.BaseSeed != 0 {
-						cfg.Seed = DeriveSeed(opts.BaseSeed, i)
-					}
-					results[i], errs[i] = Run(cfg)
+					results[i], errs[i] = Run(cfgs[i])
 					if opts.OnProgress != nil {
 						progressMu.Lock()
 						done++

@@ -98,47 +98,6 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// TestSweepBaseSeed: BaseSeed overrides per-entry seeds deterministically
-// and decorrelates entries.
-func TestSweepBaseSeed(t *testing.T) {
-	mk := func(i int) SimConfig { cfg := sweepCluster(0); cfg.Seed = 0; return cfg }
-	a, err := Sweep(2, mk, ParallelOptions{Workers: 2, BaseSeed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Sweep(2, mk, ParallelOptions{Workers: 1, BaseSeed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if !reflect.DeepEqual(a[i], b[i]) {
-			t.Errorf("entry %d: BaseSeed sweep not reproducible", i)
-		}
-	}
-	// Identical configs, different derived seeds: the entries should not
-	// be byte-identical runs of each other.
-	if reflect.DeepEqual(a[0], a[1]) {
-		t.Error("BaseSeed produced identical runs for distinct indices")
-	}
-}
-
-func TestDeriveSeed(t *testing.T) {
-	seen := map[int64]bool{}
-	for i := 0; i < 1000; i++ {
-		s := DeriveSeed(42, i)
-		if seen[s] {
-			t.Fatalf("DeriveSeed collision at index %d", i)
-		}
-		seen[s] = true
-	}
-	if DeriveSeed(42, 0) != DeriveSeed(42, 0) {
-		t.Error("DeriveSeed not a pure function")
-	}
-	if DeriveSeed(42, 0) == DeriveSeed(43, 0) {
-		t.Error("DeriveSeed ignores base")
-	}
-}
-
 // TestConcurrentRun runs two simulations concurrently; under `go test
 // -race` this fails loudly if Run touches any shared mutable state.
 func TestConcurrentRun(t *testing.T) {

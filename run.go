@@ -164,7 +164,6 @@ func buildHosts(st *runState) error {
 		Levels:      cfg.levels(),
 		LineRate:    sim.Rate(cfg.LinkRate),
 		RTOMin:      sim.FromStd(cfg.RTOMin),
-		CCTarget:    sim.FromStd(cfg.CCTarget),
 		DisableCC:   cfg.DisableCC,
 		FixedWindow: cfg.FixedWindow,
 		Core:        coreConfig(cfg.levels(), cfg.SLOs, cfg.Admission),
@@ -429,6 +428,9 @@ func runAndDrain(st *runState) error {
 		drain = sim.FromStd(50 * time.Millisecond)
 	}
 	st.runTo(end + drain)
+	if col.traceErr != nil {
+		return fmt.Errorf("aequitas: trace csv: %w", col.traceErr)
+	}
 
 	// Flush observability output. The run is single-threaded and each run
 	// owns its writers, so the streams are deterministic and race-free.

@@ -30,7 +30,6 @@ func TestMiddlewareConfigurableReject(t *testing.T) {
 		Controller:       ctl,
 		RejectDowngraded: true,
 		RejectStatus:     http.StatusTooManyRequests,
-		RejectBody:       "slow down",
 		RetryAfter:       7 * time.Second,
 	})
 	if err != nil {
@@ -43,7 +42,7 @@ func TestMiddlewareConfigurableReject(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests {
 		t.Errorf("code = %d", rec.Code)
 	}
-	if !strings.Contains(rec.Body.String(), "slow down") {
+	if !strings.Contains(rec.Body.String(), refusals[causeRejected].body) {
 		t.Errorf("body = %q", rec.Body.String())
 	}
 	if got := rec.Header().Get("Retry-After"); got != "7" {

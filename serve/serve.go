@@ -99,8 +99,6 @@ type Config struct {
 	// RejectStatus is the HTTP status for rejected/shed/expired requests
 	// (default 503 Service Unavailable).
 	RejectStatus int
-	// RejectBody, when set, replaces the cause-specific rejection bodies.
-	RejectBody string
 	// RetryAfter fixes the Retry-After hint on rejections. Zero derives
 	// it per class from the controller's additive-increase window — the
 	// earliest moment a retry could see a higher admit probability.
@@ -203,7 +201,6 @@ type Admission struct {
 	fl *flightState
 
 	rejStatus int
-	rejBody   string
 	// The response-header values, built once and shared by every
 	// response: each has len == cap == 1, so a handler that appends to
 	// one gets a copy, and nothing in the layer writes to them.
@@ -229,7 +226,6 @@ func New(cfg Config) (*Admission, error) {
 		dlog:      cfg.DecisionLog,
 		clock:     cfg.Controller.Core().Clock(),
 		rejStatus: cfg.RejectStatus,
-		rejBody:   cfg.RejectBody,
 		markValue: []string{"1"},
 		started:   time.Now(),
 	}
@@ -345,8 +341,7 @@ const (
 	causeCount
 )
 
-// refusals says how each non-serving cause is reported: the default HTTP
-// body, the response header that marks it, and the interceptor's error.
+// refusals says how each non-serving cause is reported: the HTTP body, the response header that marks it, and the interceptor's error.
 // The served causes' entries are zero.
 var refusals = [causeCount]struct {
 	body, header string
@@ -482,11 +477,7 @@ func (a *Admission) Middleware(next http.Handler) http.Handler {
 				h[ref.header] = mark
 			}
 			h[headerRetryAfter] = a.retryValue[rec.v.Request.Class]
-			body := a.rejBody
-			if body == "" {
-				body = ref.body
-			}
-			http.Error(w, body, a.rejStatus)
+			http.Error(w, ref.body, a.rejStatus)
 			return
 		}
 		next.ServeHTTP(w, r.WithContext(&verdictCtx{r.Context(), rec.v}))

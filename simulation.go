@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"aequitas/internal/core"
-	"aequitas/internal/netsim"
 	"aequitas/internal/qos"
 	"aequitas/internal/scenario"
 	"aequitas/internal/sim"
@@ -204,10 +203,8 @@ type SimConfig struct {
 	Admission AdmissionParams
 	// Traffic is the offered workload (required).
 	Traffic []HostTraffic
-	// CCTarget is the Swift delay target (default 10 µs). DisableCC
-	// replaces Swift with a fixed window of FixedWindow packets
-	// (default 64).
-	CCTarget    time.Duration
+	// DisableCC replaces Swift with a fixed window of FixedWindow
+	// packets (default 64).
 	DisableCC   bool
 	FixedWindow float64
 	// RTOMin floors the retransmission timeout (default 100 µs).
@@ -240,9 +237,9 @@ type SimConfig struct {
 	// without fault support. Plans may be shared across sweep configs;
 	// they are never mutated.
 	Faults *FaultPlan
-	// Retry configures client-side RPC robustness (timeouts, capped
-	// exponential backoff with deterministic jitter, a retry budget,
-	// optional hedged duplicates). The zero value disables it.
+	// Retry configures client-side RPC robustness (timeouts, exponential
+	// backoff, a retry budget, optional hedged duplicates). The zero value
+	// disables it.
 	Retry RetryParams
 
 	// resolved is the traffic matrix after applyDefaults: one entry per
@@ -306,9 +303,6 @@ func (c *SimConfig) applyDefaults() error {
 	if err := c.resolveTraffic(); err != nil {
 		return err
 	}
-	if c.CCTarget == 0 {
-		c.CCTarget = 10 * time.Microsecond
-	}
 	if c.FixedWindow == 0 {
 		c.FixedWindow = 64
 	}
@@ -325,12 +319,8 @@ func (c *SimConfig) applyDefaults() error {
 	if err := c.Faults.Validate(); err != nil {
 		return fmt.Errorf("aequitas: %w", err)
 	}
-	if r := c.Retry; r.Timeout < 0 || r.MaxRetries < 0 || r.Backoff < 0 ||
-		r.MaxBackoff < 0 || r.HedgeAfter < 0 || r.HedgeMaxBytes < 0 {
+	if r := c.Retry; r.Timeout < 0 || r.MaxRetries < 0 || r.HedgeAfter < 0 || r.HedgeMaxBytes < 0 {
 		return fmt.Errorf("aequitas: Retry fields must be non-negative")
-	}
-	if f := c.Retry.JitterFrac; f < 0 || f >= 1 {
-		return fmt.Errorf("aequitas: Retry.JitterFrac %v out of [0, 1)", f)
 	}
 	return nil
 }
@@ -415,16 +405,4 @@ func coreConfig(levels int, slos []SLO, p AdmissionParams) core.Config {
 		}
 	}
 	return cc
-}
-
-// schedFactory returns the switch scheduler builder for the system, as
-// registered in the scenario registry.
-func (c *SimConfig) schedFactory() netsim.SchedulerFactory {
-	b, err := scenario.Lookup(c.System.String())
-	if err != nil {
-		// applyDefaults validates the system name; an unknown system here
-		// means schedFactory was called on an unvalidated config.
-		panic(err)
-	}
-	return b.Scheduler(c.QoSWeights, c.PerClassBufferBytes)
 }

@@ -3,6 +3,7 @@ package aequitas
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -81,6 +82,49 @@ func TestTraceWriter(t *testing.T) {
 		default:
 			t.Fatalf("row %d: priority %q", i, rec[3])
 		}
+	}
+}
+
+// fullDisk accepts room bytes, then fails every write, counting the
+// writes it was asked for after the first failure.
+type fullDisk struct{ room, late int }
+
+var errDiskFull = errors.New("disk full")
+
+func (d *fullDisk) Write(p []byte) (int, error) {
+	if d.room < 0 {
+		d.late++
+		return 0, errDiskFull
+	}
+	if len(p) > d.room {
+		n := d.room
+		d.room = -1
+		return n, errDiskFull
+	}
+	d.room -= len(p)
+	return len(p), nil
+}
+
+// TestTraceWriterError: a per-RPC CSV sink that fails mid-run fails the
+// run with the sink's error, and no row is written after the failure.
+func TestTraceWriterError(t *testing.T) {
+	disk := &fullDisk{room: 4096}
+	_, err := Run(SimConfig{
+		Hosts:       4,
+		Seed:        3,
+		Duration:    5 * time.Millisecond,
+		Warmup:      time.Millisecond,
+		TraceWriter: disk,
+		Traffic: []HostTraffic{{
+			AvgLoad: 0.3,
+			Classes: []TrafficClass{{Priority: PC, Share: 1, FixedBytes: 8 << 10}},
+		}},
+	})
+	if !errors.Is(err, errDiskFull) || !strings.HasPrefix(err.Error(), "aequitas: trace csv: ") {
+		t.Fatalf("Run error = %v, want aequitas: trace csv: disk full", err)
+	}
+	if disk.room >= 0 || disk.late != 0 {
+		t.Errorf("room left %d, %d writes after the failure", disk.room, disk.late)
 	}
 }
 
