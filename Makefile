@@ -99,14 +99,14 @@ chaos-serve-check:
 	$(GO) test -race -run TestChaosServeWallClockSmoke -count=1 -timeout 10m ./serve
 
 # bench runs the micro-benchmark families (end-to-end Run, the event
-# kernel under round-robin load and under the hold model with random and
-# with a packet run's recurring delays, WFQ dequeue, transport send, the
-# RPC stack's issue path, histogram record/quantile, an exact sample's
-# first quantile of a million values, /metrics render, the admission fast
-# path) with full iterations and memory stats, for a human to read. The
-# instrument for performance claims is `make benchmark`.
+# kernel under round-robin load, under the hold model and with a packet
+# run's links delivering back to back as sources, WFQ dequeue, transport
+# send, the RPC stack's issue path, histogram record/quantile, an exact
+# sample's first quantile of a million values, /metrics render, the
+# admission fast path) with full iterations and memory stats, for a human
+# to read. The instrument for performance claims is `make benchmark`.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkRun|BenchmarkSimLoop|BenchmarkSimHold|BenchmarkSimLanes|BenchmarkWFQDequeue|BenchmarkTransportSend|BenchmarkIssue|BenchmarkHist|BenchmarkSampleQuantile|BenchmarkMetricsRender|BenchmarkAdmitDecision|BenchmarkObserve|BenchmarkServeMiddleware|BenchmarkServeInterceptor' \
+	$(GO) test -run '^$$' -bench 'BenchmarkRun|BenchmarkSimLoop|BenchmarkSimHold|BenchmarkSimSources|BenchmarkWFQDequeue|BenchmarkTransportSend|BenchmarkIssue|BenchmarkHist|BenchmarkSampleQuantile|BenchmarkMetricsRender|BenchmarkAdmitDecision|BenchmarkObserve|BenchmarkServeMiddleware|BenchmarkServeInterceptor' \
 	    -benchmem . ./internal/sim ./internal/wfq ./internal/transport ./internal/rpc ./internal/stats ./internal/obs ./internal/core ./serve
 
 # benchmark makes one run of the repository benchmark (BENCHMARK.json,

@@ -32,14 +32,13 @@ type Topology struct {
 type leafSwitch struct {
 	id         int
 	net        *Network
-	hostPorts  map[int]*Link // dst host id -> downlink
-	spinePorts []*Link       // one per spine
+	spinePorts []*Link // one per spine
 }
 
 // HandlePacket implements Handler.
 func (l *leafSwitch) HandlePacket(s *sim.Simulator, p *Packet) {
-	if port, ok := l.hostPorts[p.Dst]; ok {
-		port.Send(s, p)
+	if p.Dst/l.net.perLeaf == l.id {
+		l.net.downlinks[p.Dst].Send(s, p)
 		return
 	}
 	l.spinePorts[flowHash(p)%len(l.spinePorts)].Send(s, p)
@@ -48,13 +47,13 @@ func (l *leafSwitch) HandlePacket(s *sim.Simulator, p *Packet) {
 // spineSwitch forwards down to the destination's leaf.
 type spineSwitch struct {
 	id        int
+	net       *Network
 	leafPorts []*Link // one per leaf
-	leafOf    func(host int) int
 }
 
 // HandlePacket implements Handler.
 func (sp *spineSwitch) HandlePacket(s *sim.Simulator, p *Packet) {
-	sp.leafPorts[sp.leafOf(p.Dst)].Send(s, p)
+	sp.leafPorts[p.Dst/sp.net.perLeaf].Send(s, p)
 }
 
 // flowHash spreads (src, dst, class) tuples across spines (ECMP-style,
@@ -82,24 +81,22 @@ func (n *Network) buildLeafSpine(cfg Config) error {
 		spineRate = cfg.LinkRate
 	}
 	perLeaf := cfg.Hosts / t.Leaves
-	leafOf := func(host int) int { return host / perLeaf }
-	n.leafOf = leafOf
+	n.perLeaf = perLeaf
 
 	n.leaves = make([]*leafSwitch, t.Leaves)
 	n.spines = make([]*spineSwitch, t.Spines)
 	for si := range n.spines {
-		n.spines[si] = &spineSwitch{id: si, leafOf: leafOf, leafPorts: make([]*Link, t.Leaves)}
+		n.spines[si] = &spineSwitch{id: si, net: n, leafPorts: make([]*Link, t.Leaves)}
 	}
 	n.downlinks = make([]*Link, cfg.Hosts)
 
 	for li := 0; li < t.Leaves; li++ {
-		leaf := &leafSwitch{id: li, net: n, hostPorts: make(map[int]*Link)}
+		leaf := &leafSwitch{id: li, net: n}
 		n.leaves[li] = leaf
 		for k := 0; k < perLeaf; k++ {
 			hid := li*perLeaf + k
 			h := &Host{ID: hid, net: n}
 			down := NewLink(fmt.Sprintf("leaf%d-host%d", li, hid), cfg.LinkRate, cfg.PropDelay, cfg.SwitchSched(), h)
-			leaf.hostPorts[hid] = down
 			n.downlinks[hid] = down
 			h.Uplink = NewLink(fmt.Sprintf("host%d-leaf%d", hid, li), cfg.LinkRate, cfg.PropDelay, cfg.SwitchSched(), leaf)
 			n.hosts = append(n.hosts, h)
@@ -129,8 +126,8 @@ func (n *Network) CoreLinks() []*Link {
 // SameLeaf reports whether two hosts share a leaf (always true in a
 // star).
 func (n *Network) SameLeaf(a, b int) bool {
-	if n.leafOf == nil {
+	if n.perLeaf == 0 {
 		return true
 	}
-	return n.leafOf(a) == n.leafOf(b)
+	return a/n.perLeaf == b/n.perLeaf
 }

@@ -53,12 +53,11 @@ type LinkStats struct {
 // delivery is its transmitter's free moment and the free moment comes
 // first: a packet sent at that instant does not compete.
 //
-// A packet's one kernel event is its delivery, ranked first in its instant
-// and keyed by the link's place in ForEachLink's order. A packet started
-// at once (Send, SetDown) schedules its own, Size/Rate+Prop ahead; one
-// started at a free moment is scheduled by its predecessor's delivery,
-// Size/Rate ahead. Both delays recur, so deliveries wait in the kernel's
-// FIFO lanes.
+// A packet's one kernel event is its delivery. Deliveries are FIFO, so
+// the link is a sim.Source that keeps the first of them, flight[head].at,
+// as its firing time: it wakes when a packet starts into an empty flight
+// list, and each delivery wakes it for the next or idles it. Sources rank
+// first in their instant, the link by its place in ForEachLink's order.
 type Link struct {
 	Name  string
 	Rate  sim.Rate
@@ -71,7 +70,7 @@ type Link struct {
 
 	// busy is set while a packet serialises, until freeAt. flight[head:]
 	// are the packets started and not delivered, in start order; deliver
-	// delivers the first of them, one value for every delivery queued.
+	// is the link's source, which delivers the first of them.
 	busy    bool
 	freeAt  sim.Time
 	flight  []inFlight
@@ -137,29 +136,34 @@ func (l *Link) txTime(size int) sim.Duration {
 }
 
 // inFlight is a packet between the start of its serialisation and its
-// delivery at at; scheduled is set once its delivery event is queued.
+// delivery at at.
 type inFlight struct {
-	p         *Packet
-	at        sim.Time
-	scheduled bool
+	p  *Packet
+	at sim.Time
 }
 
-// delivery is the event that delivers its link's first packet in flight.
-type delivery struct{ l *Link }
+// delivery is the link's source in the kernel: id is its registration in
+// s, made when the link is first woken there.
+type delivery struct {
+	l  *Link
+	s  *sim.Simulator
+	id uint32
+}
 
-func (d *delivery) Run(s *sim.Simulator) {
-	l, now := d.l, s.Now()
-	l.settle(now, false)
+// Fire delivers the link's first packet in flight, after waking the link
+// for the next one or idling it.
+func (d *delivery) Fire(s *sim.Simulator) {
+	l := d.l
+	l.settle(s.Now(), false)
 	p := l.flight[l.head].p
 	if l.head++; 2*l.head >= len(l.flight) {
 		l.flight = l.flight[:copy(l.flight, l.flight[l.head:])]
 		l.head = 0
 	}
 	if l.head < len(l.flight) {
-		if next := &l.flight[l.head]; !next.scheduled {
-			next.scheduled = true
-			s.AfterFirst(next.at-now, l.id, d)
-		}
+		s.Wake(d.id, l.flight[l.head].at)
+	} else {
+		s.Idle(d.id)
 	}
 	l.dst.HandlePacket(s, p)
 }
@@ -201,13 +205,15 @@ func (l *Link) Send(s *sim.Simulator, p *Packet) {
 	l.kick(s)
 }
 
-// kick starts the transmitter now if it is idle; the packet started
-// schedules its own delivery.
+// kick starts the transmitter now if it is idle, and wakes the link if
+// the packet started is the only one in flight.
 func (l *Link) kick(s *sim.Simulator) {
-	if !l.busy && l.start(s.Now()) {
-		f := &l.flight[len(l.flight)-1]
-		f.scheduled = true
-		s.AfterFirst(f.at-s.Now(), l.id, &l.deliver)
+	if !l.busy && l.start(s.Now()) && len(l.flight) == 1 {
+		d := &l.deliver
+		if d.s != s {
+			d.s, d.id = s, s.Register(d, l.id)
+		}
+		s.Wake(d.id, l.flight[0].at)
 	}
 }
 

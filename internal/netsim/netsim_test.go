@@ -165,6 +165,47 @@ func TestManyToOneCongestion(t *testing.T) {
 	}
 }
 
+// TestTwoNetworksOneSimulator runs two fabrics on one simulator, as a test
+// of an adaptive application does. Their links have the same ids, which
+// rank them in the kernel and must not name them there: every packet has
+// to reach the right host of its own network, once.
+func TestTwoNetworksOneSimulator(t *testing.T) {
+	s := sim.New(1)
+	const hosts, n = 3, 20
+	got := make([][hosts]int, 2)
+	var nets []*Network
+	for k, prop := range []sim.Duration{500 * sim.Nanosecond, 700 * sim.Nanosecond} {
+		net, err := New(Config{Hosts: hosts, PropDelay: prop, SwitchSched: fifoFactory})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for h := 0; h < hosts; h++ {
+			net.Host(h).SetReceiver(HandlerFunc(func(_ *sim.Simulator, p *Packet) {
+				if p.Dst != h || p.MsgID != uint64(k) {
+					t.Errorf("network %d host %d got a packet for network %d host %d", k, h, p.MsgID, p.Dst)
+				}
+				got[k][h]++
+			}))
+		}
+		nets = append(nets, net)
+	}
+	for i := 0; i < n; i++ {
+		for k, net := range nets {
+			for h := 0; h < hosts; h++ {
+				net.Host(h).Send(s, &Packet{Dst: (h + 1 + i%2) % hosts, MsgID: uint64(k), Size: 1000 + 100*k})
+			}
+		}
+	}
+	s.RunUntil(sim.Millisecond)
+	for k := range nets {
+		for h, c := range got[k] {
+			if c != n {
+				t.Errorf("network %d host %d received %d packets, want %d", k, h, c, n)
+			}
+		}
+	}
+}
+
 func TestWFQDownlinkShares(t *testing.T) {
 	// Saturate a downlink with two QoS classes from two senders; the WFQ
 	// port must deliver ~4:1 byte shares while both are backlogged.

@@ -57,10 +57,10 @@ type Network struct {
 	// Star topology.
 	sw *Switch
 
-	// Leaf-spine topology.
-	leaves []*leafSwitch
-	spines []*spineSwitch
-	leafOf func(host int) int
+	// Leaf-spine topology: host h hangs off leaf h/perLeaf.
+	leaves  []*leafSwitch
+	spines  []*spineSwitch
+	perLeaf int
 
 	// byName indexes links for fault-injection targeting; built lazily.
 	byName map[string]*Link

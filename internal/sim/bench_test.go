@@ -96,20 +96,26 @@ func BenchmarkSimHold(b *testing.B) {
 	}
 }
 
-// BenchmarkSimLanes is the hold model with the delays of a packet run: 256
-// events re-arm themselves at one of the five delays sim-large-rpc
-// schedules 99 % of its events at (an MTU's and a tail packet's
-// serialisation at 100 G, an ack's, propagation, the RTO floor), and 8 more
-// at random gaps of that size, as generators and re-armed RTOs do.
-// BenchmarkSimHold's gaps are all random, so it times the path where no
-// lane is held; this one times the path a simulation takes.
-func BenchmarkSimLanes(b *testing.B) {
+// linkSource is a source that wakes itself gap after each firing, as a
+// link with a backlog does for its next delivery.
+type linkSource struct {
+	id  uint32
+	gap Duration
+}
+
+func (l *linkSource) Fire(s *Simulator) { s.Wake(l.id, s.Now().Add(l.gap)) }
+
+// newSources returns a simulator in steady state with the shape of a
+// sim-large-rpc run: 16 links delivering back to back, each an MTU's, a
+// tail packet's or an ack's serialisation at 100 G apart, and 8 ordinary
+// events re-arming at random gaps of that size, as generators and RTOs do.
+func newSources() *Simulator {
 	s := New(1)
-	delays := []Duration{120_000, 99_200, 5_120, 500_000, 100 * Microsecond}
-	fixed := make([]loopEvent, 256)
-	for i := range fixed {
-		fixed[i].gap = delays[i%len(delays)]
-		s.After(Duration(i)*977, &fixed[i])
+	delays := []Duration{120_000, 99_200, 5_120}
+	links := make([]linkSource, 16)
+	for i := range links {
+		links[i] = linkSource{s.Register(&links[i], uint32(i)), delays[i%len(delays)]}
+		s.Wake(links[i].id, Duration(i)*977)
 	}
 	rng := rand.New(rand.NewSource(42))
 	gaps := make([]Duration, 1<<10)
@@ -121,12 +127,16 @@ func BenchmarkSimLanes(b *testing.B) {
 		random[i] = holdEvent{gaps: gaps, i: i * 31}
 		s.After(gaps[i], &random[i])
 	}
-	for i := 0; i < 8*len(fixed); i++ {
+	for i := 0; i < 64*len(links); i++ {
 		s.Step()
 	}
-	if allocs := testing.AllocsPerRun(1000, func() { s.Step() }); allocs != 0 {
-		b.Fatalf("Step allocates %v per event in steady state, want 0", allocs)
-	}
+	return s
+}
+
+// BenchmarkSimSources times the path a packet run takes: nearly every step
+// is a link's delivery, a source that fires and re-keys its node in place.
+func BenchmarkSimSources(b *testing.B) {
+	s := newSources()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

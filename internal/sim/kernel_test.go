@@ -14,8 +14,11 @@ import (
 type kernel interface {
 	now() Time
 	at(t Time, fn func()) int
-	// first schedules fn at t ahead of the ordinary events of t (AfterFirst).
-	first(t Time, id uint32, fn func()) int
+	// register adds an idle source that calls fn when it fires; wake and
+	// idle are Wake and Idle.
+	register(rank uint32, fn func()) uint32
+	wake(id uint32, t Time)
+	idle(id uint32)
 	cancel(h int) bool
 	live(h int) bool
 	step() bool
@@ -25,25 +28,27 @@ type kernel interface {
 }
 
 // refKernel is the reference the event kernel is checked against: the
-// queue is a slice sorted after every append by the rule the package
-// comment states, (at, rank, id or seq): first-ranked events by id, then
-// ordinary ones in scheduling order. Like the kernel it drops a cancelled
-// event only when it reaches the head, so pending() agrees event for
-// event.
+// queue is a slice sorted after every change by the rule the package
+// comment states, (at, rank, id or seq): waiting sources by rank and then
+// id, then ordinary events in scheduling order. Like the kernel it drops a
+// cancelled event only when it reaches the head, so pending() agrees event
+// for event, and a source that fires stays queued until it wakes or idles.
 type refKernel struct {
-	t   Time
-	n   uint64
-	seq uint64
-	q   []*refEvent
-	hs  []*refEvent
+	t    Time
+	n    uint64
+	seq  uint64
+	q    []*refEvent
+	hs   []*refEvent
+	srcs []*refEvent
 }
 
 type refEvent struct {
 	at              Time
-	rank            int
-	ord             uint64 // id, or seq for the ordinary rank
+	rank            uint64 // a source's rank, or ordinary
+	ord             uint64 // a source's id, or seq
 	fn              func()
 	cancelled, gone bool
+	source, queued  bool
 }
 
 func (k *refKernel) now() Time         { return k.t }
@@ -53,15 +58,35 @@ func (k *refKernel) live(h int) bool   { return !k.hs[h].gone && !k.hs[h].cancel
 
 func (k *refKernel) at(t Time, fn func()) int {
 	k.seq++
-	return k.add(&refEvent{at: t, rank: 1, ord: k.seq, fn: fn})
-}
-
-func (k *refKernel) first(t Time, id uint32, fn func()) int {
-	return k.add(&refEvent{at: t, rank: 0, ord: uint64(id), fn: fn})
-}
-
-func (k *refKernel) add(e *refEvent) int {
+	e := &refEvent{at: t, rank: ordinary, ord: k.seq, fn: fn}
 	k.q = append(k.q, e)
+	k.sort()
+	k.hs = append(k.hs, e)
+	return len(k.hs) - 1
+}
+
+func (k *refKernel) register(rank uint32, fn func()) uint32 {
+	k.srcs = append(k.srcs, &refEvent{rank: uint64(rank), ord: uint64(len(k.srcs)), fn: fn, source: true})
+	return uint32(len(k.srcs) - 1)
+}
+
+func (k *refKernel) wake(id uint32, t Time) {
+	e := k.srcs[id]
+	if e.at = t; !e.queued {
+		e.queued = true
+		k.q = append(k.q, e)
+	}
+	k.sort()
+}
+
+func (k *refKernel) idle(id uint32) {
+	if e := k.srcs[id]; e.queued {
+		e.queued = false
+		k.q = slices.DeleteFunc(k.q, func(x *refEvent) bool { return x == e })
+	}
+}
+
+func (k *refKernel) sort() {
 	sort.Slice(k.q, func(i, j int) bool {
 		a, b := k.q[i], k.q[j]
 		if a.at != b.at {
@@ -72,8 +97,6 @@ func (k *refKernel) add(e *refEvent) int {
 		}
 		return a.ord < b.ord
 	})
-	k.hs = append(k.hs, e)
-	return len(k.hs) - 1
 }
 
 func (k *refKernel) cancel(h int) bool {
@@ -84,9 +107,16 @@ func (k *refKernel) cancel(h int) bool {
 	return true
 }
 
-// take removes the head and runs it unless it was cancelled.
+// take runs the head: a source in place, an event after removing it
+// unless it was cancelled.
 func (k *refKernel) take() bool {
 	e := k.q[0]
+	if e.source {
+		k.t = e.at
+		k.n++
+		e.fn()
+		return true
+	}
 	k.q = k.q[1:]
 	e.gone = true
 	if e.cancelled {
@@ -135,10 +165,17 @@ func (k *simKernel) at(t Time, fn func()) int {
 	return len(k.hs) - 1
 }
 
-func (k *simKernel) first(t Time, id uint32, fn func()) int {
-	k.hs = append(k.hs, k.s.AfterFirst(t-k.s.Now(), id, EventFunc(func(*Simulator) { fn() })))
-	return len(k.hs) - 1
+func (k *simKernel) register(rank uint32, fn func()) uint32 {
+	return k.s.Register(fireFunc(fn), rank)
 }
+
+func (k *simKernel) wake(id uint32, t Time) { k.s.Wake(id, t) }
+func (k *simKernel) idle(id uint32)         { k.s.Idle(id) }
+
+// fireFunc adapts a function to the Source interface.
+type fireFunc func()
+
+func (f fireFunc) Fire(*Simulator) { f() }
 
 func b2i(b bool) int64 {
 	if b {
@@ -154,17 +191,12 @@ func b2i(b bool) int64 {
 // Events schedule and cancel from inside their own firing, and the handle
 // list keeps every handle ever issued, so cancelling a fired event or one
 // whose slot has a new occupant happens as often as cancelling a live one.
-// A first-ranked event's id sorts by the program's argument, not by when it
-// was scheduled; a count in its low bits keeps (at, rank, id) unique.
+// Sources are ranked by the program's argument, not by when they were
+// registered, so two of one instant often share a rank.
 func play(k kernel, prog []byte) []int64 {
 	var out []int64
-	handles, nfirst := 0, uint32(0)
+	handles, sources := 0, uint32(0)
 	sched := func(t Time, fn func()) { k.at(t, fn); handles++ }
-	first := func(t Time, arg byte, fn func()) {
-		k.first(t, uint32(arg)<<20|nfirst, fn)
-		handles++
-		nfirst++
-	}
 	pick := func(arg byte) int { return int(arg) % handles }
 	for pc := 0; pc+1 < len(prog); pc += 2 {
 		op, arg := prog[pc]%9, prog[pc+1]
@@ -208,13 +240,31 @@ func play(k kernel, prog []byte) []int64 {
 			if handles > 0 {
 				out = append(out, -3, b2i(k.live(pick(arg))))
 			}
-		case 8: // a delivery; when it fires it schedules an ordinary event for
-			// right now and the next delivery, as a link's delivery does
-			first(k.now().Add(Duration(arg%8)), arg>>3, func() {
-				out = append(out, id)
-				sched(k.now(), func() { out = append(out, id+1) })
-				first(k.now().Add(Duration(arg>>6)), arg, func() { out = append(out, id+2) })
-			})
+		case 8: // a source, as a link is: registered and woken arg>>2&3 ahead,
+			// it fires (arg>>4&1)+1 times arg>>2&3 apart, each time
+			// scheduling an ordinary event for right now; or a wake arg>>5
+			// ahead (earlier or later than where it waits) or an idle of a
+			// registered one, picked by arg>>2
+			switch n := sources; {
+			case n == 0 || arg%4 == 0:
+				var src uint32
+				gap, left := Duration(arg>>2&3), int(arg>>4&1)
+				src = k.register(uint32(arg>>5), func() {
+					out = append(out, id+int64(src))
+					sched(k.now(), func() { out = append(out, -4-id) })
+					if left--; left >= 0 {
+						k.wake(src, k.now().Add(gap))
+					} else {
+						k.idle(src)
+					}
+				})
+				sources++
+				k.wake(src, k.now().Add(gap))
+			case arg%4 == 3:
+				k.idle(uint32(arg>>2) % n)
+			default:
+				k.wake(uint32(arg>>2)%n, k.now().Add(Duration(arg>>5)))
+			}
 		}
 		out = append(out, int64(k.now()), int64(k.processed()), int64(k.pending()))
 	}
@@ -252,45 +302,61 @@ var kernelPrograms = []struct {
 	{"cancel-from-run", []byte{0, 4, 0, 4, 6, 8, 6, 3, 0, 4, 6, 20, 5, 4, 3, 2, 5, 15}},
 	{"cancelled-head-past-end", []byte{0, 7, 0, 6, 3, 1, 5, 2, 7, 1, 7, 0, 5, 15}},
 	{"never", []byte{0, 255, 0, 1, 4, 0, 1, 3, 5, 15, 0, 255, 2, 255, 4, 0, 4, 0}},
-	// The lanes: a delay's first event waits in the heap, its second claims
-	// a lane, and the pop order must not show which went where.
+	// The programs named for lanes, deliveries and first-ranked events were
+	// written for the fixed-delay FIFO lanes that once sat beside the heap
+	// and for the events ranked first in their instant that sources
+	// replaced. Each still pins a case of the one heap, and the
+	// first-ranked ones now drive sources.
+	//
+	// Repeated delays interleaved with others.
 	{"lane-claimed-on-second-sighting", []byte{0, 3, 0, 1, 0, 3, 0, 3, 0, 2, 4, 0, 0, 3, 5, 15}},
-	// At time 2 wait, by seq: heap, lane, lane, heap. The heap top wins the
-	// first tie and the lane head the second.
+	// Four events tie at time 2, scheduled from two instants; they fire in
+	// scheduling order.
 	{"lane-head-ties-heap-top", []byte{0, 2, 0, 2, 0, 2, 5, 1, 0, 1, 4, 0, 4, 0, 4, 0, 4, 0}},
-	// Two lanes' heads at time 4, the later-claimed lane's queued first.
+	// Ties at time 4 scheduled from two instants at two delays.
 	{"lane-heads-tie", []byte{0, 2, 0, 2, 0, 4, 0, 4, 5, 2, 0, 2, 0, 2, 4, 0, 4, 0, 4, 0, 4, 0}},
+	// A cancel among four events of one instant.
 	{"cancel-inside-lane", []byte{0, 5, 0, 5, 0, 5, 0, 5, 3, 2, 7, 2, 5, 15, 3, 3}},
-	// Handles 2 and 3 are alone in a lane at time 10 when 2 is cancelled;
-	// RunUntil(8) must drop it as the queue's head and keep 3.
+	// Handles 2 and 3 are alone at time 10 when 2 is cancelled; RunUntil(8)
+	// must drop it as the queue's head and keep 3.
 	{"cancelled-lane-head-past-end", []byte{0, 7, 0, 7, 5, 3, 0, 7, 0, 7, 0, 1, 4, 0, 4, 0, 4, 0, 3, 2, 5, 1, 7, 2, 7, 3, 5, 15}},
-	// Delay 3's lane drains and delay 5 takes it over; delay 3 then has to
-	// claim another.
+	// Delays 3 and 5 alternate across instants.
 	{"lane-rekeyed-after-draining", []byte{0, 3, 0, 3, 5, 15, 0, 5, 0, 5, 0, 3, 0, 3, 0, 5, 0, 1, 5, 15}},
-	// Delays 0-7 hold the eight lanes, so recurring delays 8 and 9 stay in
-	// the heap, and still fire in order among themselves and the lanes.
+	// Ten recurring delays and events that re-arm themselves.
 	{"more-delays-than-lanes", []byte{0, 7, 0, 7, 0, 6, 0, 6, 0, 5, 0, 5, 0, 4, 0, 4, 0, 3, 0, 3, 0, 2, 0, 2, 0, 1, 0, 1, 0, 0, 0, 0,
 		2, 0x90, 2, 0x80, 2, 0x90, 2, 0x80, 2, 0x90, 2, 0x80, 0, 7, 0, 1, 5, 8, 2, 0x80, 0, 1, 5, 15}},
-	// A lane's ring doubles while its contents wrap around the end: 30 of
-	// 60 events are gone when 80 more arrive.
+	// The heap grows to 190 events while it drains: 30 of 60 are gone when
+	// 80 more arrive.
 	{"lane-ring-grows-wrapped", slices.Concat(bytes.Repeat([]byte{0, 5}, 60), bytes.Repeat([]byte{4, 0}, 30),
 		bytes.Repeat([]byte{0, 5, 0, 1}, 80), []byte{3, 100, 5, 15})},
-	// Events at MaxTime from different instants have different delays, and
-	// each delay's lane ends at MaxTime like every other.
+	// Events at MaxTime scheduled from different instants.
 	{"never-in-lanes", []byte{0, 255, 0, 255, 0, 255, 5, 5, 0, 255, 0, 255, 0, 1, 0, 1, 4, 0, 3, 1, 4, 0, 4, 0, 4, 0}},
-	// A delivery scheduled after an ordinary event of its instant runs
-	// before it.
-	{"delivery-before-ordinary", []byte{0, 2, 8, 2, 4, 0, 4, 0, 5, 15}},
-	// Two deliveries of one instant run in id order, the later-scheduled
-	// (id 1) first.
-	{"deliveries-in-id-order", []byte{8, 43, 8, 11, 5, 15}},
-	// Delay 3's lane ends with an ordinary event at time 3; a delivery at
-	// that instant sorts before the tail and must wait in the heap, or it
-	// would fire after it.
-	{"first-rank-behind-lane-tail", []byte{0, 3, 0, 3, 8, 3, 5, 15}},
-	// Two deliveries at time 5, one in the heap and one heading delay 5's
-	// lane, are cancelled in turn and dropped by RunUntil short of them.
+	// A source woken at 2 fires before the ordinary event of 2 scheduled
+	// ahead of it, then wakes itself for 4 from its own fire, as a link
+	// does for its next delivery.
+	{"delivery-before-ordinary", []byte{0, 2, 8, 24, 4, 0, 4, 0, 5, 15}},
+	// Two sources of one rank and instant fire in order of id.
+	{"deliveries-in-id-order", []byte{8, 100, 8, 100, 5, 15}},
+	// Two ordinary events wait at time 3 when a source wakes for 3; it
+	// fires ahead of both.
+	{"first-rank-behind-lane-tail", []byte{0, 3, 0, 3, 8, 12, 5, 15}},
+	// A source re-woken earlier than it waits fires there, and RunUntil
+	// then drops a cancelled event at the head past its end.
 	{"cancelled-first-rank-head", []byte{8, 5, 8, 5, 0, 6, 3, 0, 5, 2, 7, 0, 7, 1, 3, 1, 5, 1, 5, 15}},
+	// A source woken at 2 fires before the ordinary event scheduled at 2
+	// ahead of it.
+	{"source-before-ordinary", []byte{0, 2, 8, 8, 4, 0, 4, 0, 5, 15}},
+	// Three sources woken at 1, ranked 3, 1 and 1: the rank-1 ones fire
+	// first, in order of registration.
+	{"sources-of-one-instant-in-rank-order", []byte{8, 100, 8, 36, 8, 36, 5, 15}},
+	// The head source (id 1, at 2) is woken later, to 7, and the other
+	// (id 0, at 3) earlier, to 1.
+	{"rewake-of-queued-head", []byte{8, 12, 8, 8, 8, 229, 8, 34, 4, 0, 5, 15}},
+	// The head source is idled, the other fires, and the first is woken
+	// again.
+	{"idle-of-head", []byte{8, 8, 8, 12, 8, 3, 4, 0, 8, 33, 5, 15}},
+	// RunUntil stops at 2 short of a source waiting at 3.
+	{"run-until-short-of-source", []byte{8, 12, 0, 1, 5, 2, 4, 0, 5, 15}},
 }
 
 // TestKernelMatchesReference drives the event kernel and the reference
@@ -314,38 +380,6 @@ func TestKernelMatchesReference(t *testing.T) {
 			diverge(t, prog)
 		}
 	})
-}
-
-// TestRecurringDelaysLeaveHeap is the lanes' claim rule seen from inside: of
-// numLanes delays, each one's first event goes to the heap and its second
-// claims a lane, and once those first events have fired the heap stays
-// empty however the delays are interleaved.
-func TestRecurringDelaysLeaveHeap(t *testing.T) {
-	s := New(1)
-	nop := EventFunc(func(*Simulator) {})
-	for d := Duration(1); d <= numLanes; d++ {
-		s.After(d*Microsecond, nop)
-		s.After(d*Microsecond, nop)
-		if heap, all := s.events.live(), s.Pending(); heap != int(d) || all != 2*int(d) {
-			t.Fatalf("after delay %d's second use: %d events in the heap, %d pending; want %d, %d", d, heap, all, d, 2*d)
-		}
-	}
-	s.Run()
-	for round := 0; round < 3; round++ {
-		for d := Duration(numLanes); d >= 1; d-- {
-			s.After(d*Microsecond, nop)
-			s.After((d+Duration(round))%numLanes*Microsecond+Microsecond, nop)
-			if s.events.live() != 0 {
-				t.Fatalf("round %d, delay %d: %d events in the heap, want every one in a lane", round, d, s.events.live())
-			}
-		}
-		for i := 0; i < numLanes; i++ {
-			s.Step()
-		}
-	}
-	if s.Run(); s.Pending() != 0 || s.Processed != 2*numLanes+3*2*numLanes {
-		t.Fatalf("Pending = %d, Processed = %d after draining", s.Pending(), s.Processed)
-	}
 }
 
 // FuzzKernelOrder is the same comparison with the fuzzer choosing the

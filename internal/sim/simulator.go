@@ -56,9 +56,10 @@ func (h Handle) Pending() bool {
 	return sl.gen == h.gen && sl.queued && !sl.cancelled
 }
 
-// node is one heap entry: the sort key and the index of the event's slot.
-// It holds no pointer, so a sift moves 24-byte values inside one backing
-// array that the garbage collector never scans, and writes nothing else.
+// node is one heap entry: the sort key and the index of the event's slot,
+// or in the waiting heap the source's id. It holds no pointer, so a sift
+// moves 24-byte values inside one backing array that the garbage collector
+// never scans, and writes nothing else.
 type node struct {
 	at   Time
 	key  uint64
@@ -66,8 +67,8 @@ type node struct {
 }
 
 // ordinary is set in the key of an event scheduled by At or After, above
-// its sequence number, so it runs after every AfterFirst event of its
-// instant, whose key is its id.
+// its sequence number, so it runs after every source of its instant, whose
+// key is below it.
 const ordinary = 1 << 62
 
 // before reports, as 0 or 1, whether x sorts before y in (at, key) order.
@@ -153,36 +154,21 @@ func (h *eventHeap) pop() node {
 	return top
 }
 
-// numLanes is how many recurring delays get a FIFO of their own, and
-// numMissed how many recently missed delays are remembered to tell a
-// recurring delay from a one-off.
-const numLanes, numMissed = 8, 4
-
-// lane is a FIFO ring of the events scheduled one fixed delay ahead of the
-// clock. The clock never runs backwards and seq only grows, so successive
-// At(now+delay) calls arrive in (at, key) order: for one delay the arrival
-// order is the priority order, and the ring's head is its minimum (see the
-// package comment for what a packet run gains by it).
-type lane struct {
-	first node   // copy of the ring's head while n > 0: finding the minimum follows no pointer
-	q     []node // ring; len(q) is zero or a power of two
-	head  uint32 // index of the first node, taken modulo len(q)
-	n     uint32
+// Source is something that keeps its own next firing time, such as a
+// link whose deliveries are FIFO: the kernel holds one entry per waiting
+// source, not one per event. A registered source fires at the time it last
+// woke at; its Fire must call Wake or Idle for its own id, or it stays
+// queued at that time and fires again.
+type Source interface {
+	Fire(s *Simulator)
 }
 
-func (l *lane) at(i uint32) *node { return &l.q[(l.head+i)&uint32(len(l.q)-1)] }
-
-// push appends nd, doubling the ring when it is full.
-func (l *lane) push(nd node) {
-	if int(l.n) == len(l.q) {
-		q := make([]node, max(64, 2*len(l.q)))
-		for i := uint32(0); i < l.n; i++ {
-			q[i] = *l.at(i)
-		}
-		l.q, l.head = q, 0
-	}
-	*l.at(l.n) = nd
-	l.n++
+// source is a registered Source: key is rank<<32 | id, and pos is where
+// its node is in the waiting heap, or -1 while it is idle.
+type source struct {
+	Source
+	key uint64
+	pos int32
 }
 
 // Simulator is a single-threaded discrete-event simulation. The zero value
@@ -191,15 +177,12 @@ type Simulator struct {
 	now    Time
 	seq    uint64
 	events eventHeap
-	// lanes hold the events of recurring delays beside the heap, bit i of
-	// occupied set while lanes[i] is non-empty. missed is the last delays
-	// that matched no lane: one seen there again takes over an empty lane.
-	lanes    [numLanes]lane
-	delays   [numLanes]Duration // the lanes' keys; -1 until claimed
-	occupied uint32
-	missed   [numMissed]Duration
-	nmissed  uint32
-	rng      *rand.Rand
+	// sources are the registered sources by id, and waiting is a binary
+	// min-heap by (at, key) of the nodes of those that are not idle, each
+	// node's slot its source's id, followed by one sentinel.
+	sources []source
+	waiting []node
+	rng     *rand.Rand
 	// slots is the event slab and free the indices of its fired and
 	// cancelled entries, bounding steady-state allocation to the peak
 	// number of simultaneously pending events.
@@ -212,11 +195,7 @@ type Simulator struct {
 
 // New returns a Simulator whose random source is seeded with seed.
 func New(seed int64) *Simulator {
-	s := &Simulator{rng: rand.New(rand.NewSource(seed)), events: newEventHeap()}
-	for i := range s.delays {
-		s.delays[i] = -1
-	}
-	return s
+	return &Simulator{rng: rand.New(rand.NewSource(seed)), events: newEventHeap(), waiting: []node{sentinel}}
 }
 
 // Now returns the current simulated time.
@@ -231,20 +210,6 @@ func (s *Simulator) At(t Time, ev Event) Handle {
 	if t < s.now {
 		panic("sim: event scheduled in the past")
 	}
-	key := ordinary | s.seq
-	s.seq++
-	return s.schedule(t, key, ev)
-}
-
-// AfterFirst schedules ev d after now, saturating like After, to run before
-// every ordinary event of its instant. Such events of one instant run in
-// order of id, whatever order they were scheduled in: ids must differ.
-func (s *Simulator) AfterFirst(d Duration, id uint32, ev Event) Handle {
-	return s.schedule(s.now.Add(max(d, 0)), uint64(id), ev)
-}
-
-// schedule queues ev at t under key.
-func (s *Simulator) schedule(t Time, key uint64, ev Event) Handle {
 	var idx uint32
 	if n := len(s.free); n > 0 {
 		idx = s.free[n-1]
@@ -255,89 +220,94 @@ func (s *Simulator) schedule(t Time, key uint64, ev Event) Handle {
 	}
 	sl := &s.slots[idx]
 	sl.ev, sl.cancelled, sl.queued = ev, false, true
-	s.enqueue(node{t, key, idx})
+	s.events.push(node{t, ordinary | s.seq, idx})
+	s.seq++
 	return Handle{s, idx, sl.gen}
 }
 
-// enqueue puts nd in the lane of its delay if it has one, else in the heap.
-// Where a node waits changes no order: earliest compares lane heads and the
-// heap top by (at, key). The tail check compares the whole key: an
-// AfterFirst node can sort before its delay's lane tail of the same
-// instant, and then it waits in the heap.
-func (s *Simulator) enqueue(nd node) {
-	d := nd.at - s.now
-	i := 0
-	for i < numLanes && s.delays[i] != d {
-		i++
+// Register adds src, idle, and returns its id. Sources fire before the
+// ordinary events of their instant, by rank and then in order of
+// registration; rank must be below 1<<30.
+func (s *Simulator) Register(src Source, rank uint32) uint32 {
+	id := uint32(len(s.sources))
+	s.sources = append(s.sources, source{src, uint64(rank)<<32 | uint64(id), -1})
+	return id
+}
+
+// Wake queues source id to fire at t, in place of any time it was queued
+// at. Waking in the past panics, as At does.
+func (s *Simulator) Wake(id uint32, t Time) {
+	if t < s.now {
+		panic("sim: source woken in the past")
 	}
-	if i == numLanes {
-		free := ^s.occupied & (1<<numLanes - 1)
-		if !s.missedBefore(d) || free == 0 {
-			s.events.push(nd)
-			return
-		}
-		i = bits.TrailingZeros32(free)
-		s.delays[i] = d
+	i := int(s.sources[id].pos)
+	if i < 0 {
+		i = len(s.waiting) - 1
+		s.waiting = append(s.waiting, sentinel)
 	}
-	l := &s.lanes[i]
-	if l.n == 0 {
-		l.first = nd
-		s.occupied |= 1 << i
-	} else if before(&nd, l.at(l.n-1)) != 0 {
-		s.events.push(nd)
+	s.place(i, node{t, s.sources[id].key, id})
+}
+
+// Idle takes source id out of the queue until it is next woken.
+func (s *Simulator) Idle(id uint32) {
+	i := int(s.sources[id].pos)
+	if i < 0 {
 		return
 	}
-	l.push(nd)
+	s.sources[id].pos = -1
+	n := len(s.waiting) - 2
+	last := s.waiting[n]
+	s.waiting[n] = sentinel
+	if s.waiting = s.waiting[:n+1]; i < n {
+		s.place(i, last)
+	}
 }
 
-// missedBefore reports whether d is among the last numMissed delays that
-// found no lane, and remembers it if not.
-func (s *Simulator) missedBefore(d Duration) bool {
-	for _, m := range s.missed[:min(s.nmissed, numMissed)] {
-		if m == d {
-			return true
+// place writes nd into the waiting heap at hole i, first moving the hole
+// up past parents that sort after nd, then down past children that sort
+// before it. The sentinel after the live nodes gives the last one a
+// sibling, so the smaller child is computed, not branched on.
+func (s *Simulator) place(i int, nd node) {
+	a, n := s.waiting, len(s.waiting)-1
+	for i > 0 {
+		p := (i - 1) / 2
+		if before(&nd, &a[p]) == 0 {
+			break
 		}
+		a[i] = a[p]
+		s.sources[a[i].slot].pos = int32(i)
+		i = p
 	}
-	s.missed[s.nmissed%numMissed] = d
-	s.nmissed++
-	return false
-}
-
-// earliest returns the next node in (at, key) order and where it waits: a
-// lane index, or -1 for the heap top. With nothing pending it returns the
-// heap's sentinel, whose at is negative. With no lane occupied it costs one
-// test, so the all-one-off case pays the heap and nothing else.
-func (s *Simulator) earliest() (*node, int) {
-	top := &s.events[0]
-	if s.occupied == 0 {
-		return top, -1
-	}
-	w := bits.TrailingZeros32(s.occupied) & (numLanes - 1)
-	for m := s.occupied & (s.occupied - 1); m != 0; m &= m - 1 {
-		if i := bits.TrailingZeros32(m) & (numLanes - 1); before(&s.lanes[i].first, &s.lanes[w].first) != 0 {
-			w = i
+	for c := 2*i + 1; c < n; c = 2*i + 1 {
+		c += before(&a[c+1], &a[c])
+		if before(&a[c], &nd) == 0 {
+			break
 		}
+		a[i] = a[c]
+		s.sources[a[i].slot].pos = int32(i)
+		i = c
 	}
-	if before(top, &s.lanes[w].first) != 0 {
-		return top, -1
-	}
-	return &s.lanes[w].first, w
+	a[i] = nd
+	s.sources[nd.slot].pos = int32(i)
 }
 
-// take removes the node earliest found at from.
-func (s *Simulator) take(from int) node {
-	if from < 0 {
-		return s.events.pop()
+// next returns the earliest pending node and whether it is a source's.
+// With nothing pending it returns the heap's sentinel, whose at is
+// negative.
+func (s *Simulator) next() (*node, bool) {
+	if before(&s.waiting[0], &s.events[0]) != 0 {
+		return &s.waiting[0], true
 	}
-	l := &s.lanes[from]
-	nd := l.first
-	l.head++
-	if l.n--; l.n == 0 {
-		s.occupied &^= 1 << from
-	} else {
-		l.first = *l.at(0)
-	}
-	return nd
+	return &s.events[0], false
+}
+
+// fireSource fires the earliest waiting source, which stays queued until
+// it wakes again or goes idle.
+func (s *Simulator) fireSource() {
+	nd := s.waiting[0]
+	s.now = nd.at
+	s.Processed++
+	s.sources[nd.slot].Fire(s)
 }
 
 // fire consumes a popped node: it recycles the slot, which invalidates
@@ -371,20 +341,18 @@ func (s *Simulator) AfterFunc(d Duration, f func(*Simulator)) Handle {
 }
 
 // Pending reports the number of events in the queue, including cancelled
-// events that have not yet been discarded.
-func (s *Simulator) Pending() int {
-	n := s.events.live()
-	for i := range s.lanes {
-		n += int(s.lanes[i].n)
-	}
-	return n
-}
+// events that have not yet been discarded, and of sources waiting to fire.
+func (s *Simulator) Pending() int { return s.events.live() + len(s.waiting) - 1 }
 
-// Step runs the single earliest pending event. It reports false when the
-// queue is empty.
+// Step runs the single earliest pending event or source. It reports false
+// when the queue is empty.
 func (s *Simulator) Step() bool {
-	for head, from := s.earliest(); head.at >= 0; head, from = s.earliest() {
-		if s.fire(s.take(from)) {
+	for nd, src := s.next(); nd.at >= 0; nd, src = s.next() {
+		if src {
+			s.fireSource()
+			return true
+		}
+		if s.fire(s.events.pop()) {
 			return true
 		}
 	}
@@ -397,15 +365,17 @@ func (s *Simulator) Run() {
 	}
 }
 
-// RunUntil processes events with timestamps ≤ end, then advances the clock
-// to end. Events scheduled after end remain queued, except that a cancelled
-// event at the head of the queue is discarded whatever its timestamp.
+// RunUntil processes events and sources with timestamps ≤ end, then
+// advances the clock to end. Those after end remain queued, except that a
+// cancelled event at the head of the queue is discarded whatever its
+// timestamp.
 func (s *Simulator) RunUntil(end Time) {
-	for head, from := s.earliest(); head.at >= 0; head, from = s.earliest() {
-		if head.at > end && !s.slots[head.slot].cancelled {
-			break
+	for nd, src := s.next(); nd.at >= 0 && (nd.at <= end || !src && s.slots[nd.slot].cancelled); nd, src = s.next() {
+		if src {
+			s.fireSource()
+		} else {
+			s.fire(s.events.pop())
 		}
-		s.fire(s.take(from))
 	}
 	if s.now < end {
 		s.now = end

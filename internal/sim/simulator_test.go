@@ -394,13 +394,17 @@ func TestAfterSaturatesAtMaxTime(t *testing.T) {
 
 // TestStepNoAllocs: in steady state the schedule/fire cycle allocates
 // nothing — the slab, the free list and the heap's backing array have all
-// reached their size.
+// reached their size — and neither does a source's fire and wake.
 func TestStepNoAllocs(t *testing.T) {
 	for _, pending := range []int{16, 256} {
 		s := newHold(pending)
 		if allocs := testing.AllocsPerRun(5000, func() { s.Step() }); allocs != 0 {
 			t.Errorf("pending=%d: Step allocates %v per event, want 0", pending, allocs)
 		}
+	}
+	s := newSources()
+	if allocs := testing.AllocsPerRun(5000, func() { s.Step() }); allocs != 0 {
+		t.Errorf("sources: Step allocates %v per event, want 0", allocs)
 	}
 }
 

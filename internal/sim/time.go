@@ -10,34 +10,20 @@
 // The event queue is where a packet-level run spends its time, so its
 // layout is chosen for the host, not for brevity:
 //
+//   - A source (netsim's Link) keeps its own next firing time, so the
+//     kernel holds one node per waiting source, not one per event: a link's
+//     deliveries are FIFO, and the kernel sees only the first. Registered
+//     sources wait in a small binary min-heap indexed by source id; a Wake
+//     re-keys a source's node where it stands (a link that fires and wakes
+//     for its next delivery sifts its node down from the root), and Idle
+//     removes it. A packet's delivery takes no slot, no Handle and no push.
 //   - Events live in a slab of slots indexed by uint32 and recycled through
 //     a free list of indices; a Handle is (simulator, index, generation).
 //     What is queued is a pointer-free 24-byte node {at, key, slot}, in
 //     arrays the garbage collector does not scan.
-//   - Regular traffic never enters a heap. The clock never runs backwards
-//     and seq only grows, so the events scheduled one fixed delay ahead of
-//     the clock are already in (at, key) order when they arrive: for one
-//     delay a FIFO is a priority queue, its head the minimum and a push an
-//     append. A packet run schedules most of its events at a handful of
-//     delays (a delivery an MTU's, a tail's or an ack's serialisation
-//     after the last, or that plus propagation; the RTO floor, the RPC
-//     time-out and back-off), so the kernel keeps numLanes FIFO rings,
-//     each keyed by one delay. A delay
-//     claims a lane by recurring: one that matches no lane is remembered
-//     among the last numMissed that did not, and when it is seen there
-//     again it takes over an empty lane. An occupied lane is never
-//     re-keyed, and a one-off delay (a generator gap, a re-armed RTO) is
-//     not seen twice and never holds one. The next event is the minimum by
-//     (at, key) over the heap top and the heads of the occupied lanes,
-//     found through one occupancy word; with no lane occupied that is one
-//     test and the heap's own pop.
-//   - The heap holds what is left: one-off delays, fault plans, recurring
-//     delays beyond numLanes. It is a 4-ary min-heap of the same nodes, so
-//     a sift moves values inside one array and writes nothing outside it;
-//     with the lanes beside it a cluster run's heap is 70-120 entries, three
-//     levels deep or just into a fourth, where it was a few hundred (and
-//     12 500 with a retry policy's dead time-out timers, which now wait in
-//     one ring).
+//   - Events wait in a 4-ary min-heap of those nodes, so a sift moves
+//     values inside one array and writes nothing outside it. With the
+//     deliveries out of it, a run's heap holds its timers and little else.
 //   - Removing the minimum is bottom-up: the hole left by the root walks to
 //     a leaf along the smallest children, and the displaced last node rises
 //     from there, nearly always zero or one steps. The walk's length
@@ -51,13 +37,13 @@
 //     negative: the clock starts at 0 and At rejects times before Now.
 //
 // The order of the events of one instant is part of the model: first the
-// AfterFirst ones by id (netsim's deliveries, keyed by link), then the
-// ordinary ones as scheduled (and, in netsim, transmitters freeing last).
-// The queue's layout is visible in no result: (at, key) is unique, every
-// correct priority queue pops the same sequence, and where a node waits
-// changes no comparison; TestKernelMatchesReference and FuzzKernelOrder
-// check the kernel against a sort-based reference, and the golden-output
-// tests of the root package pin the results byte for byte.
+// sources, by rank and then by id (netsim's deliveries, ranked by link),
+// then the ordinary events as scheduled (and, in netsim, transmitters
+// freeing last). The queue's layout is visible in no result: (at, key) is
+// unique, and every correct priority queue pops the same sequence;
+// TestKernelMatchesReference and FuzzKernelOrder check the kernel against
+// a sort-based reference, and the golden-output tests of the root package
+// pin the results byte for byte.
 package sim
 
 import (

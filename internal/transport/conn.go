@@ -34,9 +34,10 @@ type Message struct {
 	SubmitTime sim.Time
 
 	start, end int64 // byte range within the connection stream
-	// enqTraced marks that the first-packet enqueue event was emitted, so
-	// an RTO rewind does not produce a duplicate.
-	enqTraced bool
+	// enqTraced and enqAttributed mark that the first-packet enqueue was
+	// traced and stamped on the attributor, so an RTO rewind does neither
+	// twice.
+	enqTraced, enqAttributed bool
 }
 
 // Config parameterises an Endpoint.
@@ -448,7 +449,10 @@ func (c *conn) emit(s *sim.Simulator) {
 				c.stalled = false
 				at.PaceStall(c.ep.host.ID, m.ID, s.Now()-c.stallFrom)
 			}
-			at.FirstEnqueue(s.Now(), c.ep.host.ID, m.ID)
+			if !m.enqAttributed {
+				m.enqAttributed = true
+				at.FirstEnqueue(s.Now(), c.ep.host.ID, m.ID)
+			}
 			if c.nextSend+payload == m.end {
 				p.Tail = true
 				at.TailEmit(s.Now(), c.ep.host.ID, m.ID)
