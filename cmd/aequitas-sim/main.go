@@ -15,6 +15,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -23,21 +24,13 @@ import (
 	"aequitas/internal/obs"
 )
 
-var systems = map[string]aequitas.System{
-	"baseline": aequitas.SystemBaseline,
-	"aequitas": aequitas.SystemAequitas,
-	"spq":      aequitas.SystemSPQ,
-	"dwrr":     aequitas.SystemDWRR,
-	"pfabric":  aequitas.SystemPFabric,
-	"qjump":    aequitas.SystemQJump,
-	"d3":       aequitas.SystemD3,
-	"pdq":      aequitas.SystemPDQ,
-	"homa":     aequitas.SystemHoma,
-}
-
 func main() {
+	var names []string
+	for _, s := range aequitas.Systems() {
+		names = append(names, s.String())
+	}
 	var (
-		system   = flag.String("system", "aequitas", "system: baseline|aequitas|spq|dwrr|pfabric|qjump|d3|pdq|homa")
+		system   = flag.String("system", "aequitas", "system: "+strings.Join(names, "|"))
 		hosts    = flag.Int("hosts", 12, "number of hosts")
 		dur      = flag.Duration("dur", 40*time.Millisecond, "simulated duration")
 		seed     = flag.Int64("seed", 1, "random seed")
@@ -91,8 +84,8 @@ func main() {
 		}()
 	}
 
-	sys, ok := systems[*system]
-	if !ok {
+	sys := aequitas.System(slices.Index(names, *system))
+	if sys < 0 {
 		fmt.Fprintf(os.Stderr, "unknown system %q\n", *system)
 		os.Exit(2)
 	}

@@ -20,11 +20,7 @@ func init() {
 // D3, PDQ) report their in-network time entirely as wire: the
 // decomposition degrades, it never lies.
 func figAttribution(o options) error {
-	systems := []aequitas.System{
-		aequitas.SystemBaseline, aequitas.SystemAequitas, aequitas.SystemSPQ,
-		aequitas.SystemDWRR, aequitas.SystemPFabric, aequitas.SystemQJump,
-		aequitas.SystemD3, aequitas.SystemPDQ, aequitas.SystemHoma,
-	}
+	systems := aequitas.Systems()
 	cfgs := make([]aequitas.SimConfig, len(systems))
 	for i, sys := range systems {
 		cfg := clusterConfig(o, sys, [3]float64{0.5, 0.3, 0.2})

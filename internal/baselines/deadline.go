@@ -1,6 +1,9 @@
 package baselines
 
 import (
+	"cmp"
+	"slices"
+
 	"aequitas/internal/netsim"
 	"aequitas/internal/sim"
 	"aequitas/internal/transport"
@@ -140,7 +143,7 @@ func (f *DeadlineFabric) kickAll(s *sim.Simulator) {
 			pending = append(pending, fl)
 		}
 	}
-	sortFlows(pending, func(a, b *dlFlow) bool { return a.id < b.id })
+	slices.SortFunc(pending, func(a, b *dlFlow) int { return cmp.Compare(a.id, b.id) })
 	for _, fl := range pending {
 		f.senders[fl.src].pump(s, fl)
 	}
@@ -175,7 +178,7 @@ func (f *DeadlineFabric) reallocate(s *sim.Simulator) {
 	}
 	if f.cfg.Policy == PolicyPDQ {
 		// EDF, deadline-less flows last.
-		sortFlows(ordered, func(a, b *dlFlow) bool {
+		slices.SortFunc(ordered, func(a, b *dlFlow) int {
 			ad, bd := a.deadline, b.deadline
 			if ad == 0 {
 				ad = sim.MaxTime
@@ -183,18 +186,12 @@ func (f *DeadlineFabric) reallocate(s *sim.Simulator) {
 			if bd == 0 {
 				bd = sim.MaxTime
 			}
-			if ad != bd {
-				return ad < bd
-			}
-			return a.id < b.id
+			return cmp.Or(cmp.Compare(ad, bd), cmp.Compare(a.id, b.id))
 		})
 	} else {
 		// D3: first come, first served.
-		sortFlows(ordered, func(a, b *dlFlow) bool {
-			if a.arrival != b.arrival {
-				return a.arrival < b.arrival
-			}
-			return a.id < b.id
+		slices.SortFunc(ordered, func(a, b *dlFlow) int {
+			return cmp.Or(cmp.Compare(a.arrival, b.arrival), cmp.Compare(a.id, b.id))
 		})
 	}
 
@@ -332,14 +329,4 @@ func (ds *DeadlineSender) onDone(s *sim.Simulator, p *netsim.Packet) {
 		fl.m.OnComplete(s, fl.m)
 	}
 	f.kickAll(s)
-}
-
-// sortFlows is insertion sort (flow lists per link are short and this
-// avoids pulling in reflection-based sorting in the hot loop).
-func sortFlows(fs []*dlFlow, less func(a, b *dlFlow) bool) {
-	for i := 1; i < len(fs); i++ {
-		for j := i; j > 0 && less(fs[j], fs[j-1]); j-- {
-			fs[j], fs[j-1] = fs[j-1], fs[j]
-		}
-	}
 }

