@@ -48,9 +48,12 @@ func (c *DeadlineConfig) applyDefaults() {
 // the observable outcomes — who meets deadlines, early termination, and
 // the resulting network utilisation — are what Figure 22 measures).
 type DeadlineFabric struct {
-	cfg   DeadlineConfig
-	hosts int
-	flows map[uint64]*dlFlow
+	cfg DeadlineConfig
+	// order holds the live flows, always in policy order (before): Send
+	// inserts, a done-ack deletes, reallocate drops hopeless flows.
+	order []*dlFlow
+	// links is reallocate's per-host residual capacity, reused.
+	links []dlLink
 	next  uint64
 	// senders[i] is host i's DeadlineSender, for receive dispatch.
 	senders []*DeadlineSender
@@ -66,8 +69,7 @@ func NewDeadlineFabric(hosts int, cfg DeadlineConfig) *DeadlineFabric {
 	cfg.applyDefaults()
 	return &DeadlineFabric{
 		cfg:     cfg,
-		hosts:   hosts,
-		flows:   make(map[uint64]*dlFlow),
+		links:   make([]dlLink, hosts),
 		senders: make([]*DeadlineSender, hosts),
 	}
 }
@@ -79,9 +81,16 @@ type dlFlow struct {
 	remaining int64
 	deadline  sim.Time // 0 = none: the flow only ever receives leftover capacity
 	arrival   sim.Time
+	grant     float64 // reallocate's running grant, truncated into rate
 	rate      sim.Rate
 	sending   bool
-	acked     bool
+}
+
+// dlLink is one host's residual uplink and downlink capacity during a
+// reallocate, and the number of live flows into its downlink.
+type dlLink struct {
+	up, down float64
+	flows    int
 }
 
 // DeadlineSender is one host's D3/PDQ transport.
@@ -109,7 +118,8 @@ func (ds *DeadlineSender) Send(s *sim.Simulator, m *transport.Message) {
 		id: f.next, src: ds.host.ID, dst: m.Dst, m: m,
 		remaining: m.Bytes, deadline: m.Deadline, arrival: s.Now(),
 	}
-	f.flows[fl.id] = fl
+	i, _ := slices.BinarySearchFunc(f.order, fl, f.before)
+	f.order = slices.Insert(f.order, i, fl)
 	f.reallocate(s)
 	if !f.started {
 		f.started = true
@@ -118,9 +128,26 @@ func (ds *DeadlineSender) Send(s *sim.Simulator, m *transport.Message) {
 	ds.pump(s, fl)
 }
 
+// before is the policy order reallocate grants in. PDQ is earliest
+// deadline first with deadline-less flows last; D3 is arrival order. The
+// flow id breaks ties.
+func (f *DeadlineFabric) before(a, b *dlFlow) int {
+	ka, kb := a.arrival, b.arrival
+	if f.cfg.Policy == PolicyPDQ {
+		ka, kb = a.deadline, b.deadline
+		if ka == 0 {
+			ka = sim.MaxTime
+		}
+		if kb == 0 {
+			kb = sim.MaxTime
+		}
+	}
+	return cmp.Or(cmp.Compare(ka, kb), cmp.Compare(a.id, b.id))
+}
+
 // tick refreshes allocations periodically while flows exist.
 func (f *DeadlineFabric) tick(s *sim.Simulator) {
-	if len(f.flows) == 0 {
+	if len(f.order) == 0 {
 		f.started = false
 		return
 	}
@@ -134,11 +161,11 @@ func (f *DeadlineFabric) tick(s *sim.Simulator) {
 // the next tick would idle the link after each short flow).
 func (f *DeadlineFabric) kickAll(s *sim.Simulator) {
 	f.reallocate(s)
-	// Restart in flow-id order, not map order: pump schedules simulator
-	// events, and same-timestamp events fire in scheduling order, so map
-	// iteration here would make whole runs nondeterministic.
-	pending := make([]*dlFlow, 0, len(f.flows))
-	for _, fl := range f.flows {
+	// Restart in flow-id order, not policy order: pump schedules simulator
+	// events, and same-timestamp events fire in scheduling order, so this
+	// order decides every later event of the run.
+	var pending []*dlFlow
+	for _, fl := range f.order {
 		if fl.rate > 0 && !fl.sending {
 			pending = append(pending, fl)
 		}
@@ -155,125 +182,82 @@ func (f *DeadlineFabric) kickAll(s *sim.Simulator) {
 // its uplink but is shut out of its downlink (the real protocols converge
 // to consistent per-path rates via iterative hop-by-hop headers; the
 // atomic grant reproduces that fixed point directly). Infeasible deadline
-// flows are terminated first.
+// flows are terminated on the way.
 func (f *DeadlineFabric) reallocate(s *sim.Simulator) {
 	now := s.Now()
-	// Terminate hopeless deadline flows: even at full line rate the
-	// remaining bytes cannot arrive in time.
-	for id, fl := range f.flows {
-		if fl.deadline == 0 {
-			continue
-		}
-		left := fl.deadline - now
-		if left <= 0 || f.cfg.LineRate.TxTime(int(fl.remaining)) > left {
-			fl.rate = 0
-			delete(f.flows, id)
-			f.Terminated++
-		}
-	}
-
-	ordered := make([]*dlFlow, 0, len(f.flows))
-	for _, fl := range f.flows {
-		ordered = append(ordered, fl)
-	}
-	if f.cfg.Policy == PolicyPDQ {
-		// EDF, deadline-less flows last.
-		slices.SortFunc(ordered, func(a, b *dlFlow) int {
-			ad, bd := a.deadline, b.deadline
-			if ad == 0 {
-				ad = sim.MaxTime
-			}
-			if bd == 0 {
-				bd = sim.MaxTime
-			}
-			return cmp.Or(cmp.Compare(ad, bd), cmp.Compare(a.id, b.id))
-		})
-	} else {
-		// D3: first come, first served.
-		slices.SortFunc(ordered, func(a, b *dlFlow) int {
-			return cmp.Or(cmp.Compare(a.arrival, b.arrival), cmp.Compare(a.id, b.id))
-		})
-	}
-
 	capacity := float64(f.cfg.LineRate)
-	upRes := make([]float64, f.hosts)
-	downRes := make([]float64, f.hosts)
-	for h := 0; h < f.hosts; h++ {
-		upRes[h], downRes[h] = capacity, capacity
+	for h := range f.links {
+		f.links[h] = dlLink{up: capacity, down: capacity}
 	}
-	grant := make(map[uint64]float64, len(ordered))
 
-	// Pass 1: grant desired rates in policy order.
-	for _, fl := range ordered {
-		avail := minf(upRes[fl.src], downRes[fl.dst])
+	// Pass 1, in policy order: drop hopeless deadline flows, whose
+	// remaining bytes cannot arrive in time even at full line rate, and
+	// grant the others their desired rates.
+	live := f.order[:0]
+	for _, fl := range f.order {
+		if fl.deadline != 0 {
+			if left := fl.deadline - now; left <= 0 || f.cfg.LineRate.TxTime(int(fl.remaining)) > left {
+				fl.rate = 0
+				f.Terminated++
+				continue
+			}
+		}
+		live = append(live, fl)
+		src, dst := &f.links[fl.src], &f.links[fl.dst]
+		dst.flows++
+		fl.grant = 0
+		avail := min(src.up, dst.down)
 		if avail <= 0 {
 			continue
 		}
-		var want float64
 		switch {
 		case f.cfg.Policy == PolicyPDQ:
 			// Preemptive: the most urgent flow takes all it can use.
-			want = avail
+			fl.grant = avail
 		case fl.deadline > 0:
 			left := (fl.deadline - now).Seconds()
-			if left <= 0 {
-				continue
-			}
-			want = minf(float64(fl.remaining)*8/left, avail)
+			fl.grant = min(float64(fl.remaining)*8/left, avail)
 		default:
 			continue // deadline-less flows share leftovers in pass 2
 		}
-		grant[fl.id] = want
-		upRes[fl.src] -= want
-		downRes[fl.dst] -= want
+		src.up -= fl.grant
+		dst.down -= fl.grant
 	}
+	clear(f.order[len(live):])
+	f.order = live
 
-	// Pass 2: split each downlink's leftover equally among its flows,
-	// bounded by uplink residuals.
-	byDown := make([][]*dlFlow, f.hosts)
-	for _, fl := range ordered {
-		byDown[fl.dst] = append(byDown[fl.dst], fl)
-	}
-	for h := 0; h < f.hosts; h++ {
-		flows := byDown[h]
-		if len(flows) == 0 || downRes[h] <= 0 {
+	// Pass 2: split each downlink's leftover equally among its flows, in
+	// policy order, bounded by uplink residuals.
+	for h, l := range f.links {
+		if l.flows == 0 || l.down <= 0 {
 			continue
 		}
-		share := downRes[h] / float64(len(flows))
-		for _, fl := range flows {
-			g := minf(share, upRes[fl.src])
-			if g <= 0 {
+		share := l.down / float64(l.flows)
+		for _, fl := range f.order {
+			if fl.dst != h {
 				continue
 			}
-			grant[fl.id] += g
-			upRes[fl.src] -= g
-			downRes[h] -= g
+			up := &f.links[fl.src].up
+			if g := min(share, *up); g > 0 {
+				fl.grant += g
+				*up -= g
+			}
 		}
 	}
 
-	for _, fl := range ordered {
-		fl.rate = sim.Rate(grant[fl.id])
+	for _, fl := range f.order {
+		fl.rate = sim.Rate(fl.grant)
 	}
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // pump emits packets for fl paced at its allocated rate.
 func (ds *DeadlineSender) pump(s *sim.Simulator, fl *dlFlow) {
-	if fl.sending {
-		return
-	}
-	f := ds.fabric
-	if _, live := f.flows[fl.id]; !live || fl.rate <= 0 || fl.remaining <= 0 {
+	// A terminated flow has rate 0; an acknowledged one has no bytes left.
+	if fl.sending || fl.rate <= 0 || fl.remaining <= 0 {
 		return
 	}
 	fl.sending = true
-	payload := min64(int64(netsim.MaxPayload), fl.remaining)
+	payload := min(int64(netsim.MaxPayload), fl.remaining)
 	p := &netsim.Packet{
 		Dst:      fl.dst,
 		Class:    fl.m.Class,
@@ -319,14 +303,14 @@ func (ds *DeadlineSender) HandlePacket(s *sim.Simulator, p *netsim.Packet) {
 
 func (ds *DeadlineSender) onDone(s *sim.Simulator, p *netsim.Packet) {
 	f := ds.fabric
-	fl, ok := f.flows[p.MsgID]
-	if !ok || fl.acked {
-		return
+	i := slices.IndexFunc(f.order, func(fl *dlFlow) bool { return fl.id == p.MsgID })
+	if i < 0 {
+		return // terminated before its ack arrived
 	}
-	fl.acked = true
-	delete(f.flows, p.MsgID)
-	if fl.m.OnComplete != nil {
-		fl.m.OnComplete(s, fl.m)
+	m := f.order[i].m
+	f.order = slices.Delete(f.order, i, i+1)
+	if m.OnComplete != nil {
+		m.OnComplete(s, m)
 	}
 	f.kickAll(s)
 }

@@ -94,7 +94,7 @@ func (h *Homa) Send(s *sim.Simulator, m *transport.Message) {
 	m.SubmitTime = s.Now()
 	h.nextMsg++
 	id := h.nextMsg
-	o := &homaOut{m: m, granted: min64(m.Bytes, rttBytes)}
+	o := &homaOut{m: m, granted: min(m.Bytes, rttBytes)}
 	h.out[id] = o
 	h.transmit(s, id, o)
 	h.armResend(s, id, o)
@@ -121,7 +121,7 @@ func (h *Homa) armResend(s *sim.Simulator, id uint64, o *homaOut) {
 // transmit sends all granted-but-unsent bytes as packets.
 func (h *Homa) transmit(s *sim.Simulator, id uint64, o *homaOut) {
 	for o.sent < o.granted {
-		payload := min64(int64(netsim.MaxPayload), o.granted-o.sent)
+		payload := min(int64(netsim.MaxPayload), o.granted-o.sent)
 		p := &netsim.Packet{
 			Dst:      o.m.Dst,
 			Class:    o.m.Class,
@@ -157,7 +157,7 @@ func (h *Homa) onData(s *sim.Simulator, p *netsim.Packet) {
 	if !ok {
 		in = &homaIn{
 			total:   p.AckSeq,
-			granted: min64(p.AckSeq, rttBytes),
+			granted: min(p.AckSeq, rttBytes),
 			class:   int(p.Class),
 			offsets: make(map[int64]bool),
 		}
@@ -211,7 +211,7 @@ func (h *Homa) grantTick(s *sim.Simulator) {
 		h.grantClock = false
 		return
 	}
-	grant := min64(int64(netsim.MaxPayload), best.total-best.granted)
+	grant := min(int64(netsim.MaxPayload), best.total-best.granted)
 	best.granted += grant
 	h.host.Send(s, &netsim.Packet{
 		Dst:    bestKey.src,
@@ -231,7 +231,7 @@ func (h *Homa) onGrant(s *sim.Simulator, p *netsim.Packet) {
 		return
 	}
 	if p.AckSeq > o.granted {
-		o.granted = min64(p.AckSeq, o.m.Bytes)
+		o.granted = min(p.AckSeq, o.m.Bytes)
 		h.transmit(s, p.MsgID, o)
 	}
 }
@@ -250,10 +250,3 @@ func (h *Homa) onDone(s *sim.Simulator, p *netsim.Packet) {
 }
 
 var _ rpc.Sender = (*Homa)(nil)
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
