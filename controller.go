@@ -232,7 +232,7 @@ func (c *AdmissionController) QuotaStats() (QuotaStats, bool) { return c.inner.Q
 
 // Stats returns an atomic snapshot of the controller's cumulative
 // counters, safe to call while other goroutines admit and observe.
-func (c *AdmissionController) Stats() ControllerStats { return c.inner.Stats.Load() }
+func (c *AdmissionController) Stats() ControllerStats { return c.inner.Stats() }
 
 // ForEachProbability visits every (peer, class) admission channel in
 // deterministic order with its current admit probability — the live

@@ -215,7 +215,7 @@ func playAlg1(t *testing.T, prog []byte) *refAlg1 {
 				}
 			}
 		}
-		if got := ct.Stats.Load(); got != ref.stats {
+		if got := ct.Stats(); got != ref.stats {
 			t.Fatalf("op %d: Stats %+v, reference %+v", pc, got, ref.stats)
 		}
 		if clk.draws != ref.draws {

@@ -47,7 +47,8 @@ func BenchmarkAdmitDecisionParallel(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "decisions/s")
 }
 
-// BenchmarkObserve measures the AIMD feedback path (per-channel mutex).
+// BenchmarkObserve measures the AIMD feedback path (a compare-and-swap
+// per change of p_admit, the channel lock once per increment window).
 func BenchmarkObserve(b *testing.B) {
 	ct := benchController(b)
 	b.ReportAllocs()

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"aequitas/internal/obs/flight"
 	"aequitas/internal/qos"
 	"aequitas/internal/sim"
 )
@@ -43,7 +47,7 @@ func TestConcurrentAdmitObserve(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := ct.Stats.Load()
+	st := ct.Stats()
 	const total = workers * perWorker
 	if got := st.Admitted + st.Downgraded + st.Dropped; got != total {
 		t.Errorf("decisions %d (admitted %d + downgraded %d + dropped %d), want %d",
@@ -64,6 +68,140 @@ func TestConcurrentAdmitObserve(t *testing.T) {
 	})
 	if seen != 8 { // 4 dsts × 2 classes
 		t.Errorf("ForEachState visited %d channels, want 8", seen)
+	}
+}
+
+// TestConcurrentAlgorithm1 drives concurrent ObserveAt calls onto shared
+// channels on a ManualClock controller and checks the two properties its
+// updates must keep under contention: at most one additive increase per
+// increment window, and no lost update, so every size-proportional
+// decrement lands. α and β are powers of two and p stays clear of both
+// clamps, so every p the test can reach is exact and the expected value
+// does not depend on the order the updates land in. The applied order is
+// read back from the flight records (every record kept), each of which
+// carries the value its own update left.
+//
+// Each round has three phases, each started together on every worker:
+// SLO misses only, whose records must chain from the phase's starting p
+// down by β·size each; SLO-met completions only, at one instant in a
+// freshly opened window, which must raise p by exactly α; and both at
+// once in the next window, which must land on p + α - β·Σsize.
+func TestConcurrentAlgorithm1(t *testing.T) {
+	cfg := Defaults3(target(), 2*target())
+	cfg.Alpha, cfg.Beta = 1.0/64, 1.0/1024
+	ct, err := NewWithClock(cfg, &ManualClock{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := flight.NewRing(flight.Config{Records: 1 << 14, SampleAdmits: 1})
+	ct.SetFlight(ring, 0)
+	const (
+		workers, channels, rounds = 4, 16, 100
+		missSize                  = 2 // MTUs per miss; 4 per worker per channel per phase
+	)
+	window := ct.windows[qos.High]
+	met, miss := target()/2, 100*missSize*target()
+	p := func(dst int) float64 { return ct.AdmitProbability(dst, qos.High) }
+	// phase runs f on every worker at once and returns the ring's records.
+	phase := func(f func(w int)) []flight.Record {
+		var ready, done sync.WaitGroup
+		var start atomic.Bool
+		for w := 0; w < workers; w++ {
+			ready.Add(1)
+			done.Add(1)
+			go func(w int) {
+				defer done.Done()
+				ready.Done()
+				for !start.Load() {
+					runtime.Gosched()
+				}
+				f(w)
+			}(w)
+		}
+		ready.Wait()
+		start.Store(true)
+		done.Wait()
+		return ring.Snapshot(true)
+	}
+	byChannel := func(recs []flight.Record, dst int) (vals []float64) {
+		for _, r := range recs {
+			if r.Kind == flight.KindComplete && int(r.Peer) == dst {
+				vals = append(vals, r.PAdmit)
+			}
+		}
+		return vals
+	}
+	// Start every channel at 1/2, clear of both clamps.
+	for dst := 0; dst < channels; dst++ {
+		ct.ObserveAt(0, dst, qos.High, 1024*target(), 512)
+	}
+	ring.Snapshot(true)
+	dec := cfg.Beta * missSize
+	for r := 1; r <= rounds; r++ {
+		at := sim.Time(4*r) * window // a window opened at least one window ago
+		var before [channels]float64
+		for dst := range before {
+			before[dst] = p(dst)
+		}
+		recs := phase(func(w int) {
+			for i := 0; i < 2; i++ {
+				for dst := 0; dst < channels; dst++ {
+					ct.ObserveAt(at, dst, qos.High, miss, missSize)
+				}
+			}
+		})
+		for dst := 0; dst < channels; dst++ {
+			vals := byChannel(recs, dst)
+			slices.Sort(vals)
+			slices.Reverse(vals)
+			want := before[dst]
+			for i, v := range vals {
+				if want -= dec; v != want {
+					t.Fatalf("round %d channel %d: miss %d of the applied order left p = %v, want %v (lost or misrecorded update)", r, dst, i, v, want)
+				}
+			}
+			if len(vals) != 2*workers || p(dst) != want {
+				t.Fatalf("round %d channel %d: %d miss records, p = %v, want %d and %v", r, dst, len(vals), p(dst), 2*workers, want)
+			}
+			before[dst] = want
+		}
+
+		recs = phase(func(w int) {
+			for i := 0; i < 2; i++ {
+				for dst := 0; dst < channels; dst++ {
+					ct.ObserveAt(at, dst, qos.High, met, 1)
+				}
+			}
+		})
+		for dst := 0; dst < channels; dst++ {
+			want := before[dst] + cfg.Alpha
+			for _, v := range byChannel(recs, dst) {
+				if v != before[dst] && v != want {
+					t.Fatalf("round %d channel %d: a met completion left p = %v; only %v or %v is one increase", r, dst, v, before[dst], want)
+				}
+			}
+			if p(dst) != want {
+				t.Fatalf("round %d channel %d: p = %v after one window of met completions, want exactly one increase to %v", r, dst, p(dst), want)
+			}
+			before[dst] = want
+		}
+
+		phase(func(w int) {
+			for i := 0; i < 2; i++ {
+				for dst := 0; dst < channels; dst++ {
+					ct.ObserveAt(at+2*window, dst, qos.High, met, 1)
+					ct.ObserveAt(at+2*window, dst, qos.High, miss, missSize)
+				}
+			}
+		})
+		for dst := 0; dst < channels; dst++ {
+			if want := before[dst] + cfg.Alpha - 2*workers*dec; p(dst) != want {
+				t.Fatalf("round %d channel %d: p = %v after mixed completions, want %v", r, dst, p(dst), want)
+			}
+		}
+	}
+	if st := ct.Stats(); st.SLOMet != rounds*channels*workers*4 || st.SLOMisses != channels+rounds*channels*workers*4 {
+		t.Errorf("stats %+v", st)
 	}
 }
 

@@ -14,8 +14,11 @@
 // deterministic single-threaded behaviour bit for bit, under a WallClock
 // it serves live traffic from many goroutines. Admission state is sharded
 // by (destination, class) with the admit probability read atomically, so
-// the Admit fast path takes no locks and performs no allocations;
-// Observe's AIMD update serialises per channel only.
+// the Admit fast path takes no locks and performs no allocations. Observe
+// writes p_admit only when it changes, by compare-and-swap; the only lock
+// it takes is the channel's, once per increment window, to claim the
+// additive increase. The counters are striped by the P a call runs on,
+// so calls on different cores write different cache lines.
 package core
 
 import (
@@ -134,9 +137,8 @@ func (ct *Controller) IncrementWindow(class qos.Class) sim.Duration {
 	return ct.windows[class]
 }
 
-// Stats counts controller activity. The fields are updated with atomic
-// adds; concurrent readers should use Load, single-threaded readers (the
-// simulator, post-run assertions) may read the fields directly.
+// Stats counts controller activity: a snapshot, summed over the
+// controller's counter stripes by Controller.Stats.
 type Stats struct {
 	Admitted   int64
 	Downgraded int64
@@ -149,18 +151,39 @@ type Stats struct {
 	Expired int64
 }
 
-// Load returns an atomic snapshot of the counters, safe to call while
-// other goroutines are admitting and observing.
-func (s *Stats) Load() Stats {
-	return Stats{
-		Admitted:   atomic.LoadInt64(&s.Admitted),
-		Downgraded: atomic.LoadInt64(&s.Downgraded),
-		Dropped:    atomic.LoadInt64(&s.Dropped),
-		SLOMisses:  atomic.LoadInt64(&s.SLOMisses),
-		SLOMet:     atomic.LoadInt64(&s.SLOMet),
-		Expired:    atomic.LoadInt64(&s.Expired),
-	}
+// statStripes is the number of stripes the controller's counters are
+// spread over; a call counts on the stripe of the P it runs on (Proc), so
+// calls on different cores write different cache lines. A power of two
+// so the stripe is a mask.
+const statStripes = 8
+
+// statStripe is one stripe of Stats: six counters in 48 bytes, padded to
+// 128 so no two stripes' counters share a cache line (or the pair of
+// lines the adjacent-line prefetcher fetches together) wherever the
+// array lands.
+type statStripe struct {
+	admitted, downgraded, dropped, sloMisses, sloMet, expired atomic.Int64
+	_                                                         [80]byte
 }
+
+// Stats returns the controller's cumulative counters, summed over the
+// stripes; safe to call while other goroutines admit and observe.
+func (ct *Controller) Stats() Stats {
+	var s Stats
+	for i := range ct.stats {
+		st := &ct.stats[i]
+		s.Admitted += st.admitted.Load()
+		s.Downgraded += st.downgraded.Load()
+		s.Dropped += st.dropped.Load()
+		s.SLOMisses += st.sloMisses.Load()
+		s.SLOMet += st.sloMet.Load()
+		s.Expired += st.expired.Load()
+	}
+	return s
+}
+
+// stripe is the calling goroutine's counter stripe.
+func (ct *Controller) stripe() *statStripe { return &ct.stats[Proc()&(statStripes-1)] }
 
 // stateShards is the number of (dst, class) shard buckets. A power of
 // two so the shard index is a mask; 64 keeps cross-core insert
@@ -193,19 +216,34 @@ type stateShard struct {
 }
 
 // classState is one (dst, class) admission channel. The admit
-// probability lives in p as float64 bits so Admit can read it with a
-// single atomic load; mu serialises the AIMD read-modify-write and the
-// increment-window fields.
+// probability lives in p as float64 bits: Admit reads it with one atomic
+// load, and every write is a compare-and-swap on the value it read, so a
+// decrease needs no lock and no update is lost. reopens is the clock
+// reading after which the additive-increase window is open again
+// (lastIncrease + window; math.MinInt64 before the first increase): a met
+// completion inside the window reads it and returns without a lock or a
+// write. mu serialises only the claiming of a window.
 type classState struct {
-	p  atomic.Uint64
-	mu sync.Mutex
-
-	lastIncrease  sim.Time
-	everIncreased bool
+	p       atomic.Uint64
+	reopens atomic.Int64
+	mu      sync.Mutex
 }
 
-func (st *classState) load() float64      { return math.Float64frombits(st.p.Load()) }
-func (st *classState) store(pNew float64) { st.p.Store(math.Float64bits(pNew)) }
+func (st *classState) load() float64 { return math.Float64frombits(st.p.Load()) }
+
+// add moves p by delta, clamped to [lo, hi], with a compare-and-swap on
+// the value it read, retried if another update came between, and returns
+// the value it left. A move the clamp cancels writes nothing.
+func (st *classState) add(delta, lo, hi float64) float64 {
+	for {
+		old := st.p.Load()
+		p := math.Float64frombits(old)
+		next := min(max(p+delta, lo), hi)
+		if next == p || st.p.CompareAndSwap(old, math.Float64bits(next)) {
+			return next
+		}
+	}
+}
 
 // Controller is the per-host admission controller. It implements
 // rpc.Admitter and is safe for concurrent use when its Clock is.
@@ -216,7 +254,10 @@ type Controller struct {
 	// windows[k] is the precomputed additive-increase window per class.
 	windows []sim.Duration
 	shards  [stateShards]stateShard
-	Stats   Stats
+	// The pad keeps the last shard's map pointer, which lookups read, off
+	// the first counter stripe's cache line.
+	_     [64]byte
+	stats [statStripes]statStripe
 
 	// flight, when non-nil, receives a Record per admission decision and
 	// per SLO observation — the flight-recorder tap. flightSrc names this
@@ -347,7 +388,8 @@ func (sh *stateShard) create(k stateKey) *classState {
 		}
 	}
 	st := &classState{}
-	st.store(1) // Algorithm 1 line 3
+	st.p.Store(math.Float64bits(1)) // Algorithm 1 line 3
+	st.reopens.Store(math.MinInt64)
 	next[k] = st
 	sh.m.Store(&next)
 	return st
@@ -386,18 +428,12 @@ func (ct *Controller) forEachKeySorted(buf []stateKey) []stateKey {
 }
 
 // stateAt reads one channel's probability and remaining
-// additive-increase window at now, taking the channel lock so the pair
-// is consistent under concurrent Observes.
-func (ct *Controller) stateAt(st *classState, class qos.Class, now sim.Time) (p float64, rem sim.Duration) {
-	st.mu.Lock()
-	p = st.load()
-	if st.everIncreased {
-		if open := st.lastIncrease + ct.windows[class]; open > now {
-			rem = open - now
-		}
+// additive-increase window at now.
+func (ct *Controller) stateAt(st *classState, now sim.Time) (p float64, rem sim.Duration) {
+	if open := sim.Time(st.reopens.Load()); open > now {
+		rem = open - now
 	}
-	st.mu.Unlock()
-	return p, rem
+	return st.load(), rem
 }
 
 // ForEachState visits every (dst, class) admission state in deterministic
@@ -407,7 +443,7 @@ func (ct *Controller) stateAt(st *classState, class qos.Class, now sim.Time) (p 
 func (ct *Controller) ForEachState(now sim.Time, f func(dst int, class qos.Class, pAdmit float64, windowRemaining sim.Duration)) {
 	for _, k := range ct.forEachKeySorted(nil) {
 		st := ct.classState(k.dst, k.class)
-		p, rem := ct.stateAt(st, k.class, now)
+		p, rem := ct.stateAt(st, now)
 		f(k.dst, k.class, p, rem)
 	}
 }
@@ -447,7 +483,7 @@ func (ct *Controller) MetricsSampler(host int) obs.Sampler {
 				names[k] = kp
 			}
 			st := ct.classState(k.dst, k.class)
-			p, rem := ct.stateAt(st, k.class, now)
+			p, rem := ct.stateAt(st, now)
 			emit(kp.padmit, p)
 			emit(kp.incwin, rem.Micros())
 		}
@@ -501,13 +537,13 @@ func (ct *Controller) Admit(dst int, requested qos.Class, sizeMTUs int64) rpc.De
 			}
 		}
 	}
-	switch {
+	switch cs := ct.stripe(); {
 	case d.Dropped:
-		atomic.AddInt64(&ct.Stats.Dropped, 1)
+		cs.dropped.Add(1)
 	case d.Downgraded:
-		atomic.AddInt64(&ct.Stats.Downgraded, 1)
+		cs.downgraded.Add(1)
 	default:
-		atomic.AddInt64(&ct.Stats.Admitted, 1)
+		cs.admitted.Add(1)
 	}
 	if ct.flight != nil {
 		ct.record(now, dst, requested, d, inQuota == QuotaYes, sizeMTUs)
@@ -521,7 +557,7 @@ func (ct *Controller) Admit(dst int, requested qos.Class, sizeMTUs int64) rpc.De
 // consulting p_admit — admitting it would only have burned capacity on
 // work the client had already given up on.
 func (ct *Controller) RecordExpired(dst int, requested qos.Class, sizeMTUs int64) {
-	atomic.AddInt64(&ct.Stats.Expired, 1)
+	ct.stripe().expired.Add(1)
 	if ct.flight != nil {
 		ct.flight.Decision(ct.clock.Now(), ct.flightSrc, int32(dst), int8(requested), int8(requested),
 			flight.VerdictExpired, ct.AdmitProbability(dst, requested), int32(sizeMTUs))
@@ -545,36 +581,49 @@ func (ct *Controller) ObserveAt(now sim.Time, dst int, run qos.Class, rnl sim.Du
 		sizeMTUs = 1
 	}
 	st := ct.classState(dst, run)
-	target := ct.cfg.LatencyTargets[run]
+	cs := ct.stripe()
+	var p float64
+	verdict := flight.VerdictSLOMet
 	// Algorithm 1 line 15: per-MTU normalised comparison.
-	if rnl/sim.Duration(sizeMTUs) < target {
-		atomic.AddInt64(&ct.Stats.SLOMet, 1)
-		window := ct.windows[run]
-		st.mu.Lock()
-		if ct.cfg.NoIncrementWindow || !st.everIncreased || now-st.lastIncrease > window {
-			st.store(min(st.load()+ct.cfg.Alpha, 1))
-			st.lastIncrease = now
-			st.everIncreased = true
+	if rnl/sim.Duration(sizeMTUs) < ct.cfg.LatencyTargets[run] {
+		cs.sloMet.Add(1)
+		p = ct.increase(st, run, now)
+	} else {
+		cs.sloMisses.Add(1)
+		verdict = flight.VerdictSLOMiss
+		dec := ct.cfg.Beta
+		if !ct.cfg.NoSizeScaledMD {
+			dec *= float64(sizeMTUs)
 		}
-		st.mu.Unlock()
-		if ct.flight != nil {
-			ct.flight.Complete(now, ct.flightSrc, int32(dst), int8(run),
-				flight.VerdictSLOMet, st.load(), int32(sizeMTUs), rnl.Micros())
-		}
-		return
+		p = st.add(-dec, ct.cfg.Floor, 1)
 	}
-	atomic.AddInt64(&ct.Stats.SLOMisses, 1)
-	dec := ct.cfg.Beta
-	if !ct.cfg.NoSizeScaledMD {
-		dec *= float64(sizeMTUs)
+	// The record carries the value this observation left, not a later
+	// load that could read another goroutine's update.
+	if ct.flight != nil {
+		ct.flight.Complete(now, ct.flightSrc, int32(dst), int8(run), verdict, p, int32(sizeMTUs), rnl.Micros())
+	}
+}
+
+// increase is Algorithm 1's additive increase for an SLO-met completion
+// at now: α at most once per increment window. Inside the window it reads
+// reopens and returns p without a lock or a write. Otherwise it takes the
+// channel lock and checks the window again, so of the completions that
+// found it open only the first claims it; the claim moves reopens one
+// window past now, and the increase is a compare-and-swap that lock-free
+// decreases cannot lose. It returns the value p holds after this
+// completion.
+func (ct *Controller) increase(st *classState, class qos.Class, now sim.Time) float64 {
+	windowed := !ct.cfg.NoIncrementWindow
+	if windowed && int64(now) <= st.reopens.Load() {
+		return st.load()
 	}
 	st.mu.Lock()
-	st.store(max(st.load()-dec, ct.cfg.Floor))
-	st.mu.Unlock()
-	if ct.flight != nil {
-		ct.flight.Complete(now, ct.flightSrc, int32(dst), int8(run),
-			flight.VerdictSLOMiss, st.load(), int32(sizeMTUs), rnl.Micros())
+	defer st.mu.Unlock()
+	if windowed && int64(now) <= st.reopens.Load() {
+		return st.load()
 	}
+	st.reopens.Store(int64(now + ct.windows[class]))
+	return st.add(ct.cfg.Alpha, ct.cfg.Floor, 1)
 }
 
 // quotaGate is the quota branch of Controller.Admit: the tenant's client,

@@ -109,8 +109,8 @@ func TestMultiplicativeDecreaseOnMiss(t *testing.T) {
 	if got := ct.AdmitProbability(1, qos.High); math.Abs(got-want) > 1e-12 {
 		t.Errorf("p_admit = %v, want %v", got, want)
 	}
-	if ct.Stats.SLOMisses != 1 {
-		t.Errorf("SLOMisses = %d", ct.Stats.SLOMisses)
+	if ct.Stats().SLOMisses != 1 {
+		t.Errorf("SLOMisses = %d", ct.Stats().SLOMisses)
 	}
 }
 
@@ -132,12 +132,12 @@ func TestNormalizedTargetScalesWithSize(t *testing.T) {
 	ct := newCtlSim(t, sim.New(1))
 	// 10 MTUs with latency 15×target: per-MTU latency 1.5×target → miss.
 	ct.Observe(1, qos.High, 15*target(), 10)
-	if ct.Stats.SLOMisses != 1 {
+	if ct.Stats().SLOMisses != 1 {
 		t.Error("per-MTU normalisation failed: large RPC over per-MTU target not a miss")
 	}
 	// 10 MTUs with latency 5×target: per-MTU latency 0.5×target → met.
 	ct.Observe(1, qos.High, 5*target(), 10)
-	if ct.Stats.SLOMet != 1 {
+	if ct.Stats().SLOMet != 1 {
 		t.Error("per-MTU normalisation failed: large RPC under scaled target flagged as miss")
 	}
 }
@@ -244,7 +244,7 @@ func TestDropAblation(t *testing.T) {
 	if drops == 0 {
 		t.Error("drop ablation never dropped")
 	}
-	if ct.Stats.Dropped == 0 {
+	if ct.Stats().Dropped == 0 {
 		t.Error("drop counter not incremented")
 	}
 }
@@ -271,7 +271,7 @@ func TestPerClassIndependence(t *testing.T) {
 func TestScavengerObservationsIgnored(t *testing.T) {
 	ct := newCtlSim(t, sim.New(1))
 	ct.Observe(1, qos.Low, 1000*target(), 10)
-	if ct.Stats.SLOMisses != 0 {
+	if ct.Stats().SLOMisses != 0 {
 		t.Error("scavenger-class latency counted as SLO miss")
 	}
 }

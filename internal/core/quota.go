@@ -164,19 +164,22 @@ func (q *QuotaServer) ClientWithClock(tenant string, clk Clock) *QuotaClient {
 	if clk == nil {
 		clk = NewWallClock()
 	}
-	return &QuotaClient{server: q, tenant: tenant, clock: clk, buckets: make(map[qos.Class]*quotaBucket)}
+	return &QuotaClient{server: q, tenant: tenant, clock: clk}
 }
+
+// quotaClasses is the number of classes a QuotaClient keeps a bucket for:
+// classes 0 to quotaClasses-1. A check on any other class answers QuotaNo.
+const quotaClasses = 8
 
 // QuotaClient enforces one tenant's quota at one sending host with
 // per-class token buckets fed by TTL leases on the server's grants. It
-// is safe for concurrent use.
+// is safe for concurrent use: each class's bucket has its own lock, so a
+// check, or a lease refresh, blocks only checks on its own class.
 type QuotaClient struct {
 	server *QuotaServer
 	tenant string
 	clock  Clock
 
-	mu      sync.Mutex
-	buckets map[qos.Class]*quotaBucket
 	// BurstSeconds bounds token accumulation to rate×BurstSeconds
 	// (default 0.01 s). Set it before serving begins.
 	BurstSeconds float64
@@ -191,6 +194,9 @@ type QuotaClient struct {
 	// Lease-health counters, atomically updated.
 	refreshes   atomic.Int64
 	staleChecks atomic.Int64
+
+	_       [64]byte // keeps the fields above off bucket 0's cache line
+	buckets [quotaClasses]quotaBucket
 }
 
 // QuotaState is the tri-state outcome of a quota check.
@@ -237,11 +243,15 @@ func (c *QuotaClient) LeaseStats() QuotaLeaseStats {
 	}
 }
 
+// quotaBucket is one class's token bucket and lease: 48 bytes, padded to
+// 128 so no two buckets share a cache line.
 type quotaBucket struct {
+	mu        sync.Mutex
 	tokens    float64
 	last      sim.Time
 	lease     Lease
 	haveLease bool
+	_         [80]byte
 }
 
 // Check is CheckAt on the client's clock.
@@ -253,18 +263,20 @@ func (c *QuotaClient) Check(class qos.Class, bytes int64) QuotaState {
 // has expired, then try to consume bytes from the token bucket refilled
 // at the leased rate. It reports QuotaStale when the lease is expired
 // and the server unreachable — the caller's failure policy applies.
-// Timestamps must not move backwards.
+// Concurrent callers read the clock before they take the bucket's lock,
+// so a check may arrive with a reading older than the bucket's last one:
+// it refills nothing and leaves the bucket's time where it was.
 func (c *QuotaClient) CheckAt(now sim.Time, class qos.Class, bytes int64) QuotaState {
-	// The server lock (inside LeaseFor/GrantedRate) and the client lock
-	// never nest: the refresh call happens under c.mu but LeaseFor only
-	// takes q.mu, and the server never calls back into the client.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b, ok := c.buckets[class]
-	if !ok {
-		b = &quotaBucket{last: now}
-		c.buckets[class] = b
+	if class < 0 || class >= quotaClasses {
+		return QuotaNo
 	}
+	// The server lock (inside LeaseFor/GrantedRate) and a bucket lock
+	// never nest the other way: the refresh call happens under b.mu but
+	// LeaseFor only takes q.mu, and the server never calls back into the
+	// client.
+	b := &c.buckets[class]
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if !b.haveLease || now >= b.lease.Expires {
 		lease, up := c.server.LeaseFor(c.tenant, class, now, sim.FromStd(c.LeaseTTL))
 		if up {
@@ -272,7 +284,9 @@ func (c *QuotaClient) CheckAt(now sim.Time, class qos.Class, bytes int64) QuotaS
 			if fresh || lease.Rate != b.lease.Rate {
 				// A fresh or re-rated bucket starts with one burst.
 				b.tokens = lease.Rate * c.burstSeconds()
-				b.last = now
+				if fresh || now > b.last {
+					b.last = now
+				}
 			}
 			b.lease, b.haveLease = lease, true
 			c.refreshes.Add(1)
@@ -286,9 +300,11 @@ func (c *QuotaClient) CheckAt(now sim.Time, class qos.Class, bytes int64) QuotaS
 	if rate <= 0 {
 		return QuotaNo
 	}
-	// Refill.
-	b.tokens += rate * (now - b.last).Seconds()
-	b.last = now
+	// Refill; an older reading adds nothing (see above).
+	if now > b.last {
+		b.tokens += rate * (now - b.last).Seconds()
+		b.last = now
+	}
 	if max := rate * c.burstSeconds(); b.tokens > max {
 		b.tokens = max
 	}

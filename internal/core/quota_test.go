@@ -85,6 +85,34 @@ func TestQuotaClientTokens(t *testing.T) {
 	}
 }
 
+// TestQuotaOlderReadingCostsNothing: serving goroutines read the clock
+// before they take the bucket's lock, so checks reach the bucket out of
+// clock order. A reading older than the bucket's last one must neither
+// take tokens away (a negative refill) nor move the bucket's time back,
+// which would refill the same interval twice on the next check.
+func TestQuotaOlderReadingCostsNothing(t *testing.T) {
+	q := newServer()
+	if err := q.Grant("a", qos.High, 1e6); err != nil { // 1 MB/s, 10 KB burst
+		t.Fatal(err)
+	}
+	c := q.Client("a")
+	c.LeaseTTL = time.Second
+	t0 := sim.Time(10 * sim.Millisecond)
+	if c.CheckAt(t0, qos.High, 4_000) != QuotaYes {
+		t.Fatal("first check of a fresh burst refused")
+	}
+	if got := c.CheckAt(t0-5*sim.Millisecond, qos.High, 5_000); got != QuotaYes {
+		t.Fatalf("older reading with 6 000 tokens left for 5 000: %v, want yes", got)
+	}
+	// 1 000 tokens left at t0; 1 ms later 1 000 more, counted from t0.
+	if got := c.CheckAt(t0+sim.Millisecond, qos.High, 2_000); got != QuotaYes {
+		t.Fatalf("refill from t0: %v, want yes", got)
+	}
+	if got := c.CheckAt(t0+sim.Millisecond, qos.High, 1); got != QuotaNo {
+		t.Fatalf("bucket refilled from before t0: %v, want no", got)
+	}
+}
+
 func TestQuotaClientNoGrant(t *testing.T) {
 	q := newServer()
 	c := q.Client("nobody")
@@ -182,7 +210,7 @@ func TestQuotaAdmitterObservePropagates(t *testing.T) {
 		t.Fatalf("in-quota RPC not admitted on the bypass: %+v", d)
 	}
 	ctl.Observe(1, qos.High, sim.Duration(1*sim.Millisecond), 10)
-	if ctl.Stats.SLOMisses != 1 || ctl.AdmitProbability(1, qos.High) >= 1 {
+	if ctl.Stats().SLOMisses != 1 || ctl.AdmitProbability(1, qos.High) >= 1 {
 		t.Error("a bypassed RPC's SLO miss did not reach the controller")
 	}
 }
@@ -301,7 +329,7 @@ func TestQuotaAdmitterFailClosed(t *testing.T) {
 	if qs, _ := ctl.QuotaStats(); qs.StaleDropped != 1 || qs.StalePassed != 0 || qs.Policy != QuotaFailClosed {
 		t.Errorf("quota stats after a fail-closed drop: %+v", qs)
 	}
-	if got := ctl.Stats.Load().Dropped; got != 1 {
+	if got := ctl.Stats().Dropped; got != 1 {
 		t.Errorf("controller Dropped = %d", got)
 	}
 	// Scavenger traffic never consults quota, so it is unaffected.

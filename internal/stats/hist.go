@@ -182,6 +182,24 @@ func (h *Hist) Quantile(q float64) float64 {
 	return h.max
 }
 
+// Merge adds every observation of o to h, as if each had been recorded
+// into h: counts, n, min, max and the touched range exactly, the sum up to
+// the order of its float additions. A nil o merges nothing.
+func (h *Hist) Merge(o *Hist) {
+	if o == nil || o.n == 0 {
+		return
+	}
+	for i := o.lo; i <= o.hi; i++ {
+		h.counts[i] += o.counts[i]
+	}
+	h.n += o.n
+	h.sum += o.sum
+	h.min = min(h.min, o.min)
+	h.max = max(h.max, o.max)
+	h.lo = min(h.lo, o.lo)
+	h.hi = max(h.hi, o.hi)
+}
+
 // Reset clears the histogram for reuse (windowed collection). Only the
 // touched bucket range is zeroed, so resetting a sparsely-filled
 // histogram is cheap.

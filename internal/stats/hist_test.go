@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -139,6 +140,44 @@ func TestHistBucketsCumulative(t *testing.T) {
 	})
 	if total != h.N() {
 		t.Errorf("bucket counts sum to %d, N = %d", total, h.N())
+	}
+}
+
+// TestHistMerge: values spread over several histograms and merged read
+// back as one histogram fed every value, under- and overflow included;
+// merging nil or an empty histogram changes nothing. The values are
+// integers, so the sum is exact in any order.
+func TestHistMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	whole := NewHist()
+	parts := []*Hist{NewHist(), NewHist(), NewHist(), NewHist()}
+	for i := 0; i < 5000; i++ {
+		v := math.Round(math.Exp(4 * rng.NormFloat64()))
+		if i%997 == 0 {
+			v = -v
+		}
+		whole.Record(v)
+		parts[rng.Intn(3)].Record(v) // parts[3] stays empty
+	}
+	merged := NewHist()
+	for _, p := range parts {
+		merged.Merge(p)
+	}
+	merged.Merge(nil)
+	if merged.N() != whole.N() || merged.Sum() != whole.Sum() || merged.Max() != whole.Max() {
+		t.Fatalf("merged n/sum/max %d/%v/%v, whole %d/%v/%v",
+			merged.N(), merged.Sum(), merged.Max(), whole.N(), whole.Sum(), whole.Max())
+	}
+	for _, q := range []float64{0, 0.001, 0.5, 0.9, 0.999, 1} {
+		if a, b := merged.Quantile(q), whole.Quantile(q); a != b {
+			t.Errorf("q%v: merged %v, whole %v", q, a, b)
+		}
+	}
+	var mb, wb []int64
+	merged.Buckets(func(_ float64, c int64) { mb = append(mb, c) })
+	whole.Buckets(func(_ float64, c int64) { wb = append(wb, c) })
+	if !slices.Equal(mb, wb) {
+		t.Errorf("bucket counts differ: merged %d buckets, whole %d", len(mb), len(wb))
 	}
 }
 

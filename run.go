@@ -364,7 +364,7 @@ func buildSamplers(st *runState) error {
 				if ct == nil {
 					continue
 				}
-				cs := ct.Stats.Load()
+				cs := ct.Stats()
 				met += cs.SLOMet
 				miss += cs.SLOMisses
 				minP = min(minP, ct.MinAdmitProbability())

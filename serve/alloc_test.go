@@ -64,7 +64,7 @@ func TestRequestPathAllocs(t *testing.T) {
 			// Converted once: boxing a writer per call would be counted.
 			var w http.ResponseWriter = nopResponseWriter{h: make(http.Header)}
 			got := measure(func() { h.ServeHTTP(w, req) })
-			if n := a.outcomes[tc.cause].Load(); got > tc.max || n < runs+1 {
+			if n := a.outcome(tc.cause); got > tc.max || n < runs+1 {
 				t.Errorf("hardened=%v %s: %v allocs per request (want at most %v), %d of %d requests had that outcome",
 					hardened, tc.name, got, tc.max, n, warm+runs+1)
 			}

@@ -4,6 +4,9 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"runtime/metrics"
+	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -72,7 +75,8 @@ func benchRequest() *http.Request {
 // BenchmarkServeMiddleware measures one full middleware pass — classify,
 // admit, response headers, context injection, handler dispatch, observe,
 // histogram record — per outcome: served on a bare and on a hardened
-// layer, served downgraded, and refused under RejectDowngraded.
+// layer, served downgraded, and refused under RejectDowngraded; then the
+// hardened pass in parallel.
 func BenchmarkServeMiddleware(b *testing.B) {
 	for _, bc := range []struct {
 		name             string
@@ -97,6 +101,30 @@ func BenchmarkServeMiddleware(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 		})
 	}
+	// The hardened pass on GOMAXPROCS goroutines, each its own peer (run
+	// it at -cpu 1,2): what requests on different cores still share shows
+	// as the time goroutines spent blocked on a mutex, per request.
+	b.Run("hardened-parallel", func(b *testing.B) {
+		a := testLayer(b, nil, true, false, 0)
+		h := a.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+		var peers atomic.Int64
+		wait := []metrics.Sample{{Name: "/sync/mutex/wait/total:seconds"}}
+		metrics.Read(wait)
+		wait0 := wait[0].Value.Float64()
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			req := benchRequest()
+			req.Header.Set(HeaderPeer, "peer-"+strconv.FormatInt(peers.Add(1), 10))
+			w := nopResponseWriter{h: make(http.Header)}
+			for pb.Next() {
+				h.ServeHTTP(w, req)
+			}
+		})
+		b.StopTimer()
+		metrics.Read(wait)
+		b.ReportMetric((wait[0].Value.Float64()-wait0)*1e9/float64(b.N), "mutex-wait-ns/op")
+	})
 }
 
 // BenchmarkServeMiddlewareParallel is the bare pass under GOMAXPROCS-way

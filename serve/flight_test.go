@@ -14,6 +14,7 @@ import (
 	"aequitas"
 	"aequitas/internal/obs/flight"
 	"aequitas/internal/sim"
+	"aequitas/internal/stats"
 )
 
 // httpOK is a trivial 200 handler.
@@ -235,11 +236,11 @@ func TestClassSlotClamp(t *testing.T) {
 	a := newAdmission(t, false)
 	a.done.complete(aequitas.Class(42), time.Millisecond, 0)
 	a.done.complete(aequitas.Class(-3), time.Millisecond, 0)
-	last, first := &a.done.class[maxClasses-1], &a.done.class[0]
-	if last.hist == nil || last.hist.N() != 1 {
+	last, first := stats.NewHist(), stats.NewHist()
+	if !a.done.merge(maxClasses-1, last) || last.N() != 1 {
 		t.Error("out-of-range class not folded into the scavenger slot")
 	}
-	if first.hist == nil || first.hist.N() != 1 {
+	if !a.done.merge(0, first) || first.N() != 1 {
 		t.Error("negative class not clamped to slot 0")
 	}
 }

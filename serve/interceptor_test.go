@@ -149,7 +149,7 @@ func TestInterceptorDeadlineRejection(t *testing.T) {
 	if cs := ctl.Stats(); cs.Expired != 1 {
 		t.Errorf("ctl Expired = %d", cs.Expired)
 	}
-	if got := a.outcomes[causeExpired].Load(); got != 1 {
+	if got := a.outcome(causeExpired); got != 1 {
 		t.Errorf("serve expired counter = %d", got)
 	}
 
@@ -226,7 +226,7 @@ func TestInterceptorBrownoutShed(t *testing.T) {
 	if ran {
 		t.Error("handler ran for a shed RPC")
 	}
-	if got := a.outcomes[causeShed].Load(); got == 0 {
+	if got := a.outcome(causeShed); got == 0 {
 		t.Error("shed counter not incremented")
 	}
 	if _, err := callInterceptor(t, icpt, context.Background(), "/svc/Get",

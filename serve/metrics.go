@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"aequitas"
+	"aequitas/internal/core"
 	"aequitas/internal/obs"
 	"aequitas/internal/obs/flight"
 	"aequitas/internal/sim"
@@ -23,13 +24,24 @@ const maxClasses = 8
 
 func classSlot(c aequitas.Class) int { return min(max(int(c), 0), maxClasses-1) }
 
-// completions is the completion aggregator: everything the layer learns
-// from a finished request, kept once per class under one lock, plus the
-// gate that elects one completion per period to run the periodic work
-// (closing the brownout window, ticking the anomaly engine).
-type completions struct {
-	class [maxClasses]classWindow
+// stripes is the number of stripes the layer's per-request counters and
+// each class's completion window are spread over. A request writes the
+// stripe of the P its goroutine runs on (core.Proc), so requests on
+// different cores write different cache lines; readers sum or merge the
+// stripes. A stripe per peer would not do: every core serves every peer,
+// so each stripe's line would still move between them. A power of two
+// so the stripe is a mask.
+const stripes = 4
 
+// stripe is the calling goroutine's stripe.
+func stripe() int { return core.Proc() & (stripes - 1) }
+
+// completions is the completion aggregator: everything the layer learns
+// from a finished request, kept per class in stripes, each under its own
+// lock, plus the gate that elects one completion per period to run the
+// periodic work (closing the brownout window, ticking the anomaly
+// engine).
+type completions struct {
 	// slowOver is the brownout LatencyThreshold: completions above it
 	// count as slow. Zero counts none.
 	slowOver time.Duration
@@ -44,24 +56,40 @@ type completions struct {
 	// the next winner.
 	due                atomic.Int64
 	lastEval, lastTick sim.Time
+
+	// The pad keeps the fields above, which every completion reads, off
+	// the cache line of the first class's floor, which every completion
+	// of that class writes.
+	_     [64]byte
+	class [maxClasses]classWindow
 }
 
 // electing parks due while a winner runs, and is where due stays when
 // nothing periodic is configured: no clock reading reaches it.
 const electing = math.MaxInt64
 
-// classWindow is one class's share of the aggregator.
+// classWindow is one class's share of the aggregator: the deadline floor,
+// one value per class, and the striped window.
 type classWindow struct {
-	mu   sync.Mutex
-	hist *stats.Hist // completion latency in µs
-	// n and slow count this brownout window's completions.
-	n, slow int64
 	// floorNS is the deadline floor, a float64's bits: the cheapest a
 	// request of this class has recently been observed to complete.
 	// Samples below it snap it down immediately; samples above drift it
 	// up slowly (gain 1/64) so a stale low from a quiet period ages out.
-	// Written under mu, read by begin without it.
+	// Written by compare-and-swap, read by begin.
 	floorNS atomic.Uint64
+	_       [120]byte // keeps the floor off the stripes' cache lines
+	stripe  [stripes]windowStripe
+}
+
+// windowStripe is one stripe of a class's window: 32 bytes, padded to 128
+// so no two stripes share a cache line. The histogram is allocated on the
+// stripe's first completion, 26 KiB each.
+type windowStripe struct {
+	mu   sync.Mutex
+	hist *stats.Hist // completion latency in µs
+	// n and slow count this brownout window's completions.
+	n, slow int64
+	_       [96]byte
 }
 
 // nextDue is the earlier of the two consumers' next periods; the first
@@ -77,29 +105,43 @@ func (c *completions) nextDue() sim.Time {
 	return next
 }
 
-// complete records one completion on class and reports whether the
-// caller won the election and must run Admission.tick.
+// complete records one completion on class, in the caller's stripe, and
+// reports whether the caller won the election and must run
+// Admission.tick.
 func (c *completions) complete(class aequitas.Class, elapsed time.Duration, now sim.Time) bool {
 	w := &c.class[classSlot(class)]
-	w.mu.Lock()
-	if w.hist == nil {
-		w.hist = stats.NewHist()
+	s := &w.stripe[stripe()]
+	s.mu.Lock()
+	if s.hist == nil {
+		s.hist = stats.NewHist()
 	}
-	w.hist.Record(float64(elapsed) / float64(time.Microsecond))
-	w.n++
+	s.hist.Record(float64(elapsed) / float64(time.Microsecond))
+	s.n++
 	if c.slowOver > 0 && elapsed > c.slowOver {
-		w.slow++
+		s.slow++
 	}
+	s.mu.Unlock()
 	if elapsed > 0 {
-		s := float64(elapsed)
-		if cur := math.Float64frombits(w.floorNS.Load()); cur != 0 && s >= cur {
-			s = cur + (s-cur)/64
-		}
-		w.floorNS.Store(math.Float64bits(s))
+		w.learnFloor(float64(elapsed))
 	}
-	w.mu.Unlock()
 	due := c.due.Load()
 	return int64(now) >= due && c.due.CompareAndSwap(due, electing)
+}
+
+// learnFloor folds one completion's latency s (ns) into the floor,
+// retrying if another completion wrote it in between. A sample that
+// leaves the floor where it is writes nothing.
+func (w *classWindow) learnFloor(s float64) {
+	for {
+		old := w.floorNS.Load()
+		next := s
+		if cur := math.Float64frombits(old); cur != 0 && s >= cur {
+			next = cur + (s-cur)/64
+		}
+		if bits := math.Float64bits(next); bits == old || w.floorNS.CompareAndSwap(old, bits) {
+			return
+		}
+	}
 }
 
 // floor reports slot's deadline floor, or 0 when unlearned.
@@ -107,15 +149,32 @@ func (c *completions) floor(slot int) time.Duration {
 	return time.Duration(math.Float64frombits(c.class[slot].floorNS.Load()))
 }
 
+// merge adds slot's latency histogram, every stripe of it, to h, and
+// reports whether any completion has been recorded on slot.
+func (c *completions) merge(slot int, h *stats.Hist) (seen bool) {
+	for i := range c.class[slot].stripe {
+		s := &c.class[slot].stripe[i]
+		s.mu.Lock()
+		if s.hist != nil {
+			h.Merge(s.hist)
+			seen = true
+		}
+		s.mu.Unlock()
+	}
+	return seen
+}
+
 // closeWindow returns the brownout window's counts and starts the next
 // window.
 func (c *completions) closeWindow() (total, slow int64) {
 	for i := range c.class {
-		w := &c.class[i]
-		w.mu.Lock()
-		total, slow = total+w.n, slow+w.slow
-		w.n, w.slow = 0, 0
-		w.mu.Unlock()
+		for j := range c.class[i].stripe {
+			s := &c.class[i].stripe[j]
+			s.mu.Lock()
+			total, slow = total+s.n, slow+s.slow
+			s.n, s.slow = 0, 0
+			s.mu.Unlock()
+		}
 	}
 	return total, slow
 }
@@ -143,7 +202,7 @@ func (a *Admission) tick(now sim.Time) {
 	}
 	if c.tickEvery > 0 && now-c.lastTick >= sim.Time(c.tickEvery) {
 		c.lastTick = now
-		cs := a.core.Stats.Load()
+		cs := a.core.Stats()
 		if tr, ok := a.fl.eng.Tick(now, cs.SLOMet, cs.SLOMisses, a.core.MinAdmitProbability()); ok {
 			a.fl.fire(a.ctl, tr)
 		}
@@ -163,17 +222,16 @@ func (a *Admission) Snapshot() *obs.Snapshot {
 		SimTimeS: time.Since(a.started).Seconds(),
 	}
 	var completed int64
+	h := stats.NewHist()
 	for slot := range a.done.class {
-		w := &a.done.class[slot]
-		w.mu.Lock()
-		if w.hist != nil {
-			completed += w.hist.N()
+		h.Reset()
+		if a.done.merge(slot, h) {
+			completed += h.N()
 			s.Hists = append(s.Hists,
-				obs.SnapHist("serve_latency_us", "class", aequitas.Class(slot).String(), w.hist))
+				obs.SnapHist("serve_latency_us", "class", aequitas.Class(slot).String(), h))
 		}
-		w.mu.Unlock()
 	}
-	count := func(c cause) float64 { return float64(a.outcomes[c].Load()) }
+	count := func(c cause) float64 { return float64(a.outcome(c)) }
 	cs := a.ctl.Stats()
 	s.Counters = []obs.NamedValue{
 		{Name: "serve_admitted", Value: count(causeAdmitted)},

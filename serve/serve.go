@@ -12,8 +12,9 @@
 // outcome, calls Config.DecisionLog once, and reads the start time only
 // for requests that will be served. end reads the completion time,
 // feeds the latency to the controller, and hands (class, elapsed, now)
-// to the completion aggregator: per class, one lock guarding the latency
-// histogram, the deadline floor and the brownout window's counts. One
+// to the completion aggregator: per class, the deadline floor, and the
+// latency histogram and the brownout window's counts in stripes, each
+// under its own lock, picked by the P the request runs on. One
 // completion per period wins an election on that same now; after
 // releasing every lock a request or a /metrics scrape needs, the winner
 // closes the brownout window, steps the ladder, ticks the anomaly engine
@@ -191,8 +192,11 @@ type Admission struct {
 	dlog   func(Verdict)
 	clock  core.Clock
 
-	// outcomes counts requests by how begin disposed of them.
-	outcomes [causeCount]atomic.Int64
+	// outcomes counts requests by how begin disposed of them, striped by
+	// P; outcome sums the stripes. The pad keeps the fields above, which
+	// every request reads, off the first stripe's cache line.
+	_        [64]byte
+	outcomes [stripes]outcomeStripe
 	// done is the completion aggregator end feeds.
 	done completions
 	// dl, bo and fl are nil when the feature is off.
@@ -341,6 +345,21 @@ const (
 	causeCount
 )
 
+// outcomeStripe is one stripe of the outcome counters: 48 bytes, padded
+// to 128 so no two stripes share a cache line.
+type outcomeStripe struct {
+	n [causeCount]atomic.Int64
+	_ [128 - 8*causeCount]byte
+}
+
+// outcome reports how many requests begin has disposed of by c.
+func (a *Admission) outcome(c cause) (n int64) {
+	for i := range a.outcomes {
+		n += a.outcomes[i].n[c].Load()
+	}
+	return n
+}
+
 // refusals says how each non-serving cause is reported: the HTTP body, the response header that marks it, and the interceptor's error.
 // The served causes' entries are zero.
 var refusals = [causeCount]struct {
@@ -410,7 +429,7 @@ func (a *Admission) begin(req Request, budget time.Duration, haveBudget bool) re
 	if rec.cause == causeShed {
 		v.ShedLevel = level
 	}
-	a.outcomes[rec.cause].Add(1)
+	a.outcomes[stripe()].n[rec.cause].Add(1)
 	if a.dlog != nil {
 		a.dlog(rec.v)
 	}

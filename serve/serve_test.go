@@ -199,8 +199,8 @@ func TestMiddlewareReject(t *testing.T) {
 	if rejected == 0 {
 		t.Error("no rejections at floor admit probability with RejectDowngraded")
 	}
-	if a.outcomes[causeRejected].Load() != int64(rejected) {
-		t.Errorf("rejected counter %d, want %d", a.outcomes[causeRejected].Load(), rejected)
+	if a.outcome(causeRejected) != int64(rejected) {
+		t.Errorf("rejected counter %d, want %d", a.outcome(causeRejected), rejected)
 	}
 	checkLedger(t, a, 100)
 }
@@ -279,7 +279,7 @@ func TestServeConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	total := a.outcomes[causeAdmitted].Load() + a.outcomes[causeDowngraded].Load() + a.outcomes[causeRejected].Load()
+	total := a.outcome(causeAdmitted) + a.outcome(causeDowngraded) + a.outcome(causeRejected)
 	if total != workers*perWorker {
 		t.Errorf("decision counters sum to %d, want %d", total, workers*perWorker)
 	}
