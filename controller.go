@@ -94,7 +94,7 @@ type QuotaStats = core.QuotaStats
 // facade can do — name peers by string and size RPCs in bytes. One
 // instance per sending process. It is safe for concurrent use: Admit is
 // lock-free on the hot path (an atomic peer-table load plus the core
-// controller's sharded state), and Observe serialises only on the single
+// controller's channel table), and Observe serialises only on the single
 // (peer, class) channel it updates.
 //
 // Usage per RPC: call Admit with the destination and the requested class,
@@ -115,7 +115,9 @@ type peerTable struct {
 
 // MaxPeers bounds the peer table: peer names arrive in request headers,
 // and every insert copies the table. Peers past the bound share one
-// admission channel, named OverflowPeer.
+// admission channel, id MaxPeers, named OverflowPeer; that name is never
+// interned, so a peer calling itself OverflowPeer is on that channel
+// too.
 const (
 	MaxPeers     = 1024
 	OverflowPeer = "(other peers)"
@@ -150,13 +152,13 @@ func NewControllerWithClock(cfg ControllerConfig, clk core.Clock) (*AdmissionCon
 // in MTUs.
 func (c *AdmissionController) Core() *core.Controller { return c.inner }
 
-// lookup finds peer's id. Once the table is full every unknown peer is
-// the overflow channel.
+// lookup finds peer's id. OverflowPeer, and once the table is full every
+// unknown peer, is the overflow channel.
 func (t *peerTable) lookup(peer string) (int, bool) {
 	if id, ok := t.ids[peer]; ok {
 		return id, true
 	}
-	return MaxPeers, len(t.names) > MaxPeers
+	return MaxPeers, peer == OverflowPeer || len(t.names) == MaxPeers
 }
 
 // PeerID interns peer to the dense destination id the core controller
@@ -170,9 +172,6 @@ func (c *AdmissionController) PeerID(peer string) int {
 	old := c.peers.Load()
 	if id, ok := old.lookup(peer); ok {
 		return id
-	}
-	if len(old.names) == MaxPeers {
-		peer = OverflowPeer
 	}
 	next := &peerTable{
 		ids:   make(map[string]int, len(old.ids)+1),
@@ -193,7 +192,10 @@ func (c *AdmissionController) PeerID(peer string) int {
 // flight dumps; unknown ids yield "".
 func (c *AdmissionController) PeerName(id int32) string {
 	names := c.peers.Load().names
-	if id >= 0 && int(id) < len(names) {
+	switch {
+	case id == MaxPeers:
+		return OverflowPeer
+	case id >= 0 && int(id) < len(names):
 		return names[id]
 	}
 	return ""
@@ -238,10 +240,9 @@ func (c *AdmissionController) Stats() ControllerStats { return c.inner.Stats() }
 // deterministic order with its current admit probability — the live
 // metrics surface.
 func (c *AdmissionController) ForEachProbability(f func(peer string, class Class, pAdmit float64)) {
-	names := c.peers.Load().names
 	c.inner.ForEachState(c.inner.Clock().Now(), func(dst int, class qos.Class, p float64, _ sim.Duration) {
-		if dst >= 0 && dst < len(names) {
-			f(names[dst], class, p)
+		if name := c.PeerName(int32(dst)); name != "" {
+			f(name, class, p)
 		}
 	})
 }

@@ -123,7 +123,9 @@ func TestControllerPerMTUSLO(t *testing.T) {
 
 // TestPeerTableOverflow interns twice MaxPeers names, the second half
 // from several goroutines: the first MaxPeers keep dense ids of their
-// own, every later name is the overflow channel.
+// own, every later name is the overflow channel. A peer that names
+// itself OverflowPeer before the table fills is on that channel already,
+// so the name never means two channels.
 func TestPeerTableOverflow(t *testing.T) {
 	c, _ := newPublicController(t)
 	for i := 0; i < MaxPeers; i++ {
@@ -147,8 +149,24 @@ func TestPeerTableOverflow(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := len(c.peers.Load().names); got != MaxPeers+1 || c.PeerName(MaxPeers) != OverflowPeer {
-		t.Errorf("table holds %d names, the last %q", got, c.PeerName(MaxPeers))
+	if got := len(c.peers.Load().names); got != MaxPeers || c.PeerName(MaxPeers) != OverflowPeer {
+		t.Errorf("table holds %d names, the overflow channel is %q", got, c.PeerName(MaxPeers))
+	}
+
+	c, _ = newPublicController(t)
+	c.Observe(OverflowPeer, High, time.Second, 1)
+	for i := 0; i <= MaxPeers; i++ {
+		c.Admit("peer-"+strconv.Itoa(i), High, 1)
+	}
+	seen := map[string]int{}
+	c.ForEachProbability(func(peer string, class Class, p float64) {
+		if seen[peer+"/"+class.String()]++; peer == OverflowPeer && p == 1 {
+			t.Errorf("%s/%v has p_admit 1: the early miss is on another channel", peer, class)
+		}
+	})
+	if len(seen) != MaxPeers+1 || seen[OverflowPeer+"/"+High.String()] != 1 {
+		t.Errorf("%d channels, overflow reported %d times, want %d and once",
+			len(seen), seen[OverflowPeer+"/"+High.String()], MaxPeers+1)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 
 // refAlg1 is Algorithm 1 (§5.1) with §5.2's quota branch in front of the
 // draw, written the way the paper prints it: one goroutine, a plain map,
-// no atomics, no shards, no flight tap. The differential driver holds the
-// Controller to it decision for decision.
+// no atomics, no channel table, no flight tap. The differential tests
+// hold the Controller to it decision for decision.
 type refAlg1 struct {
 	cfg    Config
 	ch     map[stateKey]*refChannel
@@ -28,6 +28,11 @@ type refAlg1 struct {
 	inQuota, stalePassed, staleDropped, outOfQuota int64
 	// draws counts the uniform draws the algorithm consumed.
 	draws int
+}
+
+type stateKey struct {
+	dst   int
+	class qos.Class
 }
 
 type refChannel struct {

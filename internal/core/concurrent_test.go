@@ -14,7 +14,7 @@ import (
 
 // TestConcurrentAdmitObserve drives admits and observes from many
 // goroutines against overlapping (dst, class) channels and checks the
-// invariants the sharded state must hold under contention: every decision
+// invariants the channel table must hold under contention: every decision
 // is counted exactly once, every observation lands in exactly one SLO
 // counter, and no admit probability ever leaves [floor, 1]. Run under
 // -race this is the controller's data-race check.
@@ -202,6 +202,91 @@ func TestConcurrentAlgorithm1(t *testing.T) {
 	}
 	if st := ct.Stats(); st.SLOMet != rounds*channels*workers*4 || st.SLOMisses != channels+rounds*channels*workers*4 {
 		t.Errorf("stats %+v", st)
+	}
+}
+
+// TestConcurrentChannelGrowth touches ever-larger destinations from
+// several goroutines, so a fresh controller's channel table is copied
+// into larger ones again and again, while others record SLO misses on
+// channel (0, QoSh) and one walks ForEachState; each round starts every
+// goroutine together. β is a power of two, so channel 0 must end exactly
+// β·size below 1 per miss: an update lost across a copy, or a state the
+// copy failed to carry, shows as a different value. Every grower's
+// channel must keep its own miss, and every ForEachState pass must visit
+// strictly increasing (dst, class) pairs.
+func TestConcurrentChannelGrowth(t *testing.T) {
+	cfg := Defaults3(target(), 2*target())
+	cfg.Beta = 1.0 / 1024
+	const (
+		rounds             = 50
+		growers, observers = 2, 2
+		dsts               = 512 // destinations past 0, spread over the growers
+		misses             = 256 // per observer: p stays above the floor
+	)
+	miss := 100 * target()
+	for r := 0; r < rounds; r++ {
+		ct, err := NewWithClock(cfg, &ManualClock{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ready, growing, walking sync.WaitGroup
+		var start atomic.Bool
+		goTogether := func(wg *sync.WaitGroup, f func()) {
+			ready.Add(1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ready.Done()
+				for !start.Load() {
+					runtime.Gosched()
+				}
+				f()
+			}()
+		}
+		for g := 0; g < growers; g++ {
+			goTogether(&growing, func() {
+				for dst := 1 + g; dst <= dsts; dst += growers {
+					ct.ObserveAt(0, dst, qos.Medium, miss, 1)
+				}
+			})
+		}
+		for o := 0; o < observers; o++ {
+			goTogether(&growing, func() {
+				for i := 0; i < misses; i++ {
+					ct.ObserveAt(0, 0, qos.High, miss, 1)
+				}
+			})
+		}
+		var stop atomic.Bool
+		goTogether(&walking, func() {
+			for !stop.Load() {
+				lastDst, lastClass := -1, qos.Class(0)
+				ct.ForEachState(0, func(dst int, class qos.Class, _ float64, _ sim.Duration) {
+					if dst < lastDst || dst == lastDst && class <= lastClass {
+						t.Errorf("ForEachState visited (%d, %v) after (%d, %v)", dst, class, lastDst, lastClass)
+					}
+					lastDst, lastClass = dst, class
+				})
+			}
+		})
+		ready.Wait()
+		start.Store(true)
+		growing.Wait()
+		stop.Store(true)
+		walking.Wait()
+		if got, want := ct.AdmitProbability(0, qos.High), 1-observers*misses*cfg.Beta; got != want {
+			t.Fatalf("round %d: channel 0 ends at p = %v, want %v after %d misses", r, got, want, observers*misses)
+		}
+		for dst := 1; dst <= dsts; dst++ {
+			if got, want := ct.AdmitProbability(dst, qos.Medium), 1-cfg.Beta; got != want {
+				t.Fatalf("round %d: channel (%d, QoSm) ends at p = %v, want %v", r, dst, got, want)
+			}
+		}
+		seen := 0
+		ct.ForEachState(0, func(int, qos.Class, float64, sim.Duration) { seen++ })
+		if seen != 1+dsts {
+			t.Fatalf("round %d: ForEachState visited %d channels, want %d", r, seen, 1+dsts)
+		}
 	}
 }
 

@@ -12,9 +12,10 @@
 // The Controller is safe for concurrent use and its time source is
 // pluggable (see Clock): under a SimClock it reproduces the simulator's
 // deterministic single-threaded behaviour bit for bit, under a WallClock
-// it serves live traffic from many goroutines. Admission state is sharded
-// by (destination, class) with the admit probability read atomically, so
-// the Admit fast path takes no locks and performs no allocations. Observe
+// it serves live traffic from many goroutines. Admission state is one
+// table indexed by (destination, class), dense ids in (dst, class) order,
+// with the admit probability read atomically, so the Admit fast path is
+// two atomic loads and a bounds check: no locks, no allocations. Observe
 // writes p_admit only when it changes, by compare-and-swap; the only lock
 // it takes is the channel's, once per increment window, to claim the
 // additive increase. The counters are striped by the P a call runs on,
@@ -24,7 +25,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -185,36 +185,6 @@ func (ct *Controller) Stats() Stats {
 // stripe is the calling goroutine's counter stripe.
 func (ct *Controller) stripe() *statStripe { return &ct.stats[Proc()&(statStripes-1)] }
 
-// stateShards is the number of (dst, class) shard buckets. A power of
-// two so the shard index is a mask; 64 keeps cross-core insert
-// contention negligible without bloating an idle controller.
-const stateShards = 64
-
-type stateKey struct {
-	dst   int
-	class qos.Class
-}
-
-// shardIndex spreads (dst, class) keys over the shards. Fibonacci
-// hashing on the combined key: cheap, and adjacent destinations land on
-// different shards.
-func shardIndex(dst int, class qos.Class) int {
-	h := (uint64(dst)<<6 + uint64(class)) * 0x9E3779B97F4A7C15
-	return int(h >> (64 - 6)) // log2(stateShards) top bits
-}
-
-type stateMap = map[stateKey]*classState
-
-// stateShard holds one bucket of admission channels. Lookups are
-// lock-free: the map is immutable and replaced copy-on-write under mu
-// when a new (dst, class) channel first appears, so the admit fast path
-// is one atomic pointer load plus a map read.
-type stateShard struct {
-	m  atomic.Pointer[stateMap]
-	mu sync.Mutex // guards copy-on-write inserts and Reset
-	_  [40]byte   // pad to a cache line so shard headers don't false-share
-}
-
 // classState is one (dst, class) admission channel. The admit
 // probability lives in p as float64 bits: Admit reads it with one atomic
 // load, and every write is a compare-and-swap on the value it read, so a
@@ -253,9 +223,15 @@ type Controller struct {
 	clock  Clock
 	// windows[k] is the precomputed additive-increase window per class.
 	windows []sim.Duration
-	shards  [stateShards]stateShard
-	// The pad keeps the last shard's map pointer, which lookups read, off
-	// the first counter stripe's cache line.
+	// chans is the channel table: slot dst·(Levels−1)+class holds that
+	// channel's state, nil until the channel is first touched, so walking
+	// the slots visits the channels in (dst, class) order. Readers load
+	// the table and the slot without a lock; chansMu serialises filling a
+	// slot and growing the table, which copies it into a larger one.
+	chans   atomic.Pointer[[]atomic.Pointer[classState]]
+	chansMu sync.Mutex
+	// The pad keeps chans, which every call reads, off the first counter
+	// stripe's cache line.
 	_     [64]byte
 	stats [statStripes]statStripe
 
@@ -347,51 +323,56 @@ func (ct *Controller) record(now sim.Time, dst int, requested qos.Class, d rpc.D
 // (Algorithm 1 keeps its state in sender memory only). Cumulative Stats
 // are kept; they describe the whole run.
 func (ct *Controller) Reset() {
-	for i := range ct.shards {
-		sh := &ct.shards[i]
-		sh.mu.Lock()
-		sh.m.Store(nil)
-		sh.mu.Unlock()
+	ct.chansMu.Lock()
+	ct.chans.Store(nil)
+	ct.chansMu.Unlock()
+}
+
+// channels returns the channel table, nil before the first channel.
+func (ct *Controller) channels() []atomic.Pointer[classState] {
+	if t := ct.chans.Load(); t != nil {
+		return *t
 	}
+	return nil
 }
 
 // classState returns the channel state for (dst, class), creating it at
 // p_admit = 1 on first touch (Algorithm 1 line 3). The hit path is
 // lock-free.
 func (ct *Controller) classState(dst int, class qos.Class) *classState {
-	sh := &ct.shards[shardIndex(dst, class)]
-	k := stateKey{dst, class}
-	if m := sh.m.Load(); m != nil {
-		if st, ok := (*m)[k]; ok {
+	slot := dst*int(ct.lowest) + int(class)
+	if t := ct.channels(); uint(slot) < uint(len(t)) {
+		if st := t[slot].Load(); st != nil {
 			return st
 		}
 	}
-	return sh.create(k)
+	return ct.create(slot)
 }
 
-// create inserts a fresh channel via copy-on-write so concurrent readers
-// never see a map mid-mutation.
-func (sh *stateShard) create(k stateKey) *classState {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	old := sh.m.Load()
-	if old != nil {
-		if st, ok := (*old)[k]; ok {
+// create fills slot under chansMu, first copying the table into one
+// large enough when it is too small. The copy is published whole, so a
+// reader sees either table, and a slot filled in place is one atomic
+// store.
+func (ct *Controller) create(slot int) *classState {
+	ct.chansMu.Lock()
+	defer ct.chansMu.Unlock()
+	t := ct.channels()
+	if slot < len(t) {
+		if st := t[slot].Load(); st != nil {
 			return st
 		}
-	}
-	next := make(stateMap, 1)
-	if old != nil {
-		next = make(stateMap, len(*old)+1)
-		for kk, vv := range *old {
-			next[kk] = vv
+	} else {
+		next := make([]atomic.Pointer[classState], max(slot+1, 2*len(t)))
+		for i := range t {
+			next[i].Store(t[i].Load())
 		}
+		ct.chans.Store(&next)
+		t = next
 	}
 	st := &classState{}
 	st.p.Store(math.Float64bits(1)) // Algorithm 1 line 3
 	st.reopens.Store(math.MinInt64)
-	next[k] = st
-	sh.m.Store(&next)
+	t[slot].Store(st)
 	return st
 }
 
@@ -404,27 +385,6 @@ func (ct *Controller) AdmitProbability(dst int, class qos.Class) float64 {
 		return 1
 	}
 	return ct.classState(dst, class).load()
-}
-
-// forEachKeySorted appends every live channel key to buf (reused across
-// calls) and returns it sorted by (dst, class) — the deterministic
-// iteration order every reporting surface shares.
-func (ct *Controller) forEachKeySorted(buf []stateKey) []stateKey {
-	buf = buf[:0]
-	for i := range ct.shards {
-		if m := ct.shards[i].m.Load(); m != nil {
-			for k := range *m {
-				buf = append(buf, k)
-			}
-		}
-	}
-	slices.SortFunc(buf, func(a, b stateKey) int {
-		if a.dst != b.dst {
-			return a.dst - b.dst
-		}
-		return int(a.class) - int(b.class)
-	})
-	return buf
 }
 
 // stateAt reads one channel's probability and remaining
@@ -441,10 +401,12 @@ func (ct *Controller) stateAt(st *classState, now sim.Time) (p float64, rem sim.
 // the additive-increase window reopens at now (zero when the window is
 // already open or no increase has happened yet).
 func (ct *Controller) ForEachState(now sim.Time, f func(dst int, class qos.Class, pAdmit float64, windowRemaining sim.Duration)) {
-	for _, k := range ct.forEachKeySorted(nil) {
-		st := ct.classState(k.dst, k.class)
-		p, rem := ct.stateAt(st, now)
-		f(k.dst, k.class, p, rem)
+	t := ct.channels()
+	for i := range t {
+		if st := t[i].Load(); st != nil {
+			p, rem := ct.stateAt(st, now)
+			f(i/int(ct.lowest), qos.Class(i%int(ct.lowest)), p, rem)
+		}
 	}
 }
 
@@ -453,49 +415,45 @@ func (ct *Controller) ForEachState(now sim.Time, f func(dst int, class qos.Class
 // watches for admission collapse.
 func (ct *Controller) MinAdmitProbability() float64 {
 	minP := 1.0
-	for i := range ct.shards {
-		if m := ct.shards[i].m.Load(); m != nil {
-			for _, st := range *m {
-				minP = min(minP, st.load())
-			}
-		}
-	}
+	ct.ForEachState(0, func(_ int, _ qos.Class, p float64, _ sim.Duration) { minP = min(minP, p) })
 	return minP
 }
 
 // MetricsSampler returns an obs.Sampler exposing this controller's
 // per-(dst, class) admit probability and additive-increase window
 // remainder; host identifies the controller's sending host in metric
-// names. Metric keys are built once per (host, dst, class) and cached,
-// so steady-state sampling performs no allocations; the returned sampler
-// is not safe for concurrent use (each registry tick owns it).
+// names. Metric keys are built once per (host, dst, class) and cached in
+// a slice indexed like the channel table, so steady-state sampling
+// performs no allocations; the returned sampler is not safe for
+// concurrent use (each registry tick owns it).
 func (ct *Controller) MetricsSampler(host int) obs.Sampler {
 	type keyPair struct{ padmit, incwin string }
-	names := make(map[stateKey]keyPair)
-	var scratch []stateKey
+	var names []keyPair
 	return func(now sim.Time, emit func(string, float64)) {
-		scratch = ct.forEachKeySorted(scratch)
-		for _, k := range scratch {
-			kp, ok := names[k]
-			if !ok {
-				suffix := fmt.Sprintf("h%d.d%d.q%d", host, k.dst, int(k.class))
-				kp = keyPair{padmit: "padmit." + suffix, incwin: "incwin_us." + suffix}
-				names[k] = kp
+		ct.ForEachState(now, func(dst int, class qos.Class, p float64, rem sim.Duration) {
+			slot := dst*int(ct.lowest) + int(class)
+			if slot >= len(names) {
+				names = append(names, make([]keyPair, slot+1-len(names))...)
 			}
-			st := ct.classState(k.dst, k.class)
-			p, rem := ct.stateAt(st, now)
+			kp := &names[slot]
+			if kp.padmit == "" {
+				suffix := fmt.Sprintf("h%d.d%d.q%d", host, dst, int(class))
+				*kp = keyPair{padmit: "padmit." + suffix, incwin: "incwin_us." + suffix}
+			}
 			emit(kp.padmit, p)
 			emit(kp.incwin, rem.Micros())
-		}
+		})
 	}
 }
 
 // Admit implements rpc.Admitter — Algorithm 1 lines 5-12, behind the
 // quota branch of §5.2 when a quota client is attached. RPCs requesting
-// the lowest class are always admitted (it has no SLO to protect). The
-// fast path is one uniform draw, one lock-free state lookup, and one
-// atomic probability load: no locks, no allocations, and no clock reading
-// unless a quota bucket or the flight recorder needs the time.
+// the lowest class are always admitted (it has no SLO to protect). dst is
+// a dense, non-negative destination id (a simulated host id, or a peer id
+// from the facade's PeerID): it indexes the channel table. The fast path
+// is one uniform draw, one lock-free state lookup, and one atomic
+// probability load: no locks, no allocations, and no clock reading unless
+// a quota bucket or the flight recorder needs the time.
 func (ct *Controller) Admit(dst int, requested qos.Class, sizeMTUs int64) rpc.Decision {
 	slo := requested >= 0 && requested < ct.lowest
 	q := ct.quota.Load()
@@ -566,7 +524,8 @@ func (ct *Controller) RecordExpired(dst int, requested qos.Class, sizeMTUs int64
 
 // Observe implements rpc.Admitter — Algorithm 1 lines 13-20. rnl is the
 // measured RPC network latency of a completed RPC of sizeMTUs that ran on
-// class run toward dst, timestamped by the controller's clock.
+// class run toward dst, timestamped by the controller's clock. dst is a
+// dense, non-negative destination id, as for Admit.
 func (ct *Controller) Observe(dst int, run qos.Class, rnl sim.Duration, sizeMTUs int64) {
 	ct.ObserveAt(ct.clock.Now(), dst, run, rnl, sizeMTUs)
 }

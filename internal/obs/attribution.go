@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"io"
-	"sort"
 	"strconv"
 
 	"aequitas/internal/qos"
@@ -282,14 +281,13 @@ func (a *Attributor) Summaries() []ClassAttribution {
 	if a == nil || len(a.recs) == 0 {
 		return nil
 	}
-	byClass := map[int]*ClassAttribution{}
+	var byClass []ClassAttribution
 	for i := range a.recs {
 		r := &a.recs[i]
-		c := byClass[int(r.Class)]
-		if c == nil {
-			c = &ClassAttribution{Class: qos.Class(r.Class)}
-			byClass[int(r.Class)] = c
+		if int(r.Class) >= len(byClass) {
+			byClass = append(byClass, make([]ClassAttribution, int(r.Class)+1-len(byClass))...)
 		}
+		c := &byClass[r.Class]
 		c.N++
 		c.AdmitUS += r.Admit.Micros()
 		c.SenderUS += r.Sender.Micros()
@@ -300,9 +298,13 @@ func (a *Attributor) Summaries() []ClassAttribution {
 		c.WireUS += r.Wire.Micros()
 		c.RNLUS += r.RNL.Micros()
 	}
-	out := make([]ClassAttribution, 0, len(byClass))
-	for _, c := range byClass {
+	out := byClass[:0] // compacted in place: out never passes the element read
+	for class, c := range byClass {
+		if c.N == 0 {
+			continue
+		}
 		n := float64(c.N)
+		c.Class = qos.Class(class)
 		c.AdmitUS /= n
 		c.SenderUS /= n
 		c.TransportUS /= n
@@ -311,9 +313,8 @@ func (a *Attributor) Summaries() []ClassAttribution {
 		c.SwitchUS /= n
 		c.WireUS /= n
 		c.RNLUS /= n
-		out = append(out, *c)
+		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Class < out[j].Class })
 	return out
 }
 

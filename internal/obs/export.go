@@ -184,8 +184,9 @@ func promSanitize(name string) string {
 // non-comment line is `name[{labels}] value`, names are legal, values
 // parse, every sampled metric carries a preceding # TYPE line, histogram
 // bucket series are cumulative and end with le="+Inf" matching _count,
-// lines are UTF-8 and label values use no escape but \\, \" and \n.
-// It returns the number of sample lines.
+// no series (name and full label set, le included) appears twice, lines
+// are UTF-8 and label values use no escape but \\, \" and \n. It
+// returns the number of sample lines.
 func ValidatePromText(r io.Reader) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -198,6 +199,7 @@ func ValidatePromText(r io.Reader) (int, error) {
 		hasCnt  bool
 	}
 	hists := make(map[string]*histState) // keyed by metric + non-le labels
+	series := make(map[string]bool)      // metric + every label, sorted
 	samples := 0
 	lineNo := 0
 	for sc.Scan() {
@@ -221,6 +223,12 @@ func ValidatePromText(r io.Reader) (int, error) {
 		if err != nil {
 			return samples, fmt.Errorf("obs: prom text: line %d: bad value %q", lineNo, value)
 		}
+		sort.Strings(labels)
+		id := name + "{" + strings.Join(labels, ",") + "}"
+		if series[id] {
+			return samples, fmt.Errorf("obs: prom text: line %d: repeated series %s", lineNo, id)
+		}
+		series[id] = true
 		base := name
 		for _, suf := range []string{"_bucket", "_sum", "_count"} {
 			trimmed := strings.TrimSuffix(name, suf)

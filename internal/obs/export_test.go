@@ -120,6 +120,8 @@ func TestValidatePromTextRejects(t *testing.T) {
 		"no +Inf bucket": "# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_sum 3\nh_count 2\n",
 		"non-cumulative": "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_count 5\n",
 		"count mismatch": "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 5\nh_count 4\n",
+		"repeated gauge": "# TYPE g gauge\ng{name=\"padmit.p.q0\",x=\"1\"} 0.99\ng{x=\"1\",name=\"padmit.p.q0\"} 0.97\n",
+		"repeated le":    "# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 5\nh_count 5\n",
 	}
 	for name, text := range cases {
 		if _, err := ValidatePromText(strings.NewReader(text)); err == nil {

@@ -148,17 +148,21 @@ type Config struct {
 	// Records is the total ring capacity across all shards (default
 	// 16384). Rounded up so each shard holds a power of two.
 	Records int
-	// Shards is the number of independent ring shards (default 8, rounded
-	// up to a power of two). Writers hash their admission channel to a
-	// shard, so concurrent recorders on different channels touch disjoint
-	// cursors.
-	Shards int
 	// SampleAdmits keeps 1 in SampleAdmits admit and SLO-met records
 	// (rounded up to a power of two; default 8). Values <= 1 keep
 	// everything. Downgrades, drops, SLO misses and quota bypasses are
 	// always kept.
 	SampleAdmits int
 }
+
+// ringShards is the number of independent ring shards; shardFor keeps
+// the top shardBits bits of a hash. Writers hash their admission channel
+// to a shard, so concurrent recorders on different channels touch
+// disjoint cursors.
+const (
+	shardBits  = 3
+	ringShards = 1 << shardBits
+)
 
 // shard is one independent slice of the ring. The header is padded to
 // its own cache lines so cursors on different shards never false-share.
@@ -181,8 +185,7 @@ type shard struct {
 // concurrent use; a nil *Ring is the disabled recorder and every method
 // is a cheap no-op.
 type Ring struct {
-	shards     []shard
-	shardShift uint   // 64 - log2(len(shards)): shardFor keeps the top hash bits
+	shards     [ringShards]shard
 	slotMask   uint64 // per-shard capacity - 1
 	sampleMask uint64 // keep admits when hash(offered) & sampleMask == 0
 	frozen     atomic.Bool
@@ -207,23 +210,13 @@ func NewRing(cfg Config) *Ring {
 	if cfg.Records <= 0 {
 		cfg.Records = 1 << 14
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 8
-	}
-	shards := nextPow2(cfg.Shards)
-	per := nextPow2((cfg.Records + shards - 1) / shards)
+	per := nextPow2((cfg.Records + ringShards - 1) / ringShards)
 	sample := cfg.SampleAdmits
 	if sample == 0 {
 		sample = 8
 	}
 	sample = nextPow2(sample)
-	shift := uint(64)
-	for s := shards; s > 1; s >>= 1 {
-		shift--
-	}
 	r := &Ring{
-		shards:     make([]shard, shards),
-		shardShift: shift,
 		slotMask:   uint64(per - 1),
 		sampleMask: uint64(sample - 1),
 	}
@@ -249,7 +242,7 @@ func (r *Ring) Cap() int {
 // deterministically.
 func (r *Ring) shardFor(src, peer int32, class int8) *shard {
 	h := (uint64(uint32(src))<<20 ^ uint64(uint32(peer))<<4 ^ uint64(uint8(class))) * 0x9E3779B97F4A7C15
-	return &r.shards[h>>r.shardShift]
+	return &r.shards[h>>(64-shardBits)]
 }
 
 // sampleHash decides whether the n-th offered record on a shard survives

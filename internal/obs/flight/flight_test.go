@@ -66,19 +66,31 @@ func TestRingRecordsAndSnapshotOrder(t *testing.T) {
 	}
 }
 
+// TestRingWrapKeepsLatest writes ten laps of records over one peer per
+// shard in turn, so every shard wraps alike and the newest Cap() records
+// overall are each shard's newest: exactly those must survive.
 func TestRingWrapKeepsLatest(t *testing.T) {
-	r := NewRing(Config{Records: 64, Shards: 1, SampleAdmits: 1})
+	r := NewRing(Config{Records: 64, SampleAdmits: 1})
+	var peers []int32
+	taken := map[*shard]bool{}
+	for p := int32(0); len(peers) < ringShards; p++ {
+		if sh := r.shardFor(0, p, 0); !taken[sh] {
+			taken[sh] = true
+			peers = append(peers, p)
+		}
+	}
 	n := 10 * r.Cap()
 	for i := 0; i < n; i++ {
-		r.Decision(sim.Time(i)*sim.Microsecond, 0, 0, 0, 0, VerdictAdmit, 1, 1)
+		r.Decision(sim.Time(i)*sim.Microsecond, 0, peers[i%ringShards], 0, 0, VerdictAdmit, 1, 1)
 	}
 	recs := r.Snapshot(false)
 	if len(recs) != r.Cap() {
 		t.Fatalf("wrapped ring holds %d records, want %d", len(recs), r.Cap())
 	}
-	// The survivors are the newest capacity records.
-	if got, want := recs[0].TS, sim.Time(n-r.Cap())*sim.Microsecond; got != want {
-		t.Fatalf("oldest surviving record at %v, want %v", got, want)
+	for i, rec := range recs {
+		if want := sim.Time(n-r.Cap()+i) * sim.Microsecond; rec.TS != want {
+			t.Fatalf("surviving record %d at %v, want %v", i, rec.TS, want)
+		}
 	}
 }
 

@@ -26,10 +26,10 @@ import (
 // deterministic completion order, so the resulting CSV columns are
 // byte-identical for a fixed SimConfig at any sweep worker count.
 type TailTracker struct {
-	series map[tailKey]*tailSeries
-	// order keeps the emit order deterministic: keys sorted by (dst,
-	// class), maintained on insert.
-	order []tailKey
+	// series[dst][class] is one channel's window, nil until the channel
+	// is first observed; walking it visits the channels in (dst, class)
+	// order, the emit order.
+	series [][]*tailSeries
 }
 
 // tailSeries is one channel's open window and its metric names — ".n",
@@ -37,11 +37,6 @@ type TailTracker struct {
 type tailSeries struct {
 	hist  *stats.Hist
 	names []string
-}
-
-type tailKey struct {
-	dst   int32
-	class int16
 }
 
 // tailQuantiles are the emitted quantiles and their metric-name suffixes.
@@ -56,41 +51,28 @@ var tailQuantiles = []struct {
 }
 
 // NewTailTracker returns an empty tracker.
-func NewTailTracker() *TailTracker {
-	return &TailTracker{series: make(map[tailKey]*tailSeries)}
-}
+func NewTailTracker() *TailTracker { return &TailTracker{} }
 
 // Observe records one completed RPC's network latency (µs) on the (dst,
-// class) channel. Allocation happens only on a channel's first
-// observation (histogram construction); the steady state is a map lookup
-// plus a zero-alloc histogram record.
+// class) channel; both are dense, non-negative ids. Allocation happens
+// only on a channel's first observation (histogram construction); the
+// steady state is two slice indexes plus a zero-alloc histogram record.
 func (t *TailTracker) Observe(dst, class int, rnlUS float64) {
 	if t == nil {
 		return
 	}
-	k := tailKey{dst: int32(dst), class: int16(class)}
-	sr, ok := t.series[k]
-	if !ok {
+	if dst >= len(t.series) {
+		t.series = append(t.series, make([][]*tailSeries, dst+1-len(t.series))...)
+	}
+	if row := t.series[dst]; class >= len(row) {
+		t.series[dst] = append(row, make([]*tailSeries, class+1-len(row))...)
+	}
+	sr := t.series[dst][class]
+	if sr == nil {
 		sr = &tailSeries{hist: stats.NewHist()}
-		t.series[k] = sr
-		t.insertOrdered(k)
+		t.series[dst][class] = sr
 	}
 	sr.hist.Record(rnlUS)
-}
-
-// insertOrdered keeps order sorted by (dst, class).
-func (t *TailTracker) insertOrdered(k tailKey) {
-	i := len(t.order)
-	for i > 0 {
-		p := t.order[i-1]
-		if p.dst < k.dst || (p.dst == k.dst && p.class < k.class) {
-			break
-		}
-		i--
-	}
-	t.order = append(t.order, tailKey{})
-	copy(t.order[i+1:], t.order[i:])
-	t.order[i] = k
 }
 
 // Sampler returns the registry sampler that closes each window: it emits
@@ -99,24 +81,25 @@ func (t *TailTracker) insertOrdered(k tailKey) {
 // a fresh window. A tick with no new channel allocates nothing.
 func (t *TailTracker) Sampler() Sampler {
 	return func(now sim.Time, emit func(string, float64)) {
-		for _, k := range t.order {
-			sr := t.series[k]
-			h := sr.hist
-			if h.N() == 0 {
-				continue
-			}
-			if sr.names == nil {
-				base := "tail.d" + strconv.Itoa(int(k.dst)) + ".q" + strconv.Itoa(int(k.class))
-				sr.names = []string{base + ".n"}
-				for _, tq := range tailQuantiles {
-					sr.names = append(sr.names, base+tq.suffix)
+		for dst, row := range t.series {
+			for class, sr := range row {
+				if sr == nil || sr.hist.N() == 0 {
+					continue
 				}
+				h := sr.hist
+				if sr.names == nil {
+					base := "tail.d" + strconv.Itoa(dst) + ".q" + strconv.Itoa(class)
+					sr.names = []string{base + ".n"}
+					for _, tq := range tailQuantiles {
+						sr.names = append(sr.names, base+tq.suffix)
+					}
+				}
+				emit(sr.names[0], float64(h.N()))
+				for i, tq := range tailQuantiles {
+					emit(sr.names[1+i], h.Quantile(tq.q))
+				}
+				h.Reset()
 			}
-			emit(sr.names[0], float64(h.N()))
-			for i, tq := range tailQuantiles {
-				emit(sr.names[1+i], h.Quantile(tq.q))
-			}
-			h.Reset()
 		}
 	}
 }
