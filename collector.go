@@ -48,13 +48,12 @@ type collector struct {
 	busyAtWarm, busyAtEnd sim.Duration
 	measStart, measEnd    sim.Time
 
-	probes      []*probeState
-	outHigh     stats.Sample
-	outLow      stats.Sample
-	outHiBuf    []int // per-dst scratch reused across sample ticks
-	outLoBuf    []int
-	traceHeader bool
-	traceRow    []byte // the last per-RPC trace row; its storage is the next one's
+	probes   []*probeState
+	outHigh  stats.Sample
+	outLow   stats.Sample
+	outHiBuf []int // per-dst scratch reused across sample ticks
+	outLoBuf []int
+	traceRow []byte // the last per-RPC trace row; its storage is the next one's
 	// traceErr is the first TraceWriter error; no row is written after it,
 	// and Run returns it once the run has drained.
 	traceErr error
@@ -259,9 +258,8 @@ func (c *collector) sample(s *sim.Simulator, controllers []*core.Controller) {
 		ps.hasSample = true
 	}
 	if c.cfg.TrackOutstanding {
-		// One pass over every stack's live (dst, class) entries,
-		// accumulating per-destination counts — O(live entries) instead of
-		// the former O(hosts² · levels) re-probe of every combination.
+		// One pass over every stack's in-flight RPCs, accumulating
+		// per-destination counts.
 		scavenger := qos.Class(c.cfg.levels() - 1)
 		n := len(c.stacks)
 		if c.outHiBuf == nil {
@@ -273,14 +271,14 @@ func (c *collector) sample(s *sim.Simulator, controllers []*core.Controller) {
 			c.outLoBuf[i] = 0
 		}
 		for _, st := range c.stacks {
-			st.ForEachOutstanding(func(dst int, cl qos.Class, cnt int) {
+			st.ForEachOutstanding(func(dst int, cl qos.Class) {
 				if dst < 0 || dst >= n {
 					return
 				}
 				if cl >= scavenger {
-					c.outLoBuf[dst] += cnt
+					c.outLoBuf[dst]++
 				} else {
-					c.outHiBuf[dst] += cnt
+					c.outHiBuf[dst]++
 				}
 			})
 		}
@@ -300,24 +298,13 @@ func (c *collector) trace(s *sim.Simulator, src int, r *rpc.RPC) {
 	if w == nil || c.traceErr != nil || !c.inWindow(r.IssueTime) {
 		return
 	}
-	// A CSVTrace sink owns the header latch, so a retried run reusing the
-	// sink still writes the header exactly once; a bare io.Writer falls
-	// back to once per collector (i.e. per run).
-	var err error
-	switch sink := w.(type) {
-	case *CSVTrace:
-		if sink.claimHeader() {
-			_, err = fmt.Fprintln(w, traceCSVHeader)
+	// The sink owns the header latch, so a retried run reusing it still
+	// writes the header exactly once.
+	if w.claimHeader() {
+		if _, err := fmt.Fprintln(w, traceCSVHeader); err != nil {
+			c.traceErr = err
+			return
 		}
-	default:
-		if !c.traceHeader {
-			c.traceHeader = true
-			_, err = fmt.Fprintln(w, traceCSVHeader)
-		}
-	}
-	if err != nil {
-		c.traceErr = err
-		return
 	}
 	// The row is appended field by field into a buffer kept across rows:
 	// Fprintf boxed eleven arguments for each. Only RPCs that ran complete,

@@ -2,6 +2,7 @@ package aequitas
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -162,8 +163,11 @@ func (t *peerTable) lookup(peer string) (int, bool) {
 }
 
 // PeerID interns peer to the dense destination id the core controller
-// keys its channels by, lock-free when the peer has been seen before.
+// keys its channels by, lock-free when the peer has been seen before. A
+// name is interned as valid UTF-8, each invalid byte run one U+FFFD, so
+// names that differ only there share a channel and render as one series.
 func (c *AdmissionController) PeerID(peer string) int {
+	peer = strings.ToValidUTF8(peer, "\uFFFD")
 	if id, ok := c.peers.Load().lookup(peer); ok {
 		return id
 	}

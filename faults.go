@@ -72,8 +72,7 @@ func FaultPresetNames() []string { return faults.PresetNames(false) }
 // RetryParams configures client-side RPC robustness: per-attempt
 // timeouts, a bounded retry budget whose k-th retry waits Timeout/2·2^(k−1),
 // and optional hedged duplicates on the scavenger class. The zero value
-// disables everything and keeps the issue path identical to a build
-// without this feature.
+// disables everything.
 type RetryParams struct {
 	// Timeout is the per-attempt deadline; 0 disables timeouts/retries.
 	Timeout time.Duration
@@ -87,9 +86,6 @@ type RetryParams struct {
 	// hedges all sizes.
 	HedgeMaxBytes int64
 }
-
-// active reports whether the params enable any robustness behaviour.
-func (p RetryParams) active() bool { return p.Timeout > 0 || p.HedgeAfter > 0 }
 
 // retryPolicy converts the public params to the stack's policy. Hedges
 // ride the scavenger (lowest) class so the duplicate takes an

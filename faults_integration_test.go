@@ -83,9 +83,9 @@ func TestFaultDeterministicUnderParallel(t *testing.T) {
 	}
 }
 
-// TestEmptyFaultPlanIsNoOp: an empty (but non-nil) plan must take exactly
-// the pre-fault code path — byte-identical attribution output and
-// identical results to a nil plan, with no robustness counters touched.
+// TestEmptyFaultPlanIsNoOp: an empty (but non-nil) plan changes nothing —
+// byte-identical attribution output and identical results to a nil plan,
+// with no robustness counters touched.
 func TestEmptyFaultPlanIsNoOp(t *testing.T) {
 	run := func(plan *FaultPlan) (string, *Results) {
 		var csv bytes.Buffer
@@ -114,6 +114,40 @@ func TestEmptyFaultPlanIsNoOp(t *testing.T) {
 		if res.TimedOut != 0 || res.Retried != 0 || res.CrashLostRPCs != 0 {
 			t.Error("robustness counters touched without retry policy or faults")
 		}
+	}
+}
+
+// TestNoOpFaultPlanChangesNoOutcome: on every system, a plan whose one
+// event changes nothing (loss at rate 0) leaves every RPC's outcome alone:
+// the same RPCs issued and completed, the same RNL at every quantile. The
+// plan's event is itself one more simulator event, so EventsProcessed is
+// left out.
+func TestNoOpFaultPlanChangesNoOutcome(t *testing.T) {
+	for _, sys := range Systems() {
+		t.Run(sys.String(), func(t *testing.T) {
+			run := func(plan *FaultPlan) *Results {
+				cfg := smallCluster(sys, 5)
+				cfg.Duration, cfg.Warmup = 2*time.Millisecond, 500*time.Microsecond
+				cfg.Faults = plan
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			plain := run(nil)
+			noop := run(&FaultPlan{Events: []FaultEvent{LinkLossAt(0, "up-0", 0)}})
+			if plain.Issued != noop.Issued || plain.Completed != noop.Completed {
+				t.Errorf("issued/completed %d/%d without a plan, %d/%d with a no-op plan",
+					plain.Issued, plain.Completed, noop.Issued, noop.Completed)
+			}
+			if !reflect.DeepEqual(plain.RNLRun, noop.RNLRun) {
+				t.Errorf("RNL by class run\nwithout a plan: %+v\nwith a no-op plan: %+v", plain.RNLRun, noop.RNLRun)
+			}
+			if !reflect.DeepEqual(plain.RNLPriority, noop.RNLPriority) {
+				t.Errorf("RNL by priority\nwithout a plan: %+v\nwith a no-op plan: %+v", plain.RNLPriority, noop.RNLPriority)
+			}
+		})
 	}
 }
 

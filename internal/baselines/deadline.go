@@ -111,7 +111,6 @@ func NewDeadlineSender(f *DeadlineFabric, host *netsim.Host) *DeadlineSender {
 
 // Send implements rpc.Sender.
 func (ds *DeadlineSender) Send(s *sim.Simulator, m *transport.Message) {
-	m.SubmitTime = s.Now()
 	f := ds.fabric
 	f.next++
 	fl := &dlFlow{

@@ -91,7 +91,6 @@ func NewHoma(host *netsim.Host, cfg HomaConfig) *Homa {
 
 // Send implements rpc.Sender.
 func (h *Homa) Send(s *sim.Simulator, m *transport.Message) {
-	m.SubmitTime = s.Now()
 	h.nextMsg++
 	id := h.nextMsg
 	o := &homaOut{m: m, granted: min(m.Bytes, rttBytes)}

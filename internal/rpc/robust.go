@@ -32,30 +32,10 @@ type RetryPolicy struct {
 	HedgeMaxMTUs int64
 }
 
-// active reports whether the policy does anything.
-func (p RetryPolicy) active() bool { return p.Timeout > 0 || p.HedgeAfter > 0 }
-
-// tracking reports whether Issue routes through the robust path.
-func (st *Stack) tracking() bool { return st.TrackInflight || st.Retry.active() }
-
-// InflightLen reports tracked in-flight RPCs (tests).
+// InflightLen reports the RPCs in flight (tests).
 func (st *Stack) InflightLen() int { return len(st.inflight) }
 
-// issueTracked is the robust continuation of Issue: the RPC is recorded
-// in-flight, its transmissions carry timeout/fail callbacks, and an
-// optional hedge timer is armed.
-func (st *Stack) issueTracked(s *sim.Simulator, r *RPC) {
-	if st.inflight == nil {
-		st.inflight = make(map[uint64]*RPC)
-	}
-	st.inflight[r.ID] = r
-	st.transmit(s, r, r.QoSRun, false)
-	if d := st.Retry.HedgeAfter; d > 0 && (st.Retry.HedgeMaxMTUs == 0 || r.SizeMTUs <= st.Retry.HedgeMaxMTUs) {
-		r.hedgeTimer = s.After(d, (*hedgeEvent)(r))
-	}
-}
-
-// attempt is a retry or a hedge of a tracked RPC: the message, and behind
+// attempt is a retry or a hedge of an RPC: the message, and behind
 // its Ctx the RPC it is an attempt of.
 type attempt struct {
 	msg   transport.Message
@@ -64,11 +44,11 @@ type attempt struct {
 }
 
 // attemptDone and attemptFailed are the OnComplete and OnFail of every
-// tracked transmission.
+// transmission.
 func attemptDone(s *sim.Simulator, m *transport.Message) {
 	r, hedge := returned(m)
 	st := r.st
-	st.attemptDone(s, r, hedge)
+	st.complete(s, r, hedge)
 	st.release(r)
 }
 
@@ -81,7 +61,7 @@ func attemptFailed(s *sim.Simulator, m *transport.Message) {
 	}
 }
 
-// returned takes one transmission of a tracked RPC back from its
+// returned takes one transmission of an RPC back from its
 // transport: an attempt record goes to the free list, and the RPC has one
 // transmission fewer out.
 func returned(m *transport.Message) (r *RPC, hedge bool) {
@@ -147,28 +127,30 @@ func (st *Stack) transmit(s *sim.Simulator, r *RPC, class qos.Class, isHedge boo
 		m, ctx = &a.msg, a
 	}
 	r.live++
-	st.ep.Send(s, r.message(m, class, ctx, attemptDone, attemptFailed))
+	*m = transport.Message{
+		ID:         r.ID,
+		Dst:        r.Dst,
+		Class:      class,
+		Bytes:      r.Bytes,
+		Deadline:   r.Deadline,
+		OnComplete: attemptDone,
+		OnFail:     attemptFailed,
+		Ctx:        ctx,
+	}
+	st.ep.Send(s, m)
 	if !isHedge && st.Retry.Timeout > 0 {
 		r.timer.Cancel()
 		r.timer = s.After(st.Retry.Timeout, (*timeoutEvent)(r))
 	}
 }
 
-// attemptDone completes the RPC on its first finishing attempt; later
-// attempts (the hedge loser, a pre-timeout original straggling home) are
-// ignored.
-func (st *Stack) attemptDone(s *sim.Simulator, r *RPC, isHedge bool) {
-	if r.done {
-		return
-	}
+// end makes r terminal: its timers are cancelled and it leaves the
+// in-flight record.
+func (st *Stack) end(r *RPC) {
 	r.done = true
 	r.timer.Cancel()
 	r.hedgeTimer.Cancel()
-	delete(st.inflight, r.ID)
-	if isHedge {
-		st.Stats.HedgeWins++
-	}
-	st.complete(s, r, r.IssueTime)
+	st.untrack(r)
 }
 
 // onTimeout handles a per-attempt deadline expiring. On the RPC's first
@@ -212,36 +194,27 @@ func (st *Stack) backoffFor(retry int) sim.Duration {
 	return st.Retry.Timeout / 2 << min(retry-1, 16)
 }
 
-// fail abandons the RPC: accounting is released and attribution state
-// dropped so the pending map cannot leak.
+// fail abandons the RPC: it leaves the in-flight record and its
+// attribution state is dropped so the pending map cannot leak.
 func (st *Stack) fail(s *sim.Simulator, r *RPC) {
-	r.done = true
-	r.timer.Cancel()
-	r.hedgeTimer.Cancel()
-	delete(st.inflight, r.ID)
-	st.outstanding[r.Dst][r.QoSRun]--
+	st.end(r)
 	st.Stats.Failed++
 	st.Attr.Drop(st.Src, r.ID)
 }
 
 // Crash simulates this host failing: every in-flight RPC is lost (its
-// timers cancelled, its attribution state dropped), outstanding-RPC
-// accounting clears, and the stack stops issuing until Restart. The
-// caller is responsible for crashing the transport endpoint and
-// resetting the admission controller alongside.
+// timers cancelled, its attribution state dropped), the in-flight record
+// empties, and the stack stops issuing until Restart. The caller is
+// responsible for crashing the transport endpoint and resetting the
+// admission controller alongside.
 func (st *Stack) Crash(s *sim.Simulator) {
 	st.down = true
-	for id, r := range st.inflight {
-		r.done = true
-		r.timer.Cancel()
-		r.hedgeTimer.Cancel()
+	for len(st.inflight) > 0 {
+		r := st.inflight[len(st.inflight)-1]
+		st.end(r)
 		st.Stats.CrashLost++
-		st.Attr.Drop(st.Src, id)
+		st.Attr.Drop(st.Src, r.ID)
 		st.release(r)
-	}
-	clear(st.inflight)
-	for _, row := range st.outstanding {
-		clear(row)
 	}
 }
 

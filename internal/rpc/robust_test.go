@@ -11,8 +11,8 @@ import (
 	"aequitas/internal/wfq"
 )
 
-// robustSetup builds hosts whose stacks track in-flight RPCs, returning
-// the network, stacks, and endpoints (for injecting transport faults).
+// robustSetup builds hosts whose stacks run policy, returning the
+// network, stacks, and endpoints (for injecting transport faults).
 func robustSetup(t *testing.T, hosts int, policy RetryPolicy) (*netsim.Network, []*Stack, []*transport.Endpoint) {
 	t.Helper()
 	net, err := netsim.New(netsim.Config{
@@ -34,7 +34,6 @@ func robustSetup(t *testing.T, hosts int, policy RetryPolicy) (*netsim.Network, 
 		stacks[i] = NewStack(eps[i], nil)
 		stacks[i].Src = i
 		stacks[i].Retry = policy
-		stacks[i].TrackInflight = true
 	}
 	return net, stacks, eps
 }
@@ -165,7 +164,7 @@ func TestCrashClearsOutstanding(t *testing.T) {
 		t.Error("outstanding not cleared by crash")
 	}
 	ghosts := 0
-	stacks[0].ForEachOutstanding(func(int, qos.Class, int) { ghosts++ })
+	stacks[0].ForEachOutstanding(func(int, qos.Class) { ghosts++ })
 	if ghosts != 0 {
 		t.Errorf("ForEachOutstanding visited %d ghost entries", ghosts)
 	}
@@ -244,29 +243,6 @@ func TestAttributionNoLeakUnderFaults(t *testing.T) {
 	}
 	if stacks[2].Stats.Completed != 1 {
 		t.Errorf("host 2 Completed = %d, want 1", stacks[2].Stats.Completed)
-	}
-}
-
-// TestTrackedPathMatchesPlainPath checks the robust issue path is a
-// behavioural no-op when nothing goes wrong: same completions, same RNL,
-// as the plain path on the same seed.
-func TestTrackedPathMatchesPlainPath(t *testing.T) {
-	run := func(track bool) (int64, sim.Duration) {
-		_, stacks, _ := robustSetup(t, 2, RetryPolicy{})
-		stacks[0].TrackInflight = track
-		s := sim.New(42)
-		var lastRNL sim.Duration
-		stacks[0].OnComplete = func(_ *sim.Simulator, r *RPC) { lastRNL = r.RNL }
-		for i := 0; i < 20; i++ {
-			stacks[0].Issue(s, &RPC{Dst: 1, Priority: qos.PC, Bytes: int64(1000 * (i + 1))})
-		}
-		s.Run()
-		return stacks[0].Stats.Completed, lastRNL
-	}
-	c1, r1 := run(false)
-	c2, r2 := run(true)
-	if c1 != c2 || r1 != r2 {
-		t.Errorf("plain (%d, %v) != tracked (%d, %v)", c1, r1, c2, r2)
 	}
 }
 

@@ -2,8 +2,8 @@
 // the transport: RPC issue with priority annotation, the Phase-1 mapping
 // of priorities to QoS classes, the admission-control hook where Aequitas
 // plugs in, and RPC network-latency (RNL) measurement as defined in
-// Appendix A — t0 when the first byte is handed to the transport, t1 when
-// the last byte is acknowledged.
+// Appendix A — t0 when the stack hands the RPC to its Sender, t1 when the
+// last byte is acknowledged, so host-side queueing in a Sender counts.
 //
 // An RPC from Stack.NewRPC is its stack's until Stack.OnComplete returns,
 // so an OnComplete must not retain it. The stack takes an object back,
@@ -40,12 +40,15 @@ type RPC struct {
 	// the lowest class; it is the explicit notification of Algorithm 1
 	// lines 10-11.
 	Downgraded bool
-	// owned, done and backoffArmed are the stack's (see msg).
+	// owned, done, backoffArmed and slot are the stack's (see msg).
 	owned, done, backoffArmed bool
+	slot                      int32
 
 	IssueTime    sim.Time
 	CompleteTime sim.Time
-	// RNL is the measured RPC network latency (t1 − t0).
+	// RNL is the measured RPC network latency: CompleteTime − IssueTime,
+	// where IssueTime is also the instant the stack handed the RPC to its
+	// Sender.
 	RNL sim.Duration
 	// SizeMTUs is the RPC size in MTUs, the unit of Algorithm 1's
 	// normalised SLO and size-proportional decrease.
@@ -59,11 +62,12 @@ type RPC struct {
 
 	// The rest is the stack's. msg is the first transmission, its Ctx the
 	// RPC; st the issuing stack, whose free list takes back an owned RPC
-	// (from NewRPC). On the tracked path live counts transmissions a
-	// transport holds, retries those after the first; done is the terminal
-	// state late callbacks check; backoffArmed a retry pending in timer, so
-	// OnFail on an original and its hedge spends the budget once; timer is
-	// the per-attempt timeout or the back-off.
+	// (from NewRPC). live counts transmissions a transport holds, retries
+	// those after the first; done is the terminal state late callbacks
+	// check; backoffArmed a retry pending in timer, so OnFail on an
+	// original and its hedge spends the budget once; slot is the RPC's
+	// index in the stack's in-flight record while it is not terminal;
+	// timer is the per-attempt timeout or the back-off.
 	msg               transport.Message
 	st                *Stack
 	timer, hedgeTimer sim.Handle
@@ -137,8 +141,8 @@ type Stats struct {
 	Downgraded int64
 	Dropped    int64
 
-	// Robustness counters, populated only under a RetryPolicy or fault
-	// plan (the plain issue path never touches them).
+	// Robustness counters: zero unless a RetryPolicy arms timers or a
+	// fault fails a transmission.
 	TimedOut  int64 // per-attempt timeouts observed
 	Retried   int64 // retry attempts actually sent
 	Hedged    int64 // hedged duplicates sent
@@ -177,25 +181,18 @@ type Stack struct {
 	// calls below stay free when attribution is off.
 	Attr *obs.Attributor
 
-	// Retry enables client-side timeouts, retries, and hedging.
-	// TrackInflight forces per-RPC in-flight tracking even without a
-	// retry policy, so faults (host crashes, peer resets) can fail
-	// in-flight RPCs and keep Outstanding() accounting exact; the run
-	// sets it whenever a fault plan is active. When both are zero the
-	// issue path is exactly the pre-fault code with no extra state.
-	Retry         RetryPolicy
-	TrackInflight bool
+	// Retry enables client-side timeouts, retries, and hedging; the zero
+	// policy arms nothing, and faults (host crashes, peer resets) still
+	// fail in-flight RPCs.
+	Retry RetryPolicy
 	// down marks a crashed host: Issue discards RPCs until Restart.
 	down bool
 
 	nextID uint64
-	// outstanding counts incomplete RPCs per [destination host][class],
-	// the quantity behind Figure 13's per-switch-port outstanding RPCs,
-	// grown the first time a destination and class are counted.
-	outstanding [][]int
-	// inflight tracks issued-but-incomplete RPCs by id under the robust
-	// issue path; allocated lazily on first tracked issue.
-	inflight map[uint64]*RPC
+	// inflight holds the issued RPCs that are not yet terminal, each at
+	// its slot: the one record behind Outstanding, ForEachOutstanding and
+	// Crash.
+	inflight []*RPC
 	// free and attempts are the released RPCs and attempt records.
 	free     []*RPC
 	attempts []*attempt
@@ -230,57 +227,47 @@ func (st *Stack) release(r *RPC) {
 	}
 }
 
-// count adds n to the incomplete RPCs toward dst on class c.
-func (st *Stack) count(dst int, c qos.Class, n int) {
-	if dst >= len(st.outstanding) {
-		st.outstanding = append(st.outstanding, make([][]int, dst+1-len(st.outstanding))...)
-	}
-	if row := st.outstanding[dst]; int(c) >= len(row) {
-		st.outstanding[dst] = append(row, make([]int, int(c)+1-len(row))...)
-	}
-	st.outstanding[dst][c] += n
+// track records r in flight.
+func (st *Stack) track(r *RPC) {
+	r.slot = int32(len(st.inflight))
+	st.inflight = append(st.inflight, r)
+}
+
+// untrack removes r from the in-flight record, moving the last entry
+// into its slot.
+func (st *Stack) untrack(r *RPC) {
+	n := len(st.inflight) - 1
+	last := st.inflight[n]
+	st.inflight[r.slot], last.slot = last, r.slot
+	st.inflight[n] = nil
+	st.inflight = st.inflight[:n]
 }
 
 // Outstanding reports the number of incomplete RPCs toward dst across all
 // classes.
 func (st *Stack) Outstanding(dst int) int {
 	total := 0
-	if uint(dst) < uint(len(st.outstanding)) {
-		for _, n := range st.outstanding[dst] {
-			total += n
+	for _, r := range st.inflight {
+		if r.Dst == dst {
+			total++
 		}
 	}
 	return total
 }
 
-// OutstandingClass reports the number of incomplete RPCs toward dst that
-// are running on class c.
-func (st *Stack) OutstandingClass(dst int, c qos.Class) int {
-	if uint(dst) < uint(len(st.outstanding)) {
-		if row := st.outstanding[dst]; uint(c) < uint(len(row)) {
-			return row[c]
-		}
-	}
-	return 0
-}
-
-// ForEachOutstanding calls f once per (destination, class) pair with a
-// non-zero count of incomplete RPCs, in destination then class order.
-// Periodic samplers use this to accumulate per-destination totals in one
-// pass instead of probing every (dst, class) combination individually.
-func (st *Stack) ForEachOutstanding(f func(dst int, c qos.Class, n int)) {
-	for dst, row := range st.outstanding {
-		for c, n := range row {
-			if n != 0 {
-				f(dst, qos.Class(c), n)
-			}
-		}
+// ForEachOutstanding calls f once per incomplete RPC with its destination
+// and the class it runs on, in no particular order: periodic samplers
+// accumulate per-destination totals in one pass over the stack.
+func (st *Stack) ForEachOutstanding(f func(dst int, c qos.Class)) {
+	for _, r := range st.inflight {
+		f(r.Dst, r.QoSRun)
 	}
 }
 
 // Issue sends one RPC: maps its priority to a QoS class (Phase 1), asks
-// the admission controller for the class to run on (Phase 2), hands the
-// message to the transport, and measures RNL on completion. The caller
+// the admission controller for the class to run on (Phase 2), records it
+// in flight, hands the message to the Sender, arms the hedge timer if the
+// policy has one, and measures RNL on completion. The caller
 // must not use an RPC from NewRPC after Issue: the stack may reuse it
 // from then on.
 func (st *Stack) Issue(s *sim.Simulator, r *RPC) {
@@ -326,45 +313,27 @@ func (st *Stack) Issue(s *sim.Simulator, r *RPC) {
 	if d.Downgraded {
 		st.Stats.Downgraded++
 	}
-	st.count(r.Dst, r.QoSRun, 1)
+	st.track(r)
+	st.transmit(s, r, r.QoSRun, false)
+	if d := st.Retry.HedgeAfter; d > 0 && (st.Retry.HedgeMaxMTUs == 0 || r.SizeMTUs <= st.Retry.HedgeMaxMTUs) {
+		r.hedgeTimer = s.After(d, (*hedgeEvent)(r))
+	}
+}
 
-	if st.tracking() {
-		st.issueTracked(s, r)
+// complete finishes r on its first returning transmission — later ones,
+// the hedge loser or a pre-timeout original straggling home, are ignored
+// — with its RNL measured from issue, and tells the admitter, the
+// observers and the application.
+func (st *Stack) complete(s *sim.Simulator, r *RPC, isHedge bool) {
+	if r.done {
 		return
 	}
-	st.ep.Send(s, r.message(&r.msg, r.QoSRun, r, callDone, nil))
-}
-
-// message fills m as one transmission of r on class, whose callbacks find
-// ctx behind m.Ctx, and returns it.
-func (r *RPC) message(m *transport.Message, class qos.Class, ctx any, done, failed func(*sim.Simulator, *transport.Message)) *transport.Message {
-	*m = transport.Message{
-		ID:         r.ID,
-		Dst:        r.Dst,
-		Class:      class,
-		Bytes:      r.Bytes,
-		Deadline:   r.Deadline,
-		OnComplete: done,
-		OnFail:     failed,
-		Ctx:        ctx,
+	st.end(r)
+	if isHedge {
+		st.Stats.HedgeWins++
 	}
-	return m
-}
-
-// callDone is the OnComplete of every untracked RPC.
-func callDone(s *sim.Simulator, m *transport.Message) {
-	r := m.Ctx.(*RPC)
-	st := r.st
-	st.complete(s, r, m.SubmitTime)
-	st.release(r)
-}
-
-// complete records that r finished now, its RNL measured from t0, and
-// tells the admitter, the observers and the application.
-func (st *Stack) complete(s *sim.Simulator, r *RPC, t0 sim.Time) {
 	r.CompleteTime = s.Now()
-	r.RNL = r.CompleteTime - t0
-	st.outstanding[r.Dst][r.QoSRun]--
+	r.RNL = r.CompleteTime - r.IssueTime
 	st.Stats.Completed++
 	st.admitter.Observe(r.Dst, r.QoSRun, r.RNL, r.SizeMTUs)
 	if st.Trace != nil {

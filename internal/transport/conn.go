@@ -29,10 +29,6 @@ type Message struct {
 	// find their state through m instead of closures allocated per message.
 	Ctx any
 
-	// SubmitTime is when the message was handed to the transport: the t0
-	// of the RPC network latency definition (Appendix A).
-	SubmitTime sim.Time
-
 	start, end int64 // byte range within the connection stream
 	// enqTraced and enqAttributed mark that the first-packet enqueue was
 	// traced and stamped on the attributor, so an RTO rewind does neither
@@ -143,8 +139,7 @@ func NewEndpoint(net *netsim.Network, host *netsim.Host, cfg Config) *Endpoint {
 // Host returns the attached host.
 func (e *Endpoint) Host() *netsim.Host { return e.host }
 
-// Send queues m for transmission. The message's SubmitTime is stamped
-// here: it is the t0 of RNL.
+// Send queues m for transmission.
 func (e *Endpoint) Send(s *sim.Simulator, m *Message) {
 	if m.Bytes <= 0 {
 		panic(fmt.Sprintf("transport: message %d has %d bytes", m.ID, m.Bytes))
@@ -157,7 +152,6 @@ func (e *Endpoint) Send(s *sim.Simulator, m *Message) {
 		// and does not issue, so this is defensive.
 		return
 	}
-	m.SubmitTime = s.Now()
 	c := e.conn(m.Dst, m.Class)
 	m.start = c.writeEnd
 	m.end = m.start + m.Bytes

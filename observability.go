@@ -114,8 +114,7 @@ func (o *ObsConfig) registry() *obs.Registry {
 // CSVTrace wraps a per-RPC CSV trace destination (SimConfig.TraceWriter)
 // and guarantees the header line is written exactly once for the sink's
 // lifetime — even when the same sink is reused across runs, as happens
-// when a run is retried into one output file. Plain io.Writer sinks get
-// one header per Run instead.
+// when a run is retried into one output file.
 type CSVTrace struct {
 	W io.Writer
 

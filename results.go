@@ -194,7 +194,7 @@ type Results struct {
 	// goodput" availability figure. Zero unless a fault plan was active.
 	GoodputAvailability float64
 	// Client-side robustness counters summed over all hosts' RPC stacks;
-	// all zero unless SimConfig.Retry / Faults enable the tracked path.
+	// all zero unless SimConfig.Retry or Faults put them to work.
 	TimedOut, Retried, Hedged, HedgeWins int64
 	// FailedRPCs exhausted their retry budget; CrashLostRPCs were in
 	// flight on a host when it crashed; NotIssuedRPCs were generated while

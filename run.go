@@ -181,13 +181,7 @@ func buildHosts(st *runState) error {
 		stack.Trace = st.tracer
 		stack.Attr = st.attr
 		stack.Src = i
-		if cfg.Retry.active() {
-			stack.Retry = cfg.retryPolicy()
-		}
-		// In-flight tracking is what lets crashes fail RPCs and keep
-		// Outstanding() exact; without a plan (or retries) the stack keeps
-		// the plain issue path.
-		stack.TrackInflight = !cfg.Faults.Empty()
+		stack.Retry = cfg.retryPolicy()
 		src := i
 		col := st.col
 		stack.OnAdmit = col.onAdmit

@@ -129,9 +129,10 @@ func TestRetryAfterOfOutOfRangeClass(t *testing.T) {
 
 // TestMetricsEscapePeerNames sends peer names no exposition-format label
 // can carry as Go would quote them — a tab in the peer header, a NUL and
-// a byte that is not UTF-8 in the path — and scrapes /metrics: it must
-// still parse, with each peer's gauge there once. The flight dump served
-// at /debug/flight must read back too, with the path-derived peer as JSON
+// a byte that is not UTF-8 in the path, two peers that differ only in a
+// byte that is not UTF-8 — and scrapes /metrics: it must still parse,
+// with each peer's gauge there once. The flight dump served at
+// /debug/flight must read back too, with the path-derived peer as JSON
 // decodes it.
 func TestMetricsEscapePeerNames(t *testing.T) {
 	a, err := New(Config{Controller: newController(t), Flight: &FlightConfig{SampleAdmits: 1}})
@@ -140,7 +141,7 @@ func TestMetricsEscapePeerNames(t *testing.T) {
 	}
 	srv := httptest.NewServer(a.Middleware(httpOK()))
 	defer srv.Close()
-	for _, r := range []struct{ path, peer string }{{"/rpc", "a\tb"}, {"/%00%ff", ""}} {
+	for _, r := range []struct{ path, peer string }{{"/rpc", "a\tb"}, {"/%00%ff", ""}, {"/rpc", "a\xff"}, {"/rpc", "a\xfe"}} {
 		req, err := http.NewRequest("GET", srv.URL+r.path, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -171,7 +172,7 @@ func TestMetricsEscapePeerNames(t *testing.T) {
 	if _, err := obs.ValidatePromText(bytes.NewReader(text)); err != nil {
 		t.Errorf("/metrics after hostile peer names: %v\n%s", err, text)
 	}
-	for _, gauge := range []string{"aequitas_gauge{name=\"padmit.a\tb.q0\"} ", "aequitas_gauge{name=\"padmit./\x00\uFFFD.q0\"} "} {
+	for _, gauge := range []string{"aequitas_gauge{name=\"padmit.a\tb.q0\"} ", "aequitas_gauge{name=\"padmit./\x00\uFFFD.q0\"} ", "aequitas_gauge{name=\"padmit.a\uFFFD.q0\"} "} {
 		if n := bytes.Count(text, []byte(gauge)); n != 1 {
 			t.Errorf("%q appears %d times in /metrics, want once:\n%s", gauge, n, text)
 		}
@@ -204,5 +205,5 @@ func TestMetricsEscapePeerNames(t *testing.T) {
 	if !slices.Contains(peers, "/\u0000\uFFFD") || !slices.Contains(peers, "a\tb") {
 		t.Errorf("dump peers %q, want %q and %q among them", peers, "/\u0000\uFFFD", "a\tb")
 	}
-	checkLedger(t, a, 2)
+	checkLedger(t, a, 4)
 }

@@ -2,7 +2,6 @@ package aequitas
 
 import (
 	"fmt"
-	"io"
 	"slices"
 	"time"
 
@@ -210,9 +209,9 @@ type SimConfig struct {
 	// TraceWriter, when set, receives one CSV record per completed RPC
 	// in the measurement window (header: complete_s, src, dst, priority,
 	// requested, ran, downgraded, decision, p_admit, bytes, rnl_us) for
-	// external analysis. Wrap the destination in a CSVTrace to keep the
-	// header to exactly one line when the sink outlives a retried run.
-	TraceWriter io.Writer
+	// external analysis. The header is written once per sink, so it stays
+	// one line when the sink outlives a retried run.
+	TraceWriter *CSVTrace
 	// Obs configures the observability layer, whose output is files: the
 	// NDJSON lifecycle trace, the metrics CSV, the attribution CSV and the
 	// flight dumps. The zero value disables it with no hot-path cost.

@@ -22,7 +22,7 @@ func TestTraceWriter(t *testing.T) {
 		Seed:        3,
 		Duration:    5 * time.Millisecond,
 		Warmup:      time.Millisecond,
-		TraceWriter: &buf,
+		TraceWriter: NewCSVTrace(&buf),
 		Traffic: []HostTraffic{{
 			AvgLoad: 0.3,
 			Classes: []TrafficClass{
@@ -114,7 +114,7 @@ func TestTraceWriterError(t *testing.T) {
 		Seed:        3,
 		Duration:    5 * time.Millisecond,
 		Warmup:      time.Millisecond,
-		TraceWriter: disk,
+		TraceWriter: NewCSVTrace(disk),
 		Traffic: []HostTraffic{{
 			AvgLoad: 0.3,
 			Classes: []TrafficClass{{Priority: PC, Share: 1, FixedBytes: 8 << 10}},
@@ -165,8 +165,9 @@ const traceRowFormat = "%.9f,%d,%d,%s,%s,%s,%t,%s,%.4f,%d,%.3f\n"
 // id outside the named classes), and to zero allocations per row.
 func TestTraceRowBytes(t *testing.T) {
 	var buf bytes.Buffer
-	c := newCollector(&SimConfig{TraceWriter: &buf, Duration: 24 * time.Hour, QoSWeights: []float64{8, 4, 1}})
-	c.traceHeader = true // rows only
+	sink := NewCSVTrace(&buf)
+	sink.claimHeader() // rows only
+	c := newCollector(&SimConfig{TraceWriter: sink, Duration: 24 * time.Hour, QoSWeights: []float64{8, 4, 1}})
 	s := sim.New(1)
 	rows := []rpc.RPC{
 		{Dst: 1, Priority: qos.PC, QoSRequested: qos.High, QoSRun: qos.High, PAdmit: 1, Bytes: 32 << 10, CompleteTime: 123_456_789_000, RNL: 25 * sim.Microsecond},
