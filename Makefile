@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check loc loc-diff bench benchmark pairs figures trace-check chaos-check serve-check chaos-serve-check
+.PHONY: all build test race vet check loc loc-diff bench benchmark pairs figures figures-diff trace-check chaos-check serve-check chaos-serve-check
 
 all: build
 
@@ -135,3 +135,24 @@ pairs:
 
 figures: build
 	$(GO) run ./cmd/figures -fig all
+
+# figures-diff renders figure FIG (default all) from HEAD's first parent,
+# exported with git archive into a temporary directory, and from this
+# tree, each with -out into its own directory, beside -list and stdout.
+# It diffs every file with the "--- <id> done in <time> ---" lines
+# removed and fails on any difference: the check for a change that must
+# keep the figures byte-identical. -fig all takes ~5 minutes for both
+# trees on 2 vCPUs, so CI does not run it.
+FIG ?= all
+figures-diff:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	mkdir "$$tmp/parent" "$$tmp/this" "$$tmp/src" && \
+	git archive HEAD^ | tar -x -C "$$tmp/src" && \
+	(cd "$$tmp/src" && $(GO) build -o "$$tmp/parent.bin" ./cmd/figures) && \
+	$(GO) build -o "$$tmp/this.bin" ./cmd/figures && \
+	for t in parent this; do \
+	    "$$tmp/$$t.bin" -list > "$$tmp/$$t/list.txt" && \
+	    "$$tmp/$$t.bin" -fig $(FIG) -out "$$tmp/$$t" > "$$tmp/$$t/stdout.txt" || exit 1; \
+	    for f in "$$tmp/$$t"/*; do grep -v '^--- .* done in .* ---$$' "$$f" > "$$f.x"; mv "$$f.x" "$$f"; done; \
+	done && \
+	diff -r "$$tmp/parent" "$$tmp/this" && echo "figures-diff: -fig $(FIG) matches HEAD^"

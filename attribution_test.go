@@ -163,115 +163,6 @@ func TestRunManyProgress(t *testing.T) {
 	}
 }
 
-// fig10AuditConfig is the §6.2 theory-validation setup (two senders, one
-// receiver, CC off, periodic bursts) at QoSh-share x, the configuration
-// whose measured queueing the paper compares against the closed-form
-// bounds.
-func fig10AuditConfig(system System, x float64) SimConfig {
-	return SimConfig{
-		System: system, Hosts: 3, Seed: 7,
-		Duration: 60 * time.Millisecond, Warmup: 10 * time.Millisecond,
-		QoSWeights: []float64{4, 1}, PerClassBufferBytes: -1,
-		DisableCC: true, FixedWindow: 512, BurstPeriod: time.Millisecond,
-		RTOMin: 500 * time.Millisecond,
-		Traffic: []HostTraffic{{
-			Hosts: []int{0, 1}, Dsts: []int{2},
-			AvgLoad: 0.4, BurstLoad: 0.6, Arrival: ArrivalPeriodic,
-			Classes: []TrafficClass{
-				{Priority: PC, Share: x, FixedBytes: 1436},
-				{Priority: BE, Share: 1 - x, FixedBytes: 1436},
-			},
-		}},
-	}
-}
-
-// TestAuditCleanFig10: in the admissible region the auditor confirms the
-// run respects the calculus bounds — zero violations. The slack absorbs
-// the packet-vs-fluid gap plus second-hop burst shaping: the first
-// congested hop clumps each class's departures, so the downstream hop
-// sees residencies up to ~2x a small bound (empirically +31us on both
-// classes here). 0.12 of a period gives margin without masking an
-// inversion, which overshoots by multiples of the period.
-func TestAuditCleanFig10(t *testing.T) {
-	const x = 0.7
-	bounds, err := QueueingBoundsUS([]float64{4, 1}, []float64{x, 1 - x}, 1.2, 0.8, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fig10AuditConfig(SystemBaseline, x)
-	cfg.Obs.Audit = true
-	cfg.Obs.AuditBoundsUS = bounds
-	cfg.Obs.AuditSlackUS = 120
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := res.Audit
-	if rep == nil {
-		t.Fatal("no audit report")
-	}
-	if !rep.Ok() || rep.TotalViolations != 0 {
-		t.Fatalf("admissible run flagged: %d violations, first: %+v",
-			rep.TotalViolations, rep.Violations)
-	}
-	if len(rep.Classes) != 2 {
-		t.Fatalf("classes = %+v", rep.Classes)
-	}
-	for _, c := range rep.Classes {
-		if c.N == 0 || c.Hops == 0 || c.MaxHopUS <= 0 {
-			t.Errorf("class %v saw no traffic: %+v", c.Class, c)
-		}
-		if !c.Bounded {
-			t.Errorf("class %v has no bound", c.Class)
-		}
-	}
-}
-
-// TestAuditFlagsOverAdmission: run the same fabric with everything
-// admitted (baseline, p_admit = 1) at an inadmissible QoSh-share, audited
-// against the bounds an operator provisioned for a much smaller share.
-// The auditor must catch the over-admission.
-func TestAuditFlagsOverAdmission(t *testing.T) {
-	bounds, err := QueueingBoundsUS([]float64{4, 1}, []float64{0.3, 0.7}, 1.2, 0.8, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fig10AuditConfig(SystemBaseline, 0.9)
-	cfg.Duration = 40 * time.Millisecond
-	cfg.Obs.Audit = true
-	cfg.Obs.AuditBoundsUS = bounds
-	cfg.Obs.AuditSlackUS = 50
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := res.Audit
-	if rep == nil {
-		t.Fatal("no audit report")
-	}
-	if rep.Ok() || rep.TotalViolations == 0 {
-		t.Fatal("over-admitted run passed the audit")
-	}
-	if len(rep.Violations) == 0 {
-		t.Fatal("no violations retained")
-	}
-	sawHigh := false
-	for _, v := range rep.Violations {
-		if v.ObservedUS <= v.BoundUS+rep.SlackUS {
-			t.Errorf("violation not over bound+slack: %+v", v)
-		}
-		if v.RPC == 0 {
-			t.Errorf("violation without an offending RPC id: %+v", v)
-		}
-		if v.Class == 0 {
-			sawHigh = true
-		}
-	}
-	if !sawHigh {
-		t.Error("no QoSh violation despite QoSh over-admission")
-	}
-}
-
 // TestDeriveAuditBounds covers the default bound derivation and its
 // guard rails.
 func TestDeriveAuditBounds(t *testing.T) {

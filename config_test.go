@@ -113,32 +113,6 @@ func TestSLOMetCountsTerminatedAsMisses(t *testing.T) {
 	}
 }
 
-// The input mix reported must reflect requested classes even when
-// admission downgrades heavily.
-func TestInputMixReflectsRequests(t *testing.T) {
-	cfg := threeNodeOverload(SystemAequitas, 20, 4)
-	cfg.Duration = 30 * time.Millisecond
-	cfg.Warmup = 10 * time.Millisecond
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.InputMix[0] < 0.6 || res.InputMix[0] > 0.8 {
-		t.Errorf("input QoSh share %.2f, offered 0.7", res.InputMix[0])
-	}
-	if res.AdmittedMix[0] >= res.InputMix[0] {
-		t.Errorf("admitted %v not below input %v under overload", res.AdmittedMix[0], res.InputMix[0])
-	}
-	// Everything lands somewhere: admitted mix sums to ~1.
-	var sum float64
-	for _, x := range res.AdmittedMix {
-		sum += x
-	}
-	if sum < 0.99 || sum > 1.01 {
-		t.Errorf("admitted mix sums to %v", sum)
-	}
-}
-
 func TestGoodputFractionBounds(t *testing.T) {
 	cfg := SimConfig{
 		Hosts:    4,
