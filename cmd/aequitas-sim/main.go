@@ -313,12 +313,8 @@ func writeAudit(w io.Writer, rep *aequitas.AuditReport) {
 			c.Class, c.N, bound, c.QueueP99US, c.QueueMaxUS, c.MaxHopUS, c.RNLP99US, c.Violations)
 	}
 	for _, v := range rep.Violations {
-		where := v.Kind
-		if v.Link != "" {
-			where += "@" + v.Link
-		}
-		fmt.Fprintf(w, "  violation: rpc=%d class=%s %s t=%.1fus observed=%.1fus bound=%.1fus\n",
-			v.RPC, v.Class, where, v.TimeUS, v.ObservedUS, v.BoundUS)
+		fmt.Fprintf(w, "  violation: rpc=%d class=%s hop@%s t=%.1fus observed=%.1fus bound=%.1fus\n",
+			v.RPC, v.Class, v.Link, v.TimeUS, v.ObservedUS, v.BoundUS)
 	}
 }
 

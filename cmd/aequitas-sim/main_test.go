@@ -31,7 +31,7 @@ func TestSummaryIsOneText(t *testing.T) {
 		Audit: &aequitas.AuditReport{
 			SlackUS:         10,
 			Classes:         []aequitas.AuditClass{{Class: aequitas.High, N: 7, BoundUS: 12, Bounded: true, Violations: 1}},
-			Violations:      []aequitas.AuditViolation{{RPC: 3, Class: aequitas.High, Kind: "hop", Link: "down-1", TimeUS: 5, ObservedUS: 30, BoundUS: 12}},
+			Violations:      []aequitas.AuditViolation{{RPC: 3, Class: aequitas.High, Link: "down-1", TimeUS: 5, ObservedUS: 30, BoundUS: 12}},
 			TotalViolations: 1,
 		},
 		Faults: []aequitas.FaultRecord{{TimeS: 0.001, Event: "link-up", Target: "down-1"}},

@@ -50,34 +50,37 @@ func ExampleGuaranteedShare() {
 	// QoSh is guaranteed at least 35.2% of line rate
 }
 
-// ExampleRun simulates a small overloaded cluster and reads the per-QoS
-// tail latency.
+// ExampleRun simulates a small overloaded cluster with and without
+// admission control and reads the per-QoS tail latency: two hosts send
+// into one receiver at line rate, a 2x overload of its downlink.
 func ExampleRun() {
-	res, err := aequitas.Run(aequitas.SimConfig{
-		System:   aequitas.SystemAequitas,
-		Hosts:    3,
-		Seed:     1,
-		Duration: 10 * time.Millisecond,
-		SLOs: []aequitas.SLO{
-			{Target: 25 * time.Microsecond, ReferenceBytes: 32 << 10},
-			{Target: 50 * time.Microsecond, ReferenceBytes: 32 << 10},
-		},
-		Traffic: []aequitas.HostTraffic{{
-			Hosts:   []int{0, 1},
-			Dsts:    []int{2},
-			AvgLoad: 1.0,
-			Classes: []aequitas.TrafficClass{
-				{Priority: aequitas.PC, Share: 0.7, FixedBytes: 32 << 10},
-				{Priority: aequitas.BE, Share: 0.3, FixedBytes: 32 << 10},
+	for _, system := range []aequitas.System{aequitas.SystemBaseline, aequitas.SystemAequitas} {
+		res, err := aequitas.Run(aequitas.SimConfig{
+			System:   system,
+			Hosts:    3,
+			Seed:     1,
+			Duration: 10 * time.Millisecond,
+			SLOs: []aequitas.SLO{
+				{Target: 25 * time.Microsecond, ReferenceBytes: 32 << 10},
+				{Target: 50 * time.Microsecond, ReferenceBytes: 32 << 10},
 			},
-		}},
-	})
-	if err != nil {
-		panic(err)
+			Traffic: []aequitas.HostTraffic{{
+				Hosts:   []int{0, 1},
+				Dsts:    []int{2},
+				AvgLoad: 1.0,
+				Classes: []aequitas.TrafficClass{
+					{Priority: aequitas.PC, Share: 0.7, FixedBytes: 32 << 10},
+					{Priority: aequitas.BE, Share: 0.3, FixedBytes: 32 << 10},
+				},
+			}},
+		})
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("%s: downgrades happened: %v, QoSh tail below 10x SLO: %v\n",
+			system, res.Downgraded > 0, res.RNLQuantileUS(aequitas.High, 0.999) < 250)
 	}
-	fmt.Println("downgrades happened:", res.Downgraded > 0)
-	fmt.Println("QoSh tail below 10x SLO:", res.RNLQuantileUS(aequitas.High, 0.999) < 250)
 	// Output:
-	// downgrades happened: true
-	// QoSh tail below 10x SLO: true
+	// baseline: downgrades happened: false, QoSh tail below 10x SLO: false
+	// aequitas: downgrades happened: true, QoSh tail below 10x SLO: true
 }

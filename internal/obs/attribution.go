@@ -23,7 +23,9 @@ type AttrRecord struct {
 	Class    int16
 	IssueTS  sim.Time
 
-	// Admit is the admission-gate delay: issue to admission decision.
+	// Admit is the admission-gate delay: issue to admission decision. The
+	// simulator decides admission when the RPC is issued, so it is 0; the
+	// field keeps the admit_us column of the attribution CSV.
 	Admit sim.Duration
 	// Sender is host-side queueing before the first packet reaches the
 	// NIC egress queue (stream backlog behind earlier messages and
@@ -48,12 +50,11 @@ type AttrRecord struct {
 
 // pendingAttr accumulates one in-flight RPC's instrumentation.
 type pendingAttr struct {
-	issue, admit, firstEnq, tailEmit sim.Time
-	hasAdmit, hasEnq, hasTail        bool
-	paceBefore, paceAfter            sim.Duration
-	nic, sw                          sim.Duration
-	maxResid                         sim.Duration
-	tailHops                         int
+	issue, firstEnq, tailEmit sim.Time
+	hasEnq, hasTail           bool
+	paceBefore, paceAfter     sim.Duration
+	nic, sw                   sim.Duration
+	tailHops                  int
 }
 
 // attrKey identifies one in-flight RPC. RPC ids are per-sender-stack
@@ -107,17 +108,6 @@ func (a *Attributor) Issue(now sim.Time, src int, rpc uint64) {
 	a.pending[attrKey{src, rpc}] = p
 }
 
-// Admit stamps the admission decision time.
-func (a *Attributor) Admit(now sim.Time, src int, rpc uint64) {
-	if a == nil {
-		return
-	}
-	if p := a.pending[attrKey{src, rpc}]; p != nil {
-		p.admit = now
-		p.hasAdmit = true
-	}
-}
-
 // Drop forgets an RPC rejected at admission.
 func (a *Attributor) Drop(src int, rpc uint64) {
 	if a == nil {
@@ -152,7 +142,7 @@ func (a *Attributor) TailEmit(now sim.Time, src int, rpc uint64) {
 	if p := a.pending[attrKey{src, rpc}]; p != nil {
 		p.tailEmit = now
 		p.hasTail = true
-		p.nic, p.sw, p.maxResid, p.tailHops = 0, 0, 0, 0
+		p.nic, p.sw, p.tailHops = 0, 0, 0
 	}
 }
 
@@ -185,9 +175,6 @@ func (a *Attributor) TailHop(now sim.Time, src int, rpc uint64, resid sim.Durati
 		} else {
 			p.sw += resid
 		}
-		if resid > p.maxResid {
-			p.maxResid = resid
-		}
 		p.tailHops++
 	}
 }
@@ -195,7 +182,7 @@ func (a *Attributor) TailHop(now sim.Time, src int, rpc uint64, resid sim.Durati
 // Complete closes out an RPC: compute the decomposition, retain the
 // record (in completion order, so output is deterministic per run), and
 // notify the auditor.
-func (a *Attributor) Complete(now sim.Time, rpc uint64, src, dst, class int, rnl sim.Duration) {
+func (a *Attributor) Complete(rpc uint64, src, dst, class int, rnl sim.Duration) {
 	if a == nil {
 		return
 	}
@@ -208,13 +195,8 @@ func (a *Attributor) Complete(now sim.Time, rpc uint64, src, dst, class int, rnl
 		RPC: rpc, Src: int32(src), Dst: int32(dst), Class: int16(class),
 		IssueTS: p.issue, RNL: rnl,
 	}
-	base := p.issue
-	if p.hasAdmit {
-		rec.Admit = p.admit - p.issue
-		base = p.admit
-	}
 	if p.hasEnq {
-		rec.Sender = p.firstEnq - base - p.paceBefore
+		rec.Sender = p.firstEnq - p.issue - p.paceBefore
 		if p.hasTail {
 			rec.Transport = p.tailEmit - p.firstEnq - p.paceAfter
 		}
@@ -222,9 +204,9 @@ func (a *Attributor) Complete(now sim.Time, rpc uint64, src, dst, class int, rnl
 	rec.Pacing = p.paceBefore + p.paceAfter
 	rec.NIC = p.nic
 	rec.Switch = p.sw
-	rec.Wire = rnl - rec.Admit - rec.Sender - rec.Transport - rec.Pacing - rec.NIC - rec.Switch
+	rec.Wire = rnl - rec.Sender - rec.Transport - rec.Pacing - rec.NIC - rec.Switch
 	a.recs = append(a.recs, rec)
-	a.audit.RPCDone(now, rpc, class, p.nic+p.sw, p.maxResid, rnl)
+	a.audit.RPCDone(class, p.nic+p.sw, rnl)
 	a.recycle(k, p)
 }
 
@@ -253,7 +235,8 @@ type ClassAttribution struct {
 	Class qos.Class
 	// N is the number of completed RPCs attributed on this class.
 	N int
-	// AdmitUS is time from RPC issue to the admission verdict.
+	// AdmitUS is time from RPC issue to the admission verdict: 0, as the
+	// simulator decides admission at issue (AttrRecord.Admit).
 	AdmitUS float64
 	// SenderUS is host-side queueing between admission and the first
 	// byte entering the NIC egress queue, excluding pacing stalls.

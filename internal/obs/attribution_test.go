@@ -14,13 +14,12 @@ import (
 // 3 µs NIC + 7 µs switch residency, completion at 50 µs with RNL 50 µs.
 func attrFill(a *Attributor) {
 	a.Issue(0, 0, 1)
-	a.Admit(0, 0, 1)
 	a.PaceStall(0, 1, 5*sim.Microsecond)
 	a.FirstEnqueue(10*sim.Microsecond, 0, 1)
 	a.TailEmit(30*sim.Microsecond, 0, 1)
 	a.TailHop(33*sim.Microsecond, 0, 1, 3*sim.Microsecond)
 	a.TailHop(40*sim.Microsecond, 0, 1, 7*sim.Microsecond)
-	a.Complete(50*sim.Microsecond, 1, 0, 3, 0, 50*sim.Microsecond)
+	a.Complete(1, 0, 3, 0, 50*sim.Microsecond)
 }
 
 func TestAttributorDecomposition(t *testing.T) {
@@ -60,14 +59,13 @@ func TestAttributorDecomposition(t *testing.T) {
 func TestAttributorTailReemit(t *testing.T) {
 	a := NewAttributor(nil)
 	a.Issue(0, 0, 1)
-	a.Admit(0, 0, 1)
 	a.FirstEnqueue(1*sim.Microsecond, 0, 1)
 	a.TailEmit(2*sim.Microsecond, 0, 1)
 	a.TailHop(3*sim.Microsecond, 0, 1, 100*sim.Microsecond) // lost transmission
 	a.TailEmit(60*sim.Microsecond, 0, 1)                    // retransmit
 	a.TailHop(62*sim.Microsecond, 0, 1, 2*sim.Microsecond)
 	a.TailHop(65*sim.Microsecond, 0, 1, 4*sim.Microsecond)
-	a.Complete(70*sim.Microsecond, 1, 0, 1, 0, 70*sim.Microsecond)
+	a.Complete(1, 0, 1, 0, 70*sim.Microsecond)
 	r := a.Records()[0]
 	if r.NIC != 2*sim.Microsecond || r.Switch != 4*sim.Microsecond {
 		t.Errorf("nic=%v switch=%v, want 2us and 4us (pre-retransmit hops dropped)", r.NIC, r.Switch)
@@ -78,18 +76,17 @@ func TestAttributorTailReemit(t *testing.T) {
 }
 
 // TestAttributorDegradedRecord covers systems that bypass the standard
-// transport: no enqueue/emit instrumentation means everything beyond the
-// admission gate lands in Wire.
+// transport: no enqueue/emit instrumentation means the whole RNL lands in
+// Wire.
 func TestAttributorDegradedRecord(t *testing.T) {
 	a := NewAttributor(nil)
 	a.Issue(0, 1, 9)
-	a.Admit(2*sim.Microsecond, 1, 9)
-	a.Complete(42*sim.Microsecond, 9, 1, 2, 1, 42*sim.Microsecond)
+	a.Complete(9, 1, 2, 1, 42*sim.Microsecond)
 	r := a.Records()[0]
-	if r.Admit != 2*sim.Microsecond || r.Wire != 40*sim.Microsecond {
-		t.Errorf("admit=%v wire=%v, want 2us and 40us", r.Admit, r.Wire)
+	if r.Wire != 42*sim.Microsecond {
+		t.Errorf("wire=%v, want 42us", r.Wire)
 	}
-	if r.Sender != 0 || r.Transport != 0 || r.Pacing != 0 || r.NIC != 0 || r.Switch != 0 {
+	if r.Admit != 0 || r.Sender != 0 || r.Transport != 0 || r.Pacing != 0 || r.NIC != 0 || r.Switch != 0 {
 		t.Errorf("degraded record has non-zero transport components: %+v", r)
 	}
 }
@@ -97,11 +94,10 @@ func TestAttributorDegradedRecord(t *testing.T) {
 func TestAttributorDropForgets(t *testing.T) {
 	a := NewAttributor(nil)
 	a.Issue(0, 0, 1)
-	a.Admit(0, 0, 1)
 	a.Drop(0, 1)
 	// A completion for a dropped (or never-issued) RPC is ignored.
-	a.Complete(sim.Microsecond, 1, 0, 1, 0, sim.Microsecond)
-	a.Complete(sim.Microsecond, 2, 0, 1, 0, sim.Microsecond)
+	a.Complete(1, 0, 1, 0, sim.Microsecond)
+	a.Complete(2, 0, 1, 0, sim.Microsecond)
 	if n := len(a.Records()); n != 0 {
 		t.Errorf("records = %d, want 0", n)
 	}
@@ -112,8 +108,7 @@ func TestAttributorSummaries(t *testing.T) {
 	attrFill(a)
 	// Second RPC on class 1 with a pure-wire profile.
 	a.Issue(0, 0, 2)
-	a.Admit(0, 0, 2)
-	a.Complete(20*sim.Microsecond, 2, 0, 1, 1, 20*sim.Microsecond)
+	a.Complete(2, 0, 1, 1, 20*sim.Microsecond)
 	sums := a.Summaries()
 	if len(sums) != 2 || sums[0].Class != 0 || sums[1].Class != 1 {
 		t.Fatalf("summaries = %+v", sums)
@@ -181,35 +176,36 @@ func TestAuditorViolations(t *testing.T) {
 	a := NewAuditor(AuditConfig{BoundUS: []float64{10}, SlackUS: 2})
 	// Within bound+slack: no violation.
 	a.Hop(0, 1, "up-0", 0, 12*sim.Microsecond)
-	// Over: hop violations one past the retention cap, and one rpc.
+	// Over: hop violations one past the retention cap. RPC 2 completing
+	// after its over-bound hop adds no second violation.
 	const over = maxViolations + 1
 	for i := 0; i < over; i++ {
 		a.Hop(sim.Microsecond, uint64(2+i), "down-1", 0, sim.Duration(13+i)*sim.Microsecond)
 	}
-	a.RPCDone(2*sim.Microsecond, 2, 0, 13*sim.Microsecond, 13*sim.Microsecond, 20*sim.Microsecond)
+	a.RPCDone(0, 13*sim.Microsecond, 20*sim.Microsecond)
 	// Unbounded class: observed, never flagged.
 	a.Hop(3*sim.Microsecond, 5, "down-2", 1, 500*sim.Microsecond)
-	a.RPCDone(3*sim.Microsecond, 5, 1, 500*sim.Microsecond, 500*sim.Microsecond, 600*sim.Microsecond)
+	a.RPCDone(1, 500*sim.Microsecond, 600*sim.Microsecond)
 
 	rep := a.Report()
 	if rep.Ok() {
 		t.Fatal("report Ok despite violations")
 	}
-	if rep.TotalViolations != over+1 {
-		t.Errorf("total = %d, want %d", rep.TotalViolations, over+1)
+	if rep.TotalViolations != over {
+		t.Errorf("total = %d, want %d", rep.TotalViolations, over)
 	}
 	if len(rep.Violations) != maxViolations {
 		t.Fatalf("retained = %d, want cap %d", len(rep.Violations), maxViolations)
 	}
 	v := rep.Violations[0]
-	if v.RPC != 2 || v.Kind != "hop" || v.Link != "down-1" || v.ObservedUS != 13 || v.BoundUS != 10 {
+	if v.RPC != 2 || v.Link != "down-1" || v.ObservedUS != 13 || v.BoundUS != 10 {
 		t.Errorf("first violation = %+v", v)
 	}
 	if len(rep.Classes) != 2 {
 		t.Fatalf("classes = %+v", rep.Classes)
 	}
 	c0 := rep.Classes[0]
-	if !c0.Bounded || c0.BoundUS != 10 || c0.Violations != over+1 || c0.Hops != over+1 || c0.MaxHopUS != 12+over {
+	if !c0.Bounded || c0.BoundUS != 10 || c0.Violations != over || c0.Hops != over+1 || c0.MaxHopUS != 12+over {
 		t.Errorf("class 0 = %+v", c0)
 	}
 	c1 := rep.Classes[1]
@@ -224,17 +220,11 @@ func TestAuditorViolations(t *testing.T) {
 func TestAuditorKeepsEarliest(t *testing.T) {
 	a := NewAuditor(AuditConfig{BoundUS: []float64{10}})
 	// Violation k is observed at (k·29 mod n)+1 µs by the RPC of that
-	// number, hops and rpc checks alternating: every arrival order of
-	// early and late ones, two past the cap.
+	// number: every arrival order of early and late ones, two past the cap.
 	const n = maxViolations + 2
 	for k := 0; k < n; k++ {
 		at := k*29%n + 1
-		now, id := sim.Time(sim.Duration(at)*sim.Microsecond), uint64(at)
-		if k%2 == 0 {
-			a.Hop(now, id, "down-1", 0, 20*sim.Microsecond)
-		} else {
-			a.RPCDone(now, id, 0, 20*sim.Microsecond, 20*sim.Microsecond, 30*sim.Microsecond)
-		}
+		a.Hop(sim.Time(sim.Duration(at)*sim.Microsecond), uint64(at), "down-1", 0, 20*sim.Microsecond)
 	}
 	rep := a.Report()
 	var got, want []uint64
@@ -249,10 +239,29 @@ func TestAuditorKeepsEarliest(t *testing.T) {
 	}
 }
 
+// TestAuditorCountsTailHopOnce: the link checks the tail packet's
+// residency and the attributor then completes the RPC, whose worst hop is
+// that same residency. One over-bound residency is one violation.
+func TestAuditorCountsTailHopOnce(t *testing.T) {
+	aud := NewAuditor(AuditConfig{BoundUS: []float64{10}})
+	a := NewAttributor(aud)
+	a.Issue(0, 0, 1)
+	a.FirstEnqueue(sim.Microsecond, 0, 1)
+	a.TailEmit(2*sim.Microsecond, 0, 1)
+	aud.Hop(22*sim.Microsecond, 1, "down-1", 0, 20*sim.Microsecond)
+	a.TailHop(22*sim.Microsecond, 0, 1, 20*sim.Microsecond)
+	a.Complete(1, 0, 1, 0, 30*sim.Microsecond)
+	rep := aud.Report()
+	if rep.TotalViolations != 1 || rep.Classes[0].Violations != 1 {
+		t.Errorf("violations = %d (class 0: %d), want 1: %+v",
+			rep.TotalViolations, rep.Classes[0].Violations, rep.Violations)
+	}
+}
+
 func TestAuditorClean(t *testing.T) {
 	a := NewAuditor(AuditConfig{BoundUS: []float64{10, 50}, SlackUS: 1})
 	a.Hop(0, 1, "up-0", 0, 10*sim.Microsecond)
-	a.RPCDone(sim.Microsecond, 1, 0, 10*sim.Microsecond, 10*sim.Microsecond, 15*sim.Microsecond)
+	a.RPCDone(0, 10*sim.Microsecond, 15*sim.Microsecond)
 	rep := a.Report()
 	if !rep.Ok() || rep.TotalViolations != 0 {
 		t.Errorf("clean run flagged: %+v", rep)
@@ -265,7 +274,7 @@ func TestAuditorClean(t *testing.T) {
 func TestNilAuditorSafe(t *testing.T) {
 	var a *Auditor
 	a.Hop(0, 1, "up-0", 0, sim.Microsecond)
-	a.RPCDone(0, 1, 0, sim.Microsecond, sim.Microsecond, sim.Microsecond)
+	a.RPCDone(0, sim.Microsecond, sim.Microsecond)
 	if a.Report() != nil {
 		t.Error("nil auditor not inert")
 	}
@@ -280,7 +289,7 @@ func TestDisabledAuditorAllocs(t *testing.T) {
 	var a *Auditor
 	allocs := testing.AllocsPerRun(1000, func() {
 		a.Hop(0, 1, "up-0", 0, sim.Microsecond)
-		a.RPCDone(0, 1, 0, sim.Microsecond, sim.Microsecond, sim.Microsecond)
+		a.RPCDone(0, sim.Microsecond, sim.Microsecond)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled auditor: %v allocs/op, want 0", allocs)
@@ -316,12 +325,12 @@ func TestAttributorSrcKeyed(t *testing.T) {
 	a.FirstEnqueue(2*sim.Microsecond, 1, 1)
 	a.TailEmit(4*sim.Microsecond, 1, 1)
 	a.TailHop(5*sim.Microsecond, 1, 1, 3*sim.Microsecond)
-	a.Complete(10*sim.Microsecond, 1, 0, 2, 0, 10*sim.Microsecond)
+	a.Complete(1, 0, 2, 0, 10*sim.Microsecond)
 	r := a.Records()[0]
 	if r.NIC != 0 || r.Transport != 0 || r.Wire != 10*sim.Microsecond {
 		t.Errorf("host 0's record contaminated by host 1's instrumentation: %+v", r)
 	}
-	a.Complete(10*sim.Microsecond, 1, 1, 2, 0, 10*sim.Microsecond)
+	a.Complete(1, 1, 2, 0, 10*sim.Microsecond)
 	if r := a.Records()[1]; r.NIC != 3*sim.Microsecond {
 		t.Errorf("host 1's record = %+v", r)
 	}

@@ -27,14 +27,12 @@ type AuditConfig struct {
 	Levels int
 }
 
-// AuditViolation is one recorded bound violation with the offending RPC.
+// AuditViolation is one recorded bound violation: one data packet's
+// egress-queue residency over its class bound, with the offending RPC.
 type AuditViolation struct {
 	RPC   uint64
 	Class qos.Class
-	// Kind is "hop" (one egress-queue residency over bound) or "rpc"
-	// (a completed RPC's worst queue residency over bound).
-	Kind string
-	// Link names the offending egress port for hop violations.
+	// Link names the offending egress port.
 	Link string
 	// TimeUS is when the violation was observed, in simulated µs.
 	TimeUS float64
@@ -126,30 +124,23 @@ func (a *Auditor) Hop(now sim.Time, rpc uint64, link string, class int, resid si
 	}
 	if b, ok := a.bound(class); ok && us > b+a.cfg.SlackUS {
 		c.violations++
-		a.record(AuditViolation{RPC: rpc, Class: qos.Class(class), Kind: "hop", Link: link,
+		a.record(AuditViolation{RPC: rpc, Class: qos.Class(class), Link: link,
 			TimeUS: now.Micros(), ObservedUS: us, BoundUS: b})
 	}
 }
 
-// RPCDone feeds one completed RPC's per-class tail statistics (total
-// fabric queueing — the sum of its tail packet's queue residencies — and
-// RNL) and checks the RPC's worst single queue residency against its
-// class bound. The calculus bound is per queue, so on multi-hop paths the
-// sum is compared hop by hop (see Hop), never in aggregate.
-func (a *Auditor) RPCDone(now sim.Time, rpc uint64, class int, fabric, maxHop, rnl sim.Duration) {
+// RPCDone feeds one completed RPC's per-class tail statistics: total
+// fabric queueing (the sum of its tail packet's queue residencies) and
+// RNL. It checks nothing: the calculus bound is per queue, and Hop has
+// already checked each of those residencies, so the sum is never
+// compared in aggregate.
+func (a *Auditor) RPCDone(class int, fabric, rnl sim.Duration) {
 	if a == nil {
 		return
 	}
-	class = a.clamp(class)
-	c := a.class(class)
+	c := a.class(a.clamp(class))
 	c.rnl.Add(rnl.Micros())
 	c.fabric.Add(fabric.Micros())
-	us := maxHop.Micros()
-	if b, ok := a.bound(class); ok && us > b+a.cfg.SlackUS {
-		c.violations++
-		a.record(AuditViolation{RPC: rpc, Class: qos.Class(class), Kind: "rpc",
-			TimeUS: now.Micros(), ObservedUS: us, BoundUS: b})
-	}
 }
 
 // AuditClassReport is one class's audit summary.
@@ -169,7 +160,7 @@ type AuditClassReport struct {
 	// had no configured bound (observed only).
 	BoundUS float64
 	Bounded bool
-	// Violations counts this class's bound violations (hop + rpc).
+	// Violations counts this class's over-bound queue residencies.
 	Violations int
 }
 

@@ -301,7 +301,6 @@ func (st *Stack) Issue(s *sim.Simulator, r *RPC) {
 	if st.Trace != nil {
 		st.Trace.Admit(s.Now(), r.ID, st.Src, r.Dst, int(d.Class), d.Verdict(), d.PAdmit)
 	}
-	st.Attr.Admit(s.Now(), st.Src, r.ID)
 	if d.Dropped {
 		st.Stats.Dropped++
 		st.Attr.Drop(st.Src, r.ID)
@@ -339,7 +338,7 @@ func (st *Stack) complete(s *sim.Simulator, r *RPC, isHedge bool) {
 	if st.Trace != nil {
 		st.Trace.Complete(s.Now(), r.ID, st.Src, r.Dst, int(r.QoSRun), r.Bytes, r.RNL)
 	}
-	st.Attr.Complete(s.Now(), r.ID, st.Src, r.Dst, int(r.QoSRun), r.RNL)
+	st.Attr.Complete(r.ID, st.Src, r.Dst, int(r.QoSRun), r.RNL)
 	if st.OnComplete != nil {
 		st.OnComplete(s, r)
 	}
