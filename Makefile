@@ -51,7 +51,6 @@ loc-diff:
 # quantile columns) and the attribution CSV joined into one report, then
 # a faulted run's trace (fault events) and its flight-recorder dump stream
 # (fault-trigger dumps plus the final dump) against aequitas.flight/v1.
-# The closing -diff loads both reports back against their own schema.
 # The first run also prints the attribution and audit tables into
 # out/trace-check.txt, which must hold no fmt error verb (%!).
 trace-check: build
@@ -68,7 +67,6 @@ trace-check: build
 	$(GO) run ./cmd/obsreport -trace out/trace-check-faults.ndjson > /dev/null
 	$(GO) run ./cmd/obsreport -label trace-check-faults -flight out/trace-check-flight.ndjson \
 	    -json out/trace-check-flight-report.json -md out/trace-check-flight-report.md
-	$(GO) run ./cmd/obsreport -diff out/trace-check-report.json out/trace-check-flight-report.json > /dev/null
 
 # chaos-check is the seeded fault-injection smoke: a link flap plus a host
 # crash/restart under the race detector, exercising blackholes, timeouts,

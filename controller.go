@@ -65,15 +65,6 @@ type ControllerConfig struct {
 	// SLOs lists the objectives for every class except the lowest, from
 	// the highest class down. len(SLOs)+1 is the number of QoS levels.
 	SLOs []SLO
-	// Alpha is the additive increment of the admit probability (default
-	// 0.01).
-	Alpha float64
-	// Beta is the multiplicative decrement per SLO miss per MTU of RPC
-	// size (default 0.01).
-	Beta float64
-	// Floor is the admit probability's lower bound, preventing
-	// starvation (default 0.01).
-	Floor float64
 }
 
 // Decision is the controller's verdict for one RPC: the class to issue it
@@ -138,8 +129,7 @@ func NewControllerWithClock(cfg ControllerConfig, clk core.Clock) (*AdmissionCon
 	if len(cfg.SLOs) == 0 {
 		return nil, fmt.Errorf("aequitas: at least one SLO class required")
 	}
-	inner, err := core.NewWithClock(coreConfig(len(cfg.SLOs)+1, cfg.SLOs,
-		AdmissionParams{Alpha: cfg.Alpha, Beta: cfg.Beta, Floor: cfg.Floor}), clk)
+	inner, err := core.NewWithClock(coreConfig(len(cfg.SLOs)+1, cfg.SLOs, AdmissionParams{}), clk)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ const ReportSchema = "aequitas.obsreport/v1"
 // trace, wide-format metrics CSV, per-RPC attribution CSV, and
 // flight-recorder dump stream — into a single summarised document.
 // Sections are nil when the corresponding artifact was not provided.
-// cmd/obsreport builds, renders, and diffs these.
+// cmd/obsreport builds and renders these.
 type Report struct {
 	Schema      string          `json:"schema"`
 	Label       string          `json:"label,omitempty"`
@@ -310,7 +310,8 @@ func sortedKeys[V any](m map[string]V) []string {
 // ValidateReportJSON checks an obsreport JSON document: schema tag,
 // at least one section, and internal consistency (quantile ordering,
 // series min ≤ mean ≤ max, non-negative counts). Returns the parsed
-// report.
+// report. It is the report schema's one checker: the report tests and
+// FuzzBuildReport read every written report back through it.
 func ValidateReportJSON(r io.Reader) (*Report, error) {
 	var rep Report
 	dec := json.NewDecoder(r)
@@ -397,199 +398,4 @@ func ValidateReportJSON(r io.Reader) (*Report, error) {
 		}
 	}
 	return &rep, nil
-}
-
-// DiffRow is one metric compared across two reports.
-type DiffRow struct {
-	Metric string   `json:"metric"`
-	A      *float64 `json:"a,omitempty"` // nil when the metric is absent in run A
-	B      *float64 `json:"b,omitempty"` // nil when the metric is absent in run B
-	Delta  float64  `json:"delta"`
-	Pct    float64  `json:"pct"` // 100·(B-A)/|A|; 1e9 = one-sided or growth from zero
-}
-
-// ReportDiff is the per-metric comparison of two reports.
-type ReportDiff struct {
-	Schema string    `json:"schema"`
-	LabelA string    `json:"label_a"`
-	LabelB string    `json:"label_b"`
-	Rows   []DiffRow `json:"rows"`
-}
-
-// DiffSchema versions the diff JSON document.
-const DiffSchema = "aequitas.obsreport-diff/v1"
-
-// DiffReports compares every scalar metric present in both reports (and
-// flags metrics present in only one with the other side NaN-free zero
-// and an infinite pct, clamped for JSON). Rows are ordered by descending
-// |pct| so the biggest movements lead.
-func DiffReports(a, b *Report) *ReportDiff {
-	av, ak := flattenReport(a)
-	bv, bk := flattenReport(b)
-	d := &ReportDiff{Schema: DiffSchema, LabelA: a.Label, LabelB: b.Label}
-	seen := make(map[string]bool, len(ak))
-	for _, k := range ak {
-		seen[k] = true
-		x := av[k]
-		y, ok := bv[k]
-		if !ok {
-			y = math.NaN()
-		}
-		d.Rows = append(d.Rows, diffRow(k, x, y))
-	}
-	// Metrics only in b, in b's order.
-	for _, k := range bk {
-		if !seen[k] {
-			d.Rows = append(d.Rows, diffRow(k, math.NaN(), bv[k]))
-		}
-	}
-	// Genuine movements first by relative size; one-sided/from-zero
-	// sentinel rows after them, in flatten order.
-	sort.SliceStable(d.Rows, func(i, j int) bool {
-		si, sj := d.Rows[i].Pct >= 1e9, d.Rows[j].Pct >= 1e9
-		if si != sj {
-			return sj
-		}
-		if si {
-			return false
-		}
-		return math.Abs(d.Rows[i].Pct) > math.Abs(d.Rows[j].Pct)
-	})
-	return d
-}
-
-// diffRow compares one metric; NaN on either side means the metric is
-// absent from that run (encoded as a nil pointer, keeping the row
-// JSON-marshalable).
-func diffRow(k string, a, b float64) DiffRow {
-	row := DiffRow{Metric: k}
-	if !math.IsNaN(a) {
-		row.A = &a
-	}
-	if !math.IsNaN(b) {
-		row.B = &b
-	}
-	switch {
-	case row.A == nil || row.B == nil:
-		row.Pct = 1e9
-	case a == 0 && b == 0:
-		row.Pct = 0
-	case a == 0:
-		row.Delta = b
-		row.Pct = 1e9
-	default:
-		row.Delta = b - a
-		row.Pct = 100 * (b - a) / math.Abs(a)
-	}
-	return row
-}
-
-// flattenReport lists every scalar metric of a report as name → value,
-// plus the deterministic name order.
-func flattenReport(rep *Report) (map[string]float64, []string) {
-	vals := make(map[string]float64)
-	var order []string
-	put := func(name string, v float64) {
-		if math.IsNaN(v) {
-			return
-		}
-		if _, dup := vals[name]; !dup {
-			order = append(order, name)
-		}
-		vals[name] = v
-	}
-	if t := rep.Trace; t != nil {
-		put("trace.events", float64(t.Events))
-		for _, k := range sortedKeys(t.Kinds) {
-			put("trace.kinds."+k, float64(t.Kinds[k]))
-		}
-		putQuant := func(prefix string, q QuantilesUS) {
-			put(prefix+".n", float64(q.N))
-			put(prefix+".mean_us", q.MeanUS)
-			put(prefix+".p50_us", q.P50US)
-			put(prefix+".p90_us", q.P90US)
-			put(prefix+".p99_us", q.P99US)
-			put(prefix+".p999_us", q.P999US)
-			put(prefix+".max_us", q.MaxUS)
-		}
-		putQuant("trace.rnl", t.RNL)
-		for _, k := range sortedKeys(t.RNLByClass) {
-			putQuant("trace.rnl."+k, t.RNLByClass[k])
-		}
-	}
-	if m := rep.Metrics; m != nil {
-		put("metrics.rows", float64(m.Rows))
-		put("metrics.columns", float64(m.Columns))
-		for _, s := range m.Series {
-			put("metrics."+s.Name+".mean", s.Mean)
-			put("metrics."+s.Name+".max", s.Max)
-		}
-	}
-	if a := rep.Attribution; a != nil {
-		put("attr.n", float64(a.N))
-		for _, c := range a.Classes {
-			for _, comp := range attrComponents {
-				if v, ok := c.MeanUS[comp]; ok {
-					put("attr."+c.Class+"."+comp+".mean", v)
-				}
-			}
-		}
-	}
-	if f := rep.Flight; f != nil {
-		put("flight.dumps", float64(len(f.Dumps)))
-		put("flight.records", float64(f.Records))
-		put("flight.sampled_out", float64(f.SampledOut))
-		put("flight.min_p_admit", f.MinPAdmit)
-		put("flight.max_lat_us", f.MaxLatUS)
-		for _, k := range sortedKeys(f.ByVerdict) {
-			put("flight.verdict."+k, float64(f.ByVerdict[k]))
-		}
-	}
-	return vals, order
-}
-
-// WriteMarkdown renders the diff, largest relative movements first,
-// capped at maxRows (0 = all) with a note about omitted rows.
-func (d *ReportDiff) WriteMarkdown(w io.Writer, maxRows int) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# Run diff: %s vs %s\n\n", orUnnamed(d.LabelA), orUnnamed(d.LabelB))
-	fmt.Fprintf(bw, "| metric | %s | %s | delta | pct |\n|---|---:|---:|---:|---:|\n",
-		orUnnamed(d.LabelA), orUnnamed(d.LabelB))
-	rows := d.Rows
-	omitted := 0
-	if maxRows > 0 && len(rows) > maxRows {
-		omitted = len(rows) - maxRows
-		rows = rows[:maxRows]
-	}
-	side := func(p *float64) string {
-		if p == nil {
-			return "—"
-		}
-		return fmt.Sprintf("%.4g", *p)
-	}
-	for _, r := range rows {
-		pct := fmt.Sprintf("%+.1f%%", r.Pct)
-		if r.Pct >= 1e9 {
-			pct = "new/only"
-		}
-		fmt.Fprintf(bw, "| %s | %s | %s | %+.4g | %s |\n", r.Metric, side(r.A), side(r.B), r.Delta, pct)
-	}
-	if omitted > 0 {
-		fmt.Fprintf(bw, "\n%d smaller-movement rows omitted (use -all for every metric).\n", omitted)
-	}
-	return bw.Flush()
-}
-
-// WriteJSON writes the diff as indented JSON.
-func (d *ReportDiff) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
-
-func orUnnamed(s string) string {
-	if s == "" {
-		return "(unnamed)"
-	}
-	return s
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -200,64 +199,6 @@ func TestValidateReportJSONRejects(t *testing.T) {
 		if _, err := ValidateReportJSON(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-}
-
-// TestDiffReports: identical reports diff to all-zero pct; a perturbed
-// metric surfaces first with the right delta; one-sided metrics are
-// marked rather than dropped.
-func TestDiffReports(t *testing.T) {
-	build := func(n int, metrics string) *Report {
-		rep, err := BuildReport(fmt.Sprintf("run%d", n),
-			strings.NewReader(reportTrace(40)), strings.NewReader(metrics), nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	a := build(1, reportMetricsCSV)
-	same := DiffReports(a, build(2, reportMetricsCSV))
-	for _, r := range same.Rows {
-		if r.Pct != 0 {
-			t.Errorf("identical inputs: %s pct = %v", r.Metric, r.Pct)
-		}
-	}
-
-	perturbed := strings.Replace(reportMetricsCSV, "0.000300000,1,12,40", "0.000300000,1,12,80", 1)
-	extra := strings.Replace(perturbed, ",q.sw0.q0,", ",q.sw9.q0,", 1)
-	d := DiffReports(a, build(3, extra))
-	if len(d.Rows) == 0 {
-		t.Fatal("no diff rows")
-	}
-	byName := map[string]DiffRow{}
-	for _, r := range d.Rows {
-		byName[r.Metric] = r
-	}
-	p99 := byName["metrics.tail.d1.q0.p99_us.max"]
-	if p99.A == nil || *p99.A != 40 || p99.B == nil || *p99.B != 80 || p99.Delta != 40 || p99.Pct != 100 {
-		t.Errorf("perturbed metric row = %+v", p99)
-	}
-	// Genuine movements lead; one-sided sentinel rows trail.
-	if d.Rows[0].Pct >= 1e9 || math.Abs(d.Rows[0].Pct) < math.Abs(p99.Pct) {
-		t.Errorf("rows not sorted by movement: first = %+v", d.Rows[0])
-	}
-	var js strings.Builder
-	if err := d.WriteJSON(&js); err != nil {
-		t.Fatalf("diff with one-sided metrics not JSON-marshalable: %v", err)
-	}
-	if byName["metrics.q.sw9.q0.mean"].Pct != 1e9 {
-		t.Errorf("b-only metric not flagged: %+v", byName["metrics.q.sw9.q0.mean"])
-	}
-	if byName["metrics.q.sw0.q0.mean"].Pct != 1e9 {
-		t.Errorf("a-only metric not flagged: %+v", byName["metrics.q.sw0.q0.mean"])
-	}
-
-	var md strings.Builder
-	if err := d.WriteMarkdown(&md, 5); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(md.String(), "# Run diff: run1 vs run3") {
-		t.Errorf("diff markdown header wrong:\n%s", md.String())
 	}
 }
 

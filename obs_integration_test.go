@@ -39,24 +39,43 @@ func obsTestConfig(seed int64) SimConfig {
 
 // TestObsEndToEnd runs one instrumented simulation and checks the
 // acceptance criterion: the NDJSON stream is schema-valid and the metrics
-// CSV carries queue, admission, and transport time series.
+// CSV carries queue, admission, transport and tail time series. The same
+// run writes all four artifacts (trace, metrics, attribution CSV, flight
+// dump); the report joined from them has every section and reads back
+// through the report schema.
 func TestObsEndToEnd(t *testing.T) {
-	var ndjson, metrics bytes.Buffer
+	var ndjson, metrics, attr, flightDump bytes.Buffer
 	cfg := obsTestConfig(11)
 	cfg.Obs = ObsConfig{
-		TraceNDJSON: &ndjson,
-		MetricsCSV:  &metrics,
+		TraceNDJSON:    &ndjson,
+		MetricsCSV:     &metrics,
+		TailSeries:     true,
+		AttributionCSV: &attr,
+		FlightNDJSON:   &flightDump,
 	}
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
 
-	rep, err := obs.BuildReport("e2e", bytes.NewReader(ndjson.Bytes()), nil, nil, nil)
+	rep, err := obs.BuildReport("e2e", bytes.NewReader(ndjson.Bytes()), bytes.NewReader(metrics.Bytes()),
+		bytes.NewReader(attr.Bytes()), bytes.NewReader(flightDump.Bytes()))
 	if err != nil {
-		t.Fatalf("NDJSON invalid: %v", err)
+		t.Fatalf("artifacts invalid: %v", err)
 	}
-	if rep.Trace.Events == 0 {
-		t.Fatal("empty trace")
+	if rep.Trace == nil || rep.Metrics == nil || rep.Attribution == nil || rep.Flight == nil {
+		t.Fatalf("report sections missing: trace %v metrics %v attribution %v flight %v",
+			rep.Trace != nil, rep.Metrics != nil, rep.Attribution != nil, rep.Flight != nil)
+	}
+	if rep.Trace.Events == 0 || rep.Metrics.Rows == 0 || rep.Attribution.N == 0 || rep.Flight.Records == 0 {
+		t.Fatalf("empty section: %d events, %d metrics rows, %d attributed RPCs, %d flight records",
+			rep.Trace.Events, rep.Metrics.Rows, rep.Attribution.N, rep.Flight.Records)
+	}
+	var js bytes.Buffer
+	if err := rep.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obs.ValidateReportJSON(&js); err != nil {
+		t.Fatalf("report does not read back: %v", err)
 	}
 
 	// Every lifecycle stage except drop (load-dependent) must appear, and
@@ -116,7 +135,7 @@ func TestObsEndToEnd(t *testing.T) {
 	if !strings.HasPrefix(header, "t_s,") {
 		t.Fatalf("metrics header = %q", header)
 	}
-	for _, fam := range []string{"q.", "drop.", "padmit.", "incwin_us.", "cwnd.", "srtt_us."} {
+	for _, fam := range []string{"q.", "drop.", "padmit.", "incwin_us.", "cwnd.", "srtt_us.", "tail."} {
 		if !strings.Contains(header, ","+fam) {
 			t.Errorf("metrics header missing %q columns: %q", fam, header)
 		}

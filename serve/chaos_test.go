@@ -148,8 +148,7 @@ func TestChaosOverloadDrill(t *testing.T) {
 	epoch := sim.Time(1)
 	clk.SetNow(epoch)
 	ctl, err := aequitas.NewControllerWithClock(aequitas.ControllerConfig{
-		SLOs:  []aequitas.SLO{{Target: 10 * time.Millisecond, Percentile: 90}},
-		Alpha: 0.05,
+		SLOs: []aequitas.SLO{{Target: 10 * time.Millisecond, Percentile: 90}},
 	}, clk)
 	if err != nil {
 		t.Fatal(err)
