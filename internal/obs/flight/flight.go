@@ -164,8 +164,10 @@ const (
 	ringShards = 1 << shardBits
 )
 
-// shard is one independent slice of the ring. The header is padded to
-// its own cache lines so cursors on different shards never false-share.
+// shard is one independent slice of the ring, 128 bytes: the counters
+// every writer updates fill the first 64-byte line, the slice headers
+// every push reads the second, so cursors on different shards never
+// false-share (TestShardLayout).
 type shard struct {
 	seq     atomic.Uint64 // next slot ordinal within this shard
 	offered atomic.Uint64 // records presented (drives sampling)
@@ -179,6 +181,7 @@ type shard struct {
 	// release semantics: a reader that observes the commit value observes
 	// the record's fields.
 	commit []atomic.Uint64
+	_      [16]byte
 }
 
 // Ring is the flight recorder's storage. All methods are safe for

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"aequitas/internal/sim"
 )
@@ -175,6 +176,15 @@ func TestRecordPathNoAllocs(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Fatalf("record path allocates %v per op, want 0", n)
+	}
+}
+
+// TestShardLayout: a shard fills two whole cache lines, its counters the
+// first and its slice headers the second, so the headers a push reads
+// never share a line with the neighbouring shard's counters.
+func TestShardLayout(t *testing.T) {
+	if size, recs := unsafe.Sizeof(shard{}), unsafe.Offsetof(shard{}.recs); size != 128 || recs != 64 {
+		t.Errorf("shard is %d bytes with recs at offset %d, want 128 and 64", size, recs)
 	}
 }
 

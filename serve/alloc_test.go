@@ -17,12 +17,12 @@ import (
 )
 
 // TestRequestPathAllocs pins the allocations the layer makes per request
-// on a manual clock, bare and hardened. A served request costs the two
-// net/http forces on any middleware that hands its handler a value — the
-// context node and Request.WithContext's copy of the request — a refusal
-// the three http.Error makes (two header values and the body's trip
-// through fmt), an interceptor pass the context node alone, and an RPC
-// the interceptor refuses nothing.
+// on a manual clock, bare and hardened. A served request costs the one
+// object net/http forces on any middleware that hands its handler a
+// value: the copy of the request, with the context node that carries
+// the verdict inside it. A refusal costs the three http.Error makes (two
+// header values and the body's trip through fmt), an interceptor pass
+// the context node alone, and an RPC the interceptor refuses nothing.
 func TestRequestPathAllocs(t *testing.T) {
 	// A fresh quota bucket admits its burst (six of these requests)
 	// without a draw, and the manual clock never refills it: every
@@ -44,8 +44,8 @@ func TestRequestPathAllocs(t *testing.T) {
 			cause  cause
 			max    float64
 		}{
-			{"served admitted", 0, false, "", causeAdmitted, 2},
-			{"served downgraded", 2, false, "", causeDowngraded, 2},
+			{"served admitted", 0, false, "", causeAdmitted, 1},
+			{"served downgraded", 2, false, "", causeDowngraded, 1},
 			{"refused", 2, true, "", causeRejected, 3},
 			{"expired", 0, false, "1ms", causeExpired, 3},
 		} {

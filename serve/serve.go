@@ -474,32 +474,49 @@ func (a *Admission) retryAfter(fixed time.Duration, class aequitas.Class) string
 // receive RejectStatus with a Retry-After hint and are not observed —
 // they never ran.
 func (a *Admission) Middleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		req := a.cls(r)
-		budget, haveBudget := a.budgetFromRequest(r.Header, r.Context())
-		rec := a.begin(req, budget, haveBudget)
-		// The header keys are canonical and the values shared (see
-		// Admission.classValue): assigned, not Set, nothing allocates.
-		h := w.Header()
-		if rec.cause <= causeRejected { // the draw assigned a class
-			h[HeaderClass] = a.classValue[rec.v.Class]
-			if rec.v.Downgraded {
-				h[HeaderDowngraded] = a.markValue
-			}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { a.serveHTTP(next, w, r) })
+}
+
+// servedRequest is the one heap object a served request costs: the
+// context node that carries the verdict and the request copy handed to
+// the handler, allocated together.
+type servedRequest struct {
+	vc verdictCtx
+	r  http.Request
+}
+
+// serveHTTP is Middleware's body. It is a method, not the closure
+// itself, so that it is compiled here, where Request.WithContext inlines
+// and its copy of the request lands in servedRequest instead of on the
+// heap; a closure would be recompiled in every caller that inlines
+// Middleware.
+func (a *Admission) serveHTTP(next http.Handler, w http.ResponseWriter, r *http.Request) {
+	req := a.cls(r)
+	budget, haveBudget := a.budgetFromRequest(r.Header, r.Context())
+	rec := a.begin(req, budget, haveBudget)
+	// The header keys are canonical and the values shared (see
+	// Admission.classValue): assigned, not Set, nothing allocates.
+	h := w.Header()
+	if rec.cause <= causeRejected { // the draw assigned a class
+		h[HeaderClass] = a.classValue[rec.v.Class]
+		if rec.v.Downgraded {
+			h[HeaderDowngraded] = a.markValue
 		}
-		if ref := &refusals[rec.cause]; ref.err != nil {
-			if ref.header != "" {
-				mark := a.markValue
-				if rec.cause == causeShed {
-					mark = a.shedValue[rec.v.ShedLevel]
-				}
-				h[ref.header] = mark
+	}
+	if ref := &refusals[rec.cause]; ref.err != nil {
+		if ref.header != "" {
+			mark := a.markValue
+			if rec.cause == causeShed {
+				mark = a.shedValue[rec.v.ShedLevel]
 			}
-			h[headerRetryAfter] = a.retryValue[rec.v.Request.Class]
-			http.Error(w, ref.body, a.rejStatus)
-			return
+			h[ref.header] = mark
 		}
-		next.ServeHTTP(w, r.WithContext(&verdictCtx{r.Context(), rec.v}))
-		a.end(&rec)
-	})
+		h[headerRetryAfter] = a.retryValue[rec.v.Request.Class]
+		http.Error(w, ref.body, a.rejStatus)
+		return
+	}
+	sv := &servedRequest{vc: verdictCtx{r.Context(), rec.v}}
+	sv.r = *r.WithContext(&sv.vc)
+	next.ServeHTTP(w, &sv.r)
+	a.end(&rec)
 }
