@@ -32,7 +32,7 @@ func smallCluster(system System, seed int64) SimConfig {
 }
 
 func TestBaselineSystemsDeliver(t *testing.T) {
-	for _, system := range []System{SystemPFabric, SystemQJump, SystemD3, SystemPDQ, SystemHoma, SystemDWRR} {
+	for _, system := range []System{SystemPFabric, SystemQJump, SystemD3, SystemPDQ, SystemHoma} {
 		t.Run(system.String(), func(t *testing.T) {
 			res, err := Run(smallCluster(system, 11))
 			if err != nil {

@@ -59,9 +59,8 @@ var All = []Figure{
 	{"21", "large scale, production sizes, extreme burst", largeScaleConfigs, figLargeScale},
 	{"22", "comparison with pFabric, QJump, D3, PDQ, Homa", relatedWorkConfigs, figRelatedWork},
 	{"23", "testbed reproduction: 20 nodes, 8:4:1, QoS-mix convergence", testbedConfigs, figTestbed},
-	{"24", "Phase 1 fleet deployment: misalignment and 99p RNL change", nil, figProduction},
+	{"24", "Phase 1 fleet deployment: misalignment before and after", nil, figProduction},
 	{"28", "beta sensitivity: Fig 17/18 with beta=0.0015", betaConfigs, figBetaSensitivity},
-	{"3", "production congestion episode: load surge vs latency tail", nil, figOverloadEpisode},
 	{"4", "priority/QoS misalignment under coarse marking", nil, figMisalignment},
 	{"5", "race to the top: QoS distribution drift over time", nil, figRaceToTop},
 	{"8", "theoretical 2-QoS worst-case delay, phi=4, mu=0.8, rho=1.2", nil, figTheory2QoS},

@@ -2,6 +2,9 @@ package figures
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"regexp"
 	"testing"
 	"time"
 )
@@ -15,6 +18,28 @@ func TestCatalogueSorted(t *testing.T) {
 	for i := 1; i < len(All); i++ {
 		if All[i-1].ID >= All[i].ID {
 			t.Errorf("%q follows %q: ids must be unique and sorted as strings", All[i].ID, All[i-1].ID)
+		}
+	}
+}
+
+// TestDocsCiteCatalogueFigures: every `-fig <id>` the top-level documents
+// cite is `all` or a figure of the catalogue, so a deleted figure cannot
+// linger in them.
+func TestDocsCiteCatalogueFigures(t *testing.T) {
+	ids := map[string]bool{"all": true}
+	for _, f := range All {
+		ids[f.ID] = true
+	}
+	cite := regexp.MustCompile(`-fig (\w+)`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cite.FindAllSubmatch(text, -1) {
+			if !ids[string(m[1])] {
+				t.Errorf("%s cites -fig %s, which is not in the catalogue", doc, m[1])
+			}
 		}
 	}
 }

@@ -10,17 +10,6 @@ import (
 	"aequitas/internal/stats"
 )
 
-func figOverloadEpisode(w io.Writer, _ Options, _ []*aequitas.Results) error {
-	load, lat := fleet.OverloadEpisode(24, 8)
-	tb := stats.NewTable("t", "load(x)", "latency(x)")
-	for i := range load {
-		tb.AddRow(i, load[i], lat[i])
-	}
-	tb.Write(w)
-	fmt.Fprintln(w, "an 8x load surge drives a superlinear latency-tail response")
-	return nil
-}
-
 func figMisalignment(w io.Writer, o Options, _ []*aequitas.Results) error {
 	c, err := fleet.NewCluster(fleet.ClusterConfig{Apps: 200, Seed: o.Seed, UpgradeBias: 0.35})
 	if err != nil {
@@ -53,15 +42,11 @@ func figRaceToTop(w io.Writer, o Options, _ []*aequitas.Results) error {
 }
 
 func figProduction(w io.Writer, o Options, _ []*aequitas.Results) error {
-	// Fifty clusters, as the paper samples. Class latency profile: lower
-	// classes are modestly slower at the 99th percentile under typical
-	// (not pathological) load, which is the regime the fleetwide numbers
-	// average over.
-	classLatency := [3]float64{1, 1.25, 1.8}
+	// Fifty clusters, as the paper samples.
 	const clusters = 50
 	// Model each cluster on the worker pool, writing only to index-i
 	// cells, then accumulate in order so the Samples are deterministic.
-	var before, after, deltas [clusters]float64
+	var before, after [clusters]float64
 	errs := make([]error, clusters)
 	parallelFor(o.Workers, clusters, func(i int) {
 		c, err := fleet.NewCluster(fleet.ClusterConfig{Apps: 80, Seed: o.Seed*1000 + int64(i), UpgradeBias: 0.35})
@@ -72,24 +57,19 @@ func figProduction(w io.Writer, o Options, _ []*aequitas.Results) error {
 		shares := c.PriorityShares()
 		before[i] = 100 * c.CoarseAlignment().TotalMisalignment(shares)
 		after[i] = 100 * c.Phase1Alignment().TotalMisalignment(shares)
-		deltas[i] = 100 * c.RNLImprovement(classLatency)
 	})
 	var beforeMis, afterMis stats.Sample
-	var impr stats.Sample
 	for i := 0; i < clusters; i++ {
 		if errs[i] != nil {
 			return errs[i]
 		}
 		beforeMis.Add(before[i])
 		afterMis.Add(after[i])
-		impr.Add(deltas[i])
 	}
 	tb := stats.NewTable("metric", "before", "after Phase 1")
 	tb.AddRow("mean total misalignment (%)", beforeMis.Mean(), afterMis.Mean())
 	tb.AddRow("max total misalignment (%)", beforeMis.Max(), afterMis.Max())
 	tb.Write(w)
-	fmt.Fprintf(w, "99p-RNL change for PC traffic across 50 clusters: mean %.1f%%, best %.1f%%, worst %.1f%%\n",
-		impr.Mean(), impr.Min(), impr.Max())
 	fmt.Fprintln(w, "(paper: misalignment from up to 80% to ~0; up to 53% RNL reduction, ~10% mean)")
 	return nil
 }

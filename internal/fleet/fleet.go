@@ -1,5 +1,5 @@
 // Package fleet is a synthetic model of a production fleet, standing in
-// for the paper's unobtainable production data (Figures 3, 4, 5 and 24).
+// for the paper's unobtainable production data (Figures 4, 5 and 24).
 // It models the mechanisms the paper describes rather than any particular
 // dataset:
 //
@@ -11,13 +11,10 @@
 //   - Each overload-induced SLO miss pressures an application to upgrade
 //     its marking ("race to the top", Figure 5).
 //
-//   - Congestion episodes: load surges multiply RPC latency through an
-//     M/G/1-style queueing response at the cluster's bottleneck
-//     (Figure 3).
-//
 //   - Phase 1 of Aequitas re-marks traffic at RPC granularity, driving
-//     misalignment to ~zero and cutting tail RNL for high-priority
-//     traffic (Figure 24).
+//     misalignment to ~zero (Figure 24). The tail-latency change the
+//     paper measured alongside needs production latencies, which the
+//     model does not have.
 package fleet
 
 import (
@@ -212,51 +209,4 @@ func (c *Cluster) RaceToTheTop(steps int, overloadProb, upgradeProb float64) [][
 		out = append(out, c.QoSShares())
 	}
 	return out
-}
-
-// OverloadEpisode models Figure 3: a congestion episode where cluster
-// load ramps to peak× the baseline and back, and the latency tail
-// responds superlinearly once load crosses the knee (an M/G/1-flavoured
-// 1/(1−ρ) response capped for display). Returned series are normalised:
-// load relative to baseline, latency relative to uncongested latency.
-func OverloadEpisode(steps int, peak float64) (load, latency []float64) {
-	if steps < 2 {
-		steps = 2
-	}
-	load = make([]float64, steps)
-	latency = make([]float64, steps)
-	for i := 0; i < steps; i++ {
-		// A smooth ramp up and down.
-		phase := float64(i) / float64(steps-1)
-		l := 1 + (peak-1)*math.Exp(-math.Pow((phase-0.5)*4, 2))
-		load[i] = l
-		// Normalise against the knee: latency explodes as utilisation
-		// approaches 1. Map load ∈ [1, peak] to ρ ∈ [0.5, 0.99].
-		rho := 0.5 * l / peak * 2
-		if rho > 0.99 {
-			rho = 0.99
-		}
-		latency[i] = (1 / (1 - rho)) / 2
-	}
-	return load, latency
-}
-
-// RNLImprovement estimates the 99th-percentile RNL change from Phase 1
-// realignment for one cluster: misaligned high-priority bytes that move
-// from a congested lower class back to the high class see the class
-// latency gap; clusters with little misalignment see little change. The
-// returned value is a fractional change (negative = improvement), the
-// quantity plotted in Figure 24.
-func (c *Cluster) RNLImprovement(classLatency [3]float64) float64 {
-	coarse := c.CoarseAlignment()
-	aligned := c.Phase1Alignment()
-	var before, after float64
-	for ci := 0; ci < 3; ci++ {
-		before += coarse[int(qos.PC)][ci] * classLatency[ci]
-		after += aligned[int(qos.PC)][ci] * classLatency[ci]
-	}
-	if before == 0 {
-		return 0
-	}
-	return (after - before) / before
 }

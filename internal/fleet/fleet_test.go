@@ -123,82 +123,3 @@ func TestRaceToTheTopDrift(t *testing.T) {
 		}
 	}
 }
-
-// Figure 3: latency responds superlinearly to the load surge and peaks
-// with it.
-func TestOverloadEpisodeShape(t *testing.T) {
-	load, lat := OverloadEpisode(100, 8)
-	if len(load) != 100 || len(lat) != 100 {
-		t.Fatal("series length")
-	}
-	peakLoadIdx, peakLatIdx := argmax(load), argmax(lat)
-	if d := peakLoadIdx - peakLatIdx; d < -5 || d > 5 {
-		t.Errorf("latency peak at %d, load peak at %d", peakLatIdx, peakLoadIdx)
-	}
-	if load[peakLoadIdx] < 7.5 {
-		t.Errorf("peak load %v, want ~8x", load[peakLoadIdx])
-	}
-	if lat[peakLatIdx] <= 2*lat[0] {
-		t.Errorf("latency response not superlinear: %v -> %v", lat[0], lat[peakLatIdx])
-	}
-	// Degenerate input does not panic.
-	l2, _ := OverloadEpisode(1, 2)
-	if len(l2) < 2 {
-		t.Error("short episode not padded")
-	}
-}
-
-// Figure 24: realignment improves PC tail latency in clusters with
-// misalignment, and leaves already-aligned clusters unchanged.
-func TestRNLImprovement(t *testing.T) {
-	// Class latencies: lower classes are much slower.
-	lat := [3]float64{1, 3, 10}
-	c := newCluster(t, 6)
-	impr := c.RNLImprovement(lat)
-	if impr >= 0 {
-		t.Errorf("Phase 1 did not improve PC latency: %v", impr)
-	}
-	// A perfectly aligned cluster sees no change.
-	aligned, err := NewCluster(ClusterConfig{Apps: 20, Seed: 7, UpgradeBias: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range aligned.Apps {
-		// Force pure single-priority apps marked correctly.
-		p := qos.Priority(i % 3)
-		aligned.Apps[i].PriorityMix = [3]float64{}
-		aligned.Apps[i].PriorityMix[p] = 1
-		aligned.Apps[i].MarkedClass = qos.MapPriorityToQoS(p)
-	}
-	if got := aligned.RNLImprovement(lat); math.Abs(got) > 1e-9 {
-		t.Errorf("aligned cluster improvement = %v, want 0", got)
-	}
-}
-
-// Fleet-wide reproduction of Figure 24's headline: across many clusters,
-// misalignment drops to ~0 and the typical cluster improves its PC tail.
-func TestFleetWideDeployment(t *testing.T) {
-	improvements := 0
-	for seed := int64(0); seed < 50; seed++ {
-		c, err := NewCluster(ClusterConfig{Apps: 60, Seed: seed, UpgradeBias: 0.4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.RNLImprovement([3]float64{1, 3, 10}) < -0.01 {
-			improvements++
-		}
-	}
-	if improvements < 40 {
-		t.Errorf("only %d/50 clusters improved", improvements)
-	}
-}
-
-func argmax(xs []float64) int {
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
-}

@@ -7,7 +7,7 @@ import (
 	"aequitas/internal/wfq"
 )
 
-// TestSchedulerFamilies pins each system's switch scheduler: five
+// TestSchedulerFamilies pins each system's switch scheduler: four
 // families, shared as the systems' papers deploy them.
 func TestSchedulerFamilies(t *testing.T) {
 	want := map[string]string{
@@ -15,7 +15,6 @@ func TestSchedulerFamilies(t *testing.T) {
 		"aequitas": "*wfq.WFQ",
 		"spq":      "*wfq.SPQ",
 		"qjump":    "*wfq.SPQ",
-		"dwrr":     "*wfq.DWRR",
 		"pfabric":  "*wfq.PriorityQueue",
 		"homa":     "*wfq.PriorityQueue",
 		"d3":       "*wfq.FIFO",

@@ -21,13 +21,12 @@ type System struct {
 	Host func(env *Env, i int) (HostStack, error)
 }
 
-// Systems is the nine evaluated systems, in the order of the root
+// Systems is the eight evaluated systems, in the order of the root
 // package's System enum, which indexes it.
 var Systems = [...]System{
 	{"baseline", wfqSched, swiftHost}, // WFQ QoS without admission control
 	{"aequitas", wfqSched, aequitasHost},
 	{"spq", spqSched, swiftHost}, // strict priority in place of WFQ (§6.7)
-	{"dwrr", dwrrSched, swiftHost},
 	{"pfabric", srptSched, pfabricHost},
 	{"qjump", spqSched, qjumpHost},
 	{"d3", fifoSched, deadlineHost(baselines.PolicyD3)},
@@ -41,10 +40,6 @@ func wfqSched(weights []float64, buf int) netsim.SchedulerFactory {
 
 func spqSched(weights []float64, buf int) netsim.SchedulerFactory {
 	return func() wfq.Scheduler { return wfq.NewSPQ(len(weights), buf) }
-}
-
-func dwrrSched(weights []float64, buf int) netsim.SchedulerFactory {
-	return func() wfq.Scheduler { return wfq.NewDWRR(weights, netsim.MTU, buf) }
 }
 
 // srptSched is pFabric's and Homa's fabric: one urgency-ordered queue per

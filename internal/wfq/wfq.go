@@ -1,13 +1,11 @@
 // Package wfq implements the packet scheduling disciplines used at switch
 // egress ports: weighted fair queuing (self-clocked virtual-time WFQ),
-// deficit weighted round robin (DWRR), strict priority queuing (SPQ),
-// FIFO, and the urgency-ordered priority queue used by pFabric- and
-// Homa-style baselines.
+// strict priority queuing (SPQ), FIFO, and the urgency-ordered priority
+// queue used by pFabric- and Homa-style baselines.
 //
 // The paper treats WFQ as the general scheduling mechanism with
 // Virtual-Time/PGPS and DWRR as implementations (§2.3, footnote 1); this
-// package provides both so that experiments can check that results do not
-// depend on the WFQ realisation.
+// package provides the virtual-time one.
 package wfq
 
 import (
@@ -19,9 +17,9 @@ import (
 
 // validateWeights panics unless every class weight is a positive finite
 // number. A zero or negative weight would make WFQ's finish-tag division
-// produce +Inf/NaN virtual times (and DWRR a non-positive quantum), which
-// silently corrupts scheduling order; failing loudly at construction
-// mirrors the qos.Weights validation the public simulation config applies.
+// produce +Inf/NaN virtual times, which silently corrupts scheduling
+// order; failing loudly at construction mirrors the qos.Weights
+// validation the public simulation config applies.
 func validateWeights(weights []float64) {
 	if len(weights) == 0 {
 		panic("wfq: no class weights")
@@ -75,8 +73,6 @@ func (q *fifoQueue) push(it Item) {
 	q.n++
 	q.bytes += it.SizeBytes()
 }
-
-func (q *fifoQueue) front() Item { return q.items[q.head] }
 
 func (q *fifoQueue) pop() Item {
 	if q.n == 0 {
@@ -266,106 +262,6 @@ func (w *WFQ) BytesFor(c int) int {
 		return 0
 	}
 	return w.queues[c].bytes
-}
-
-// DWRR is deficit weighted round robin (Shreedhar & Varghese): each class
-// has a quantum proportional to its weight; a round visits backlogged
-// classes, adding the quantum to a deficit counter and transmitting
-// packets while the deficit covers them.
-type DWRR struct {
-	weights  []float64
-	quantum  int // bytes added per round for weight 1.0
-	capBytes int
-
-	deficit []int
-	queues  []fifoQueue
-	next    int
-	qBytes  int
-	qItems  int
-}
-
-// NewDWRR returns a DWRR scheduler; quantumBytes is the per-round byte
-// quantum granted to a class of weight 1 (typically one MTU). NewDWRR
-// panics if any weight is zero, negative, or non-finite.
-func NewDWRR(weights []float64, quantumBytes, perClassBytes int) *DWRR {
-	validateWeights(weights)
-	return &DWRR{
-		weights:  append([]float64(nil), weights...),
-		quantum:  quantumBytes,
-		capBytes: perClassBytes,
-		deficit:  make([]int, len(weights)),
-		queues:   make([]fifoQueue, len(weights)),
-	}
-}
-
-// Enqueue implements Scheduler.
-func (d *DWRR) Enqueue(it Item) []Item {
-	c := it.QoS()
-	if c < 0 || c >= len(d.queues) {
-		c = len(d.queues) - 1
-	}
-	q := &d.queues[c]
-	if d.capBytes > 0 && q.bytes+it.SizeBytes() > d.capBytes {
-		return []Item{it}
-	}
-	q.push(it)
-	d.qBytes += it.SizeBytes()
-	d.qItems++
-	return nil
-}
-
-// Dequeue implements Scheduler.
-func (d *DWRR) Dequeue() Item {
-	if d.qItems == 0 {
-		for i := range d.deficit {
-			d.deficit[i] = 0
-		}
-		return nil
-	}
-	n := len(d.queues)
-	// At most two full rounds are needed: one to accumulate deficits, one
-	// to serve; loop defensively with a bound.
-	for scanned := 0; scanned < 4*n+4; {
-		c := d.next
-		q := &d.queues[c]
-		if q.len() == 0 {
-			d.deficit[c] = 0
-			d.next = (d.next + 1) % n
-			scanned++
-			continue
-		}
-		head := q.front()
-		if d.deficit[c] >= head.SizeBytes() {
-			d.deficit[c] -= head.SizeBytes()
-			it := q.pop()
-			d.qBytes -= it.SizeBytes()
-			d.qItems--
-			return it
-		}
-		d.deficit[c] += int(float64(d.quantum) * d.weights[c])
-		d.next = (d.next + 1) % n
-		scanned++
-	}
-	// Quantum too small relative to packet size for any progress; grant
-	// the head of the first backlogged queue to preserve liveness.
-	for c := range d.queues {
-		if d.queues[c].len() > 0 {
-			it := d.queues[c].pop()
-			d.qBytes -= it.SizeBytes()
-			d.qItems--
-			return it
-		}
-	}
-	return nil
-}
-
-func (d *DWRR) QueuedBytes() int { return d.qBytes }
-func (d *DWRR) QueuedItems() int { return d.qItems }
-func (d *DWRR) BytesFor(c int) int {
-	if c < 0 || c >= len(d.queues) {
-		return 0
-	}
-	return d.queues[c].bytes
 }
 
 // SPQ is strict priority queuing: class 0 is always served before class 1,

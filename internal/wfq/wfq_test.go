@@ -138,59 +138,6 @@ func TestWFQOutOfRangeClassGoesLowest(t *testing.T) {
 	}
 }
 
-func TestDWRRWeightedShares(t *testing.T) {
-	d := NewDWRR([]float64{4, 1}, 1500, 0)
-	fill(d, 2, 2000, 1500)
-	shares := drainShares(d, 2, 1000)
-	if math.Abs(shares[0]-0.8) > 0.02 || math.Abs(shares[1]-0.2) > 0.02 {
-		t.Errorf("DWRR shares = %v, want ~[0.8 0.2]", shares)
-	}
-}
-
-func TestDWRRVariablePacketSizes(t *testing.T) {
-	// Byte-level fairness: class 0 sends 300 B packets, class 1 sends
-	// 1500 B packets, equal weights → equal byte shares.
-	d := NewDWRR([]float64{1, 1}, 1500, 0)
-	for i := 0; i < 5000; i++ {
-		d.Enqueue(&testItem{size: 300, class: 0})
-	}
-	for i := 0; i < 1000; i++ {
-		d.Enqueue(&testItem{size: 1500, class: 1})
-	}
-	served := make([]float64, 2)
-	var total float64
-	for total < 1e6 {
-		it := d.Dequeue()
-		if it == nil {
-			break
-		}
-		served[it.QoS()] += float64(it.SizeBytes())
-		total += float64(it.SizeBytes())
-	}
-	if math.Abs(served[0]/total-0.5) > 0.05 {
-		t.Errorf("byte shares = %v/%v", served[0]/total, served[1]/total)
-	}
-}
-
-func TestDWRRSmallQuantumLiveness(t *testing.T) {
-	// Quantum far below packet size must still make progress.
-	d := NewDWRR([]float64{1, 1}, 10, 0)
-	d.Enqueue(&testItem{size: 1500, class: 0})
-	if it := d.Dequeue(); it == nil {
-		t.Fatal("DWRR stalled with small quantum")
-	}
-}
-
-func TestDWRRDropTail(t *testing.T) {
-	d := NewDWRR([]float64{1}, 1500, 500)
-	if got := d.Enqueue(&testItem{size: 400, class: 0}); len(got) != 0 {
-		t.Fatal("first packet dropped")
-	}
-	if got := d.Enqueue(&testItem{size: 400, class: 0}); len(got) != 1 {
-		t.Fatal("overflow packet not dropped")
-	}
-}
-
 func TestSPQStrictOrdering(t *testing.T) {
 	s := NewSPQ(3, 0)
 	s.Enqueue(&testItem{size: 100, class: 2, id: 1})
@@ -285,7 +232,6 @@ func TestPriorityQueueBytesFor(t *testing.T) {
 func TestSchedulerConservationProperty(t *testing.T) {
 	mk := map[string]func() Scheduler{
 		"wfq":  func() Scheduler { return NewWFQ([]float64{4, 2, 1}, 2000) },
-		"dwrr": func() Scheduler { return NewDWRR([]float64{4, 2, 1}, 1500, 2000) },
 		"spq":  func() Scheduler { return NewSPQ(3, 2000) },
 		"fifo": func() Scheduler { return NewFIFO(2000) },
 		"pq":   func() Scheduler { return NewPriorityQueue(2000) },
@@ -317,30 +263,22 @@ func TestSchedulerConservationProperty(t *testing.T) {
 	}
 }
 
-// Weighted-share property across random weight vectors for WFQ and DWRR.
+// Weighted-share property across random weight vectors for WFQ.
 func TestWeightedShareProperty(t *testing.T) {
 	f := func(w1, w2 uint8) bool {
 		a := float64(w1%15) + 1
 		b := float64(w2%15) + 1
-		for _, s := range []Scheduler{
-			NewWFQ([]float64{a, b}, 0),
-			NewDWRR([]float64{a, b}, 1500, 0),
-		} {
-			fill(s, 2, 800, 1500)
-			shares := drainShares(s, 2, 600)
-			want := a / (a + b)
-			if math.Abs(shares[0]-want) > 0.05 {
-				return false
-			}
-		}
-		return true
+		s := NewWFQ([]float64{a, b}, 0)
+		fill(s, 2, 800, 1500)
+		shares := drainShares(s, 2, 600)
+		return math.Abs(shares[0]-a/(a+b)) <= 0.05
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
 }
 
-// mustPanic asserts that f panics; the ISSUE's divide-by-zero guard.
+// mustPanic asserts that f panics: the weight guard against division by zero.
 func mustPanic(t *testing.T, name string, f func()) {
 	t.Helper()
 	defer func() {
@@ -356,7 +294,6 @@ func TestNewWFQValidatesWeights(t *testing.T) {
 	for _, w := range bad {
 		w := w
 		mustPanic(t, "NewWFQ", func() { NewWFQ(w, 0) })
-		mustPanic(t, "NewDWRR", func() { NewDWRR(w, 1500, 0) })
 	}
 	// Valid weights still construct, and finish tags stay finite.
 	w := NewWFQ([]float64{4, 1}, 0)

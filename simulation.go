@@ -42,9 +42,6 @@ const (
 	SystemAequitas
 	// SystemSPQ replaces WFQ with strict priority queuing (§6.7).
 	SystemSPQ
-	// SystemDWRR realises the QoS weights with deficit weighted round
-	// robin instead of virtual-time WFQ.
-	SystemDWRR
 	// SystemPFabric is the pFabric baseline: SRPT via remaining-size
 	// packet priorities and drop-least-urgent switch queues.
 	SystemPFabric
