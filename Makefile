@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check loc loc-diff bench benchmark pairs figures figures-diff trace-check chaos-check serve-check chaos-serve-check
+.PHONY: all build test race vet check loc loc-diff bench benchmark pairs figures figures-diff trace-check trace-diff chaos-check serve-check chaos-serve-check
 
 all: build
 
@@ -67,6 +67,39 @@ trace-check: build
 	$(GO) run ./cmd/obsreport -trace out/trace-check-faults.ndjson > /dev/null
 	$(GO) run ./cmd/obsreport -label trace-check-faults -flight out/trace-check-flight.ndjson \
 	    -json out/trace-check-flight-report.json -md out/trace-check-flight-report.md
+
+# trace-diff builds aequitas-sim and obsreport from HEAD's first parent,
+# checked out into a temporary git worktree, and from this tree, and runs
+# with each the trace-check commands plus a faulted run with every sink
+# but the NDJSON trace on. It cmps every artifact, and each run's stdout
+# after its first line (which carries wall time), and fails on any
+# difference: the check for a change that must leave every observability
+# output alone. It compares against HEAD^, so commit first.
+trace-diff:
+	@tmp=$$(mktemp -d) && trap 'git worktree remove --force "$$tmp/src" 2>/dev/null; rm -rf "$$tmp"' EXIT && \
+	git worktree add --quiet --detach "$$tmp/src" HEAD^ && \
+	for t in parent this; do \
+	    src=.; [ $$t = parent ] && src="$$tmp/src"; \
+	    mkdir "$$tmp/$$t" "$$tmp/$$t.bin" && \
+	    (cd "$$src" && $(GO) build -o "$$tmp/$$t.bin/" ./cmd/aequitas-sim ./cmd/obsreport) && \
+	    (cd "$$tmp/$$t" && sim="$$tmp/$$t.bin/aequitas-sim" && rep="$$tmp/$$t.bin/obsreport" && \
+	    "$$sim" -hosts 4 -dur 3ms -trace t.ndjson -metrics t.csv -tail -attribution-csv t-attr.csv \
+	        -attribution -audit > t.txt && \
+	    "$$rep" -label trace-check -trace t.ndjson -metrics t.csv -attr t-attr.csv \
+	        -json t-report.json -md t-report.md > /dev/null && \
+	    "$$sim" -hosts 4 -dur 3ms -faults flapcrash -rpc-timeout 300us \
+	        -trace f.ndjson -flight f-flight.ndjson > f.txt && \
+	    "$$rep" -label trace-check-faults -flight f-flight.ndjson \
+	        -json f-flight-report.json -md f-flight-report.md > /dev/null && \
+	    "$$sim" -hosts 4 -dur 3ms -faults flapcrash -rpc-timeout 300us -attribution-csv s-attr.csv \
+	        -audit -metrics s.csv -tail -flight s-flight.ndjson -trace-csv s-trace.csv > s.txt && \
+	    for f in *.txt; do tail -n +2 "$$f" > "$$f.x" && mv "$$f.x" "$$f"; done) || exit 1; \
+	done && \
+	n=0 && bad=0 && for f in "$$tmp/parent"/* "$$tmp/this"/*; do \
+	    b=$${f##*/}; [ "$$f" = "$$tmp/this/$$b" ] && [ -e "$$tmp/parent/$$b" ] && continue; n=$$((n + 1)); \
+	    cmp "$$tmp/parent/$$b" "$$tmp/this/$$b" || bad=1; \
+	done && \
+	[ $$bad = 0 ] && echo "trace-diff: $$n artifacts match HEAD^"
 
 # chaos-check is the seeded fault-injection smoke: a link flap plus a host
 # crash/restart under the race detector, exercising blackholes, timeouts,

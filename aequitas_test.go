@@ -25,6 +25,7 @@ func TestRunValidation(t *testing.T) {
 		{"aequitas without SLOs", func(c *SimConfig) { c.System = SystemAequitas }},
 		{"System(-1)", func(c *SimConfig) { c.System = -1 }},
 		{"System(9)", func(c *SimConfig) { c.System = 9 }},
+		{"first System past the table", func(c *SimConfig) { c.System = System(len(scenario.Systems)) }},
 		{"probe src below range", func(c *SimConfig) { c.Probes = []Probe{{Src: -1, Dst: 1}} }},
 		{"probe src above range", func(c *SimConfig) { c.Probes = []Probe{{Src: 3, Dst: 1}} }},
 		{"probe dst below range", func(c *SimConfig) { c.Probes = []Probe{{Src: 0, Dst: -1}} }},

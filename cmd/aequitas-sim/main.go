@@ -50,8 +50,6 @@ func main() {
 		traceCSV = flag.String("trace-csv", "", "write a per-RPC completion CSV trace to this file")
 		metrics  = flag.String("metrics", "", "write the periodic metrics time series (CSV) to this file")
 		flightF  = flag.String("flight", "", "write flight-recorder dumps (NDJSON) to this file: one per fault onset plus a final dump")
-		flightN  = flag.Int("flight-records", 0, "flight ring capacity in records (default 16384)")
-		metEvery = flag.Duration("metrics-every", 0, "metrics sampling interval in simulated time (default 100us)")
 		tailTS   = flag.Bool("tail", false, "add per-(dst,class) windowed RNL tail quantiles to -metrics")
 		attrib   = flag.Bool("attribution", false, "decompose each RPC's latency and print per-class mean breakdowns")
 		attrCSV  = flag.String("attribution-csv", "", "write the per-RPC latency decomposition (CSV) to this file")
@@ -137,7 +135,6 @@ func main() {
 		f := mustCreate(*metrics)
 		defer f.Close()
 		cfg.Obs.MetricsCSV = f
-		cfg.Obs.MetricsEvery = *metEvery
 		cfg.Obs.TailSeries = *tailTS
 	} else if *tailTS {
 		log.Fatal("-tail needs -metrics to write the time series to")
@@ -146,7 +143,6 @@ func main() {
 		f := mustCreate(*flightF)
 		defer f.Close()
 		cfg.Obs.FlightNDJSON = f
-		cfg.Obs.FlightRecords = *flightN
 	}
 	cfg.Obs.Attribution = *attrib
 	cfg.Obs.Audit = *audit

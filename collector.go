@@ -7,7 +7,6 @@ import (
 	"aequitas/internal/core"
 	"aequitas/internal/faults"
 	"aequitas/internal/netsim"
-	"aequitas/internal/obs"
 	"aequitas/internal/qos"
 	"aequitas/internal/rpc"
 	"aequitas/internal/sim"
@@ -31,11 +30,6 @@ type collector struct {
 	// report. A nil sample is a class or priority nothing completed on.
 	rnlRun  []*stats.Sample // by class run on
 	rnlPrio []*stats.Sample // by priority
-
-	// tails is the windowed tail time-series tracker (nil unless
-	// ObsConfig.TailSeries); it sees every completion, warmup included,
-	// matching the registry's sample-from-t=0 convention.
-	tails *obs.TailTracker
 
 	issued, completed, downgraded, dropped int64
 	// SLO accounting by priority: issued vs met, in bytes and counts.
@@ -189,7 +183,6 @@ func (c *collector) onAdmit(s *sim.Simulator, r *rpc.RPC, d rpc.Decision) {
 func (c *collector) inWindow(t sim.Time) bool { return t >= c.warm && t <= c.end }
 
 func (c *collector) onComplete(s *sim.Simulator, r *rpc.RPC) {
-	c.tails.Observe(r.Dst, int(r.QoSRun), r.RNL.Micros())
 	if !c.inWindow(r.IssueTime) {
 		return
 	}

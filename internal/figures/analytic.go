@@ -11,9 +11,8 @@ import (
 )
 
 // figSizes prints the Figure 1 CDFs from the synthetic production-shaped
-// distributions. Each distribution is sampled with its own seeded RNG so
-// the per-class rows are independent of execution order.
-func figSizes(w io.Writer, o Options, _ []*aequitas.Results) error {
+// distributions, each sampled with its own seeded RNG.
+func figSizes(w io.Writer, _ Options, _ []*aequitas.Results) error {
 	dists := []struct {
 		name string
 		d    workload.SizeDist
@@ -22,16 +21,13 @@ func figSizes(w io.Writer, o Options, _ []*aequitas.Results) error {
 		{"NC", workload.ProductionNC()},
 		{"BE", workload.ProductionBE()},
 	}
-	samples := make([]stats.Sample, len(dists))
-	parallelFor(o.Workers, len(dists), func(i int) {
-		rng := rand.New(rand.NewSource(int64(1 + i)))
-		for n := 0; n < 100000; n++ {
-			samples[i].Add(float64(dists[i].d.Sample(rng)))
-		}
-	})
 	tb := stats.NewTable("priority", "p10", "p50", "p90", "p99", "mean")
 	for i, d := range dists {
-		s := &samples[i]
+		rng := rand.New(rand.NewSource(int64(1 + i)))
+		s := &stats.Sample{}
+		for n := 0; n < 100000; n++ {
+			s.Add(float64(d.d.Sample(rng)))
+		}
 		tb.AddRow(d.name,
 			fmt.Sprintf("%.0fB", s.Quantile(0.10)),
 			fmt.Sprintf("%.0fB", s.Quantile(0.50)),

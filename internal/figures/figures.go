@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"sync"
 	"time"
 
 	"aequitas"
@@ -109,32 +107,4 @@ func each[T any](xs []T, f func(T) aequitas.SimConfig) []aequitas.SimConfig {
 		cfgs[i] = f(x)
 	}
 	return cfgs
-}
-
-// parallelFor runs f(0..n-1) on the worker pool — for figure inner loops
-// that are not packet simulations (fleet models, distribution sampling).
-// Each f(i) must be independent and write only to index-i state.
-func parallelFor(workers, n int, f func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				f(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }

@@ -44,27 +44,15 @@ func figRaceToTop(w io.Writer, o Options, _ []*aequitas.Results) error {
 func figProduction(w io.Writer, o Options, _ []*aequitas.Results) error {
 	// Fifty clusters, as the paper samples.
 	const clusters = 50
-	// Model each cluster on the worker pool, writing only to index-i
-	// cells, then accumulate in order so the Samples are deterministic.
-	var before, after [clusters]float64
-	errs := make([]error, clusters)
-	parallelFor(o.Workers, clusters, func(i int) {
-		c, err := fleet.NewCluster(fleet.ClusterConfig{Apps: 80, Seed: o.Seed*1000 + int64(i), UpgradeBias: 0.35})
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		shares := c.PriorityShares()
-		before[i] = 100 * c.CoarseAlignment().TotalMisalignment(shares)
-		after[i] = 100 * c.Phase1Alignment().TotalMisalignment(shares)
-	})
 	var beforeMis, afterMis stats.Sample
 	for i := 0; i < clusters; i++ {
-		if errs[i] != nil {
-			return errs[i]
+		c, err := fleet.NewCluster(fleet.ClusterConfig{Apps: 80, Seed: o.Seed*1000 + int64(i), UpgradeBias: 0.35})
+		if err != nil {
+			return err
 		}
-		beforeMis.Add(before[i])
-		afterMis.Add(after[i])
+		shares := c.PriorityShares()
+		beforeMis.Add(100 * c.CoarseAlignment().TotalMisalignment(shares))
+		afterMis.Add(100 * c.Phase1Alignment().TotalMisalignment(shares))
 	}
 	tb := stats.NewTable("metric", "before", "after Phase 1")
 	tb.AddRow("mean total misalignment (%)", beforeMis.Mean(), afterMis.Mean())

@@ -91,16 +91,9 @@ type Link struct {
 	// what was lost.
 	OnDrop func(s *sim.Simulator, p *Packet)
 
-	// Trace, when set, receives per-hop queue-residency and drop events.
-	// nil disables tracing at zero cost on the transmit path.
+	// Trace, when set, receives every data packet's queue residency and
+	// every drop. nil costs one check on the transmit path.
 	Trace *obs.Tracer
-
-	// Attr, when set, receives tail-packet queue residencies for latency
-	// attribution; Audit, when set, checks every data packet's residency
-	// against its class bound. Both nil-disable at zero transmit-path
-	// cost, like Trace.
-	Attr  *obs.Attributor
-	Audit *obs.Auditor
 
 	txMemo txMemo
 }
@@ -183,9 +176,7 @@ func (l *Link) Send(s *sim.Simulator, p *Packet) {
 	if l.down || (l.lossRate > 0 && l.lossRNG.Float64() < l.lossRate) {
 		l.stats.FaultDropPackets++
 		l.stats.FaultDropBytes += int64(p.Size)
-		if l.Trace != nil {
-			l.Trace.Drop(s.Now(), p.MsgID, l.Name, int(p.Class), p.Size)
-		}
+		l.Trace.Drop(s.Now(), p.MsgID, l.Name, int(p.Class), p.Size)
 		return
 	}
 	l.settle(s.Now(), false)
@@ -195,9 +186,7 @@ func (l *Link) Send(s *sim.Simulator, p *Packet) {
 		dp := d.(*Packet)
 		l.stats.DropPackets++
 		l.stats.DropBytes += int64(dp.Size)
-		if l.Trace != nil {
-			l.Trace.Drop(s.Now(), dp.MsgID, l.Name, int(dp.Class), dp.Size)
-		}
+		l.Trace.Drop(s.Now(), dp.MsgID, l.Name, int(dp.Class), dp.Size)
 		if l.OnDrop != nil {
 			l.OnDrop(s, dp)
 		}
@@ -238,18 +227,9 @@ func (l *Link) start(t sim.Time) bool {
 		return false
 	}
 	p := it.(*Packet)
-	if !p.Ack && (l.Trace != nil || l.Audit != nil || l.Attr != nil) {
-		resid := t - p.EnqueuedAt
-		if l.Trace != nil {
-			l.Trace.Hop(t, p.MsgID, l.Name, int(p.Class), p.Size,
-				resid, l.Sched.QueuedBytes())
-		}
-		if l.Audit != nil {
-			l.Audit.Hop(t, p.MsgID, l.Name, int(p.Class), resid)
-		}
-		if l.Attr != nil && p.Tail {
-			l.Attr.TailHop(t, p.Src, p.MsgID, resid)
-		}
+	if !p.Ack && l.Trace != nil {
+		l.Trace.Hop(t, p.Src, p.MsgID, p.Tail, l.Name, int(p.Class), p.Size,
+			t-p.EnqueuedAt, l.Sched.QueuedBytes())
 	}
 	tx := l.txTime(p.Size)
 	l.stats.BusyTime += tx

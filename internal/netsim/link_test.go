@@ -134,7 +134,7 @@ func runLink(prop sim.Duration, loss float64, ops []linkOp) linkRecord {
 	l := NewLink("l", linkRate, prop, newLinkSched(), HandlerFunc(func(s *sim.Simulator, p *Packet) {
 		rec.deliveries = append(rec.deliveries, fmt.Sprintf("t=%d pkt=%d", s.Now(), p.ID))
 	}))
-	l.Trace = obs.NewTracer()
+	l.Trace = obs.NewTracer(obs.Sinks{Record: true})
 	if loss > 0 {
 		l.SetLoss(loss, rand.New(rand.NewSource(1)))
 	}
@@ -286,7 +286,7 @@ func TestSettleClosesTheInstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.NewTracer()
+	tr := obs.NewTracer(obs.Sinks{Record: true})
 	net.SetTracer(tr)
 	s := sim.New(1)
 	for i := 0; i < 3; i++ {

@@ -220,20 +220,9 @@ func (n *Network) ForEachLink(f func(*Link)) {
 	}
 }
 
-// SetTracer points every link's per-hop tracer at tr (nil detaches).
+// SetTracer points every link's tracer at tr (nil detaches).
 func (n *Network) SetTracer(tr *obs.Tracer) {
 	n.ForEachLink(func(l *Link) { l.Trace = tr })
-}
-
-// SetAttributor points every link's latency attributor at a (nil
-// detaches).
-func (n *Network) SetAttributor(a *obs.Attributor) {
-	n.ForEachLink(func(l *Link) { l.Attr = a })
-}
-
-// SetAuditor points every link's QoS-bound auditor at a (nil detaches).
-func (n *Network) SetAuditor(a *obs.Auditor) {
-	n.ForEachLink(func(l *Link) { l.Audit = a })
 }
 
 // MetricsSampler returns an obs.Sampler reporting, for every egress port,

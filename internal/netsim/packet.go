@@ -60,9 +60,9 @@ type Packet struct {
 	EnqueuedAt sim.Time
 
 	// Tail marks the packet carrying its message's last payload byte.
-	// The transport sets it only when latency attribution is enabled, so
-	// the attributor can charge this packet's per-hop queue residencies
-	// (NIC, then switches) to the message's RNL.
+	// The transport sets it only when a tracer is attached, so the tracer
+	// can charge this packet's per-hop queue residencies (NIC, then
+	// switches) to the message's RNL.
 	Tail bool
 }
 

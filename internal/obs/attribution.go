@@ -65,168 +65,18 @@ type attrKey struct {
 	rpc uint64
 }
 
-// Attributor decomposes each completed RPC's RNL into its components
-// from lifecycle instrumentation in the RPC stack, the transport, and
-// the fabric. A nil *Attributor is the disabled attributor: every method
-// is a nil-checked no-op, the same zero-overhead contract as Tracer.
+// Attributor keeps each completed RPC's latency decomposition, which the
+// Tracer computes from the lifecycle events the RPC stack, the transport
+// and the fabric report to it.
 type Attributor struct {
-	audit   *Auditor
-	pending map[attrKey]*pendingAttr
-	free    []*pendingAttr
-	recs    []AttrRecord
+	recs []AttrRecord
 }
 
-// NewAttributor returns an enabled attributor. audit, when non-nil,
-// receives each completed RPC's fabric queueing and RNL for bound
-// checking.
-func NewAttributor(audit *Auditor) *Attributor {
-	return &Attributor{audit: audit, pending: make(map[attrKey]*pendingAttr)}
-}
-
-func (a *Attributor) alloc() *pendingAttr {
-	if n := len(a.free); n > 0 {
-		p := a.free[n-1]
-		a.free = a.free[:n-1]
-		return p
-	}
-	return &pendingAttr{}
-}
-
-func (a *Attributor) recycle(k attrKey, p *pendingAttr) {
-	delete(a.pending, k)
-	*p = pendingAttr{}
-	a.free = append(a.free, p)
-}
-
-// Issue starts tracking an RPC at its issue time.
-func (a *Attributor) Issue(now sim.Time, src int, rpc uint64) {
-	if a == nil {
-		return
-	}
-	p := a.alloc()
-	p.issue = now
-	a.pending[attrKey{src, rpc}] = p
-}
-
-// Drop forgets an RPC rejected at admission.
-func (a *Attributor) Drop(src int, rpc uint64) {
-	if a == nil {
-		return
-	}
-	k := attrKey{src, rpc}
-	if p := a.pending[k]; p != nil {
-		a.recycle(k, p)
-	}
-}
-
-// FirstEnqueue stamps the first packet reaching the host NIC egress
-// queue. Later calls for the same RPC (retransmissions) are ignored.
-func (a *Attributor) FirstEnqueue(now sim.Time, src int, rpc uint64) {
-	if a == nil {
-		return
-	}
-	if p := a.pending[attrKey{src, rpc}]; p != nil && !p.hasEnq {
-		p.firstEnq = now
-		p.hasEnq = true
-	}
-}
-
-// TailEmit stamps the emission of the packet carrying the RPC's last
-// payload byte. A re-emission (go-back-N retransmit) overwrites the
-// stamp and resets the tail-hop residencies, so the decomposition
-// reflects the transmission that actually completed.
-func (a *Attributor) TailEmit(now sim.Time, src int, rpc uint64) {
-	if a == nil {
-		return
-	}
-	if p := a.pending[attrKey{src, rpc}]; p != nil {
-		p.tailEmit = now
-		p.hasTail = true
-		p.nic, p.sw, p.tailHops = 0, 0, 0
-	}
-}
-
-// PaceStall accounts d of pacing-gate stall time to the RPC. Stalls
-// before the first enqueue count toward the sender-side bucket, later
-// ones toward the transport bucket.
-func (a *Attributor) PaceStall(src int, rpc uint64, d sim.Duration) {
-	if a == nil || d <= 0 {
-		return
-	}
-	if p := a.pending[attrKey{src, rpc}]; p != nil {
-		if p.hasEnq {
-			p.paceAfter += d
-		} else {
-			p.paceBefore += d
-		}
-	}
-}
-
-// TailHop accounts one egress-queue residency of the RPC's tail packet.
-// The first hop after emission is the host uplink (NIC); the rest are
-// switch queues.
-func (a *Attributor) TailHop(now sim.Time, src int, rpc uint64, resid sim.Duration) {
-	if a == nil {
-		return
-	}
-	if p := a.pending[attrKey{src, rpc}]; p != nil {
-		if p.tailHops == 0 {
-			p.nic += resid
-		} else {
-			p.sw += resid
-		}
-		p.tailHops++
-	}
-}
-
-// Complete closes out an RPC: compute the decomposition, retain the
-// record (in completion order, so output is deterministic per run), and
-// notify the auditor.
-func (a *Attributor) Complete(rpc uint64, src, dst, class int, rnl sim.Duration) {
-	if a == nil {
-		return
-	}
-	k := attrKey{src, rpc}
-	p := a.pending[k]
-	if p == nil {
-		return
-	}
-	rec := AttrRecord{
-		RPC: rpc, Src: int32(src), Dst: int32(dst), Class: int16(class),
-		IssueTS: p.issue, RNL: rnl,
-	}
-	if p.hasEnq {
-		rec.Sender = p.firstEnq - p.issue - p.paceBefore
-		if p.hasTail {
-			rec.Transport = p.tailEmit - p.firstEnq - p.paceAfter
-		}
-	}
-	rec.Pacing = p.paceBefore + p.paceAfter
-	rec.NIC = p.nic
-	rec.Switch = p.sw
-	rec.Wire = rnl - rec.Sender - rec.Transport - rec.Pacing - rec.NIC - rec.Switch
-	a.recs = append(a.recs, rec)
-	a.audit.RPCDone(class, p.nic+p.sw, rnl)
-	a.recycle(k, p)
-}
-
-// PendingLen reports in-flight (issued, not yet completed or dropped)
-// attribution entries. Fault paths must Drop what they lose, so tests
-// use this to prove the pending map cannot grow without bound.
-func (a *Attributor) PendingLen() int {
-	if a == nil {
-		return 0
-	}
-	return len(a.pending)
-}
+// NewAttributor returns an empty attributor.
+func NewAttributor() *Attributor { return &Attributor{} }
 
 // Records returns the retained decompositions in completion order.
-func (a *Attributor) Records() []AttrRecord {
-	if a == nil {
-		return nil
-	}
-	return a.recs
-}
+func (a *Attributor) Records() []AttrRecord { return a.recs }
 
 // ClassAttribution is the mean latency decomposition of one class's
 // completed RPCs, in microseconds. The components sum to RNLUS by
@@ -261,7 +111,7 @@ type ClassAttribution struct {
 // Summaries aggregates the retained records into per-class means,
 // sorted by class.
 func (a *Attributor) Summaries() []ClassAttribution {
-	if a == nil || len(a.recs) == 0 {
+	if len(a.recs) == 0 {
 		return nil
 	}
 	var byClass []ClassAttribution
@@ -309,9 +159,6 @@ const AttrCSVHeader = "rpc,src,dst,class,issue_s,admit_us,sender_us,transport_us
 // output is byte-identical for a fixed run regardless of what else runs
 // in the process.
 func (a *Attributor) WriteCSV(w io.Writer) error {
-	if a == nil {
-		return nil
-	}
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.WriteString(AttrCSVHeader + "\n"); err != nil {
 		return err

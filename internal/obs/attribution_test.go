@@ -6,26 +6,44 @@ import (
 	"strings"
 	"testing"
 
+	"aequitas/internal/obs/flight"
 	"aequitas/internal/sim"
 )
 
-// attrFill drives one synthetic RPC through every attribution hook:
+// attrFill drives one synthetic RPC through every attribution event:
 // 5 µs pacing stall before first enqueue at 10 µs, tail emitted at 30 µs,
 // 3 µs NIC + 7 µs switch residency, completion at 50 µs with RNL 50 µs.
-func attrFill(a *Attributor) {
-	a.Issue(0, 0, 1)
-	a.PaceStall(0, 1, 5*sim.Microsecond)
-	a.FirstEnqueue(10*sim.Microsecond, 0, 1)
-	a.TailEmit(30*sim.Microsecond, 0, 1)
-	a.TailHop(33*sim.Microsecond, 0, 1, 3*sim.Microsecond)
-	a.TailHop(40*sim.Microsecond, 0, 1, 7*sim.Microsecond)
-	a.Complete(1, 0, 3, 0, 50*sim.Microsecond)
+func attrFill(t *Tracer) {
+	t.Issue(0, 1, 0, 3, 0, 0, 4096)
+	t.PaceStall(0, 1, 5*sim.Microsecond)
+	t.Enqueue(10*sim.Microsecond, 1, 0, 3, 0, 4096)
+	t.TailEmit(30*sim.Microsecond, 0, 1)
+	tailHop(t, 33*sim.Microsecond, 0, 1, 3*sim.Microsecond)
+	tailHop(t, 40*sim.Microsecond, 0, 1, 7*sim.Microsecond)
+	t.Complete(50*sim.Microsecond, 1, 0, 3, 0, 4096, 50*sim.Microsecond)
+}
+
+// attrTracer returns a tracer feeding only an attributor.
+func attrTracer() *Tracer { return NewTracer(Sinks{Attr: NewAttributor()}) }
+
+// auditTracer returns a tracer feeding only an auditor configured by cfg.
+func auditTracer(cfg AuditConfig) *Tracer { return NewTracer(Sinks{Audit: NewAuditor(cfg)}) }
+
+// tailHop reports a class-0 hop of the tail packet of src's RPC rpc.
+func tailHop(t *Tracer, now sim.Time, src int, rpc uint64, resid sim.Duration) {
+	t.Hop(now, src, rpc, true, "h0-up", 0, 1500, resid, 0)
+}
+
+// hop reports a hop of a data packet, its tail packet or another, of host
+// 0's RPC rpc.
+func hop(t *Tracer, now sim.Time, rpc uint64, tail bool, link string, class int, resid sim.Duration) {
+	t.Hop(now, 0, rpc, tail, link, class, 1500, resid, 0)
 }
 
 func TestAttributorDecomposition(t *testing.T) {
-	a := NewAttributor(nil)
-	attrFill(a)
-	recs := a.Records()
+	tr := attrTracer()
+	attrFill(tr)
+	recs := tr.Attr.Records()
 	if len(recs) != 1 {
 		t.Fatalf("records = %d, want 1", len(recs))
 	}
@@ -48,8 +66,8 @@ func TestAttributorDecomposition(t *testing.T) {
 	if sum := r.Admit + r.Sender + r.Transport + r.Pacing + r.NIC + r.Switch + r.Wire; sum != r.RNL {
 		t.Errorf("components sum to %v, RNL is %v", sum, r.RNL)
 	}
-	if len(a.pending) != 0 {
-		t.Errorf("pending not drained: %d entries", len(a.pending))
+	if n := tr.InFlight(); n != 0 {
+		t.Errorf("state not drained: %d entries", n)
 	}
 }
 
@@ -57,16 +75,17 @@ func TestAttributorDecomposition(t *testing.T) {
 // the aborted transmission's queue residencies: only hops of the tail
 // emission that completed count.
 func TestAttributorTailReemit(t *testing.T) {
-	a := NewAttributor(nil)
-	a.Issue(0, 0, 1)
-	a.FirstEnqueue(1*sim.Microsecond, 0, 1)
-	a.TailEmit(2*sim.Microsecond, 0, 1)
-	a.TailHop(3*sim.Microsecond, 0, 1, 100*sim.Microsecond) // lost transmission
-	a.TailEmit(60*sim.Microsecond, 0, 1)                    // retransmit
-	a.TailHop(62*sim.Microsecond, 0, 1, 2*sim.Microsecond)
-	a.TailHop(65*sim.Microsecond, 0, 1, 4*sim.Microsecond)
-	a.Complete(1, 0, 1, 0, 70*sim.Microsecond)
-	r := a.Records()[0]
+	tr := attrTracer()
+	tr.Issue(0, 1, 0, 1, 0, 0, 4096)
+	tr.Enqueue(1*sim.Microsecond, 1, 0, 1, 0, 4096)
+	tr.TailEmit(2*sim.Microsecond, 0, 1)
+	tailHop(tr, 3*sim.Microsecond, 0, 1, 100*sim.Microsecond) // lost transmission
+	tr.TailEmit(60*sim.Microsecond, 0, 1)                     // retransmit
+	tr.Enqueue(60*sim.Microsecond, 1, 0, 1, 0, 4096)          // a retry's first packet stamps nothing
+	tailHop(tr, 62*sim.Microsecond, 0, 1, 2*sim.Microsecond)
+	tailHop(tr, 65*sim.Microsecond, 0, 1, 4*sim.Microsecond)
+	tr.Complete(70*sim.Microsecond, 1, 0, 1, 0, 4096, 70*sim.Microsecond)
+	r := tr.Attr.Records()[0]
 	if r.NIC != 2*sim.Microsecond || r.Switch != 4*sim.Microsecond {
 		t.Errorf("nic=%v switch=%v, want 2us and 4us (pre-retransmit hops dropped)", r.NIC, r.Switch)
 	}
@@ -79,10 +98,10 @@ func TestAttributorTailReemit(t *testing.T) {
 // transport: no enqueue/emit instrumentation means the whole RNL lands in
 // Wire.
 func TestAttributorDegradedRecord(t *testing.T) {
-	a := NewAttributor(nil)
-	a.Issue(0, 1, 9)
-	a.Complete(9, 1, 2, 1, 42*sim.Microsecond)
-	r := a.Records()[0]
+	tr := attrTracer()
+	tr.Issue(0, 9, 1, 2, 1, 1, 4096)
+	tr.Complete(42*sim.Microsecond, 9, 1, 2, 1, 4096, 42*sim.Microsecond)
+	r := tr.Attr.Records()[0]
 	if r.Wire != 42*sim.Microsecond {
 		t.Errorf("wire=%v, want 42us", r.Wire)
 	}
@@ -91,25 +110,30 @@ func TestAttributorDegradedRecord(t *testing.T) {
 	}
 }
 
+// TestAttributorDropForgets: an RPC dropped at admission or lost is
+// forgotten, and a completion for it (or for a never-issued RPC) is
+// ignored.
 func TestAttributorDropForgets(t *testing.T) {
-	a := NewAttributor(nil)
-	a.Issue(0, 0, 1)
-	a.Drop(0, 1)
-	// A completion for a dropped (or never-issued) RPC is ignored.
-	a.Complete(1, 0, 1, 0, sim.Microsecond)
-	a.Complete(2, 0, 1, 0, sim.Microsecond)
-	if n := len(a.Records()); n != 0 {
-		t.Errorf("records = %d, want 0", n)
+	tr := attrTracer()
+	tr.Issue(0, 1, 0, 1, 0, 0, 4096)
+	tr.Admit(0, 1, 0, 1, 0, flight.VerdictDrop, 0.5)
+	tr.Issue(0, 2, 0, 1, 0, 0, 4096)
+	tr.Lost(0, 2)
+	for rpc := uint64(1); rpc <= 3; rpc++ {
+		tr.Complete(sim.Microsecond, rpc, 0, 1, 0, 4096, sim.Microsecond)
+	}
+	if n, m := len(tr.Attr.Records()), tr.InFlight(); n != 0 || m != 0 {
+		t.Errorf("records = %d and %d in flight, want 0 and 0", n, m)
 	}
 }
 
 func TestAttributorSummaries(t *testing.T) {
-	a := NewAttributor(nil)
-	attrFill(a)
+	tr := attrTracer()
+	attrFill(tr)
 	// Second RPC on class 1 with a pure-wire profile.
-	a.Issue(0, 0, 2)
-	a.Complete(2, 0, 1, 1, 20*sim.Microsecond)
-	sums := a.Summaries()
+	tr.Issue(0, 2, 0, 1, 0, 1, 4096)
+	tr.Complete(20*sim.Microsecond, 2, 0, 1, 1, 4096, 20*sim.Microsecond)
+	sums := tr.Attr.Summaries()
 	if len(sums) != 2 || sums[0].Class != 0 || sums[1].Class != 1 {
 		t.Fatalf("summaries = %+v", sums)
 	}
@@ -122,10 +146,10 @@ func TestAttributorSummaries(t *testing.T) {
 }
 
 func TestAttributorWriteCSV(t *testing.T) {
-	a := NewAttributor(nil)
-	attrFill(a)
+	tr := attrTracer()
+	attrFill(tr)
 	var buf bytes.Buffer
-	if err := a.WriteCSV(&buf); err != nil {
+	if err := tr.Attr.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -141,53 +165,24 @@ func TestAttributorWriteCSV(t *testing.T) {
 	}
 }
 
-func TestNilAttributorSafe(t *testing.T) {
-	var a *Attributor
-	attrFill(a) // must not panic
-	if a.Records() != nil || a.Summaries() != nil {
-		t.Error("nil attributor not inert")
-	}
-	if err := a.WriteCSV(nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestDisabledAttributorAllocs proves the acceptance criterion: the
-// disabled attribution hot path performs zero allocations.
-func TestDisabledAttributorAllocs(t *testing.T) {
-	var a *Attributor
-	allocs := testing.AllocsPerRun(1000, func() {
-		attrFill(a)
-	})
-	if allocs != 0 {
-		t.Errorf("disabled attributor: %v allocs/op, want 0", allocs)
-	}
-}
-
-func BenchmarkDisabledAttributor(b *testing.B) {
-	var a *Attributor
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		a.TailHop(sim.Time(i), 0, uint64(i), sim.Microsecond)
-	}
-}
-
 func TestAuditorViolations(t *testing.T) {
-	a := NewAuditor(AuditConfig{BoundUS: []float64{10}, SlackUS: 2})
+	tr := auditTracer(AuditConfig{BoundUS: []float64{10}, SlackUS: 2})
+	tr.Issue(0, 2, 0, 1, 0, 0, 1500)
+	tr.Issue(0, 5, 0, 1, 0, 1, 1500)
 	// Within bound+slack: no violation.
-	a.Hop(0, 1, "up-0", 0, 12*sim.Microsecond)
+	hop(tr, 0, 1, false, "up-0", 0, 12*sim.Microsecond)
 	// Over: hop violations one past the retention cap. RPC 2 completing
-	// after its over-bound hop adds no second violation.
+	// after its tail packet's over-bound hop adds no second violation.
 	const over = maxViolations + 1
 	for i := 0; i < over; i++ {
-		a.Hop(sim.Microsecond, uint64(2+i), "down-1", 0, sim.Duration(13+i)*sim.Microsecond)
+		hop(tr, sim.Microsecond, uint64(2+i), i == 0, "down-1", 0, sim.Duration(13+i)*sim.Microsecond)
 	}
-	a.RPCDone(0, 13*sim.Microsecond, 20*sim.Microsecond)
+	tr.Complete(2*sim.Microsecond, 2, 0, 1, 0, 1500, 20*sim.Microsecond)
 	// Unbounded class: observed, never flagged.
-	a.Hop(3*sim.Microsecond, 5, "down-2", 1, 500*sim.Microsecond)
-	a.RPCDone(1, 500*sim.Microsecond, 600*sim.Microsecond)
+	hop(tr, 3*sim.Microsecond, 5, true, "down-2", 1, 500*sim.Microsecond)
+	tr.Complete(4*sim.Microsecond, 5, 0, 1, 1, 1500, 600*sim.Microsecond)
 
-	rep := a.Report()
+	rep := tr.Audit.Report()
 	if rep.Ok() {
 		t.Fatal("report Ok despite violations")
 	}
@@ -209,7 +204,7 @@ func TestAuditorViolations(t *testing.T) {
 		t.Errorf("class 0 = %+v", c0)
 	}
 	c1 := rep.Classes[1]
-	if c1.Bounded || c1.Violations != 0 || c1.MaxHopUS != 500 {
+	if c1.Bounded || c1.Violations != 0 || c1.MaxHopUS != 500 || c1.N != 1 || c1.QueueMaxUS != 500 || c1.RNLMaxUS != 600 {
 		t.Errorf("class 1 = %+v", c1)
 	}
 }
@@ -218,15 +213,15 @@ func TestAuditorViolations(t *testing.T) {
 // later violations may have been recorded; the retained list is still the
 // earliest ones in time order.
 func TestAuditorKeepsEarliest(t *testing.T) {
-	a := NewAuditor(AuditConfig{BoundUS: []float64{10}})
+	tr := auditTracer(AuditConfig{BoundUS: []float64{10}})
 	// Violation k is observed at (k·29 mod n)+1 µs by the RPC of that
 	// number: every arrival order of early and late ones, two past the cap.
 	const n = maxViolations + 2
 	for k := 0; k < n; k++ {
 		at := k*29%n + 1
-		a.Hop(sim.Time(sim.Duration(at)*sim.Microsecond), uint64(at), "down-1", 0, 20*sim.Microsecond)
+		hop(tr, sim.Time(sim.Duration(at)*sim.Microsecond), uint64(at), false, "down-1", 0, 20*sim.Microsecond)
 	}
-	rep := a.Report()
+	rep := tr.Audit.Report()
 	var got, want []uint64
 	for _, v := range rep.Violations {
 		got = append(got, v.RPC)
@@ -239,19 +234,17 @@ func TestAuditorKeepsEarliest(t *testing.T) {
 	}
 }
 
-// TestAuditorCountsTailHopOnce: the link checks the tail packet's
-// residency and the attributor then completes the RPC, whose worst hop is
-// that same residency. One over-bound residency is one violation.
+// TestAuditorCountsTailHopOnce: the tracer checks the tail packet's
+// residency and charges it to the RPC, which then completes with that
+// residency as its worst hop. One over-bound residency is one violation.
 func TestAuditorCountsTailHopOnce(t *testing.T) {
-	aud := NewAuditor(AuditConfig{BoundUS: []float64{10}})
-	a := NewAttributor(aud)
-	a.Issue(0, 0, 1)
-	a.FirstEnqueue(sim.Microsecond, 0, 1)
-	a.TailEmit(2*sim.Microsecond, 0, 1)
-	aud.Hop(22*sim.Microsecond, 1, "down-1", 0, 20*sim.Microsecond)
-	a.TailHop(22*sim.Microsecond, 0, 1, 20*sim.Microsecond)
-	a.Complete(1, 0, 1, 0, 30*sim.Microsecond)
-	rep := aud.Report()
+	tr := NewTracer(Sinks{Attr: NewAttributor(), Audit: NewAuditor(AuditConfig{BoundUS: []float64{10}})})
+	tr.Issue(0, 1, 0, 1, 0, 0, 1500)
+	tr.Enqueue(sim.Microsecond, 1, 0, 1, 0, 1500)
+	tr.TailEmit(2*sim.Microsecond, 0, 1)
+	hop(tr, 22*sim.Microsecond, 1, true, "down-1", 0, 20*sim.Microsecond)
+	tr.Complete(30*sim.Microsecond, 1, 0, 1, 0, 1500, 30*sim.Microsecond)
+	rep := tr.Audit.Report()
 	if rep.TotalViolations != 1 || rep.Classes[0].Violations != 1 {
 		t.Errorf("violations = %d (class 0: %d), want 1: %+v",
 			rep.TotalViolations, rep.Classes[0].Violations, rep.Violations)
@@ -259,59 +252,31 @@ func TestAuditorCountsTailHopOnce(t *testing.T) {
 }
 
 func TestAuditorClean(t *testing.T) {
-	a := NewAuditor(AuditConfig{BoundUS: []float64{10, 50}, SlackUS: 1})
-	a.Hop(0, 1, "up-0", 0, 10*sim.Microsecond)
-	a.RPCDone(0, 10*sim.Microsecond, 15*sim.Microsecond)
-	rep := a.Report()
+	tr := auditTracer(AuditConfig{BoundUS: []float64{10, 50}, SlackUS: 1})
+	tr.Issue(0, 1, 0, 1, 0, 0, 1500)
+	hop(tr, 0, 1, true, "up-0", 0, 10*sim.Microsecond)
+	tr.Complete(15*sim.Microsecond, 1, 0, 1, 0, 1500, 15*sim.Microsecond)
+	rep := tr.Audit.Report()
 	if !rep.Ok() || rep.TotalViolations != 0 {
 		t.Errorf("clean run flagged: %+v", rep)
 	}
 	if rep.Classes[0].N != 1 || rep.Classes[0].QueueMaxUS != 10 {
 		t.Errorf("class 0 = %+v", rep.Classes[0])
 	}
-}
-
-func TestNilAuditorSafe(t *testing.T) {
-	var a *Auditor
-	a.Hop(0, 1, "up-0", 0, sim.Microsecond)
-	a.RPCDone(0, sim.Microsecond, sim.Microsecond)
-	if a.Report() != nil {
-		t.Error("nil auditor not inert")
-	}
-	if a.Report().Ok() {
-		t.Error("nil report must not be Ok")
-	}
-}
-
-// TestDisabledAuditorAllocs proves the disabled audit hot path performs
-// zero allocations.
-func TestDisabledAuditorAllocs(t *testing.T) {
-	var a *Auditor
-	allocs := testing.AllocsPerRun(1000, func() {
-		a.Hop(0, 1, "up-0", 0, sim.Microsecond)
-		a.RPCDone(0, sim.Microsecond, sim.Microsecond)
-	})
-	if allocs != 0 {
-		t.Errorf("disabled auditor: %v allocs/op, want 0", allocs)
-	}
-}
-
-func BenchmarkDisabledAuditor(b *testing.B) {
-	var a *Auditor
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		a.Hop(sim.Time(i), uint64(i), "up-0", 0, sim.Microsecond)
+	// A run without the auditor reports nil, and nil is not Ok.
+	if none := (*Auditor)(nil); none.Report() != nil || none.Report().Ok() {
+		t.Error("nil auditor reported")
 	}
 }
 
 // BenchmarkEnabledAttributorRPC measures the full per-RPC attribution
 // cycle with the free-list warm (steady state: no allocations).
 func BenchmarkEnabledAttributorRPC(b *testing.B) {
-	a := NewAttributor(nil)
+	tr := attrTracer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		attrFill(a)
-		a.recs = a.recs[:0] // keep the record buffer from growing unboundedly
+		attrFill(tr)
+		tr.Attr.recs = tr.Attr.recs[:0] // keep the record buffer from growing unboundedly
 	}
 }
 
@@ -319,19 +284,19 @@ func BenchmarkEnabledAttributorRPC(b *testing.B) {
 // hosts' RPC #1 are different RPCs — instrumentation from one host must
 // never contaminate the other's record.
 func TestAttributorSrcKeyed(t *testing.T) {
-	a := NewAttributor(nil)
-	a.Issue(0, 0, 1)
-	a.Issue(0, 1, 1) // same id, different source host
-	a.FirstEnqueue(2*sim.Microsecond, 1, 1)
-	a.TailEmit(4*sim.Microsecond, 1, 1)
-	a.TailHop(5*sim.Microsecond, 1, 1, 3*sim.Microsecond)
-	a.Complete(1, 0, 2, 0, 10*sim.Microsecond)
-	r := a.Records()[0]
+	tr := attrTracer()
+	tr.Issue(0, 1, 0, 2, 0, 0, 4096)
+	tr.Issue(0, 1, 1, 2, 0, 0, 4096) // same id, different source host
+	tr.Enqueue(2*sim.Microsecond, 1, 1, 2, 0, 4096)
+	tr.TailEmit(4*sim.Microsecond, 1, 1)
+	tailHop(tr, 5*sim.Microsecond, 1, 1, 3*sim.Microsecond)
+	tr.Complete(10*sim.Microsecond, 1, 0, 2, 0, 4096, 10*sim.Microsecond)
+	r := tr.Attr.Records()[0]
 	if r.NIC != 0 || r.Transport != 0 || r.Wire != 10*sim.Microsecond {
 		t.Errorf("host 0's record contaminated by host 1's instrumentation: %+v", r)
 	}
-	a.Complete(1, 1, 2, 0, 10*sim.Microsecond)
-	if r := a.Records()[1]; r.NIC != 3*sim.Microsecond {
+	tr.Complete(10*sim.Microsecond, 1, 1, 2, 0, 4096, 10*sim.Microsecond)
+	if r := tr.Attr.Records()[1]; r.NIC != 3*sim.Microsecond {
 		t.Errorf("host 1's record = %+v", r)
 	}
 }
@@ -341,9 +306,9 @@ func TestAttributorSrcKeyed(t *testing.T) {
 // classes against the lowest class's bound instead of leaving them
 // unbounded.
 func TestAuditorLevelClamp(t *testing.T) {
-	a := NewAuditor(AuditConfig{BoundUS: []float64{10, 20}, Levels: 2})
-	a.Hop(0, 1, "up-0", 5, 30*sim.Microsecond) // class 5 → lowest level 1
-	rep := a.Report()
+	tr := auditTracer(AuditConfig{BoundUS: []float64{10, 20}, Levels: 2})
+	hop(tr, 0, 1, false, "up-0", 5, 30*sim.Microsecond) // class 5 → lowest level 1
+	rep := tr.Audit.Report()
 	if len(rep.Classes) != 1 || rep.Classes[0].Class != 1 {
 		t.Fatalf("classes = %+v", rep.Classes)
 	}

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"aequitas/internal/qos"
-	"aequitas/internal/sim"
 	"aequitas/internal/stats"
 )
 
@@ -52,8 +51,12 @@ type classAudit struct {
 
 // Auditor continuously checks observed queueing against the per-class
 // worst-case bounds of the network-calculus model, turning the paper's
-// Fig-10 theory-vs-simulation validation into a runtime invariant. A nil
-// *Auditor is the disabled auditor: every method is a nil-checked no-op.
+// Fig-10 theory-vs-simulation validation into a runtime invariant. The
+// Tracer feeds it: every data packet's queue residency is checked against
+// its class bound (so the check does only comparisons per hop), and every
+// completed RPC adds its total fabric queueing and RNL to its class's
+// tails, which are never compared in aggregate: the calculus bound is per
+// queue. A nil *Auditor reports nil.
 type Auditor struct {
 	cfg     AuditConfig
 	classes []*classAudit
@@ -106,41 +109,6 @@ func (a *Auditor) record(v AuditViolation) {
 		a.viol = slices.Insert(a.viol, i, v)
 		a.viol = a.viol[:min(len(a.viol), maxViolations)]
 	}
-}
-
-// Hop checks one data packet's egress-queue residency against the
-// packet's class bound. Called from the link dequeue path, so it does
-// only comparisons; quantile state is per-RPC, not per-hop.
-func (a *Auditor) Hop(now sim.Time, rpc uint64, link string, class int, resid sim.Duration) {
-	if a == nil {
-		return
-	}
-	class = a.clamp(class)
-	c := a.class(class)
-	c.hops++
-	us := resid.Micros()
-	if us > c.maxHopUS {
-		c.maxHopUS = us
-	}
-	if b, ok := a.bound(class); ok && us > b+a.cfg.SlackUS {
-		c.violations++
-		a.record(AuditViolation{RPC: rpc, Class: qos.Class(class), Link: link,
-			TimeUS: now.Micros(), ObservedUS: us, BoundUS: b})
-	}
-}
-
-// RPCDone feeds one completed RPC's per-class tail statistics: total
-// fabric queueing (the sum of its tail packet's queue residencies) and
-// RNL. It checks nothing: the calculus bound is per queue, and Hop has
-// already checked each of those residencies, so the sum is never
-// compared in aggregate.
-func (a *Auditor) RPCDone(class int, fabric, rnl sim.Duration) {
-	if a == nil {
-		return
-	}
-	c := a.class(a.clamp(class))
-	c.rnl.Add(rnl.Micros())
-	c.fabric.Add(fabric.Micros())
 }
 
 // AuditClassReport is one class's audit summary.

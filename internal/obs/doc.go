@@ -1,13 +1,29 @@
-// Package obs is the simulation-wide observability layer: a structured
-// RPC-lifecycle event tracer, a metrics registry with periodic
-// simulated-time samplers, and profiling helpers.
+// Package obs is the simulation-wide observability layer: the
+// RPC-lifecycle tracer and the sinks it feeds, a metrics registry with
+// periodic simulated-time samplers, and profiling helpers.
+//
+// # One lifecycle observer
+//
+// A Tracer is a run's one lifecycle observer. netsim.Link,
+// transport.Config, rpc.Stack and scenario.Env each hold one *Tracer and
+// report every event to it once: issue, admit, enqueue, tail emit, pacing
+// stall, hop, drop, complete, lost and fault. NewTracer takes the run's
+// Sinks and feeds them:
+//
+//	Record  keeps every event for WriteNDJSON (the trace schema below)
+//	Attr    the Attributor: each completed RPC's latency decomposition
+//	Audit   the Auditor: every data packet's queue residency against its
+//	        class bound, and each completed RPC's fabric queueing and RNL
+//	Tails   the TailTracker: each completed RPC's RNL on its (dst, class)
+//	        channel, emitted as a windowed tail series by the registry
 //
 // The layer is designed around one invariant: when disabled it costs
-// nothing on the hot path. Every Tracer event method is safe to call on a
-// nil receiver and returns immediately without allocating, so instrumented
-// code holds a possibly-nil *Tracer and calls it unconditionally (or
-// behind a nil check when argument evaluation itself would do work). The
-// obs test suite enforces zero allocations per disabled event with
+// nothing on the hot path. NewTracer returns nil when no sink is on, and
+// every Tracer method is safe to call on a nil receiver and returns
+// immediately without allocating, so instrumented code holds a
+// possibly-nil *Tracer and calls it unconditionally (or behind a nil
+// check when argument evaluation itself would do work). The obs test
+// suite enforces zero allocations per disabled event with
 // testing.AllocsPerRun.
 //
 // # Trace schema
@@ -43,6 +59,7 @@
 // cmd/obsreport is the command that runs them.
 //
 // Events are recorded in simulator order, so for a fixed configuration the
-// stream is bit-identical regardless of how many sweep workers run other
-// simulations concurrently — each run owns its Tracer.
+// stream, and every sink's output, is bit-identical regardless of how many
+// sweep workers run other simulations concurrently — each run owns its
+// Tracer and sinks.
 package obs

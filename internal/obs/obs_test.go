@@ -14,21 +14,30 @@ import (
 	"aequitas/internal/sim"
 )
 
-// fill records one event of every kind on t, in a valid lifecycle order.
+// fill calls every Tracer method, recording one event of every kind on t
+// in a valid lifecycle order.
 func fill(t *Tracer) {
 	t.Issue(0, 1, 0, 3, 0, 0, 4096)
 	t.Admit(sim.Microsecond, 1, 0, 3, 0, flight.VerdictAdmit, 0.75)
+	t.PaceStall(0, 1, sim.Microsecond)
 	t.Enqueue(2*sim.Microsecond, 1, 0, 3, 0, 4096)
-	t.Hop(3*sim.Microsecond, 1, "h0-up", 0, 1500, sim.Microsecond, 3000)
+	t.TailEmit(2*sim.Microsecond, 0, 1)
+	t.Hop(3*sim.Microsecond, 0, 1, false, "h0-up", 0, 1500, sim.Microsecond, 3000)
+	t.Hop(3*sim.Microsecond, 0, 1, true, "h0-up", 0, 1500, sim.Microsecond, 1500)
+	t.Issue(4*sim.Microsecond, 2, 0, 3, 2, 2, 1500)
 	t.Drop(4*sim.Microsecond, 2, "sw-down3", 2, 1500)
+	t.Lost(0, 2)
 	t.Complete(5*sim.Microsecond, 1, 0, 3, 0, 4096, 5*sim.Microsecond)
 	t.Fault(6*sim.Microsecond, faults.LinkDown, "h0-up", 0)
 	t.Fault(7*sim.Microsecond, faults.LinkLoss, "h0-up", 0.01)
 }
 
 func TestNDJSONRoundTrip(t *testing.T) {
-	tr := NewTracer()
+	tr := NewTracer(Sinks{Record: true, Attr: NewAttributor(), Audit: NewAuditor(AuditConfig{}), Tails: NewTailTracker()})
 	fill(tr)
+	if n, m := len(tr.Attr.Records()), tr.InFlight(); n != 1 || m != 0 {
+		t.Errorf("%d attribution records and %d RPCs in flight, want 1 and 0", n, m)
+	}
 	var buf bytes.Buffer
 	if err := tr.WriteNDJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -92,11 +101,11 @@ func TestValidateNDJSONRejects(t *testing.T) {
 // TestTracerHopInTimeOrder: a hop recorded after later events goes in
 // after the last event at or before its time.
 func TestTracerHopInTimeOrder(t *testing.T) {
-	tr := NewTracer()
+	tr := NewTracer(Sinks{Record: true})
 	tr.Issue(1, 1, 0, 1, 0, 0, 100)
 	tr.Complete(5, 1, 0, 1, 0, 100, 4)
-	tr.Hop(5, 1, "up-0", 0, 100, 0, 0)
-	tr.Hop(1, 1, "up-0", 0, 100, 0, 0)
+	tr.Hop(5, 0, 1, false, "up-0", 0, 100, 0, 0)
+	tr.Hop(1, 0, 1, false, "up-0", 0, 100, 0, 0)
 	var got []string
 	for _, e := range tr.Events() {
 		got = append(got, fmt.Sprint(int64(e.TS), e.Kind))
@@ -106,10 +115,11 @@ func TestTracerHopInTimeOrder(t *testing.T) {
 	}
 }
 
+// TestNilTracerSafe: a tracer with no sink on is nil, and nil is inert.
 func TestNilTracerSafe(t *testing.T) {
-	var tr *Tracer
+	tr := NewTracer(Sinks{})
 	fill(tr) // must not panic
-	if tr.Len() != 0 || tr.Events() != nil {
+	if tr != nil || tr.Len() != 0 || tr.Events() != nil || tr.InFlight() != 0 {
 		t.Error("nil tracer not inert")
 	}
 	if err := tr.WriteNDJSON(nil); err != nil {
@@ -118,7 +128,7 @@ func TestNilTracerSafe(t *testing.T) {
 }
 
 // TestDisabledTracerAllocs proves the acceptance criterion: with
-// observability disabled the event hot path performs zero allocations.
+// observability disabled every event method performs zero allocations.
 func TestDisabledTracerAllocs(t *testing.T) {
 	var tr *Tracer
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -133,15 +143,15 @@ func BenchmarkDisabledTracer(b *testing.B) {
 	var tr *Tracer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Hop(sim.Time(i), uint64(i), "h0-up", 0, 1500, 0, 0)
+		tr.Hop(sim.Time(i), 0, uint64(i), false, "h0-up", 0, 1500, 0, 0)
 	}
 }
 
 func BenchmarkEnabledTracerHop(b *testing.B) {
-	tr := NewTracer()
+	tr := NewTracer(Sinks{Record: true})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Hop(sim.Time(i), uint64(i), "h0-up", 0, 1500, 0, 0)
+		tr.Hop(sim.Time(i), 0, uint64(i), false, "h0-up", 0, 1500, 0, 0)
 	}
 }
 

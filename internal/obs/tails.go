@@ -12,7 +12,8 @@ import (
 // observations into a log-linear histogram and, on every metrics-registry
 // tick, emits that window's p50/p90/p99/p99.9 (plus the window count)
 // before resetting the histograms. The window is therefore the registry's
-// sampling interval (ObsConfig.MetricsEvery).
+// sampling interval (100 µs of simulated time in a run). The run's Tracer
+// feeds it every completion.
 //
 // Emitted metric names follow the registry's dotted-family convention:
 //

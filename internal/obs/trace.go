@@ -13,6 +13,7 @@ import (
 
 	"aequitas/internal/faults"
 	"aequitas/internal/obs/flight"
+	"aequitas/internal/qos"
 	"aequitas/internal/sim"
 	"aequitas/internal/stats"
 )
@@ -78,15 +79,45 @@ type Event struct {
 	Link string
 }
 
-// Tracer records lifecycle events for one simulation run. A nil *Tracer
-// is the disabled tracer: every method is a nil-checked no-op, which is
-// the zero-overhead fast path instrumented code relies on.
-type Tracer struct {
-	events []Event
+// Sinks are what a Tracer feeds; a false or nil field is off.
+type Sinks struct {
+	// Record keeps every event for Events and WriteNDJSON.
+	Record bool
+	// Attr receives each completed RPC's latency decomposition.
+	Attr *Attributor
+	// Audit checks each data packet's queue residency against its class
+	// bound and gathers each completed RPC's fabric queueing and RNL.
+	Audit *Auditor
+	// Tails receives each completed RPC's RNL on its (dst, class)
+	// channel, warmup included, as the registry samples from t=0.
+	Tails *TailTracker
 }
 
-// NewTracer returns an enabled tracer.
-func NewTracer() *Tracer { return &Tracer{} }
+// Tracer is a simulation run's one lifecycle observer: the network, the
+// transport and the RPC stack report every event to it once, and it feeds
+// its Sinks. A nil *Tracer has no sink on: every method is a nil-checked
+// no-op, the zero-overhead fast path instrumented code relies on.
+type Tracer struct {
+	Sinks
+	events []Event
+	// rpcs is each in-flight RPC's attribution state, kept only when Attr
+	// or Audit is on and looked up once per event (of the hops, only a
+	// tail packet's).
+	rpcs map[attrKey]*pendingAttr
+	free []*pendingAttr
+}
+
+// NewTracer returns a tracer feeding s, or nil when no sink is on.
+func NewTracer(s Sinks) *Tracer {
+	if s == (Sinks{}) {
+		return nil
+	}
+	t := &Tracer{Sinks: s}
+	if s.Attr != nil || s.Audit != nil {
+		t.rpcs = make(map[attrKey]*pendingAttr)
+	}
+	return t
+}
 
 // Len reports the number of recorded events.
 func (t *Tracer) Len() int {
@@ -104,65 +135,210 @@ func (t *Tracer) Events() []Event {
 	return t.events
 }
 
-// Issue records an RPC entering the stack.
+// state returns the in-flight RPC's attribution state, nil when it has
+// none.
+func (t *Tracer) state(src int, rpc uint64) *pendingAttr {
+	if t == nil || t.rpcs == nil {
+		return nil
+	}
+	return t.rpcs[attrKey{src, rpc}]
+}
+
+// Issue records an RPC entering the stack and starts its attribution.
 func (t *Tracer) Issue(now sim.Time, rpc uint64, src, dst, prio, class int, bytes int64) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, Event{TS: now, Kind: KindIssue, RPC: rpc,
-		Src: int32(src), Dst: int32(dst), Prio: int16(prio), Class: int16(class), Bytes: bytes})
+	if t.Record {
+		t.events = append(t.events, Event{TS: now, Kind: KindIssue, RPC: rpc,
+			Src: int32(src), Dst: int32(dst), Prio: int16(prio), Class: int16(class), Bytes: bytes})
+	}
+	if t.rpcs != nil {
+		var p *pendingAttr
+		if n := len(t.free); n > 0 {
+			p = t.free[n-1]
+			t.free = t.free[:n-1]
+		} else {
+			p = &pendingAttr{}
+		}
+		p.issue = now
+		t.rpcs[attrKey{src, rpc}] = p
+	}
 }
 
-// Admit records the admission decision and the admit probability used.
+// Admit records the admission decision and the admit probability used;
+// an RPC dropped at admission is Lost.
 func (t *Tracer) Admit(now sim.Time, rpc uint64, src, dst, class int, dec flight.Verdict, pAdmit float64) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, Event{TS: now, Kind: KindAdmit, RPC: rpc,
-		Src: int32(src), Dst: int32(dst), Class: int16(class), Decision: dec, Val: pAdmit})
+	if t.Record {
+		t.events = append(t.events, Event{TS: now, Kind: KindAdmit, RPC: rpc,
+			Src: int32(src), Dst: int32(dst), Class: int16(class), Decision: dec, Val: pAdmit})
+	}
+	if dec == flight.VerdictDrop {
+		t.Lost(src, rpc)
+	}
 }
 
-// Enqueue records the RPC's first packet being handed to the host NIC.
+// Enqueue records a transmission's first packet being handed to the host
+// NIC. The RPC's first one stamps its attribution; retries and hedges do
+// not.
 func (t *Tracer) Enqueue(now sim.Time, rpc uint64, src, dst, class int, bytes int64) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, Event{TS: now, Kind: KindEnqueue, RPC: rpc,
-		Src: int32(src), Dst: int32(dst), Class: int16(class), Bytes: bytes})
+	if t.Record {
+		t.events = append(t.events, Event{TS: now, Kind: KindEnqueue, RPC: rpc,
+			Src: int32(src), Dst: int32(dst), Class: int16(class), Bytes: bytes})
+	}
+	if p := t.state(src, rpc); p != nil && !p.hasEnq {
+		p.firstEnq, p.hasEnq = now, true
+	}
 }
 
-// Hop records a packet leaving one egress queue after resid queueing;
-// queuedBytes is the port occupancy after the dequeue. A link records a hop
-// when it settles, possibly after later events (netsim.Link), so the row
-// goes in after the last one at or before now: the trace stays in order.
-func (t *Tracer) Hop(now sim.Time, rpc uint64, link string, class, bytes int, resid sim.Duration, queuedBytes int) {
+// TailEmit stamps the emission of the packet carrying the RPC's last
+// payload byte. A re-emission (go-back-N retransmit) overwrites the stamp
+// and resets the tail-hop residencies, so the decomposition reflects the
+// transmission that actually completed.
+func (t *Tracer) TailEmit(now sim.Time, src int, rpc uint64) {
+	if p := t.state(src, rpc); p != nil {
+		p.tailEmit, p.hasTail = now, true
+		p.nic, p.sw, p.tailHops = 0, 0, 0
+	}
+}
+
+// PaceStall accounts d of pacing-gate stall time to the RPC. Stalls before
+// the first enqueue count toward the sender-side bucket, later ones toward
+// the transport bucket.
+func (t *Tracer) PaceStall(src int, rpc uint64, d sim.Duration) {
+	if p := t.state(src, rpc); p != nil && d > 0 {
+		if p.hasEnq {
+			p.paceAfter += d
+		} else {
+			p.paceBefore += d
+		}
+	}
+}
+
+// Hop records a data packet leaving one egress queue after resid queueing;
+// queuedBytes is the port occupancy after the dequeue. The auditor checks
+// resid against the class bound, and a tail packet's residency goes to its
+// RPC's attribution: the first hop after emission is the host uplink
+// (NIC), the rest are switch queues. A link records a hop when it settles,
+// possibly after later events (netsim.Link), so the row goes in after the
+// last one at or before now: the trace stays in order.
+func (t *Tracer) Hop(now sim.Time, src int, rpc uint64, tail bool, link string, class, bytes int, resid sim.Duration, queuedBytes int) {
 	if t == nil {
 		return
 	}
-	i := len(t.events)
-	for i > 0 && t.events[i-1].TS > now {
-		i--
+	if t.Record {
+		i := len(t.events)
+		for i > 0 && t.events[i-1].TS > now {
+			i--
+		}
+		t.events = slices.Insert(t.events, i, Event{TS: now, Kind: KindHop, RPC: rpc, Link: link,
+			Class: int16(class), Bytes: int64(bytes), Val: float64(resid), QBytes: int64(queuedBytes)})
 	}
-	t.events = slices.Insert(t.events, i, Event{TS: now, Kind: KindHop, RPC: rpc, Link: link,
-		Class: int16(class), Bytes: int64(bytes), Val: float64(resid), QBytes: int64(queuedBytes)})
+	if a := t.Audit; a != nil {
+		cl := a.clamp(class)
+		c := a.class(cl)
+		c.hops++
+		us := resid.Micros()
+		c.maxHopUS = max(c.maxHopUS, us)
+		if b, ok := a.bound(cl); ok && us > b+a.cfg.SlackUS {
+			c.violations++
+			a.record(AuditViolation{RPC: rpc, Class: qos.Class(cl), Link: link,
+				TimeUS: now.Micros(), ObservedUS: us, BoundUS: b})
+		}
+	}
+	if !tail {
+		return
+	}
+	if p := t.state(src, rpc); p != nil {
+		if p.tailHops == 0 {
+			p.nic += resid
+		} else {
+			p.sw += resid
+		}
+		p.tailHops++
+	}
 }
 
 // Drop records a packet dropped by an egress scheduler.
 func (t *Tracer) Drop(now sim.Time, rpc uint64, link string, class, bytes int) {
-	if t == nil {
+	if t == nil || !t.Record {
 		return
 	}
 	t.events = append(t.events, Event{TS: now, Kind: KindDrop, RPC: rpc, Link: link,
 		Class: int16(class), Bytes: int64(bytes)})
 }
 
-// Complete records the RPC's last byte being acknowledged.
+// Complete records the RPC's last byte being acknowledged and closes its
+// attribution: the decomposition is kept (in completion order, so output
+// is deterministic per run), and the auditor and the tail series get the
+// RNL.
 func (t *Tracer) Complete(now sim.Time, rpc uint64, src, dst, class int, bytes int64, rnl sim.Duration) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, Event{TS: now, Kind: KindComplete, RPC: rpc,
-		Src: int32(src), Dst: int32(dst), Class: int16(class), Bytes: bytes, Val: float64(rnl)})
+	if t.Record {
+		t.events = append(t.events, Event{TS: now, Kind: KindComplete, RPC: rpc,
+			Src: int32(src), Dst: int32(dst), Class: int16(class), Bytes: bytes, Val: float64(rnl)})
+	}
+	t.Tails.Observe(dst, class, rnl.Micros())
+	p := t.state(src, rpc)
+	if p == nil {
+		return
+	}
+	if a := t.Attr; a != nil {
+		rec := AttrRecord{
+			RPC: rpc, Src: int32(src), Dst: int32(dst), Class: int16(class),
+			IssueTS: p.issue, RNL: rnl,
+		}
+		if p.hasEnq {
+			rec.Sender = p.firstEnq - p.issue - p.paceBefore
+			if p.hasTail {
+				rec.Transport = p.tailEmit - p.firstEnq - p.paceAfter
+			}
+		}
+		rec.Pacing = p.paceBefore + p.paceAfter
+		rec.NIC = p.nic
+		rec.Switch = p.sw
+		rec.Wire = rnl - rec.Sender - rec.Transport - rec.Pacing - rec.NIC - rec.Switch
+		a.recs = append(a.recs, rec)
+	}
+	if a := t.Audit; a != nil {
+		c := a.class(a.clamp(class))
+		c.rnl.Add(rnl.Micros())
+		c.fabric.Add((p.nic + p.sw).Micros())
+	}
+	t.forget(src, rpc, p)
+}
+
+// Lost forgets an RPC that will not complete: dropped at admission,
+// failed, or lost in a crash.
+func (t *Tracer) Lost(src int, rpc uint64) {
+	if p := t.state(src, rpc); p != nil {
+		t.forget(src, rpc, p)
+	}
+}
+
+// forget recycles the RPC's attribution state p.
+func (t *Tracer) forget(src int, rpc uint64, p *pendingAttr) {
+	delete(t.rpcs, attrKey{src, rpc})
+	*p = pendingAttr{}
+	t.free = append(t.free, p)
+}
+
+// InFlight reports the RPCs holding attribution state: issued, not yet
+// completed or lost. Fault paths must report what they lose, so tests use
+// this to prove the state cannot grow without bound.
+func (t *Tracer) InFlight() int {
+	if t == nil {
+		return 0
+	}
+	return len(t.rpcs)
 }
 
 // Fault records an injected fault event being applied: a link going
@@ -170,7 +346,7 @@ func (t *Tracer) Complete(now sim.Time, rpc uint64, src, dst, class int, bytes i
 // target is the link name or "host:N"; it reuses the interned-string
 // Link slot.
 func (t *Tracer) Fault(now sim.Time, f faults.Kind, target string, rate float64) {
-	if t == nil {
+	if t == nil || !t.Record {
 		return
 	}
 	t.events = append(t.events, Event{TS: now, Kind: KindFault, Fault: f, Link: target, Val: rate})

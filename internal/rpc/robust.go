@@ -199,7 +199,7 @@ func (st *Stack) backoffFor(retry int) sim.Duration {
 func (st *Stack) fail(s *sim.Simulator, r *RPC) {
 	st.end(r)
 	st.Stats.Failed++
-	st.Attr.Drop(st.Src, r.ID)
+	st.Trace.Lost(st.Src, r.ID)
 }
 
 // Crash simulates this host failing: every in-flight RPC is lost (its
@@ -213,7 +213,7 @@ func (st *Stack) Crash(s *sim.Simulator) {
 		r := st.inflight[len(st.inflight)-1]
 		st.end(r)
 		st.Stats.CrashLost++
-		st.Attr.Drop(st.Src, r.ID)
+		st.Trace.Lost(st.Src, r.ID)
 		st.release(r)
 	}
 }

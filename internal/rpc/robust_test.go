@@ -194,15 +194,14 @@ func TestCrashClearsOutstanding(t *testing.T) {
 
 // TestAttributionNoLeakUnderFaults drives every fault-induced RPC exit
 // path — crash loss, retry-budget failure, and normal completion after
-// retries — and verifies the attributor's pending map ends empty.
+// retries — and verifies the tracer holds no attribution state at the end.
 func TestAttributionNoLeakUnderFaults(t *testing.T) {
 	net, stacks, eps := robustSetup(t, 3, RetryPolicy{
 		Timeout: sim.Duration(150 * sim.Microsecond), MaxRetries: 4,
 	})
-	attr := obs.NewAttributor(nil)
-	for i, st := range stacks {
-		st.Attr = attr
-		_ = i
+	tr := obs.NewTracer(obs.Sinks{Attr: obs.NewAttributor()})
+	for _, st := range stacks {
+		st.Trace = tr
 	}
 	s := sim.New(1)
 
@@ -213,8 +212,8 @@ func TestAttributionNoLeakUnderFaults(t *testing.T) {
 	}
 	stacks[0].Crash(s)
 	eps[0].Crash(s)
-	if attr.PendingLen() != 0 {
-		t.Fatalf("pending = %d after crash, want 0", attr.PendingLen())
+	if tr.InFlight() != 0 {
+		t.Fatalf("pending = %d after crash, want 0", tr.InFlight())
 	}
 	stacks[0].Restart()
 	eps[0].Restart(s)
@@ -235,8 +234,8 @@ func TestAttributionNoLeakUnderFaults(t *testing.T) {
 	// Host 1's link never heals, so its transport stream retries forever:
 	// bound the run like the harness does.
 	s.RunUntil(sim.Time(100 * sim.Millisecond))
-	if attr.PendingLen() != 0 {
-		t.Errorf("pending = %d at end of run, want 0", attr.PendingLen())
+	if tr.InFlight() != 0 {
+		t.Errorf("pending = %d at end of run, want 0", tr.InFlight())
 	}
 	if stacks[1].Stats.Failed != 1 {
 		t.Errorf("host 1 Failed = %d, want 1", stacks[1].Stats.Failed)

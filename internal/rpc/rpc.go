@@ -171,15 +171,11 @@ type Stack struct {
 	OnComplete func(s *sim.Simulator, r *RPC)
 	Stats      Stats
 
-	// Trace, when set, receives issue/admit/complete lifecycle events;
-	// Src identifies this stack's host in those events. Off by default so
-	// the issue path stays free of observability work.
+	// Trace, when set, receives issue/admit/complete/lost lifecycle
+	// events; Src identifies this stack's host in those events. Off by
+	// default so the issue path stays free of observability work.
 	Trace *obs.Tracer
 	Src   int
-	// Attr, when set, receives issue/admit/drop/complete stamps for
-	// latency attribution. Its methods are nil-receiver no-ops, so the
-	// calls below stay free when attribution is off.
-	Attr *obs.Attributor
 
 	// Retry enables client-side timeouts, retries, and hedging; the zero
 	// policy arms nothing, and faults (host crashes, peer resets) still
@@ -291,7 +287,6 @@ func (st *Stack) Issue(s *sim.Simulator, r *RPC) {
 	if st.Trace != nil {
 		st.Trace.Issue(s.Now(), r.ID, st.Src, r.Dst, int(r.Priority), int(r.QoSRequested), r.Bytes)
 	}
-	st.Attr.Issue(s.Now(), st.Src, r.ID)
 	d := st.admitter.Admit(r.Dst, r.QoSRequested, r.SizeMTUs)
 	st.Stats.Issued++
 	r.PAdmit = d.PAdmit
@@ -303,7 +298,6 @@ func (st *Stack) Issue(s *sim.Simulator, r *RPC) {
 	}
 	if d.Dropped {
 		st.Stats.Dropped++
-		st.Attr.Drop(st.Src, r.ID)
 		st.release(r)
 		return
 	}
@@ -338,7 +332,6 @@ func (st *Stack) complete(s *sim.Simulator, r *RPC, isHedge bool) {
 	if st.Trace != nil {
 		st.Trace.Complete(s.Now(), r.ID, st.Src, r.Dst, int(r.QoSRun), r.Bytes, r.RNL)
 	}
-	st.Attr.Complete(r.ID, st.Src, r.Dst, int(r.QoSRun), r.RNL)
 	if st.OnComplete != nil {
 		st.OnComplete(s, r)
 	}

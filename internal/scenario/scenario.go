@@ -47,14 +47,10 @@ type Env struct {
 	// to the wall clock (live embedding).
 	Clock core.Clock
 
-	// Tracer, when non-nil, is attached to every endpoint built through
-	// NewEndpoint.
-	Tracer *obs.Tracer
-
-	// Attr, when non-nil, is the run's latency attributor, threaded into
+	// Tracer, when non-nil, is the run's lifecycle observer, attached to
 	// every endpoint built through NewEndpoint (systems that bypass the
-	// standard transport contribute no transport-stage attribution).
-	Attr *obs.Attributor
+	// standard transport report no transport-stage events).
+	Tracer *obs.Tracer
 
 	// Endpoints records the transport endpoints created via NewEndpoint,
 	// indexed by host, so the run can register per-connection metrics
@@ -82,7 +78,6 @@ func (e *Env) Terminated() int64 {
 func (e *Env) NewEndpoint(i int, tc transport.Config) *transport.Endpoint {
 	tc.RTOMin = e.RTOMin
 	tc.Trace = e.Tracer
-	tc.Attr = e.Attr
 	ep := transport.NewEndpoint(e.Net, e.Net.Host(i), tc)
 	e.Endpoints[i] = ep
 	return ep

@@ -30,10 +30,9 @@ type Message struct {
 	Ctx any
 
 	start, end int64 // byte range within the connection stream
-	// enqTraced and enqAttributed mark that the first-packet enqueue was
-	// traced and stamped on the attributor, so an RTO rewind does neither
-	// twice.
-	enqTraced, enqAttributed bool
+	// enqueued marks that the first-packet enqueue was traced, so an RTO
+	// rewind does not trace it twice.
+	enqueued bool
 }
 
 // Config parameterises an Endpoint.
@@ -42,13 +41,11 @@ type Config struct {
 	NewCC func() CC
 	// RTOMin floors the retransmission timeout (default 100 µs).
 	RTOMin sim.Duration
-	// Trace, when set, receives first-packet enqueue lifecycle events.
+	// Trace, when set, receives each message's first-packet enqueue, its
+	// tail-packet emissions and its pacing stalls, and tail packets are
+	// marked for per-hop residency accounting. nil costs one check per
+	// packet sent.
 	Trace *obs.Tracer
-	// Attr, when set, receives latency-attribution instrumentation:
-	// first-enqueue and tail-emission stamps, pacing stall durations, and
-	// tail-packet marking for per-hop residency accounting. nil disables
-	// it at zero cost on the send path.
-	Attr *obs.Attributor
 }
 
 func (c *Config) applyDefaults() {
@@ -331,7 +328,7 @@ type conn struct {
 	rtoAt sim.Time
 
 	// stalled/stallFrom track an open pacing-gate stall for latency
-	// attribution; maintained only when cfg.Attr is set.
+	// attribution; maintained only when cfg.Trace is set.
 	stalled   bool
 	stallFrom sim.Time
 
@@ -392,7 +389,7 @@ func (c *conn) trySend(s *sim.Simulator) {
 		if inflight == 0 && wnd < int64(netsim.MaxPayload) {
 			// Sub-packet window: one packet at a time, paced.
 			if s.Now() < c.nextAllowed {
-				if c.ep.cfg.Attr != nil && !c.stalled {
+				if c.ep.cfg.Trace != nil && !c.stalled {
 					c.stalled = true
 					c.stallFrom = s.Now()
 				}
@@ -431,25 +428,21 @@ func (c *conn) emit(s *sim.Simulator) {
 		p.MsgID = m.ID
 		p.Urg = m.end - c.nextSend // remaining bytes: SRPT urgency
 		p.Deadline = m.Deadline
-		if c.ep.cfg.Trace != nil && !m.enqTraced {
-			m.enqTraced = true
-			c.ep.cfg.Trace.Enqueue(s.Now(), m.ID, c.ep.host.ID, c.peer, int(c.class), m.Bytes)
-		}
-		if at := c.ep.cfg.Attr; at != nil {
+		if tr := c.ep.cfg.Trace; tr != nil {
 			// Close an open pacing stall before the first-enqueue stamp, so
 			// a stall ending at the message's first packet lands in the
 			// sender-side pacing bucket.
 			if c.stalled {
 				c.stalled = false
-				at.PaceStall(c.ep.host.ID, m.ID, s.Now()-c.stallFrom)
+				tr.PaceStall(c.ep.host.ID, m.ID, s.Now()-c.stallFrom)
 			}
-			if !m.enqAttributed {
-				m.enqAttributed = true
-				at.FirstEnqueue(s.Now(), c.ep.host.ID, m.ID)
+			if !m.enqueued {
+				m.enqueued = true
+				tr.Enqueue(s.Now(), m.ID, c.ep.host.ID, c.peer, int(c.class), m.Bytes)
 			}
 			if c.nextSend+payload == m.end {
 				p.Tail = true
-				at.TailEmit(s.Now(), c.ep.host.ID, m.ID)
+				tr.TailEmit(s.Now(), c.ep.host.ID, m.ID)
 			}
 		}
 	}

@@ -2,8 +2,10 @@ package aequitas
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -360,5 +362,57 @@ func TestObsSchemaGolden(t *testing.T) {
 	}
 	if _, err := obs.BuildReport("golden", strings.NewReader(`{"ts_us":1,"kind":"nope","rpc":1}`), nil, nil, nil); err == nil {
 		t.Error("unknown kind read")
+	}
+}
+
+// observedFaultedConfig is the benchmark's sim-observed-faulted workload
+// at test scale: leaf-spine, production sizes, a link flap, time-outs and
+// retries, and its sinks: metrics with tail series, attribution CSV and
+// audit on, the NDJSON trace off.
+func observedFaultedConfig(attr, metrics io.Writer) (SimConfig, error) {
+	cfg := SimConfig{
+		System: SystemAequitas, Hosts: 8, Seed: 3, Duration: 3 * time.Millisecond,
+		QoSWeights: []float64{8, 4, 1},
+		Leaves:     2, Spines: 2, SpineLinkRate: 200e9,
+		SLOs: []SLO{
+			{Target: 20 * time.Microsecond, Percentile: 99.9},
+			{Target: 40 * time.Microsecond, Percentile: 99.9},
+		},
+		Traffic: []HostTraffic{{AvgLoad: 0.8, BurstLoad: 1.4, Classes: []TrafficClass{
+			{Priority: PC, Share: 0.5, Size: ProductionPCSizes()},
+			{Priority: NC, Share: 0.3, Size: ProductionNCSizes()},
+			{Priority: BE, Share: 0.2, Size: ProductionBESizes()},
+		}}},
+		Retry: RetryParams{Timeout: 300 * time.Microsecond, MaxRetries: 3},
+		Obs:   ObsConfig{MetricsCSV: metrics, TailSeries: true, AttributionCSV: attr, Audit: true},
+	}
+	plan, err := FaultPreset("flap", cfg.Duration)
+	cfg.Faults = plan
+	return cfg, err
+}
+
+// TestObservedFaultedSinks: with the NDJSON trace off, the tracer feeds
+// the attributor, the auditor and the tail series but records no event,
+// and the attribution CSV is the one the separate attributor, auditor and
+// tail tracker wrote before the tracer fed them (its SHA-256 is pinned).
+func TestObservedFaultedSinks(t *testing.T) {
+	var attr, metrics bytes.Buffer
+	cfg, err := observedFaultedConfig(&attr, &metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.tracer == nil || st.tracer.Len() != 0 {
+		t.Errorf("tracer %p holds %d events, want a tracer holding none", st.tracer, st.tracer.Len())
+	}
+	if !strings.Contains(metrics.String(), ".p999_us") {
+		t.Error("metrics CSV has no tail columns")
+	}
+	const want = "d3131b583585a784a4adcbc12b97b34e44ff5eb5e897086d60a80b45af5893fa"
+	if got := fmt.Sprintf("%x", sha256.Sum256(attr.Bytes())); got != want {
+		t.Errorf("attribution CSV (%d bytes) has SHA-256 %s, want %s", attr.Len(), got, want)
 	}
 }

@@ -3,15 +3,15 @@ package aequitas
 import (
 	"io"
 	"sync"
-	"time"
 
 	"aequitas/internal/obs"
 	"aequitas/internal/obs/flight"
 )
 
-// ObsConfig configures the per-run observability layer: the structured
-// RPC-lifecycle tracer (NDJSON output), and the metrics registry sampling
-// per-port queue occupancy, per-(dst, class) admission state, and
+// ObsConfig configures the per-run observability layer: the RPC-lifecycle
+// tracer and the sinks it feeds (NDJSON event stream, latency
+// attribution, QoS-bound audit, tail series), and the metrics registry
+// sampling per-port queue occupancy, per-(dst, class) admission state, and
 // per-connection transport state on a simulated-time ticker. The zero
 // value disables everything at zero hot-path cost.
 //
@@ -21,38 +21,36 @@ import (
 // writers.
 type ObsConfig struct {
 	// TraceNDJSON receives the lifecycle event stream as NDJSON (see
-	// internal/obs for the schema). Setting it enables the tracer.
+	// internal/obs for the schema). Setting it makes the tracer record
+	// every event.
 	TraceNDJSON io.Writer
 	// MetricsCSV receives the wide-format metrics time series (column
-	// t_s plus one column per metric). Setting it enables the registry.
+	// t_s plus one column per metric), sampled every 100 µs of simulated
+	// time. Setting it enables the registry.
 	MetricsCSV io.Writer
-	// MetricsEvery is the sampling interval (default 100 µs).
-	MetricsEvery time.Duration
 	// TailSeries adds a windowed tail time-series to the metrics CSV:
 	// per (destination, run-class) channel, each registry tick emits the
 	// window's completed-RPC count and RNL p50/p90/p99/p99.9
 	// ("tail.d<dst>.q<class>.{n,p50_us,p90_us,p99_us,p999_us}" columns)
 	// from a log-linear histogram that resets every window. Requires
-	// MetricsCSV; the window length is MetricsEvery.
+	// MetricsCSV; the window is the 100 µs sampling interval.
 	TailSeries bool
 
 	// FlightNDJSON receives flight-recorder dumps as schema-tagged NDJSON
 	// ("aequitas.flight/v1"). Setting it attaches one shared flight ring
-	// to every host's admission controller: each decision and SLO
-	// observation becomes a fixed-size record, and the ring is dumped on
-	// every fault onset in the run's fault plan (resetting afterwards, so
-	// consecutive dumps partition the timeline), on every anomaly-engine
-	// trigger when FlightEngine is set, and once more when the run ends.
+	// of 16 384 records to every host's admission controller: each
+	// decision and SLO observation becomes a fixed-size record (the ring
+	// keeps 1 in 8 admit and SLO-met records and every downgrade, drop
+	// and SLO miss), and the ring is dumped on every fault onset in the
+	// run's fault plan (resetting afterwards, so consecutive dumps
+	// partition the timeline), on every anomaly-engine trigger when
+	// FlightEngine is set, and once more when the run ends.
 	// Recording draws no randomness and reads only simulated time, so for
 	// a fixed SimConfig the dump bytes are identical regardless of sweep
 	// parallelism.
 	FlightNDJSON io.Writer
-	// FlightRecords is the flight ring's capacity in records (default
-	// 16384). The ring keeps 1 in 8 admit and SLO-met records and every
-	// downgrade, drop and SLO miss.
-	FlightRecords int
 	// FlightEngine, when set alongside FlightNDJSON, runs the SLO
-	// burn-rate anomaly engine on the metrics cadence (MetricsEvery):
+	// burn-rate anomaly engine on the metrics cadence (100 µs):
 	// cumulative SLO counters and the minimum live admit probability are
 	// fed to the engine each tick, and a trigger dumps and resets the
 	// ring.
@@ -87,19 +85,6 @@ type ObsConfig struct {
 	// and the fluid model (EXPERIMENTS.md's Fig-10 table puts it at
 	// 0.03-0.04 of a burst period). Default: 10% of BurstPeriod.
 	AuditSlackUS float64
-}
-
-// attributionOn reports whether the run needs an attributor.
-func (o *ObsConfig) attributionOn() bool {
-	return o.Attribution || o.AttributionCSV != nil || o.Audit
-}
-
-// tracer returns the run's tracer, or nil when tracing is off.
-func (o *ObsConfig) tracer() *obs.Tracer {
-	if o.TraceNDJSON == nil {
-		return nil
-	}
-	return obs.NewTracer()
 }
 
 // registry returns the run's metrics registry, or nil when metrics are

@@ -16,6 +16,10 @@ import (
 	"aequitas/internal/workload"
 )
 
+// metricsEvery is the metrics registry's sampling interval in simulated
+// time: the tail series' window and the anomaly engine's cadence.
+const metricsEvery = 100 * time.Microsecond
+
 // runState threads one simulation's pieces through the pipeline stages.
 type runState struct {
 	cfg *SimConfig
@@ -44,8 +48,30 @@ type runState struct {
 
 // Run executes one simulation and returns its measurements. All
 // system-specific wiring comes from the cfg.System row of the
-// internal/scenario table; Run itself only composes the stages.
+// internal/scenario table; Run itself only composes the stages (simulate)
+// and reads the measurements off the finished run.
 func Run(cfg SimConfig) (*Results, error) {
+	st, err := simulate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	res := st.col.results(st.cfg, st.net)
+	res.Terminated = st.env.Terminated()
+	res.EventsProcessed = int64(st.s.Processed)
+	pkts, _ := st.net.TotalDelivered(st.s.Now())
+	res.PacketsDelivered = pkts
+	if st.attr != nil {
+		res.Attribution = make(map[Class]Attribution)
+		for _, a := range st.attr.Summaries() {
+			res.Attribution[a.Class] = a
+		}
+	}
+	res.Audit = st.audit.Report()
+	return res, nil
+}
+
+// simulate runs cfg through every stage and returns the finished run.
+func simulate(cfg SimConfig) (*runState, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
@@ -67,19 +93,7 @@ func Run(cfg SimConfig) (*Results, error) {
 			return nil, err
 		}
 	}
-	res := st.col.results(st.cfg, st.net)
-	res.Terminated = st.env.Terminated()
-	res.EventsProcessed = int64(st.s.Processed)
-	pkts, _ := st.net.TotalDelivered(st.s.Now())
-	res.PacketsDelivered = pkts
-	if st.attr != nil {
-		res.Attribution = make(map[Class]Attribution)
-		for _, a := range st.attr.Summaries() {
-			res.Attribution[a.Class] = a
-		}
-	}
-	res.Audit = st.audit.Report()
-	return res, nil
+	return st, nil
 }
 
 // buildFabric constructs the network with the system's switch scheduling
@@ -105,21 +119,13 @@ func buildFabric(st *runState) error {
 
 	// Observability: one tracer and one metrics registry per run, so
 	// event and sample order depend only on this run's event sequence.
-	st.tracer = cfg.Obs.tracer()
 	st.registry = cfg.Obs.registry()
-	if st.tracer != nil {
-		net.SetTracer(st.tracer)
-	}
 	if cfg.Obs.TailSeries && st.registry != nil {
 		st.tails = obs.NewTailTracker()
-		st.col.tails = st.tails
 	}
 	if cfg.Obs.FlightNDJSON != nil {
-		st.flight = flight.NewRing(flight.Config{Records: cfg.Obs.FlightRecords})
+		st.flight = flight.NewRing(flight.Config{}) // 16 384 records
 	}
-
-	// Auditor first (the attributor feeds it per-RPC fabric queueing),
-	// then the attributor, both attached to every link.
 	if cfg.Obs.Audit {
 		bounds := cfg.Obs.AuditBoundsUS
 		if bounds == nil {
@@ -137,12 +143,19 @@ func buildFabric(st *runState) error {
 			SlackUS: slack,
 			Levels:  len(cfg.QoSWeights),
 		})
-		net.SetAuditor(st.audit)
 	}
-	if cfg.Obs.attributionOn() {
-		st.attr = obs.NewAttributor(st.audit)
-		net.SetAttributor(st.attr)
+	if cfg.Obs.Attribution || cfg.Obs.AttributionCSV != nil || cfg.Obs.Audit {
+		st.attr = obs.NewAttributor()
 	}
+	// The tracer is the run's one lifecycle observer: every link, endpoint
+	// and RPC stack reports to it, and it feeds the sinks above.
+	st.tracer = obs.NewTracer(obs.Sinks{
+		Record: cfg.Obs.TraceNDJSON != nil,
+		Attr:   st.attr,
+		Audit:  st.audit,
+		Tails:  st.tails,
+	})
+	net.SetTracer(st.tracer)
 	return nil
 }
 
@@ -161,7 +174,6 @@ func buildHosts(st *runState) error {
 		Core:        coreConfig(cfg.levels(), cfg.SLOs, cfg.Admission),
 		Clock:       core.SimClock{S: st.s},
 		Tracer:      st.tracer,
-		Attr:        st.attr,
 		Endpoints:   make([]*transport.Endpoint, cfg.Hosts),
 	}
 	host := scenario.Systems[cfg.System].Host
@@ -179,7 +191,6 @@ func buildHosts(st *runState) error {
 		}
 		stack := rpc.NewStack(hs.Sender, adm)
 		stack.Trace = st.tracer
-		stack.Attr = st.attr
 		stack.Src = i
 		stack.Retry = cfg.retryPolicy()
 		src := i
@@ -309,10 +320,7 @@ func buildSamplers(st *runState) error {
 
 	// The metrics cadence, shared by the registry and the anomaly engine.
 	// Each keeps its own event, registry first.
-	every := sim.FromStd(cfg.Obs.MetricsEvery)
-	if every <= 0 {
-		every = sim.FromStd(100 * time.Microsecond)
-	}
+	every := sim.FromStd(metricsEvery)
 
 	// Periodic metrics sampling: per-port queue occupancy, plus every
 	// host's admission and transport state. Sampling starts at t=0 (before
