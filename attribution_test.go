@@ -182,3 +182,18 @@ func TestDeriveAuditBounds(t *testing.T) {
 		t.Fatalf("err = %v, want guidance to set Obs.AuditBoundsUS", err)
 	}
 }
+
+// TestAuditWithoutAttribution: the tracer feeds the auditor by itself, so
+// a run with only Audit on reports its audit and builds no attributor
+// (no per-RPC records, no attribution table).
+func TestAuditWithoutAttribution(t *testing.T) {
+	cfg := obsTestConfig(1)
+	cfg.Obs.Audit = true
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Audit == nil || res.Attribution != nil {
+		t.Fatalf("Audit %p, Attribution %v: want an audit and no attribution", res.Audit, res.Attribution)
+	}
+}

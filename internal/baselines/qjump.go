@@ -33,6 +33,7 @@
 package baselines
 
 import (
+	"aequitas/internal/fifo"
 	"aequitas/internal/rpc"
 	"aequitas/internal/sim"
 	"aequitas/internal/transport"
@@ -81,7 +82,7 @@ type qjumpLevel struct {
 	rate    sim.Rate
 	tokens  float64
 	lastRef sim.Time
-	queue   []*transport.Message
+	queue   fifo.Queue[*transport.Message]
 	pumping bool
 }
 
@@ -104,7 +105,7 @@ func (q *QJump) Send(s *sim.Simulator, m *transport.Message) {
 		return
 	}
 	l := &q.levels[li]
-	l.queue = append(l.queue, m)
+	l.queue.Push(m)
 	q.pump(s, li)
 }
 
@@ -127,8 +128,8 @@ func (q *QJump) pump(s *sim.Simulator, li int) {
 		return
 	}
 	q.refill(s, li)
-	for len(l.queue) > 0 {
-		m := l.queue[0]
+	for l.queue.Len() > 0 {
+		m := *l.queue.Front()
 		need := min(float64(m.Bytes), bucketBytes)
 		if l.tokens < need {
 			// Wait for enough tokens.
@@ -144,7 +145,7 @@ func (q *QJump) pump(s *sim.Simulator, li int) {
 			return
 		}
 		l.tokens -= float64(m.Bytes)
-		l.queue = l.queue[1:]
+		l.queue.Pop()
 		q.ep.Send(s, m)
 	}
 }

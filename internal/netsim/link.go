@@ -3,6 +3,7 @@ package netsim
 import (
 	"math/rand"
 
+	"aequitas/internal/fifo"
 	"aequitas/internal/obs"
 	"aequitas/internal/sim"
 	"aequitas/internal/wfq"
@@ -54,7 +55,7 @@ type LinkStats struct {
 // first: a packet sent at that instant does not compete.
 //
 // A packet's one kernel event is its delivery. Deliveries are FIFO, so
-// the link is a sim.Source that keeps the first of them, flight[head].at,
+// the link is a sim.Source that keeps the first of them, flight.Front().at,
 // as its firing time: it wakes when a packet starts into an empty flight
 // list, and each delivery wakes it for the next or idles it. Sources rank
 // first in their instant, the link by its place in ForEachLink's order.
@@ -68,13 +69,12 @@ type Link struct {
 	dst Handler
 	id  uint32
 
-	// busy is set while a packet serialises, until freeAt. flight[head:]
-	// are the packets started and not delivered, in start order; deliver
-	// is the link's source, which delivers the first of them.
+	// busy is set while a packet serialises, until freeAt. flight holds
+	// the packets started and not delivered, in start order; deliver is
+	// the link's source, which delivers the first of them.
 	busy    bool
 	freeAt  sim.Time
-	flight  []inFlight
-	head    int
+	flight  fifo.Queue[inFlight]
 	deliver delivery
 
 	// Fault-injection state (internal/faults drives it). While down the
@@ -148,13 +148,9 @@ type delivery struct {
 func (d *delivery) Fire(s *sim.Simulator) {
 	l := d.l
 	l.settle(s.Now(), false)
-	p := l.flight[l.head].p
-	if l.head++; 2*l.head >= len(l.flight) {
-		l.flight = l.flight[:copy(l.flight, l.flight[l.head:])]
-		l.head = 0
-	}
-	if l.head < len(l.flight) {
-		s.Wake(d.id, l.flight[l.head].at)
+	p := l.flight.Pop().p
+	if l.flight.Len() > 0 {
+		s.Wake(d.id, l.flight.Front().at)
 	} else {
 		s.Idle(d.id)
 	}
@@ -197,12 +193,12 @@ func (l *Link) Send(s *sim.Simulator, p *Packet) {
 // kick starts the transmitter now if it is idle, and wakes the link if
 // the packet started is the only one in flight.
 func (l *Link) kick(s *sim.Simulator) {
-	if !l.busy && l.start(s.Now()) && len(l.flight) == 1 {
+	if !l.busy && l.start(s.Now()) && l.flight.Len() == 1 {
 		d := &l.deliver
 		if d.s != s {
 			d.s, d.id = s, s.Register(d, l.id)
 		}
-		s.Wake(d.id, l.flight[0].at)
+		s.Wake(d.id, l.flight.Front().at)
 	}
 }
 
@@ -236,7 +232,7 @@ func (l *Link) start(t sim.Time) bool {
 	l.stats.TxPackets++
 	l.stats.TxBytes += int64(p.Size)
 	l.busy, l.freeAt = true, t.Add(tx)
-	l.flight = append(l.flight, inFlight{p: p, at: l.freeAt.Add(l.Prop)})
+	l.flight.Push(inFlight{p: p, at: l.freeAt.Add(l.Prop)})
 	return true
 }
 

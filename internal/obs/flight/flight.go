@@ -21,6 +21,7 @@
 package flight
 
 import (
+	"cmp"
 	"runtime"
 	"slices"
 	"sync"
@@ -415,42 +416,16 @@ func (r *Ring) Snapshot(reset bool) []Record {
 // leaks into the dump).
 func sortRecords(recs []Record) {
 	slices.SortStableFunc(recs, func(a, b Record) int {
-		switch {
-		case a.TS != b.TS:
-			return int64Cmp(int64(a.TS), int64(b.TS))
-		case a.Src != b.Src:
-			return int64Cmp(int64(a.Src), int64(b.Src))
-		case a.Peer != b.Peer:
-			return int64Cmp(int64(a.Peer), int64(b.Peer))
-		case a.Requested != b.Requested:
-			return int64Cmp(int64(a.Requested), int64(b.Requested))
-		case a.Kind != b.Kind:
-			return int64Cmp(int64(a.Kind), int64(b.Kind))
-		case a.Verdict != b.Verdict:
-			return int64Cmp(int64(a.Verdict), int64(b.Verdict))
-		case a.PAdmit != b.PAdmit:
-			if a.PAdmit < b.PAdmit {
-				return -1
-			}
-			return 1
-		case a.LatencyUS != b.LatencyUS:
-			if a.LatencyUS < b.LatencyUS {
-				return -1
-			}
-			return 1
-		default:
-			return int64Cmp(int64(a.SizeMTUs), int64(b.SizeMTUs))
-		}
+		return cmp.Or(
+			cmp.Compare(a.TS, b.TS),
+			cmp.Compare(a.Src, b.Src),
+			cmp.Compare(a.Peer, b.Peer),
+			cmp.Compare(a.Requested, b.Requested),
+			cmp.Compare(a.Kind, b.Kind),
+			cmp.Compare(a.Verdict, b.Verdict),
+			cmp.Compare(a.PAdmit, b.PAdmit),
+			cmp.Compare(a.LatencyUS, b.LatencyUS),
+			cmp.Compare(a.SizeMTUs, b.SizeMTUs),
+		)
 	})
-}
-
-func int64Cmp(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }

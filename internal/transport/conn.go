@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 
+	"aequitas/internal/fifo"
 	"aequitas/internal/netsim"
 	"aequitas/internal/obs"
 	"aequitas/internal/qos"
@@ -153,7 +154,7 @@ func (e *Endpoint) Send(s *sim.Simulator, m *Message) {
 	m.start = c.writeEnd
 	m.end = m.start + m.Bytes
 	c.writeEnd = m.end
-	c.pushMsg(m)
+	c.msgs.Push(m)
 	e.Stats.MsgsSent++
 	c.trySend(s)
 }
@@ -221,7 +222,9 @@ func (e *Endpoint) ResetPeer(s *sim.Simulator, peer int) {
 	var failed []*Message
 	for _, c := range e.conns[peer] {
 		if c != nil {
-			failed = append(failed, c.pending()...)
+			for c.msgs.Len() > 0 {
+				failed = append(failed, c.msgs.Pop())
+			}
 			c.teardown()
 		}
 	}
@@ -297,13 +300,8 @@ type conn struct {
 	class qos.Class
 	cc    CC
 
-	// msgs[msgHead:] is the FIFO of incomplete messages by stream offset.
-	// Completion advances msgHead instead of reslicing, and pushMsg
-	// compacts the spent prefix in place, so the backing array is reused
-	// rather than reallocated every time the slice front wraps past its
-	// capacity.
-	msgs     []*Message
-	msgHead  int
+	// msgs is the FIFO of incomplete messages by stream offset.
+	msgs     fifo.Queue[*Message]
 	writeEnd int64 // total bytes queued to the stream
 	cumAck   int64 // cumulative acknowledged bytes
 	nextSend int64 // next byte offset to (re)transmit
@@ -348,23 +346,6 @@ func (e *rtoEvent) Run(s *sim.Simulator) { e.c.onRTO(s) }
 type paceEvent struct{ c *conn }
 
 func (e *paceEvent) Run(s *sim.Simulator) { e.c.trySend(s) }
-
-// pending returns the incomplete-message FIFO.
-func (c *conn) pending() []*Message { return c.msgs[c.msgHead:] }
-
-// pushMsg appends m, first compacting the spent prefix when the backing
-// array is full so steady-state message turnover reuses it.
-func (c *conn) pushMsg(m *Message) {
-	if len(c.msgs) == cap(c.msgs) && c.msgHead > 0 {
-		n := copy(c.msgs, c.msgs[c.msgHead:])
-		for i := n; i < len(c.msgs); i++ {
-			c.msgs[i] = nil
-		}
-		c.msgs = c.msgs[:n]
-		c.msgHead = 0
-	}
-	c.msgs = append(c.msgs, m)
-}
 
 // windowBytes converts the CC window to bytes.
 func (c *conn) windowBytes() int64 {
@@ -458,8 +439,8 @@ func (c *conn) emit(s *sim.Simulator) {
 
 // messageAt returns the incomplete message covering stream offset off.
 func (c *conn) messageAt(off int64) *Message {
-	for _, m := range c.pending() {
-		if off < m.end {
+	for i := range c.msgs.Len() {
+		if m := *c.msgs.At(i); off < m.end {
 			if off >= m.start {
 				return m
 			}
@@ -487,8 +468,7 @@ func (c *conn) teardown() {
 	c.rtoTimer.Cancel()
 	c.paceTimer.Cancel()
 	c.rtoAt = 0
-	c.msgs = nil
-	c.msgHead = 0
+	c.msgs = fifo.Queue[*Message]{}
 }
 
 // onAck processes a cumulative acknowledgement.
@@ -516,20 +496,12 @@ func (c *conn) onAck(s *sim.Simulator, p *Packet) {
 	c.cc.OnAck(s.Now(), rtt, ackedPkts)
 
 	// Complete messages fully covered by the cumulative ack.
-	for c.msgHead < len(c.msgs) && c.msgs[c.msgHead].end <= c.cumAck {
-		m := c.msgs[c.msgHead]
-		c.msgs[c.msgHead] = nil
-		c.msgHead++
+	for c.msgs.Len() > 0 && (*c.msgs.Front()).end <= c.cumAck {
+		m := c.msgs.Pop()
 		c.ep.Stats.MsgsCompleted++
 		if m.OnComplete != nil {
 			m.OnComplete(s, m)
 		}
-	}
-	if c.msgHead == len(c.msgs) {
-		// Queue drained: rewind so the next pushMsg appends at the front
-		// of the backing array.
-		c.msgs = c.msgs[:0]
-		c.msgHead = 0
 	}
 
 	if c.inflight() > 0 {

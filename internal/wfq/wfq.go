@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"aequitas/internal/fifo"
 )
 
 // validateWeights panics unless every class weight is a positive finite
@@ -54,53 +56,6 @@ type Scheduler interface {
 	BytesFor(class int) int
 }
 
-// fifoQueue is a FIFO of items with byte accounting, backed by a
-// power-of-two ring buffer so steady-state enqueue/dequeue cycles never
-// allocate (a head-sliced Go slice would lose front capacity and force
-// append to reallocate on every wrap).
-type fifoQueue struct {
-	items []Item // ring storage; len(items) is the capacity, a power of two
-	head  int
-	n     int
-	bytes int
-}
-
-func (q *fifoQueue) push(it Item) {
-	if q.n == len(q.items) {
-		q.grow()
-	}
-	q.items[(q.head+q.n)&(len(q.items)-1)] = it
-	q.n++
-	q.bytes += it.SizeBytes()
-}
-
-func (q *fifoQueue) pop() Item {
-	if q.n == 0 {
-		return nil
-	}
-	it := q.items[q.head]
-	q.items[q.head] = nil
-	q.head = (q.head + 1) & (len(q.items) - 1)
-	q.n--
-	q.bytes -= it.SizeBytes()
-	return it
-}
-
-func (q *fifoQueue) grow() {
-	newCap := 2 * len(q.items)
-	if newCap == 0 {
-		newCap = 8
-	}
-	grown := make([]Item, newCap)
-	for i := 0; i < q.n; i++ {
-		grown[i] = q.items[(q.head+i)&(len(q.items)-1)]
-	}
-	q.items = grown
-	q.head = 0
-}
-
-func (q *fifoQueue) len() int { return q.n }
-
 // WFQ is a self-clocked fair queueing (SCFQ) scheduler: each arriving
 // packet receives a virtual finish tag F = max(F_prev(class), V) + L/φ and
 // the packet with the smallest finish tag is served next, where V is the
@@ -113,7 +68,8 @@ type WFQ struct {
 
 	virt   float64
 	lastF  []float64
-	queues []taggedQueue
+	queues []fifo.Queue[taggedItem]
+	bytes  []int // queued bytes per class
 	qBytes int
 	qItems int
 	// active is a bitmask of backlogged class queues (bit c set when
@@ -129,48 +85,6 @@ type taggedItem struct {
 	size   int // it.SizeBytes(), read once at Enqueue
 }
 
-// taggedQueue is a FIFO of tagged items backed by a power-of-two ring
-// buffer; see fifoQueue for why a plain head-sliced slice is not used.
-type taggedQueue struct {
-	items []taggedItem
-	head  int
-	n     int
-	bytes int
-}
-
-func (q *taggedQueue) push(ti taggedItem) {
-	if q.n == len(q.items) {
-		q.grow()
-	}
-	q.items[(q.head+q.n)&(len(q.items)-1)] = ti
-	q.n++
-	q.bytes += ti.size
-}
-
-func (q *taggedQueue) front() *taggedItem { return &q.items[q.head] }
-
-func (q *taggedQueue) pop() taggedItem {
-	ti := q.items[q.head]
-	q.items[q.head] = taggedItem{}
-	q.head = (q.head + 1) & (len(q.items) - 1)
-	q.n--
-	q.bytes -= ti.size
-	return ti
-}
-
-func (q *taggedQueue) grow() {
-	newCap := 2 * len(q.items)
-	if newCap == 0 {
-		newCap = 8
-	}
-	grown := make([]taggedItem, newCap)
-	for i := 0; i < q.n; i++ {
-		grown[i] = q.items[(q.head+i)&(len(q.items)-1)]
-	}
-	q.items = grown
-	q.head = 0
-}
-
 // NewWFQ returns a WFQ over len(weights) classes. perClassBytes bounds
 // each class queue (0 means unlimited, used for theory-validation runs).
 // NewWFQ panics if any weight is zero, negative, or non-finite.
@@ -180,7 +94,8 @@ func NewWFQ(weights []float64, perClassBytes int) *WFQ {
 		weights:  append([]float64(nil), weights...),
 		capBytes: perClassBytes,
 		lastF:    make([]float64, len(weights)),
-		queues:   make([]taggedQueue, len(weights)),
+		queues:   make([]fifo.Queue[taggedItem], len(weights)),
+		bytes:    make([]int, len(weights)),
 	}
 	return w
 }
@@ -191,9 +106,8 @@ func (w *WFQ) Enqueue(it Item) []Item {
 	if c < 0 || c >= len(w.queues) {
 		c = len(w.queues) - 1
 	}
-	q := &w.queues[c]
 	size := it.SizeBytes()
-	if w.capBytes > 0 && q.bytes+size > w.capBytes {
+	if w.capBytes > 0 && w.bytes[c]+size > w.capBytes {
 		return []Item{it}
 	}
 	start := w.lastF[c]
@@ -202,7 +116,8 @@ func (w *WFQ) Enqueue(it Item) []Item {
 	}
 	finish := start + float64(size)/w.weights[c]
 	w.lastF[c] = finish
-	q.push(taggedItem{it, finish, size})
+	w.queues[c].Push(taggedItem{it, finish, size})
+	w.bytes[c] += size
 	if c < 64 {
 		w.active |= 1 << uint(c)
 	}
@@ -220,17 +135,17 @@ func (w *WFQ) Dequeue() Item {
 		// Visit only backlogged classes via the active mask.
 		for m := w.active; m != 0; m &= m - 1 {
 			c := bits.TrailingZeros64(m)
-			if f := w.queues[c].front().finish; best < 0 || f < bestF {
+			if f := w.queues[c].Front().finish; best < 0 || f < bestF {
 				best, bestF = c, f
 			}
 		}
 	} else {
 		for c := range w.queues {
 			q := &w.queues[c]
-			if q.n == 0 {
+			if q.Len() == 0 {
 				continue
 			}
-			if f := q.front().finish; best < 0 || f < bestF {
+			if f := q.Front().finish; best < 0 || f < bestF {
 				best, bestF = c, f
 			}
 		}
@@ -245,10 +160,11 @@ func (w *WFQ) Dequeue() Item {
 		return nil
 	}
 	q := &w.queues[best]
-	ti := q.pop()
-	if q.n == 0 && best < 64 {
+	ti := q.Pop()
+	if q.Len() == 0 && best < 64 {
 		w.active &^= 1 << uint(best)
 	}
+	w.bytes[best] -= ti.size
 	w.qBytes -= ti.size
 	w.qItems--
 	w.virt = ti.finish
@@ -258,10 +174,10 @@ func (w *WFQ) Dequeue() Item {
 func (w *WFQ) QueuedBytes() int { return w.qBytes }
 func (w *WFQ) QueuedItems() int { return w.qItems }
 func (w *WFQ) BytesFor(c int) int {
-	if c < 0 || c >= len(w.queues) {
+	if c < 0 || c >= len(w.bytes) {
 		return 0
 	}
-	return w.queues[c].bytes
+	return w.bytes[c]
 }
 
 // SPQ is strict priority queuing: class 0 is always served before class 1,
@@ -269,14 +185,19 @@ func (w *WFQ) BytesFor(c int) int {
 // to the top (§6.7).
 type SPQ struct {
 	capBytes int
-	queues   []fifoQueue
+	queues   []fifo.Queue[Item]
+	bytes    []int // queued bytes per class
 	qBytes   int
 	qItems   int
 }
 
 // NewSPQ returns a strict-priority scheduler over levels classes.
 func NewSPQ(levels, perClassBytes int) *SPQ {
-	return &SPQ{capBytes: perClassBytes, queues: make([]fifoQueue, levels)}
+	return &SPQ{
+		capBytes: perClassBytes,
+		queues:   make([]fifo.Queue[Item], levels),
+		bytes:    make([]int, levels),
+	}
 }
 
 // Enqueue implements Scheduler.
@@ -285,12 +206,13 @@ func (s *SPQ) Enqueue(it Item) []Item {
 	if c < 0 || c >= len(s.queues) {
 		c = len(s.queues) - 1
 	}
-	q := &s.queues[c]
-	if s.capBytes > 0 && q.bytes+it.SizeBytes() > s.capBytes {
+	size := it.SizeBytes()
+	if s.capBytes > 0 && s.bytes[c]+size > s.capBytes {
 		return []Item{it}
 	}
-	q.push(it)
-	s.qBytes += it.SizeBytes()
+	s.queues[c].Push(it)
+	s.bytes[c] += size
+	s.qBytes += size
 	s.qItems++
 	return nil
 }
@@ -298,9 +220,11 @@ func (s *SPQ) Enqueue(it Item) []Item {
 // Dequeue implements Scheduler.
 func (s *SPQ) Dequeue() Item {
 	for c := range s.queues {
-		if s.queues[c].len() > 0 {
-			it := s.queues[c].pop()
-			s.qBytes -= it.SizeBytes()
+		if s.queues[c].Len() > 0 {
+			it := s.queues[c].Pop()
+			size := it.SizeBytes()
+			s.bytes[c] -= size
+			s.qBytes -= size
 			s.qItems--
 			return it
 		}
@@ -311,17 +235,18 @@ func (s *SPQ) Dequeue() Item {
 func (s *SPQ) QueuedBytes() int { return s.qBytes }
 func (s *SPQ) QueuedItems() int { return s.qItems }
 func (s *SPQ) BytesFor(c int) int {
-	if c < 0 || c >= len(s.queues) {
+	if c < 0 || c >= len(s.bytes) {
 		return 0
 	}
-	return s.queues[c].bytes
+	return s.bytes[c]
 }
 
 // FIFO is a single first-in-first-out queue ignoring QoS classes, the
 // degenerate single-QoS discipline.
 type FIFO struct {
 	capBytes int
-	q        fifoQueue
+	q        fifo.Queue[Item]
+	bytes    int
 }
 
 // NewFIFO returns a FIFO with the given byte capacity (0 = unlimited).
@@ -329,18 +254,27 @@ func NewFIFO(capBytes int) *FIFO { return &FIFO{capBytes: capBytes} }
 
 // Enqueue implements Scheduler.
 func (f *FIFO) Enqueue(it Item) []Item {
-	if f.capBytes > 0 && f.q.bytes+it.SizeBytes() > f.capBytes {
+	if f.capBytes > 0 && f.bytes+it.SizeBytes() > f.capBytes {
 		return []Item{it}
 	}
-	f.q.push(it)
+	f.q.Push(it)
+	f.bytes += it.SizeBytes()
 	return nil
 }
 
 // Dequeue implements Scheduler.
-func (f *FIFO) Dequeue() Item    { return f.q.pop() }
-func (f *FIFO) QueuedBytes() int { return f.q.bytes }
-func (f *FIFO) QueuedItems() int { return f.q.len() }
-func (f *FIFO) BytesFor(int) int { return f.q.bytes }
+func (f *FIFO) Dequeue() Item {
+	if f.q.Len() == 0 {
+		return nil
+	}
+	it := f.q.Pop()
+	f.bytes -= it.SizeBytes()
+	return it
+}
+
+func (f *FIFO) QueuedBytes() int { return f.bytes }
+func (f *FIFO) QueuedItems() int { return f.q.Len() }
+func (f *FIFO) BytesFor(int) int { return f.bytes }
 
 // PriorityQueue serves the most urgent item first (smallest Urgency), with
 // FIFO order among equal urgencies, and when full makes room by discarding

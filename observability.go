@@ -2,7 +2,6 @@ package aequitas
 
 import (
 	"io"
-	"sync"
 
 	"aequitas/internal/obs"
 	"aequitas/internal/obs/flight"
@@ -67,11 +66,10 @@ type ObsConfig struct {
 	// is deterministic for a fixed SimConfig regardless of sweep
 	// parallelism.
 	AttributionCSV io.Writer
-	// Audit enables the online QoS-bound auditor (implies Attribution):
-	// observed per-hop queue residencies and per-RPC fabric queueing are
-	// checked against the per-class worst-case bounds of the
-	// network-calculus model, and violations are recorded with the
-	// offending RPC ids in Results.Audit.
+	// Audit enables the online QoS-bound auditor: observed per-hop queue
+	// residencies and per-RPC fabric queueing are checked against the
+	// per-class worst-case bounds of the network-calculus model, and
+	// violations are recorded with the offending RPC ids in Results.Audit.
 	Audit bool
 	// AuditBoundsUS overrides the per-class queueing bounds in
 	// microseconds (highest class first). nil derives them from the first
@@ -99,11 +97,11 @@ func (o *ObsConfig) registry() *obs.Registry {
 // CSVTrace wraps a per-RPC CSV trace destination (SimConfig.TraceWriter)
 // and guarantees the header line is written exactly once for the sink's
 // lifetime — even when the same sink is reused across runs, as happens
-// when a run is retried into one output file.
+// when a run is retried into one output file. Like any TraceWriter it
+// serves one run at a time (see RunMany), so the latch needs no lock.
 type CSVTrace struct {
 	W io.Writer
 
-	mu         sync.Mutex
 	headerDone bool
 }
 
@@ -116,8 +114,6 @@ func (t *CSVTrace) Write(p []byte) (int, error) { return t.W.Write(p) }
 // claimHeader reports whether the caller should write the header,
 // flipping the once-only latch.
 func (t *CSVTrace) claimHeader() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.headerDone {
 		return false
 	}

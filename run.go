@@ -144,7 +144,7 @@ func buildFabric(st *runState) error {
 			Levels:  len(cfg.QoSWeights),
 		})
 	}
-	if cfg.Obs.Attribution || cfg.Obs.AttributionCSV != nil || cfg.Obs.Audit {
+	if cfg.Obs.Attribution || cfg.Obs.AttributionCSV != nil {
 		st.attr = obs.NewAttributor()
 	}
 	// The tracer is the run's one lifecycle observer: every link, endpoint
