@@ -156,9 +156,15 @@ func (t *peerTable) lookup(peer string) (int, bool) {
 // keys its channels by, lock-free when the peer has been seen before. A
 // name is interned as valid UTF-8, each invalid byte run one U+FFFD, so
 // names that differ only there share a channel and render as one series.
+// Every interned name is valid, so a name found as it came needs no
+// sanitising; only a miss pays for it.
 func (c *AdmissionController) PeerID(peer string) int {
+	t := c.peers.Load()
+	if id, ok := t.ids[peer]; ok {
+		return id
+	}
 	peer = strings.ToValidUTF8(peer, "\uFFFD")
-	if id, ok := c.peers.Load().lookup(peer); ok {
+	if id, ok := t.lookup(peer); ok {
 		return id
 	}
 	c.mu.Lock()

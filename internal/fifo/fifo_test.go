@@ -85,11 +85,12 @@ func TestPopClearsSlot(t *testing.T) {
 }
 
 func TestEmptyPanics(t *testing.T) {
-	var q Queue[int]
-	for name, f := range map[string]func(){
-		"Pop":   func() { q.Pop() },
-		"Front": func() { q.Front() },
-		"At":    func() { q.Push(1); q.At(1) },
+	// Each case gets its own queue: "At" pushes, and a shared queue would
+	// let a Pop or Front that the map happens to run after it succeed.
+	for name, f := range map[string]func(q *Queue[int]){
+		"Pop":   func(q *Queue[int]) { q.Pop() },
+		"Front": func(q *Queue[int]) { q.Front() },
+		"At":    func(q *Queue[int]) { q.Push(1); q.At(1) },
 	} {
 		func() {
 			defer func() {
@@ -97,7 +98,8 @@ func TestEmptyPanics(t *testing.T) {
 					t.Errorf("%s past the back did not panic", name)
 				}
 			}()
-			f()
+			var q Queue[int]
+			f(&q)
 		}()
 	}
 }

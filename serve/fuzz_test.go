@@ -44,6 +44,7 @@ func FuzzParseClass(f *testing.F) {
 	for _, s := range []string{
 		"QoSh", "high", "H", "0", "QoSm", "medium", "1", "qosl", "Low", "2",
 		"", "urgent", "-1", " QoSh\t", "+3", "007", "qoſh", "hİgh", " low", "99999999999999999999",
+		"-0", "+", "-", "+-1", "9223372036854775807", "9223372036854775808", "-9223372036854775808", "1_0",
 	} {
 		f.Add(s)
 	}
@@ -79,18 +80,31 @@ func TestParseClassFoldsOnlyASCII(t *testing.T) {
 }
 
 // TestClassifyByHeaderAllocs pins the default classifier at zero
-// allocations for the spellings Class.String emits.
+// allocations for the spellings Class.String emits, and for a missing or
+// unknown class, which fall back to the highest without building the
+// error ParseClass would return.
 func TestClassifyByHeaderAllocs(t *testing.T) {
-	for _, class := range []aequitas.Class{aequitas.High, aequitas.Medium, aequitas.Low} {
+	for _, tc := range []struct {
+		header string
+		class  aequitas.Class
+	}{
+		{aequitas.High.String(), aequitas.High},
+		{aequitas.Medium.String(), aequitas.Medium},
+		{aequitas.Low.String(), aequitas.Low},
+		{"", aequitas.High},
+		{"gold", aequitas.High},
+	} {
 		r := httptest.NewRequest("POST", "/backend", nil)
 		r.Header.Set(HeaderPeer, "peer-01")
-		r.Header.Set(HeaderClass, class.String())
+		if tc.header != "" {
+			r.Header.Set(HeaderClass, tc.header)
+		}
 		var got Request
 		if n := testing.AllocsPerRun(100, func() { got = ClassifyByHeader(r) }); n != 0 {
-			t.Errorf("ClassifyByHeader with %s: %v allocs per call, want 0", class, n)
+			t.Errorf("ClassifyByHeader with %q: %v allocs per call, want 0", tc.header, n)
 		}
-		if got.Class != class || got.Peer != "peer-01" {
-			t.Errorf("ClassifyByHeader = %+v, want class %v", got, class)
+		if got.Class != tc.class || got.Peer != "peer-01" {
+			t.Errorf("ClassifyByHeader with %q = %+v, want class %v", tc.header, got, tc.class)
 		}
 	}
 }

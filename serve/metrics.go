@@ -286,7 +286,7 @@ func (a *Admission) Snapshot() *obs.Snapshot {
 // Prometheus text on /metrics and the JSON document on /snapshot, both
 // built fresh per scrape so the serving path never pays for them; pprof
 // under /debug/pprof/; and the flight recorder on /debug/flight (trigger
-// status as JSON; the ring as an NDJSON dump with ?format=ndjson).
+// status as JSON; the rings as one NDJSON dump with ?format=ndjson).
 func (a *Admission) Handler() http.Handler {
 	mux := http.NewServeMux()
 	// A render can only fail writing to the scraper, whose connection is
