@@ -55,7 +55,7 @@ func TestRequestPathAllocs(t *testing.T) {
 			clk := &core.ManualClock{}
 			clk.SetNow(sim.Time(1))
 			clk.SetDraw(tc.draw)
-			a := testLayer(t, clk, hardened, tc.reject, 2*time.Millisecond)
+			a := testLayer(t, clk, hardened, tc.reject, 2*time.Millisecond, 0)
 			h := a.Middleware(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
 			req := benchRequest()
 			if tc.budget != "" {
@@ -74,14 +74,14 @@ func TestRequestPathAllocs(t *testing.T) {
 
 		clk := &core.ManualClock{}
 		clk.SetNow(sim.Time(1))
-		a := testLayer(t, clk, hardened, false, 0)
+		a := testLayer(t, clk, hardened, false, 0, 0)
 		icpt := a.UnaryInterceptor(nil)
 		info := &UnaryServerInfo{FullMethod: "/backend"}
 		if got := measure(func() { icpt(context.Background(), nil, info, nopUnaryHandler) }); got > 1 {
 			t.Errorf("hardened=%v: %v allocs per intercepted RPC, want at most 1", hardened, got)
 		}
 		clk.SetDraw(2)
-		refusing := testLayer(t, clk, hardened, true, 0).UnaryInterceptor(nil)
+		refusing := testLayer(t, clk, hardened, true, 0, 0).UnaryInterceptor(nil)
 		if got := measure(func() { refusing(context.Background(), nil, info, nopUnaryHandler) }); got != 0 {
 			t.Errorf("hardened=%v: %v allocs per refused RPC, want 0", hardened, got)
 		}
