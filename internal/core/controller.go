@@ -31,6 +31,7 @@ import (
 	"aequitas/internal/netsim"
 	"aequitas/internal/obs"
 	"aequitas/internal/obs/flight"
+	"aequitas/internal/proc"
 	"aequitas/internal/qos"
 	"aequitas/internal/rpc"
 	"aequitas/internal/sim"
@@ -152,7 +153,7 @@ type Stats struct {
 }
 
 // statStripes is the number of stripes the controller's counters are
-// spread over; a call counts on the stripe of the P it runs on (Proc), so
+// spread over; a call counts on the stripe of the P it runs on (proc.ID), so
 // calls on different cores write different cache lines. A power of two
 // so the stripe is a mask.
 const statStripes = 8
@@ -182,8 +183,8 @@ func (ct *Controller) Stats() Stats {
 	return s
 }
 
-// stripe is the counter stripe of P p; callers pass Proc().
-func (ct *Controller) stripe(p int) *statStripe { return &ct.stats[p&(statStripes-1)] }
+// stripe is the counter stripe of the P the caller runs on.
+func (ct *Controller) stripe() *statStripe { return &ct.stats[proc.ID()&(statStripes-1)] }
 
 // classState is one (dst, class) admission channel. The admit
 // probability lives in p as float64 bits: Admit reads it with one atomic
@@ -235,12 +236,11 @@ type Controller struct {
 	_     [64]byte
 	stats [statStripes]statStripe
 
-	// flight, when non-empty, receives a Record per admission decision and
-	// per SLO observation — the flight-recorder tap — each into the ring
-	// of the P the call runs on. flightSrc names this controller in the
-	// records (the sending host id in a simulation). The disabled path is
-	// a single length check on the fast path.
-	flight    flight.Set
+	// flight, when set, receives a Record per admission decision and per
+	// SLO observation — the flight-recorder tap. flightSrc names this
+	// controller in the records (the sending host id in a simulation).
+	// The disabled path is a single nil check on the fast path.
+	flight    *flight.Ring
 	flightSrc int32
 	// quota, when set, is the §5.2 branch in front of the draw.
 	quota atomic.Pointer[quotaGate]
@@ -293,37 +293,30 @@ func (ct *Controller) Clock() Clock { return ct.clock }
 // that carries best-effort and downgraded traffic.
 func (ct *Controller) Scavenger() qos.Class { return ct.lowest }
 
-// SetFlight attaches a flight recorder, a ring or a set of rings: every
-// admission decision and SLO observation is recorded into the ring of
-// the P the call runs on (Proc), tagged with src as the recording
-// controller's id, so controllers serving on several cores do not write
-// one another's ring cursors. A nil or empty r detaches. Set before
-// serving begins; the tap itself is lock-free and allocation-free, and
-// with no recorder attached the fast path pays one length check.
-func (ct *Controller) SetFlight(r flight.Recorder, src int) {
-	ct.flight = nil
-	if r != nil {
-		ct.flight = r.Rings()
-	}
+// SetFlight attaches a flight recorder: every admission decision and
+// SLO observation is recorded into r, tagged with src as the recording
+// controller's id. A nil r detaches. Set before serving begins; the tap
+// itself is lock-free and allocation-free, and with no recorder attached
+// the fast path pays one nil check.
+func (ct *Controller) SetFlight(r *flight.Ring, src int) {
+	ct.flight = r
 	ct.flightSrc = int32(src)
 }
 
 // record is the flight-recorder tap for Admit, kept out of line so the
-// recorder-off fast path stays lean; it records into P proc's ring. The
-// quota bypass is marked as such:
+// recorder-off fast path stays lean. The quota bypass is marked as such:
 // those RPCs were admitted without consulting p_admit. A drop runs on no
 // class; its record keeps the one it asked for.
-func (ct *Controller) record(proc int, now sim.Time, dst int, requested qos.Class, d rpc.Decision, bypass bool, sizeMTUs int64) {
-	r := ct.flight.Pick(proc)
+func (ct *Controller) record(now sim.Time, dst int, requested qos.Class, d rpc.Decision, bypass bool, sizeMTUs int64) {
 	if bypass {
-		r.QuotaBypassDecision(now, ct.flightSrc, int32(dst), int8(requested), int32(sizeMTUs))
+		ct.flight.QuotaBypassDecision(now, ct.flightSrc, int32(dst), int8(requested), int32(sizeMTUs))
 		return
 	}
 	got := d.Class
 	if d.Dropped {
 		got = requested
 	}
-	r.Decision(now, ct.flightSrc, int32(dst), int8(requested), int8(got), d.Verdict(), d.PAdmit, int32(sizeMTUs))
+	ct.flight.Decision(now, ct.flightSrc, int32(dst), int8(requested), int8(got), d.Verdict(), d.PAdmit, int32(sizeMTUs))
 }
 
 // Reset discards all learned admission state, returning every channel to
@@ -475,7 +468,7 @@ func (ct *Controller) Admit(dst int, requested qos.Class, sizeMTUs int64) rpc.De
 // flight recorder is attached. A caller that wants the time of the
 // decision anyway reads it once and calls AdmitAt instead.
 func (ct *Controller) ReadsClock() bool {
-	return len(ct.flight) != 0 || ct.quota.Load() != nil
+	return ct.flight != nil || ct.quota.Load() != nil
 }
 
 // AdmitAt is Admit at now, a reading of the controller's clock taken by
@@ -520,9 +513,7 @@ func (ct *Controller) AdmitAt(now sim.Time, dst int, requested qos.Class, sizeMT
 			}
 		}
 	}
-	// One P id picks both the counter stripe and the flight ring.
-	proc := Proc()
-	switch cs := ct.stripe(proc); {
+	switch cs := ct.stripe(); {
 	case d.Dropped:
 		cs.dropped.Add(1)
 	case d.Downgraded:
@@ -530,8 +521,8 @@ func (ct *Controller) AdmitAt(now sim.Time, dst int, requested qos.Class, sizeMT
 	default:
 		cs.admitted.Add(1)
 	}
-	if len(ct.flight) != 0 {
-		ct.record(proc, now, dst, requested, d, inQuota == QuotaYes, sizeMTUs)
+	if ct.flight != nil {
+		ct.record(now, dst, requested, d, inQuota == QuotaYes, sizeMTUs)
 	}
 	return d, late
 }
@@ -542,10 +533,9 @@ func (ct *Controller) AdmitAt(now sim.Time, dst int, requested qos.Class, sizeMT
 // consulting p_admit — admitting it would only have burned capacity on
 // work the client had already given up on.
 func (ct *Controller) RecordExpired(dst int, requested qos.Class, sizeMTUs int64) {
-	proc := Proc()
-	ct.stripe(proc).expired.Add(1)
-	if len(ct.flight) != 0 {
-		ct.flight.Pick(proc).Decision(ct.clock.Now(), ct.flightSrc, int32(dst), int8(requested), int8(requested),
+	ct.stripe().expired.Add(1)
+	if ct.flight != nil {
+		ct.flight.Decision(ct.clock.Now(), ct.flightSrc, int32(dst), int8(requested), int8(requested),
 			flight.VerdictExpired, ct.AdmitProbability(dst, requested), int32(sizeMTUs))
 	}
 }
@@ -568,8 +558,7 @@ func (ct *Controller) ObserveAt(now sim.Time, dst int, run qos.Class, rnl sim.Du
 		sizeMTUs = 1
 	}
 	st := ct.classState(dst, run)
-	proc := Proc()
-	cs := ct.stripe(proc)
+	cs := ct.stripe()
 	var p float64
 	verdict := flight.VerdictSLOMet
 	// Algorithm 1 line 15: per-MTU normalised comparison.
@@ -587,8 +576,8 @@ func (ct *Controller) ObserveAt(now sim.Time, dst int, run qos.Class, rnl sim.Du
 	}
 	// The record carries the value this observation left, not a later
 	// load that could read another goroutine's update.
-	if len(ct.flight) != 0 {
-		ct.flight.Pick(proc).Complete(now, ct.flightSrc, int32(dst), int8(run), verdict, p, int32(sizeMTUs), rnl.Micros())
+	if ct.flight != nil {
+		ct.flight.Complete(now, ct.flightSrc, int32(dst), int8(run), verdict, p, int32(sizeMTUs), rnl.Micros())
 	}
 }
 

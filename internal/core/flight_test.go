@@ -157,17 +157,17 @@ func TestObserveFlightEnabledNoAllocs(t *testing.T) {
 	}
 }
 
-// TestConcurrentFlightSet records from eight goroutines into a set of
-// four rings, picked by P, while a ninth dumps the set, resetting it on
-// every other dump, at 1-in-1 and 1-in-8 sampling: every record offered
-// is kept in exactly one resetting dump (the last one included), sampled
-// out, or dropped during a freeze, and every dump validates. The set is
-// large enough that no ring laps.
+// TestConcurrentFlightSet records from eight goroutines into a ring of
+// four P stripes while a ninth dumps it, resetting it on every other
+// dump, at 1-in-1 and 1-in-8 sampling: every record offered is kept in
+// exactly one resetting dump (the last one included), sampled out, or
+// dropped during a freeze, and every dump validates. The ring is large
+// enough that no shard laps.
 func TestConcurrentFlightSet(t *testing.T) {
 	for _, sample := range []int{1, 8} {
 		t.Run(fmt.Sprintf("sample=%d", sample), func(t *testing.T) {
 			ct := MustNew(Defaults3(2*sim.Microsecond, 4*sim.Microsecond))
-			set := flight.NewSet(flight.Config{Records: 1 << 16, SampleAdmits: sample}, 4)
+			set := flight.NewRing(flight.Config{Records: 1 << 16, SampleAdmits: sample, Stripes: 4})
 			ct.SetFlight(set, 0)
 			const workers, ops = 8, 500
 			var (

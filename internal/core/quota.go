@@ -30,12 +30,13 @@ import (
 // QuotaServer and QuotaClient are safe for concurrent use: Grant/Revoke
 // from a control plane can race with checks on the serving path.
 //
-// Clients consume grants as TTL leases (LeaseFor): a host caches the
-// granted rate for QuotaClient.LeaseTTL and keeps enforcing it locally
-// while the lease is fresh, so a brief quota-plane outage is invisible.
-// When the server is unreachable (SetAvailable(false), the chaos
-// harness's outage window) past the lease TTL, the lease is stale and
-// the failure policy given to Controller.SetQuota decides what happens.
+// Clients consume grants as TTL leases, which QuotaClient.CheckAt
+// refreshes: a host caches the granted rate for QuotaClient.LeaseTTL and
+// keeps enforcing it locally while the lease is fresh, so a brief
+// quota-plane outage is invisible. When the server is unreachable
+// (SetAvailable(false), the chaos harness's outage window) past the
+// lease TTL, the lease is stale and the failure policy given to
+// Controller.SetQuota decides what happens.
 type QuotaServer struct {
 	mu sync.Mutex
 	// capacity[class] is the total grantable rate per class in
@@ -141,16 +142,10 @@ type Lease struct {
 	Expires sim.Time
 }
 
-// LeaseFor issues tenant's current grant on class as a lease expiring at
-// now+ttl. ok is false when the server is unreachable — the client must
-// keep its previous lease (if still fresh) or report staleness.
-func (q *QuotaServer) LeaseFor(tenant string, class qos.Class, now sim.Time, ttl sim.Duration) (Lease, bool) {
-	l, up, _ := q.lease(tenant, class, now, ttl)
-	return l, up
-}
-
-// lease is LeaseFor that also reports whether it waited for the
-// server's lock.
+// lease issues tenant's current grant on class as a lease expiring at
+// now+ttl, and reports whether it waited for the server's lock. up is
+// false when the server is unreachable — the client must keep its
+// previous lease (if still fresh) or report staleness.
 func (q *QuotaServer) lease(tenant string, class qos.Class, now sim.Time, ttl sim.Duration) (l Lease, up, waited bool) {
 	if q.down.Load() {
 		return Lease{}, false, false

@@ -28,7 +28,7 @@ func (b *refQuotaBucket) check(c *QuotaClient, now sim.Time, class qos.Class, by
 		return QuotaNo
 	}
 	if !b.haveLease || now >= b.lease.Expires {
-		lease, up := c.server.LeaseFor(c.tenant, class, now, sim.FromStd(c.LeaseTTL))
+		lease, up, _ := c.server.lease(c.tenant, class, now, sim.FromStd(c.LeaseTTL))
 		if !up {
 			b.staleChecks++
 			return QuotaStale

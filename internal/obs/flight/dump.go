@@ -293,14 +293,14 @@ func Summarize(r io.Reader) (*Summary, error) {
 	return sum, nil
 }
 
-// Dump snapshots the set and writes one dump of every record its rings
-// hold, headed by their summed counters — the freeze, gather, render
-// sequence every trigger path shares. With reset true the rings restart
-// empty afterwards, so consecutive dumps partition the timeline.
-func (s Set) Dump(w io.Writer, meta Meta, reset bool) error {
-	if len(s) == 0 || w == nil {
+// Dump snapshots the ring and writes one dump of every record it holds,
+// headed by its counters — the freeze, gather, render sequence every
+// trigger path shares. With reset true the ring restarts empty
+// afterwards, so consecutive dumps partition the timeline.
+func (r *Ring) Dump(w io.Writer, meta Meta, reset bool) error {
+	if r == nil || w == nil {
 		return nil
 	}
-	recs := s.Snapshot(reset)
-	return WriteDump(w, meta, recs, s.Stats())
+	recs := r.Snapshot(reset)
+	return WriteDump(w, meta, recs, r.Stats())
 }

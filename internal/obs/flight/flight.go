@@ -7,11 +7,16 @@
 // N decisions can be frozen and dumped as schema-tagged NDJSON
 // ("aequitas.flight/v1") for offline diagnosis.
 //
-// The record path is allocation-free and lock-free: a shard is selected by
-// hashing the admission channel, a slot is claimed with one atomic add on
-// the shard's cursor, and the fixed-size Record is written in place. A nil
-// *Ring disables recording with a single pointer check, which is the
-// zero-overhead path the controller's admit fast path relies on.
+// The record path is allocation-free and lock-free. The ring is a grid of
+// shards, Config.Stripes P stripes by 8 channel-hash shards: a writer
+// takes the stripe of the scheduler P it runs on (none to look up with
+// one stripe) and the shard its admission channel hashes to, claims a
+// slot with one atomic add on that shard's cursor, and writes the
+// fixed-size Record in place. Writers on different cores thus claim slots
+// on different cursors, and a dump freezes every shard at once, so it is
+// one cut in time. A nil *Ring disables recording with a single pointer
+// check, which is the zero-overhead path the controller's admit fast path
+// relies on.
 //
 // Adaptive sampling keeps the interesting records: downgrades, drops and
 // SLO misses are always retained, while admits and SLO-met completions are
@@ -27,6 +32,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"aequitas/internal/proc"
 	"aequitas/internal/sim"
 )
 
@@ -133,7 +139,8 @@ type Record struct {
 	Quota     Quota
 }
 
-// Stats counts the ring's activity since creation (or the last reset).
+// Stats counts the ring's activity since creation; a resetting
+// snapshot empties the ring but keeps the counts.
 type Stats struct {
 	// Offered is the number of records presented to the ring.
 	Offered uint64
@@ -146,20 +153,27 @@ type Stats struct {
 
 // Config parameterises a Ring.
 type Config struct {
-	// Records is the total ring capacity across all shards (default
-	// 16384). Rounded up so each shard holds a power of two.
+	// Records is the total ring capacity across all stripes and shards
+	// (default 16384): each stripe holds Records/Stripes, rounded up so
+	// each shard holds a power of two.
 	Records int
 	// SampleAdmits keeps 1 in SampleAdmits admit and SLO-met records
 	// (rounded up to a power of two; default 8). Values <= 1 keep
 	// everything. Downgrades, drops, SLO misses and quota bypasses are
 	// always kept.
 	SampleAdmits int
+	// Stripes is the number of P stripes, rounded down to a power of two
+	// (zero means one). A writer records into the stripe of the P it runs
+	// on, so one goroutine keeps about Records/Stripes of its own records.
+	// One stripe makes the ring a pure function of what was recorded,
+	// whatever goroutine recorded it, as a simulation needs.
+	Stripes int
 }
 
-// ringShards is the number of independent ring shards; shardFor keeps
-// the top shardBits bits of a hash. Writers hash their admission channel
-// to a shard, so concurrent recorders on different channels touch
-// disjoint cursors.
+// ringShards is the number of channel-hash shards per stripe; shardFor
+// keeps the top shardBits bits of a hash. Writers hash their admission
+// channel to a shard, so concurrent recorders on different channels
+// touch disjoint cursors.
 const (
 	shardBits  = 3
 	ringShards = 1 << shardBits
@@ -175,12 +189,15 @@ type shard struct {
 	sampled atomic.Uint64 // records skipped by sampling
 	dropped atomic.Uint64 // records discarded during a freeze
 	active  atomic.Int64  // writers currently inside push
-	_       [24]byte
+	// start is seq at the last resetting snapshot: a snapshot reads no
+	// slot claimed before it. Only snapshots touch it, under snapMu.
+	start uint64
+	_     [16]byte
 
 	recs []Record
 	// commit[i] holds seq+1 of the last completed write to recs[i], with
 	// release semantics: a reader that observes the commit value observes
-	// the record's fields.
+	// the record's fields. A commit value is never reused.
 	commit []atomic.Uint64
 	_      [16]byte
 }
@@ -189,13 +206,16 @@ type shard struct {
 // concurrent use; a nil *Ring is the disabled recorder and every method
 // is a cheap no-op.
 type Ring struct {
-	shards     [ringShards]shard
+	// shards is the grid: the shard of stripe p and channel hash h is
+	// shards[p<<shardBits | h].
+	shards     []shard
+	stripeMask int    // stripes - 1
 	slotMask   uint64 // per-shard capacity - 1
 	sampleMask uint64 // keep admits when hash(offered) & sampleMask == 0
 	frozen     atomic.Bool
 	// snapMu serializes snapshots: without it, the first of two concurrent
 	// snapshots to finish would unfreeze the ring while the other is still
-	// copying (or resetting seq, letting two writers claim one slot).
+	// copying (or moving the shards' start).
 	snapMu sync.Mutex
 }
 
@@ -208,19 +228,23 @@ func nextPow2(n int) int {
 	return p
 }
 
-// NewRing builds a Ring. The zero Config gives 16384 records over 8
-// shards with 1-in-8 admit sampling.
+// NewRing builds a Ring. The zero Config gives one stripe of 16384
+// records over 8 shards with 1-in-8 admit sampling.
 func NewRing(cfg Config) *Ring {
 	if cfg.Records <= 0 {
 		cfg.Records = 1 << 14
 	}
-	per := nextPow2((cfg.Records + ringShards - 1) / ringShards)
+	stripes := max(1, nextPow2(cfg.Stripes+1)>>1)
+	perStripe := max(1, cfg.Records/stripes)
+	per := nextPow2((perStripe + ringShards - 1) / ringShards)
 	sample := cfg.SampleAdmits
 	if sample == 0 {
 		sample = 8
 	}
 	sample = nextPow2(sample)
 	r := &Ring{
+		shards:     make([]shard, stripes*ringShards),
+		stripeMask: stripes - 1,
 		slotMask:   uint64(per - 1),
 		sampleMask: uint64(sample - 1),
 	}
@@ -239,21 +263,43 @@ func (r *Ring) Cap() int {
 	return len(r.shards) * int(r.slotMask+1)
 }
 
-// shardFor hashes an admission channel to a shard — Fibonacci hashing
-// with the top bits kept, the well-mixed end of a golden-ratio multiply.
-// The hash depends only on the record's content, never the calling
-// goroutine, so a deterministic caller fills the shards
-// deterministically.
-func (r *Ring) shardFor(src, peer int32, class int8) *shard {
-	h := (uint64(uint32(src))<<20 ^ uint64(uint32(peer))<<4 ^ uint64(uint8(class))) * 0x9E3779B97F4A7C15
-	return &r.shards[h>>(64-shardBits)]
+// stripe is the calling goroutine's stripe: its P, unless the ring has
+// only one.
+func (r *Ring) stripe() int {
+	if r.stripeMask == 0 {
+		return 0
+	}
+	return proc.ID()
 }
 
-// sampleHash decides whether the n-th offered record on a shard survives
+// shardFor hashes an admission channel to a shard of stripe p (any p is
+// valid) — Fibonacci hashing with the top bits kept, the well-mixed end
+// of a golden-ratio multiply. Within a stripe the hash depends only on
+// the record's content, never the calling goroutine, so a deterministic
+// caller fills a one-stripe ring deterministically.
+func (r *Ring) shardFor(p int, src, peer int32, class int8) *shard {
+	h := (uint64(uint32(src))<<20 ^ uint64(uint32(peer))<<4 ^ uint64(uint8(class))) * 0x9E3779B97F4A7C15
+	return &r.shards[(p&r.stripeMask)<<shardBits|int(h>>(64-shardBits))]
+}
+
+// sampleKeep decides whether the n-th offered record on a shard survives
 // sampling. Fibonacci scrambling of the counter spreads kept records
 // evenly without an RNG draw.
 func (r *Ring) sampleKeep(n uint64) bool {
 	return (n*0x9E3779B97F4A7C15)>>33&r.sampleMask == 0
+}
+
+// offer counts a record of channel (src, peer, class) on its shard of
+// stripe p and returns that shard, or nil when sampling drops the
+// record: a record subject to sampling is kept 1 in SampleAdmits times.
+func (r *Ring) offer(p int, src, peer int32, class int8, sampled bool) *shard {
+	sh := r.shardFor(p, src, peer, class)
+	n := sh.offered.Add(1)
+	if sampled && !r.sampleKeep(n) {
+		sh.sampled.Add(1)
+		return nil
+	}
+	return sh
 }
 
 // push claims a slot on sh and writes rec into it. Writers register in
@@ -295,16 +341,12 @@ func (r *Ring) Decision(ts sim.Time, src, peer int32, requested, got int8, v Ver
 	if r == nil {
 		return
 	}
-	sh := r.shardFor(src, peer, requested)
-	n := sh.offered.Add(1)
-	if v == VerdictAdmit && !r.sampleKeep(n) {
-		sh.sampled.Add(1)
-		return
+	if sh := r.offer(r.stripe(), src, peer, requested, v == VerdictAdmit); sh != nil {
+		r.push(sh, Record{
+			TS: ts, PAdmit: pAdmit, Src: src, Peer: peer, SizeMTUs: sizeMTUs,
+			Requested: requested, Class: got, Kind: KindDecision, Verdict: v,
+		})
 	}
-	r.push(sh, Record{
-		TS: ts, PAdmit: pAdmit, Src: src, Peer: peer, SizeMTUs: sizeMTUs,
-		Requested: requested, Class: got, Kind: KindDecision, Verdict: v,
-	})
 }
 
 // QuotaBypassDecision records an RPC admitted on the quota fast path.
@@ -314,9 +356,7 @@ func (r *Ring) QuotaBypassDecision(ts sim.Time, src, peer int32, class int8, siz
 	if r == nil {
 		return
 	}
-	sh := r.shardFor(src, peer, class)
-	sh.offered.Add(1)
-	r.push(sh, Record{
+	r.push(r.offer(r.stripe(), src, peer, class, false), Record{
 		TS: ts, PAdmit: 1, Src: src, Peer: peer, SizeMTUs: sizeMTUs,
 		Requested: class, Class: class, Kind: KindDecision, Verdict: VerdictAdmit,
 		Quota: QuotaBypass,
@@ -330,16 +370,12 @@ func (r *Ring) Complete(ts sim.Time, src, peer int32, class int8, v Verdict, pAd
 	if r == nil {
 		return
 	}
-	sh := r.shardFor(src, peer, class)
-	n := sh.offered.Add(1)
-	if v == VerdictSLOMet && !r.sampleKeep(n) {
-		sh.sampled.Add(1)
-		return
+	if sh := r.offer(r.stripe(), src, peer, class, v == VerdictSLOMet); sh != nil {
+		r.push(sh, Record{
+			TS: ts, PAdmit: pAdmit, LatencyUS: latencyUS, Src: src, Peer: peer,
+			SizeMTUs: sizeMTUs, Requested: class, Class: class, Kind: KindComplete, Verdict: v,
+		})
 	}
-	r.push(sh, Record{
-		TS: ts, PAdmit: pAdmit, LatencyUS: latencyUS, Src: src, Peer: peer,
-		SizeMTUs: sizeMTUs, Requested: class, Class: class, Kind: KindComplete, Verdict: v,
-	})
 }
 
 // Stats returns the ring's cumulative counters.
@@ -371,131 +407,45 @@ func (r *Ring) freeze() {
 	}
 }
 
-// Snapshot freezes the ring, copies out every committed record in
-// deterministic order — by timestamp, with (src, peer, class, shard
-// order) tiebreaks — and unfreezes. With reset true the ring restarts
-// empty, so consecutive dumps partition the timeline. Records that arrive
-// during the freeze are counted in Stats.DroppedFrozen.
+// Snapshot freezes every shard, copies out each committed record claimed
+// since the last reset, unfreezes, and sorts the copy (sortRecords). With
+// reset true the ring restarts empty, so consecutive dumps partition the
+// timeline: each shard's start moves to its cursor, and no slot is
+// written. Records that arrive during the freeze are counted in
+// Stats.DroppedFrozen.
 func (r *Ring) Snapshot(reset bool) []Record {
 	if r == nil {
 		return nil
 	}
-	out := r.gather(nil, reset)
-	sortRecords(out)
-	return out
-}
-
-// gather is Snapshot without the sort: it freezes the ring, appends every
-// committed record to out in shard order, resets the ring when asked,
-// and unfreezes.
-func (r *Ring) gather(out []Record, reset bool) []Record {
+	var out []Record
 	r.snapMu.Lock()
-	defer r.snapMu.Unlock()
 	r.freeze()
 	for si := range r.shards {
 		sh := &r.shards[si]
-		seq := sh.seq.Load()
-		cap64 := r.slotMask + 1
-		start := uint64(0)
-		if seq > cap64 {
-			start = seq - cap64
+		seq, from := sh.seq.Load(), sh.start
+		if n := r.slotMask + 1; seq-from > n {
+			from = seq - n
 		}
-		for s := start; s < seq; s++ {
+		for s := from; s < seq; s++ {
 			i := s & r.slotMask
 			if sh.commit[i].Load() == s+1 {
 				out = append(out, sh.recs[i])
 			}
 		}
 		if reset {
-			sh.seq.Store(0)
-			for i := range sh.commit {
-				sh.commit[i].Store(0)
-			}
+			sh.start = seq
 		}
 	}
 	r.frozen.Store(false)
-	return out
-}
-
-// Set is a group of rings recorded into as one. A writer picks its ring
-// by the scheduler P it runs on, so writers on different cores claim
-// slots on different cursors, while Snapshot, Stats and Cap cover the
-// whole set: a dump of a set is a dump of one ring holding every record
-// its rings kept. A set of one ring is that ring, record for record and
-// byte for byte. The length is a power of two.
-type Set []*Ring
-
-// NewSet builds n rings (n rounded down to a power of two, at least one)
-// that share cfg's capacity: each holds cfg.Records/n, so the set holds
-// what one ring built from cfg would, up to the per-shard power-of-two
-// rounding.
-func NewSet(cfg Config, n int) Set {
-	if cfg.Records <= 0 {
-		cfg.Records = 1 << 14
-	}
-	n = max(1, nextPow2(n+1)>>1)
-	cfg.Records = max(1, cfg.Records/n)
-	s := make(Set, n)
-	for i := range s {
-		s[i] = NewRing(cfg)
-	}
-	return s
-}
-
-// Recorder is what a controller records into: a Ring, or a Set of them.
-type Recorder interface {
-	// Rings is the recorder as a set: empty for a nil ring.
-	Rings() Set
-}
-
-// Rings is the set of one ring, r; a nil r is the empty set.
-func (r *Ring) Rings() Set {
-	if r == nil {
-		return nil
-	}
-	return Set{r}
-}
-
-// Rings is s itself.
-func (s Set) Rings() Set { return s }
-
-// Pick returns the ring of stripe p; any p is valid.
-func (s Set) Pick(p int) *Ring { return s[p&(len(s)-1)] }
-
-// Cap reports the set's total record capacity.
-func (s Set) Cap() (n int) {
-	for _, r := range s {
-		n += r.Cap()
-	}
-	return n
-}
-
-// Stats sums the rings' counters.
-func (s Set) Stats() (st Stats) {
-	for _, r := range s {
-		rs := r.Stats()
-		st.Offered += rs.Offered
-		st.SampledOut += rs.SampledOut
-		st.DroppedFrozen += rs.DroppedFrozen
-	}
-	return st
-}
-
-// Snapshot is Ring.Snapshot over the set: each ring is frozen and copied
-// in turn, and the records of all of them are sorted together.
-func (s Set) Snapshot(reset bool) []Record {
-	var out []Record
-	for _, r := range s {
-		out = r.gather(out, reset)
-	}
+	r.snapMu.Unlock()
 	sortRecords(out)
 	return out
 }
 
 // sortRecords orders a snapshot for dumping: primary by timestamp so the
-// dump reads chronologically, with content tiebreaks so the order is a
-// pure function of the record multiset (shard gathering order never
-// leaks into the dump).
+// dump reads chronologically, with every other field as a tiebreak so the
+// order is a pure function of the record multiset (shard gathering order
+// never leaks into the dump).
 func sortRecords(recs []Record) {
 	slices.SortStableFunc(recs, func(a, b Record) int {
 		return cmp.Or(
@@ -508,6 +458,8 @@ func sortRecords(recs []Record) {
 			cmp.Compare(a.PAdmit, b.PAdmit),
 			cmp.Compare(a.LatencyUS, b.LatencyUS),
 			cmp.Compare(a.SizeMTUs, b.SizeMTUs),
+			cmp.Compare(a.Class, b.Class),
+			cmp.Compare(a.Quota, b.Quota),
 		)
 	})
 }

@@ -12,6 +12,15 @@ import (
 	"aequitas/internal/sim"
 )
 
+// put writes rec on stripe p of r, sampled as the public method of its
+// kind samples it.
+func put(r *Ring, p int, rec Record) {
+	sampled := rec.Quota == QuotaNone && (rec.Verdict == VerdictAdmit || rec.Verdict == VerdictSLOMet)
+	if sh := r.offer(p, rec.Src, rec.Peer, rec.Requested, sampled); sh != nil {
+		r.push(sh, rec)
+	}
+}
+
 // keepAll disables sampling so tests can count records exactly.
 func keepAll() Config { return Config{Records: 1 << 12, SampleAdmits: 1} }
 
@@ -67,37 +76,65 @@ func TestRingRecordsAndSnapshotOrder(t *testing.T) {
 	}
 }
 
-// TestSetDumpsAsOneRing spreads records over a set's rings and dumps the
-// set: the bytes must be those of one ring that kept the same records,
-// and the set must hold what that ring holds.
+// TestSetDumpsAsOneRing writes records into chosen stripes of a
+// four-stripe ring and dumps it: the bytes must be those of a one-stripe
+// ring that kept the same records. Two pairs share a timestamp and differ
+// only in Class, or only in Quota; the striped ring gathers each pair in
+// the opposite order, so the dump order must come from the records
+// alone.
 func TestSetDumpsAsOneRing(t *testing.T) {
-	one, set := NewRing(keepAll()), NewSet(keepAll(), 4)
-	if len(set) != 4 || set.Cap() != one.Cap() {
-		t.Fatalf("set of %d rings holds %d records, one ring %d", len(set), set.Cap(), one.Cap())
+	one, striped := NewRing(keepAll()), NewRing(Config{Records: 1 << 12, SampleAdmits: 1, Stripes: 4})
+	if striped.Cap() != one.Cap() {
+		t.Fatalf("four stripes hold %d records, one %d", striped.Cap(), one.Cap())
 	}
-	if n := len(NewSet(keepAll(), 3)); n != 2 {
-		t.Fatalf("NewSet(cfg, 3) built %d rings, want 2", n)
+	type placed struct {
+		rec    Record
+		stripe int
 	}
+	var recs []placed
 	for i := 0; i < 100; i++ {
 		ts, peer := sim.Time(i)*sim.Microsecond, int32(i%5)
-		for _, r := range []*Ring{one, set.Pick(i)} {
-			if i%3 == 0 {
-				r.Complete(ts, 0, peer, 1, VerdictSLOMiss, 0.5, 2, float64(i))
-			} else {
-				r.Decision(ts, 0, peer, 0, int8(i%2), VerdictAdmit, 0.9, 1)
-			}
+		rec := Record{TS: ts, PAdmit: 0.9, Peer: peer, SizeMTUs: 1, Class: int8(i % 2), Kind: KindDecision, Verdict: VerdictAdmit}
+		if i%3 == 0 {
+			rec = Record{TS: ts, PAdmit: 0.5, LatencyUS: float64(i), Peer: peer, SizeMTUs: 2,
+				Requested: 1, Class: 1, Kind: KindComplete, Verdict: VerdictSLOMiss}
 		}
+		recs = append(recs, placed{rec, i})
 	}
-	meta := Meta{Trigger: Trigger{Kind: TriggerManual, At: 100 * sim.Microsecond}, Label: "set"}
+	pair := Record{TS: 200 * sim.Microsecond, PAdmit: 1, Peer: 7, SizeMTUs: 1, Kind: KindDecision, Verdict: VerdictAdmit}
+	classed, bypass := pair, pair
+	classed.Class, bypass.Quota = 2, QuotaBypass
+	recs = append(recs, placed{pair, 3}, placed{classed, 0}, placed{pair, 3}, placed{bypass, 0})
+	for _, p := range recs {
+		put(one, 0, p.rec)
+		put(striped, p.stripe, p.rec)
+	}
+	meta := Meta{Trigger: Trigger{Kind: TriggerManual, At: 300 * sim.Microsecond}, Label: "stripes"}
 	var want, got bytes.Buffer
-	if err := one.Rings().Dump(&want, meta, false); err != nil {
+	if err := one.Dump(&want, meta, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := set.Dump(&got, meta, false); err != nil {
+	if err := striped.Dump(&got, meta, false); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("set dump differs from one ring's:\n%s\nwant:\n%s", got.Bytes(), want.Bytes())
+		t.Fatalf("striped dump differs from one stripe's:\n%s\nwant:\n%s", got.Bytes(), want.Bytes())
+	}
+}
+
+// TestRingCapMatchesRingSets pins a striped ring's capacity at what a set
+// of that many rings, each built from Records/Stripes, held: stripes
+// round down to a power of two (3 is 2), and each of a stripe's eight
+// shards holds a power of two, at least one record.
+func TestRingCapMatchesRingSets(t *testing.T) {
+	for _, c := range []struct{ records, stripes, want int }{
+		{0, 0, 16384}, {0, 4, 16384}, {1, 1, 8}, {1, 2, 16}, {1, 3, 16},
+		{7, 4, 32}, {8, 8, 64}, {15, 2, 16}, {15, 3, 16}, {23, 3, 32},
+		{23, 8, 64}, {100, 3, 128}, {1000, 5, 1024}, {16384, 3, 16384}, {1 << 16, 4, 1 << 16},
+	} {
+		if got := NewRing(Config{Records: c.records, Stripes: c.stripes}).Cap(); got != c.want {
+			t.Errorf("Records %d, Stripes %d: Cap %d, want %d", c.records, c.stripes, got, c.want)
+		}
 	}
 }
 
@@ -109,7 +146,7 @@ func TestRingWrapKeepsLatest(t *testing.T) {
 	var peers []int32
 	taken := map[*shard]bool{}
 	for p := int32(0); len(peers) < ringShards; p++ {
-		if sh := r.shardFor(0, p, 0); !taken[sh] {
+		if sh := r.shardFor(0, 0, p, 0); !taken[sh] {
 			taken[sh] = true
 			peers = append(peers, p)
 		}
@@ -322,12 +359,12 @@ func TestDumpWriteValidateRoundTrip(t *testing.T) {
 		Label:    "unit",
 		PeerName: func(p int32) string { return map[int32]string{1: "checkout"}[p] },
 	}
-	if err := r.Rings().Dump(&buf, meta, true); err != nil {
+	if err := r.Dump(&buf, meta, true); err != nil {
 		t.Fatal(err)
 	}
 	// Second dump on the same stream, post-reset.
 	r.Complete(6*sim.Microsecond, 0, 2, 1, VerdictSLOMet, 1, 1, 7)
-	if err := r.Rings().Dump(&buf, Meta{Trigger: Trigger{Kind: TriggerFinal, At: 7 * sim.Microsecond}}, false); err != nil {
+	if err := r.Dump(&buf, Meta{Trigger: Trigger{Kind: TriggerFinal, At: 7 * sim.Microsecond}}, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -377,7 +414,7 @@ func TestDumpPeerNameIsJSON(t *testing.T) {
 		Label:    peer,
 		PeerName: func(int32) string { return peer },
 	}
-	if err := r.Rings().Dump(&buf, meta, false); err != nil {
+	if err := r.Dump(&buf, meta, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ValidateDump(bytes.NewReader(buf.Bytes())); err != nil {
@@ -539,6 +576,119 @@ func FuzzFlightDump(f *testing.F) {
 			if (rec.PeerName == nil) != (want == "") || rec.PeerName != nil && *rec.PeerName != want {
 				t.Fatalf("record %d: peer name %q read back as %v", i, want, rec.PeerName)
 			}
+		}
+	})
+}
+
+// FuzzRing runs a byte program against a ring and a sequential model of
+// it. The first byte picks the stripes (1, 2 or 4), the sampling (1 in
+// 1, 2, 4 or 8) and two or four slots per shard, so programs lap shards
+// within a few records. Each following triple is one step: a decision
+// (admit, downgrade, drop or expired), a completion (met or missed), a
+// quota bypass, or a snapshot with or without reset, on a channel and a
+// stripe the triple names. A one-stripe ring is written through the
+// public methods, a striped one through put with the named stripe.
+// After every step the ring must hold what the model holds: per shard
+// (stripe p, channel hash h at p<<3 | h), the offered and sampled
+// counts, and the last cap kept records since the last reset.
+func FuzzRing(f *testing.F) {
+	lap := []byte{0}
+	for i := 0; i < 5; i++ {
+		lap = append(lap, 1, 9, 0) // drops, always kept, on one channel: a lap of its two slots and more
+	}
+	f.Add(lap)
+	f.Add([]byte{0, 1, 9, 0, 1, 9, 0, 1, 9, 0, 7, 0, 0, 1, 9, 0, 1, 9, 0})                      // reset mid-lap
+	f.Add([]byte{0, 1, 9, 0, 7, 0, 0, 1, 9, 0, 1, 9, 0, 1, 9, 0, 6, 0, 0, 1, 9, 0})             // reset, then a lap
+	f.Add([]byte{0x1e, 0, 9, 1, 0, 9, 2, 3, 9, 1, 4, 9, 2, 5, 9, 3, 2, 9, 0, 7, 0, 0, 6, 0, 0}) // four stripes, 1 in 8
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) == 0 {
+			return
+		}
+		stripes := 1 << min(prog[0]&3, 2)
+		cfg := Config{Records: stripes * ringShards * 2 << (prog[0] >> 4 & 1), SampleAdmits: 1 << (prog[0] >> 2 & 3), Stripes: stripes}
+		r := NewRing(cfg)
+		per := cfg.Records / stripes / ringShards
+		type modelShard struct {
+			offered, sampled uint64
+			kept             []Record
+		}
+		model := make([]modelShard, stripes*ringShards)
+		held := func() []Record {
+			var all []Record
+			for _, m := range model {
+				all = append(all, m.kept...)
+			}
+			sortRecords(all)
+			return all
+		}
+		check := func(step int, got []Record) {
+			t.Helper()
+			want := held()
+			if len(got) != len(want) {
+				t.Fatalf("step %d: ring holds %d records, model %d", step, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("step %d: record %d is %+v, model %+v", step, i, got[i], want[i])
+				}
+			}
+			var st Stats
+			for _, m := range model {
+				st.Offered += m.offered
+				st.SampledOut += m.sampled
+			}
+			if got := r.Stats(); got != st {
+				t.Fatalf("step %d: stats %+v, model %+v", step, got, st)
+			}
+		}
+		verdicts := []Verdict{VerdictAdmit, VerdictDowngrade, VerdictDrop, VerdictExpired}
+		for step, i := 0, 1; i+3 <= len(prog); step, i = step+1, i+3 {
+			op, ch, b := prog[i]%8, prog[i+1], prog[i+2]
+			if op >= 6 {
+				check(step, r.Snapshot(op == 7))
+				if op == 7 {
+					for j := range model {
+						model[j].kept = nil
+					}
+				}
+				continue
+			}
+			p, src, peer, class := int(b&7), int32(b>>3&1), int32(ch>>2&15), int8(ch&3)
+			rec := Record{TS: sim.Time(step/2) * sim.Microsecond, PAdmit: float64(ch) / 255, Src: src, Peer: peer,
+				SizeMTUs: int32(b>>4) + 1, Requested: class, Class: class, Kind: KindDecision}
+			switch {
+			case op <= 2:
+				rec.Verdict = verdicts[(int(ch)+int(op))%len(verdicts)]
+				if rec.Verdict != VerdictAdmit {
+					rec.Class = 2
+				}
+			case op <= 4:
+				rec.Kind, rec.Verdict, rec.LatencyUS = KindComplete, VerdictSLOMet, float64(b)
+				if op == 4 {
+					rec.Verdict = VerdictSLOMiss
+				}
+			default:
+				rec.PAdmit, rec.Verdict, rec.Quota = 1, VerdictAdmit, QuotaBypass
+			}
+			switch {
+			case stripes > 1:
+				put(r, p, rec)
+			case rec.Quota == QuotaBypass:
+				r.QuotaBypassDecision(rec.TS, src, peer, class, rec.SizeMTUs)
+			case rec.Kind == KindComplete:
+				r.Complete(rec.TS, src, peer, class, rec.Verdict, rec.PAdmit, rec.SizeMTUs, rec.LatencyUS)
+			default:
+				r.Decision(rec.TS, src, peer, class, rec.Class, rec.Verdict, rec.PAdmit, rec.SizeMTUs)
+			}
+			h := (uint64(uint32(src))<<20 ^ uint64(uint32(peer))<<4 ^ uint64(uint8(class))) * 0x9E3779B97F4A7C15
+			m := &model[(p&(stripes-1))<<3|int(h>>61)]
+			m.offered++
+			if sampled := rec.Verdict == VerdictAdmit && rec.Quota == QuotaNone || rec.Verdict == VerdictSLOMet; sampled && !r.sampleKeep(m.offered) {
+				m.sampled++
+			} else if m.kept = append(m.kept, rec); len(m.kept) > per {
+				m.kept = m.kept[1:]
+			}
+			check(step, r.Snapshot(false))
 		}
 	})
 }

@@ -267,7 +267,7 @@ func buildFaults(st *runState) error {
 // with the system name. Errors are latched into st.flightErr (callbacks
 // have nowhere to return them) and surfaced by runAndDrain.
 func (st *runState) flightDump(tr flight.Trigger, reset bool) {
-	err := st.flight.Rings().Dump(st.cfg.Obs.FlightNDJSON, flight.Meta{
+	err := st.flight.Dump(st.cfg.Obs.FlightNDJSON, flight.Meta{
 		Trigger: tr,
 		Label:   st.cfg.System.String(),
 	}, reset)

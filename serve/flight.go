@@ -16,22 +16,22 @@ import (
 	"aequitas/internal/obs/flight"
 )
 
-// FlightConfig configures the serving-side flight recorder: lock-free
-// rings holding the last N admission decisions and SLO observations, plus
+// FlightConfig configures the serving-side flight recorder: a lock-free
+// ring holding the last N admission decisions and SLO observations, plus
 // an optional anomaly engine that watches the SLO burn rate and the
-// minimum live admit probability and freezes the rings into one dump when an
+// minimum live admit probability and freezes the ring into a dump when an
 // incident signature appears.
 type FlightConfig struct {
-	// Records is the recorder's capacity (default 16384), shared by its
-	// rings: one per P stripe, up to GOMAXPROCS, each holding the records
-	// of the requests served on its stripe.
+	// Records is the ring's capacity (default 16384), shared by its P
+	// stripes (up to GOMAXPROCS), each holding the records of the
+	// requests served on its stripe.
 	Records int
 	// SampleAdmits keeps 1 in N admit / SLO-met records (default 8,
 	// values <= 1 keep everything). Downgrades, rejections and SLO misses
 	// are always kept.
 	SampleAdmits int
 	// Engine enables the anomaly engine with the given thresholds; nil
-	// leaves the rings recording passively (dump them via /debug/flight or
+	// leaves the ring recording passively (dump it via /debug/flight or
 	// DumpFlight).
 	Engine *flight.EngineConfig
 	// TickEvery is the minimum spacing between engine evaluations on the
@@ -45,11 +45,12 @@ type FlightConfig struct {
 	ProfileDir string
 }
 
-// flightState is the Admission layer's recorder: the ring set the
-// controller records into, the engine, and the most recent trigger dump.
+// flightState is the Admission layer's recorder: rings, the ring of P
+// stripes the controller records into, the engine, and the most recent
+// trigger dump.
 type flightState struct {
 	cfg   FlightConfig
-	rings flight.Set
+	rings *flight.Ring
 	eng   *flight.Engine
 
 	triggers atomic.Int64
@@ -68,7 +69,7 @@ type flightDump struct {
 func newFlightState(cfg FlightConfig) *flightState {
 	f := &flightState{
 		cfg:   cfg,
-		rings: flight.NewSet(flight.Config{Records: cfg.Records, SampleAdmits: cfg.SampleAdmits}, min(stripes, runtime.GOMAXPROCS(0))),
+		rings: flight.NewRing(flight.Config{Records: cfg.Records, SampleAdmits: cfg.SampleAdmits, Stripes: min(stripes, runtime.GOMAXPROCS(0))}),
 	}
 	if cfg.Engine != nil {
 		f.eng = flight.NewEngine(*cfg.Engine)
@@ -79,7 +80,7 @@ func newFlightState(cfg FlightConfig) *flightState {
 	return f
 }
 
-// fire freezes the rings into one NDJSON dump (resetting them, so the next
+// fire freezes the ring into one NDJSON dump (resetting it, so the next
 // incident starts clean), captures profiles when configured, and
 // publishes the capture as the latest dump. Only Admission.tick calls
 // it, one winner at a time.
@@ -107,8 +108,8 @@ func (f *flightState) fire(ctl *aequitas.AdmissionController, tr flight.Trigger)
 	f.last.Store(d)
 }
 
-// DumpFlight writes the rings' current contents to w as an
-// "aequitas.flight/v1" NDJSON dump without resetting them. It is the
+// DumpFlight writes the ring's current contents to w as an
+// "aequitas.flight/v1" NDJSON dump without resetting it. It is the
 // programmatic face of /debug/flight?format=ndjson — call it on shutdown
 // to preserve the black box.
 func (a *Admission) DumpFlight(w io.Writer, kind flight.TriggerKind, detail string) error {
@@ -178,7 +179,7 @@ type triggerStatus struct {
 }
 
 // serveFlight handles /debug/flight: trigger status as JSON by default,
-// the rings as one NDJSON dump with ?format=ndjson, and the last
+// the ring as one NDJSON dump with ?format=ndjson, and the last
 // trigger's frozen dump with ?format=ndjson&dump=last.
 func (a *Admission) serveFlight(w http.ResponseWriter, r *http.Request) {
 	if a.fl == nil {

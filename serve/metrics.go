@@ -11,9 +11,9 @@ import (
 	"time"
 
 	"aequitas"
-	"aequitas/internal/core"
 	"aequitas/internal/obs"
 	"aequitas/internal/obs/flight"
+	"aequitas/internal/proc"
 	"aequitas/internal/sim"
 	"aequitas/internal/stats"
 )
@@ -26,7 +26,7 @@ func classSlot(c aequitas.Class) int { return min(max(int(c), 0), maxClasses-1) 
 
 // stripes is the number of stripes the layer's per-request counters and
 // each class's completion window are spread over. A request writes the
-// stripe of the P its goroutine runs on (core.Proc), so requests on
+// stripe of the P its goroutine runs on (proc.ID), so requests on
 // different cores write different cache lines; readers sum or merge the
 // stripes. A stripe per peer would not do: every core serves every peer,
 // so each stripe's line would still move between them. A power of two
@@ -34,7 +34,7 @@ func classSlot(c aequitas.Class) int { return min(max(int(c), 0), maxClasses-1) 
 const stripes = 4
 
 // stripe is the calling goroutine's stripe.
-func stripe() int { return core.Proc() & (stripes - 1) }
+func stripe() int { return proc.ID() & (stripes - 1) }
 
 // completions is the completion aggregator: everything the layer learns
 // from a finished request, kept per class in stripes, each under its own
@@ -286,7 +286,7 @@ func (a *Admission) Snapshot() *obs.Snapshot {
 // Prometheus text on /metrics and the JSON document on /snapshot, both
 // built fresh per scrape so the serving path never pays for them; pprof
 // under /debug/pprof/; and the flight recorder on /debug/flight (trigger
-// status as JSON; the rings as one NDJSON dump with ?format=ndjson).
+// status as JSON; the ring as one NDJSON dump with ?format=ndjson).
 func (a *Admission) Handler() http.Handler {
 	mux := http.NewServeMux()
 	// A render can only fail writing to the scraper, whose connection is
