@@ -36,7 +36,7 @@
 //
 // The server carries a flight recorder (-flight): the last N admission
 // decisions ride in a lock-free ring, the burn-rate anomaly engine (and
-// every brownout escalation) freezes it into an NDJSON dump, and
+// every brownout escalation) dumps it as NDJSON, and
 // /debug/flight serves the trigger status and dumps. On SIGINT/SIGTERM
 // the server shuts down gracefully — in-flight requests drain and a final
 // flight dump is written.

@@ -52,9 +52,8 @@ func WriteDump(w io.Writer, meta Meta, recs []Record, st Stats) error {
 	b = strconv.AppendUint(b, st.Offered, 10)
 	b = append(b, `,"sampled_out":`...)
 	b = strconv.AppendUint(b, st.SampledOut, 10)
-	b = append(b, `,"dropped_frozen":`...)
-	b = strconv.AppendUint(b, st.DroppedFrozen, 10)
-	b = append(b, '}', '\n')
+	// A dump drops no record; v1 readers still expect the field.
+	b = append(b, `,"dropped_frozen":0}`+"\n"...)
 	if _, err := bw.Write(b); err != nil {
 		return err
 	}
@@ -294,9 +293,9 @@ func Summarize(r io.Reader) (*Summary, error) {
 }
 
 // Dump snapshots the ring and writes one dump of every record it holds,
-// headed by its counters — the freeze, gather, render sequence every
-// trigger path shares. With reset true the ring restarts empty
-// afterwards, so consecutive dumps partition the timeline.
+// headed by its counters — the gather, render sequence every trigger path
+// shares. With reset true the ring restarts empty afterwards, so
+// consecutive dumps partition the timeline.
 func (r *Ring) Dump(w io.Writer, meta Meta, reset bool) error {
 	if r == nil || w == nil {
 		return nil

@@ -4,19 +4,21 @@
 // and every SLO observation (measured latency, met/missed) into a
 // lock-free sharded ring buffer, so that when an anomaly engine trigger
 // fires — SLO burn rate, a collapsing p_admit, a fault window — the last
-// N decisions can be frozen and dumped as schema-tagged NDJSON
+// N decisions can be dumped as schema-tagged NDJSON
 // ("aequitas.flight/v1") for offline diagnosis.
 //
 // The record path is allocation-free and lock-free. The ring is a grid of
 // shards, Config.Stripes P stripes by 8 channel-hash shards: a writer
 // takes the stripe of the scheduler P it runs on (none to look up with
 // one stripe) and the shard its admission channel hashes to, claims a
-// slot with one atomic add on that shard's cursor, and writes the
-// fixed-size Record in place. Writers on different cores thus claim slots
-// on different cursors, and a dump freezes every shard at once, so it is
-// one cut in time. A nil *Ring disables recording with a single pointer
-// check, which is the zero-overhead path the controller's admit fast path
-// relies on.
+// slot on that shard's cursor, takes it by a compare-and-swap of its
+// commit word, and writes the fixed-size Record in place. A dump reads
+// every cursor in one pass, a cut per shard rather than one instant, and
+// copies each slot claimed before it once committed, keeping the copy if
+// the commit word is unchanged after it: a dump waits for writers, never
+// the reverse, and loses no record. A nil *Ring disables recording with
+// a single pointer check, which is the zero-overhead path the
+// controller's admit fast path relies on.
 //
 // Adaptive sampling keeps the interesting records: downgrades, drops and
 // SLO misses are always retained, while admits and SLO-met completions are
@@ -140,15 +142,14 @@ type Record struct {
 }
 
 // Stats counts the ring's activity since creation; a resetting
-// snapshot empties the ring but keeps the counts.
+// snapshot empties the ring but keeps the counts. Every record offered
+// and not sampled out is kept until a resetting snapshot returns it or a
+// later record of its shard evicts it: a snapshot drops none.
 type Stats struct {
 	// Offered is the number of records presented to the ring.
 	Offered uint64
 	// SampledOut counts admit/SLO-met records skipped by sampling.
 	SampledOut uint64
-	// DroppedFrozen counts records that arrived while a dump was freezing
-	// the ring and were discarded.
-	DroppedFrozen uint64
 }
 
 // Config parameterises a Ring.
@@ -187,20 +188,22 @@ type shard struct {
 	seq     atomic.Uint64 // next slot ordinal within this shard
 	offered atomic.Uint64 // records presented (drives sampling)
 	sampled atomic.Uint64 // records skipped by sampling
-	dropped atomic.Uint64 // records discarded during a freeze
-	active  atomic.Int64  // writers currently inside push
 	// start is seq at the last resetting snapshot: a snapshot reads no
 	// slot claimed before it. Only snapshots touch it, under snapMu.
 	start uint64
-	_     [16]byte
+	_     [32]byte
 
 	recs []Record
-	// commit[i] holds seq+1 of the last completed write to recs[i], with
-	// release semantics: a reader that observes the commit value observes
-	// the record's fields. A commit value is never reused.
+	// commit[i] orders every state recs[i] passes through, so that one
+	// comparison tells where the slot stands: 0 before its first write,
+	// busy(s) while the writer of ordinal s holds it, done(s) once s's
+	// record is written. A value is never reused.
 	commit []atomic.Uint64
 	_      [16]byte
 }
+
+func busy(s uint64) uint64 { return 2*s + 1 }
+func done(s uint64) uint64 { return 2*s + 2 }
 
 // Ring is the flight recorder's storage. All methods are safe for
 // concurrent use; a nil *Ring is the disabled recorder and every method
@@ -212,10 +215,7 @@ type Ring struct {
 	stripeMask int    // stripes - 1
 	slotMask   uint64 // per-shard capacity - 1
 	sampleMask uint64 // keep admits when hash(offered) & sampleMask == 0
-	frozen     atomic.Bool
-	// snapMu serializes snapshots: without it, the first of two concurrent
-	// snapshots to finish would unfreeze the ring while the other is still
-	// copying (or moving the shards' start).
+	// snapMu serializes snapshots, which read and move the shards' start.
 	snapMu sync.Mutex
 }
 
@@ -302,36 +302,23 @@ func (r *Ring) offer(p int, src, peer int32, class int8, sampled bool) *shard {
 	return sh
 }
 
-// push claims a slot on sh and writes rec into it. Writers register in
-// sh.active before checking the freeze flag, so a freezer that has set
-// frozen and seen active==0 knows no writer is mid-slot.
+// push claims a slot on sh and writes rec into it.
 func (r *Ring) push(sh *shard, rec Record) {
-	sh.active.Add(1)
-	if r.frozen.Load() {
-		sh.dropped.Add(1)
-		sh.active.Add(-1)
-		return
-	}
 	seq := sh.seq.Add(1) - 1
 	i := seq & r.slotMask
-	// Wait for the previous lap's write to this slot to commit before
-	// overwriting it: two writers a full lap apart would otherwise touch
-	// the slot concurrently (reachable when a writer is descheduled while
-	// the ring wraps). Every claimed seq is committed — a frozen writer
-	// bails before claiming — and each writer waits only on a strictly
-	// smaller seq, so the wait chain always bottoms out on a committed
-	// slot. In the common case the slot committed a lap ago and the loop
-	// is a single load, exactly what the fast path paid before.
-	want := uint64(0)
+	// Take the slot once the previous lap's writer has committed it (it
+	// may be descheduled while the ring wraps). Every claimed seq commits
+	// and each writer waits only on a smaller one, so the wait ends; the
+	// slot is usually a lap old and the first compare-and-swap takes it.
+	prev := uint64(0)
 	if seq > r.slotMask {
-		want = seq - r.slotMask // previous lap's commit value: (seq-cap)+1
+		prev = done(seq - r.slotMask - 1)
 	}
-	for sh.commit[i].Load() != want {
+	for !sh.commit[i].CompareAndSwap(prev, busy(seq)) {
 		runtime.Gosched()
 	}
 	sh.recs[i] = rec
-	sh.commit[i].Store(seq + 1)
-	sh.active.Add(-1)
+	sh.commit[i].Store(done(seq))
 }
 
 // Decision records one admission decision. v must be VerdictAdmit,
@@ -388,59 +375,69 @@ func (r *Ring) Stats() Stats {
 		sh := &r.shards[i]
 		st.Offered += sh.offered.Load()
 		st.SampledOut += sh.sampled.Load()
-		st.DroppedFrozen += sh.dropped.Load()
 	}
 	return st
 }
 
-// freeze stops writers and waits until none is mid-slot.
-func (r *Ring) freeze() {
-	r.frozen.Store(true)
-	for i := range r.shards {
-		for r.shards[i].active.Load() != 0 {
-			// Writers between active.Add(1) and active.Add(-1) hold the
-			// slot for a handful of instructions, but one may be
-			// descheduled inside that window — yield rather than burn a
-			// core until it runs again.
-			runtime.Gosched()
-		}
-	}
-}
-
-// Snapshot freezes every shard, copies out each committed record claimed
-// since the last reset, unfreezes, and sorts the copy (sortRecords). With
-// reset true the ring restarts empty, so consecutive dumps partition the
-// timeline: each shard's start moves to its cursor, and no slot is
-// written. Records that arrive during the freeze are counted in
-// Stats.DroppedFrozen.
+// Snapshot copies out every record claimed since the last reset and not
+// yet evicted, and sorts the copy (sortRecords). It reads every shard's
+// cursor in one pass, and that cut bounds what it returns: it waits for
+// each slot claimed before the cut to be written, and skips one that a
+// later lap has taken. Writers never wait for it. With reset true the
+// ring restarts empty at the cut, so consecutive resetting snapshots
+// partition each shard's timeline, and no slot is written.
 func (r *Ring) Snapshot(reset bool) []Record {
 	if r == nil {
 		return nil
 	}
 	var out []Record
 	r.snapMu.Lock()
-	r.freeze()
+	cut := make([]uint64, len(r.shards))
 	for si := range r.shards {
+		cut[si] = r.shards[si].seq.Load()
+	}
+	for si, end := range cut {
 		sh := &r.shards[si]
-		seq, from := sh.seq.Load(), sh.start
-		if n := r.slotMask + 1; seq-from > n {
-			from = seq - n
-		}
-		for s := from; s < seq; s++ {
-			i := s & r.slotMask
-			if sh.commit[i].Load() == s+1 {
-				out = append(out, sh.recs[i])
+		for s := max(sh.start, end-min(end, r.slotMask+1)); s < end; s++ {
+			if rec, ok := r.read(sh, s, copyRecord); ok {
+				out = append(out, rec)
 			}
 		}
 		if reset {
-			sh.start = seq
+			sh.start = end
 		}
 	}
-	r.frozen.Store(false)
 	r.snapMu.Unlock()
 	sortRecords(out)
 	return out
 }
+
+// read copies the record of ordinal s with cp and reports whether the
+// copy is s's record: it waits while s's writer, or an earlier lap's,
+// still has the slot to write, and reports false once a later lap has
+// taken it, before the copy or during it.
+func (r *Ring) read(sh *shard, s uint64, cp func(*Record) Record) (Record, bool) {
+	c := &sh.commit[s&r.slotMask]
+	for c.Load() < done(s) {
+		runtime.Gosched()
+	}
+	if c.Load() != done(s) {
+		return Record{}, false
+	}
+	rec := cp(&sh.recs[s&r.slotMask])
+	// A read-modify-write, not a load, as a weakly ordered CPU (arm64)
+	// needs: a writer lapping the slot takes it by one too, so either
+	// this one comes first and orders the copy before that writer's
+	// stores, or it fails. After a plain load the copy could still read
+	// the next lap's record.
+	return rec, c.CompareAndSwap(done(s), done(s))
+}
+
+// copyRecord copies a slot a lapping writer may be writing, which read
+// detects, so the race detector need not watch it.
+//
+//go:norace
+func copyRecord(src *Record) Record { return *src }
 
 // sortRecords orders a snapshot for dumping: primary by timestamp so the
 // dump reads chronologically, with every other field as a tiebreak so the

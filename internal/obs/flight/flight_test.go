@@ -3,10 +3,14 @@ package flight
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"aequitas/internal/sim"
@@ -250,6 +254,64 @@ func TestRecordPathNoAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkRingRecord times the record path from parallel goroutines: a
+// kept downgrade and a sampled-out admit, on one stripe and on one stripe
+// per P, and a kept downgrade while another goroutine takes resetting
+// snapshots throughout. lost/op counts the records offered, not sampled
+// out and never written to a slot.
+func BenchmarkRingRecord(b *testing.B) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct {
+		name     string
+		stripes  int
+		verdict  Verdict
+		snapshot bool
+	}{
+		{"stripes=1/downgrade", 1, VerdictDowngrade, false},
+		{"stripes=1/admit", 1, VerdictAdmit, false},
+		{"stripes=P/downgrade", procs, VerdictDowngrade, false},
+		{"stripes=P/admit", procs, VerdictAdmit, false},
+		{"stripes=P/downgrade/snapshots", procs, VerdictDowngrade, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			r := NewRing(Config{Stripes: c.stripes})
+			got := int8(0)
+			if c.verdict == VerdictDowngrade {
+				got = 2
+			}
+			stop, stopped := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(stopped)
+				for c.snapshot {
+					select {
+					case <-stop:
+						return
+					default:
+						r.Snapshot(true)
+					}
+				}
+			}()
+			var writers atomic.Int32
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				src := writers.Add(1)
+				for i := int32(0); pb.Next(); i++ {
+					r.Decision(sim.Time(i), src, i&63, 0, got, c.verdict, 0.5, 1)
+				}
+			})
+			b.StopTimer()
+			close(stop)
+			<-stopped
+			st := r.Stats()
+			lost := st.Offered - st.SampledOut
+			for i := range r.shards {
+				lost -= r.shards[i].seq.Load()
+			}
+			b.ReportMetric(float64(lost)/float64(b.N), "lost/op")
+		})
+	}
+}
+
 // TestShardLayout: a shard fills two whole cache lines, its counters the
 // first and its slice headers the second, so the headers a push reads
 // never share a line with the neighbouring shard's counters.
@@ -259,54 +321,75 @@ func TestShardLayout(t *testing.T) {
 	}
 }
 
-// TestRingConcurrent exercises concurrent recorders against concurrent
-// snapshots under -race. The ring is sized far above the written volume
-// so no writer can lap another.
+// TestRingConcurrent records from eight goroutines, half of the records
+// subject to sampling, while a ninth snapshots the ring, resetting it on
+// every other snapshot, at 1-in-1 and 1-in-8 sampling: every record
+// offered is sampled out or returned by exactly one resetting snapshot
+// (the last one included). The ring is sized far above the written
+// volume, so no writer laps another.
 func TestRingConcurrent(t *testing.T) {
-	r := NewRing(Config{Records: 1 << 16, SampleAdmits: 1})
-	const writers = 8
-	const perWriter = 2000
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				r.Decision(sim.Time(i), int32(w), int32(i%9), 0, 0, VerdictDowngrade, 0.4, 1)
-				if i%3 == 0 {
-					r.Complete(sim.Time(i), int32(w), int32(i%9), 0, VerdictSLOMiss, 0.39, 1, 5)
+	for _, sample := range []int{1, 8} {
+		r := NewRing(Config{Records: 1 << 16, SampleAdmits: sample})
+		const writers = 8
+		const perWriter = 2000
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					v := VerdictDowngrade
+					if i%2 == 0 {
+						v = VerdictAdmit
+					}
+					r.Decision(sim.Time(i), int32(w), int32(i%9), 0, 0, v, 0.4, 1)
+					if i%3 == 0 {
+						r.Complete(sim.Time(i), int32(w), int32(i%9), 0, VerdictSLOMet+Verdict(i%2), 0.39, 1, 5)
+					}
+				}
+			}(w)
+		}
+		var kept int
+		snapped := make(chan struct{})
+		go func() {
+			defer close(snapped)
+			for i := 0; i < 50; i++ {
+				if recs := r.Snapshot(i%2 == 0); i%2 == 0 {
+					kept += len(recs)
 				}
 			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			_ = r.Snapshot(false)
+		}()
+		wg.Wait()
+		<-snapped
+		kept += len(r.Snapshot(true))
+		st := r.Stats()
+		want := uint64(writers * (perWriter + (perWriter+2)/3))
+		if st.Offered != want {
+			t.Fatalf("1 in %d: offered = %d, want %d", sample, st.Offered, want)
 		}
-	}()
-	wg.Wait()
-	<-done
-	st := r.Stats()
-	want := uint64(writers * (perWriter + (perWriter+2)/3))
-	if st.Offered != want {
-		t.Fatalf("offered = %d, want %d", st.Offered, want)
-	}
-	// Every record either landed, was sampled out (none: SampleAdmits 1,
-	// all anomalous), or arrived during a freeze.
-	recs := r.Snapshot(false)
-	if uint64(len(recs))+st.DroppedFrozen != want {
-		t.Fatalf("records %d + dropped %d != offered %d", len(recs), st.DroppedFrozen, want)
+		if uint64(kept)+st.SampledOut != want {
+			t.Fatalf("1 in %d: %d records kept + %d sampled out != %d offered", sample, kept, st.SampledOut, want)
+		}
+		if (st.SampledOut == 0) != (sample == 1) {
+			t.Fatalf("1-in-%d sampling skipped %d records", sample, st.SampledOut)
+		}
 	}
 }
 
-// TestRingConcurrentSnapshots pins the fix for snapshots racing each
-// other: /debug/flight can be hit from several HTTP requests while the
-// anomaly engine fires, so Snapshot must serialize internally — without
-// that, the first snapshot to finish unfreezes the ring while another is
-// still copying (or resetting seq, letting two writers claim one slot;
-// formerly a confirmed -race failure).
+// counted is the record a writer in TestRingConcurrentSnapshots writes for
+// counter v: every field is a function of v, so a record that mixes two
+// writes shows it.
+func counted(v uint64) Record {
+	return Record{TS: sim.Time(v), PAdmit: float64(v%1024) / 1024, LatencyUS: float64(v), Src: int32(v >> 32),
+		Peer: int32(v % 9), SizeMTUs: int32(v), Requested: int8(v % 3), Class: int8(v % 3),
+		Kind: KindComplete, Verdict: VerdictSLOMiss}
+}
+
+// TestRingConcurrentSnapshots runs snapshots against each other and
+// against writers that lap a small ring many times over, as
+// /debug/flight can be hit from several HTTP requests while the anomaly
+// engine fires: every record a snapshot returns must be one a writer
+// wrote, never a slot copied while a lapping writer rewrote it.
 func TestRingConcurrentSnapshots(t *testing.T) {
 	r := NewRing(Config{Records: 1 << 8, SampleAdmits: 1})
 	const writers = 4
@@ -316,13 +399,14 @@ func TestRingConcurrentSnapshots(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
+			for i := uint64(0); ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				r.Decision(sim.Time(i), int32(w), int32(i%9), 0, 0, VerdictDowngrade, 0.4, 1)
+				rec := counted(uint64(w)<<32 | i)
+				r.Complete(rec.TS, rec.Src, rec.Peer, rec.Class, rec.Verdict, rec.PAdmit, rec.SizeMTUs, rec.LatencyUS)
 			}
 		}(w)
 	}
@@ -332,17 +416,64 @@ func TestRingConcurrentSnapshots(t *testing.T) {
 		go func(s int) {
 			defer sg.Done()
 			for i := 0; i < 100; i++ {
-				_ = r.Snapshot(s%2 == 0)
+				for _, rec := range r.Snapshot(s%2 == 0) {
+					if want := counted(uint64(rec.TS)); rec != want {
+						t.Errorf("torn record %+v, written as %+v", rec, want)
+						return
+					}
+				}
 			}
 		}(s)
 	}
 	sg.Wait()
 	close(stop)
 	wg.Wait()
-	// The ring must still be coherent after the churn: a quiescent
-	// snapshot holds at most one record per slot.
 	if got, c := len(r.Snapshot(false)), r.Cap(); got > c {
 		t.Fatalf("quiescent snapshot holds %d records, capacity %d", got, c)
+	}
+}
+
+// TestSnapshotReadsByCommit drives the reader through the two slot states
+// only a concurrent writer produces. A slot claimed before the cut but
+// not yet written is waited for, while writers to other slots go on, and
+// then returned. A slot that a lapping writer takes during the copy is
+// skipped.
+func TestSnapshotReadsByCommit(t *testing.T) {
+	r := NewRing(Config{Records: ringShards, SampleAdmits: 1}) // one slot per shard
+	rec := Record{TS: 1, PAdmit: 0.5, Peer: 3, SizeMTUs: 1, Class: 2, Kind: KindDecision, Verdict: VerdictDowngrade}
+	sh := r.shardFor(0, rec.Src, rec.Peer, rec.Requested)
+	seq := sh.seq.Add(1) - 1
+	sh.commit[0].Store(busy(seq))
+	got := make(chan []Record)
+	go func() { got <- r.Snapshot(true) }()
+	other := rec
+	for other.Peer++; r.shardFor(0, other.Src, other.Peer, other.Requested) == sh; other.Peer++ {
+	}
+	select {
+	case recs := <-got:
+		t.Fatalf("snapshot returned %+v before the claimed slot was written", recs)
+	case <-time.After(20 * time.Millisecond):
+	}
+	put(r, 0, other) // a writer on another shard does not wait for the snapshot
+	sh.recs[0] = rec
+	sh.commit[0].Store(done(seq))
+	if recs := <-got; !slices.Contains(recs, rec) {
+		t.Fatalf("snapshot %+v misses the record written after its cut", recs)
+	}
+
+	put(r, 0, rec)
+	next := rec
+	next.TS = 2
+	lapping := func(src *Record) Record {
+		copied := *src
+		put(r, 0, next)
+		return copied
+	}
+	if copied, ok := r.read(sh, seq+1, lapping); ok {
+		t.Fatalf("kept %+v, copied while the next lap took its slot", copied)
+	}
+	if recs := r.Snapshot(false); !slices.Contains(recs, next) || slices.Contains(recs, rec) {
+		t.Fatalf("snapshot after the lap holds %+v, want the lapping record only", recs)
 	}
 }
 
@@ -547,8 +678,8 @@ func FuzzFlightDump(f *testing.F) {
 			}
 			recs = append(recs, rec)
 		}
-		st := Stats{SampledOut: uint64(len(data)), DroppedFrozen: uint64(len(data) % 7)}
-		st.Offered = uint64(len(recs)) + st.SampledOut + st.DroppedFrozen
+		st := Stats{SampledOut: uint64(len(data))}
+		st.Offered = uint64(len(recs)) + st.SampledOut + uint64(len(data)%7)
 		// Peer names, detail and label are the input's own bytes, as a peer
 		// name from a request can be anything.
 		name := func(p int32) string { return string(data[int(p)%(len(data)+1):]) }

@@ -161,7 +161,7 @@ func TestChaosOverloadDrill(t *testing.T) {
 			StepUpAfter:      1,
 			StepDownAfter:    2,
 		},
-		Flight: &FlightConfig{Records: 4096},
+		Flight: &FlightConfig{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +275,7 @@ func TestChaosServeWallClockSmoke(t *testing.T) {
 			LatencyThreshold: 2 * time.Millisecond,
 			Window:           50 * time.Millisecond,
 		},
-		Flight: &FlightConfig{Records: 1024, Engine: &flight.EngineConfig{}},
+		Flight: &FlightConfig{Engine: &flight.EngineConfig{}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -17,15 +17,12 @@ import (
 )
 
 // FlightConfig configures the serving-side flight recorder: a lock-free
-// ring holding the last N admission decisions and SLO observations, plus
-// an optional anomaly engine that watches the SLO burn rate and the
-// minimum live admit probability and freezes the ring into a dump when an
-// incident signature appears.
+// ring holding the last 16384 admission decisions and SLO observations,
+// shared by its P stripes (up to GOMAXPROCS), each holding the records of
+// the requests served on its stripe, plus an optional anomaly engine that
+// watches the SLO burn rate and the minimum live admit probability and
+// dumps the ring when an incident signature appears.
 type FlightConfig struct {
-	// Records is the ring's capacity (default 16384), shared by its P
-	// stripes (up to GOMAXPROCS), each holding the records of the
-	// requests served on its stripe.
-	Records int
 	// SampleAdmits keeps 1 in N admit / SLO-met records (default 8,
 	// values <= 1 keep everything). Downgrades, rejections and SLO misses
 	// are always kept.
@@ -69,7 +66,7 @@ type flightDump struct {
 func newFlightState(cfg FlightConfig) *flightState {
 	f := &flightState{
 		cfg:   cfg,
-		rings: flight.NewRing(flight.Config{Records: cfg.Records, SampleAdmits: cfg.SampleAdmits, Stripes: min(stripes, runtime.GOMAXPROCS(0))}),
+		rings: flight.NewRing(flight.Config{SampleAdmits: cfg.SampleAdmits, Stripes: min(stripes, runtime.GOMAXPROCS(0))}),
 	}
 	if cfg.Engine != nil {
 		f.eng = flight.NewEngine(*cfg.Engine)
@@ -80,7 +77,7 @@ func newFlightState(cfg FlightConfig) *flightState {
 	return f
 }
 
-// fire freezes the ring into one NDJSON dump (resetting it, so the next
+// fire writes the ring as one NDJSON dump (resetting it, so the next
 // incident starts clean), captures profiles when configured, and
 // publishes the capture as the latest dump. Only Admission.tick calls
 // it, one winner at a time.

@@ -28,7 +28,6 @@ func httpOK() http.Handler {
 // tiny windows, an effectively-zero SLO budget, and no tick throttling.
 func overloadFlightConfig(dir string) *FlightConfig {
 	return &FlightConfig{
-		Records:      1 << 12,
 		SampleAdmits: 1,
 		TickEvery:    time.Microsecond,
 		ProfileDir:   dir,
@@ -43,7 +42,7 @@ func overloadFlightConfig(dir string) *FlightConfig {
 
 // TestServeFlightBurnRateTrigger is the serving-side acceptance check:
 // synthetic overload against an unmeetable SLO must fire the burn-rate
-// trigger, freeze the ring into a dump, capture profiles, and surface it
+// trigger, dump the ring, capture profiles, and surface it
 // all at /debug/flight.
 func TestServeFlightBurnRateTrigger(t *testing.T) {
 	dir := t.TempDir()

@@ -190,7 +190,7 @@ func (a *Admission) tick(now sim.Time) {
 	if c.window > 0 && now-c.lastEval >= sim.Time(c.window) {
 		c.lastEval = now
 		if from, to := a.bo.evaluate(c.closeWindow()); to > from && a.fl != nil {
-			// Level-ups are incidents: freeze the ring so the decisions
+			// Level-ups are incidents: dump the ring so the decisions
 			// that preceded the escalation are preserved.
 			a.fl.fire(a.ctl, flight.Trigger{
 				Kind: flight.TriggerBrownout,

@@ -108,7 +108,6 @@ func runScript(t *testing.T, viaHTTP, reject bool) scriptRun {
 			StepDownAfter:    1,
 		},
 		Flight: &FlightConfig{
-			Records:      1 << 10,
 			SampleAdmits: 1,
 			Engine:       &flight.EngineConfig{MinSamples: 1, SLOBudget: 0.001},
 		},

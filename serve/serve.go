@@ -20,7 +20,7 @@
 // completion per period wins an election on that same now; after
 // releasing every lock a request or a /metrics scrape needs, the winner
 // closes the brownout window, steps the ladder, ticks the anomaly engine
-// and freezes any incident dump.
+// and takes any incident dump.
 //
 // The package is intentionally dependency-free: the interceptor types
 // mirror google.golang.org/grpc's unary server interceptor signature so a
@@ -84,7 +84,7 @@ type Config struct {
 	RejectDowngraded bool
 	// Flight enables the flight recorder: the controller's decisions and
 	// observations land in a lock-free ring, dumpable at /debug/flight
-	// and frozen automatically when Flight.Engine detects an SLO burn or
+	// and dumped automatically when Flight.Engine detects an SLO burn or
 	// admission collapse.
 	Flight *FlightConfig
 	// DecisionLog, when set, receives every admission verdict after it is
