@@ -151,6 +151,35 @@ func TestNoOpFaultPlanChangesNoOutcome(t *testing.T) {
 	}
 }
 
+// TestWeightScalingChangesNothing: WFQ serves classes by the ratios of
+// their weights, so multiplying every weight by one factor must leave
+// each outcome of a run as it was. The factors are powers of two, which
+// scale a float64 exactly.
+func TestWeightScalingChangesNothing(t *testing.T) {
+	for _, sys := range []System{SystemBaseline, SystemAequitas} {
+		t.Run(sys.String(), func(t *testing.T) {
+			run := func(scale float64) string {
+				cfg := smallCluster(sys, 5)
+				cfg.Duration, cfg.Warmup = 2*time.Millisecond, 500*time.Microsecond
+				for i := range cfg.QoSWeights {
+					cfg.QoSWeights[i] *= scale
+				}
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return formatDigest(res)
+			}
+			want := run(1)
+			for _, scale := range []float64{2, 0.5, 4} {
+				if got := run(scale); got != want {
+					t.Errorf("weights ×%v:\n got %s\nwant %s", scale, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestFaultRecoveryConvergence is the figure's claim as a regression test,
 // on a smaller fabric: after a link flap and after a host crash/restart,
 // the Aequitas probe's p_admit toward the faulted host must come back

@@ -31,8 +31,7 @@ type Options struct {
 }
 
 // Figure is one regenerable experiment. Configs lists its simulations; it
-// is nil for the analytic and fleet figures, which compute their rows in
-// Report. Report writes the figure to w from the results of Configs(o),
+// is nil for the analytic figures, which compute their rows in Report. Report writes the figure to w from the results of Configs(o),
 // in order.
 type Figure struct {
 	ID, Desc string
@@ -57,10 +56,7 @@ var All = []Figure{
 	{"21", "large scale, production sizes, extreme burst", largeScaleConfigs, figLargeScale},
 	{"22", "comparison with pFabric, QJump, D3, PDQ, Homa", relatedWorkConfigs, figRelatedWork},
 	{"23", "testbed reproduction: 20 nodes, 8:4:1, QoS-mix convergence", testbedConfigs, figTestbed},
-	{"24", "Phase 1 fleet deployment: misalignment before and after", nil, figProduction},
 	{"28", "beta sensitivity: Fig 17/18 with beta=0.0015", betaConfigs, figBetaSensitivity},
-	{"4", "priority/QoS misalignment under coarse marking", nil, figMisalignment},
-	{"5", "race to the top: QoS distribution drift over time", nil, figRaceToTop},
 	{"8", "theoretical 2-QoS worst-case delay, phi=4, mu=0.8, rho=1.2", nil, figTheory2QoS},
 	{"9", "3-QoS fluid worst-case delay, weights 8:4:1 and 50:4:1", nil, figTheory3QoS},
 	{"ablation", "design ablations: window, size-scaled MD, floor, drop", ablationConfigs, figAblations},

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 )
@@ -22,6 +23,18 @@ func TestCatalogueSorted(t *testing.T) {
 	}
 }
 
+// forEachDoc calls check with the text of each top-level document named.
+func forEachDoc(t *testing.T, check func(doc string, text []byte), docs ...string) {
+	t.Helper()
+	for _, doc := range docs {
+		text, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(doc, text)
+	}
+}
+
 // TestDocsCiteCatalogueFigures: every `-fig <id>` the top-level documents
 // cite is `all` or a figure of the catalogue, so a deleted figure cannot
 // linger in them.
@@ -31,17 +44,31 @@ func TestDocsCiteCatalogueFigures(t *testing.T) {
 		ids[f.ID] = true
 	}
 	cite := regexp.MustCompile(`-fig (\w+)`)
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
-		text, err := os.ReadFile(filepath.Join("..", "..", doc))
-		if err != nil {
-			t.Fatal(err)
-		}
+	forEachDoc(t, func(doc string, text []byte) {
 		for _, m := range cite.FindAllSubmatch(text, -1) {
 			if !ids[string(m[1])] {
 				t.Errorf("%s cites -fig %s, which is not in the catalogue", doc, m[1])
 			}
 		}
-	}
+	}, "README.md", "DESIGN.md", "EXPERIMENTS.md")
+}
+
+// TestDocsCitePathsThatExist: every in-repo path README.md and DESIGN.md
+// cite exists, so a deleted package or file cannot linger in them. A
+// `:line` suffix is dropped, and a trailing `.Name` reads as the package
+// (`internal/stats.Hist` is `internal/stats`). EXPERIMENTS.md is left
+// out: its profiles name packages of the Go runtime.
+func TestDocsCitePathsThatExist(t *testing.T) {
+	cite := regexp.MustCompile(`(?:^|[^\w./-])((?:internal|cmd|serve|benchmark|scripts)/[\w./-]*)`)
+	ident := regexp.MustCompile(`\.[A-Z]\w*$`)
+	forEachDoc(t, func(doc string, text []byte) {
+		for _, m := range cite.FindAllSubmatch(text, -1) {
+			path := ident.ReplaceAllString(strings.TrimRight(string(m[1]), "."), "")
+			if _, err := os.Stat(filepath.Join("..", "..", path)); err != nil {
+				t.Errorf("%s cites %s, which does not exist", doc, m[1])
+			}
+		}
+	}, "README.md", "DESIGN.md")
 }
 
 func TestRenderEveryFigure(t *testing.T) {

@@ -68,35 +68,6 @@ func MapQoSToPriority(c Class) Priority { return Priority(c) }
 // Weights holds WFQ weights per QoS class, index 0 = highest class.
 type Weights []float64
 
-// StandardWeights2 and StandardWeights3 are the weights used in the paper's
-// experiments: 4:1 for two levels and 8:4:1 for three.
-func StandardWeights2() Weights { return Weights{4, 1} }
-func StandardWeights3() Weights { return Weights{8, 4, 1} }
-
-// Levels reports the number of QoS classes.
-func (w Weights) Levels() int { return len(w) }
-
-// Lowest returns the scavenger class (largest index).
-func (w Weights) Lowest() Class { return Class(len(w) - 1) }
-
-// Sum returns the total weight.
-func (w Weights) Sum() float64 {
-	var s float64
-	for _, x := range w {
-		s += x
-	}
-	return s
-}
-
-// Share returns class i's guaranteed bandwidth fraction φi/Σφ (the gi/r of
-// Table 1).
-func (w Weights) Share(i Class) float64 {
-	if int(i) < 0 || int(i) >= len(w) {
-		return 0
-	}
-	return w[i] / w.Sum()
-}
-
 // Validate reports an error unless every weight is positive and weights are
 // non-increasing from class 0 (higher class must not have a smaller weight
 // than a lower class, or the "priority" labelling is meaningless).
@@ -118,32 +89,6 @@ func (w Weights) Validate() error {
 // Mix is a QoS-mix: the fraction of arriving traffic on each class
 // (the N-tuple (a1/a, ..., aN/a) of §4.1). Fractions sum to 1.
 type Mix []float64
-
-// Validate reports an error unless the mix is a probability vector.
-func (m Mix) Validate() error {
-	if len(m) == 0 {
-		return fmt.Errorf("qos: empty mix")
-	}
-	var s float64
-	for i, x := range m {
-		if x < 0 || x > 1 {
-			return fmt.Errorf("qos: mix[%d] = %v out of [0,1]", i, x)
-		}
-		s += x
-	}
-	if s < 0.999 || s > 1.001 {
-		return fmt.Errorf("qos: mix sums to %v, want 1", s)
-	}
-	return nil
-}
-
-// Share returns the fraction for class i (QoSi-share), or 0 out of range.
-func (m Mix) Share(i Class) float64 {
-	if int(i) < 0 || int(i) >= len(m) {
-		return 0
-	}
-	return m[i]
-}
 
 // MixCounter tallies bytes observed per QoS class and produces the
 // empirical Mix, used to report admitted QoS-mix in experiments.

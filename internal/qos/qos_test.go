@@ -1,7 +1,6 @@
 package qos
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -35,47 +34,14 @@ func TestStrings(t *testing.T) {
 	}
 }
 
-func TestWeightsShares(t *testing.T) {
-	w := StandardWeights2()
-	if got := w.Share(High); got != 0.8 {
-		t.Errorf("Share(High) = %v, want 0.8", got)
-	}
-	if got := w.Share(Class(0)) + w.Share(Class(1)); math.Abs(got-1) > 1e-12 {
-		t.Errorf("2-level shares sum to %v", got)
-	}
-	w3 := StandardWeights3()
-	if w3.Levels() != 3 || w3.Lowest() != Low {
-		t.Error("StandardWeights3 shape wrong")
-	}
-	if got := w3.Share(High); math.Abs(got-8.0/13) > 1e-12 {
-		t.Errorf("Share(High) = %v", got)
-	}
-	if got := w3.Share(Class(99)); got != 0 {
-		t.Errorf("out-of-range share = %v", got)
-	}
-}
-
 func TestWeightsValidate(t *testing.T) {
-	if err := StandardWeights3().Validate(); err != nil {
+	if err := (Weights{8, 4, 1}).Validate(); err != nil {
 		t.Errorf("standard weights invalid: %v", err)
 	}
 	bad := []Weights{{}, {0, 1}, {-1}, {1, 4}} // empty, zero, negative, increasing
 	for _, w := range bad {
 		if err := w.Validate(); err == nil {
 			t.Errorf("Validate(%v) = nil, want error", w)
-		}
-	}
-}
-
-func TestMixValidate(t *testing.T) {
-	good := Mix{0.6, 0.3, 0.1}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid mix rejected: %v", err)
-	}
-	bad := []Mix{{}, {0.5, 0.6}, {1.5, -0.5}, {0.2, 0.2}}
-	for _, m := range bad {
-		if err := m.Validate(); err == nil {
-			t.Errorf("Validate(%v) = nil, want error", m)
 		}
 	}
 }
@@ -90,7 +56,7 @@ func TestMixCounter(t *testing.T) {
 	mc.Add(Low, 100)
 	mc.Add(Class(42), 1e6) // ignored out-of-range
 	m := mc.Mix()
-	if m.Share(High) != 0.6 || m.Share(Medium) != 0.3 || m.Share(Low) != 0.1 {
+	if m[High] != 0.6 || m[Medium] != 0.3 || m[Low] != 0.1 {
 		t.Errorf("mix = %v", m)
 	}
 	if mc.Total() != 1000 {
@@ -99,15 +65,13 @@ func TestMixCounter(t *testing.T) {
 	if mc.Bytes(Medium) != 300 {
 		t.Errorf("Bytes(Medium) = %d", mc.Bytes(Medium))
 	}
-	if err := m.Validate(); err != nil {
-		t.Errorf("counter mix invalid: %v", err)
-	}
 }
 
-// Property: for any positive non-increasing weights, shares sum to 1 and
-// each share is in (0,1].
+// Property: Validate accepts any positive non-increasing weights, so each
+// class's share φi/Σφ lies in (0,1], and rejects them once a lower class is
+// raised above the class before it.
 func TestWeightSharesProperty(t *testing.T) {
-	f := func(raw []uint8) bool {
+	f := func(raw []uint8, at uint8) bool {
 		if len(raw) == 0 {
 			return true
 		}
@@ -127,15 +91,12 @@ func TestWeightSharesProperty(t *testing.T) {
 		if err := w.Validate(); err != nil {
 			return false
 		}
-		var sum float64
-		for i := range w {
-			sh := w.Share(Class(i))
-			if sh <= 0 || sh > 1 {
-				return false
-			}
-			sum += sh
+		if len(w) == 1 {
+			return true
 		}
-		return math.Abs(sum-1) < 1e-9
+		i := 1 + int(at)%(len(w)-1)
+		w[i] = w[i-1] + 1
+		return w.Validate() != nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
