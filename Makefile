@@ -116,11 +116,12 @@ chaos-check:
 # dump at /debug/flight. The scripted parity run holds the middleware and
 # the interceptor to one behaviour, the election test to one periodic
 # evaluation per period, and the allocation tests a request to what
-# net/http forces (one served, also when the middleware is called from
+# net/http forces (none served, also when the middleware is called from
 # another package; three refused) with the shared response-header values
-# left as they were built.
+# left as they were built. An RPC's verdict context must pass on a
+# cancellation made on another goroutine.
 serve-check:
-	$(GO) test -race -run 'TestServeOverloadSmoke|TestServeConcurrent|TestServeFlight|TestMetricsEscapePeerNames|TestAdapterParity|TestClockReadBudget|TestOneElection|TestRequestPathAllocs|TestMiddlewareAllocsFromOutside|TestSharedHeaderValues' -count=1 -timeout 10m ./serve
+	$(GO) test -race -run 'TestServeOverloadSmoke|TestServeConcurrent|TestServeFlight|TestMetricsEscapePeerNames|TestAdapterParity|TestClockReadBudget|TestOneElection|TestRequestPathAllocs|TestMiddlewareAllocsFromOutside|TestSharedHeaderValues|TestVerdictContext' -count=1 -timeout 10m ./serve
 
 # chaos-serve-check is the hardened-serving smoke: a race-enabled httptest
 # server with deadline budgets, brownout, a fail-open quota plane, and a

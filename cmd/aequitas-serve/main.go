@@ -229,8 +229,8 @@ func runServer(o serverOpts) {
 		// same code, they just ride a lower network priority in a real
 		// deployment.
 		time.Sleep(o.work)
-		v, _ := serve.FromContext(r.Context())
-		fmt.Fprintf(w, "ok class=%v downgraded=%v\n", v.Class, v.Downgraded)
+		class, _ := serve.ParseClass(w.Header().Get(serve.HeaderClass))
+		fmt.Fprintf(w, "ok class=%v downgraded=%v\n", class, w.Header().Get(serve.HeaderDowngraded) != "")
 	})
 	var inner http.Handler = handler
 	if inj != nil {

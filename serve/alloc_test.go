@@ -17,12 +17,12 @@ import (
 )
 
 // TestRequestPathAllocs pins the allocations the layer makes per request
-// on a manual clock, bare and hardened. A served request costs the one
-// object net/http forces on any middleware that hands its handler a
-// value: the copy of the request, with the context node that carries
-// the verdict inside it. A refusal costs the three http.Error makes (two
-// header values and the body's trip through fmt), an interceptor pass
-// the context node alone, and an RPC the interceptor refuses nothing.
+// on a manual clock, bare and hardened. A served request costs nothing:
+// its handler reads the verdict from the response headers, whose values
+// are shared. A refusal costs the three http.Error makes (two header
+// values and the body's trip through fmt), an interceptor pass the
+// context node that carries the verdict, and an RPC the interceptor
+// refuses nothing.
 func TestRequestPathAllocs(t *testing.T) {
 	// A fresh quota bucket admits its burst (six of these requests)
 	// without a draw, and the manual clock never refills it: every
@@ -44,8 +44,8 @@ func TestRequestPathAllocs(t *testing.T) {
 			cause  cause
 			max    float64
 		}{
-			{"served admitted", 0, false, "", causeAdmitted, 1},
-			{"served downgraded", 2, false, "", causeDowngraded, 1},
+			{"served admitted", 0, false, "", causeAdmitted, 0},
+			{"served downgraded", 2, false, "", causeDowngraded, 0},
 			{"refused", 2, true, "", causeRejected, 3},
 			{"expired", 0, false, "1ms", causeExpired, 3},
 		} {
@@ -104,11 +104,12 @@ func TestHeaderConstantsCanonical(t *testing.T) {
 	}
 }
 
-// TestVerdictContext: the node that carries the verdict is a context like
-// any other to the handler — the parent's values, deadline and
-// cancellation show through it, contexts derived from it are cancelled
-// with the request without a goroutine to forward the cancellation, and
-// of two nested layers the inner one's verdict wins.
+// TestVerdictContext: the node that carries an RPC's verdict is a
+// context like any other to the handler — the parent's values, deadline
+// and cancellation show through it, contexts derived from it are
+// cancelled with the call without a goroutine to forward the
+// cancellation, and of two nested interceptors the inner one's verdict
+// wins.
 func TestVerdictContext(t *testing.T) {
 	type parentKey struct{}
 	cause := errors.New("client went away")
@@ -117,54 +118,97 @@ func TestVerdictContext(t *testing.T) {
 	defer cancelDeadline()
 	wantDeadline, _ := parent.Deadline()
 
-	layer := func(peer string) *Admission {
-		a, err := New(Config{
-			Controller: newController(t),
-			Classify:   func(*http.Request) Request { return Request{Peer: peer} },
-		})
+	layer := func(peer string) (*Admission, UnaryInterceptor) {
+		a, err := New(Config{Controller: newController(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return a
+		return a, a.UnaryInterceptor(func(context.Context, *UnaryServerInfo, any) Request { return Request{Peer: peer} })
 	}
-	outer, inner := layer("outer"), layer("inner")
-	h := outer.Middleware(inner.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx := r.Context()
-		if v, ok := FromContext(ctx); !ok || v.Request.Peer != "inner" {
-			t.Errorf("verdict = %+v, %v, want the inner layer's", v, ok)
-		}
-		if got := ctx.Value(parentKey{}); got != "parent" {
-			t.Errorf("parent value = %v", got)
-		}
-		if dl, ok := ctx.Deadline(); !ok || !dl.Equal(wantDeadline) {
-			t.Errorf("deadline = %v, %v", dl, ok)
-		}
-		if ctx.Err() != nil {
-			t.Errorf("Err before cancel = %v", ctx.Err())
-		}
-		before := runtime.NumGoroutine()
-		child, stop := context.WithCancel(ctx)
-		defer stop()
-		if n := runtime.NumGoroutine(); n > before {
-			t.Errorf("deriving a context started %d goroutines", n-before)
-		}
-		cancel(cause)
-		select {
-		case <-child.Done():
-		case <-time.After(5 * time.Second):
-			t.Fatal("derived context not cancelled with the request")
-		}
-		<-ctx.Done()
-		if ctx.Err() != context.Canceled || context.Cause(ctx) != cause || context.Cause(child) != cause {
-			t.Errorf("after cancel: Err %v, Cause %v, derived Cause %v", ctx.Err(), context.Cause(ctx), context.Cause(child))
-		}
-	})))
-	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/rpc", nil).WithContext(parent))
+	outer, outerIcpt := layer("outer")
+	inner, innerIcpt := layer("inner")
+	info := &UnaryServerInfo{FullMethod: "/rpc"}
+	outerIcpt(parent, nil, info, func(ctx context.Context, req any) (any, error) {
+		return innerIcpt(ctx, req, info, func(ctx context.Context, _ any) (any, error) {
+			if v, ok := FromContext(ctx); !ok || v.Request.Peer != "inner" {
+				t.Errorf("verdict = %+v, %v, want the inner layer's", v, ok)
+			}
+			if got := ctx.Value(parentKey{}); got != "parent" {
+				t.Errorf("parent value = %v", got)
+			}
+			if dl, ok := ctx.Deadline(); !ok || !dl.Equal(wantDeadline) {
+				t.Errorf("deadline = %v, %v", dl, ok)
+			}
+			if ctx.Err() != nil {
+				t.Errorf("Err before cancel = %v", ctx.Err())
+			}
+			before := runtime.NumGoroutine()
+			child, stop := context.WithCancel(ctx)
+			defer stop()
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("deriving a context started %d goroutines", n-before)
+			}
+			go cancel(cause)
+			select {
+			case <-child.Done():
+			case <-time.After(5 * time.Second):
+				t.Fatal("derived context not cancelled with the call")
+			}
+			<-ctx.Done()
+			if ctx.Err() != context.Canceled || context.Cause(ctx) != cause || context.Cause(child) != cause {
+				t.Errorf("after cancel: Err %v, Cause %v, derived Cause %v", ctx.Err(), context.Cause(ctx), context.Cause(child))
+			}
+			return nil, nil
+		})
+	})
 	checkLedger(t, outer, 1)
 	checkLedger(t, inner, 1)
 
 	if _, ok := FromContext(parent); ok {
 		t.Error("FromContext found a verdict outside the layer")
+	}
+}
+
+// TestNestedMiddlewareVerdict: the middleware hands its handler the
+// caller's request itself, and behind two nested layers both verdict
+// headers are the inner one's, so the downgrade mark always belongs to
+// the class beside it — whichever of the two layers downgraded.
+func TestNestedMiddlewareVerdict(t *testing.T) {
+	layer := func(draw float64) *Admission {
+		ctl, clk := newManualController(t)
+		clk.SetDraw(draw)
+		a, err := New(Config{Controller: ctl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	for _, tc := range []struct {
+		outerDraw, innerDraw float64
+		class, mark          string
+	}{
+		{2, 0, "QoSh", ""}, // the outer layer downgrades, the inner admits
+		{0, 2, "QoSl", "1"},
+	} {
+		outer, inner := layer(tc.outerDraw), layer(tc.innerDraw)
+		req := benchRequest()
+		check := func(where string, h http.Header) {
+			if c, d := headerValue(h, HeaderClass), headerValue(h, HeaderDowngraded); c != tc.class || d != tc.mark {
+				t.Errorf("draws %v/%v, %s: %s %q, %s %q; want %q, %q",
+					tc.outerDraw, tc.innerDraw, where, HeaderClass, c, HeaderDowngraded, d, tc.class, tc.mark)
+			}
+		}
+		h := outer.Middleware(inner.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r != req {
+				t.Error("the handler received a copy of the caller's request")
+			}
+			check("handler", w.Header())
+		})))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		check("response", rec.Header())
+		checkLedger(t, outer, 1)
+		checkLedger(t, inner, 1)
 	}
 }
 

@@ -77,10 +77,10 @@ func benchRequest() *http.Request {
 }
 
 // BenchmarkServeMiddleware measures one full middleware pass — classify,
-// admit, response headers, context injection, handler dispatch, observe,
-// histogram record — per outcome: served on a bare and on a hardened
-// layer, served downgraded, and refused under RejectDowngraded; then the
-// hardened pass in parallel.
+// admit, response headers, handler dispatch, observe, histogram record —
+// per outcome: served on a bare and on a hardened layer, served
+// downgraded, and refused under RejectDowngraded; then the hardened pass
+// in parallel.
 func BenchmarkServeMiddleware(b *testing.B) {
 	for _, bc := range []struct {
 		name             string

@@ -13,10 +13,12 @@ import (
 	"aequitas"
 )
 
-// parseClassToLower is ParseClass as it was before it stopped allocating:
-// the reference FuzzParseClass compares against on ASCII input.
+// parseClassToLower is ParseClass as it was before it stopped allocating,
+// plus the "qos" prefix of Class.String's QoS3, QoS4, ...: the reference
+// FuzzParseClass compares against on ASCII input.
 func parseClassToLower(s string) (aequitas.Class, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
+	lower, num := strings.ToLower(strings.TrimSpace(s)), strings.TrimSpace(s)
+	switch lower {
 	case "qosh", "high", "h":
 		return aequitas.High, nil
 	case "qosm", "medium", "m":
@@ -24,7 +26,10 @@ func parseClassToLower(s string) (aequitas.Class, error) {
 	case "qosl", "low", "l":
 		return aequitas.Low, nil
 	}
-	n, err := strconv.Atoi(strings.TrimSpace(s))
+	if len(lower) > 3 && strings.HasPrefix(lower, "qos") {
+		num = num[3:]
+	}
+	n, err := strconv.Atoi(num)
 	if err != nil || n < 0 {
 		return 0, fmt.Errorf("serve: unknown QoS class %q", s)
 	}
@@ -45,6 +50,7 @@ func FuzzParseClass(f *testing.F) {
 		"QoSh", "high", "H", "0", "QoSm", "medium", "1", "qosl", "Low", "2",
 		"", "urgent", "-1", " QoSh\t", "+3", "007", "qoſh", "hİgh", " low", "99999999999999999999",
 		"-0", "+", "-", "+-1", "9223372036854775807", "9223372036854775808", "-9223372036854775808", "1_0",
+		"QoS3", "qos0", "QoS", "QoS-1",
 	} {
 		f.Add(s)
 	}

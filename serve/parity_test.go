@@ -129,8 +129,8 @@ func runScript(t *testing.T, viaHTTP, reject bool) scriptRun {
 		clk.SetNow(clk.Now() + sim.FromStd(cur.work))
 	}
 	h := a.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if _, ok := FromContext(r.Context()); !ok {
-			t.Error("verdict missing from request context")
+		if _, err := ParseClass(headerValue(w.Header(), HeaderClass)); err != nil {
+			t.Error("verdict missing from the response headers")
 		}
 		work()
 	}))

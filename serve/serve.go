@@ -9,7 +9,9 @@
 // through five ordered pre-serve checks — deadline budget, brownout hard
 // shed, the admission draw, quota fail-closed drop, brownout scavenger
 // thinning and tightening — and leaves by a single exit that counts the
-// outcome and calls Config.DecisionLog once. A served request starts at
+// outcome and calls Config.DecisionLog once. An HTTP handler reads the
+// verdict from the response headers (HeaderClass, HeaderDowngraded), an
+// RPC handler from its context (FromContext). A served request starts at
 // the reading the controller's decision took, when it took one and
 // nothing after it could wait (a DecisionLog callback, a contended quota
 // lock); otherwise the exit reads the start. end reads the completion time,
@@ -153,7 +155,8 @@ func ClassifyByHeader(r *http.Request) Request {
 }
 
 // ParseClass reads a QoS class from its paper name (QoSh/QoSm/QoSl),
-// a plain level name (high/medium/low), or a numeric level. Names match
+// a plain level name (high/medium/low), or a numeric level, bare or
+// after "QoS" as Class.String writes levels from 3 up. Names match
 // whatever the case of their ASCII letters, and nothing outside ASCII
 // folds onto them. It runs per request and does not allocate on success.
 func ParseClass(s string) (aequitas.Class, error) {
@@ -169,14 +172,14 @@ func ParseClass(s string) (aequitas.Class, error) {
 func parseClass(s string) (aequitas.Class, bool) {
 	t := strings.TrimSpace(s)
 	var lower [len("medium")]byte
-	if len(t) <= len(lower) {
-		for i := 0; i < len(t); i++ {
-			lower[i] = t[i]
-			if 'A' <= t[i] && t[i] <= 'Z' {
-				lower[i] += 'a' - 'A'
-			}
+	k := copy(lower[:], t)
+	for i := range lower[:k] {
+		if 'A' <= lower[i] && lower[i] <= 'Z' {
+			lower[i] += 'a' - 'A'
 		}
-		switch string(lower[:len(t)]) {
+	}
+	if k == len(t) {
+		switch string(lower[:k]) {
 		case "qosh", "high", "h":
 			return aequitas.High, true
 		case "qosm", "medium", "m":
@@ -185,9 +188,12 @@ func parseClass(s string) (aequitas.Class, bool) {
 			return aequitas.Low, true
 		}
 	}
-	// A level number: what strconv.Atoi accepts (an optional sign, then
-	// decimal digits, at most math.MaxInt64) if it is not negative. It is
-	// read here because Atoi's errors allocate.
+	// A level number, bare or after "qos": what strconv.Atoi accepts (an
+	// optional sign, then decimal digits, at most math.MaxInt64) if it is
+	// not negative. It is read here because Atoi's errors allocate.
+	if k > len("qos") && string(lower[:3]) == "qos" {
+		t = t[3:]
+	}
 	neg := t != "" && t[0] == '-'
 	if t != "" && (neg || t[0] == '+') {
 		t = t[1:]
@@ -307,10 +313,11 @@ func (a *Admission) Controller() *aequitas.AdmissionController { return a.ctl }
 // ctxKey is the context key the admission verdict answers to.
 type ctxKey struct{}
 
-// verdictCtx is the one context node a served request costs: the parent
-// context with the verdict inline. Every key but ctxKey, and Deadline,
-// Done and Err, are the parent's, so a cancellation of the parent reaches
-// contexts derived from this one the way it would through a valueCtx.
+// verdictCtx is the one context node an intercepted RPC costs: the
+// parent context with the verdict inline. Every key but ctxKey, and
+// Deadline, Done and Err, are the parent's, so a cancellation of the
+// parent reaches contexts derived from this one the way it would through
+// a valueCtx.
 type verdictCtx struct {
 	context.Context
 	v Verdict
@@ -323,9 +330,10 @@ func (c *verdictCtx) Value(key any) any {
 	return c.Context.Value(key)
 }
 
-// Verdict is the admission outcome attached to a request's context (and
-// handed to DecisionLog for every request, including ones rejected
-// before the draw).
+// Verdict is the admission outcome of one request, handed to DecisionLog
+// for every request, including ones rejected before the draw, and
+// attached to the context of an RPC the interceptor serves. An HTTP
+// handler reads its Class and Downgraded from the response headers.
 type Verdict struct {
 	Request Request
 	// Class is the QoS level the request actually runs on.
@@ -345,8 +353,8 @@ type Verdict struct {
 	Dropped bool
 }
 
-// FromContext returns the admission verdict for the current request, if it
-// passed through the middleware or interceptor.
+// FromContext returns the admission verdict for the current RPC, if it
+// passed through the interceptor; an HTTP handler reads its headers.
 func FromContext(ctx context.Context) (Verdict, bool) {
 	if v, ok := ctx.Value(ctxKey{}).(*Verdict); ok {
 		return *v, true
@@ -524,54 +532,39 @@ func (a *Admission) retryAfter(fixed time.Duration, class aequitas.Class) string
 }
 
 // Middleware wraps next with admission control: classify, begin (setting
-// the response headers), serve on the decided class, end. Requests
-// stopped before the handler (expired, shed, rejected, quota-dropped)
-// receive RejectStatus with a Retry-After hint and are not observed —
-// they never ran.
+// the response headers, where the handler reads its verdict), serve on
+// the decided class, end. Requests stopped before the handler (expired,
+// shed, rejected, quota-dropped) receive RejectStatus with a Retry-After
+// hint and are not observed — they never ran.
 func (a *Admission) Middleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { a.serveHTTP(next, w, r) })
-}
-
-// servedRequest is the one heap object a served request costs: the
-// context node that carries the verdict and the request copy handed to
-// the handler, allocated together.
-type servedRequest struct {
-	vc verdictCtx
-	r  http.Request
-}
-
-// serveHTTP is Middleware's body. It is a method, not the closure
-// itself, so that it is compiled here, where Request.WithContext inlines
-// and its copy of the request lands in servedRequest instead of on the
-// heap; a closure would be recompiled in every caller that inlines
-// Middleware.
-func (a *Admission) serveHTTP(next http.Handler, w http.ResponseWriter, r *http.Request) {
-	req := a.cls(r)
-	budget, haveBudget := a.budgetFromRequest(r.Header, r.Context())
-	rec := a.begin(req, budget, haveBudget)
-	// The header keys are canonical and the values shared (see
-	// Admission.classValue): assigned, not Set, nothing allocates.
-	h := w.Header()
-	if rec.cause <= causeRejected { // the draw assigned a class
-		h[HeaderClass] = a.classValue[rec.v.Class]
-		if rec.v.Downgraded {
-			h[HeaderDowngraded] = a.markValue
-		}
-	}
-	if ref := &refusals[rec.cause]; ref.err != nil {
-		if ref.header != "" {
-			mark := a.markValue
-			if rec.cause == causeShed {
-				mark = a.shedValue[rec.v.ShedLevel]
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		req := a.cls(r)
+		budget, haveBudget := a.budgetFromRequest(r.Header, r.Context())
+		rec := a.begin(req, budget, haveBudget)
+		// The header keys are canonical and the values shared (see
+		// Admission.classValue): assigned, not Set, nothing allocates.
+		h := w.Header()
+		if rec.cause <= causeRejected { // the draw assigned a class
+			h[HeaderClass] = a.classValue[rec.v.Class]
+			if rec.v.Downgraded {
+				h[HeaderDowngraded] = a.markValue
+			} else if _, marked := h[HeaderDowngraded]; marked {
+				delete(h, HeaderDowngraded) // an outer layer's, not this class's
 			}
-			h[ref.header] = mark
 		}
-		h[headerRetryAfter] = a.retryValue[rec.v.Request.Class]
-		http.Error(w, ref.body, a.rejStatus)
-		return
-	}
-	sv := &servedRequest{vc: verdictCtx{r.Context(), rec.v}}
-	sv.r = *r.WithContext(&sv.vc)
-	next.ServeHTTP(w, &sv.r)
-	a.end(&rec)
+		if ref := &refusals[rec.cause]; ref.err != nil {
+			if ref.header != "" {
+				mark := a.markValue
+				if rec.cause == causeShed {
+					mark = a.shedValue[rec.v.ShedLevel]
+				}
+				h[ref.header] = mark
+			}
+			h[headerRetryAfter] = a.retryValue[rec.v.Request.Class]
+			http.Error(w, ref.body, a.rejStatus)
+			return
+		}
+		next.ServeHTTP(w, r)
+		a.end(&rec)
+	})
 }

@@ -59,9 +59,15 @@ func TestParseClass(t *testing.T) {
 			t.Errorf("ParseClass(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "urgent", "-1"} {
+	for _, bad := range []string{"", "urgent", "-1", "QoS", "QoS-1"} {
 		if _, err := ParseClass(bad); err == nil {
 			t.Errorf("ParseClass(%q) accepted", bad)
+		}
+	}
+	// Every name the layer writes into HeaderClass reads back.
+	for c := aequitas.Class(0); c <= 255; c++ {
+		if got, err := ParseClass(c.String()); err != nil || got != c {
+			t.Errorf("ParseClass(%q) = %v, %v; want %v", c.String(), got, err, c)
 		}
 	}
 }
@@ -74,8 +80,8 @@ func TestServeOverloadSmoke(t *testing.T) {
 	a := newAdmission(t, false)
 	var handled int
 	h := a.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if _, ok := FromContext(r.Context()); !ok {
-			t.Error("verdict missing from request context")
+		if _, err := ParseClass(headerValue(w.Header(), HeaderClass)); err != nil {
+			t.Error("verdict missing from the response headers")
 		}
 		handled++
 		w.WriteHeader(http.StatusOK)
